@@ -1,0 +1,269 @@
+//! The algorithm registry: each ECL algorithm is declared once.
+//!
+//! The paper profiles five codes that differ only in their kernels,
+//! their counters and a handful of knobs, so everything that runs "an
+//! algorithm, by name, on these graph views, under this schedule" —
+//! `ecl-serve` jobs, `ecl-tune` evaluations, `ecl-run --profile` and
+//! `--shards` — holds a `&dyn` [`Algorithm`] from [`ALL`] / [`find`]
+//! and calls the one driver, [`execute`] / [`execute_sharded`]. The
+//! algorithm is stated once; a [`Schedule`] is data applied to it.
+//!
+//! Adding an algorithm is a kernel crate (`Config`, `KNOBS`,
+//! `apply_schedule`, `run`), one adapter in [`adapters`], and one line
+//! in [`ALL`] (DESIGN.md, "Adding an algorithm");
+//! `tests/algo_registry.rs` drives a toy sixth algorithm through every
+//! consumer to keep that true.
+
+pub mod adapters;
+
+use ecl_gpusim::pool::with_policy;
+use ecl_gpusim::schedule::{KnobSpec, DISPATCH_KNOBS};
+use ecl_gpusim::{Device, DeviceConfig, Schedule};
+use ecl_graph::{Csr, WeightedCsr};
+use ecl_profiling::SketchSnapshot;
+use ecl_shard::{Partition, ShardStats};
+
+pub use adapters::SCC_MIN_SMS;
+
+/// The graph views an algorithm may consume, plus the input's name for
+/// error messages. Callers fill in what they hold; [`execute`] checks
+/// that the view the algorithm needs is there.
+#[derive(Clone, Copy, Debug)]
+pub struct Views<'a> {
+    /// Input name (catalog or registry name).
+    pub name: &'a str,
+    /// Unweighted view.
+    pub csr: Option<&'a Csr>,
+    /// Weighted view.
+    pub weighted: Option<&'a WeightedCsr>,
+}
+
+impl<'a> Views<'a> {
+    /// The underlying structure regardless of weighting.
+    pub fn structure(&self) -> Option<&'a Csr> {
+        self.csr.or(self.weighted.map(WeightedCsr::csr))
+    }
+
+    /// The unweighted view.
+    ///
+    /// # Panics
+    /// Panics if it is absent — [`check_input`] rules that out for
+    /// every call made through [`execute`].
+    pub fn expect_csr(&self) -> &'a Csr {
+        self.csr.expect("unweighted view present (check_input)")
+    }
+
+    /// The weighted view; panics like [`Views::expect_csr`].
+    pub fn expect_weighted(&self) -> &'a WeightedCsr {
+        self.weighted.expect("weighted view present (check_input)")
+    }
+}
+
+/// What one run reports, beyond the modeled time its device tallied.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Outcome {
+    /// Named integer aggregates (counts, rounds, FNV checksums of the
+    /// solution vectors), in a fixed order. Bit-exact: two runs are
+    /// "the same result" iff these match.
+    pub aggregates: Vec<(&'static str, u64)>,
+    /// Named counter distributions (`<algo>/<counter>`), for profile
+    /// manifests.
+    pub distributions: Vec<(&'static str, SketchSnapshot)>,
+}
+
+impl Outcome {
+    /// FNV-1a over the aggregates (names and values): equal iff two
+    /// runs produced the same result. Process-local — never persist it.
+    pub fn signature(&self) -> u64 {
+        fnv1a(self.aggregates.iter().flat_map(|(name, v)| name.bytes().chain(v.to_le_bytes())))
+    }
+}
+
+/// FNV-1a-style byte hash. The multiplier is the one serve's checksums
+/// have always used — not the standard 64-bit FNV prime
+/// (`0x100_0000_01b3`); changing it would change every served checksum.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x1_0000_0000_01b3))
+}
+
+/// FNV-1a over little-endian `u32`s — the stable solution-vector
+/// checksum carried in [`Outcome::aggregates`] (and so in serve's
+/// result-cache equivalence guarantee).
+pub fn checksum_u32(values: impl IntoIterator<Item = u32>) -> u64 {
+    fnv1a(values.into_iter().flat_map(u32::to_le_bytes))
+}
+
+/// One runnable algorithm. Object-safe: consumers hold
+/// `&dyn Algorithm` and never name a concrete code.
+pub trait Algorithm: Sync {
+    /// Stable wire name (`cc`, `gc`, …).
+    fn name(&self) -> &'static str;
+
+    /// Whether the algorithm consumes directed graphs (it then rejects
+    /// undirected ones, and vice versa).
+    fn directed(&self) -> bool {
+        false
+    }
+
+    /// Whether the algorithm consumes the weighted view.
+    fn weighted(&self) -> bool {
+        false
+    }
+
+    /// SM floor of the scaled device (kernels that need a multi-block
+    /// grid even at tiny scales raise it).
+    fn min_sms(&self) -> usize {
+        1
+    }
+
+    /// The knobs `run` reads from a schedule, with their admissible
+    /// values (the dispatch knobs are implied — see
+    /// [`ecl_gpusim::schedule::DISPATCH_KNOBS`]).
+    fn knobs(&self) -> &'static [KnobSpec];
+
+    /// Every knob at its default: reproduces the untuned run.
+    fn default_schedule(&self) -> Schedule {
+        ecl_gpusim::default_schedule(self.knobs())
+    }
+
+    /// Runs on `device` with the default configuration overridden by
+    /// `schedule`'s knobs. `views` satisfies the input contract.
+    fn run(&self, device: &Device, views: &Views<'_>, schedule: &Schedule) -> Outcome;
+
+    /// The sharded implementation, if the algorithm has one.
+    fn run_sharded(&self) -> Option<ShardedRun> {
+        None
+    }
+}
+
+/// A sharded run across `devices`, one per shard of the partition.
+pub type ShardedRun = fn(&[Device], &Csr, &Partition, &Schedule) -> (Outcome, ShardStats);
+
+/// The registered algorithms, in wire order (`ecl_serve::Algo::ALL`
+/// and the benchmark's metric names follow it).
+pub static ALL: [&dyn Algorithm; 5] =
+    [&adapters::Cc, &adapters::Gc, &adapters::Mis, &adapters::Mst, &adapters::Scc];
+
+/// The registered algorithm called `name`.
+pub fn find(name: &str) -> Option<&'static dyn Algorithm> {
+    ALL.iter().copied().find(|a| a.name() == name)
+}
+
+/// The directedness contract, as one line naming both sides.
+pub fn check_directedness(algo: &dyn Algorithm, input: &str, directed: bool) -> Result<(), String> {
+    if algo.directed() == directed {
+        return Ok(());
+    }
+    let (wants, is) =
+        if directed { ("an undirected", "directed") } else { ("a directed", "undirected") };
+    Err(format!("{} requires {wants} graph ({input:?} is {is})", algo.name()))
+}
+
+/// The input contract of `algo`: directedness matches and the view it
+/// consumes is present.
+pub fn check_input(algo: &dyn Algorithm, views: &Views<'_>) -> Result<(), String> {
+    let structure = views.structure().ok_or("internal: no graph view")?;
+    check_directedness(algo, views.name, structure.is_directed())?;
+    let kind = if algo.weighted() { "weighted" } else { "unweighted" };
+    let present = if algo.weighted() { views.weighted.is_some() } else { views.csr.is_some() };
+    present.then_some(()).ok_or_else(|| format!("internal: {kind} view missing"))
+}
+
+/// Runs `algo` on a fresh RTX 4090 scaled by `scale` and returns its
+/// outcome with the device's modeled time. The run applies the
+/// schedule's knobs to the default configuration (no schedule: the
+/// defaults) and, if the schedule names a dispatch knob, executes under
+/// its dispatch policy — cost-neutral by scheduler determinism. A
+/// schedule that names none (per-request overrides only) leaves the
+/// caller's policy in force.
+pub fn execute(
+    algo: &dyn Algorithm,
+    scale: f64,
+    views: &Views<'_>,
+    schedule: Option<&Schedule>,
+) -> Result<(Outcome, f64), String> {
+    check_input(algo, views)?;
+    let device = Device::new(DeviceConfig::rtx4090_scaled(scale, algo.min_sms()));
+    let defaults = Schedule::new();
+    let schedule = schedule.unwrap_or(&defaults);
+    let run = || algo.run(&device, views, schedule);
+    let outcome = if DISPATCH_KNOBS.iter().any(|k| schedule.get(k.name).is_some()) {
+        with_policy(schedule.dispatch_policy(), run)
+    } else {
+        run()
+    };
+    Ok((outcome, device.modeled_time()))
+}
+
+/// Runs `algo` across `shards` scaled devices through `ecl-shard`
+/// ([`Partition::auto`]). The outcome's solution checksums equal the
+/// single-pool run's; the modeled time is in the returned stats. An
+/// algorithm without a sharded implementation is refused before any
+/// partitioning work.
+pub fn execute_sharded(
+    algo: &dyn Algorithm,
+    scale: f64,
+    views: &Views<'_>,
+    shards: u32,
+    schedule: Option<&Schedule>,
+) -> Result<(Outcome, ShardStats), String> {
+    // Sharded runners consume the structure, whichever view holds it.
+    let g = views.structure().ok_or("internal: no graph view")?;
+    check_directedness(algo, views.name, g.is_directed())?;
+    let run = algo
+        .run_sharded()
+        .ok_or_else(|| format!("{} does not support sharded execution", algo.name()))?;
+    let part = Partition::auto(g, shards);
+    let devices =
+        ecl_shard::devices_for(DeviceConfig::rtx4090_scaled(scale, algo.min_sms()), shards);
+    Ok(run(&devices, g, &part, schedule.unwrap_or(&Schedule::new())))
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use ecl_graph::GraphBuilder;
+
+    fn path(directed: bool) -> Csr {
+        let mut b =
+            if directed { GraphBuilder::new_directed(4) } else { GraphBuilder::new_undirected(4) };
+        for v in 0..3 {
+            b.add_edge(v, v + 1);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn input_contract_fails_with_one_line() {
+        let (und, dir) = (path(false), path(true));
+        let views = |g| Views { name: "star", csr: Some(g), weighted: None };
+        let run = |name: &str, g| execute(find(name).unwrap(), 0.001, &views(g), None);
+        assert_eq!(
+            run("cc", &dir).unwrap_err(),
+            "cc requires an undirected graph (\"star\" is directed)"
+        );
+        assert_eq!(
+            run("scc", &und).unwrap_err(),
+            "scc requires a directed graph (\"star\" is undirected)"
+        );
+        assert!(run("mst", &und).unwrap_err().contains("weighted view missing"));
+        assert!(run("cc", &und).is_ok() && run("scc", &dir).is_ok());
+        // No sharded implementation: said before the view is missed.
+        let sharded = execute_sharded(find("mst").unwrap(), 0.001, &views(&und), 2, None);
+        assert_eq!(sharded.unwrap_err(), "mst does not support sharded execution");
+        assert!(find("bfs").is_none());
+    }
+
+    #[test]
+    fn checksum_is_pinned_and_signature_tracks_the_aggregates() {
+        // Served aggregates (and cached results) carry the checksum.
+        assert_eq!(checksum_u32([1, 2, 3]), 0xe001_7b43_81eb_0395);
+        let a = Outcome { aggregates: vec![("n", 1), ("sum", 2)], distributions: Vec::new() };
+        let b = Outcome { aggregates: vec![("n", 1), ("sum", 3)], distributions: Vec::new() };
+        assert_eq!(a.signature(), a.clone().signature());
+        assert_ne!(a.signature(), b.signature());
+    }
+}

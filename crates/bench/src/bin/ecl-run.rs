@@ -42,9 +42,8 @@ struct Args {
     /// `--shards N`: run CC/MIS/SCC sharded across N modeled GPUs
     /// through ecl-shard (1 = ordinary single-pool execution).
     shards: u32,
-    /// `--bench-json <path>`: write a benchmark report instead of a
-    /// single run. With `--shards 1` this is the PR 3 dispatch-engine
-    /// benchmark; with `--shards N > 1` it is the shard scaling curve.
+    /// `--shards N --bench-json <path>`: write the shard scaling curve
+    /// instead of doing a single run.
     bench_json: Option<String>,
     /// `--tuned <manifest>`: apply the best-known schedule for
     /// (algo, input family) from an `ecl-tune/1` manifest. Overrides
@@ -120,7 +119,6 @@ fn usage() -> ! {
          \x20                                        profiling artifacts; see the ecl-prof binary)\n\
          \x20      [--shards n]  (run cc|mis|scc across n modeled GPUs via ecl-shard)\n\
          \x20      ecl-run --list    (show registered inputs)\n\
-         \x20      ecl-run --bench-json <path>  (dispatch-engine benchmark: pool vs. spawn)\n\
          \x20      ecl-run --shards n --bench-json <path>  (shard scaling curve, torus + rmat)"
     );
     std::process::exit(2);
@@ -232,41 +230,15 @@ fn parse() -> Args {
         }
         i += 1;
     }
-    if a.bench_json.is_none() && (a.algo.is_empty() || a.input.is_empty()) {
-        usage();
+    match &a.bench_json {
+        Some(_) if a.shards < 2 => {
+            eprintln!("--bench-json writes the shard scaling curve; it wants --shards n (n > 1)");
+            std::process::exit(2);
+        }
+        None if a.algo.is_empty() || a.input.is_empty() => usage(),
+        _ => {}
     }
     a
-}
-
-/// `--bench-json <path>`: run the PR 3 dispatch-engine benchmark
-/// (persistent pool vs. legacy spawn-per-launch) and write the
-/// results as JSON.
-fn bench_json(path: &str) {
-    eprintln!("bench: measuring spawn vs. pool dispatch (a few seconds)...");
-    let bench = ecl_bench::dispatch_bench::run();
-    eprintln!(
-        "bench: launch overhead {:.0} ns -> {:.0} ns per launch ({:.1}x)",
-        bench.overhead_ns.spawn,
-        bench.overhead_ns.pool,
-        bench.overhead_ns.speedup()
-    );
-    for e in &bench.end_to_end {
-        eprintln!(
-            "bench: {} on {} ({} vertices, {} arcs): {:.1} ms -> {:.1} ms ({:.2}x)",
-            e.algo,
-            e.graph.name,
-            e.graph.vertices,
-            e.graph.arcs,
-            e.pair.spawn * 1e3,
-            e.pair.pool * 1e3,
-            e.pair.speedup()
-        );
-    }
-    if let Err(e) = std::fs::write(path, bench.to_json()) {
-        eprintln!("bench: failed to write {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("bench: wrote {path}");
 }
 
 /// `--shards N --bench-json <path>`: run the shard scaling benchmark
@@ -312,20 +284,26 @@ fn print_cost(device: &ecl_gpusim::Device) {
 fn main() {
     let a = parse();
     if let Some(path) = &a.bench_json {
-        if a.shards > 1 {
-            shard_bench_json(path, a.shards);
-        } else {
-            bench_json(path);
-        }
+        shard_bench_json(path, a.shards);
         return;
     }
+    let algo = ecl_algos::find(&a.algo).unwrap_or_else(|| {
+        eprintln!("unknown algorithm '{}'", a.algo);
+        usage();
+    });
     let spec = ecl_graphgen::registry::find(&a.input).unwrap_or_else(|| {
         eprintln!("unknown input '{}'; try --list", a.input);
         std::process::exit(2);
     });
+    // The input contract every consumer shares (serve answers a job
+    // with the same line): checked before anything is generated.
+    if let Err(e) = ecl_algos::check_directedness(algo, spec.name, spec.directed) {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     if let Some(dir) = &a.profile {
         let pspec = ecl_bench::profile_run::ProfileSpec {
-            algo: &a.algo,
+            algo,
             input: &a.input,
             scale: a.scale,
             seed: a.seed,
@@ -368,7 +346,7 @@ fn main() {
 
     if a.check {
         let session = ecl_check::CheckSession::begin(&device);
-        run_algo(&a, spec, &device);
+        run_algo(&a, algo, spec, &device);
         let report = session.finish();
         print!("\n{}", report.render(&format!("ecl-check: {} on {}", a.algo, spec.name)));
         if !report.is_clean() {
@@ -377,74 +355,50 @@ fn main() {
         }
         return;
     }
-    run_algo(&a, spec, &device);
+    run_algo(&a, algo, spec, &device);
 }
 
 /// `--shards N` execution: partition the input and run through
 /// ecl-shard with one modeled GPU per shard. Results are bit-identical
 /// to the single-pool kernels; modeled time reflects max-over-shards
 /// compute plus the cross-shard exchange cost.
-fn run_sharded(a: &Args, spec: &ecl_graphgen::InputSpec) {
-    let min_sms = if a.algo == "scc" { ecl_bench::SCC_MIN_SMS } else { 1 };
-    let config = ecl_bench::scaled_config_min(a.scale, min_sms);
-    let devices = ecl_shard::devices_for(config, a.shards);
+fn run_sharded(a: &Args, algo: &dyn ecl_algos::Algorithm, spec: &ecl_graphgen::InputSpec) {
     let g = spec.generate(a.scale, a.seed);
-    let part = ecl_shard::Partition::auto(&g, a.shards);
-    let print_stats = |stats: &ecl_shard::ShardStats| {
-        println!(
-            "  partition: {} ({} shards), cut {}/{} arcs ({:.3})",
-            stats.strategy.name(),
-            stats.shards,
-            stats.cut_arcs,
-            stats.total_arcs,
-            stats.cut_ratio()
-        );
-        println!(
-            "  supersteps: {}, exchange messages: {}",
-            stats.supersteps, stats.exchange_messages
-        );
-        println!("\nmodeled cost: {:.0} units (max-over-shards + exchange)", stats.modeled_time);
-    };
-    match a.algo.as_str() {
-        "cc" => {
-            let (r, secs) = ecl_gpusim::run_timed(|| ecl_shard::run_cc(&devices, &g, &part));
-            println!(
-                "\nECL-CC ({} shards): {} components in {secs:.3}s",
-                a.shards,
-                r.num_components()
-            );
-            print_stats(&r.stats);
-        }
-        "mis" => {
-            let salt = ecl_mis::MisConfig::seeded(a.seed).tie_salt;
-            let (r, secs) = ecl_gpusim::run_timed(|| ecl_shard::run_mis(&devices, &g, &part, salt));
-            println!("\nECL-MIS ({} shards): {} selected ({secs:.3}s)", a.shards, r.set_size());
-            print_stats(&r.stats);
-        }
-        "scc" => {
-            if !spec.directed {
-                eprintln!("'{}' is undirected; SCC needs one of the mesh inputs", spec.name);
-                std::process::exit(2);
-            }
-            let (r, secs) = ecl_gpusim::run_timed(|| ecl_shard::run_scc(&devices, &g, &part));
-            println!(
-                "\nECL-SCC ({} shards): {} SCCs in {} outer iterations ({secs:.3}s)",
-                a.shards,
-                r.num_sccs(),
-                r.outer_iterations
-            );
-            print_stats(&r.stats);
-        }
-        other => {
-            eprintln!("--shards supports cc|mis|scc (got '{other}')");
-            std::process::exit(2);
-        }
+    let views = ecl_algos::Views { name: spec.name, csr: Some(&g), weighted: None };
+    // The job seed selects the MIS tie-break permutation, as in serve.
+    let schedule =
+        ecl_gpusim::Schedule::new().with("tie_salt", ecl_algos::adapters::mis_tie_salt(a.seed));
+    let (run, secs) = ecl_gpusim::run_timed(|| {
+        ecl_algos::execute_sharded(algo, a.scale, &views, a.shards, Some(&schedule))
+    });
+    let (outcome, stats) = run.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    println!("\nECL-{} ({} shards) in {secs:.3}s", algo.name().to_uppercase(), a.shards);
+    for (name, value) in &outcome.aggregates {
+        println!("  {name}: {value}");
     }
+    println!(
+        "  partition: {} ({} shards), cut {}/{} arcs ({:.3})",
+        stats.strategy.name(),
+        stats.shards,
+        stats.cut_arcs,
+        stats.total_arcs,
+        stats.cut_ratio()
+    );
+    println!("  supersteps: {}, exchange messages: {}", stats.supersteps, stats.exchange_messages);
+    println!("\nmodeled cost: {:.0} units (max-over-shards + exchange)", stats.modeled_time);
 }
 
-fn run_algo(a: &Args, spec: &ecl_graphgen::InputSpec, device: &ecl_gpusim::Device) {
+fn run_algo(
+    a: &Args,
+    algo: &dyn ecl_algos::Algorithm,
+    spec: &ecl_graphgen::InputSpec,
+    device: &ecl_gpusim::Device,
+) {
     if a.shards > 1 {
-        run_sharded(a, spec);
+        run_sharded(a, algo, spec);
         return;
     }
     match a.algo.as_str() {
@@ -570,10 +524,6 @@ fn run_algo(a: &Args, spec: &ecl_graphgen::InputSpec, device: &ecl_gpusim::Devic
             print_cost(device);
         }
         "scc" => {
-            if !spec.directed {
-                eprintln!("'{}' is undirected; SCC needs one of the mesh inputs", spec.name);
-                std::process::exit(2);
-            }
             let g = spec.generate(a.scale, a.seed);
             let mut cfg = ecl_scc::SccConfig::original();
             cfg.trim = a.trim;
@@ -604,9 +554,6 @@ fn run_algo(a: &Args, spec: &ecl_graphgen::InputSpec, device: &ecl_gpusim::Devic
             }
             print_cost(device);
         }
-        other => {
-            eprintln!("unknown algorithm '{other}'");
-            usage();
-        }
+        other => unreachable!("'{other}' is registered but has no counter printer here"),
     }
 }

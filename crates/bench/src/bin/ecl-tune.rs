@@ -53,7 +53,9 @@ fn run() -> Result<(), String> {
             let m = load(path)?;
             m.validate()?;
             let lint = ecl_check::lint_schedules(
-                m.entries.iter().map(|e| (e.algo.as_str(), &e.schedule)),
+                m.entries
+                    .iter()
+                    .map(|e| (e.algo.as_str(), ecl_tune::manifest::knobs_of(&e.algo), &e.schedule)),
                 &device,
             );
             if !lint.is_clean() {

@@ -15,13 +15,14 @@
 //! ratio of input size to thread count, which scaling both preserves.
 
 pub mod check_suite;
-pub mod dispatch_bench;
 pub mod experiments;
 pub mod mc_suite;
 pub mod profile_run;
 pub mod shard_bench;
 
 use ecl_gpusim::{Device, DeviceConfig};
+
+pub use ecl_algos::SCC_MIN_SMS;
 
 /// Default scale of all harness binaries (fraction of the paper's
 /// input sizes).
@@ -37,26 +38,16 @@ pub fn scaled_device(scale: f64) -> Device {
     scaled_device_min(scale, 1)
 }
 
-/// Like [`scaled_device`] but with a floor on the SM count. The SCC
-/// experiments need it: the block-size trade-off of Table 6 and the
-/// per-block series of Figure 1 only exist when the grid has many
-/// blocks (the paper's plots show 384), so the device must not shrink
-/// to a single SM at small input scales.
+/// Like [`scaled_device`] but with a floor on the SM count
+/// ([`DeviceConfig::rtx4090_scaled`]). The SCC experiments need it:
+/// the block-size trade-off of Table 6 and the per-block series of
+/// Figure 1 only exist when the grid has many blocks (the paper's
+/// plots show 384), so the device must not shrink to a single SM at
+/// small input scales.
 pub fn scaled_device_min(scale: f64, min_sms: usize) -> Device {
-    Device::new(scaled_config_min(scale, min_sms))
-}
-
-/// The configuration behind [`scaled_device_min`]; the sharded runner
-/// builds one identical device per shard from it.
-pub fn scaled_config_min(scale: f64, min_sms: usize) -> DeviceConfig {
     assert!(scale > 0.0, "scale must be positive");
-    let full = DeviceConfig::rtx4090();
-    let num_sms = ((full.num_sms as f64 * scale).round() as usize).max(min_sms).max(1);
-    DeviceConfig { num_sms, ..full }
+    Device::new(DeviceConfig::rtx4090_scaled(scale, min_sms))
 }
-
-/// SM floor used by the SCC experiments (8 SMs = 24 blocks of 512).
-pub const SCC_MIN_SMS: usize = 8;
 
 /// Parses `--scale <f>` and `--seed <n>` from argv, falling back to
 /// the `ECL_SCALE` / `ECL_SEED` environment variables and then the

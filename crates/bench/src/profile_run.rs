@@ -20,14 +20,16 @@
 use std::path::Path;
 use std::sync::Arc;
 
+use ecl_algos::{Algorithm, Views};
 use ecl_prof::manifest::{Direction, DispatchInfo, Manifest, Metric, SCHEMA};
 use ecl_prof::{folded_to_svg, to_folded, to_prometheus, Collector};
 use ecl_profiling::SketchSnapshot;
 
 /// Settings of one profiled run.
+#[derive(Clone, Copy)]
 pub struct ProfileSpec<'a> {
-    /// Algorithm (`cc|gc|mis|mst|scc`).
-    pub algo: &'a str,
+    /// Algorithm (resolve a name with [`ecl_algos::find`]).
+    pub algo: &'a dyn Algorithm,
     /// Registered input name.
     pub input: &'a str,
     /// Input scale factor.
@@ -50,63 +52,19 @@ struct RepeatResult {
 fn run_once(spec: &ProfileSpec<'_>) -> Result<RepeatResult, String> {
     let reg = ecl_graphgen::registry::find(spec.input)
         .ok_or_else(|| format!("unknown input '{}'", spec.input))?;
-    let mut distributions = Vec::new();
-    let (device, wall_seconds) = match spec.algo {
-        "cc" => {
-            let g = reg.generate(spec.scale, spec.seed);
-            let device = crate::scaled_device(spec.scale);
-            let (r, secs) =
-                ecl_gpusim::run_timed(|| ecl_cc::run(&device, &g, &ecl_cc::CcConfig::baseline()));
-            distributions
-                .push(("cc/init_traversal_len".to_string(), r.counters.traversal_len.snapshot()));
-            (device, secs)
-        }
-        "mis" => {
-            let g = reg.generate(spec.scale, spec.seed);
-            let device = crate::scaled_device(spec.scale);
-            let (r, secs) =
-                ecl_gpusim::run_timed(|| ecl_mis::run(&device, &g, &ecl_mis::MisConfig::default()));
-            distributions
-                .push(("mis/spins_per_round".to_string(), r.counters.spins_per_round.snapshot()));
-            (device, secs)
-        }
-        "gc" => {
-            let g = reg.generate(spec.scale, spec.seed);
-            let device = crate::scaled_device(spec.scale);
-            let (r, secs) =
-                ecl_gpusim::run_timed(|| ecl_gc::run(&device, &g, &ecl_gc::GcConfig::default()));
-            distributions
-                .push(("gc/scan_per_visit".to_string(), r.counters.scan_per_visit.snapshot()));
-            (device, secs)
-        }
-        "mst" => {
-            let g = reg.generate_weighted(spec.scale, spec.seed, 1 << 20);
-            let device = crate::scaled_device(spec.scale);
-            let (r, secs) = ecl_gpusim::run_timed(|| {
-                ecl_mst::run(&device, &g, &ecl_mst::MstConfig::baseline())
-            });
-            distributions
-                .push(("mst/launch_coverage".to_string(), r.counters.launch_coverage.snapshot()));
-            (device, secs)
-        }
-        "scc" => {
-            if !reg.directed {
-                return Err(format!("'{}' is undirected; SCC needs a mesh input", spec.input));
-            }
-            let g = reg.generate(spec.scale, spec.seed);
-            let device = crate::scaled_device_min(spec.scale, crate::SCC_MIN_SMS);
-            let (r, secs) = ecl_gpusim::run_timed(|| {
-                ecl_scc::run(&device, &g, &ecl_scc::SccConfig::original())
-            });
-            distributions.push((
-                "scc/updates_per_sweep".to_string(),
-                r.counters.updates_per_sweep.snapshot(),
-            ));
-            (device, secs)
-        }
-        other => return Err(format!("unknown algorithm '{other}'")),
+    // Only the algorithm run is timed, not input generation.
+    let (csr, weighted) = if spec.algo.weighted() {
+        (None, Some(reg.generate_weighted(spec.scale, spec.seed, 1 << 20)))
+    } else {
+        (Some(reg.generate(spec.scale, spec.seed)), None)
     };
-    Ok(RepeatResult { wall_seconds, modeled_time: device.modeled_time(), distributions })
+    let views = Views { name: spec.input, csr: csr.as_ref(), weighted: weighted.as_ref() };
+    let (run, wall_seconds) =
+        ecl_gpusim::run_timed(|| ecl_algos::execute(spec.algo, spec.scale, &views, None));
+    let (outcome, modeled_time) = run?;
+    let distributions =
+        outcome.distributions.into_iter().map(|(name, snap)| (name.to_string(), snap)).collect();
+    Ok(RepeatResult { wall_seconds, modeled_time, distributions })
 }
 
 /// Runs `spec` with profiling installed and writes the four artifacts
@@ -157,7 +115,7 @@ pub fn profile(spec: &ProfileSpec<'_>, out_dir: &Path) -> Result<Manifest, Strin
         git_sha: ecl_prof::git_sha(),
         dispatch: DispatchInfo { mode: "pool".to_string(), workers: workers as u64, grain: None },
         context: vec![
-            ("algo".to_string(), spec.algo.to_string()),
+            ("algo".to_string(), spec.algo.name().to_string()),
             ("input".to_string(), spec.input.to_string()),
             ("scale".to_string(), format!("{}", spec.scale)),
             ("seed".to_string(), format!("{}", spec.seed)),
@@ -207,8 +165,9 @@ mod tests {
     #[test]
     fn profile_writes_all_artifacts_and_a_parseable_manifest() {
         let dir = std::env::temp_dir().join(format!("ecl-prof-test-{}", std::process::id()));
+        let cc = ecl_algos::find("cc").unwrap();
         let spec =
-            ProfileSpec { algo: "cc", input: "as-skitter", scale: 0.0005, seed: 42, repeats: 2 };
+            ProfileSpec { algo: cc, input: "as-skitter", scale: 0.0005, seed: 42, repeats: 2 };
         let manifest = profile(&spec, &dir).expect("profiled run");
         assert_eq!(manifest.schema, SCHEMA);
         assert!(!manifest.kernels.is_empty(), "launch hooks must have reported");
@@ -232,9 +191,9 @@ mod tests {
         let report = ecl_prof::gate_files(&text, &text, &ecl_prof::GateConfig::default()).unwrap();
         assert!(report.passed(), "{}", report.render());
 
-        let unknown =
-            profile(&ProfileSpec { algo: "nope", ..spec }, &dir).expect_err("unknown algo");
-        assert!(unknown.contains("unknown algorithm"));
+        let scc = ecl_algos::find("scc").unwrap();
+        let undirected = profile(&ProfileSpec { algo: scc, ..spec }, &dir).expect_err("contract");
+        assert!(undirected.contains("requires a directed graph"), "{undirected}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

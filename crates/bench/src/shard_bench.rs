@@ -90,9 +90,7 @@ pub fn shard_counts(max_shards: u32) -> Vec<u32> {
 /// [`SHARD_BENCH_SCALE`], identical per shard (the "N identical GPUs"
 /// multi-pool setup).
 fn shard_device_config() -> DeviceConfig {
-    let full = DeviceConfig::rtx4090();
-    let num_sms = ((full.num_sms as f64 * SHARD_BENCH_SCALE).round() as usize).max(1);
-    DeviceConfig { num_sms, ..full }
+    DeviceConfig::rtx4090_scaled(SHARD_BENCH_SCALE, 1)
 }
 
 fn measure(graph: &'static str, g: &ecl_graph::Csr, counts: &[u32]) -> ShardCase {

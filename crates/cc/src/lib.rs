@@ -23,6 +23,7 @@
 pub mod counters;
 pub mod kernels;
 
+use ecl_gpusim::schedule::{KnobDomain, KnobSpec, BLOCK_SIZES};
 use ecl_gpusim::Device;
 use ecl_graph::Csr;
 use ecl_profiling::ProfileMode;
@@ -47,6 +48,16 @@ impl Default for DegreeBins {
         Self { low_below: 16, medium_below: 352 }
     }
 }
+
+/// The schedule knobs [`CcConfig::apply_schedule`] consumes, with
+/// their admissible values; the defaults reproduce
+/// [`CcConfig::default`] (the paper's profiled baseline).
+pub const KNOBS: [KnobSpec; 4] = [
+    KnobSpec { name: "block_size", domain: KnobDomain::Ints(BLOCK_SIZES), default_ix: 2 },
+    KnobSpec { name: "optimized_init", domain: KnobDomain::Bool, default_ix: 0 },
+    KnobSpec { name: "low_bin", domain: KnobDomain::Ints(&[8, 16, 32]), default_ix: 1 },
+    KnobSpec { name: "medium_bin", domain: KnobDomain::Ints(&[176, 352, 704]), default_ix: 1 },
+];
 
 /// Configuration of one ECL-CC run.
 #[derive(Clone, Copy, Debug)]

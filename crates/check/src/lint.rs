@@ -1,6 +1,8 @@
 //! Static launch-configuration lint: validates a [`Schedule`]
-//! against the per-algorithm knob registry and the modeled device
-//! limits, without running anything.
+//! against an algorithm's knob table and the modeled device limits,
+//! without running anything. (This crate sits below the algorithm
+//! crates, so the caller supplies the table — `ecl_cc::KNOBS`, … —
+//! together with the algorithm's name.)
 //!
 //! The runtime rules ([`crate::checker`]) catch a bad configuration
 //! only on the launches it actually distorts; this lint catches it at
@@ -8,7 +10,7 @@
 //! manifest entry, so a hand-edited or stale schedule fails CI before
 //! any sweep consumes it.
 
-use ecl_gpusim::schedule::KnobSpec;
+use ecl_gpusim::schedule::{find_knob, KnobSpec};
 use ecl_gpusim::{DeviceConfig, KnobValue, Schedule};
 
 use crate::report::{Finding, Report, Rule};
@@ -43,7 +45,8 @@ fn domain_summary(spec: &KnobSpec) -> String {
     format!("{{{}}}", vals.join(", "))
 }
 
-/// Lints one schedule for `algo` against the knob registry and
+/// Lints one schedule for `algo`, whose own knob table is `knobs`
+/// (the dispatch knobs belong to every algorithm's space), against
 /// `device`. Returns one [`Rule::ScheduleDomain`] finding per
 /// violation:
 ///
@@ -54,11 +57,15 @@ fn domain_summary(spec: &KnobSpec) -> String {
 ///   thread capacity, or not warp-aligned — even when the registry
 ///   domain admits it (domains are shared across devices; limits are
 ///   not).
-pub fn lint_schedule(algo: &str, schedule: &Schedule, device: &DeviceConfig) -> Vec<Finding> {
-    let registry = ecl_gpusim::knob_registry(algo);
+pub fn lint_schedule(
+    algo: &str,
+    knobs: &[KnobSpec],
+    schedule: &Schedule,
+    device: &DeviceConfig,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (name, value) in schedule.knobs() {
-        let Some(spec) = registry.iter().find(|s| s.name == name) else {
+        let Some(spec) = find_knob(knobs, name) else {
             findings.push(finding(
                 algo,
                 name,
@@ -111,17 +118,17 @@ pub fn lint_schedule(algo: &str, schedule: &Schedule, device: &DeviceConfig) -> 
     findings
 }
 
-/// Runs [`lint_schedule`] over a batch of `(algo, schedule)` pairs
-/// and folds the findings into a [`Report`] (one "launch" per
+/// Runs [`lint_schedule`] over a batch of `(algo, knobs, schedule)`
+/// triples and folds the findings into a [`Report`] (one "launch" per
 /// schedule checked, so the footer counts coverage).
 pub fn lint_schedules<'a, I>(pairs: I, device: &DeviceConfig) -> Report
 where
-    I: IntoIterator<Item = (&'a str, &'a Schedule)>,
+    I: IntoIterator<Item = (&'a str, &'a [KnobSpec], &'a Schedule)>,
 {
     let mut report = Report::default();
-    for (algo, schedule) in pairs {
+    for (algo, knobs, schedule) in pairs {
         report.launches += 1;
-        report.findings.extend(lint_schedule(algo, schedule, device));
+        report.findings.extend(lint_schedule(algo, knobs, schedule, device));
     }
     report
         .findings
@@ -133,24 +140,29 @@ where
 mod tests {
     use super::*;
     use ecl_gpusim::default_schedule;
+    use ecl_gpusim::schedule::{KnobDomain, BLOCK_SIZES};
+
+    /// A stand-in algorithm table (the real ones live above this
+    /// crate; `tests/algo_registry.rs` lints every registered default).
+    const KNOBS: [KnobSpec; 2] = [
+        KnobSpec { name: "block_size", domain: KnobDomain::Ints(BLOCK_SIZES), default_ix: 3 },
+        KnobSpec { name: "trim", domain: KnobDomain::Bool, default_ix: 0 },
+    ];
 
     fn rtx4090() -> DeviceConfig {
         DeviceConfig::rtx4090()
     }
 
     #[test]
-    fn default_schedules_lint_clean_on_every_algo() {
-        for algo in ecl_gpusim::schedule::ALGOS {
-            let s = default_schedule(algo);
-            let f = lint_schedule(algo, &s, &rtx4090());
-            assert!(f.is_empty(), "{algo}: {:?}", f.iter().map(|f| &f.detail).collect::<Vec<_>>());
-        }
+    fn default_schedule_lints_clean() {
+        let f = lint_schedule("scc", &KNOBS, &default_schedule(&KNOBS), &rtx4090());
+        assert!(f.is_empty(), "{:?}", f.iter().map(|f| &f.detail).collect::<Vec<_>>());
     }
 
     #[test]
     fn unknown_knob_flagged() {
         let s = Schedule::new().with("warp_shuffle", KnobValue::Bool(true));
-        let f = lint_schedule("cc", &s, &rtx4090());
+        let f = lint_schedule("scc", &KNOBS, &s, &rtx4090());
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, Rule::ScheduleDomain);
         assert!(f[0].detail.contains("not in the"), "{}", f[0].detail);
@@ -158,8 +170,8 @@ mod tests {
 
     #[test]
     fn out_of_domain_value_flagged() {
-        let s = default_schedule("scc").with("block_size", KnobValue::Int(333));
-        let f = lint_schedule("scc", &s, &rtx4090());
+        let s = default_schedule(&KNOBS).with("block_size", KnobValue::Int(333));
+        let f = lint_schedule("scc", &KNOBS, &s, &rtx4090());
         assert_eq!(f.len(), 1);
         assert!(f[0].detail.contains("outside the registry domain"), "{}", f[0].detail);
         assert_eq!(f[0].region.as_deref(), Some("block_size"));
@@ -169,18 +181,18 @@ mod tests {
     fn device_limit_flagged_even_when_in_domain() {
         // 1024 is in the registry domain but test_small's SM holds
         // only 64 resident threads.
-        let s = default_schedule("cc").with("block_size", KnobValue::Int(1024));
-        let f = lint_schedule("cc", &s, &DeviceConfig::test_small());
+        let s = default_schedule(&KNOBS).with("block_size", KnobValue::Int(1024));
+        let f = lint_schedule("scc", &KNOBS, &s, &DeviceConfig::test_small());
         assert_eq!(f.len(), 1);
         assert!(f[0].detail.contains("resident threads"), "{}", f[0].detail);
-        assert!(lint_schedule("cc", &s, &rtx4090()).is_empty(), "4090 launches 1024 fine");
+        assert!(lint_schedule("scc", &KNOBS, &s, &rtx4090()).is_empty(), "4090 launches 1024 fine");
     }
 
     #[test]
     fn batch_report_counts_schedules_as_launches() {
-        let good = default_schedule("cc");
+        let good = default_schedule(&KNOBS);
         let bad = Schedule::new().with("bogus", KnobValue::Int(1));
-        let rep = lint_schedules([("cc", &good), ("gc", &bad)], &rtx4090());
+        let rep = lint_schedules([("scc", &KNOBS[..], &good), ("gc", &[][..], &bad)], &rtx4090());
         assert_eq!(rep.launches, 2);
         assert_eq!(rep.findings.len(), 1);
         assert!(rep.has(Rule::ScheduleDomain));

@@ -23,6 +23,7 @@ pub mod counters;
 pub mod kernel;
 pub mod priority;
 
+use ecl_gpusim::schedule::{KnobDomain, KnobSpec, BLOCK_SIZES};
 use ecl_gpusim::Device;
 use ecl_graph::Csr;
 use ecl_profiling::ProfileMode;
@@ -33,6 +34,15 @@ pub use counters::GcCounters;
 /// kernel (the paper instruments "the runLarge kernel, which colors
 /// high-degree vertices (degree > 31)").
 pub const LARGE_DEGREE: usize = 31;
+
+/// The schedule knobs [`GcConfig::apply_schedule`] consumes, with
+/// their admissible values; the defaults reproduce
+/// [`GcConfig::default`].
+pub const KNOBS: [KnobSpec; 3] = [
+    KnobSpec { name: "block_size", domain: KnobDomain::Ints(BLOCK_SIZES), default_ix: 2 },
+    KnobSpec { name: "shortcut1", domain: KnobDomain::Bool, default_ix: 1 },
+    KnobSpec { name: "shortcut2", domain: KnobDomain::Bool, default_ix: 1 },
+];
 
 /// Configuration of one ECL-GC run.
 #[derive(Clone, Copy, Debug)]

@@ -25,9 +25,27 @@
 pub mod kernel;
 pub mod status;
 
+use ecl_gpusim::schedule::{KnobDomain, KnobSpec};
 use ecl_gpusim::Device;
 use ecl_graph::Csr;
 use ecl_profiling::{ConvergenceTrace, LogSketch, PerThreadCounter, ProfileMode};
+
+/// The schedule knobs [`MisConfig::apply_schedule`] consumes, with
+/// the values a search may try; the defaults reproduce
+/// [`MisConfig::default`]. (A serving job's seed-derived `tie_salt`
+/// is applied directly and need not be one of the searched salts.)
+pub const KNOBS: [KnobSpec; 2] = [
+    KnobSpec {
+        name: "priority",
+        domain: KnobDomain::Choice(&["degree", "random", "id"]),
+        default_ix: 0,
+    },
+    KnobSpec {
+        name: "tie_salt",
+        domain: KnobDomain::Ints(&[0, 0x9E37, 0x85EB, 0xC2B2]),
+        default_ix: 0,
+    },
+];
 
 /// Configuration of one ECL-MIS run.
 #[derive(Clone, Copy, Debug)]

@@ -28,9 +28,23 @@
 pub mod kernel;
 pub mod union_find;
 
+use ecl_gpusim::schedule::{KnobDomain, KnobSpec, BLOCK_SIZES};
 use ecl_gpusim::Device;
 use ecl_graph::{EdgeId, WeightedCsr};
 use ecl_profiling::{AtomicTally, ConvergenceTrace, IterationBars, LogSketch, ProfileMode};
+
+/// The schedule knobs [`MstConfig::apply_schedule`] consumes, with
+/// their admissible values; the defaults reproduce
+/// [`MstConfig::default`] (the stale launch configuration).
+pub const KNOBS: [KnobSpec; 3] = [
+    KnobSpec { name: "block_size", domain: KnobDomain::Ints(BLOCK_SIZES), default_ix: 2 },
+    KnobSpec { name: "fixed_launch", domain: KnobDomain::Bool, default_ix: 0 },
+    KnobSpec {
+        name: "light_fraction",
+        domain: KnobDomain::Floats(&[0.25, 0.5, 0.75]),
+        default_ix: 1,
+    },
+];
 
 /// Configuration of one ECL-MST run.
 #[derive(Clone, Copy, Debug)]

@@ -2,11 +2,16 @@
 //!
 //! The workspace is offline (the vendored `serde` is a no-op marker,
 //! see `shims/serde`), and the gate must *read* manifests and
-//! `BENCH_*.json` files back, so this module carries a small
+//! benchmark reports back, so this module carries a small
 //! recursive-descent parser plus the escape helper the writers share.
 //! It accepts strict JSON; numbers are parsed as `f64` (every numeric
 //! field the gate compares is either an f64 already or a counter well
 //! inside f64's exact-integer range).
+//!
+//! The parser also reads untrusted input (`ecl-serve` feeds it HTTP
+//! bodies), so it is bounded: nesting deeper than [`MAX_DEPTH`] is an
+//! error, never a stack overflow, and parsing is linear in the input
+//! length.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -151,9 +156,15 @@ pub fn num(v: f64) -> String {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The descent is
+/// recursive, so an unbounded document (`"[".repeat(60_000)`) would
+/// overflow the stack and abort the process; no document this
+/// workspace writes nests deeper than 6.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses a JSON document.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -164,8 +175,13 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`, for single-byte peeks.
     bytes: &'a [u8],
+    /// Always on a `char` boundary of `text`.
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -192,10 +208,22 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses the array or object at `pos` one level down, refusing to
+    /// recurse past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -270,9 +298,10 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string".to_string())?;
+                    // Consume one UTF-8 scalar. `text` is already
+                    // valid UTF-8: slicing it (not re-validating the
+                    // remaining bytes) keeps the loop linear.
+                    let rest = self.text.get(self.pos..).ok_or("string split a UTF-8 scalar")?;
                     let c = rest.chars().next().ok_or("unterminated string")?;
                     out.push(c);
                     self.pos += c.len_utf8();
@@ -360,6 +389,22 @@ mod tests {
         assert!(parse("[1, 2,]").is_err());
         assert!(parse("{}garbage").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_open_containers() {
+        // tests/hostile_json.rs holds the proptests and the server probe.
+        assert!(parse(&("[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1))).is_err());
+        let wide = format!("[{}]", vec!["[[]]"; 1000].join(", "));
+        assert_eq!(parse(&wide).unwrap().as_arr().unwrap().len(), 1000);
+    }
+
+    #[test]
+    fn strings_keep_multibyte_scalars_and_reject_split_escapes() {
+        assert_eq!(parse("\"añ→𝄞\\u00e9\"").unwrap(), Value::Str("añ→𝄞é".into()));
+        assert!(parse("\"\\u00é\"").is_err());
+        assert!(parse("\"\\u12\"").is_err());
+        assert!(parse("\"\\é\"").is_err());
     }
 
     #[test]

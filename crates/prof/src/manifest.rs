@@ -67,7 +67,7 @@ pub struct Metric {
 /// Dispatch-engine configuration the run executed under.
 #[derive(Clone, Debug)]
 pub struct DispatchInfo {
-    /// Engine (`pool`, `spawn`, `seq`).
+    /// Engine (`pool`, `seq`).
     pub mode: String,
     /// Effective worker count.
     pub workers: u64,

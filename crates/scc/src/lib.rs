@@ -25,11 +25,20 @@
 pub mod counters;
 pub mod kernel;
 
+use ecl_gpusim::schedule::{KnobDomain, KnobSpec, BLOCK_SIZES};
 use ecl_gpusim::Device;
 use ecl_graph::Csr;
 use ecl_profiling::ProfileMode;
 
 pub use counters::SccCounters;
+
+/// The schedule knobs [`SccConfig::apply_schedule`] consumes, with
+/// their admissible values; the defaults reproduce
+/// [`SccConfig::default`] (the original's 512-thread blocks).
+pub const KNOBS: [KnobSpec; 2] = [
+    KnobSpec { name: "block_size", domain: KnobDomain::Ints(BLOCK_SIZES), default_ix: 3 },
+    KnobSpec { name: "trim", domain: KnobDomain::Bool, default_ix: 0 },
+];
 
 /// Configuration of one ECL-SCC run.
 #[derive(Clone, Copy, Debug)]

@@ -26,7 +26,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ecl_gpusim::schedule::ALGOS;
 use ecl_gpusim::Schedule;
 use ecl_graph::csr::Csr;
 use ecl_graph::io as gio;
@@ -435,9 +434,10 @@ fn finish(
     let family = fingerprint.family_key();
     let schedules = tune
         .map(|m| {
-            ALGOS
+            ecl_algos::ALL
                 .iter()
-                .filter_map(|&algo| m.lookup(algo, &family).map(|e| (algo, e.schedule.clone())))
+                .map(|a| a.name())
+                .filter_map(|algo| m.lookup(algo, &family).map(|e| (algo, e.schedule.clone())))
                 .collect()
         })
         .unwrap_or_default();
@@ -576,7 +576,9 @@ mod tests {
             default_time: 2.0,
             tuned_time: 1.0,
             eval_sketch: sketch.snapshot(),
-            schedule: ecl_gpusim::schedule::default_schedule(algo)
+            schedule: ecl_algos::find(algo)
+                .unwrap()
+                .default_schedule()
                 .with("optimized_init", ecl_gpusim::KnobValue::Bool(true)),
         }])
     }

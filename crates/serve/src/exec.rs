@@ -10,30 +10,19 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ecl_gpusim::pool::with_policy;
-use ecl_gpusim::{Device, DeviceConfig};
+use ecl_algos::Views;
+use ecl_gpusim::{DeviceConfig, KnobValue, Schedule};
 
 use crate::catalog::{CatalogError, GraphCatalog};
 use crate::jobs::{Algo, Fault, JobSpec};
 
-/// SM floor for SCC runs (mirrors the bench harness: the forward/
-/// backward sweeps need a multi-block grid even at tiny scales).
-pub const SCC_MIN_SMS: usize = 8;
+pub use ecl_algos::SCC_MIN_SMS;
 
-/// An RTX 4090 scaled down by `scale`: same SM shape, proportionally
-/// fewer SMs, floored at `min_sms`. Kept in sync with the bench
-/// harness's `scaled_device_min` (serve cannot depend on ecl-bench —
-/// the bench crate hosts the serve binaries).
-pub fn scaled_device(scale: f64, min_sms: usize) -> Device {
-    Device::new(scaled_config(scale, min_sms))
-}
-
-/// The configuration behind [`scaled_device`]; the sharded path builds
-/// one identical device per shard from it.
+/// The device configuration a job at `scale` runs on
+/// ([`DeviceConfig::rtx4090_scaled`]; kept under this name for the
+/// benchmark's direct runs).
 pub fn scaled_config(scale: f64, min_sms: usize) -> DeviceConfig {
-    let full = DeviceConfig::rtx4090();
-    let num_sms = ((full.num_sms as f64 * scale).round() as usize).max(min_sms).max(1);
-    DeviceConfig { num_sms, ..full }
+    DeviceConfig::rtx4090_scaled(scale, min_sms)
 }
 
 /// The deterministic, bit-comparable result of one job.
@@ -66,21 +55,9 @@ impl RunOutput {
     }
 }
 
-/// FNV-1a over a `u32` slice — stable solution-vector checksum.
-fn checksum_u32(values: &[u32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Executes `spec` against `catalog`. Errors are strings (they become
-/// the job's failure message). Panics propagate — the scheduler wraps
-/// this call in `catch_unwind`.
+/// Executes `spec` against `catalog` through [`ecl_algos`]. Errors are
+/// strings (they become the job's failure message). Panics propagate —
+/// the scheduler wraps this call in `catch_unwind`.
 pub fn execute(spec: &JobSpec, catalog: &Arc<GraphCatalog>) -> Result<RunOutput, String> {
     match spec.fault {
         Fault::Panic => panic!("injected fault: panic"),
@@ -88,10 +65,10 @@ pub fn execute(spec: &JobSpec, catalog: &Arc<GraphCatalog>) -> Result<RunOutput,
         Fault::None => {}
     }
 
-    let weighted = spec.algo == Algo::Mst;
+    let algo = spec.algo.algorithm();
     let resolve_start = std::time::Instant::now();
     let resolved = catalog
-        .resolve(&spec.graph, spec.scale, spec.seed, weighted)
+        .resolve(&spec.graph, spec.scale, spec.seed, algo.weighted())
         .map_err(|e: CatalogError| e.to_string())?;
     // Request-scoped phase: a cold resolve (generate + materialize) can
     // dominate a request's run time; the flight recorder shows it as a
@@ -102,130 +79,55 @@ pub fn execute(spec: &JobSpec, catalog: &Arc<GraphCatalog>) -> Result<RunOutput,
         ecl_obs::sink::with(|obs| obs.recorder.on_phase(req, "graph.resolve", resolve_ns));
     }
     let structure = resolved.structure();
+    let views = Views {
+        name: &spec.graph,
+        csr: resolved.csr.as_deref(),
+        weighted: resolved.weighted.as_deref(),
+    };
 
-    // Directedness contract: SCC is the only directed algorithm; the
-    // others assume symmetric adjacency.
-    if spec.algo == Algo::Scc && !structure.is_directed() {
-        return Err(format!("scc requires a directed graph ({:?} is undirected)", spec.graph));
+    // The schedule of this run. Tuned-schedule attachment: the catalog
+    // pinned the best-known manifest schedule to this graph at
+    // registration; it tunes single-pool knobs, so sharded runs start
+    // from nothing and always report `tuned: false`. Per-request
+    // overrides are entries set on top — precedence is schedule <
+    // explicit spec: the job seed salts the MIS tie-break permutation
+    // (result-cache keys include the seed, so it keeps full authority
+    // over the salt), and a client-supplied block_size reaches the two
+    // algorithms that have always honored it. The manifest schedule is
+    // copied only when an override lands on it.
+    let manifest = resolved.schedule_for(spec.algo.name()).filter(|_| spec.shards == 1);
+    let mut overridden: Option<Schedule> = None;
+    let mut set = |knob, value| {
+        overridden.get_or_insert_with(|| manifest.cloned().unwrap_or_default()).set(knob, value);
+    };
+    if spec.algo == Algo::Mis {
+        set("tie_salt", ecl_algos::adapters::mis_tie_salt(spec.seed));
     }
-    if spec.algo != Algo::Scc && structure.is_directed() {
-        return Err(format!(
-            "{} requires an undirected graph ({:?} is directed)",
-            spec.algo.name(),
-            spec.graph
-        ));
+    if let (Algo::Gc | Algo::Scc, Some(bs)) = (spec.algo, spec.block_size) {
+        set("block_size", KnobValue::Int(bs as i64));
     }
-
-    let min_sms = if spec.algo == Algo::Scc { SCC_MIN_SMS } else { 1 };
+    let schedule = overridden.as_ref().or(manifest);
 
     // Multi-pool path: shard the graph across `spec.shards` modeled
-    // GPUs and run the algorithm through ecl-shard. Results are
-    // bit-identical to single-pool (see crates/shard), but modeled
-    // time and the shard aggregates are not — the cache key's shard
-    // count keeps the entries separate.
-    if spec.shards > 1 {
-        return execute_sharded(spec, &resolved, structure, min_sms);
-    }
-
-    let device = scaled_device(spec.scale, min_sms);
-
-    // Tuned-schedule attachment: the catalog pinned the best-known
-    // manifest schedule to this graph at registration. Precedence is
-    // schedule < explicit spec overrides — a client-supplied
-    // block_size or seed always wins over the manifest.
-    let schedule = resolved.schedule_for(spec.algo.name());
-    let tuned = schedule.is_some();
-
-    let run = || -> Result<Vec<(&'static str, u64)>, String> {
-        Ok(match spec.algo {
-            Algo::Cc => {
-                let g = resolved.csr.as_ref().ok_or("internal: unweighted view missing")?;
-                let mut cfg = ecl_cc::CcConfig::baseline();
-                if let Some(s) = schedule {
-                    cfg.apply_schedule(s);
-                }
-                let r = ecl_cc::run(&device, g, &cfg);
-                vec![
-                    ("num_components", r.num_components() as u64),
-                    ("labels_checksum", checksum_u32(&r.labels)),
-                ]
-            }
-            Algo::Gc => {
-                let g = resolved.csr.as_ref().ok_or("internal: unweighted view missing")?;
-                let mut cfg = ecl_gc::GcConfig::default();
-                if let Some(s) = schedule {
-                    cfg.apply_schedule(s);
-                }
-                if let Some(bs) = spec.block_size {
-                    cfg.block_size = bs;
-                }
-                let r = ecl_gc::run(&device, g, &cfg);
-                vec![
-                    ("num_colors", r.num_colors() as u64),
-                    ("rounds", r.rounds as u64),
-                    ("colors_checksum", checksum_u32(&r.colors)),
-                ]
-            }
-            Algo::Mis => {
-                let g = resolved.csr.as_ref().ok_or("internal: unweighted view missing")?;
-                // The job seed salts the tie-break permutation, so two
-                // seeds explore genuinely different (still
-                // deterministic) independent sets. The seed is applied
-                // *after* the schedule: result-cache keys include the
-                // seed, so it must keep full authority over the salt.
-                let mut cfg = ecl_mis::MisConfig::default();
-                if let Some(s) = schedule {
-                    cfg.apply_schedule(s);
-                }
-                cfg.tie_salt = ecl_mis::MisConfig::seeded(spec.seed).tie_salt;
-                let r = ecl_mis::run(&device, g, &cfg);
-                let set: Vec<u32> = r.in_set.iter().map(|&b| b as u32).collect();
-                vec![
-                    ("set_size", r.set_size() as u64),
-                    ("rounds", r.rounds as u64),
-                    ("set_checksum", checksum_u32(&set)),
-                ]
-            }
-            Algo::Mst => {
-                let g = resolved.weighted.as_ref().ok_or("internal: weighted view missing")?;
-                let mut cfg = ecl_mst::MstConfig::baseline();
-                if let Some(s) = schedule {
-                    cfg.apply_schedule(s);
-                }
-                let r = ecl_mst::run(&device, g, &cfg);
-                let mut edges: Vec<u32> = r.edges.iter().map(|&e| e as u32).collect();
-                edges.sort_unstable();
-                vec![
-                    ("total_weight", r.total_weight),
-                    ("num_trees", r.num_trees as u64),
-                    ("num_mst_edges", r.edges.len() as u64),
-                    ("edges_checksum", checksum_u32(&edges)),
-                ]
-            }
-            Algo::Scc => {
-                let g = resolved.csr.as_ref().ok_or("internal: unweighted view missing")?;
-                let mut cfg = ecl_scc::SccConfig::default();
-                if let Some(s) = schedule {
-                    cfg.apply_schedule(s);
-                }
-                if let Some(bs) = spec.block_size {
-                    cfg.block_size = bs;
-                }
-                let r = ecl_scc::run(&device, g, &cfg);
-                vec![
-                    ("num_sccs", r.num_sccs() as u64),
-                    ("outer_iterations", r.outer_iterations as u64),
-                    ("labels_checksum", checksum_u32(&r.labels)),
-                ]
-            }
-        })
-    };
-    // Tuned runs also honor the schedule's dispatch knobs (engine,
-    // workers, claim grain). These are cost-neutral by scheduler
-    // determinism, so they can never change aggregates or modeled time.
-    let aggregates = match schedule {
-        Some(s) => with_policy(s.dispatch_policy(), run)?,
-        None => run()?,
+    // GPUs through ecl-shard. Results are bit-identical to single-pool
+    // (see crates/shard), but modeled time and the shard aggregates
+    // are not — the cache key's shard count keeps the entries separate.
+    let (aggregates, modeled_time) = if spec.shards > 1 {
+        let (outcome, stats) =
+            ecl_algos::execute_sharded(algo, spec.scale, &views, spec.shards, schedule)?;
+        let mut aggregates = outcome.aggregates;
+        aggregates.extend([
+            ("shards", u64::from(stats.shards)),
+            ("cut_arcs", stats.cut_arcs as u64),
+            ("supersteps", u64::from(stats.supersteps)),
+            ("exchange_messages", stats.exchange_messages),
+        ]);
+        (aggregates, stats.modeled_time)
+    } else {
+        // Tuned runs also honor the schedule's dispatch knobs,
+        // cost-neutral by scheduler determinism.
+        let (outcome, modeled_time) = ecl_algos::execute(algo, spec.scale, &views, schedule)?;
+        (outcome.aggregates, modeled_time)
     };
 
     Ok(RunOutput {
@@ -235,78 +137,8 @@ pub fn execute(spec: &JobSpec, catalog: &Arc<GraphCatalog>) -> Result<RunOutput,
         vertices: structure.num_vertices(),
         arcs: structure.num_arcs(),
         aggregates,
-        modeled_time: device.modeled_time(),
-        tuned,
-    })
-}
-
-/// Runs `spec` across `spec.shards` modeled GPUs through ecl-shard.
-///
-/// CC/MIS/SCC produce the same solution checksums as the single-pool
-/// kernels (ecl-shard's fixpoints are bit-identical at every shard
-/// count); GC and MST have no sharded implementation and fail cleanly.
-/// Manifest schedules tune single-pool dispatch knobs and are not
-/// applied here, so sharded runs always report `tuned: false`.
-fn execute_sharded(
-    spec: &JobSpec,
-    resolved: &crate::catalog::ResolvedGraph,
-    structure: &ecl_graph::Csr,
-    min_sms: usize,
-) -> Result<RunOutput, String> {
-    if matches!(spec.algo, Algo::Gc | Algo::Mst) {
-        return Err(format!(
-            "{} does not support sharded execution (cc|mis|scc only)",
-            spec.algo.name()
-        ));
-    }
-    let g = resolved.csr.as_ref().ok_or("internal: unweighted view missing")?;
-    let part = ecl_shard::Partition::auto(g, spec.shards);
-    let devices = ecl_shard::devices_for(scaled_config(spec.scale, min_sms), spec.shards);
-    let (mut aggregates, stats) = match spec.algo {
-        Algo::Cc => {
-            let r = ecl_shard::run_cc(&devices, g, &part);
-            (
-                vec![
-                    ("num_components", r.num_components() as u64),
-                    ("labels_checksum", checksum_u32(&r.labels)),
-                ],
-                r.stats,
-            )
-        }
-        Algo::Mis => {
-            let salt = ecl_mis::MisConfig::seeded(spec.seed).tie_salt;
-            let r = ecl_shard::run_mis(&devices, g, &part, salt);
-            let set: Vec<u32> = r.in_set.iter().map(|&b| b as u32).collect();
-            (vec![("set_size", r.set_size() as u64), ("set_checksum", checksum_u32(&set))], r.stats)
-        }
-        Algo::Scc => {
-            let r = ecl_shard::run_scc(&devices, g, &part);
-            (
-                vec![
-                    ("num_sccs", r.num_sccs() as u64),
-                    ("outer_iterations", r.outer_iterations as u64),
-                    ("labels_checksum", checksum_u32(&r.labels)),
-                ],
-                r.stats,
-            )
-        }
-        Algo::Gc | Algo::Mst => unreachable!("rejected above"),
-    };
-    aggregates.extend([
-        ("shards", stats.shards as u64),
-        ("cut_arcs", stats.cut_arcs as u64),
-        ("supersteps", stats.supersteps as u64),
-        ("exchange_messages", stats.exchange_messages),
-    ]);
-    Ok(RunOutput {
-        algo: spec.algo,
-        graph: resolved.name.clone(),
-        graph_hash: resolved.content_hash,
-        vertices: structure.num_vertices(),
-        arcs: structure.num_arcs(),
-        aggregates,
-        modeled_time: stats.modeled_time,
-        tuned: false,
+        modeled_time,
+        tuned: manifest.is_some(),
     })
 }
 
@@ -347,15 +179,18 @@ mod tests {
     fn mis_seed_changes_tie_breaks_on_same_graph() {
         // Same graph content (seed only salts MIS tie-breaking when
         // the graph comes from disk) — emulate by generating one graph
-        // and running MIS with two salted configs directly.
+        // and running MIS under two seed-derived salts directly.
         let g = ecl_graphgen::registry::find("internet").unwrap().generate(0.002, 7);
-        let device = scaled_device(0.002, 1);
-        let r0 = ecl_mis::run(&device, &g, &ecl_mis::MisConfig::seeded(0));
-        let r1 = ecl_mis::run(&device, &g, &ecl_mis::MisConfig::seeded(0xDEAD_BEEF_CAFE));
+        let views = Views { name: "internet", csr: Some(&g), weighted: None };
+        let run = |seed| {
+            let s = Schedule::new().with("tie_salt", ecl_algos::adapters::mis_tie_salt(seed));
+            ecl_algos::execute(Algo::Mis.algorithm(), 0.002, &views, Some(&s)).unwrap().0.aggregates
+        };
         // Both are valid MIS runs; the selected sets should differ for
         // a graph this size (astronomically unlikely to coincide).
-        assert!(r0.set_size() > 0 && r1.set_size() > 0);
-        assert_ne!(r0.in_set, r1.in_set, "salt must permute tie-breaking");
+        let (r0, r1) = (run(0), run(0xDEAD_BEEF_CAFE));
+        assert!(r0[0].1 > 0 && r1[0].1 > 0);
+        assert_ne!(r0[2], r1[2], "salt must permute tie-breaking");
     }
 
     #[test]
@@ -420,7 +255,9 @@ mod tests {
         assert!(!base.tuned, "no manifest → defaults");
 
         let g = plain.resolve("internet", spec.scale, spec.seed, false).unwrap();
-        let schedule = ecl_gpusim::schedule::default_schedule("cc")
+        let schedule = Algo::Cc
+            .algorithm()
+            .default_schedule()
             .with("optimized_init", ecl_gpusim::KnobValue::Bool(true));
         let cat = Arc::new(GraphCatalog::new(CatalogConfig {
             tune: Some(Arc::new(manifest_for("cc", &g.fingerprint, schedule))),
@@ -450,7 +287,9 @@ mod tests {
         // Manifest pins a nonzero MIS tie salt; the job seed must
         // still control the salt (result-cache keys include the seed).
         let g = plain.resolve("internet", spec.scale, spec.seed, false).unwrap();
-        let schedule = ecl_gpusim::schedule::default_schedule("mis")
+        let schedule = Algo::Mis
+            .algorithm()
+            .default_schedule()
             .with("tie_salt", ecl_gpusim::KnobValue::Int(0x9E37));
         let cat = Arc::new(GraphCatalog::new(CatalogConfig {
             tune: Some(Arc::new(manifest_for("mis", &g.fingerprint, schedule))),
@@ -512,7 +351,7 @@ mod tests {
         assert!(execute(&gc, &cat).unwrap_err().contains("sharded"));
         let mut mst = JobSpec::new(Algo::Mst, "USA-road-d.NY");
         mst.shards = 2;
-        assert!(execute(&mst, &cat).unwrap_err().contains("sharded"));
+        assert_eq!(execute(&mst, &cat).unwrap_err(), "mst does not support sharded execution");
     }
 
     #[test]

@@ -38,30 +38,24 @@ pub enum Algo {
 }
 
 impl Algo {
-    /// Stable wire name.
+    /// Stable wire name — the registered algorithm's.
     pub fn name(self) -> &'static str {
-        match self {
-            Algo::Cc => "cc",
-            Algo::Gc => "gc",
-            Algo::Mis => "mis",
-            Algo::Mst => "mst",
-            Algo::Scc => "scc",
-        }
+        self.algorithm().name()
     }
 
     /// Parses a wire name.
     pub fn from_name(s: &str) -> Option<Algo> {
-        Some(match s {
-            "cc" => Algo::Cc,
-            "gc" => Algo::Gc,
-            "mis" => Algo::Mis,
-            "mst" => Algo::Mst,
-            "scc" => Algo::Scc,
-            _ => return None,
-        })
+        Algo::ALL.into_iter().find(|a| a.name() == s)
     }
 
-    /// All five, for iteration in tests and docs.
+    /// The registered implementation: variants are declared in
+    /// [`ecl_algos::ALL`] order (`tests/algo_registry.rs` holds the
+    /// parity).
+    pub fn algorithm(self) -> &'static dyn ecl_algos::Algorithm {
+        ecl_algos::ALL[self as usize]
+    }
+
+    /// All five, in wire order.
     pub const ALL: [Algo; 5] = [Algo::Cc, Algo::Gc, Algo::Mis, Algo::Mst, Algo::Scc];
 }
 

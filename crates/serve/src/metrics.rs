@@ -74,16 +74,6 @@ pub struct ServeMetrics {
     run_us: [LogSketch; Algo::ALL.len()],
 }
 
-fn algo_index(algo: Algo) -> usize {
-    match algo {
-        Algo::Cc => 0,
-        Algo::Gc => 1,
-        Algo::Mis => 2,
-        Algo::Mst => 3,
-        Algo::Scc => 4,
-    }
-}
-
 impl ServeMetrics {
     /// A zeroed metrics block.
     pub fn new() -> Arc<ServeMetrics> {
@@ -92,7 +82,7 @@ impl ServeMetrics {
 
     /// Records a finished job's queue wait and run time (µs).
     pub fn record_latency(&self, algo: Algo, queue_us: u64, run_us: u64) {
-        let i = algo_index(algo);
+        let i = algo as usize;
         self.queue_us[i].record(queue_us);
         self.run_us[i].record(run_us);
     }
@@ -137,7 +127,7 @@ impl ServeMetrics {
             distributions: Vec::new(),
         };
         for algo in Algo::ALL {
-            let i = algo_index(algo);
+            let i = algo as usize;
             if self.run_us[i].count() > 0 {
                 manifest
                     .distributions

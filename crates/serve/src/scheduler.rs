@@ -33,7 +33,7 @@ use std::time::Instant;
 use crate::cache::{result_key, ResultCache};
 use crate::catalog::GraphCatalog;
 use crate::exec::execute;
-use crate::jobs::{Algo, Fault, JobEnd, JobRecord, JobSpec, JobState};
+use crate::jobs::{Fault, JobEnd, JobRecord, JobSpec, JobState};
 use crate::metrics::ServeMetrics;
 use crate::ring::EventRing;
 
@@ -346,7 +346,10 @@ fn run_one(shared: &Shared, job: &Arc<JobRecord>) {
     // exercise the execution path.
     let probe_start = Instant::now();
     let resolved = if spec.fault == Fault::None {
-        shared.catalog.resolve(&spec.graph, spec.scale, spec.seed, spec.algo == Algo::Mst).ok()
+        shared
+            .catalog
+            .resolve(&spec.graph, spec.scale, spec.seed, spec.algo.algorithm().weighted())
+            .ok()
     } else {
         None
     };
@@ -480,6 +483,7 @@ fn observe_terminal(job: &JobRecord) {
 mod tests {
     use super::*;
     use crate::catalog::CatalogConfig;
+    use crate::jobs::Algo;
     use std::time::Duration;
 
     fn harness(config: SchedulerConfig) -> (Scheduler, Arc<ServeMetrics>) {
@@ -632,7 +636,9 @@ mod tests {
             default_time: 2.0,
             tuned_time: 1.0,
             eval_sketch: sketch.snapshot(),
-            schedule: ecl_gpusim::schedule::default_schedule("cc")
+            schedule: Algo::Cc
+                .algorithm()
+                .default_schedule()
                 .with("optimized_init", ecl_gpusim::KnobValue::Bool(true)),
         }]);
         Arc::new(GraphCatalog::new(CatalogConfig {

@@ -26,6 +26,18 @@ impl DeviceConfig {
         Self { num_sms: 128, threads_per_sm: 1536, warp_size: 32, default_block_size: 512 }
     }
 
+    /// The RTX 4090 scaled down by `scale`: same SM shape,
+    /// proportionally fewer SMs, floored at `min_sms` (and at one). The
+    /// one preset behind every harness, tuning and serving run: the
+    /// paper's per-thread metrics depend on the ratio of input size to
+    /// thread count, which scaling both preserves. At scale 1.0 this is
+    /// [`DeviceConfig::rtx4090`].
+    pub fn rtx4090_scaled(scale: f64, min_sms: usize) -> Self {
+        let full = Self::rtx4090();
+        let num_sms = ((full.num_sms as f64 * scale).round() as usize).max(min_sms).max(1);
+        Self { num_sms, ..full }
+    }
+
     /// A small device for unit tests: keeps persistent-thread kernels
     /// fast while preserving the launch semantics.
     pub fn test_small() -> Self {

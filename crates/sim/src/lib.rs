@@ -51,6 +51,6 @@ pub use launch::{
 };
 pub use pool::{ticket_range, DispatchMode, DispatchPolicy};
 pub use profile::{KernelProfile, KernelRecord};
-pub use schedule::{default_schedule, knob_registry, KnobDomain, KnobSpec, KnobValue, Schedule};
+pub use schedule::{default_schedule, KnobDomain, KnobSpec, KnobValue, Schedule};
 pub use shard::ShardGuard;
 pub use timing::run_timed;

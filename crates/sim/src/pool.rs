@@ -1,17 +1,15 @@
 //! Persistent execution pool with dynamic (ticket-based) block
 //! dispatch.
 //!
-//! The simulator's previous engine split every launch's blocks into
-//! one contiguous chunk per core and spawned a fresh set of OS threads
-//! for every kernel launch. Both halves of that design are exactly the
-//! defect the paper profiles in its subjects: on power-law inputs the
+//! A launch engine that splits a grid into one contiguous chunk per
+//! core and spawns fresh OS threads per launch has exactly the two
+//! defects the paper profiles in its subjects: on power-law inputs the
 //! chunk holding the high-degree vertices serializes the launch
 //! (load imbalance), and iterative algorithms — ECL-CC's
 //! pointer-jumping rounds, ECL-SCC's propagate-until-quiescent loop —
 //! pay the spawn/join churn dozens of times per run (launch overhead).
-//!
-//! This module replaces it with the scheme GPU block schedulers (and
-//! Gunrock-style load balancers) use:
+//! This module uses the scheme GPU block schedulers (and Gunrock-style
+//! load balancers) use instead:
 //!
 //! - **Persistent workers.** A process-wide pool is created lazily on
 //!   first parallel dispatch (or warmed by [`prewarm`], which
@@ -42,9 +40,7 @@
 //!
 //! - `ECL_SIM_WORKERS=n` — worker count (default: available cores),
 //! - `ECL_SIM_GRAIN=n` — fixed claim grain (default: auto),
-//! - `ECL_SIM_DISPATCH=pool|spawn|seq` — engine selection. `spawn` is
-//!   the legacy spawn-per-launch contiguous-chunk engine, kept as the
-//!   measurable baseline for `bench_launch_overhead`; `seq` forces
+//! - `ECL_SIM_DISPATCH=pool|seq` — engine selection. `seq` forces
 //!   in-order execution on the calling thread (the determinism
 //!   reference).
 
@@ -63,7 +59,7 @@ use std::time::Instant;
 pub struct ParticipantStat {
     /// Blocks this participant executed.
     pub blocks: u64,
-    /// Ticket ranges it claimed (1 for the chunked/sequential engines).
+    /// Ticket ranges it claimed (1 for the sequential engine).
     pub claims: u64,
     /// Nanoseconds spent executing claimed blocks (claim overhead and
     /// queue scanning excluded).
@@ -75,10 +71,6 @@ pub struct ParticipantStat {
 pub enum DispatchMode {
     /// Persistent worker pool + dynamic ticket claiming (default).
     Pool,
-    /// Legacy engine: spawn fresh scoped threads for this dispatch,
-    /// one contiguous chunk of blocks each. Kept as the measurable
-    /// pre-PR baseline; do not use outside benchmarks.
-    Spawn,
     /// All blocks in index order on the calling thread.
     Sequential,
 }
@@ -107,12 +99,6 @@ impl DispatchPolicy {
     /// `workers` pool workers with automatic grain.
     pub fn pooled(workers: usize) -> Self {
         Self { workers: Some(workers), grain: None, mode: Some(DispatchMode::Pool) }
-    }
-
-    /// The legacy spawn-per-launch contiguous-chunk engine with
-    /// `workers` threads (benchmark baseline).
-    pub fn spawn_baseline(workers: usize) -> Self {
-        Self { workers: Some(workers), grain: None, mode: Some(DispatchMode::Spawn) }
     }
 }
 
@@ -145,7 +131,6 @@ fn env_policy() -> DispatchPolicy {
         let parse = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<usize>().ok());
         let mode = std::env::var("ECL_SIM_DISPATCH").ok().and_then(|v| match v.as_str() {
             "pool" => Some(DispatchMode::Pool),
-            "spawn" => Some(DispatchMode::Spawn),
             "seq" => Some(DispatchMode::Sequential),
             _ => None,
         });
@@ -243,11 +228,7 @@ fn dispatch_inner(
         });
     }
     let grain = grain.unwrap_or_else(|| auto_grain(n, workers)).max(1);
-    match mode {
-        DispatchMode::Pool => pooled_dispatch(n, workers, grain, f, profiled),
-        DispatchMode::Spawn => spawn_chunked(n, workers, f, profiled),
-        DispatchMode::Sequential => unreachable!("handled above"),
-    }
+    pooled_dispatch(n, workers, grain, f, profiled)
 }
 
 /// Number of pool workers spawned so far (0 until the first parallel
@@ -352,9 +333,8 @@ impl PoolShared {
             let started = job.stats.as_ref().map(|_| Instant::now());
             for i in start..end {
                 // Panics must not kill the pooled worker: record the
-                // payload for the submitter and keep draining (the
-                // legacy engine also ran all blocks before failing the
-                // launch). Drop guards inside `f` (the launch shapes'
+                // payload for the submitter and keep draining (every
+                // block runs before the launch fails). Drop guards inside `f` (the launch shapes'
                 // agent scope) run during this unwind, so no
                 // per-thread checker state leaks past the block.
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (job.func)(i))) {
@@ -463,48 +443,6 @@ fn pooled_dispatch(
     job.stats.as_ref().map(|s| std::mem::take(&mut *s.lock().unwrap_or_else(|e| e.into_inner())))
 }
 
-/// The legacy engine: one contiguous chunk per worker, fresh scoped
-/// threads per call. This is the load-imbalance + launch-churn
-/// baseline the pool replaces; `bench_launch_overhead` measures the
-/// difference.
-fn spawn_chunked(
-    n: usize,
-    workers: usize,
-    f: &(dyn Fn(usize) + Sync),
-    profiled: bool,
-) -> Option<Vec<ParticipantStat>> {
-    let chunk = n.div_ceil(workers);
-    let stats = profiled.then(|| Mutex::new(Vec::new()));
-    let ctx = ecl_obs::ctx::current();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| (w * chunk, ((w + 1) * chunk).min(n)))
-            .take_while(|&(lo, hi)| lo < hi)
-            .map(|(lo, hi)| {
-                let stats = stats.as_ref();
-                s.spawn(move || {
-                    let _ctx = (ctx != 0).then(|| ecl_obs::ctx::CtxGuard::enter(ctx));
-                    let started = stats.map(|_| Instant::now());
-                    for i in lo..hi {
-                        f(i);
-                    }
-                    if let (Some(stats), Some(t0)) = (stats, started) {
-                        stats.lock().unwrap_or_else(|e| e.into_inner()).push(ParticipantStat {
-                            blocks: (hi - lo) as u64,
-                            claims: 1,
-                            busy_ns: t0.elapsed().as_nanos() as u64,
-                        });
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("parallel worker panicked");
-        }
-    });
-    stats.map(Mutex::into_inner).map(|r| r.unwrap_or_else(|e| e.into_inner()))
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -528,7 +466,6 @@ mod tests {
         for n in [0, 1, 2, 7, 64, 257] {
             covers_exactly(n, DispatchPolicy::sequential());
             covers_exactly(n, DispatchPolicy::pooled(4));
-            covers_exactly(n, DispatchPolicy::spawn_baseline(4));
             covers_exactly(n, DispatchPolicy { grain: Some(3), ..DispatchPolicy::pooled(8) });
         }
     }
@@ -550,7 +487,6 @@ mod tests {
             total(DispatchPolicy { grain: Some(1), ..DispatchPolicy::pooled(3) }),
             reference
         );
-        assert_eq!(total(DispatchPolicy::spawn_baseline(4)), reference);
     }
 
     #[test]
@@ -597,7 +533,6 @@ mod tests {
         for policy in [
             DispatchPolicy::sequential(),
             DispatchPolicy::pooled(4),
-            DispatchPolicy::spawn_baseline(4),
             DispatchPolicy { grain: Some(3), ..DispatchPolicy::pooled(8) },
         ] {
             let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();

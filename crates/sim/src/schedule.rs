@@ -7,10 +7,13 @@
 //! suite: `LaunchConfig` block sizes inside algorithm configs,
 //! [`DispatchPolicy`] engine/worker/grain overrides, and per-algorithm
 //! toggles. A [`Schedule`] collects one assignment of all of them into
-//! a single serializable value, and [`knob_registry`] declares, per
-//! algorithm, which knobs exist and which values each may take — the
-//! search space `ecl-tune` sweeps and the schema its manifests are
-//! validated against.
+//! a single serializable value. Which knobs exist and which values
+//! each may take is declared as a [`KnobSpec`] table: the dispatch
+//! knobs every launch honors are [`DISPATCH_KNOBS`] here, and each
+//! algorithm crate declares its own table next to the `apply_schedule`
+//! that consumes it (`ecl_cc::KNOBS`, …). A table is the search space
+//! `ecl-tune` sweeps and the schema its manifests are validated
+//! against; this crate never names an algorithm.
 //!
 //! Two invariants the rest of the suite relies on:
 //!
@@ -22,8 +25,9 @@
 //!   and `grain` select how blocks map onto OS threads; the scheduler
 //!   determinism suite guarantees modeled cost and algorithm output
 //!   are identical across them. They are carried (and applied) so runs
-//!   are reproducible end to end, but marked [`KnobSpec::cost_neutral`]
-//!   so a modeled-cost search does not waste evaluations sweeping them.
+//!   are reproducible end to end, but they are not part of any
+//!   algorithm's table, so a modeled-cost search does not waste
+//!   evaluations sweeping them.
 
 use crate::pool::{DispatchMode, DispatchPolicy};
 use ecl_prof::json::{self, Value};
@@ -40,7 +44,7 @@ pub enum KnobValue {
     /// Real-valued knob (fractions).
     Float(f64),
     /// Enumerated string knob (dispatch engine, priority policy).
-    Str(&'static str),
+    Str(String),
 }
 
 impl KnobValue {
@@ -92,7 +96,7 @@ impl KnobDomain {
             KnobDomain::Bool => KnobValue::Bool(i != 0),
             KnobDomain::Ints(v) => KnobValue::Int(v[i]),
             KnobDomain::Floats(v) => KnobValue::Float(v[i]),
-            KnobDomain::Choice(v) => KnobValue::Str(v[i]),
+            KnobDomain::Choice(v) => KnobValue::Str(v[i].to_string()),
         }
     }
 
@@ -111,7 +115,7 @@ impl KnobDomain {
                 d.iter().any(|f| f.to_bits() == x.to_bits())
             }
             (KnobDomain::Floats(d), KnobValue::Int(x)) => d.contains(&(*x as f64)),
-            (KnobDomain::Choice(d), KnobValue::Str(s)) => d.contains(s),
+            (KnobDomain::Choice(d), KnobValue::Str(s)) => d.contains(&s.as_str()),
             _ => false,
         }
     }
@@ -126,11 +130,6 @@ pub struct KnobSpec {
     pub domain: KnobDomain,
     /// Index of the default value in the domain.
     pub default_ix: usize,
-    /// Whether the knob is provably modeled-cost-neutral (dispatch
-    /// engine knobs: results and cost are schedule-independent by the
-    /// determinism guarantee). Searches skip these; applications
-    /// honor them.
-    pub cost_neutral: bool,
 }
 
 impl KnobSpec {
@@ -144,100 +143,35 @@ impl KnobSpec {
 /// forced value; environment and auto-sizing apply).
 pub const INHERIT: i64 = 0;
 
-const DISPATCH_KNOBS: [KnobSpec; 3] = [
-    KnobSpec {
-        name: "dispatch",
-        domain: KnobDomain::Choice(&["pool", "spawn", "seq"]),
-        default_ix: 0,
-        cost_neutral: true,
-    },
-    KnobSpec {
-        name: "workers",
-        domain: KnobDomain::Ints(&[INHERIT, 1, 2, 4, 8]),
-        default_ix: 0,
-        cost_neutral: true,
-    },
+/// The dispatch-engine knobs, part of every algorithm's schedule
+/// space. They are provably modeled-cost-neutral (results and cost are
+/// schedule-independent by the determinism guarantee): searches skip
+/// them, applications honor them.
+pub static DISPATCH_KNOBS: [KnobSpec; 3] = [
+    KnobSpec { name: "dispatch", domain: KnobDomain::Choice(&["pool", "seq"]), default_ix: 0 },
+    KnobSpec { name: "workers", domain: KnobDomain::Ints(&[INHERIT, 1, 2, 4, 8]), default_ix: 0 },
     KnobSpec {
         name: "grain",
         domain: KnobDomain::Ints(&[INHERIT, 1, 4, 16, 64, 256]),
         default_ix: 0,
-        cost_neutral: true,
     },
 ];
 
-const BLOCK_SIZES: &[i64] = &[64, 128, 256, 512, 1024];
+/// The block sizes a `block_size` knob may take (the Table 6 sweep).
+pub const BLOCK_SIZES: &[i64] = &[64, 128, 256, 512, 1024];
 
-macro_rules! knob {
-    ($name:literal, $domain:expr, $default_ix:expr) => {
-        KnobSpec { name: $name, domain: $domain, default_ix: $default_ix, cost_neutral: false }
-    };
+/// The declaration of knob `name` in an algorithm's schedule space:
+/// the dispatch knobs plus the algorithm's own table `knobs`.
+pub fn find_knob<'a>(knobs: &'a [KnobSpec], name: &str) -> Option<&'a KnobSpec> {
+    DISPATCH_KNOBS.iter().chain(knobs).find(|spec| spec.name == name)
 }
 
-const CC_KNOBS: [KnobSpec; 7] = [
-    DISPATCH_KNOBS[0],
-    DISPATCH_KNOBS[1],
-    DISPATCH_KNOBS[2],
-    knob!("block_size", KnobDomain::Ints(BLOCK_SIZES), 2),
-    knob!("optimized_init", KnobDomain::Bool, 0),
-    knob!("low_bin", KnobDomain::Ints(&[8, 16, 32]), 1),
-    knob!("medium_bin", KnobDomain::Ints(&[176, 352, 704]), 1),
-];
-
-const GC_KNOBS: [KnobSpec; 6] = [
-    DISPATCH_KNOBS[0],
-    DISPATCH_KNOBS[1],
-    DISPATCH_KNOBS[2],
-    knob!("block_size", KnobDomain::Ints(BLOCK_SIZES), 2),
-    knob!("shortcut1", KnobDomain::Bool, 1),
-    knob!("shortcut2", KnobDomain::Bool, 1),
-];
-
-const MIS_KNOBS: [KnobSpec; 5] = [
-    DISPATCH_KNOBS[0],
-    DISPATCH_KNOBS[1],
-    DISPATCH_KNOBS[2],
-    knob!("priority", KnobDomain::Choice(&["degree", "random", "id"]), 0),
-    knob!("tie_salt", KnobDomain::Ints(&[0, 0x9E37, 0x85EB, 0xC2B2]), 0),
-];
-
-const MST_KNOBS: [KnobSpec; 6] = [
-    DISPATCH_KNOBS[0],
-    DISPATCH_KNOBS[1],
-    DISPATCH_KNOBS[2],
-    knob!("block_size", KnobDomain::Ints(BLOCK_SIZES), 2),
-    knob!("fixed_launch", KnobDomain::Bool, 0),
-    knob!("light_fraction", KnobDomain::Floats(&[0.25, 0.5, 0.75]), 1),
-];
-
-const SCC_KNOBS: [KnobSpec; 5] = [
-    DISPATCH_KNOBS[0],
-    DISPATCH_KNOBS[1],
-    DISPATCH_KNOBS[2],
-    knob!("block_size", KnobDomain::Ints(BLOCK_SIZES), 3),
-    knob!("trim", KnobDomain::Bool, 0),
-];
-
-/// The five algorithms with a registered knob space.
-pub const ALGOS: [&str; 5] = ["cc", "gc", "mis", "mst", "scc"];
-
-/// The knob space of `algo` (by wire name). Unknown names get the
-/// dispatch-only space, so generic tooling degrades gracefully.
-pub fn knob_registry(algo: &str) -> &'static [KnobSpec] {
-    match algo {
-        "cc" => &CC_KNOBS,
-        "gc" => &GC_KNOBS,
-        "mis" => &MIS_KNOBS,
-        "mst" => &MST_KNOBS,
-        "scc" => &SCC_KNOBS,
-        _ => &DISPATCH_KNOBS,
-    }
-}
-
-/// The default schedule of `algo`: every registered knob at its
-/// default value. Applying it reproduces the untuned configuration.
-pub fn default_schedule(algo: &str) -> Schedule {
+/// The default schedule of an algorithm whose own table is `knobs`:
+/// every dispatch knob and every declared knob at its default value.
+/// Applying it reproduces the untuned configuration.
+pub fn default_schedule(knobs: &[KnobSpec]) -> Schedule {
     let mut s = Schedule::new();
-    for spec in knob_registry(algo) {
+    for spec in DISPATCH_KNOBS.iter().chain(knobs) {
         s.set(spec.name, spec.default_value());
     }
     s
@@ -330,7 +264,6 @@ impl Schedule {
     /// ([`INHERIT`]/absent fields fall through to the environment).
     pub fn dispatch_policy(&self) -> DispatchPolicy {
         let mode = match self.str_knob("dispatch") {
-            Some("spawn") => Some(DispatchMode::Spawn),
             Some("seq") => Some(DispatchMode::Sequential),
             Some("pool") => Some(DispatchMode::Pool),
             _ => None,
@@ -343,22 +276,16 @@ impl Schedule {
         }
     }
 
-    /// Checks every assignment against `algo`'s registry: unknown
-    /// knobs and out-of-domain values are errors. The manifest
+    /// Checks every assignment against the schedule space of an
+    /// algorithm whose own table is `knobs` (see [`find_knob`]):
+    /// unknown knobs and out-of-domain values are errors. The manifest
     /// validator calls this so a hand-edited schedule cannot smuggle
     /// in a value the search space does not admit.
-    pub fn check_against_registry(&self, algo: &str) -> Result<(), String> {
-        let registry = knob_registry(algo);
+    pub fn check_against_registry(&self, knobs: &[KnobSpec]) -> Result<(), String> {
         for (name, value) in &self.knobs {
-            let spec = registry
-                .iter()
-                .find(|s| s.name == name)
-                .ok_or_else(|| format!("unknown knob {name:?} for algo {algo:?}"))?;
+            let spec = find_knob(knobs, name).ok_or_else(|| format!("unknown knob {name:?}"))?;
             if !spec.domain.admits(value) {
-                return Err(format!(
-                    "knob {name:?} value {} outside the {algo} domain",
-                    value.to_json()
-                ));
+                return Err(format!("knob {name:?} value {} outside its domain", value.to_json()));
             }
         }
         Ok(())
@@ -380,9 +307,9 @@ impl Schedule {
     }
 
     /// [`Schedule::from_json`] over an already-parsed [`Value`].
-    /// String values are interned against the registries' static
-    /// vocabulary; a string outside it is rejected (the registry is
-    /// the full set of legal enumerated values).
+    /// Values are not checked against any table here (the parser does
+    /// not know the algorithm); loaders that do — the tune manifest —
+    /// follow up with [`Schedule::check_against_registry`].
     pub fn from_value(v: &Value) -> Result<Schedule, String> {
         let Value::Obj(members) = v else {
             return Err("schedule must be a JSON object".to_string());
@@ -393,10 +320,7 @@ impl Schedule {
                 Value::Bool(b) => KnobValue::Bool(*b),
                 Value::Num(x) if x.fract() == 0.0 && x.abs() < 9e15 => KnobValue::Int(*x as i64),
                 Value::Num(x) => KnobValue::Float(*x),
-                Value::Str(text) => KnobValue::Str(
-                    intern_knob_str(text)
-                        .ok_or_else(|| format!("unknown schedule string value {text:?}"))?,
-                ),
+                Value::Str(text) => KnobValue::Str(text.clone()),
                 other => {
                     return Err(format!("knob {name:?} has non-scalar value {other:?}"));
                 }
@@ -407,67 +331,50 @@ impl Schedule {
     }
 }
 
-/// Maps a parsed string back to its `&'static` registry spelling.
-fn intern_knob_str(text: &str) -> Option<&'static str> {
-    for algo in ALGOS {
-        for spec in knob_registry(algo) {
-            if let KnobDomain::Choice(options) = spec.domain {
-                if let Some(&s) = options.iter().find(|&&o| o == text) {
-                    return Some(s);
-                }
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn registry_defaults_match_baselines() {
-        // The default schedule must reproduce the untuned configs the
-        // paper profiles: CC full-init at 256, SCC 512, MST stale
-        // launch, GC both shortcuts, MIS degree priority salt 0.
-        let cc = default_schedule("cc");
-        assert_eq!(cc.int_knob("block_size"), Some(256));
-        assert_eq!(cc.bool_knob("optimized_init"), Some(false));
-        assert_eq!(cc.int_knob("low_bin"), Some(16));
-        assert_eq!(cc.int_knob("medium_bin"), Some(352));
-        assert_eq!(default_schedule("scc").int_knob("block_size"), Some(512));
-        assert_eq!(default_schedule("mst").bool_knob("fixed_launch"), Some(false));
-        assert_eq!(default_schedule("mst").float_knob("light_fraction"), Some(0.5));
-        assert_eq!(default_schedule("gc").bool_knob("shortcut1"), Some(true));
-        assert_eq!(default_schedule("mis").str_knob("priority"), Some("degree"));
-        assert_eq!(default_schedule("mis").int_knob("tie_salt"), Some(0));
-    }
+    /// A stand-in algorithm table covering every domain kind.
+    const KNOBS: [KnobSpec; 4] = [
+        KnobSpec { name: "block_size", domain: KnobDomain::Ints(BLOCK_SIZES), default_ix: 3 },
+        KnobSpec { name: "unroll", domain: KnobDomain::Bool, default_ix: 0 },
+        KnobSpec {
+            name: "fraction",
+            domain: KnobDomain::Floats(&[0.25, 0.5, 0.75]),
+            default_ix: 1,
+        },
+        KnobSpec { name: "policy", domain: KnobDomain::Choice(&["greedy", "lazy"]), default_ix: 0 },
+    ];
 
     #[test]
-    fn every_registry_default_is_in_domain() {
-        for algo in ALGOS {
-            for spec in knob_registry(algo) {
-                assert!(spec.default_ix < spec.domain.len(), "{algo}/{}", spec.name);
-                assert!(spec.domain.admits(&spec.default_value()), "{algo}/{}", spec.name);
-            }
-            assert!(default_schedule(algo).check_against_registry(algo).is_ok());
+    fn default_schedule_covers_dispatch_and_declared_knobs() {
+        let s = default_schedule(&KNOBS);
+        assert_eq!(s.len(), DISPATCH_KNOBS.len() + KNOBS.len());
+        assert_eq!(s.str_knob("dispatch"), Some("pool"));
+        assert_eq!(s.int_knob("workers"), Some(INHERIT));
+        assert_eq!(s.int_knob("block_size"), Some(512));
+        assert_eq!(s.bool_knob("unroll"), Some(false));
+        assert_eq!(s.float_knob("fraction"), Some(0.5));
+        assert_eq!(s.str_knob("policy"), Some("greedy"));
+        assert!(s.check_against_registry(&KNOBS).is_ok());
+        for spec in DISPATCH_KNOBS.iter().chain(&KNOBS) {
+            assert!(spec.domain.admits(&spec.default_value()), "{}", spec.name);
         }
     }
 
     #[test]
     fn json_roundtrip_is_canonical() {
-        for algo in ALGOS {
-            let s = default_schedule(algo);
-            let j = s.to_json();
-            let back = Schedule::from_json(&j).unwrap();
-            assert_eq!(back, s, "{algo}");
-            assert_eq!(back.to_json(), j, "canonical fixpoint for {algo}");
-        }
+        let s = default_schedule(&KNOBS);
+        let j = s.to_json();
+        let back = Schedule::from_json(&j).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(back.to_json(), j, "canonical fixpoint");
         // Floats survive exactly.
-        let s = Schedule::new().with("light_fraction", KnobValue::Float(0.25));
+        let s = Schedule::new().with("fraction", KnobValue::Float(0.25));
         let back = Schedule::from_json(&s.to_json()).unwrap();
-        assert_eq!(back.float_knob("light_fraction"), Some(0.25));
+        assert_eq!(back.float_knob("fraction"), Some(0.25));
     }
 
     #[test]
@@ -485,7 +392,7 @@ mod tests {
     #[test]
     fn dispatch_policy_extraction() {
         let s = Schedule::new()
-            .with("dispatch", KnobValue::Str("seq"))
+            .with("dispatch", KnobValue::Str("seq".into()))
             .with("workers", KnobValue::Int(4))
             .with("grain", KnobValue::Int(INHERIT));
         let p = s.dispatch_policy();
@@ -500,26 +407,25 @@ mod tests {
     #[test]
     fn registry_rejects_out_of_domain() {
         let bad = Schedule::new().with("block_size", KnobValue::Int(333));
-        assert!(bad.check_against_registry("scc").unwrap_err().contains("block_size"));
+        assert!(bad.check_against_registry(&KNOBS).unwrap_err().contains("block_size"));
         let unknown = Schedule::new().with("warp_width", KnobValue::Int(32));
-        assert!(unknown.check_against_registry("cc").unwrap_err().contains("warp_width"));
+        assert!(unknown.check_against_registry(&KNOBS).unwrap_err().contains("warp_width"));
         let ok = Schedule::new().with("block_size", KnobValue::Int(128));
-        assert!(ok.check_against_registry("scc").is_ok());
+        assert!(ok.check_against_registry(&KNOBS).is_ok());
+        // The dispatch knobs belong to every space, even an empty table.
+        let seq = Schedule::new().with("dispatch", KnobValue::Str("seq".into()));
+        assert!(seq.check_against_registry(&[]).is_ok());
     }
 
     #[test]
-    fn unknown_string_value_is_rejected() {
-        assert!(Schedule::from_json("{\"dispatch\": \"gpu\"}").is_err());
-        assert!(Schedule::from_json("{\"dispatch\": \"spawn\"}").is_ok());
-    }
-
-    #[test]
-    fn cost_neutral_marks_exactly_the_dispatch_knobs() {
-        for algo in ALGOS {
-            for spec in knob_registry(algo) {
-                let is_dispatch = matches!(spec.name, "dispatch" | "workers" | "grain");
-                assert_eq!(spec.cost_neutral, is_dispatch, "{algo}/{}", spec.name);
-            }
+    fn string_outside_its_domain_is_rejected_by_the_table() {
+        // Parsing alone cannot know the table; the check does. The
+        // retired spawn engine is no longer a legal dispatch value.
+        for bad in ["{\"dispatch\": \"gpu\"}", "{\"dispatch\": \"spawn\"}"] {
+            let s = Schedule::from_json(bad).unwrap();
+            assert!(s.check_against_registry(&KNOBS).unwrap_err().contains("dispatch"));
         }
+        let bad = Schedule::from_json("{\"policy\": \"random\"}").unwrap();
+        assert!(bad.check_against_registry(&KNOBS).is_err());
     }
 }

@@ -1,11 +1,11 @@
 //! Candidate evaluation: one (algorithm, input, [`Schedule`]) triple →
 //! deterministic modeled time plus a result signature.
 //!
-//! Every evaluation builds a fresh scaled device so cost tallies never
-//! leak between candidates, applies the schedule's dispatch policy
-//! with [`ecl_gpusim::pool::with_policy`], and runs the algorithm's
-//! real implementation — the same code paths `ecl-serve` executes, so
-//! a schedule that wins here wins in production. The objective is
+//! Every evaluation goes through [`ecl_algos::execute`] — a fresh
+//! scaled device so cost tallies never leak between candidates, the
+//! schedule's dispatch policy, and the algorithm's real implementation:
+//! the same code path `ecl-serve` executes, so a schedule that wins
+//! here wins in production. The objective is
 //! [`ecl_gpusim::Device::modeled_time`], which the scheduler
 //! determinism suite guarantees is a pure function of (algorithm,
 //! input, schedule): no repeats, no noise envelope, bit-exact
@@ -13,26 +13,13 @@
 
 use std::sync::Arc;
 
-use ecl_gpusim::pool::with_policy;
-use ecl_gpusim::{Device, DeviceConfig, Schedule};
+use ecl_algos::{Algorithm, Views};
+use ecl_gpusim::Schedule;
 use ecl_graph::{Csr, Fingerprint, WeightedCsr};
-
-/// SM floor for SCC runs (the forward/backward sweeps need a
-/// multi-block grid even at tiny scales; kept in sync with the bench
-/// harness and serve).
-pub const SCC_MIN_SMS: usize = 8;
 
 /// Weight cap for generated weighted views (matches the serve
 /// catalog's default so tuned MST runs see identical inputs).
 pub const DEFAULT_MAX_WEIGHT: u32 = 1 << 20;
-
-/// An RTX 4090 scaled down by `scale`: same SM shape, proportionally
-/// fewer SMs, floored at `min_sms`.
-pub fn scaled_device(scale: f64, min_sms: usize) -> Device {
-    let full = DeviceConfig::rtx4090();
-    let num_sms = ((full.num_sms as f64 * scale).round() as usize).max(min_sms).max(1);
-    Device::new(DeviceConfig { num_sms, ..full })
-}
 
 /// One concrete input under tuning: the graph views the algorithms
 /// consume plus its family fingerprint (the manifest bucket key).
@@ -75,15 +62,15 @@ impl TuneInput {
         })
     }
 
-    /// Whether `algo` can run on this input (the serve directedness
-    /// contract: SCC is directed-only, everything else undirected).
-    pub fn supports(&self, algo: &str) -> bool {
-        match algo {
-            "scc" => self.fingerprint.directed && self.csr.is_some(),
-            "mst" => !self.fingerprint.directed && self.weighted.is_some(),
-            "cc" | "gc" | "mis" => !self.fingerprint.directed && self.csr.is_some(),
-            _ => false,
-        }
+    /// The graph views this input offers an algorithm.
+    pub fn views(&self) -> Views<'_> {
+        Views { name: &self.name, csr: self.csr.as_deref(), weighted: self.weighted.as_deref() }
+    }
+
+    /// Whether `algo` can run on this input (its directedness and
+    /// weighted-view contract).
+    pub fn supports(&self, algo: &dyn Algorithm) -> bool {
+        ecl_algos::check_input(algo, &self.views()).is_ok()
     }
 }
 
@@ -92,93 +79,44 @@ impl TuneInput {
 pub struct EvalOutcome {
     /// Deterministic modeled GPU time in cost units (the objective).
     pub modeled_time: f64,
-    /// FNV signature over the algorithm's solution vector and
-    /// aggregates — lets tests assert that two evaluation paths
-    /// produced the *same result*, not merely the same cost.
+    /// [`ecl_algos::Outcome::signature`] of the run — lets tests assert
+    /// that two evaluation paths produced the *same result*, not
+    /// merely the same cost.
     pub result_sig: u64,
 }
 
-/// FNV-1a over a `u32` slice.
-fn fnv_u32(h: u64, values: &[u32]) -> u64 {
-    let mut h = h;
-    for &v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_0000_01b3);
-        }
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Evaluates `schedule` for `algo` on `input`. Builds a fresh device,
-/// applies the schedule to the algorithm's default config, and runs
-/// under the schedule's dispatch policy.
-pub fn evaluate(algo: &str, input: &TuneInput, schedule: &Schedule) -> Result<EvalOutcome, String> {
-    if !input.supports(algo) {
-        return Err(format!(
-            "{algo} cannot run on {:?} (directed={})",
-            input.name, input.fingerprint.directed
-        ));
-    }
-    let min_sms = if algo == "scc" { SCC_MIN_SMS } else { 1 };
-    let device = scaled_device(input.scale, min_sms);
-    let missing = || "internal: graph view missing".to_string();
-    let result_sig = with_policy(schedule.dispatch_policy(), || -> Result<u64, String> {
-        match algo {
-            "cc" => {
-                let g = input.csr.as_ref().ok_or_else(missing)?;
-                let mut cfg = ecl_cc::CcConfig::default();
-                cfg.apply_schedule(schedule);
-                let r = ecl_cc::run(&device, g, &cfg);
-                Ok(fnv_u32(FNV_OFFSET, &r.labels))
-            }
-            "gc" => {
-                let g = input.csr.as_ref().ok_or_else(missing)?;
-                let mut cfg = ecl_gc::GcConfig::default();
-                cfg.apply_schedule(schedule);
-                let r = ecl_gc::run(&device, g, &cfg);
-                Ok(fnv_u32(FNV_OFFSET ^ r.rounds as u64, &r.colors))
-            }
-            "mis" => {
-                let g = input.csr.as_ref().ok_or_else(missing)?;
-                let mut cfg = ecl_mis::MisConfig::default();
-                cfg.apply_schedule(schedule);
-                let r = ecl_mis::run(&device, g, &cfg);
-                let set: Vec<u32> = r.in_set.iter().map(|&b| b as u32).collect();
-                Ok(fnv_u32(FNV_OFFSET ^ r.rounds as u64, &set))
-            }
-            "mst" => {
-                let g = input.weighted.as_ref().ok_or_else(missing)?;
-                let mut cfg = ecl_mst::MstConfig::default();
-                cfg.apply_schedule(schedule);
-                let r = ecl_mst::run(&device, g, &cfg);
-                let mut edges: Vec<u32> = r.edges.iter().map(|&e| e as u32).collect();
-                edges.sort_unstable();
-                Ok(fnv_u32(FNV_OFFSET ^ r.total_weight, &edges))
-            }
-            "scc" => {
-                let g = input.csr.as_ref().ok_or_else(missing)?;
-                let mut cfg = ecl_scc::SccConfig::default();
-                cfg.apply_schedule(schedule);
-                let r = ecl_scc::run(&device, g, &cfg);
-                Ok(fnv_u32(FNV_OFFSET ^ r.outer_iterations as u64, &r.labels))
-            }
-            other => Err(format!("unknown algorithm {other:?}")),
-        }
-    })?;
-    Ok(EvalOutcome { modeled_time: device.modeled_time(), result_sig })
+/// Evaluates `schedule` for `algo` on `input`.
+pub fn evaluate(
+    algo: &dyn Algorithm,
+    input: &TuneInput,
+    schedule: &Schedule,
+) -> Result<EvalOutcome, String> {
+    let (outcome, modeled_time) =
+        ecl_algos::execute(algo, input.scale, &input.views(), Some(schedule))?;
+    Ok(EvalOutcome { modeled_time, result_sig: outcome.signature() })
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use ecl_gpusim::schedule::{default_schedule, KnobValue};
+    use ecl_gpusim::schedule::KnobValue;
 
     fn internet() -> TuneInput {
         TuneInput::from_registry("internet", 0.002, 7).unwrap()
+    }
+
+    fn algo(name: &str) -> &'static dyn Algorithm {
+        ecl_algos::find(name).unwrap()
+    }
+
+    fn default_schedule(name: &str) -> Schedule {
+        algo(name).default_schedule()
+    }
+
+    /// By registered name, as the tests below spell it.
+    fn evaluate(name: &str, input: &TuneInput, s: &Schedule) -> Result<EvalOutcome, String> {
+        super::evaluate(algo(name), input, s)
     }
 
     #[test]
@@ -198,17 +136,11 @@ mod tests {
         let input = internet();
         let base = evaluate("cc", &input, &default_schedule("cc")).unwrap();
         let seq = default_schedule("cc")
-            .with("dispatch", KnobValue::Str("seq"))
+            .with("dispatch", KnobValue::Str("seq".into()))
             .with("workers", KnobValue::Int(1));
-        let spawn = default_schedule("cc")
-            .with("dispatch", KnobValue::Str("spawn"))
-            .with("workers", KnobValue::Int(2))
-            .with("grain", KnobValue::Int(4));
-        for alt in [seq, spawn] {
-            let r = evaluate("cc", &input, &alt).unwrap();
-            assert_eq!(r.modeled_time.to_bits(), base.modeled_time.to_bits());
-            assert_eq!(r.result_sig, base.result_sig);
-        }
+        let r = evaluate("cc", &input, &seq).unwrap();
+        assert_eq!(r.modeled_time.to_bits(), base.modeled_time.to_bits());
+        assert_eq!(r.result_sig, base.result_sig);
     }
 
     #[test]
@@ -226,7 +158,7 @@ mod tests {
         assert!(evaluate("scc", &input, &default_schedule("scc")).is_err());
         let directed = TuneInput::from_registry("toroid-wedge", 0.002, 7).unwrap();
         assert!(evaluate("cc", &directed, &default_schedule("cc")).is_err());
-        assert!(directed.supports("scc") && !directed.supports("mst"));
+        assert!(directed.supports(algo("scc")) && !directed.supports(algo("mst")));
     }
 
     #[test]

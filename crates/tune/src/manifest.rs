@@ -11,6 +11,7 @@
 
 use std::fmt::Write as _;
 
+use ecl_gpusim::schedule::KnobSpec;
 use ecl_gpusim::Schedule;
 use ecl_graph::Fingerprint;
 use ecl_prof::json::{self, Value};
@@ -74,6 +75,19 @@ pub struct TuneManifest {
     pub entries: Vec<TuneEntry>,
 }
 
+/// The knob table of the algorithm called `algo`; an algorithm outside
+/// the registry has only the dispatch knobs.
+pub fn knobs_of(algo: &str) -> &'static [KnobSpec] {
+    ecl_algos::find(algo).map_or(&[], |a| a.knobs())
+}
+
+/// Checks an entry's schedule against its algorithm's knob table
+/// (unknown knob, or a value — a string included — outside its
+/// domain).
+fn check_schedule(algo: &str, input: &str, schedule: &Schedule) -> Result<(), String> {
+    schedule.check_against_registry(knobs_of(algo)).map_err(|err| format!("{algo}/{input}: {err}"))
+}
+
 fn sketch_json(s: &SketchSnapshot) -> String {
     format!(
         "{{\"count\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
@@ -119,7 +133,7 @@ impl TuneManifest {
         }
         for e in &self.entries {
             let tag = format!("{}/{}", e.algo, e.input);
-            e.schedule.check_against_registry(&e.algo).map_err(|err| format!("{tag}: {err}"))?;
+            check_schedule(&e.algo, &e.input, &e.schedule)?;
             // NaN on either side also fails: partial_cmp yields None.
             let ok = matches!(
                 e.tuned_time.partial_cmp(&e.default_time),
@@ -192,6 +206,8 @@ impl TuneManifest {
     }
 
     /// [`TuneManifest::from_json`] over an already-parsed [`Value`].
+    /// A schedule outside its algorithm's knob domains is rejected
+    /// here, on load, so no consumer ever applies one.
     pub fn from_value(v: &Value) -> Result<TuneManifest, String> {
         let schema = v
             .get("schema")
@@ -214,6 +230,7 @@ impl TuneManifest {
                 .map(Schedule::from_value)
                 .transpose()?
                 .ok_or("entry missing \"schedule\"")?;
+            check_schedule(&text("algo"), &text("input"), &schedule)?;
             entries.push(TuneEntry {
                 algo: text("algo"),
                 input: text("input"),
@@ -259,7 +276,11 @@ impl TuneManifest {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use ecl_gpusim::schedule::{default_schedule, KnobValue};
+    use ecl_gpusim::schedule::KnobValue;
+
+    fn scc_defaults() -> Schedule {
+        ecl_algos::find("scc").unwrap().default_schedule()
+    }
 
     fn entry() -> TuneEntry {
         let sketch = ecl_profiling::LogSketch::new();
@@ -286,7 +307,7 @@ mod tests {
             default_time: 250.0,
             tuned_time: 200.0,
             eval_sketch: sketch.snapshot(),
-            schedule: default_schedule("scc").with("block_size", KnobValue::Int(128)),
+            schedule: scc_defaults().with("block_size", KnobValue::Int(128)),
         }
     }
 
@@ -324,6 +345,18 @@ mod tests {
         let mut bad_schema = good;
         bad_schema.schema = "ecl-tune/99".into();
         assert!(bad_schema.validate().is_err());
+    }
+
+    #[test]
+    fn out_of_domain_schedule_refused_at_parse() {
+        let good = TuneManifest::new(vec![entry()]).to_json();
+        assert!(TuneManifest::from_json(&good).is_ok());
+        // A string outside its knob's domain — the retired spawn
+        // engine — and an undeclared knob are both load errors.
+        let spawn = good.replace("\"dispatch\": \"pool\"", "\"dispatch\": \"spawn\"");
+        assert!(TuneManifest::from_json(&spawn).unwrap_err().contains("dispatch"));
+        let unknown = good.replace("\"trim\"", "\"warp_width\"");
+        assert!(TuneManifest::from_json(&unknown).unwrap_err().contains("warp_width"));
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //!   `best × abandon_ratio` — the classic autotuner trick for skipping
 //!   hopeless regions without losing determinism.
 //!
-//! Knobs marked [`ecl_gpusim::schedule::KnobSpec::cost_neutral`]
-//! (dispatch engine, worker count, claim grain) are *excluded* from
-//! the search: scheduler determinism guarantees they cannot move the
-//! modeled-cost objective, so sweeping them would only burn budget.
-//! They stay in every emitted schedule at their defaults.
+//! The searched space is the algorithm's own knob table
+//! ([`Algorithm::knobs`]). The dispatch knobs
+//! ([`ecl_gpusim::schedule::DISPATCH_KNOBS`]: engine, worker count,
+//! claim grain) are *excluded*: scheduler determinism guarantees they
+//! cannot move the modeled-cost objective, so sweeping them would only
+//! burn budget. They stay in every emitted schedule at their defaults.
 //!
 //! Every distinct candidate is evaluated exactly once (memoized by
 //! canonical JSON), and all evaluation times are recorded into an
@@ -26,7 +27,8 @@
 
 use std::collections::BTreeMap;
 
-use ecl_gpusim::schedule::{default_schedule, knob_registry, KnobSpec, Schedule};
+use ecl_algos::Algorithm;
+use ecl_gpusim::Schedule;
 use ecl_profiling::{LogSketch, SketchSnapshot};
 
 use crate::eval::{evaluate, TuneInput};
@@ -83,7 +85,7 @@ fn lcg_next(state: &mut u64) -> u64 {
 /// Memoizing evaluator: distinct candidates run once, repeats are
 /// free.
 struct Memo<'a> {
-    algo: &'a str,
+    algo: &'a dyn Algorithm,
     input: &'a TuneInput,
     cache: BTreeMap<String, f64>,
     evaluations: usize,
@@ -108,15 +110,18 @@ impl Memo<'_> {
 }
 
 /// Runs the search for `algo` on `input`.
-pub fn search(algo: &str, input: &TuneInput, cfg: &SearchConfig) -> Result<SearchResult, String> {
-    let registry = knob_registry(algo);
-    let searchable: Vec<&KnobSpec> = registry.iter().filter(|k| !k.cost_neutral).collect();
+pub fn search(
+    algo: &dyn Algorithm,
+    input: &TuneInput,
+    cfg: &SearchConfig,
+) -> Result<SearchResult, String> {
+    let searchable = algo.knobs();
     let space = searchable.iter().map(|k| k.domain.len()).fold(1usize, |a, b| a.saturating_mul(b));
 
     let mut memo =
         Memo { algo, input, cache: BTreeMap::new(), evaluations: 0, sketch: LogSketch::new() };
 
-    let default = default_schedule(algo);
+    let default = algo.default_schedule();
     let default_time = memo
         .time(&default, cfg.budget.max(1))?
         .ok_or("budget must admit at least the default evaluation")?;
@@ -165,7 +170,7 @@ pub fn search(algo: &str, input: &TuneInput, cfg: &SearchConfig) -> Result<Searc
         'rounds: for _ in 0..MAX_ROUNDS {
             let mut improved = false;
             for &ki in &order {
-                let knob = searchable[ki];
+                let knob = &searchable[ki];
                 let mut hopeless = 0usize;
                 for vi in 0..knob.domain.len() {
                     let candidate = best.clone().with(knob.name, knob.domain.value(vi));
@@ -224,12 +229,16 @@ mod tests {
         TuneInput::from_registry("internet", 0.002, 7).unwrap()
     }
 
+    fn algo(name: &str) -> &'static dyn Algorithm {
+        ecl_algos::find(name).unwrap()
+    }
+
     #[test]
     fn search_never_loses_to_default() {
         let input = internet();
-        for algo in ["cc", "gc", "mis", "mst"] {
-            let r = search(algo, &input, &SearchConfig::default()).unwrap();
-            assert!(r.best_time <= r.default_time, "{algo}: tuned must not regress");
+        for name in ["cc", "gc", "mis", "mst"] {
+            let r = search(algo(name), &input, &SearchConfig::default()).unwrap();
+            assert!(r.best_time <= r.default_time, "{name}: tuned must not regress");
             assert!(r.evaluations >= 1 && r.evaluations <= 128);
         }
     }
@@ -237,8 +246,8 @@ mod tests {
     #[test]
     fn search_is_deterministic() {
         let input = internet();
-        let a = search("cc", &input, &SearchConfig::default()).unwrap();
-        let b = search("cc", &input, &SearchConfig::default()).unwrap();
+        let a = search(algo("cc"), &input, &SearchConfig::default()).unwrap();
+        let b = search(algo("cc"), &input, &SearchConfig::default()).unwrap();
         assert_eq!(a.best.to_json(), b.best.to_json());
         assert_eq!(a.best_time.to_bits(), b.best_time.to_bits());
         assert_eq!(a.evaluations, b.evaluations);
@@ -249,7 +258,7 @@ mod tests {
         // The §6.2.2 finding: on a low-diameter power-law input the
         // first-neighbor-only init wins. The search must find it
         // without being told.
-        let r = search("cc", &internet(), &SearchConfig::default()).unwrap();
+        let r = search(algo("cc"), &internet(), &SearchConfig::default()).unwrap();
         assert_eq!(r.best.bool_knob("optimized_init"), Some(true), "{}", r.best.to_json());
         assert!(r.best_time < r.default_time);
     }
@@ -262,11 +271,11 @@ mod tests {
         // on low-diameter inputs like internet. The search must find
         // both sides without being told.
         let mesh = TuneInput::from_registry("delaunay_n24", 0.001, 7).unwrap();
-        let r = search("mst", &mesh, &SearchConfig::default()).unwrap();
+        let r = search(algo("mst"), &mesh, &SearchConfig::default()).unwrap();
         assert_eq!(r.best.bool_knob("fixed_launch"), Some(true), "{}", r.best.to_json());
         assert!(r.best_time < r.default_time);
 
-        let r = search("mst", &internet(), &SearchConfig::default()).unwrap();
+        let r = search(algo("mst"), &internet(), &SearchConfig::default()).unwrap();
         assert_eq!(r.best.bool_knob("fixed_launch"), Some(false), "{}", r.best.to_json());
     }
 
@@ -276,14 +285,15 @@ mod tests {
         // input-dependent. Whatever the search picks must equal the
         // brute-force winner over the block-size domain.
         let input = TuneInput::from_registry("klein-bottle", 0.002, 7).unwrap();
-        let r = search("scc", &input, &SearchConfig::default()).unwrap();
+        let r = search(algo("scc"), &input, &SearchConfig::default()).unwrap();
         let mut brute_best = (f64::INFINITY, 0i64);
         for &bs in &[64i64, 128, 256, 512, 1024] {
             for trim in [false, true] {
-                let s = default_schedule("scc")
+                let s = algo("scc")
+                    .default_schedule()
                     .with("block_size", ecl_gpusim::KnobValue::Int(bs))
                     .with("trim", ecl_gpusim::KnobValue::Bool(trim));
-                let t = evaluate("scc", &input, &s).unwrap().modeled_time;
+                let t = evaluate(algo("scc"), &input, &s).unwrap().modeled_time;
                 if t < brute_best.0 {
                     brute_best = (t, bs);
                 }
@@ -297,7 +307,7 @@ mod tests {
     fn tiny_budget_falls_back_to_coordinate_descent() {
         let input = internet();
         let cfg = SearchConfig { budget: 12, ..SearchConfig::default() };
-        let r = search("cc", &input, &cfg).unwrap();
+        let r = search(algo("cc"), &input, &cfg).unwrap();
         assert_eq!(r.method, "coordinate_descent");
         assert!(r.evaluations <= 12);
         assert!(r.best_time <= r.default_time);
@@ -306,16 +316,16 @@ mod tests {
     #[test]
     fn best_schedule_passes_registry_validation() {
         let input = internet();
-        let r = search("gc", &input, &SearchConfig::default()).unwrap();
-        assert!(r.best.check_against_registry("gc").is_ok());
-        // Cost-neutral knobs ride along at defaults.
+        let r = search(algo("gc"), &input, &SearchConfig::default()).unwrap();
+        assert!(r.best.check_against_registry(algo("gc").knobs()).is_ok());
+        // The dispatch knobs ride along at defaults.
         assert_eq!(r.best.str_knob("dispatch"), Some("pool"));
     }
 
     #[test]
     fn sketch_records_every_evaluation() {
         let input = internet();
-        let r = search("gc", &input, &SearchConfig::default()).unwrap();
+        let r = search(algo("gc"), &input, &SearchConfig::default()).unwrap();
         assert_eq!(r.eval_sketch.count as usize, r.evaluations);
         assert!(r.eval_sketch.p50 > 0);
     }

@@ -36,21 +36,31 @@ pub struct SweepOutcome {
 
 /// Runs the sweep. Incompatible (algo, input) pairs (directedness,
 /// missing weighted view) are skipped and reported, not errors: a
-/// grid naturally mixes directed and undirected inputs.
+/// grid naturally mixes directed and undirected inputs. An algorithm
+/// name outside the registry is an error.
 pub fn sweep(cfg: &SweepConfig) -> Result<SweepOutcome, String> {
+    let algos = cfg
+        .algos
+        .iter()
+        .map(|name| ecl_algos::find(name).ok_or_else(|| format!("unknown algorithm {name:?}")))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut entries = Vec::new();
     let mut skipped = Vec::new();
     for input_name in &cfg.inputs {
         let input = TuneInput::from_registry(input_name, cfg.scale, cfg.seed)?;
-        for algo in &cfg.algos {
+        for &algo in &algos {
             if !input.supports(algo) {
                 let dir = if input.fingerprint.directed { "directed" } else { "undirected" };
-                skipped.push((algo.clone(), input_name.clone(), format!("input is {dir}")));
+                skipped.push((
+                    algo.name().to_string(),
+                    input_name.clone(),
+                    format!("input is {dir}"),
+                ));
                 continue;
             }
             let r = search(algo, &input, &cfg.search)?;
             entries.push(TuneEntry {
-                algo: algo.clone(),
+                algo: algo.name().to_string(),
                 input: input_name.clone(),
                 family: input.fingerprint.family_key(),
                 fingerprint: input.fingerprint.clone(),
@@ -165,15 +175,19 @@ mod tests {
     }
 
     #[test]
-    fn unknown_input_is_an_error_not_a_skip() {
-        let err = sweep(&SweepConfig {
-            inputs: vec!["no-such-graph".into()],
-            algos: vec!["cc".into()],
-            scale: 0.002,
-            seed: 7,
-            search: SearchConfig::default(),
-        })
-        .unwrap_err();
-        assert!(err.contains("no-such-graph"));
+    fn unknown_names_are_errors_not_skips() {
+        for (input, algo, named) in
+            [("no-such-graph", "cc", "no-such-graph"), ("internet", "bfs", "bfs")]
+        {
+            let err = sweep(&SweepConfig {
+                inputs: vec![input.into()],
+                algos: vec![algo.into()],
+                scale: 0.002,
+                seed: 7,
+                search: SearchConfig::default(),
+            })
+            .unwrap_err();
+            assert!(err.contains(named), "{err}");
+        }
     }
 }

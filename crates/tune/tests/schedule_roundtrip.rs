@@ -9,7 +9,8 @@
 
 use std::sync::OnceLock;
 
-use ecl_gpusim::schedule::{knob_registry, ALGOS};
+use ecl_algos::{Algorithm, ALL};
+use ecl_gpusim::schedule::DISPATCH_KNOBS;
 use ecl_gpusim::Schedule;
 use ecl_tune::{evaluate, TuneInput};
 use proptest::prelude::*;
@@ -19,10 +20,10 @@ const SEED: u64 = 11;
 
 /// Inputs are generated once: the property varies the schedule, not
 /// the graph, and regeneration per case would dominate the runtime.
-fn input_for(algo: &str) -> &'static TuneInput {
+fn input_for(algo: &dyn Algorithm) -> &'static TuneInput {
     static UNDIRECTED: OnceLock<TuneInput> = OnceLock::new();
     static DIRECTED: OnceLock<TuneInput> = OnceLock::new();
-    if algo == "scc" {
+    if algo.directed() {
         DIRECTED.get_or_init(|| TuneInput::from_registry("toroid-wedge", SCALE, SEED).unwrap())
     } else {
         UNDIRECTED.get_or_init(|| TuneInput::from_registry("internet", SCALE, SEED).unwrap())
@@ -33,9 +34,9 @@ fn input_for(algo: &str) -> &'static TuneInput {
 /// registered knob: every point of the (small, discrete) knob
 /// cross-product is reachable, including the dispatch knobs the
 /// search itself never varies.
-fn schedule_from_salt(algo: &str, mut salt: u64) -> Schedule {
+fn schedule_from_salt(algo: &dyn Algorithm, mut salt: u64) -> Schedule {
     let mut s = Schedule::new();
-    for spec in knob_registry(algo) {
+    for spec in DISPATCH_KNOBS.iter().chain(algo.knobs()) {
         let n = spec.domain.len() as u64;
         s.set(spec.name, spec.domain.value((salt % n) as usize));
         salt /= n;
@@ -52,7 +53,7 @@ fn schedule_from_salt(algo: &str, mut salt: u64) -> Schedule {
 /// would fail the property for reasons unrelated to serialization.
 fn pin_sequential(mut s: Schedule) -> Schedule {
     use ecl_gpusim::schedule::{KnobValue, INHERIT};
-    s.set("dispatch", KnobValue::Str("seq"));
+    s.set("dispatch", KnobValue::Str("seq".into()));
     s.set("workers", KnobValue::Int(1));
     s.set("grain", KnobValue::Int(INHERIT));
     s
@@ -63,12 +64,12 @@ proptest! {
 
     #[test]
     fn roundtrip_applies_bit_identically(
-        algo_ix in 0usize..ALGOS.len(),
+        algo_ix in 0usize..ALL.len(),
         salt in 0u64..u64::MAX,
     ) {
-        let algo = ALGOS[algo_ix];
+        let algo = ALL[algo_ix];
         let schedule = schedule_from_salt(algo, salt);
-        prop_assert!(schedule.check_against_registry(algo).is_ok());
+        prop_assert!(schedule.check_against_registry(algo.knobs()).is_ok());
 
         let wire = schedule.to_json();
         let parsed = Schedule::from_json(&wire).unwrap();
@@ -82,7 +83,7 @@ proptest! {
         prop_assert!(
             direct.modeled_time.to_bits() == roundtripped.modeled_time.to_bits(),
             "{}: modeled time drifted across serialization: {} vs {} ({})",
-            algo,
+            algo.name(),
             direct.modeled_time,
             roundtripped.modeled_time,
             wire
@@ -90,7 +91,7 @@ proptest! {
         prop_assert!(
             direct.result_sig == roundtripped.result_sig,
             "{}: result signature drifted across serialization ({})",
-            algo,
+            algo.name(),
             wire
         );
     }

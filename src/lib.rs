@@ -60,6 +60,11 @@ pub use ecl_scc as scc;
 /// ([`ecl_shard`]).
 pub use ecl_shard as shard;
 
+/// The algorithm registry: the `Algorithm` trait, the five adapters,
+/// and the driver that runs one by name under a schedule
+/// ([`ecl_algos`]).
+pub use ecl_algos as algos;
+
 /// Multi-tenant graph-analytics service: catalog, scheduler, result
 /// cache, HTTP surface, load generator ([`ecl_serve`]).
 pub use ecl_serve as serve;

@@ -11,8 +11,7 @@
 //! interleaving. These tests pin that contract: a contention-heavy
 //! power-law workload must produce bit-identical counter totals,
 //! cost-model charges, and check reports under a forced single-worker
-//! (sequential) schedule, ≥ 8 pooled workers, randomized grains, and
-//! the legacy spawn-chunked engine.
+//! (sequential) schedule and ≥ 8 pooled workers with randomized grains.
 
 #![allow(clippy::unwrap_used)]
 
@@ -141,8 +140,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     // The synthetic contention workload: bit-identical aggregates
-    // under sequential, pooled (≥ 8 workers, random grain), and the
-    // legacy spawn engine.
+    // under sequential and pooled (≥ 8 workers, random grain).
     #[test]
     fn aggregates_are_bit_identical_across_schedules(
         seed in 0u64..1_000,
@@ -158,8 +156,6 @@ proptest! {
             || run_workload(&g),
         );
         prop_assert_eq!(&reference, &pooled);
-        let spawned = with_policy(DispatchPolicy::spawn_baseline(4), || run_workload(&g));
-        prop_assert_eq!(&reference, &spawned);
     }
 
     // A real algorithm (ECL-SCC on a directed power-law graph): the
