@@ -6,7 +6,8 @@
 //! verdict and the run compares against it. Clean harnesses must
 //! verify with zero findings (the tentpole harnesses — ticket-claim,
 //! finish-path, the serve reactor's event-ring / wake / handoff
-//! protocols, and the cross-shard mailbox exchange — additionally
+//! protocols, the cross-shard mailbox exchange, and the observer
+//! slot's publish-and-retire — additionally
 //! *exhaustively*, or the entry fails — a
 //! budget cut there means the CI budget no longer covers the
 //! protocol); fixtures must be found and classified under their
@@ -86,24 +87,28 @@ impl McEntryOutcome {
     }
 }
 
+/// The protocol-bearing harnesses that must be explored exhaustively
+/// at the CI bound, not merely come out clean.
+const EXHAUSTIVE: [&str; 7] = [
+    "pool-ticket-claim",
+    "scheduler-finish",
+    "serve-conn-ring",
+    "serve-reactor-wakeup",
+    "serve-reactor-handoff",
+    "shard-exchange",
+    "sink-publish",
+];
+
 /// The suite definition: all clean harnesses, then all fixtures.
 /// Ordering is stable; CI output diffs cleanly.
 pub fn mc_suite() -> Vec<McSuiteEntry> {
-    let exhaustive = [
-        "pool-ticket-claim",
-        "scheduler-finish",
-        "serve-conn-ring",
-        "serve-reactor-wakeup",
-        "serve-reactor-handoff",
-        "shard-exchange",
-    ];
     let mut entries: Vec<McSuiteEntry> = harnesses::ALL
         .iter()
         .map(|h| McSuiteEntry {
             name: format!("harness/{}", h.name),
             about: h.about,
             run: h.run,
-            expect: Expectation::Clean { exhaustive: exhaustive.contains(&h.name) },
+            expect: Expectation::Clean { exhaustive: EXHAUSTIVE.contains(&h.name) },
         })
         .collect();
     entries.extend(fixtures::ALL.iter().map(|f| McSuiteEntry {
@@ -212,14 +217,7 @@ mod tests {
     #[test]
     fn tentpole_harnesses_are_exhaustive_and_explored() {
         let cfg = quick();
-        for name in [
-            "pool-ticket-claim",
-            "scheduler-finish",
-            "serve-conn-ring",
-            "serve-reactor-wakeup",
-            "serve-reactor-handoff",
-            "shard-exchange",
-        ] {
+        for name in EXHAUSTIVE {
             let entry =
                 mc_suite().into_iter().find(|e| e.name == format!("harness/{name}")).unwrap();
             let o = run_mc_entry(&cfg, &entry);

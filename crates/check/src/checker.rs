@@ -485,7 +485,9 @@ impl CheckSession {
     }
 
     fn teardown(&mut self) {
-        if self.guard.take().is_some() {
+        // Bound for the whole block: the next session must not
+        // install before this one has uninstalled.
+        if let Some(_guard) = self.guard.take() {
             check::uninstall();
             *ACTIVE.lock().unwrap_or_else(|e| e.into_inner()) = None;
         }

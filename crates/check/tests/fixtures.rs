@@ -109,10 +109,14 @@ fn findings_become_trace_events() {
         events_per_slot: 4096,
         clock: ClockMode::Logical,
     }));
-    ecl_trace::sink::install(Arc::clone(&tracer));
+    // The tracer is process-global: install it only while this test
+    // owns the session lock, so no sibling's finding lands in its ring.
     let device = Device::test_small();
-    let ((), report) = run_checked(&device, || fixtures::racy_write_write(&device));
+    let session = CheckSession::begin(&device);
+    ecl_trace::sink::install(Arc::clone(&tracer));
+    fixtures::racy_write_write(&device);
     ecl_trace::sink::uninstall();
+    let report = session.finish();
     assert!(report.has(Rule::WriteWriteRace));
     let snap = tracer.snapshot();
     let findings: Vec<_> = snap.of_kind(EventKind::CheckFinding).collect();

@@ -34,6 +34,7 @@ pub mod metrics;
 pub mod registry;
 pub mod runs;
 pub mod series;
+pub mod sink;
 pub mod sketch;
 pub mod stats;
 pub mod table;
@@ -46,6 +47,7 @@ pub use metrics::{imbalance_from_summary, ActivityTally, LoadBalance};
 pub use registry::{CounterHandle, Registry, Snapshot};
 pub use runs::MultiRun;
 pub use series::{BlockSeries, IterationBars};
+pub use sink::Sink;
 pub use sketch::{LogSketch, SketchSnapshot, SKETCH_BUCKETS};
 pub use stats::{pearson, Summary};
 pub use table::Table;

@@ -15,7 +15,9 @@ use std::sync::Arc;
 
 use ecl_check::Rule;
 
-use crate::harnesses::{drain, finish_path, reactor_handoff, reactor_wakeup, shard_exchange};
+use crate::harnesses::{
+    drain, finish_path, reactor_handoff, reactor_wakeup, shard_exchange, sink_publish,
+};
 use crate::shim::atomic::McAtomicU64;
 use crate::shim::cell::McCell;
 use crate::shim::sync::McMutex;
@@ -85,6 +87,12 @@ pub const ALL: &[FixtureEntry] = &[
         about: "shard votes idle before applying its inbox: fixpoint with mail in flight",
         run: shard_idle_before_apply,
         expect: Rule::McAssertion,
+    },
+    FixtureEntry {
+        name: "sink-free-on-replace",
+        about: "observer slot frees the replaced payload: an in-flight emitter reads through it",
+        run: sink_free_on_replace,
+        expect: Rule::McRace,
     },
 ];
 
@@ -167,6 +175,14 @@ pub fn shard_relaxed_publish() {
 /// flight — sharded runs would terminate early with wrong labels.
 pub fn shard_idle_before_apply() {
     shard_exchange(true, false);
+}
+
+/// The observer slot without its retired list: replacing a payload
+/// frees the old one while an emitter that already loaded its pointer
+/// reads through it — nothing orders the two, a use-after-free on
+/// real storage and a data race here.
+pub fn sink_free_on_replace() {
+    sink_publish(false);
 }
 
 /// Classic ABBA: thread 1 locks A then B, thread 2 locks B then A.

@@ -88,6 +88,11 @@ pub const ALL: &[HarnessEntry] = &[
         about: "cross-shard mailbox publish + quiescence vote: fixpoint only after delivery",
         run: shard_exchange_clean,
     },
+    HarnessEntry {
+        name: "sink-publish",
+        about: "observer-slot install/replace/uninstall vs. an emitter: never a freed payload",
+        run: sink_publish_clean,
+    },
 ];
 
 /// Looks up a harness by name.
@@ -715,4 +720,93 @@ pub fn shard_exchange(publish_release: bool, apply_before_idle: bool) {
 /// The clean exchange (released publish, apply before the idle vote).
 pub fn shard_exchange_clean() {
     shard_exchange(true, true);
+}
+
+/// Shared body for the observer-slot harness and its seeded-defect
+/// fixture: the publish-and-retire protocol of
+/// `ecl_profiling::sink::Sink<T>`, which `ecl_trace::sink`,
+/// `ecl_prof::sink`, `ecl_obs::sink` and `ecl_gpusim::check` all
+/// instantiate. Two threads each `install` their own payload — whoever
+/// takes the state mutex second is the *replacer* — and the second
+/// thread then `uninstall`s, while an emitter runs one hook call
+/// (`Relaxed` guard, `Acquire` pointer load, payload read) with no
+/// lock at all, as a launch in flight does.
+///
+/// Payloads are plain cells, so the contract is checked twice: the
+/// emitter asserts it read a fully initialised payload (the current
+/// one or a retired one, never torn-down storage), and any payload
+/// access the `SeqCst` pointer publish does not order is a data race.
+///
+/// `retire = false` is the defect `Sink<T>` exists to exclude: the
+/// replacer tears the old payload down (as dropping its `Arc` would)
+/// while an emitter that loaded the old pointer may still be reading
+/// through it.
+pub fn sink_publish(retire: bool) {
+    const PAYLOADS: [u32; 2] = [11, 22];
+    const FREED: u32 = 0;
+    let enabled = Arc::new(McAtomicBool::new("sink.enabled", false));
+    // 0 is the null pointer; `i + 1` points at `payloads[i]`.
+    let ptr = Arc::new(McAtomicUsize::new("sink.ptr", 0));
+    // The installed payload as the state mutex guards it, same encoding.
+    let state = Arc::new(McMutex::new("sink.state", 0usize));
+    let payloads: Arc<Vec<McCell<u32>>> =
+        Arc::new((0..2).map(|i| McCell::new(&format!("sink.payload[{i}]"), FREED)).collect());
+
+    let owner = |slot: usize, then_uninstall: bool| {
+        let enabled = Arc::clone(&enabled);
+        let ptr = Arc::clone(&ptr);
+        let state = Arc::clone(&state);
+        let payloads = Arc::clone(&payloads);
+        thread::spawn(&format!("owner{slot}"), move || {
+            // The caller builds its payload before handing it over.
+            payloads[slot].write(PAYLOADS[slot]);
+            {
+                let mut current = state.lock();
+                enabled.store(false, Ordering::SeqCst);
+                if !retire && *current != 0 {
+                    // Defect: the old payload is freed, not retired.
+                    payloads[*current - 1].write(FREED);
+                }
+                ptr.store(slot + 1, Ordering::SeqCst);
+                *current = slot + 1;
+                enabled.store(true, Ordering::SeqCst);
+            }
+            if then_uninstall {
+                let mut current = state.lock();
+                enabled.store(false, Ordering::SeqCst);
+                ptr.store(0, Ordering::SeqCst);
+                *current = 0;
+            }
+        })
+    };
+    let first = owner(0, false);
+    let second = owner(1, true);
+
+    let emitter = {
+        let enabled = Arc::clone(&enabled);
+        let ptr = Arc::clone(&ptr);
+        let payloads = Arc::clone(&payloads);
+        thread::spawn("emitter", move || {
+            if !enabled.load(Ordering::Relaxed) {
+                return;
+            }
+            let p = ptr.load(Ordering::Acquire);
+            if p != 0 {
+                assert_eq!(
+                    payloads[p - 1].read(),
+                    PAYLOADS[p - 1],
+                    "emitter read an uninitialised or freed payload"
+                );
+            }
+        })
+    };
+
+    first.join();
+    second.join();
+    emitter.join();
+}
+
+/// The clean observer slot (old payloads retired, never freed).
+pub fn sink_publish_clean() {
+    sink_publish(true);
 }

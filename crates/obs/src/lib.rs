@@ -21,9 +21,9 @@
 //!   exemplar-bearing latency histogram that links Prometheus buckets
 //!   back to `ReqId`s in the recorder.
 //!
-//! [`sink`] ties them together with the same global
-//! install/uninstall/is-enabled discipline as the trace and prof
-//! sinks: disabled cost is one relaxed atomic load per launch, so the
+//! [`sink`] ties them together through the same
+//! [`ecl_profiling::Sink`] slot as the trace and prof sinks:
+//! disabled cost is one relaxed atomic load per launch, so the
 //! existing overhead noise-budget tests keep holding.
 
 pub mod ctx;

@@ -2,17 +2,14 @@
 //! that routes request-attributed launch samples into the installed
 //! [`Obs`] (flight recorder + SLO engine).
 //!
-//! Mirrors `ecl_trace::sink` / `ecl_prof::sink` exactly: the hot-path
-//! guard is one relaxed `AtomicBool` load; the installed handle is
-//! published as a raw pointer backed by an `Arc` that is retired (kept
-//! alive forever) instead of dropped, so a racing hook can never
-//! dereference a freed `Obs`. A process installs a handful of handles
-//! at most, so the intentional leak is bounded and tiny.
+//! A `static` [`Sink<Obs>`] — see [`ecl_profiling::sink`] for the
+//! publish-and-retire protocol; the hot-path guard is one relaxed
+//! `AtomicBool` load.
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ecl_prof::LaunchSample;
+use ecl_profiling::Sink;
 
 use crate::recorder::{FlightRecorder, RecorderConfig};
 use crate::slo::SloEngine;
@@ -34,49 +31,23 @@ impl Obs {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static PTR: AtomicPtr<Obs> = AtomicPtr::new(std::ptr::null_mut());
-static CURRENT: Mutex<SinkState> = Mutex::new(SinkState { current: None, retired: Vec::new() });
-
-struct SinkState {
-    current: Option<Arc<Obs>>,
-    /// Arcs kept alive forever so racing hooks never dereference a
-    /// freed `Obs`. Bounded by `install` calls.
-    retired: Vec<Arc<Obs>>,
-}
-
-fn state() -> std::sync::MutexGuard<'static, SinkState> {
-    CURRENT.lock().unwrap_or_else(|e| e.into_inner())
-}
+static SINK: Sink<Obs> = Sink::new();
 
 /// Installs `obs` as the global sink and enables attribution.
 pub fn install(obs: Arc<Obs>) {
-    let mut st = state();
-    ENABLED.store(false, Ordering::SeqCst);
-    if let Some(old) = st.current.take() {
-        st.retired.push(old);
-    }
-    PTR.store(Arc::as_ptr(&obs) as *mut Obs, Ordering::SeqCst);
-    st.current = Some(obs);
-    ENABLED.store(true, Ordering::SeqCst);
+    SINK.install(obs);
 }
 
 /// Disables attribution and detaches the handle, returning it.
-/// Storage stays alive (retired) in case another thread is mid-hook.
 pub fn uninstall() -> Option<Arc<Obs>> {
-    let mut st = state();
-    ENABLED.store(false, Ordering::SeqCst);
-    PTR.store(std::ptr::null_mut(), Ordering::SeqCst);
-    let obs = st.current.take()?;
-    st.retired.push(Arc::clone(&obs));
-    Some(obs)
+    SINK.uninstall()
 }
 
 /// Whether an `Obs` is installed — the hot-path guard the launch
 /// layer reads once per launch.
 #[inline(always)]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SINK.is_enabled()
 }
 
 /// Whether the launch layer should build a sample for the obs sink:
@@ -86,24 +57,10 @@ pub fn wants_samples() -> bool {
     is_enabled() && crate::ctx::current() != 0
 }
 
-/// The installed handle, if any.
-pub fn current() -> Option<Arc<Obs>> {
-    state().current.clone()
-}
-
 /// Runs `f` against the installed `Obs`, if any.
 #[inline]
 pub fn with<R>(f: impl FnOnce(&Obs) -> R) -> Option<R> {
-    if !is_enabled() {
-        return None;
-    }
-    let ptr = PTR.load(Ordering::Acquire);
-    if ptr.is_null() {
-        return None;
-    }
-    // SAFETY: `ptr` came from an Arc that install/uninstall retire
-    // instead of dropping, so the Obs outlives every reader.
-    Some(f(unsafe { &*ptr }))
+    SINK.get().map(f)
 }
 
 /// Routes one request-attributed launch sample into the flight
@@ -133,16 +90,14 @@ mod tests {
         }
     }
 
-    // The sink is process-global, so its tests share one #[test] body
-    // to avoid cross-test interference under the parallel test runner.
+    // Install/uninstall/replace live in `ecl_profiling::sink`'s test;
+    // what is specific here is the request gating.
     #[test]
-    fn sink_lifecycle() {
-        assert!(!is_enabled());
+    fn samples_are_wanted_and_routed_only_for_requests() {
         on_launch(&sample(1)); // no sink: no-op
 
         let obs = Arc::new(Obs::new(RecorderConfig::default(), None));
         install(Arc::clone(&obs));
-        assert!(is_enabled());
         // wants_samples needs a request context too.
         assert!(!wants_samples());
         {
@@ -158,10 +113,8 @@ mod tests {
             obs.recorder.finish(5, 1, "cc", "g", crate::recorder::FinishInfo::default()).unwrap();
         assert_eq!(s.kernels, 1);
 
-        let back = uninstall().expect("installed");
-        assert!(!is_enabled());
-        assert!(Arc::ptr_eq(&back, &obs));
-        on_launch(&sample(5)); // detached: no-op
+        uninstall();
+        assert!(!wants_samples());
         assert!(with(|_| ()).is_none());
     }
 }

@@ -11,8 +11,8 @@
 //!   hooks in `ecl-gpusim`'s launch/pool layer: wall time, grid
 //!   geometry, and per-participant block/claim/busy stats.
 //! - [`sink`] — the global zero-cost-when-disabled hook the simulator
-//!   reports into, mirroring `ecl_trace::sink`: the disabled path is
-//!   one relaxed atomic load per *launch*.
+//!   reports into, a `static` [`ecl_profiling::Sink`]: the disabled
+//!   path is one relaxed atomic load per *launch*.
 //! - [`collector::Collector`] — aggregates samples per kernel into
 //!   [`ecl_profiling::LogSketch`] percentile sketches of wall time
 //!   and load imbalance, plus utilization and claim-wait totals.

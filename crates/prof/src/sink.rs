@@ -1,135 +1,46 @@
 //! The global profiling sink: the zero-cost-when-disabled hook the
 //! simulator's launch and pool code reports into.
 //!
-//! Mirrors the design of `ecl_trace::sink` exactly: the hot-path guard
+//! A `static` [`Sink<Collector>`] — see [`ecl_profiling::sink`] for
+//! the publish-and-retire protocol. The hot-path guard
 //! ([`is_enabled`]) is one relaxed `AtomicBool` load, so a launch on
 //! the disabled path pays a single never-taken branch and skips both
 //! the timing instrumentation and the sample allocation entirely.
-//! Installed collectors are published as a raw pointer backed by an
-//! `Arc` that is retired (kept alive forever) instead of dropped, so a
-//! racing `on_launch` can never dereference a freed collector; a
-//! session installs a handful of collectors at most, so the
-//! intentional leak is bounded and tiny.
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use ecl_profiling::Sink;
 
 use crate::collector::Collector;
 use crate::sample::LaunchSample;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static PTR: AtomicPtr<Collector> = AtomicPtr::new(std::ptr::null_mut());
-static CURRENT: Mutex<SinkState> = Mutex::new(SinkState { current: None, retired: Vec::new() });
-
-struct SinkState {
-    current: Option<Arc<Collector>>,
-    /// Arcs kept alive forever so racing `on_launch`s never
-    /// dereference a freed collector. Bounded by `install` calls.
-    retired: Vec<Arc<Collector>>,
-}
-
-fn state() -> std::sync::MutexGuard<'static, SinkState> {
-    CURRENT.lock().unwrap_or_else(|e| e.into_inner())
-}
+static SINK: Sink<Collector> = Sink::new();
 
 /// Installs `collector` as the global sink and enables profiling. A
-/// previously installed collector keeps its aggregates (fetch it with
-/// [`current`] before replacing) but stops receiving launches.
+/// previously installed collector keeps its aggregates but stops
+/// receiving launches.
 pub fn install(collector: Arc<Collector>) {
-    let mut st = state();
-    ENABLED.store(false, Ordering::SeqCst);
-    if let Some(old) = st.current.take() {
-        st.retired.push(old);
-    }
-    PTR.store(Arc::as_ptr(&collector) as *mut Collector, Ordering::SeqCst);
-    st.current = Some(collector);
-    ENABLED.store(true, Ordering::SeqCst);
+    SINK.install(collector);
 }
 
 /// Stops profiling and detaches the collector, returning it for
-/// snapshotting. Storage stays alive (retired) in case another thread
-/// is mid-record.
+/// snapshotting.
 pub fn uninstall() -> Option<Arc<Collector>> {
-    let mut st = state();
-    ENABLED.store(false, Ordering::SeqCst);
-    PTR.store(std::ptr::null_mut(), Ordering::SeqCst);
-    let collector = st.current.take()?;
-    st.retired.push(Arc::clone(&collector));
-    Some(collector)
+    SINK.uninstall()
 }
 
 /// Whether launches are currently profiled — the hot-path guard the
 /// simulator reads once per launch (not per thread or block).
 #[inline(always)]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// The installed collector, if any.
-pub fn current() -> Option<Arc<Collector>> {
-    state().current.clone()
+    SINK.is_enabled()
 }
 
 /// Records one completed launch into the installed collector. Callers
 /// should build the sample only after checking [`is_enabled`]; this
 /// re-checks in case of a concurrent uninstall.
 pub fn on_launch(sample: &LaunchSample) {
-    if !is_enabled() {
-        return;
-    }
-    let ptr = PTR.load(Ordering::Acquire);
-    if !ptr.is_null() {
-        // SAFETY: `ptr` came from an Arc that install/uninstall retire
-        // instead of dropping, so the Collector outlives every reader.
-        unsafe { &*ptr }.record(sample);
-    }
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used)]
-mod tests {
-    use super::*;
-    use crate::sample::WorkerStat;
-
-    fn sample() -> LaunchSample {
-        LaunchSample {
-            kernel: "k".into(),
-            shape: "flat",
-            blocks: 2,
-            block_size: 32,
-            wall_ns: 10,
-            workers: vec![WorkerStat { blocks: 2, claims: 1, busy_ns: 8 }],
-            req: 0,
-            shard: 0,
-        }
-    }
-
-    // The sink is process-global, so its tests share one #[test] body
-    // to avoid cross-test interference under the parallel test runner.
-    #[test]
-    fn sink_lifecycle() {
-        assert!(!is_enabled());
-        on_launch(&sample()); // no sink: must be a no-op
-
-        let c = Arc::new(Collector::new());
-        install(Arc::clone(&c));
-        assert!(is_enabled());
-        on_launch(&sample());
-        on_launch(&sample());
-
-        let back = uninstall().expect("collector was installed");
-        assert!(!is_enabled());
-        assert!(Arc::ptr_eq(&back, &c));
-        on_launch(&sample()); // detached: no-op
-        assert_eq!(back.launches(), 2);
-
-        // Replacing an installed collector redirects new launches.
-        install(Arc::clone(&c));
-        let c2 = Arc::new(Collector::new());
-        install(Arc::clone(&c2));
-        on_launch(&sample());
-        assert_eq!(c.launches(), 2);
-        assert_eq!(c2.launches(), 1);
-        uninstall();
+    if let Some(collector) = SINK.get() {
+        collector.record(sample);
     }
 }

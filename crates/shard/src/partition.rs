@@ -8,12 +8,16 @@
 //! vertices** — read-only mirrors whose state is refreshed through the
 //! mailbox exchange between supersteps ([`crate::exchange`]).
 //!
-//! Two placement strategies exploit generator structure:
+//! Two placement strategies:
 //!
 //! - [`Strategy::Contiguous`] slices the vertex id range into balanced
-//!   blocks. Generators that lay out vertices spatially (torus grids,
-//!   meshes, road-like graphs) put topological neighbors at nearby
-//!   ids, so contiguous slices cut only the slice boundaries.
+//!   blocks. It cuts only the slice boundaries when topological
+//!   neighbors sit at nearby ids — true of the spatial generators'
+//!   *natural* ids (`InputSpec::generate_natural`), but of no
+//!   registered input: `InputSpec::generate` randomly relabels torus,
+//!   mesh, road, citation and RMAT graphs to reproduce the paper's
+//!   id-vs-topology independence, so on those a contiguous slice is a
+//!   uniform random partition (cut ≈ 1 − 1/k; ROADMAP item 4).
 //! - [`Strategy::Hashed`] spreads vertices by a hashed id. Power-law
 //!   inputs (RMAT) concentrate degree mass at low ids; hashing trades
 //!   a higher cut ratio for balanced per-shard work.
@@ -32,8 +36,8 @@ pub const MAX_SHARDS: u32 = 64;
 /// Vertex-placement strategy of a partition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Strategy {
-    /// Balanced contiguous vertex-id ranges (structure-exploiting:
-    /// torus / mesh / road-like generators emit spatially local ids).
+    /// Balanced contiguous vertex-id ranges (structure-exploiting
+    /// only where ids are spatially local — see the module docs).
     Contiguous,
     /// Hashed vertex ids (load-balancing for power-law inputs).
     Hashed,

@@ -8,9 +8,10 @@
 //! shadow memory and launch statistics without the simulator knowing
 //! anything about races or lint rules.
 //!
-//! The plumbing mirrors `ecl_trace::sink`: one relaxed `AtomicBool`
-//! load on the hot path when no checker is installed, an `AtomicPtr`
-//! to a never-freed (retired) sink when one is. Which launches are
+//! The plumbing is a `static` [`Sink`] (see [`ecl_profiling::sink`]):
+//! one relaxed `AtomicBool` load on the hot path when no checker is
+//! installed, an acquire load of a retired-never-freed pointer when
+//! one is. Which launches are
 //! *tracked* is the sink's decision — [`CheckSink::launch_begin`]
 //! returns `false` for devices it does not watch, and untracked
 //! launches never set the thread-local agent, so their accesses are
@@ -21,8 +22,9 @@
 
 use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use ecl_profiling::Sink;
 
 use crate::cost::CostKind;
 use crate::device::{Device, DeviceConfig};
@@ -165,12 +167,7 @@ pub trait CheckSink: Send + Sync {
     fn block_end(&self, block: u32, block_size: usize);
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static PTR: AtomicPtr<Arc<dyn CheckSink>> = AtomicPtr::new(std::ptr::null_mut());
-/// Addresses of retired sink boxes, kept (leaked) forever so a racing
-/// hook never dereferences a freed sink. Bounded by `install` calls —
-/// a process runs a handful of check sessions at most.
-static RETIRED: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+static SINK: Sink<Arc<dyn CheckSink>> = Sink::new();
 
 thread_local! {
     static AGENT: Cell<Option<Agent>> = const { Cell::new(None) };
@@ -185,45 +182,24 @@ pub fn device_id(device: &Device) -> usize {
 /// Installs `sink` as the process-global checker and enables hooks.
 /// Replaces (and retires) any previously installed sink.
 pub fn install(sink: Arc<dyn CheckSink>) {
-    let mut retired = RETIRED.lock().unwrap_or_else(|e| e.into_inner());
-    ENABLED.store(false, Ordering::SeqCst);
-    let old = PTR.swap(Box::into_raw(Box::new(sink)), Ordering::SeqCst);
-    if !old.is_null() {
-        retired.push(old as usize);
-    }
-    ENABLED.store(true, Ordering::SeqCst);
+    SINK.install(Arc::new(sink));
 }
 
 /// Disables hooks and detaches the sink (retiring its storage).
 pub fn uninstall() {
-    let mut retired = RETIRED.lock().unwrap_or_else(|e| e.into_inner());
-    ENABLED.store(false, Ordering::SeqCst);
-    let old = PTR.swap(std::ptr::null_mut(), Ordering::SeqCst);
-    if !old.is_null() {
-        retired.push(old as usize);
-    }
+    SINK.uninstall();
 }
 
 /// Whether a checker is installed. One relaxed load — the hot-path
 /// guard every hook starts with.
 #[inline(always)]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SINK.is_enabled()
 }
 
 #[inline(always)]
 fn with_sink<R>(f: impl FnOnce(&dyn CheckSink) -> R) -> Option<R> {
-    if !is_enabled() {
-        return None;
-    }
-    let ptr = PTR.load(Ordering::Acquire);
-    if ptr.is_null() {
-        return None;
-    }
-    // SAFETY: `ptr` came from a leaked `Box<Arc<dyn CheckSink>>` that
-    // install/uninstall retire (never free), so the sink outlives
-    // every racing reader.
-    Some(f(unsafe { (*ptr).as_ref() }))
+    SINK.get().map(|s| f(s.as_ref()))
 }
 
 /// The agent currently executing on this thread, if a tracked launch

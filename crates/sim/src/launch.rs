@@ -32,22 +32,6 @@ use crate::cost::CostKind;
 use crate::device::Device;
 use crate::pool;
 
-/// Emits the kernel-launch trace event (payload = grid size). One
-/// relaxed load when tracing is disabled.
-#[inline]
-fn trace_launch(cfg: LaunchConfig) {
-    sink::emit(EventKind::KernelLaunch, u32::MAX, 0, cfg.blocks.min(u32::MAX as usize) as u32);
-}
-
-/// Runs `body` between block-start / block-end trace events.
-#[inline]
-fn trace_block<R>(block: usize, block_size: usize, body: impl FnOnce() -> R) -> R {
-    sink::emit(EventKind::BlockStart, block as u32, 0, block_size as u32);
-    let r = body();
-    sink::emit(EventKind::BlockEnd, block as u32, 0, block_size as u32);
-    r
-}
-
 /// Dispatches a launch's blocks onto the pool, reporting a per-launch
 /// profile sample when `ecl-prof`'s sink is installed and/or the
 /// launch runs inside a request context with `ecl-obs` installed. The
@@ -88,17 +72,6 @@ where
     }
     if obs {
         ecl_obs::sink::on_launch(&sample);
-    }
-}
-
-/// The stable shape label a [`LaunchShape`] reports in profile
-/// samples.
-fn shape_label(shape: LaunchShape) -> &'static str {
-    match shape {
-        LaunchShape::Flat => "flat",
-        LaunchShape::Persistent => "persistent",
-        LaunchShape::Blocks => "blocks",
-        LaunchShape::Warps => "warps",
     }
 }
 
@@ -143,6 +116,33 @@ pub struct ThreadCtx {
     pub lane: usize,
 }
 
+/// The launch skeleton every shape shares: charges the launch, emits
+/// the launch / block-start / block-end trace events, brackets the
+/// grid with the checker's `launch_begin` / `launch_end`, scopes the
+/// per-OS-thread agent around each block and, for tracked launches,
+/// clears the agent and reports `block_end` after `per_block(block,
+/// tracked)` returns. `per_block` only runs the shape's inner loop,
+/// setting the agent it iterates when `tracked`.
+fn run_grid<F>(device: &Device, name: &str, shape: LaunchShape, cfg: LaunchConfig, per_block: F)
+where
+    F: Fn(usize, bool) + Sync,
+{
+    device.charge(CostKind::KernelLaunch, 1);
+    sink::emit(EventKind::KernelLaunch, u32::MAX, 0, cfg.blocks.min(u32::MAX as usize) as u32);
+    let tracked = check::launch_begin(device, name, shape, cfg);
+    dispatch_blocks(name, shape.name(), cfg, |block| {
+        let _agents = check::AgentScope::enter();
+        sink::emit(EventKind::BlockStart, block as u32, 0, cfg.block_size as u32);
+        per_block(block, tracked);
+        if tracked {
+            check::set_agent(None);
+            check::block_end(block as u32, cfg.block_size);
+        }
+        sink::emit(EventKind::BlockEnd, block as u32, 0, cfg.block_size as u32);
+    });
+    check::launch_end(device, tracked);
+}
+
 /// Shared body of the per-thread launch shapes: flat grids and
 /// persistent-thread grids differ only in how `cfg` was derived and in
 /// the [`LaunchShape`] reported to an installed checker.
@@ -150,25 +150,14 @@ fn run_flat<F>(device: &Device, name: &str, shape: LaunchShape, cfg: LaunchConfi
 where
     F: Fn(ThreadCtx) + Sync,
 {
-    device.charge(CostKind::KernelLaunch, 1);
-    trace_launch(cfg);
-    let tracked = check::launch_begin(device, name, shape, cfg);
-    dispatch_blocks(name, shape_label(shape), cfg, |block| {
-        let _agents = check::AgentScope::enter();
-        trace_block(block, cfg.block_size, || {
-            for lane in 0..cfg.block_size {
-                if tracked {
-                    check::set_agent(Some(Agent::thread(block as u32, lane as u32)));
-                }
-                f(ThreadCtx { global: block * cfg.block_size + lane, block, lane });
-            }
+    run_grid(device, name, shape, cfg, |block, tracked| {
+        for lane in 0..cfg.block_size {
             if tracked {
-                check::set_agent(None);
-                check::block_end(block as u32, cfg.block_size);
+                check::set_agent(Some(Agent::thread(block as u32, lane as u32)));
             }
-        });
+            f(ThreadCtx { global: block * cfg.block_size + lane, block, lane });
+        }
     });
-    check::launch_end(device, tracked);
 }
 
 /// Launches `cfg.blocks × cfg.block_size` threads; `f` runs once per
@@ -275,23 +264,22 @@ pub fn launch_blocks_named<F>(device: &Device, name: &str, cfg: LaunchConfig, f:
 where
     F: Fn(BlockCtx<'_>) + Sync,
 {
-    device.charge(CostKind::KernelLaunch, 1);
-    trace_launch(cfg);
-    let tracked = check::launch_begin(device, name, LaunchShape::Blocks, cfg);
-    dispatch_blocks(name, "blocks", cfg, |block| {
-        let _agents = check::AgentScope::enter();
-        trace_block(block, cfg.block_size, || {
+    // Out of line: the body runs once per block and carries the
+    // kernel's own loops, which lose registers to the skeleton's live
+    // values when the two are compiled as one function.
+    run_grid(
+        device,
+        name,
+        LaunchShape::Blocks,
+        cfg,
+        #[inline(never)]
+        |block, tracked| {
             if tracked {
                 check::set_agent(Some(Agent::block_wide(block as u32)));
             }
             f(BlockCtx { block, block_size: cfg.block_size, device });
-            if tracked {
-                check::set_agent(None);
-                check::block_end(block as u32, cfg.block_size);
-            }
-        });
-    });
-    check::launch_end(device, tracked);
+        },
+    );
 }
 
 /// One warp of a warp-synchronous launch.
@@ -306,17 +294,16 @@ pub struct WarpCtx {
     /// Number of live lanes (the device's warp size, except possibly
     /// in the last warp of a block).
     pub lanes: usize,
+    /// Global thread id of the block's first thread.
+    block_base: usize,
 }
 
 impl WarpCtx {
     /// The thread context of `lane`.
     pub fn thread(&self, lane: usize) -> ThreadCtx {
         debug_assert!(lane < self.lanes);
-        ThreadCtx {
-            global: self.base + lane,
-            block: self.block,
-            lane: (self.base + lane) % self.lanes.max(1),
-        }
+        let global = self.base + lane;
+        ThreadCtx { global, block: self.block, lane: global - self.block_base }
     }
 }
 
@@ -341,37 +328,27 @@ pub fn launch_warps_named<F>(device: &Device, name: &str, cfg: LaunchConfig, f: 
 where
     F: Fn(WarpCtx) + Sync,
 {
-    device.charge(CostKind::KernelLaunch, 1);
-    trace_launch(cfg);
-    let tracked = check::launch_begin(device, name, LaunchShape::Warps, cfg);
     let warp_size = device.config().warp_size.max(1);
-    dispatch_blocks(name, "warps", cfg, |block| {
-        let _agents = check::AgentScope::enter();
-        trace_block(block, cfg.block_size, || {
-            let block_base = block * cfg.block_size;
-            let mut offset = 0usize;
-            let mut warp_in_block = 0usize;
-            while offset < cfg.block_size {
-                let lanes = warp_size.min(cfg.block_size - offset);
-                if tracked {
-                    check::set_agent(Some(Agent::warp(block as u32, warp_in_block as u32)));
-                }
-                f(WarpCtx {
-                    warp: block * cfg.block_size.div_ceil(warp_size) + warp_in_block,
-                    block,
-                    base: block_base + offset,
-                    lanes,
-                });
-                offset += lanes;
-                warp_in_block += 1;
-            }
+    run_grid(device, name, LaunchShape::Warps, cfg, |block, tracked| {
+        let block_base = block * cfg.block_size;
+        let mut offset = 0usize;
+        let mut warp_in_block = 0usize;
+        while offset < cfg.block_size {
+            let lanes = warp_size.min(cfg.block_size - offset);
             if tracked {
-                check::set_agent(None);
-                check::block_end(block as u32, cfg.block_size);
+                check::set_agent(Some(Agent::warp(block as u32, warp_in_block as u32)));
             }
-        });
+            f(WarpCtx {
+                warp: block * cfg.block_size.div_ceil(warp_size) + warp_in_block,
+                block,
+                base: block_base + offset,
+                lanes,
+                block_base,
+            });
+            offset += lanes;
+            warp_in_block += 1;
+        }
     });
-    check::launch_end(device, tracked);
 }
 
 #[cfg(test)]
@@ -482,6 +459,7 @@ mod tests {
                 let t = w.thread(lane);
                 assert_eq!(t.global, w.base + lane);
                 assert_eq!(t.block, w.block);
+                assert_eq!(t.lane, t.global - t.block * cfg.block_size);
             }
         });
         assert_eq!(covered.load(Ordering::Relaxed), 240);

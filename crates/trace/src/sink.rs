@@ -2,103 +2,47 @@
 //! the simulator and algorithm crates emit events without threading a
 //! tracer handle through every signature.
 //!
-//! Hot path (`emit`, `is_enabled`): one relaxed `AtomicBool` load —
-//! when tracing is off the compiler sees a never-taken branch and the
-//! cost is indistinguishable from noise (the overhead benchmark and
+//! A `static` [`Sink<Tracer>`] — see [`ecl_profiling::sink`] for the
+//! publish-and-retire protocol and its safety argument. Hot path
+//! (`emit`, `is_enabled`): one relaxed `AtomicBool` load — when
+//! tracing is off the compiler sees a never-taken branch and the cost
+//! is indistinguishable from noise (the overhead benchmark and
 //! `crates/bench/tests/trace_overhead.rs` hold this to account). When
-//! on,
-//! one `AtomicPtr` load then a lock-free ring write.
-//!
-//! Safety model: the sink publishes a raw pointer to an `Arc<Tracer>`
-//! it owns. Installing a new tracer (or uninstalling) retires the old
-//! `Arc` into a never-freed list instead of dropping it, so a pointer
-//! loaded by a racing `emit` can never dangle. A session installs a
-//! handful of tracers at most, so the intentional leak is bounded and
-//! tiny — the classic trade of reclamation complexity for wait-free
-//! reads.
+//! on, one acquire pointer load then a lock-free ring write.
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use ecl_profiling::Sink;
 
 use crate::event::EventKind;
 use crate::ring::Tracer;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static PTR: AtomicPtr<Tracer> = AtomicPtr::new(std::ptr::null_mut());
-static CURRENT: Mutex<SinkState> = Mutex::new(SinkState { current: None, retired: Vec::new() });
-
-struct SinkState {
-    current: Option<Arc<Tracer>>,
-    /// Arcs kept alive forever so racing `emit`s never dereference a
-    /// freed tracer. Bounded by the number of `install` calls.
-    retired: Vec<Arc<Tracer>>,
-}
-
-fn state() -> std::sync::MutexGuard<'static, SinkState> {
-    CURRENT.lock().unwrap_or_else(|e| e.into_inner())
-}
+static SINK: Sink<Tracer> = Sink::new();
 
 /// Installs `tracer` as the global sink and enables emission.
-/// A previously installed tracer keeps its recorded events (fetch it
-/// with [`current`] before replacing it) but stops receiving new ones.
+/// A previously installed tracer keeps its recorded events but stops
+/// receiving new ones.
 pub fn install(tracer: Arc<Tracer>) {
-    let mut st = state();
-    ENABLED.store(false, Ordering::SeqCst);
-    if let Some(old) = st.current.take() {
-        st.retired.push(old);
-    }
-    PTR.store(Arc::as_ptr(&tracer) as *mut Tracer, Ordering::SeqCst);
-    st.current = Some(tracer);
-    ENABLED.store(true, Ordering::SeqCst);
+    SINK.install(tracer);
 }
 
 /// Stops emission and detaches the tracer, returning it so the caller
-/// can snapshot. The tracer's storage stays alive (retired) in case
-/// another thread is mid-`emit`.
+/// can snapshot.
 pub fn uninstall() -> Option<Arc<Tracer>> {
-    let mut st = state();
-    ENABLED.store(false, Ordering::SeqCst);
-    PTR.store(std::ptr::null_mut(), Ordering::SeqCst);
-    let tracer = st.current.take()?;
-    st.retired.push(Arc::clone(&tracer));
-    Some(tracer)
-}
-
-/// Pauses emission without detaching the tracer.
-pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
-}
-
-/// Resumes emission into the installed tracer, if any.
-pub fn enable() {
-    let st = state();
-    if st.current.is_some() {
-        ENABLED.store(true, Ordering::SeqCst);
-    }
+    SINK.uninstall()
 }
 
 /// Whether `emit` currently records. The hot-path guard: a single
 /// relaxed load.
 #[inline(always)]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// The installed tracer, if any.
-pub fn current() -> Option<Arc<Tracer>> {
-    state().current.clone()
+    SINK.is_enabled()
 }
 
 #[inline(always)]
 fn with_tracer(f: impl FnOnce(&Tracer)) {
-    if !is_enabled() {
-        return;
-    }
-    let ptr = PTR.load(Ordering::Acquire);
-    if !ptr.is_null() {
-        // SAFETY: `ptr` came from an Arc that install/uninstall retire
-        // instead of dropping, so the Tracer outlives every reader.
-        f(unsafe { &*ptr });
+    if let Some(t) = SINK.get() {
+        f(t);
     }
 }
 
@@ -138,11 +82,11 @@ mod tests {
     use super::*;
     use crate::ring::{ClockMode, TracerConfig};
 
-    // The sink is process-global, so its tests share one #[test] body
-    // to avoid cross-test interference under the parallel test runner.
+    // Install/uninstall/replace live in `ecl_profiling::sink`'s test;
+    // what is specific here is that events reach the installed tracer
+    // in emission order, and only while it is installed.
     #[test]
-    fn sink_lifecycle() {
-        assert!(!is_enabled());
+    fn emits_reach_the_installed_tracer_in_order() {
         emit(EventKind::Marker, 0, 0, 1); // no sink: must be a no-op
 
         let t = Arc::new(Tracer::new(TracerConfig {
@@ -155,34 +99,24 @@ mod tests {
         emit(EventKind::Marker, 0, 0, 2);
         phase_span("p", || emit(EventKind::AtomicUpdated, 1, 0, 0));
         round(3);
-
-        disable();
-        emit(EventKind::Marker, 0, 0, 99); // paused: dropped silently
-        enable();
         emit(EventKind::Marker, 0, 0, 4);
 
         let back = uninstall().expect("tracer was installed");
-        assert!(!is_enabled());
         assert!(Arc::ptr_eq(&back, &t));
         emit(EventKind::Marker, 0, 0, 100); // detached: no-op
 
         let s = back.snapshot();
-        let payloads: Vec<u32> = s
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::Marker.raw())
-            .map(|e| e.payload)
-            .collect();
-        assert_eq!(payloads, vec![2, 4]);
-        assert_eq!(s.of_kind(EventKind::PhaseStart).count(), 1);
+        let kinds: Vec<u16> = s.events.iter().map(|e| e.kind).collect();
+        let expect = [
+            EventKind::Marker,
+            EventKind::PhaseStart,
+            EventKind::AtomicUpdated,
+            EventKind::PhaseEnd,
+            EventKind::Round,
+            EventKind::Marker,
+        ];
+        assert_eq!(kinds, expect.map(EventKind::raw));
+        assert_eq!(s.of_kind(EventKind::Marker).map(|e| e.payload).collect::<Vec<_>>(), [2, 4]);
         assert_eq!(s.of_kind(EventKind::Round).next().unwrap().payload, 3);
-
-        // Re-install after uninstall works, and enable() without a
-        // tracer stays off.
-        enable();
-        assert!(!is_enabled());
-        install(Arc::clone(&t));
-        assert!(is_enabled());
-        uninstall();
     }
 }
