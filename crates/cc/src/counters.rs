@@ -9,13 +9,7 @@ use ecl_profiling::{AtomicTally, GlobalCounter, LogSketch, ProfileMode};
 /// ("the number of times the function is called, and the number of
 /// times the return value is smaller (or greater) than the old
 /// representative").
-///
-/// Cache-line aligned for the same reason as `ecl_gpusim::CostTally`:
-/// the find/hook counters are bumped per edge by every pool worker
-/// and the struct sits on `run`'s stack, so its lines must not be
-/// shared with the frames around it.
 #[derive(Debug)]
-#[repr(align(64))]
 pub struct CcCounters {
     mode: ProfileMode,
     /// Vertices assigned an initial label (Table 4, column 1 — equals

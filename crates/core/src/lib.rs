@@ -18,9 +18,10 @@
 //!   harness binaries.
 //!
 //! Counters are designed to be safe to increment concurrently from many
-//! rayon workers: thread-local counters are `AtomicU64` slots touched
+//! pool workers: thread-local counters are `AtomicU64` slots touched
 //! with `Relaxed` ordering only by the worker that owns the simulated
-//! thread, and global counters are single relaxed atomics. Profiling can
+//! thread, and global counters and sketches are striped per OS thread
+//! (one cache line per writer, summed on read). Profiling can
 //! be disabled wholesale via [`ProfileMode::Off`], which the overhead
 //! benchmark uses to quantify the perturbation the paper discusses in
 //! §3 ("our approach introduces overhead and, hence, affects the
@@ -37,6 +38,7 @@ pub mod series;
 pub mod sink;
 pub mod sketch;
 pub mod stats;
+mod stripe;
 pub mod table;
 pub mod trace;
 

@@ -10,46 +10,101 @@
 //! factor-of-two error envelope, which is exactly the resolution the
 //! paper's log-scale tables and charts use.
 //!
-//! All mutation is relaxed-atomic, so a sketch can be shared across
-//! simulated threads exactly like [`GlobalCounter`]
-//! (crate::GlobalCounter): slots race benignly and are aggregated
-//! after the parallel region joins.
+//! All mutation is relaxed-atomic and striped per OS thread (see
+//! [`crate::stripe`]), so a sketch can be shared across simulated
+//! threads exactly like [`GlobalCounter`](crate::GlobalCounter): a
+//! record touches only the calling thread's stripe, and every read is
+//! a reduction over stripes taken after the parallel region joins.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::Serialize;
 
+use crate::stripe::Striped;
+
 /// Bucket count: bucket 0 holds the value 0, bucket `k` in `1..=64`
 /// holds `[2^(k-1), 2^k)`, covering all of `u64` with no saturation.
 pub const SKETCH_BUCKETS: usize = 65;
 
-/// A mergeable streaming histogram with percentile estimates.
+/// One OS thread's share of a sketch. The four summary words lead so
+/// they share a cache line with the low buckets, where most samples
+/// of the paper's distributions land.
 #[derive(Debug)]
-pub struct LogSketch {
-    buckets: [AtomicU64; SKETCH_BUCKETS],
+struct Stripe {
     count: AtomicU64,
     sum: AtomicU64,
     /// Minimum seen (`u64::MAX` when empty — resolved by `min()`).
     min: AtomicU64,
     max: AtomicU64,
+    buckets: [AtomicU64; SKETCH_BUCKETS],
 }
 
-impl Default for LogSketch {
+impl Default for Stripe {
     fn default() -> Self {
-        Self::new()
+        Self {
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+            buckets: [const { AtomicU64::new(0) }; SKETCH_BUCKETS],
+        }
     }
+}
+
+/// The reduction of a sketch over its stripes: what every reader
+/// works from.
+struct Totals {
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    buckets: [u64; SKETCH_BUCKETS],
+}
+
+impl Totals {
+    fn min(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min
+        }
+    }
+
+    fn quantile(&self, p: f64) -> u64 {
+        assert!((0.0..=1.0).contains(&p), "quantile out of range");
+        if self.count == 0 {
+            return 0;
+        }
+        let target = (p * self.count as f64).ceil().max(1.0) as u64;
+        let mut acc = 0u64;
+        for (k, &b) in self.buckets.iter().enumerate() {
+            acc += b;
+            if acc >= target {
+                // Largest value the bucket can hold (the top bucket's
+                // range is inclusive), clamped to the observed max so a
+                // single-sample sketch reports the sample itself.
+                let bound = match k {
+                    0 => 0,
+                    64 => u64::MAX,
+                    _ => LogSketch::bucket_range(k).1 - 1,
+                };
+                return bound.min(self.max);
+            }
+        }
+        self.max
+    }
+}
+
+/// A mergeable streaming histogram with percentile estimates.
+#[derive(Debug, Default)]
+pub struct LogSketch {
+    stripes: Striped<Stripe>,
 }
 
 impl LogSketch {
     /// An empty sketch.
     pub fn new() -> Self {
-        Self {
-            buckets: [const { AtomicU64::new(0) }; SKETCH_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
+        Self::default()
     }
 
     /// The bucket index `v` falls into (same mapping as
@@ -86,11 +141,12 @@ impl LogSketch {
         if n == 0 {
             return;
         }
-        self.buckets[Self::bucket_of(v)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        let s = self.stripes.local();
+        s.buckets[Self::bucket_of(v)].fetch_add(n, Ordering::Relaxed);
+        s.count.fetch_add(n, Ordering::Relaxed);
+        s.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
+        s.min.fetch_min(v, Ordering::Relaxed);
+        s.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Folds a complete value slice in (one sample per element) — the
@@ -101,44 +157,55 @@ impl LogSketch {
         }
     }
 
+    fn totals(&self) -> Totals {
+        let mut t =
+            Totals { count: 0, sum: 0, min: u64::MAX, max: 0, buckets: [0; SKETCH_BUCKETS] };
+        for s in self.stripes.iter() {
+            t.count += s.count.load(Ordering::Relaxed);
+            t.sum = t.sum.wrapping_add(s.sum.load(Ordering::Relaxed));
+            t.min = t.min.min(s.min.load(Ordering::Relaxed));
+            t.max = t.max.max(s.max.load(Ordering::Relaxed));
+            for (mine, theirs) in t.buckets.iter_mut().zip(&s.buckets) {
+                *mine += theirs.load(Ordering::Relaxed);
+            }
+        }
+        t
+    }
+
     /// Merges `other` into `self`. Sketches share one fixed bucket
     /// layout, so the merge is exact (bucket-wise addition).
     pub fn merge(&self, other: &LogSketch) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let c = theirs.load(Ordering::Relaxed);
+        let theirs = other.totals();
+        let mine = self.stripes.local();
+        for (b, &c) in mine.buckets.iter().zip(&theirs.buckets) {
             if c > 0 {
-                mine.fetch_add(c, Ordering::Relaxed);
+                b.fetch_add(c, Ordering::Relaxed);
             }
         }
-        self.count.fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min.fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max.fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
+        mine.count.fetch_add(theirs.count, Ordering::Relaxed);
+        mine.sum.fetch_add(theirs.sum, Ordering::Relaxed);
+        mine.min.fetch_min(theirs.min, Ordering::Relaxed);
+        mine.max.fetch_max(theirs.max, Ordering::Relaxed);
     }
 
     /// Total samples.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.totals().count
     }
 
     /// Sum of samples (saturating).
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.totals().sum
     }
 
     /// Smallest sample (0 when empty).
     pub fn min(&self) -> u64 {
-        let m = self.min.load(Ordering::Relaxed);
-        if self.count() == 0 {
-            0
-        } else {
-            m
-        }
+        self.totals().min()
     }
 
     /// Largest sample (0 when empty).
     pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
+        self.totals().max
     }
 
     /// Arithmetic mean (0 when empty — never NaN).
@@ -157,66 +224,36 @@ impl LogSketch {
     /// # Panics
     /// Panics if `p` is outside `[0, 1]`.
     pub fn quantile(&self, p: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&p), "quantile out of range");
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let target = (p * count as f64).ceil().max(1.0) as u64;
-        let mut acc = 0u64;
-        for (k, b) in self.buckets.iter().enumerate() {
-            acc += b.load(Ordering::Relaxed);
-            if acc >= target {
-                // Largest value the bucket can hold (the top bucket's
-                // range is inclusive), clamped to the observed max so a
-                // single-sample sketch reports the sample itself.
-                let bound = match k {
-                    0 => 0,
-                    64 => u64::MAX,
-                    _ => Self::bucket_range(k).1 - 1,
-                };
-                return bound.min(self.max());
-            }
-        }
-        self.max()
+        self.totals().quantile(p)
     }
 
     /// An immutable copy for export.
     pub fn snapshot(&self) -> SketchSnapshot {
-        let buckets: Vec<(u32, u64)> = self
+        let t = self.totals();
+        let buckets: Vec<(u32, u64)> = t
             .buckets
             .iter()
             .enumerate()
-            .filter_map(|(k, b)| {
-                let c = b.load(Ordering::Relaxed);
-                if c > 0 {
-                    Some((k as u32, c))
-                } else {
-                    None
-                }
-            })
+            .filter(|&(_, &c)| c > 0)
+            .map(|(k, &c)| (k as u32, c))
             .collect();
         SketchSnapshot {
-            count: self.count(),
-            sum: self.sum(),
-            min: self.min(),
-            max: self.max(),
-            p50: self.quantile(0.50),
-            p90: self.quantile(0.90),
-            p99: self.quantile(0.99),
+            count: t.count,
+            sum: t.sum,
+            min: t.min(),
+            max: t.max,
+            p50: t.quantile(0.50),
+            p90: t.quantile(0.90),
+            p99: t.quantile(0.99),
             buckets,
         }
     }
 
     /// Resets to empty (requires exclusive access).
     pub fn reset(&mut self) {
-        for b in self.buckets.iter_mut() {
-            *b.get_mut() = 0;
+        for s in self.stripes.iter_mut() {
+            *s = Stripe::default();
         }
-        *self.count.get_mut() = 0;
-        *self.sum.get_mut() = 0;
-        *self.min.get_mut() = u64::MAX;
-        *self.max.get_mut() = 0;
     }
 }
 
@@ -265,6 +302,7 @@ impl SketchSnapshot {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::stripe::STRIPES;
 
     #[test]
     fn empty_sketch_is_all_zero() {
@@ -351,19 +389,48 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_records_aggregate() {
-        let s = LogSketch::new();
+    fn concurrent_records_equal_one_thread_recording_the_same_multiset() {
+        // More OS threads than stripes, each with its own value range,
+        // so min, max and the bucket mix all differ between stripes.
+        let threads = 2 * STRIPES as u64 + 1;
+        let values = |t: u64| (0..500u64).map(move |i| (i * i) >> t.min(12)).chain([t << 20]);
+        let shared = LogSketch::new();
         std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    for v in 0..1000u64 {
-                        s.record(v);
-                    }
-                });
+            for t in 0..threads {
+                let shared = &shared;
+                scope.spawn(move || values(t).for_each(|v| shared.record(v)));
             }
         });
-        assert_eq!(s.count(), 8000);
-        assert_eq!(s.sum(), 8 * (999 * 1000 / 2));
+        let single = LogSketch::new();
+        (0..threads).flat_map(values).for_each(|v| single.record(v));
+        assert_eq!(shared.snapshot(), single.snapshot());
+        assert_eq!(shared.count(), threads * 501);
+        assert_eq!(
+            (shared.sum(), shared.min(), shared.max(), shared.quantile(0.9)),
+            (single.sum(), single.min(), single.max(), single.quantile(0.9))
+        );
+    }
+
+    #[test]
+    fn merge_clone_and_reset_see_every_stripe() {
+        let s = LogSketch::new();
+        std::thread::scope(|scope| {
+            scope.spawn(|| s.record_values(&[1, 2, 3]));
+            scope.spawn(|| s.record_values(&[100, 200]));
+        });
+        s.record(7);
+        let direct = LogSketch::new();
+        direct.record_values(&[1, 2, 3, 100, 200, 7]);
+        assert_eq!(s.clone().snapshot(), direct.snapshot());
+        let into = LogSketch::new();
+        into.record(9);
+        into.merge(&s);
+        direct.record(9);
+        assert_eq!(into.snapshot(), direct.snapshot());
+        let mut s = s;
+        s.reset();
+        assert_eq!(s.snapshot(), LogSketch::new().snapshot());
+        assert_eq!(s.min(), 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use ecl_check::Rule;
 
 use crate::harnesses::{
-    drain, finish_path, reactor_handoff, reactor_wakeup, shard_exchange, sink_publish,
+    drain, finish_path, reactor_handoff, reactor_wakeup, shard_exchange, sink_publish, tally_fold,
 };
 use crate::shim::atomic::McAtomicU64;
 use crate::shim::cell::McCell;
@@ -93,6 +93,12 @@ pub const ALL: &[FixtureEntry] = &[
         about: "observer slot frees the replaced payload: an in-flight emitter reads through it",
         run: sink_free_on_replace,
         expect: Rule::McRace,
+    },
+    FixtureEntry {
+        name: "tally-fold-after-retire",
+        about: "block-local cost tally folded after the retire: the launch joins without it",
+        run: tally_fold_after_retire,
+        expect: Rule::McAssertion,
     },
 ];
 
@@ -183,6 +189,14 @@ pub fn shard_idle_before_apply() {
 /// real storage and a data race here.
 pub fn sink_free_on_replace() {
     sink_publish(false);
+}
+
+/// The block-local cost tally folded one statement too late: after
+/// the claim's `remaining` decrement instead of before it. The other
+/// worker's final decrement then retires the job, and the submitter
+/// reads a device tally that is missing this worker's blocks.
+pub fn tally_fold_after_retire() {
+    tally_fold(false);
 }
 
 /// Classic ABBA: thread 1 locks A then B, thread 2 locks B then A.

@@ -49,6 +49,11 @@ pub const ALL: &[HarnessEntry] = &[
         run: ticket_claim,
     },
     HarnessEntry {
+        name: "tally-fold",
+        about: "block-local cost tally folded before the retire: the launch join sees all of it",
+        run: tally_fold_clean,
+    },
+    HarnessEntry {
         name: "scheduler-finish",
         about: "admission/finish counters vs. terminal-state waiter (PR 6 bug class)",
         run: scheduler_finish,
@@ -156,6 +161,81 @@ pub fn ticket_claim() {
     assert_eq!(run as usize, N, "every block ran exactly once");
     h0.join();
     h1.join();
+}
+
+/// Shared body for the block-local cost tally harness and its
+/// seeded-defect fixture. `run_grid`'s per-block closure charges into
+/// a plain thread-local array and folds it into the device's shared
+/// `CostTally` when the block ends — inside the closure, so before
+/// `pool::run_job` retires the claim. Two workers claim tickets with
+/// the production [`ticket_range`], fold each block's local (a plain
+/// `u64` here: nothing else can see it) into the shared tally, then
+/// decrement `remaining`; the submitter reads the tally after the
+/// `done` handoff and asserts nothing is missing.
+///
+/// `fold_before_retire = false` moves the fold after the decrement:
+/// the other worker can then retire the job and wake the submitter
+/// while this worker's charges are still in its local.
+pub fn tally_fold(fold_before_retire: bool) {
+    const N: usize = 4;
+    let charged_by = |b: usize| b as u64 + 1;
+    let grain = auto_grain(N, 2).max(2);
+    let next = Arc::new(McAtomicUsize::new("job.next", 0));
+    let remaining = Arc::new(McAtomicUsize::new("job.remaining", N));
+    let tally = Arc::new(McAtomicU64::new("device.cost", 0));
+    let done = Arc::new((McMutex::new("job.done", false), McCondvar::new("job.done_cv")));
+
+    let worker = |w: usize| {
+        let next = Arc::clone(&next);
+        let remaining = Arc::clone(&remaining);
+        let tally = Arc::clone(&tally);
+        let done = Arc::clone(&done);
+        thread::spawn(&format!("worker{w}"), move || loop {
+            let claimed = next.fetch_add(grain, Ordering::Relaxed);
+            let Some((start, end)) = ticket_range(claimed, N, grain) else {
+                return;
+            };
+            let mut unfolded = 0u64;
+            for b in start..end {
+                let local = charged_by(b);
+                if fold_before_retire {
+                    tally.fetch_add(local, Ordering::Relaxed);
+                } else {
+                    unfolded += local;
+                }
+            }
+            let before = remaining.fetch_sub(end - start, Ordering::AcqRel);
+            if !fold_before_retire {
+                tally.fetch_add(unfolded, Ordering::Relaxed);
+            }
+            if before == end - start {
+                let (lock, cv) = &*done;
+                *lock.lock() = true;
+                cv.notify_all();
+            }
+        })
+    };
+    let h0 = worker(0);
+    let h1 = worker(1);
+
+    let (lock, cv) = &*done;
+    let mut finished = lock.lock();
+    while !*finished {
+        finished = cv.wait(finished);
+    }
+    drop(finished);
+    assert_eq!(
+        tally.load(Ordering::Relaxed),
+        (0..N).map(charged_by).sum::<u64>(),
+        "launch joined with block charges still unfolded"
+    );
+    h0.join();
+    h1.join();
+}
+
+/// The clean fold (inside the block, before the retire).
+pub fn tally_fold_clean() {
+    tally_fold(true);
 }
 
 /// Shared body for the scheduler finish-path harness and its seeded-

@@ -8,6 +8,7 @@
 //! the host (ECL-MST, §6.2.3). The cost model charges exactly those
 //! categories so speedup tables are deterministic and reproducible.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::Serialize;
@@ -112,16 +113,55 @@ impl CostParams {
 
 /// Thread-safe per-category unit tallies.
 ///
-/// Cache-line aligned: every pool worker adds to these on every
-/// simulated operation, and a `Device` usually lives on its caller's
-/// stack. Unaligned, the stack's ASLR offset decides whether the
-/// tallies share a line with read-mostly locals the other workers
-/// load per thread (closure captures, slice headers) — one process in
-/// four ran ECL-CC on a Kronecker graph 30 % slower for it.
+/// Charges made while the calling OS thread has this tally's
+/// [`BlockScope`] open — the launch layer opens one around every
+/// block — are plain adds to a thread-local array that the scope folds
+/// in here once, at block end; any other charge is a relaxed atomic
+/// add. Reads therefore see retired blocks only, which is every block
+/// once the launch has joined.
 #[derive(Debug, Default)]
-#[repr(align(64))]
 pub struct CostTally {
     units: [AtomicU64; NUM_KINDS],
+}
+
+/// The calling OS thread's block-local tally: which [`CostTally`] it
+/// stands in for (by address; 0 = none) and the units charged since
+/// the scope opened.
+struct Local {
+    owner: Cell<usize>,
+    units: [Cell<u64>; NUM_KINDS],
+}
+
+thread_local! {
+    static LOCAL: Local = const {
+        Local { owner: Cell::new(0), units: [const { Cell::new(0) }; NUM_KINDS] }
+    };
+}
+
+/// RAII guard of one block's local tally; see [`CostTally::open_block`].
+pub(crate) struct BlockScope<'a> {
+    tally: &'a CostTally,
+    /// The enclosing scope's state, restored on drop (a block body may
+    /// itself issue a launch that runs inline on this thread).
+    outer: (usize, [u64; NUM_KINDS]),
+}
+
+impl Drop for BlockScope<'_> {
+    /// Folds the block's charges into the shared tally — also while a
+    /// panicking block unwinds — and reinstates the enclosing scope.
+    fn drop(&mut self) {
+        LOCAL.with(|l| {
+            for (shared, (local, outer)) in
+                self.tally.units.iter().zip(l.units.iter().zip(self.outer.1))
+            {
+                let units = local.replace(outer);
+                if units != 0 {
+                    shared.fetch_add(units, Ordering::Relaxed);
+                }
+            }
+            l.owner.set(self.outer.0);
+        });
+    }
 }
 
 impl CostTally {
@@ -130,10 +170,33 @@ impl CostTally {
         Self::default()
     }
 
+    fn key(&self) -> usize {
+        self as *const CostTally as usize
+    }
+
+    /// Routes this OS thread's charges to `self` through a plain
+    /// thread-local array until the returned guard drops. The guard
+    /// borrows the tally, so the address the scope is keyed by stays
+    /// valid for as long as the key is installed.
+    pub(crate) fn open_block(&self) -> BlockScope<'_> {
+        let outer = LOCAL.with(|l| {
+            let units = std::array::from_fn(|k| l.units[k].replace(0));
+            (l.owner.replace(self.key()), units)
+        });
+        BlockScope { tally: self, outer }
+    }
+
     /// Charges `units` of `kind`.
     #[inline]
     pub fn charge(&self, kind: CostKind, units: u64) {
-        self.units[kind.index()].fetch_add(units, Ordering::Relaxed);
+        LOCAL.with(|l| {
+            if l.owner.get() == self.key() {
+                let slot = &l.units[kind.index()];
+                slot.set(slot.get().wrapping_add(units));
+            } else {
+                self.units[kind.index()].fetch_add(units, Ordering::Relaxed);
+            }
+        });
     }
 
     /// Units charged of `kind`.

@@ -119,10 +119,13 @@ pub struct ThreadCtx {
 /// The launch skeleton every shape shares: charges the launch, emits
 /// the launch / block-start / block-end trace events, brackets the
 /// grid with the checker's `launch_begin` / `launch_end`, scopes the
-/// per-OS-thread agent around each block and, for tracked launches,
-/// clears the agent and reports `block_end` after `per_block(block,
-/// tracked)` returns. `per_block` only runs the shape's inner loop,
-/// setting the agent it iterates when `tracked`.
+/// per-OS-thread agent and the block-local cost tally around each
+/// block (the tally folds into the device's when the block ends, so
+/// before the pool retires the block and the launch join publishes
+/// it) and, for tracked launches, clears the agent and reports
+/// `block_end` after `per_block(block, tracked)` returns. `per_block`
+/// only runs the shape's inner loop, setting the agent it iterates
+/// when `tracked`.
 fn run_grid<F>(device: &Device, name: &str, shape: LaunchShape, cfg: LaunchConfig, per_block: F)
 where
     F: Fn(usize, bool) + Sync,
@@ -132,6 +135,7 @@ where
     let tracked = check::launch_begin(device, name, shape, cfg);
     dispatch_blocks(name, shape.name(), cfg, |block| {
         let _agents = check::AgentScope::enter();
+        let _tally = device.cost().open_block();
         sink::emit(EventKind::BlockStart, block as u32, 0, cfg.block_size as u32);
         per_block(block, tracked);
         if tracked {
@@ -495,6 +499,112 @@ mod tests {
             b.device().charge(CostKind::ThreadWork, 3);
         });
         assert_eq!(d.cost().units(CostKind::ThreadWork), 6);
+    }
+
+    /// What simulated thread `global` charges in the fold tests: a
+    /// different mix per thread, so a lost or doubled block shows.
+    fn charge_as(d: &Device, global: usize) {
+        d.charge(CostKind::ThreadWork, global as u64 % 3 + 1);
+        if global.is_multiple_of(2) {
+            d.charge(CostKind::Atomic, 1);
+        } else {
+            d.charge(CostKind::IdleCheck, 2);
+        }
+    }
+
+    #[test]
+    fn every_launch_shape_folds_exactly_what_its_blocks_charged() {
+        use crate::pool::{with_policy, DispatchPolicy};
+        /// Launches on the device; returns the threads launched.
+        type Shape = fn(&Device, LaunchConfig) -> usize;
+        // Two warps per block: 32 + 8 lanes.
+        let cfg = LaunchConfig::new(9, 40);
+        let shapes: [(&str, Shape); 4] = [
+            ("flat", |d, cfg| {
+                launch_flat(d, cfg, |t| charge_as(d, t.global));
+                cfg.total_threads()
+            }),
+            ("persistent", |d, _| {
+                // The grid rounds the resident threads up to whole blocks.
+                let n = launch_persistent(d, |t| charge_as(d, t.global));
+                LaunchConfig::cover(n, d.config().default_block_size).total_threads()
+            }),
+            ("blocks", |d, cfg| {
+                launch_blocks(d, cfg, |b| {
+                    b.threads().for_each(|t| charge_as(d, t.global));
+                    b.sync();
+                });
+                cfg.total_threads()
+            }),
+            ("warps", |d, cfg| {
+                launch_warps(d, cfg, |w| {
+                    (0..w.lanes).for_each(|l| charge_as(d, w.thread(l).global))
+                });
+                cfg.total_threads()
+            }),
+        ];
+        for workers in [1, 2, 4] {
+            for (shape, launch) in shapes {
+                let d = Device::test_small();
+                d.charge(CostKind::HostReconfig, 1);
+                let launched = with_policy(DispatchPolicy::pooled(workers), || launch(&d, cfg));
+                let reference = Device::test_small();
+                (0..launched).for_each(|global| charge_as(&reference, global));
+                let expect = |kind| match kind {
+                    CostKind::KernelLaunch | CostKind::HostReconfig => 1,
+                    CostKind::BlockSync if shape == "blocks" => cfg.total_threads() as u64,
+                    _ => reference.cost().units(kind),
+                };
+                for (kind, units) in d.cost().breakdown() {
+                    assert_eq!(units, expect(kind), "{shape} at {workers} workers: {kind:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_charge_to_another_device_from_inside_a_block_lands_at_once() {
+        let a = Device::test_small();
+        let b = Device::test_small();
+        launch_flat(&a, LaunchConfig::new(3, 2), |t| {
+            let before = b.cost().units(CostKind::Atomic);
+            a.charge(CostKind::ThreadWork, 1);
+            b.charge(CostKind::Atomic, 1);
+            // Other blocks may charge `b` concurrently; this thread's
+            // own charge is there the moment it returns.
+            assert!(b.cost().units(CostKind::Atomic) > before, "thread {}", t.global);
+        });
+        assert_eq!(a.cost().units(CostKind::ThreadWork), 6);
+        assert_eq!(a.cost().units(CostKind::Atomic), 0);
+        assert_eq!(b.cost().units(CostKind::Atomic), 6);
+        assert_eq!(b.cost().units(CostKind::KernelLaunch), 0);
+    }
+
+    #[test]
+    fn a_launch_issued_from_inside_a_block_keeps_both_tallies() {
+        // The inner launch runs inline on the thread that is inside
+        // the outer block, so the two scopes nest on one thread.
+        let outer = Device::test_small();
+        let inner = Device::test_small();
+        crate::pool::with_policy(crate::pool::DispatchPolicy::sequential(), || {
+            launch_flat(&outer, LaunchConfig::new(2, 1), |_| {
+                outer.charge(CostKind::ThreadWork, 1);
+                launch_flat(&inner, LaunchConfig::new(2, 2), |_| {
+                    inner.charge(CostKind::ThreadWork, 1);
+                    outer.charge(CostKind::IdleCheck, 1);
+                });
+                launch_flat(&outer, LaunchConfig::new(1, 1), |_| {
+                    outer.charge(CostKind::Atomic, 1);
+                });
+                outer.charge(CostKind::ThreadWork, 1);
+            });
+        });
+        assert_eq!(outer.cost().units(CostKind::ThreadWork), 4);
+        assert_eq!(outer.cost().units(CostKind::IdleCheck), 8);
+        assert_eq!(outer.cost().units(CostKind::Atomic), 2);
+        assert_eq!(outer.cost().units(CostKind::KernelLaunch), 3);
+        assert_eq!(inner.cost().units(CostKind::ThreadWork), 8);
+        assert_eq!(inner.cost().units(CostKind::KernelLaunch), 2);
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! one) on the same OS thread would have its accesses attributed to
 //! an agent of the previous launch — cross-launch race and lint
 //! attribution.
+//!
+//! The block-local cost tally is the same kind of state: opened per
+//! block on the OS thread that runs it, it must fold what the block
+//! charged and close even when the block unwinds, or the pooled
+//! thread would keep swallowing later charges to that device.
 
 #![allow(clippy::unwrap_used)]
 
@@ -19,7 +24,7 @@ use std::sync::{Arc, Mutex};
 
 use ecl_gpusim::atomics::atomic_u32_array;
 use ecl_gpusim::check::{self, AccessKind, Agent, CheckSink, LaunchShape};
-use ecl_gpusim::pool::{with_policy, DispatchPolicy};
+use ecl_gpusim::pool::{dispatch, with_policy, DispatchPolicy};
 use ecl_gpusim::{launch_flat_named, CostKind, Device, DeviceConfig, LaunchConfig};
 
 /// Records every attributed access together with the index of the
@@ -76,9 +81,12 @@ fn exercise(policy: DispatchPolicy) {
         // installed. Before the pool, the worker threads died here and
         // took the stale agent with them; now the launch-boundary
         // guard must do it.
+        let lanes_run = AtomicU64::new(0);
         let panicked = catch_unwind(AssertUnwindSafe(|| {
             launch_flat_named(&tracked_dev, "reuse.panicking", LaunchConfig::new(2, 2), |t| {
                 cells[t.global].store(1);
+                tracked_dev.charge(CostKind::ThreadWork, 1);
+                lanes_run.fetch_add(1, Ordering::SeqCst);
                 if t.lane == 1 {
                     panic!("die mid-launch");
                 }
@@ -88,6 +96,24 @@ fn exercise(policy: DispatchPolicy) {
         assert!(
             check::current_agent().is_none(),
             "agent must be cleared while unwinding out of a launch"
+        );
+        // Every block that ran panicked, and each folded what it had
+        // charged before unwinding (the sequential engine stops at the
+        // first panicking block, the pool drains the grid).
+        assert_eq!(
+            tracked_dev.cost().units(CostKind::ThreadWork),
+            lanes_run.load(Ordering::SeqCst),
+            "a panicking block lost its charges ({policy:?})",
+        );
+        // No scope stayed open on the threads those blocks ran on:
+        // charges made there outside any block land in the device at
+        // once instead of in a leaked block-local tally.
+        let before = tracked_dev.cost().units(CostKind::Atomic);
+        dispatch(8, |_| tracked_dev.charge(CostKind::Atomic, 1));
+        assert_eq!(
+            tracked_dev.cost().units(CostKind::Atomic),
+            before + 8,
+            "a block-local tally leaked past an unwinding block ({policy:?})",
         );
 
         // An *untracked* launch (different device) reusing the same

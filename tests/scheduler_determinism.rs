@@ -6,7 +6,8 @@
 //! ticket ranges), so block execution order varies with worker count,
 //! grain, and timing. That is faithful to a GPU grid — and it is safe
 //! *because* every aggregate is a commutative reduction: counter
-//! totals and cost charges are relaxed atomic sums, and check
+//! totals and cost charges are sums (folded per block, or per
+//! OS-thread stripe), and check
 //! verdicts come from structural per-epoch analysis, not the observed
 //! interleaving. These tests pin that contract: a contention-heavy
 //! power-law workload must produce bit-identical counter totals,
@@ -20,7 +21,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ecl_check::run_checked;
 use ecl_suite::sim::atomics::atomic_u32_array;
 use ecl_suite::sim::pool::{with_policy, DispatchPolicy};
-use ecl_suite::sim::{launch_blocks_named, launch_flat_named, CostKind, Device, LaunchConfig};
+use ecl_suite::sim::{
+    launch_blocks_named, launch_flat_named, launch_persistent_named, launch_warps_named, CostKind,
+    Device, LaunchConfig,
+};
 use ecl_suite::{gen, graph::Csr, scc};
 use proptest::prelude::*;
 
@@ -45,7 +49,10 @@ struct Outcome {
 /// a flat per-vertex adjacency sweep (iteration counts vary by orders
 /// of magnitude across threads — the paper's load-imbalance shape)
 /// that funnels into shared accumulator cells, then a block-granular
-/// pass with barrier rounds. All aggregates are commutative sums.
+/// pass with barrier rounds, a warp-synchronous pass and a
+/// persistent-thread pass — one launch per shape, so every path that
+/// folds a block's charges into the device is compared. All aggregates
+/// are commutative sums.
 fn run_workload(g: &Csr) -> Outcome {
     let n = g.num_vertices();
     let device = Device::test_small();
@@ -87,6 +94,33 @@ fn run_workload(g: &Csr) -> Outcome {
                 }
             }
             b.sync();
+        });
+
+        // Warp-synchronous pass: per-lane work that varies with degree.
+        launch_warps_named(&device, "det.warps", LaunchConfig::cover(n, 64), |w| {
+            for lane in 0..w.lanes {
+                let t = w.thread(lane);
+                if t.global >= n {
+                    device.charge(CostKind::IdleCheck, 1);
+                    continue;
+                }
+                marks[t.global].load();
+                device.charge(CostKind::ThreadWork, g.degree(t.global as u32) as u64 % 3 + 1);
+            }
+        });
+
+        // Persistent-thread pass: the resident threads stride the
+        // vertex set, so per-thread work depends on n, not the grid.
+        let stride = device.resident_threads();
+        launch_persistent_named(&device, "det.persistent", |t| {
+            if t.global >= n {
+                device.charge(CostKind::IdleCheck, 1);
+            }
+            for v in (t.global..n).step_by(stride) {
+                marks[v].load();
+                device.charge(CostKind::Atomic, 1);
+                touched.fetch_add(1, Ordering::Relaxed);
+            }
         });
     });
 
