@@ -20,7 +20,7 @@
 use std::fmt::Write as _;
 
 use ecl_bench::check_suite::{run_entry, suite, EntryOutcome};
-use ecl_prof::json;
+use ecl_profiling::json;
 use ecl_profiling::table::Table;
 
 /// Schema identifier of the JSON document `--json` writes.

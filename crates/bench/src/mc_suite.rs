@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 use ecl_check::{Report, Rule};
 use ecl_mc::{fixtures, harnesses, report, Checker, Config, Outcome};
-use ecl_prof::json;
+use ecl_profiling::json;
 
 /// Schema identifier of the JSON document `ecl-mc --json` writes.
 pub const MC_SCHEMA: &str = "ecl-mc/1";

@@ -223,8 +223,11 @@ mod tests {
     fn json_parses_and_carries_gateable_metrics() {
         let b = tiny_bench();
         let j = b.to_json();
-        let v = ecl_prof::json::parse(&j).unwrap();
-        assert_eq!(v.get("schema").and_then(ecl_prof::json::Value::as_str), Some("ecl-bench/2"));
+        let v = ecl_profiling::json::parse(&j).unwrap();
+        assert_eq!(
+            v.get("schema").and_then(ecl_profiling::json::Value::as_str),
+            Some("ecl-bench/2")
+        );
         let set = ecl_prof::gate::extract_metrics(&v);
         let modeled: Vec<&str> = set
             .metrics

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use ecl_prof::json;
+use ecl_profiling::json;
 use ecl_profiling::Table;
 
 /// The rule a finding violates. `raw()` values are the payload of

@@ -1,7 +1,7 @@
 //! The seeded-defect fixtures must keep tripping their target rules —
 //! these tests are the detector's own regression gate. Every fixture
 //! is deterministic: conflicts are defined over per-epoch agent sets,
-//! not over the schedule the rayon workers happened to produce.
+//! not over the schedule the pool workers happened to produce.
 
 #![allow(clippy::unwrap_used)]
 

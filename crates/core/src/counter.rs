@@ -88,7 +88,7 @@ impl Clone for GlobalCounter {
 /// show the number of times a specific event occurred for each
 /// thread", §3).
 ///
-/// Each slot is an `AtomicU64`, but by construction only the rayon
+/// Each slot is an `AtomicU64`, but by construction only the pool
 /// worker currently executing that simulated thread increments it, so
 /// there is no contention; atomics are needed only to satisfy the
 /// aliasing rules of sharing the slice across workers.

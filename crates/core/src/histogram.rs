@@ -6,11 +6,9 @@
 //! ("we statistically and visually analyze the code-specific
 //! metrics").
 
-use serde::Serialize;
-
 /// A histogram over power-of-two buckets: bucket 0 holds the value 0,
 /// bucket `k >= 1` holds values in `[2^(k-1), 2^k)`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,

@@ -1,9 +1,9 @@
 //! Minimal JSON reading and writing.
 //!
-//! The workspace is offline (the vendored `serde` is a no-op marker,
-//! see `shims/serde`), and the gate must *read* manifests and
-//! benchmark reports back, so this module carries a small
-//! recursive-descent parser plus the escape helper the writers share.
+//! The workspace is offline and carries no serde; schedules,
+//! manifests, benchmark reports and HTTP bodies must be *read* back,
+//! so this module carries a small recursive-descent parser plus the
+//! escape helper every JSON writer in the workspace shares.
 //! It accepts strict JSON; numbers are parsed as `f64` (every numeric
 //! field the gate compares is either an f64 already or a counter well
 //! inside f64's exact-integer range).

@@ -30,10 +30,13 @@
 pub mod atomics;
 pub mod chart;
 pub mod counter;
+pub mod expo;
 pub mod histogram;
+pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod runs;
+pub mod sample;
 pub mod series;
 pub mod sink;
 pub mod sketch;
@@ -48,6 +51,7 @@ pub use histogram::Histogram;
 pub use metrics::{imbalance_from_summary, ActivityTally, LoadBalance};
 pub use registry::{CounterHandle, Registry, Snapshot};
 pub use runs::MultiRun;
+pub use sample::{LaunchSample, WorkerStat};
 pub use series::{BlockSeries, IterationBars};
 pub use sink::Sink;
 pub use sketch::{LogSketch, SketchSnapshot, SKETCH_BUCKETS};

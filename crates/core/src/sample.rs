@@ -1,7 +1,7 @@
 //! Per-launch profile samples, produced by the simulator's launch and
 //! pool hooks.
 
-use ecl_profiling::{imbalance_from_summary, Summary};
+use crate::{imbalance_from_summary, Summary};
 
 /// What one pool participant (a parked worker or the submitting
 /// thread) did during a single dispatch.
@@ -9,9 +9,10 @@ use ecl_profiling::{imbalance_from_summary, Summary};
 pub struct WorkerStat {
     /// Blocks this participant executed.
     pub blocks: u64,
-    /// Ticket ranges it claimed.
+    /// Ticket ranges it claimed (1 for the sequential engine).
     pub claims: u64,
-    /// Nanoseconds spent executing claimed blocks.
+    /// Nanoseconds spent executing claimed blocks (claim overhead and
+    /// queue scanning excluded).
     pub busy_ns: u64,
 }
 
@@ -59,7 +60,7 @@ impl LaunchSample {
     }
 
     /// Load-imbalance factor over participant busy times (max / avg),
-    /// the per-launch form of [`ecl_profiling::LoadBalance`]; 0 for
+    /// the per-launch form of [`crate::LoadBalance`]; 0 for
     /// zero-activity launches, never NaN/inf.
     pub fn imbalance(&self) -> f64 {
         let busy: Vec<u64> = self.workers.iter().map(|w| w.busy_ns).collect();

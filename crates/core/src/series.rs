@@ -8,12 +8,11 @@
 //!   atomics %), tagged Regular or Filter.
 
 use parking_lot::Mutex;
-use serde::Serialize;
 
 use crate::table::Table;
 
 /// Key of one recorded SCC propagation step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct StepKey {
     /// Outer-loop counter (pruning round), 1-based as in the paper.
     pub m: u32,
@@ -115,7 +114,7 @@ impl BlockSeries {
 /// The kind of an ECL-MST worklist iteration (§6.1.4: "'Regular'
 /// iterations ... process the light edges ...; 'Filter' iterations ...
 /// handle heavier edges").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IterationKind {
     /// Light-edge pass.
     Regular,
@@ -124,7 +123,7 @@ pub enum IterationKind {
 }
 
 /// One iteration's bar group in Figure 2.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IterationBar {
     /// Regular or Filter.
     pub kind: IterationKind,

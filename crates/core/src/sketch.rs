@@ -18,8 +18,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::Serialize;
-
 use crate::stripe::Striped;
 
 /// Bucket count: bucket 0 holds the value 0, bucket `k` in `1..=64`
@@ -267,7 +265,7 @@ impl Clone for LogSketch {
 
 /// Immutable export form of a [`LogSketch`]: summary fields plus the
 /// non-empty `(bucket index, count)` pairs.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SketchSnapshot {
     /// Total samples.
     pub count: u64,

@@ -1,10 +1,8 @@
 //! Summary statistics and correlation over counter values.
 
-use serde::Serialize;
-
 /// Average / maximum / minimum / standard deviation of a metric across
 /// threads (or vertices), the aggregate form the paper's tables use.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,

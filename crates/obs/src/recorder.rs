@@ -26,7 +26,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ecl_prof::LaunchSample;
+use ecl_profiling::LaunchSample;
 
 /// Sizing and thresholds of the recorder. All bounds are hard.
 #[derive(Clone, Copy, Debug)]

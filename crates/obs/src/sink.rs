@@ -8,8 +8,7 @@
 
 use std::sync::Arc;
 
-use ecl_prof::LaunchSample;
-use ecl_profiling::Sink;
+use ecl_profiling::{LaunchSample, Sink};
 
 use crate::recorder::{FlightRecorder, RecorderConfig};
 use crate::slo::SloEngine;

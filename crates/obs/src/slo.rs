@@ -29,9 +29,10 @@
 //! `ReqId`s to look up in the flight recorder.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
+
+use ecl_profiling::expo::Exposition;
 
 /// Histogram bucket count: bucket `i` covers latencies ≤ 2^i µs
 /// (2^26 µs ≈ 67 s); one more for +Inf.
@@ -337,61 +338,48 @@ impl SloEngine {
         let mut algos: Vec<&str> = self.objectives.iter().map(|o| o.algo.as_str()).collect();
         algos.sort_unstable();
         algos.dedup();
+        let mut exp = Exposition::new(out);
 
-        out.push_str(
-            "# HELP ecl_slo_requests_total Requests observed by the SLO engine per outcome.\n\
-             # TYPE ecl_slo_requests_total counter\n",
-        );
         {
+            let mut requests = exp.counter(
+                "ecl_slo_requests_total",
+                "Requests observed by the SLO engine per outcome.",
+            );
             let g = self.lock();
             for algo in &algos {
                 let (ok, errors) = g.get(*algo).map_or((0, 0), |s| (s.ok, s.errors));
-                let _ =
-                    writeln!(out, "ecl_slo_requests_total{{algo=\"{algo}\",outcome=\"ok\"}} {ok}");
-                let _ = writeln!(
-                    out,
-                    "ecl_slo_requests_total{{algo=\"{algo}\",outcome=\"error\"}} {errors}"
+                requests.sample(&[("algo", algo), ("outcome", "ok")], ok);
+                requests.sample(&[("algo", algo), ("outcome", "error")], errors);
+            }
+        }
+
+        let mut budget =
+            exp.gauge("ecl_slo_error_budget", "The violation fraction each objective allows.");
+        for o in &self.objectives {
+            budget.sample(&[("algo", &o.algo), ("objective", &o.kind.label())], o.kind.budget());
+        }
+
+        let mut burn = exp.gauge(
+            "ecl_slo_burn_rate",
+            "Budget burn rate per objective and trailing window (1.0 = consuming budget exactly at the sustainable rate).",
+        );
+        for o in &self.objectives {
+            for (window, secs) in WINDOWS {
+                burn.sample(
+                    &[("algo", &o.algo), ("objective", &o.kind.label()), ("window", window)],
+                    self.burn_rate(o, secs),
                 );
             }
         }
 
-        out.push_str(
-            "# HELP ecl_slo_error_budget The violation fraction each objective allows.\n\
-             # TYPE ecl_slo_error_budget gauge\n",
-        );
-        for o in &self.objectives {
-            let _ = writeln!(
-                out,
-                "ecl_slo_error_budget{{algo=\"{}\",objective=\"{}\"}} {}",
-                o.algo,
-                o.kind.label(),
-                o.kind.budget()
-            );
-        }
-
-        out.push_str(
-            "# HELP ecl_slo_burn_rate Budget burn rate per objective and trailing window (1.0 = consuming budget exactly at the sustainable rate).\n\
-             # TYPE ecl_slo_burn_rate gauge\n",
-        );
-        for o in &self.objectives {
-            for (label, secs) in WINDOWS {
-                let rate = self.burn_rate(o, secs);
-                let _ = writeln!(
-                    out,
-                    "ecl_slo_burn_rate{{algo=\"{}\",objective=\"{}\",window=\"{label}\"}} {rate}",
-                    o.algo,
-                    o.kind.label(),
-                );
-            }
-        }
-
-        out.push_str(
-            "# HELP ecl_slo_latency_seconds End-to-end request latency for algorithms under an SLO; bucket exemplars carry the last req_id observed in each bucket.\n\
-             # TYPE ecl_slo_latency_seconds histogram\n",
+        let mut latency = exp.histogram(
+            "ecl_slo_latency_seconds",
+            "End-to-end request latency for algorithms under an SLO; bucket exemplars carry the last req_id observed in each bucket.",
         );
         let g = self.lock();
         for algo in &algos {
             let Some(st) = g.get(*algo) else { continue };
+            let labels = [("algo", *algo)];
             let mut cumulative = 0u64;
             for i in 0..=BUCKETS {
                 cumulative += st.hist[i];
@@ -400,22 +388,11 @@ impl SloEngine {
                 } else {
                     "+Inf".to_string()
                 };
-                let _ = write!(
-                    out,
-                    "ecl_slo_latency_seconds_bucket{{algo=\"{algo}\",le=\"{le}\"}} {cumulative}"
-                );
-                if let Some((req, seconds)) = st.exemplars[i] {
-                    let _ = write!(out, " # {{req_id=\"{req}\"}} {seconds}");
-                }
-                out.push('\n');
+                let exemplar = st.exemplars[i].map(|(req, seconds)| (req.to_string(), seconds));
+                let exemplar = exemplar.as_ref().map(|(req, s)| (("req_id", req.as_str()), *s));
+                latency.bucket(&labels, &le, cumulative, exemplar);
             }
-            let _ =
-                writeln!(out, "ecl_slo_latency_seconds_sum{{algo=\"{algo}\"}} {}", st.sum_seconds);
-            let _ = writeln!(
-                out,
-                "ecl_slo_latency_seconds_count{{algo=\"{algo}\"}} {}",
-                st.ok + st.errors
-            );
+            latency.totals(&labels, st.sum_seconds, st.ok + st.errors);
         }
     }
 }
@@ -497,6 +474,16 @@ mod tests {
             let v: f64 = line.split_whitespace().nth(1).unwrap().parse().unwrap();
             assert!(v.is_finite(), "{line}");
         }
+    }
+
+    #[test]
+    fn two_observations_match_the_golden() {
+        let eng = SloEngine::from_spec("cc:p99=5ms,err=1%").unwrap();
+        eng.observe("cc", 7, 4_500_000, true);
+        eng.observe("cc", 8, 9_000_000, false);
+        let mut text = String::new();
+        eng.render(&mut text);
+        assert_eq!(text, include_str!("../tests/golden/slo_render.prom"));
     }
 
     #[test]

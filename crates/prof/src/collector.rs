@@ -4,7 +4,7 @@ use std::sync::Mutex;
 
 use ecl_profiling::{LogSketch, SketchSnapshot};
 
-use crate::sample::LaunchSample;
+use ecl_profiling::LaunchSample;
 
 /// Running aggregate for one kernel name.
 #[derive(Debug)]
@@ -146,7 +146,7 @@ impl Collector {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::sample::WorkerStat;
+    use ecl_profiling::WorkerStat;
 
     fn sample(kernel: &str, wall_ns: u64, busy: &[u64]) -> LaunchSample {
         LaunchSample {

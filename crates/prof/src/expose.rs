@@ -1,71 +1,42 @@
 //! Prometheus-style text exposition of a run manifest.
 //!
-//! Renders the manifest's kernels, metrics, and distributions in the
-//! text format scrapers and `promtool` understand: `# HELP`/`# TYPE`
-//! headers, `summary`-style quantile series for sketches, and a
-//! `ecl_run_info` gauge carrying the run identity as labels.
+//! Hands the manifest's kernels, metrics, and distributions to the
+//! workspace's one exposition writer ([`ecl_profiling::expo`]):
+//! `summary`-style quantile series for sketches, and an `ecl_run_info`
+//! gauge carrying the run identity as labels.
 
-use std::fmt::Write as _;
+use ecl_profiling::expo::{sanitize, Exposition};
+use ecl_profiling::json;
 
-use ecl_profiling::SketchSnapshot;
-
-use crate::json;
 use crate::manifest::Manifest;
-
-/// Escapes a Prometheus label value (backslash, quote, newline).
-fn label(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-}
-
-/// Turns an arbitrary metric/distribution name into a valid Prometheus
-/// metric-name suffix: `[a-zA-Z0-9_]`, everything else folded to `_`.
-fn sanitize(name: &str) -> String {
-    let mut out: String =
-        name.chars().map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' }).collect();
-    if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
-    out
-}
-
-fn write_sketch(out: &mut String, metric: &str, labels: &str, s: &SketchSnapshot) {
-    for (q, v) in [("0.5", s.p50), ("0.9", s.p90), ("0.99", s.p99)] {
-        let sep = if labels.is_empty() { "" } else { "," };
-        let _ = writeln!(out, "{metric}{{{labels}{sep}quantile=\"{q}\"}} {v}");
-    }
-    let _ = writeln!(out, "{metric}_sum{{{labels}}} {}", s.sum);
-    let _ = writeln!(out, "{metric}_count{{{labels}}} {}", s.count);
-}
 
 /// Renders `manifest` in the Prometheus text exposition format.
 pub fn to_prometheus(manifest: &Manifest) -> String {
     let mut out = String::new();
+    let mut exp = Exposition::new(&mut out);
 
-    out.push_str("# HELP ecl_run_info Run identity (value is always 1).\n");
-    out.push_str("# TYPE ecl_run_info gauge\n");
+    let workers = manifest.dispatch.workers.to_string();
     let mut info = vec![
-        ("schema".to_string(), manifest.schema.clone()),
-        ("git_sha".to_string(), manifest.git_sha.clone()),
-        ("dispatch_mode".to_string(), manifest.dispatch.mode.clone()),
-        ("workers".to_string(), manifest.dispatch.workers.to_string()),
+        ("schema", manifest.schema.as_str()),
+        ("git_sha", manifest.git_sha.as_str()),
+        ("dispatch_mode", manifest.dispatch.mode.as_str()),
+        ("workers", workers.as_str()),
     ];
-    info.extend(manifest.context.iter().cloned());
-    let pairs: Vec<String> =
-        info.iter().map(|(k, v)| format!("{}=\"{}\"", sanitize(k), label(v))).collect();
-    let _ = writeln!(out, "ecl_run_info{{{}}} 1", pairs.join(","));
+    info.extend(manifest.context.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+    exp.gauge("ecl_run_info", "Run identity (value is always 1).").sample(&info, 1);
 
     for m in &manifest.metrics {
-        let name = format!("ecl_{}", sanitize(&m.name));
-        let _ = writeln!(
-            out,
-            "# HELP {name} {} ({}, {} is better).",
+        let help = format!(
+            "{} ({}, {} is better).",
             m.name,
             if m.unit.is_empty() { "unitless" } else { &m.unit },
             m.direction.name()
         );
-        let _ = writeln!(out, "# TYPE {name} gauge");
+        // Sanitized on its own, so a name starting with a digit keeps
+        // the `ecl__9…` spelling scrapers already know.
+        let mut family = exp.gauge(&format!("ecl_{}", sanitize(&m.name)), &help);
         for (i, v) in m.samples.iter().enumerate() {
-            let _ = writeln!(out, "{name}{{repeat=\"{i}\"}} {}", json::num(*v));
+            family.sample(&[("repeat", &i.to_string())], json::num(*v));
         }
     }
 
@@ -75,66 +46,49 @@ pub fn to_prometheus(manifest: &Manifest) -> String {
         // shard 0) keep their historical label set, so existing
         // scrapers and dashboards see byte-identical series.
         let sharded = manifest.kernels.iter().any(|k| k.shard != 0);
-        let kernel_labels = |k: &crate::collector::KernelStats| {
-            if sharded {
-                format!("kernel=\"{}\",shard=\"{}\"", label(&k.name), k.shard)
-            } else {
-                format!("kernel=\"{}\"", label(&k.name))
-            }
-        };
-        out.push_str("# HELP ecl_kernel_wall_ns Per-launch wall time by kernel.\n");
-        out.push_str("# TYPE ecl_kernel_wall_ns summary\n");
-        for k in &manifest.kernels {
-            write_sketch(&mut out, "ecl_kernel_wall_ns", &kernel_labels(k), &k.wall_ns);
+        let shards: Vec<String> = manifest.kernels.iter().map(|k| k.shard.to_string()).collect();
+        let kernels: Vec<_> = manifest
+            .kernels
+            .iter()
+            .zip(&shards)
+            .map(|(k, shard)| {
+                let mut labels = vec![("kernel", k.name.as_str())];
+                if sharded {
+                    labels.push(("shard", shard.as_str()));
+                }
+                (k, labels)
+            })
+            .collect();
+
+        let mut wall = exp.summary("ecl_kernel_wall_ns", "Per-launch wall time by kernel.");
+        for (k, l) in &kernels {
+            wall.sketch(l, &k.wall_ns);
         }
-        out.push_str("# HELP ecl_kernel_imbalance_milli Per-launch load-imbalance factor x1000.\n");
-        out.push_str("# TYPE ecl_kernel_imbalance_milli summary\n");
-        for k in &manifest.kernels {
-            write_sketch(
-                &mut out,
-                "ecl_kernel_imbalance_milli",
-                &kernel_labels(k),
-                &k.imbalance_milli,
-            );
+        let mut imbalance =
+            exp.summary("ecl_kernel_imbalance_milli", "Per-launch load-imbalance factor x1000.");
+        for (k, l) in &kernels {
+            imbalance.sketch(l, &k.imbalance_milli);
         }
-        out.push_str("# HELP ecl_kernel_utilization Mean worker utilization by kernel.\n");
-        out.push_str("# TYPE ecl_kernel_utilization gauge\n");
-        for k in &manifest.kernels {
-            let _ = writeln!(
-                out,
-                "ecl_kernel_utilization{{{}}} {}",
-                kernel_labels(k),
-                json::num(k.utilization)
-            );
+        let mut utilization =
+            exp.gauge("ecl_kernel_utilization", "Mean worker utilization by kernel.");
+        for (k, l) in &kernels {
+            utilization.sample(l, json::num(k.utilization));
         }
-        out.push_str("# HELP ecl_kernel_launches_total Launches by kernel.\n");
-        out.push_str("# TYPE ecl_kernel_launches_total counter\n");
-        for k in &manifest.kernels {
-            let _ =
-                writeln!(out, "ecl_kernel_launches_total{{{}}} {}", kernel_labels(k), k.launches);
+        let mut launches = exp.counter("ecl_kernel_launches_total", "Launches by kernel.");
+        for (k, l) in &kernels {
+            launches.sample(l, k.launches);
         }
-        out.push_str("# HELP ecl_kernel_claim_wait_ns_total Ticket-claim wait by kernel.\n");
-        out.push_str("# TYPE ecl_kernel_claim_wait_ns_total counter\n");
-        for k in &manifest.kernels {
-            let _ = writeln!(
-                out,
-                "ecl_kernel_claim_wait_ns_total{{{}}} {}",
-                kernel_labels(k),
-                k.claim_wait_ns
-            );
+        let mut claim_wait =
+            exp.counter("ecl_kernel_claim_wait_ns_total", "Ticket-claim wait by kernel.");
+        for (k, l) in &kernels {
+            claim_wait.sample(l, k.claim_wait_ns);
         }
     }
 
     if !manifest.distributions.is_empty() {
-        out.push_str("# HELP ecl_distribution Algorithm counter distributions.\n");
-        out.push_str("# TYPE ecl_distribution summary\n");
+        let mut family = exp.summary("ecl_distribution", "Algorithm counter distributions.");
         for (name, sketch) in &manifest.distributions {
-            write_sketch(
-                &mut out,
-                "ecl_distribution",
-                &format!("name=\"{}\"", label(name)),
-                sketch,
-            );
+            family.sketch(&[("name", name)], sketch);
         }
     }
 
@@ -178,6 +132,11 @@ mod tests {
             }],
             distributions: vec![("mis/iterations".into(), sketch.snapshot())],
         }
+    }
+
+    #[test]
+    fn demo_rendering_matches_the_golden() {
+        assert_eq!(to_prometheus(&demo()), include_str!("../tests/golden/expose_demo.prom"));
     }
 
     #[test]

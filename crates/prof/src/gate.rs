@@ -19,8 +19,8 @@
 
 use std::fmt::Write as _;
 
-use crate::json::{self, Value};
 use crate::manifest::{Direction, Manifest};
+use ecl_profiling::json::{self, Value};
 
 /// Gate thresholds. Defaults match the CI configuration documented in
 /// DESIGN.md §10.

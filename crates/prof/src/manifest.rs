@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 use ecl_profiling::SketchSnapshot;
 
 use crate::collector::KernelStats;
-use crate::json::{self, Value};
+use ecl_profiling::json::{self, Value};
 
 /// Manifest schema identifier. Bump on breaking layout changes; the
 /// gate refuses to compare mismatched schemas.
@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn json_is_structurally_valid() {
         let text = demo().to_json();
-        let v = crate::json::parse(&text).unwrap();
+        let v = json::parse(&text).unwrap();
         assert_eq!(v.get("schema").unwrap().as_str(), Some(SCHEMA));
     }
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use ecl_profiling::Sink;
 
 use crate::collector::Collector;
-use crate::sample::LaunchSample;
+use ecl_profiling::LaunchSample;
 
 static SINK: Sink<Collector> = Sink::new();
 

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ecl_prof::json::{self, Value};
+use ecl_profiling::json::{self, Value};
 use ecl_profiling::{LogSketch, SketchSnapshot};
 
 use crate::jobs::Algo;

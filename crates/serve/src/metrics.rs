@@ -5,13 +5,16 @@
 //! run manifest can express — per-algorithm queue/run latency
 //! distributions (as summary-quantile series) and per-kernel launch
 //! stats from the installed profiling collector — and appends the
-//! service-specific gauges (queue depth, admission rejections, cache
-//! hit ratios) in plain exposition format.
+//! service-specific families (queue depth, admission rejections, cache
+//! hit ratios) and the `ecl_slo_*` families of `ecl-obs`. All three
+//! are data handed to the one writer, [`ecl_profiling::expo`], which
+//! also holds the lint the `metrics_lint` test runs over the result.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ecl_prof::{git_sha, to_prometheus, Collector, DispatchInfo, Manifest};
+use ecl_profiling::expo::Exposition;
 use ecl_profiling::LogSketch;
 
 use crate::cache::ResultCache;
@@ -138,268 +141,125 @@ impl ServeMetrics {
             }
         }
         let mut out = to_prometheus(&manifest);
+        let mut exp = Exposition::new(&mut out);
 
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"));
-        };
-        let gauge = |out: &mut String, name: &str, help: &str, v: f64| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"));
-        };
-
-        gauge(&mut out, "ecl_serve_queue_depth", "Jobs waiting for a slot.", queue_depth as f64);
-        gauge(&mut out, "ecl_serve_jobs_running", "Jobs currently executing.", running as f64);
-        gauge(
-            &mut out,
-            "ecl_serve_connections_open",
-            "Connections currently held by the reactor.",
-            open_connections as f64,
-        );
+        exp.gauge("ecl_serve_queue_depth", "Jobs waiting for a slot.").sample(&[], queue_depth);
+        exp.gauge("ecl_serve_jobs_running", "Jobs currently executing.").sample(&[], running);
+        exp.gauge("ecl_serve_connections_open", "Connections currently held by the reactor.")
+            .sample(&[], open_connections);
         let r = Ordering::Relaxed;
-        counter(
-            &mut out,
-            "ecl_serve_connections_accepted_total",
-            "Connections accepted by the listener.",
-            self.connections_accepted.load(r),
-        );
-        counter(
-            &mut out,
-            "ecl_serve_connections_rejected_total",
-            "Connections answered 503-and-close at the --max-connections bound.",
-            self.connections_rejected.load(r),
-        );
-        counter(
-            &mut out,
-            "ecl_serve_accept_errors_total",
-            "Transient accept(2) failures (each backs the accept loop off).",
-            self.accept_errors.load(r),
-        );
-        counter(
-            &mut out,
-            "ecl_serve_conn_read_timeouts_total",
-            "Connections closed with no complete request within the read deadline.",
-            self.conn_read_timeouts.load(r),
-        );
-        counter(
-            &mut out,
-            "ecl_serve_conn_write_timeouts_total",
-            "Connections closed because the peer stopped reading past the write deadline.",
-            self.conn_write_timeouts.load(r),
-        );
-        counter(
-            &mut out,
-            "ecl_serve_keepalive_reuses_total",
-            "Requests served beyond the first on a keep-alive connection.",
-            self.keepalive_reuses.load(r),
-        );
-        counter(
-            &mut out,
-            "ecl_serve_jobs_admitted_total",
-            "Jobs admitted to the queue.",
-            self.jobs_admitted.load(r),
-        );
-        counter(
-            &mut out,
-            "ecl_serve_admission_rejections_total",
-            "Jobs rejected with 429 because the queue was full.",
-            self.admission_rejections.load(r),
-        );
-        out.push_str(
-            "# HELP ecl_serve_jobs_finished_total Terminal jobs by final state.\n\
-             # TYPE ecl_serve_jobs_finished_total counter\n",
-        );
-        for (name, v) in [
-            ("done", self.jobs_done.load(r)),
-            ("failed", self.jobs_failed.load(r)),
-            ("cancelled", self.jobs_cancelled.load(r)),
-            ("deadline_exceeded", self.jobs_deadline_exceeded.load(r)),
+        for (name, help, v) in [
+            (
+                "ecl_serve_connections_accepted_total",
+                "Connections accepted by the listener.",
+                &self.connections_accepted,
+            ),
+            (
+                "ecl_serve_connections_rejected_total",
+                "Connections answered 503-and-close at the --max-connections bound.",
+                &self.connections_rejected,
+            ),
+            (
+                "ecl_serve_accept_errors_total",
+                "Transient accept(2) failures (each backs the accept loop off).",
+                &self.accept_errors,
+            ),
+            (
+                "ecl_serve_conn_read_timeouts_total",
+                "Connections closed with no complete request within the read deadline.",
+                &self.conn_read_timeouts,
+            ),
+            (
+                "ecl_serve_conn_write_timeouts_total",
+                "Connections closed because the peer stopped reading past the write deadline.",
+                &self.conn_write_timeouts,
+            ),
+            (
+                "ecl_serve_keepalive_reuses_total",
+                "Requests served beyond the first on a keep-alive connection.",
+                &self.keepalive_reuses,
+            ),
+            ("ecl_serve_jobs_admitted_total", "Jobs admitted to the queue.", &self.jobs_admitted),
+            (
+                "ecl_serve_admission_rejections_total",
+                "Jobs rejected with 429 because the queue was full.",
+                &self.admission_rejections,
+            ),
         ] {
-            out.push_str(&format!("ecl_serve_jobs_finished_total{{state=\"{name}\"}} {v}\n"));
+            exp.counter(name, help).sample(&[], v.load(r));
         }
-        out.push_str(
-            "# HELP ecl_serve_jobs_done_by_schedule_total Completed jobs by schedule source \
-             (tuned = manifest schedule attached at graph registration).\n\
-             # TYPE ecl_serve_jobs_done_by_schedule_total counter\n",
-        );
-        for (label, v) in [("true", self.jobs_tuned.load(r)), ("false", self.jobs_untuned.load(r))]
-        {
-            out.push_str(&format!(
-                "ecl_serve_jobs_done_by_schedule_total{{tuned=\"{label}\"}} {v}\n"
-            ));
+        let mut finished =
+            exp.counter("ecl_serve_jobs_finished_total", "Terminal jobs by final state.");
+        for (state, v) in [
+            ("done", &self.jobs_done),
+            ("failed", &self.jobs_failed),
+            ("cancelled", &self.jobs_cancelled),
+            ("deadline_exceeded", &self.jobs_deadline_exceeded),
+        ] {
+            finished.sample(&[("state", state)], v.load(r));
         }
-        counter(
-            &mut out,
-            "ecl_serve_jobs_panicked_total",
-            "Job bodies that panicked and were contained.",
-            self.jobs_panicked.load(r),
+        let mut by_schedule = exp.counter(
+            "ecl_serve_jobs_done_by_schedule_total",
+            "Completed jobs by schedule source (tuned = manifest schedule attached at graph registration).",
         );
-        counter(
-            &mut out,
-            "ecl_serve_http_requests_total",
-            "HTTP requests parsed.",
-            self.http_requests.load(r),
-        );
-        counter(
-            &mut out,
-            "ecl_serve_http_errors_total",
-            "HTTP responses with a 4xx/5xx status.",
-            self.http_errors.load(r),
-        );
-        counter(
-            &mut out,
-            "ecl_serve_http_malformed_total",
-            "Requests rejected by the parser and answered 400/413/431.",
-            self.http_malformed.load(r),
-        );
-        counter(
-            &mut out,
-            "ecl_serve_http_unanswerable_total",
-            "Connections dropped mid-request before any response could be written.",
-            self.http_unanswerable.load(r),
-        );
+        for (tuned, v) in [("true", &self.jobs_tuned), ("false", &self.jobs_untuned)] {
+            by_schedule.sample(&[("tuned", tuned)], v.load(r));
+        }
+        for (name, help, v) in [
+            (
+                "ecl_serve_jobs_panicked_total",
+                "Job bodies that panicked and were contained.",
+                &self.jobs_panicked,
+            ),
+            ("ecl_serve_http_requests_total", "HTTP requests parsed.", &self.http_requests),
+            (
+                "ecl_serve_http_errors_total",
+                "HTTP responses with a 4xx/5xx status.",
+                &self.http_errors,
+            ),
+            (
+                "ecl_serve_http_malformed_total",
+                "Requests rejected by the parser and answered 400/413/431.",
+                &self.http_malformed,
+            ),
+            (
+                "ecl_serve_http_unanswerable_total",
+                "Connections dropped mid-request before any response could be written.",
+                &self.http_unanswerable,
+            ),
+        ] {
+            exp.counter(name, help).sample(&[], v.load(r));
+        }
 
         let (gh, gm, gev, gbytes) = catalog.stats();
-        counter(&mut out, "ecl_serve_graph_cache_hits_total", "Graph catalog cache hits.", gh);
-        counter(&mut out, "ecl_serve_graph_cache_misses_total", "Graph catalog cache misses.", gm);
-        counter(&mut out, "ecl_serve_graph_cache_evictions_total", "Graph LRU evictions.", gev);
-        gauge(
-            &mut out,
-            "ecl_serve_graph_cache_resident_bytes",
-            "Bytes held by cached graphs.",
-            gbytes as f64,
-        );
+        exp.counter("ecl_serve_graph_cache_hits_total", "Graph catalog cache hits.")
+            .sample(&[], gh);
+        exp.counter("ecl_serve_graph_cache_misses_total", "Graph catalog cache misses.")
+            .sample(&[], gm);
+        exp.counter("ecl_serve_graph_cache_evictions_total", "Graph LRU evictions.")
+            .sample(&[], gev);
+        exp.gauge("ecl_serve_graph_cache_resident_bytes", "Bytes held by cached graphs.")
+            .sample(&[], gbytes);
 
         let (rh, rm, rlen) = results.stats();
-        counter(&mut out, "ecl_serve_result_cache_hits_total", "Result cache hits.", rh);
-        counter(&mut out, "ecl_serve_result_cache_misses_total", "Result cache misses.", rm);
-        gauge(&mut out, "ecl_serve_result_cache_entries", "Resident cached results.", rlen as f64);
-        gauge(
-            &mut out,
-            "ecl_serve_result_cache_hit_ratio",
-            "Result cache hit ratio in [0,1].",
-            results.hit_ratio(),
-        );
+        exp.counter("ecl_serve_result_cache_hits_total", "Result cache hits.").sample(&[], rh);
+        exp.counter("ecl_serve_result_cache_misses_total", "Result cache misses.").sample(&[], rm);
+        exp.gauge("ecl_serve_result_cache_entries", "Resident cached results.").sample(&[], rlen);
+        exp.gauge("ecl_serve_result_cache_hit_ratio", "Result cache hit ratio in [0,1].")
+            .sample(&[], results.hit_ratio());
 
         if let Some(obs) = obs {
-            gauge(
-                &mut out,
+            exp.gauge(
                 "ecl_obs_requests_retained",
                 "Request summaries currently held by the flight recorder.",
-                obs.recorder.retained() as f64,
-            );
+            )
+            .sample(&[], obs.recorder.retained());
             if let Some(slo) = &obs.slo {
                 slo.render(&mut out);
             }
         }
         out
     }
-}
-
-/// A `std`-only Prometheus exposition-format hygiene lint, used by the
-/// `metrics_lint` integration test to keep `/metrics` scrapeable by
-/// strict parsers. Returns one message per violation (empty = clean).
-///
-/// Checks, per metric *family* (the base name with `_bucket`/`_sum`/
-/// `_count` suffixes folded in for histograms and summaries):
-///
-/// * `# HELP` and `# TYPE` are both present and appear before the
-///   first sample of the family, each exactly once;
-/// * the `TYPE` is one of `counter`/`gauge`/`summary`/`histogram`;
-/// * metric names match `[a-zA-Z_:][a-zA-Z0-9_:]*`;
-/// * `counter` family names end in `_total`;
-/// * sample values parse as floats (OpenMetrics `# {…}` exemplars are
-///   stripped first).
-pub fn lint_exposition(text: &str) -> Vec<String> {
-    use std::collections::{HashMap, HashSet};
-
-    fn valid_name(name: &str) -> bool {
-        let mut chars = name.chars();
-        let Some(first) = chars.next() else { return false };
-        (first.is_ascii_alphabetic() || first == '_' || first == ':')
-            && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-    }
-
-    /// Folds summary/histogram machine-suffixed series into their
-    /// family name so `x_bucket` samples match `# TYPE x histogram`.
-    fn family_of<'a>(name: &'a str, types: &HashMap<String, String>) -> &'a str {
-        for suffix in ["_bucket", "_sum", "_count"] {
-            if let Some(base) = name.strip_suffix(suffix) {
-                if matches!(types.get(base).map(String::as_str), Some("summary" | "histogram")) {
-                    return base;
-                }
-            }
-        }
-        name
-    }
-
-    let mut problems = Vec::new();
-    let mut help: HashSet<String> = HashSet::new();
-    let mut types: HashMap<String, String> = HashMap::new();
-    let mut sampled: HashSet<String> = HashSet::new();
-
-    for (lineno, line) in text.lines().enumerate() {
-        let n = lineno + 1;
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            let Some((name, _)) = rest.split_once(' ') else {
-                problems.push(format!("line {n}: HELP without help text"));
-                continue;
-            };
-            if !help.insert(name.to_string()) {
-                problems.push(format!("line {n}: duplicate HELP for {name}"));
-            }
-            if sampled.contains(name) {
-                problems.push(format!("line {n}: HELP for {name} after its first sample"));
-            }
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let Some((name, kind)) = rest.split_once(' ') else {
-                problems.push(format!("line {n}: TYPE without a kind"));
-                continue;
-            };
-            if !matches!(kind, "counter" | "gauge" | "summary" | "histogram" | "untyped") {
-                problems.push(format!("line {n}: unknown TYPE {kind:?} for {name}"));
-            }
-            if kind == "counter" && !name.ends_with("_total") {
-                problems.push(format!("line {n}: counter {name} does not end in _total"));
-            }
-            if types.insert(name.to_string(), kind.to_string()).is_some() {
-                problems.push(format!("line {n}: duplicate TYPE for {name}"));
-            }
-            if sampled.contains(name) {
-                problems.push(format!("line {n}: TYPE for {name} after its first sample"));
-            }
-            continue;
-        }
-        if line.starts_with('#') {
-            continue; // free-form comment
-        }
-        // A sample: `name{labels} value [# {exemplar} value]`.
-        let sample = line.split(" # ").next().unwrap_or(line);
-        let name_end = sample.find(['{', ' ']).unwrap_or(sample.len());
-        let name = &sample[..name_end];
-        if !valid_name(name) {
-            problems.push(format!("line {n}: invalid metric name {name:?}"));
-            continue;
-        }
-        let value = sample.rsplit(' ').next().unwrap_or("");
-        if value.parse::<f64>().is_err() && !matches!(value, "+Inf" | "-Inf" | "NaN") {
-            problems.push(format!("line {n}: sample value {value:?} does not parse"));
-        }
-        let family = family_of(name, &types).to_string();
-        if !help.contains(&family) {
-            problems.push(format!("line {n}: sample {name} has no preceding HELP for {family}"));
-        }
-        if !types.contains_key(&family) {
-            problems.push(format!("line {n}: sample {name} has no preceding TYPE for {family}"));
-        }
-        sampled.insert(family);
-    }
-    problems.sort();
-    problems.dedup();
-    problems
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use ecl_prof::json::escape;
+use ecl_profiling::json::escape;
 
 use crate::conn::{CloseReason, ConnPhase, Connection, ReadEvent, WriteEvent};
 use crate::http::{self, HttpError};

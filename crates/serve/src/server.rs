@@ -38,8 +38,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ecl_prof::json::{self, escape, num, Value};
 use ecl_prof::Collector;
+use ecl_profiling::json::{self, escape, num, Value};
 
 use crate::cache::ResultCache;
 use crate::catalog::{CatalogConfig, GraphCatalog};

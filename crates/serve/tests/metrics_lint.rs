@@ -2,24 +2,26 @@
 //!
 //! The rendering is assembled from three sources (the manifest
 //! exposition in `ecl-prof`, the serve counters, and the `ecl_slo_*`
-//! family from `ecl-obs`), each hand-formatted — an easy place for a
-//! series to lose its `# HELP`/`# TYPE` metadata or for a counter to
-//! drop its `_total` suffix, which strict scrapers reject. The lint in
-//! `ecl_serve::metrics::lint_exposition` is `std`-only and runs over a
-//! real rendering with every source populated.
+//! family from `ecl-obs`), all written through `ecl_profiling::expo`.
+//! Its lint, `lint_exposition`, runs here over a real rendering with
+//! every source populated — once with a well-formed SLO spec, whose
+//! bytes are pinned by a golden, and once with an algorithm name that
+//! needs every label escape.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use ecl_profiling::expo::lint_exposition;
 use ecl_serve::cache::ResultCache;
 use ecl_serve::catalog::{CatalogConfig, GraphCatalog};
 use ecl_serve::jobs::Algo;
-use ecl_serve::metrics::{lint_exposition, ServeMetrics};
+use ecl_serve::metrics::ServeMetrics;
 
 /// Renders `/metrics` with every section live: latency sketches,
 /// kernel series from a profiling collector, serve counters, the SLO
-/// engine (burn rates + exemplar histogram), and the recorder gauge.
-fn full_rendering() -> String {
+/// engine (burn rates + exemplar histogram) tracking `slo_algo`, and
+/// the recorder gauge.
+fn full_rendering(slo_algo: &str) -> String {
     let m = ServeMetrics::new();
     m.jobs_admitted.store(5, Ordering::Relaxed);
     m.jobs_done.store(4, Ordering::Relaxed);
@@ -30,20 +32,21 @@ fn full_rendering() -> String {
     let results = ResultCache::new(4);
 
     let collector = ecl_prof::Collector::new();
-    collector.record(&ecl_prof::LaunchSample {
+    collector.record(&ecl_profiling::LaunchSample {
         kernel: "cc.init".to_string(),
         shape: "flat",
         blocks: 64,
         block_size: 256,
         wall_ns: 10_000,
-        workers: vec![ecl_prof::WorkerStat { blocks: 64, claims: 64, busy_ns: 9_000 }],
+        workers: vec![ecl_profiling::WorkerStat { blocks: 64, claims: 64, busy_ns: 9_000 }],
         req: 7,
         shard: 0,
     });
 
-    let slo = ecl_obs::SloEngine::from_spec("cc:p99=5ms,err=1%").expect("valid spec");
-    slo.observe("cc", 7, 4_500_000, true);
-    slo.observe("cc", 8, 9_000_000, false);
+    let slo =
+        ecl_obs::SloEngine::from_spec(&format!("{slo_algo}:p99=5ms,err=1%")).expect("valid spec");
+    slo.observe(slo_algo, 7, 4_500_000, true);
+    slo.observe(slo_algo, 8, 9_000_000, false);
     let obs = Arc::new(ecl_obs::Obs::new(ecl_obs::RecorderConfig::default(), Some(slo)));
     obs.recorder.begin(7, 1, "cc", "internet");
     obs.recorder.finish(7, 1, "cc", "internet", ecl_obs::FinishInfo::default());
@@ -51,17 +54,49 @@ fn full_rendering() -> String {
     m.render_prometheus(&catalog, &results, 2, 1, 3, Some(&collector), Some(&obs))
 }
 
+/// `--slo` takes any algorithm name; this one needs all three label
+/// escapes (quote, backslash, newline).
+const HOSTILE_ALGO: &str = "c\"c\\\nd";
+
 #[test]
 fn full_metrics_rendering_passes_the_lint() {
-    let text = full_rendering();
-    // The sections this test exists to cover are actually present.
-    for needle in
-        ["ecl_serve_jobs_finished_total", "ecl_slo_burn_rate", "ecl_slo_latency_seconds_bucket"]
-    {
-        assert!(text.contains(needle), "rendering lost section {needle:?}:\n{text}");
+    for slo_algo in ["cc", HOSTILE_ALGO] {
+        let text = full_rendering(slo_algo);
+        // The sections this test exists to cover are actually present.
+        for needle in
+            ["ecl_serve_jobs_finished_total", "ecl_slo_burn_rate", "ecl_slo_latency_seconds_bucket"]
+        {
+            assert!(text.contains(needle), "rendering lost section {needle:?}:\n{text}");
+        }
+        let problems = lint_exposition(&text);
+        assert!(problems.is_empty(), "exposition hygiene violations:\n{}", problems.join("\n"));
     }
-    let problems = lint_exposition(&text);
-    assert!(problems.is_empty(), "exposition hygiene violations:\n{}", problems.join("\n"));
+    assert!(full_rendering(HOSTILE_ALGO)
+        .contains("ecl_slo_requests_total{algo=\"c\\\"c\\\\\\nd\",outcome=\"ok\"} 1"));
+}
+
+/// The well-formed rendering is byte-for-byte what the three
+/// hand-formatted renderers produced before they became producers over
+/// one writer. Only the two host-dependent label values of
+/// `ecl_run_info` are masked.
+#[test]
+fn full_metrics_rendering_matches_the_golden() {
+    fn mask(line: &str, label: &str) -> String {
+        let key = format!("{label}=\"");
+        let Some(start) = line.find(&key).map(|i| i + key.len()) else { return line.to_string() };
+        let end = start + line[start..].find('"').expect("closing quote");
+        format!("{}<masked>{}", &line[..start], &line[end..])
+    }
+    let mut masked = String::new();
+    for line in full_rendering("cc").lines() {
+        if line.starts_with("ecl_run_info{") {
+            masked += &mask(&mask(line, "git_sha"), "workers");
+        } else {
+            masked += line;
+        }
+        masked.push('\n');
+    }
+    assert_eq!(masked, include_str!("golden/metrics_full.prom"));
 }
 
 #[test]
@@ -86,6 +121,18 @@ fn lint_flags_missing_metadata_and_bad_counters() {
     let text = "# HELP g x\n# TYPE g gauge\ng not-a-number\n";
     let problems = lint_exposition(text);
     assert!(problems.iter().any(|p| p.contains("does not parse")), "{problems:?}");
+
+    // Label values written raw, as `SloEngine::render` did for the
+    // algorithms `c"c`, `c\c` and `c<newline>c`.
+    for (sample, problem) in [
+        ("g{algo=\"c\"c\",outcome=\"ok\"} 1\n", "expected ',' or '}'"),
+        ("g{algo=\"c\\c\"} 1\n", "bad escape"),
+        ("g{algo=\"c\nc\"} 1\n", "unterminated value"),
+        ("g{algo=\"c\"} 1 # {req_id=7} 0.5\n", "exemplar: label value is not quoted"),
+    ] {
+        let problems = lint_exposition(&format!("# HELP g x\n# TYPE g gauge\n{sample}"));
+        assert!(problems.iter().any(|p| p.contains(problem)), "{sample:?}: {problems:?}");
+    }
 }
 
 #[test]

@@ -7,11 +7,11 @@
 //! process-global, so a second concurrently running server in the same
 //! process would race the install/uninstall pairs.
 
-use ecl_prof::json::{parse, Value};
+use ecl_profiling::expo::lint_exposition;
+use ecl_profiling::json::{parse, Value};
 use ecl_serve::catalog::CatalogConfig;
 use ecl_serve::http::Limits;
 use ecl_serve::loadgen::{http_call, HttpClient};
-use ecl_serve::metrics::lint_exposition;
 use ecl_serve::scheduler::SchedulerConfig;
 use ecl_serve::server::{ServeConfig, Server};
 

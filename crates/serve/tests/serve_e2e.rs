@@ -9,7 +9,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use ecl_prof::json::{parse, Value};
+use ecl_profiling::json::{parse, Value};
 use ecl_serve::catalog::CatalogConfig;
 use ecl_serve::http::Limits;
 use ecl_serve::loadgen::http_call;

@@ -11,10 +11,8 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::Serialize;
-
 /// Categories of charged work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CostKind {
     /// A unit of useful per-thread work (e.g. one edge relaxed, one
     /// neighbor examined).
@@ -66,7 +64,7 @@ impl CostKind {
 /// are order-of-magnitude ratios for a discrete GPU: a kernel launch
 /// costs a few microseconds (~thousands of memory-ish operations), an
 /// atomic a handful of units, a host round-trip more than a launch.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostParams {
     /// Weight of one unit of useful thread work.
     pub thread_work: f64,

@@ -1,11 +1,9 @@
 //! Simulated device: configuration and cost accounting.
 
-use serde::Serialize;
-
 use crate::cost::{CostKind, CostParams, CostTally};
 
 /// Static configuration of a simulated GPU.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeviceConfig {
     /// Streaming multiprocessors.
     pub num_sms: usize,

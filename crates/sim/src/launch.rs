@@ -48,22 +48,15 @@ where
         return;
     }
     let started = std::time::Instant::now();
-    let participants = pool::dispatch_profiled(cfg.blocks, f);
+    let workers = pool::dispatch_profiled(cfg.blocks, f);
     let wall_ns = started.elapsed().as_nanos() as u64;
-    let sample = ecl_prof::LaunchSample {
+    let sample = ecl_profiling::LaunchSample {
         kernel: name.to_string(),
         shape,
         blocks: cfg.blocks as u64,
         block_size: cfg.block_size as u64,
         wall_ns,
-        workers: participants
-            .into_iter()
-            .map(|p| ecl_prof::WorkerStat {
-                blocks: p.blocks,
-                claims: p.claims,
-                busy_ns: p.busy_ns,
-            })
-            .collect(),
+        workers,
         req: ecl_obs::ctx::current(),
         shard: crate::shard::current(),
     };
@@ -252,8 +245,8 @@ impl BlockCtx<'_> {
 }
 
 /// Launches `cfg.blocks` blocks; `f` runs once per block with a
-/// [`BlockCtx`]. Charges one kernel launch. Blocks run as parallel
-/// rayon tasks.
+/// [`BlockCtx`]. Charges one kernel launch. Blocks run on the
+/// dispatch pool ([`pool::dispatch`]).
 pub fn launch_blocks<F>(device: &Device, cfg: LaunchConfig, f: F)
 where
     F: Fn(BlockCtx<'_>) + Sync,

@@ -51,20 +51,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-/// What one dispatch participant (a pool worker or the submitting
-/// thread) did during a single [`dispatch_profiled`] call. This is the
-/// raw material of `ecl-prof`'s per-launch utilization / imbalance /
-/// claim-wait metrics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ParticipantStat {
-    /// Blocks this participant executed.
-    pub blocks: u64,
-    /// Ticket ranges it claimed (1 for the sequential engine).
-    pub claims: u64,
-    /// Nanoseconds spent executing claimed blocks (claim overhead and
-    /// queue scanning excluded).
-    pub busy_ns: u64,
-}
+use ecl_profiling::WorkerStat;
 
 /// How a dispatch maps block indices onto OS threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -193,22 +180,18 @@ where
 
 /// [`dispatch`] with per-participant execution stats: every thread
 /// that executed at least one block contributes one
-/// [`ParticipantStat`] (in completion order). Used by the launch layer
+/// [`WorkerStat`] (in completion order). Used by the launch layer
 /// when `ecl-prof`'s sink is installed; costs one `Instant` pair per
 /// ticket claim plus one short mutex per claim, none of which is paid
 /// by the unprofiled [`dispatch`] path.
-pub fn dispatch_profiled<F>(n: usize, f: F) -> Vec<ParticipantStat>
+pub fn dispatch_profiled<F>(n: usize, f: F) -> Vec<WorkerStat>
 where
     F: Fn(usize) + Sync,
 {
     dispatch_inner(n, &f, true).unwrap_or_default()
 }
 
-fn dispatch_inner(
-    n: usize,
-    f: &(dyn Fn(usize) + Sync),
-    profiled: bool,
-) -> Option<Vec<ParticipantStat>> {
+fn dispatch_inner(n: usize, f: &(dyn Fn(usize) + Sync), profiled: bool) -> Option<Vec<WorkerStat>> {
     if n == 0 {
         return profiled.then(Vec::new);
     }
@@ -220,7 +203,7 @@ fn dispatch_inner(
             f(i);
         }
         return started.map(|t0| {
-            vec![ParticipantStat {
+            vec![WorkerStat {
                 blocks: n as u64,
                 claims: 1,
                 busy_ns: t0.elapsed().as_nanos() as u64,
@@ -271,7 +254,7 @@ struct Job {
     /// claim's contribution is merged in *before* that claim's
     /// `remaining` decrement, so by the time the job retires (and the
     /// submitter wakes) every executed block is accounted for.
-    stats: Option<Mutex<Vec<ParticipantStat>>>,
+    stats: Option<Mutex<Vec<WorkerStat>>>,
     done: Mutex<bool>,
     done_cv: Condvar,
 }
@@ -350,7 +333,7 @@ impl PoolShared {
                 let busy = t0.elapsed().as_nanos() as u64;
                 let mut stats = stats.lock().unwrap_or_else(|e| e.into_inner());
                 let idx = *stat_slot.get_or_insert_with(|| {
-                    stats.push(ParticipantStat::default());
+                    stats.push(WorkerStat::default());
                     stats.len() - 1
                 });
                 stats[idx].blocks += finished as u64;
@@ -397,7 +380,7 @@ fn pooled_dispatch(
     grain: usize,
     f: &(dyn Fn(usize) + Sync),
     profiled: bool,
-) -> Option<Vec<ParticipantStat>> {
+) -> Option<Vec<WorkerStat>> {
     let p = pool();
     p.ensure_workers(workers - 1);
     // SAFETY: the only thing this transmute changes is the reference

@@ -30,7 +30,7 @@
 //!   evaluations sweeping them.
 
 use crate::pool::{DispatchMode, DispatchPolicy};
-use ecl_prof::json::{self, Value};
+use ecl_profiling::json::{self, Value};
 
 /// One knob's value. Integers and floats are kept distinct so
 /// serialization is exact, but the typed accessors coerce (an `Int` is

@@ -4,7 +4,7 @@
 //! `ecl-shard` models one GPU per shard: every shard gets its own
 //! [`crate::Device`] and issues kernel launches through the ordinary
 //! launch primitives. Those primitives attach the ambient shard id to
-//! every profile sample ([`ecl_prof::LaunchSample::shard`]), so the
+//! every profile sample ([`ecl_profiling::LaunchSample::shard`]), so the
 //! profiling, observability, and tracing layers distinguish per-shard
 //! series without any shard-specific plumbing in kernel code.
 //!

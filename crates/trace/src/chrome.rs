@@ -3,10 +3,12 @@
 //! The output loads in Perfetto (ui.perfetto.dev) and `chrome://tracing`:
 //! phase and block intervals become "B"/"E" duration events on one
 //! track per recording thread, everything else becomes "i" instant
-//! events. JSON is emitted by hand — the suite carries no serde
-//! runtime — with full string escaping.
+//! events. JSON is emitted by hand — the suite carries no serde —
+//! with strings escaped by [`ecl_profiling::json::escape`].
 
 use std::fmt::Write as _;
+
+use ecl_profiling::json;
 
 use crate::event::{Event, EventKind};
 use crate::ring::ClockMode;
@@ -49,10 +51,10 @@ pub fn to_chrome_json(snap: &Snapshot) -> String {
     let _ = write!(
         out,
         "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{{\"clock\":{},\"droppedOverwritten\":{},\"droppedUnslotted\":{},\"threads\":{}}}}}",
-        json_string(match snap.clock {
-            ClockMode::Wall => "wall-ns",
-            ClockMode::Logical => "logical",
-        }),
+        match snap.clock {
+            ClockMode::Wall => "\"wall-ns\"",
+            ClockMode::Logical => "\"logical\"",
+        },
         snap.dropped_overwritten,
         snap.dropped_unslotted,
         snap.threads,
@@ -75,8 +77,8 @@ fn ts_us(snap: &Snapshot, e: &Event) -> f64 {
 
 fn duration(snap: &Snapshot, e: &Event, ph: &str, name: String) -> String {
     format!(
-        "{{\"name\":{},\"ph\":\"{ph}\",\"ts\":{},\"pid\":0,\"tid\":{}}}",
-        json_string(&name),
+        "{{\"name\":\"{}\",\"ph\":\"{ph}\",\"ts\":{},\"pid\":0,\"tid\":{}}}",
+        json::escape(&name),
         ts_us(snap, e),
         e.thread,
     )
@@ -84,35 +86,14 @@ fn duration(snap: &Snapshot, e: &Event, ph: &str, name: String) -> String {
 
 fn instant(snap: &Snapshot, e: &Event, name: &str) -> String {
     format!(
-        "{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{\"block\":{},\"lane\":{},\"payload\":{}}}}}",
-        json_string(name),
+        "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{\"block\":{},\"lane\":{},\"payload\":{}}}}}",
+        json::escape(name),
         ts_us(snap, e),
         e.thread,
         e.block,
         e.lane,
         e.payload,
     )
-}
-
-/// Escapes `s` as a JSON string literal, quotes included.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -148,33 +129,23 @@ mod tests {
     fn escapes_phase_names() {
         let json = to_chrome_json(&capture());
         assert!(json.contains("compute \\\"hot\\\""));
+        // The parser reads the original name back from both phase events.
+        let doc = json::parse(&json).unwrap();
+        let events = doc.get("traceEvents").and_then(json::Value::as_arr).unwrap();
+        let named = |e: &&json::Value| {
+            e.get("name").and_then(json::Value::as_str) == Some("compute \"hot\"")
+        };
+        assert_eq!(events.iter().filter(named).count(), 2);
     }
 
     #[test]
     fn structure_is_json_parseable() {
-        // No serde available: a structural check — balanced braces and
-        // brackets outside string literals.
-        let json = to_chrome_json(&capture());
-        let (mut brace, mut bracket, mut in_str, mut escaped) = (0i64, 0i64, false, false);
-        for c in json.chars() {
-            if escaped {
-                escaped = false;
-                continue;
-            }
-            match c {
-                '\\' if in_str => escaped = true,
-                '"' => in_str = !in_str,
-                '{' if !in_str => brace += 1,
-                '}' if !in_str => brace -= 1,
-                '[' if !in_str => bracket += 1,
-                ']' if !in_str => bracket -= 1,
-                _ => {}
-            }
-            assert!(brace >= 0 && bracket >= 0);
-        }
-        assert_eq!((brace, bracket, in_str), (0, 0, false));
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with('}'));
+        let doc = json::parse(&to_chrome_json(&capture())).unwrap();
+        assert_eq!(doc.get("traceEvents").and_then(json::Value::as_arr).unwrap().len(), 6);
+        assert_eq!(doc.get("displayTimeUnit").and_then(json::Value::as_str), Some("ns"));
+        let other = doc.get("otherData").unwrap();
+        assert_eq!(other.get("clock").and_then(json::Value::as_str), Some("logical"));
+        assert_eq!(other.get("droppedOverwritten").and_then(json::Value::as_f64), Some(0.0));
     }
 
     #[test]

@@ -14,8 +14,8 @@ use std::fmt::Write as _;
 use ecl_gpusim::schedule::KnobSpec;
 use ecl_gpusim::Schedule;
 use ecl_graph::Fingerprint;
-use ecl_prof::json::{self, Value};
 use ecl_prof::manifest::git_sha;
+use ecl_profiling::json::{self, Value};
 use ecl_profiling::SketchSnapshot;
 
 /// Manifest schema identifier. Bump on breaking layout changes;

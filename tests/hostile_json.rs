@@ -1,6 +1,6 @@
 //! Hostile JSON must produce an error, never a dead process.
 //!
-//! `ecl_prof::json::parse` reads HTTP bodies (`POST /v1/jobs`), tune
+//! `ecl_profiling::json::parse` reads HTTP bodies (`POST /v1/jobs`), tune
 //! manifests and schedules. Unbounded recursion there is fatal — one
 //! request of 60 000 `[` overflows the stack and aborts `ecl-serve`,
 //! which no `catch_unwind` can contain — and per-character
@@ -11,7 +11,7 @@
 
 use std::time::{Duration, Instant};
 
-use ecl_prof::json::{parse, Value, MAX_DEPTH};
+use ecl_profiling::json::{parse, Value, MAX_DEPTH};
 use ecl_suite::serve::loadgen::http_call;
 use ecl_suite::serve::{ServeConfig, Server};
 use proptest::prelude::*;
