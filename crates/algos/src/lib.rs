@@ -16,8 +16,7 @@
 
 pub mod adapters;
 
-use ecl_gpusim::pool::with_policy;
-use ecl_gpusim::schedule::{KnobSpec, DISPATCH_KNOBS};
+use ecl_gpusim::schedule::KnobSpec;
 use ecl_gpusim::{Device, DeviceConfig, Schedule};
 use ecl_graph::{Csr, WeightedCsr};
 use ecl_profiling::SketchSnapshot;
@@ -119,8 +118,7 @@ pub trait Algorithm: Sync {
     }
 
     /// The knobs `run` reads from a schedule, with their admissible
-    /// values (the dispatch knobs are implied — see
-    /// [`ecl_gpusim::schedule::DISPATCH_KNOBS`]).
+    /// values: the algorithm's whole schedule space.
     fn knobs(&self) -> &'static [KnobSpec];
 
     /// Every knob at its default: reproduces the untuned run.
@@ -174,10 +172,9 @@ pub fn check_input(algo: &dyn Algorithm, views: &Views<'_>) -> Result<(), String
 /// Runs `algo` on a fresh RTX 4090 scaled by `scale` and returns its
 /// outcome with the device's modeled time. The run applies the
 /// schedule's knobs to the default configuration (no schedule: the
-/// defaults) and, if the schedule names a dispatch knob, executes under
-/// its dispatch policy — cost-neutral by scheduler determinism. A
-/// schedule that names none (per-request overrides only) leaves the
-/// caller's policy in force.
+/// defaults) under the caller's dispatch policy; the modeled time is
+/// reproducible bit for bit under the in-order one
+/// (`DispatchPolicy::sequential`, one worker).
 pub fn execute(
     algo: &dyn Algorithm,
     scale: f64,
@@ -186,14 +183,7 @@ pub fn execute(
 ) -> Result<(Outcome, f64), String> {
     check_input(algo, views)?;
     let device = Device::new(DeviceConfig::rtx4090_scaled(scale, algo.min_sms()));
-    let defaults = Schedule::new();
-    let schedule = schedule.unwrap_or(&defaults);
-    let run = || algo.run(&device, views, schedule);
-    let outcome = if DISPATCH_KNOBS.iter().any(|k| schedule.get(k.name).is_some()) {
-        with_policy(schedule.dispatch_policy(), run)
-    } else {
-        run()
-    };
+    let outcome = algo.run(&device, views, schedule.unwrap_or(&Schedule::new()));
     Ok((outcome, device.modeled_time()))
 }
 

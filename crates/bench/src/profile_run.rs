@@ -160,16 +160,24 @@ pub fn profile(spec: &ProfileSpec<'_>, out_dir: &Path) -> Result<Manifest, Strin
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use ecl_gpusim::pool::with_policy;
+    use ecl_gpusim::DispatchPolicy;
 
     // One test body: the prof/trace sinks are process-global.
     #[test]
     fn profile_writes_all_artifacts_and_a_parseable_manifest() {
+        // The tool measures under the caller's pool; the test pins the
+        // in-order schedule so modeled time repeats bit for bit.
+        let in_order = |spec: &ProfileSpec<'_>, dir: &Path| {
+            with_policy(DispatchPolicy::sequential(), || profile(spec, dir))
+        };
         let dir = std::env::temp_dir().join(format!("ecl-prof-test-{}", std::process::id()));
         let cc = ecl_algos::find("cc").unwrap();
         let spec =
             ProfileSpec { algo: cc, input: "as-skitter", scale: 0.0005, seed: 42, repeats: 2 };
-        let manifest = profile(&spec, &dir).expect("profiled run");
+        let manifest = in_order(&spec, &dir).expect("profiled run");
         assert_eq!(manifest.schema, SCHEMA);
+        assert_eq!(manifest.dispatch.workers, 1);
         assert!(!manifest.kernels.is_empty(), "launch hooks must have reported");
         let wall = manifest.metrics.iter().find(|m| m.name == "wall_seconds").unwrap();
         assert_eq!(wall.samples.len(), 2);
@@ -192,7 +200,7 @@ mod tests {
         assert!(report.passed(), "{}", report.render());
 
         let scc = ecl_algos::find("scc").unwrap();
-        let undirected = profile(&ProfileSpec { algo: scc, ..spec }, &dir).expect_err("contract");
+        let undirected = in_order(&ProfileSpec { algo: scc, ..spec }, &dir).expect_err("contract");
         assert!(undirected.contains("requires a directed graph"), "{undirected}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -45,10 +45,9 @@ fn domain_summary(spec: &KnobSpec) -> String {
     format!("{{{}}}", vals.join(", "))
 }
 
-/// Lints one schedule for `algo`, whose own knob table is `knobs`
-/// (the dispatch knobs belong to every algorithm's space), against
-/// `device`. Returns one [`Rule::ScheduleDomain`] finding per
-/// violation:
+/// Lints one schedule for `algo`, whose knob table is `knobs` (its
+/// whole schedule space), against `device`. Returns one
+/// [`Rule::ScheduleDomain`] finding per violation:
 ///
 /// - a knob the registry does not declare for this algorithm,
 /// - a declared knob assigned a value outside its domain,

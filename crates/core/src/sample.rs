@@ -9,7 +9,7 @@ use crate::{imbalance_from_summary, Summary};
 pub struct WorkerStat {
     /// Blocks this participant executed.
     pub blocks: u64,
-    /// Ticket ranges it claimed (1 for the sequential engine).
+    /// Ticket ranges it claimed (1 for an in-order, one-worker dispatch).
     pub claims: u64,
     /// Nanoseconds spent executing claimed blocks (claim overhead and
     /// queue scanning excluded).

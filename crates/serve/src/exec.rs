@@ -124,8 +124,10 @@ pub fn execute(spec: &JobSpec, catalog: &Arc<GraphCatalog>) -> Result<RunOutput,
         ]);
         (aggregates, stats.modeled_time)
     } else {
-        // Tuned runs also honor the schedule's dispatch knobs,
-        // cost-neutral by scheduler determinism.
+        // Runs under this thread's dispatch policy (a schedule holds
+        // kernel knobs only), so a pooled worker's modeled time can
+        // differ from the in-order number where charges depend on the
+        // interleaving.
         let (outcome, modeled_time) = ecl_algos::execute(algo, spec.scale, &views, schedule)?;
         (outcome.aggregates, modeled_time)
     };

@@ -28,21 +28,26 @@
 //! blocks run in any order, possibly sequentially, and must not
 //! spin-wait on other blocks. Everything the simulator aggregates
 //! (counter totals, cost charges, check verdicts) is a commutative
-//! reduction over per-block contributions, so results are identical
-//! across worker counts and grains; `tests/scheduler_determinism.rs`
-//! asserts that.
+//! reduction over per-block contributions, so the order of the
+//! reduction never matters; `tests/scheduler_determinism.rs` asserts
+//! that across worker counts and grains. What a block contributes can
+//! depend on the interleaving, though: a CAS that fails under one
+//! schedule succeeds under another, and SCC's block-local loops run a
+//! different number of rounds.
 //!
 //! # Policy
 //!
-//! Dispatch behavior is controlled per calling thread with
-//! [`with_policy`] (tests, benches) and process-wide through
-//! environment variables read once at first use:
+//! A policy is a worker count and a claim grain. One worker is the
+//! in-order schedule: every block runs in index order on the calling
+//! thread, so those schedule-dependent charges repeat bit for bit. It
+//! is the only definition of "in order" —
+//! [`DispatchPolicy::sequential`] is `workers: 1`.
 //!
-//! - `ECL_SIM_WORKERS=n` — worker count (default: available cores),
-//! - `ECL_SIM_GRAIN=n` — fixed claim grain (default: auto),
-//! - `ECL_SIM_DISPATCH=pool|seq` — engine selection. `seq` forces
-//!   in-order execution on the calling thread (the determinism
-//!   reference).
+//! The policy is set per calling thread with [`with_policy`] (tests,
+//! the tuner's evaluations, benches). The process-wide default worker
+//! count is `ECL_SIM_WORKERS=n`, read once at first use (default: the
+//! cores available at each dispatch); the grain is always auto-sized
+//! unless a caller forces one.
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
@@ -53,48 +58,35 @@ use std::time::Instant;
 
 use ecl_profiling::WorkerStat;
 
-/// How a dispatch maps block indices onto OS threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Persistent worker pool + dynamic ticket claiming (default).
-    Pool,
-    /// All blocks in index order on the calling thread.
-    Sequential,
-}
-
-/// Per-thread override of the dispatch defaults. `None` fields fall
-/// through to the environment (and then the built-in defaults).
+/// Per-thread override of the dispatch defaults. `None` fields take
+/// the process defaults: `ECL_SIM_WORKERS` (else the core count) and
+/// an auto-sized grain.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DispatchPolicy {
     /// Number of OS threads that execute blocks (the calling thread
-    /// participates, so `workers: 1` runs inline).
+    /// participates, so `workers: 1` runs inline, in index order).
     pub workers: Option<usize>,
     /// Blocks claimed per ticket. `None` auto-sizes from
     /// `blocks / (workers * 4)`.
     pub grain: Option<usize>,
-    /// Engine selection.
-    pub mode: Option<DispatchMode>,
 }
 
 impl DispatchPolicy {
-    /// Forces in-order execution on the calling thread — the
+    /// One worker: in-order execution on the calling thread — the
     /// determinism reference schedule.
     pub fn sequential() -> Self {
-        Self { workers: Some(1), grain: None, mode: Some(DispatchMode::Sequential) }
+        Self::pooled(1)
     }
 
     /// `workers` pool workers with automatic grain.
     pub fn pooled(workers: usize) -> Self {
-        Self { workers: Some(workers), grain: None, mode: Some(DispatchMode::Pool) }
+        Self { workers: Some(workers), grain: None }
     }
 }
 
 thread_local! {
-    static POLICY: Cell<DispatchPolicy> = const { Cell::new(DispatchPolicy {
-        workers: None,
-        grain: None,
-        mode: None,
-    }) };
+    static POLICY: Cell<DispatchPolicy> =
+        const { Cell::new(DispatchPolicy { workers: None, grain: None }) };
 }
 
 /// Runs `f` with `policy` overriding the dispatch defaults for every
@@ -111,42 +103,24 @@ pub fn with_policy<R>(policy: DispatchPolicy, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Environment-derived defaults, parsed once.
-fn env_policy() -> DispatchPolicy {
-    static ENV: OnceLock<DispatchPolicy> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let parse = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<usize>().ok());
-        let mode = std::env::var("ECL_SIM_DISPATCH").ok().and_then(|v| match v.as_str() {
-            "pool" => Some(DispatchMode::Pool),
-            "seq" => Some(DispatchMode::Sequential),
-            _ => None,
-        });
-        DispatchPolicy {
-            workers: parse("ECL_SIM_WORKERS").filter(|&w| w > 0),
-            grain: parse("ECL_SIM_GRAIN").filter(|&g| g > 0),
-            mode,
-        }
-    })
-}
-
+/// The process-wide worker count: `ECL_SIM_WORKERS` if set to a
+/// positive integer (read once), else the available cores — asked on
+/// every call, so an affinity or cpuset change made while the process
+/// runs is honoured.
 fn default_workers() -> usize {
-    std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(4)
+    static ENV: OnceLock<Option<usize>> = OnceLock::new();
+    ENV.get_or_init(|| {
+        std::env::var("ECL_SIM_WORKERS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&w| w > 0)
+    })
+    .unwrap_or_else(|| std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(4))
 }
 
 /// The worker count the next dispatch from this thread would use.
 pub fn effective_workers() -> usize {
-    let local = POLICY.with(|p| p.get());
-    local.workers.or(env_policy().workers).unwrap_or_else(default_workers).max(1)
-}
-
-fn effective_policy() -> (usize, Option<usize>, DispatchMode) {
-    let local = POLICY.with(|p| p.get());
-    let env = env_policy();
-    (
-        local.workers.or(env.workers).unwrap_or_else(default_workers).max(1),
-        local.grain.or(env.grain),
-        local.mode.or(env.mode).unwrap_or(DispatchMode::Pool),
-    )
+    POLICY.with(|p| p.get()).workers.unwrap_or_else(default_workers).max(1)
 }
 
 /// Claim size for `n` blocks over `workers` threads: small enough
@@ -195,9 +169,8 @@ fn dispatch_inner(n: usize, f: &(dyn Fn(usize) + Sync), profiled: bool) -> Optio
     if n == 0 {
         return profiled.then(Vec::new);
     }
-    let (workers, grain, mode) = effective_policy();
-    let workers = workers.min(n);
-    if workers <= 1 || mode == DispatchMode::Sequential {
+    let workers = effective_workers().min(n);
+    if workers == 1 {
         let started = profiled.then(Instant::now);
         for i in 0..n {
             f(i);
@@ -210,7 +183,7 @@ fn dispatch_inner(n: usize, f: &(dyn Fn(usize) + Sync), profiled: bool) -> Optio
             }]
         });
     }
-    let grain = grain.unwrap_or_else(|| auto_grain(n, workers)).max(1);
+    let grain = POLICY.with(|p| p.get()).grain.unwrap_or_else(|| auto_grain(n, workers)).max(1);
     pooled_dispatch(n, workers, grain, f, profiled)
 }
 
@@ -445,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn every_mode_runs_each_index_exactly_once() {
+    fn every_policy_runs_each_index_exactly_once() {
         for n in [0, 1, 2, 7, 64, 257] {
             covers_exactly(n, DispatchPolicy::sequential());
             covers_exactly(n, DispatchPolicy::pooled(4));

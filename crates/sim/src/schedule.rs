@@ -3,33 +3,26 @@
 //! The paper derives its three optimizations (ECL-CC first-neighbor
 //! init §6.2.2, ECL-SCC block size §6.2.1, ECL-MST launch config
 //! §6.2.3) by hand from profiles. Each of those decisions is a point
-//! in a small discrete space that was previously scattered across the
-//! suite: `LaunchConfig` block sizes inside algorithm configs,
-//! [`DispatchPolicy`] engine/worker/grain overrides, and per-algorithm
-//! toggles. A [`Schedule`] collects one assignment of all of them into
-//! a single serializable value. Which knobs exist and which values
-//! each may take is declared as a [`KnobSpec`] table: the dispatch
-//! knobs every launch honors are [`DISPATCH_KNOBS`] here, and each
-//! algorithm crate declares its own table next to the `apply_schedule`
-//! that consumes it (`ecl_cc::KNOBS`, …). A table is the search space
-//! `ecl-tune` sweeps and the schema its manifests are validated
-//! against; this crate never names an algorithm.
+//! in a small discrete space: `LaunchConfig` block sizes inside
+//! algorithm configs and per-algorithm toggles. A [`Schedule`] collects
+//! one assignment of them into a single serializable value. Which knobs
+//! exist and which values each may take is declared as a [`KnobSpec`]
+//! table, one per algorithm, next to the `apply_schedule` that consumes
+//! it (`ecl_cc::KNOBS`, …). A table is the search space `ecl-tune`
+//! sweeps and the schema its manifests are validated against; this
+//! crate never names an algorithm.
 //!
-//! Two invariants the rest of the suite relies on:
+//! A schedule holds only choices that change the modeled kernels. How
+//! blocks map onto host threads is not one of them: that is the
+//! caller's [`crate::pool::DispatchPolicy`]. It is not cost-neutral —
+//! CAS failures and block-local iteration counts depend on the
+//! interleaving — which is why the tuner's objective, and every
+//! bit-for-bit modeled-time comparison, is taken under one worker.
 //!
-//! - **Serialization is canonical.** Knobs are kept sorted by name and
-//!   rendered deterministically, so `to_json` → [`Schedule::from_json`]
-//!   → `to_json` is a fixpoint and schedules can be compared as
-//!   strings.
-//! - **Dispatch knobs never change results.** `dispatch`, `workers`
-//!   and `grain` select how blocks map onto OS threads; the scheduler
-//!   determinism suite guarantees modeled cost and algorithm output
-//!   are identical across them. They are carried (and applied) so runs
-//!   are reproducible end to end, but they are not part of any
-//!   algorithm's table, so a modeled-cost search does not waste
-//!   evaluations sweeping them.
+//! Serialization is canonical: knobs are kept sorted by name and
+//! rendered deterministically, so `to_json` → [`Schedule::from_json`] →
+//! `to_json` is a fixpoint and schedules can be compared as strings.
 
-use crate::pool::{DispatchMode, DispatchPolicy};
 use ecl_profiling::json::{self, Value};
 
 /// One knob's value. Integers and floats are kept distinct so
@@ -43,7 +36,7 @@ pub enum KnobValue {
     Int(i64),
     /// Real-valued knob (fractions).
     Float(f64),
-    /// Enumerated string knob (dispatch engine, priority policy).
+    /// Enumerated string knob (priority policy).
     Str(String),
 }
 
@@ -139,39 +132,20 @@ impl KnobSpec {
     }
 }
 
-/// Sentinel meaning "inherit" for the `workers` / `grain` knobs (no
-/// forced value; environment and auto-sizing apply).
-pub const INHERIT: i64 = 0;
-
-/// The dispatch-engine knobs, part of every algorithm's schedule
-/// space. They are provably modeled-cost-neutral (results and cost are
-/// schedule-independent by the determinism guarantee): searches skip
-/// them, applications honor them.
-pub static DISPATCH_KNOBS: [KnobSpec; 3] = [
-    KnobSpec { name: "dispatch", domain: KnobDomain::Choice(&["pool", "seq"]), default_ix: 0 },
-    KnobSpec { name: "workers", domain: KnobDomain::Ints(&[INHERIT, 1, 2, 4, 8]), default_ix: 0 },
-    KnobSpec {
-        name: "grain",
-        domain: KnobDomain::Ints(&[INHERIT, 1, 4, 16, 64, 256]),
-        default_ix: 0,
-    },
-];
-
 /// The block sizes a `block_size` knob may take (the Table 6 sweep).
 pub const BLOCK_SIZES: &[i64] = &[64, 128, 256, 512, 1024];
 
-/// The declaration of knob `name` in an algorithm's schedule space:
-/// the dispatch knobs plus the algorithm's own table `knobs`.
+/// The declaration of knob `name` in an algorithm's knob table `knobs`.
 pub fn find_knob<'a>(knobs: &'a [KnobSpec], name: &str) -> Option<&'a KnobSpec> {
-    DISPATCH_KNOBS.iter().chain(knobs).find(|spec| spec.name == name)
+    knobs.iter().find(|spec| spec.name == name)
 }
 
-/// The default schedule of an algorithm whose own table is `knobs`:
-/// every dispatch knob and every declared knob at its default value.
-/// Applying it reproduces the untuned configuration.
+/// The default schedule of an algorithm whose knob table is `knobs`:
+/// every declared knob at its default value. Applying it reproduces
+/// the untuned configuration.
 pub fn default_schedule(knobs: &[KnobSpec]) -> Schedule {
     let mut s = Schedule::new();
-    for spec in DISPATCH_KNOBS.iter().chain(knobs) {
+    for spec in knobs {
         s.set(spec.name, spec.default_value());
     }
     s
@@ -259,28 +233,11 @@ impl Schedule {
         }
     }
 
-    /// The dispatch-policy override this schedule encodes: `dispatch`
-    /// selects the engine, `workers`/`grain` force counts
-    /// ([`INHERIT`]/absent fields fall through to the environment).
-    pub fn dispatch_policy(&self) -> DispatchPolicy {
-        let mode = match self.str_knob("dispatch") {
-            Some("seq") => Some(DispatchMode::Sequential),
-            Some("pool") => Some(DispatchMode::Pool),
-            _ => None,
-        };
-        let positive = |v: Option<i64>| v.filter(|&x| x > 0).map(|x| x as usize);
-        DispatchPolicy {
-            workers: positive(self.int_knob("workers")),
-            grain: positive(self.int_knob("grain")),
-            mode,
-        }
-    }
-
-    /// Checks every assignment against the schedule space of an
-    /// algorithm whose own table is `knobs` (see [`find_knob`]):
-    /// unknown knobs and out-of-domain values are errors. The manifest
-    /// validator calls this so a hand-edited schedule cannot smuggle
-    /// in a value the search space does not admit.
+    /// Checks every assignment against an algorithm's knob table
+    /// `knobs` (see [`find_knob`]): unknown knobs and out-of-domain
+    /// values are errors. The manifest validator calls this so a
+    /// hand-edited schedule cannot smuggle in a value the search space
+    /// does not admit.
     pub fn check_against_registry(&self, knobs: &[KnobSpec]) -> Result<(), String> {
         for (name, value) in &self.knobs {
             let spec = find_knob(knobs, name).ok_or_else(|| format!("unknown knob {name:?}"))?;
@@ -349,19 +306,18 @@ mod tests {
     ];
 
     #[test]
-    fn default_schedule_covers_dispatch_and_declared_knobs() {
+    fn default_schedule_covers_exactly_the_declared_knobs() {
         let s = default_schedule(&KNOBS);
-        assert_eq!(s.len(), DISPATCH_KNOBS.len() + KNOBS.len());
-        assert_eq!(s.str_knob("dispatch"), Some("pool"));
-        assert_eq!(s.int_knob("workers"), Some(INHERIT));
+        assert_eq!(s.len(), KNOBS.len());
         assert_eq!(s.int_knob("block_size"), Some(512));
         assert_eq!(s.bool_knob("unroll"), Some(false));
         assert_eq!(s.float_knob("fraction"), Some(0.5));
         assert_eq!(s.str_knob("policy"), Some("greedy"));
         assert!(s.check_against_registry(&KNOBS).is_ok());
-        for spec in DISPATCH_KNOBS.iter().chain(&KNOBS) {
+        for spec in &KNOBS {
             assert!(spec.domain.admits(&spec.default_value()), "{}", spec.name);
         }
+        assert!(default_schedule(&[]).is_empty());
     }
 
     #[test]
@@ -390,21 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_policy_extraction() {
-        let s = Schedule::new()
-            .with("dispatch", KnobValue::Str("seq".into()))
-            .with("workers", KnobValue::Int(4))
-            .with("grain", KnobValue::Int(INHERIT));
-        let p = s.dispatch_policy();
-        assert_eq!(p.mode, Some(DispatchMode::Sequential));
-        assert_eq!(p.workers, Some(4));
-        assert_eq!(p.grain, None, "INHERIT means no forced grain");
-        // An empty schedule forces nothing.
-        let empty = Schedule::new().dispatch_policy();
-        assert!(empty.mode.is_none() && empty.workers.is_none() && empty.grain.is_none());
-    }
-
-    #[test]
     fn registry_rejects_out_of_domain() {
         let bad = Schedule::new().with("block_size", KnobValue::Int(333));
         assert!(bad.check_against_registry(&KNOBS).unwrap_err().contains("block_size"));
@@ -412,20 +353,18 @@ mod tests {
         assert!(unknown.check_against_registry(&KNOBS).unwrap_err().contains("warp_width"));
         let ok = Schedule::new().with("block_size", KnobValue::Int(128));
         assert!(ok.check_against_registry(&KNOBS).is_ok());
-        // The dispatch knobs belong to every space, even an empty table.
-        let seq = Schedule::new().with("dispatch", KnobValue::Str("seq".into()));
-        assert!(seq.check_against_registry(&[]).is_ok());
+        // Host dispatch is no knob: naming it is an unknown-knob error.
+        for knob in ["dispatch", "workers", "grain"] {
+            let s = Schedule::new().with(knob, KnobValue::Int(1));
+            let err = s.check_against_registry(&KNOBS).unwrap_err();
+            assert_eq!(err, format!("unknown knob {knob:?}"));
+        }
     }
 
     #[test]
     fn string_outside_its_domain_is_rejected_by_the_table() {
-        // Parsing alone cannot know the table; the check does. The
-        // retired spawn engine is no longer a legal dispatch value.
-        for bad in ["{\"dispatch\": \"gpu\"}", "{\"dispatch\": \"spawn\"}"] {
-            let s = Schedule::from_json(bad).unwrap();
-            assert!(s.check_against_registry(&KNOBS).unwrap_err().contains("dispatch"));
-        }
+        // Parsing alone cannot know the table; the check does.
         let bad = Schedule::from_json("{\"policy\": \"random\"}").unwrap();
-        assert!(bad.check_against_registry(&KNOBS).is_err());
+        assert!(bad.check_against_registry(&KNOBS).unwrap_err().contains("policy"));
     }
 }

@@ -98,8 +98,8 @@ fn exercise(policy: DispatchPolicy) {
             "agent must be cleared while unwinding out of a launch"
         );
         // Every block that ran panicked, and each folded what it had
-        // charged before unwinding (the sequential engine stops at the
-        // first panicking block, the pool drains the grid).
+        // charged before unwinding (one worker stops at the first
+        // panicking block, several drain the grid).
         assert_eq!(
             tracked_dev.cost().units(CostKind::ThreadWork),
             lanes_run.load(Ordering::SeqCst),

@@ -2,19 +2,22 @@
 //! deterministic modeled time plus a result signature.
 //!
 //! Every evaluation goes through [`ecl_algos::execute`] — a fresh
-//! scaled device so cost tallies never leak between candidates, the
-//! schedule's dispatch policy, and the algorithm's real implementation:
-//! the same code path `ecl-serve` executes, so a schedule that wins
-//! here wins in production. The objective is
-//! [`ecl_gpusim::Device::modeled_time`], which the scheduler
-//! determinism suite guarantees is a pure function of (algorithm,
+//! scaled device so cost tallies never leak between candidates, and the
+//! algorithm's real implementation: the same code path `ecl-serve`
+//! executes, so a schedule that wins here wins in production. The
+//! objective is [`ecl_gpusim::Device::modeled_time`] under the in-order
+//! schedule: [`evaluate`] pins one worker itself, whatever policy its
+//! caller runs under, because a multi-worker interleaving moves
+//! schedule-dependent charges (CAS failures, SCC's block-local
+//! iterations). So the objective is a pure function of (algorithm,
 //! input, schedule): no repeats, no noise envelope, bit-exact
 //! reproducibility.
 
 use std::sync::Arc;
 
 use ecl_algos::{Algorithm, Views};
-use ecl_gpusim::Schedule;
+use ecl_gpusim::pool::with_policy;
+use ecl_gpusim::{DispatchPolicy, Schedule};
 use ecl_graph::{Csr, Fingerprint, WeightedCsr};
 
 /// Weight cap for generated weighted views (matches the serve
@@ -85,14 +88,15 @@ pub struct EvalOutcome {
     pub result_sig: u64,
 }
 
-/// Evaluates `schedule` for `algo` on `input`.
+/// Evaluates `schedule` for `algo` on `input`, in order (one worker).
 pub fn evaluate(
     algo: &dyn Algorithm,
     input: &TuneInput,
     schedule: &Schedule,
 ) -> Result<EvalOutcome, String> {
-    let (outcome, modeled_time) =
-        ecl_algos::execute(algo, input.scale, &input.views(), Some(schedule))?;
+    let (outcome, modeled_time) = with_policy(DispatchPolicy::sequential(), || {
+        ecl_algos::execute(algo, input.scale, &input.views(), Some(schedule))
+    })?;
     Ok(EvalOutcome { modeled_time, result_sig: outcome.signature() })
 }
 
@@ -127,20 +131,6 @@ mod tests {
         let b = evaluate("cc", &input, &s).unwrap();
         assert_eq!(a, b, "same schedule must reproduce bit-identically");
         assert!(a.modeled_time > 0.0);
-    }
-
-    #[test]
-    fn dispatch_knobs_are_cost_neutral() {
-        // The invariant the search relies on: engine/worker/grain
-        // choice changes neither cost nor result.
-        let input = internet();
-        let base = evaluate("cc", &input, &default_schedule("cc")).unwrap();
-        let seq = default_schedule("cc")
-            .with("dispatch", KnobValue::Str("seq".into()))
-            .with("workers", KnobValue::Int(1));
-        let r = evaluate("cc", &input, &seq).unwrap();
-        assert_eq!(r.modeled_time.to_bits(), base.modeled_time.to_bits());
-        assert_eq!(r.result_sig, base.result_sig);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub struct TuneManifest {
 }
 
 /// The knob table of the algorithm called `algo`; an algorithm outside
-/// the registry has only the dispatch knobs.
+/// the registry has none, so any knob it names is unknown.
 pub fn knobs_of(algo: &str) -> &'static [KnobSpec] {
     ecl_algos::find(algo).map_or(&[], |a| a.knobs())
 }
@@ -351,10 +351,12 @@ mod tests {
     fn out_of_domain_schedule_refused_at_parse() {
         let good = TuneManifest::new(vec![entry()]).to_json();
         assert!(TuneManifest::from_json(&good).is_ok());
-        // A string outside its knob's domain — the retired spawn
-        // engine — and an undeclared knob are both load errors.
-        let spawn = good.replace("\"dispatch\": \"pool\"", "\"dispatch\": \"spawn\"");
-        assert!(TuneManifest::from_json(&spawn).unwrap_err().contains("dispatch"));
+        // An undeclared knob is a load error — host dispatch included:
+        // manifests written while `dispatch` was a knob do not load.
+        let dispatch = good.replace("{\"block_size\"", "{\"dispatch\": \"pool\", \"block_size\"");
+        assert_ne!(dispatch, good);
+        let err = TuneManifest::from_json(&dispatch).unwrap_err();
+        assert_eq!(err, "scc/klein-bottle: unknown knob \"dispatch\"");
         let unknown = good.replace("\"trim\"", "\"warp_width\"");
         assert!(TuneManifest::from_json(&unknown).unwrap_err().contains("warp_width"));
     }

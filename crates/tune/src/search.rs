@@ -14,12 +14,10 @@
 //!   `best × abandon_ratio` — the classic autotuner trick for skipping
 //!   hopeless regions without losing determinism.
 //!
-//! The searched space is the algorithm's own knob table
-//! ([`Algorithm::knobs`]). The dispatch knobs
-//! ([`ecl_gpusim::schedule::DISPATCH_KNOBS`]: engine, worker count,
-//! claim grain) are *excluded*: scheduler determinism guarantees they
-//! cannot move the modeled-cost objective, so sweeping them would only
-//! burn budget. They stay in every emitted schedule at their defaults.
+//! The searched space is the algorithm's knob table
+//! ([`Algorithm::knobs`]), and every emitted schedule assigns each of
+//! its knobs. Host dispatch is not searched: every candidate is
+//! evaluated in order (see [`crate::eval`]).
 //!
 //! Every distinct candidate is evaluated exactly once (memoized by
 //! canonical JSON), and all evaluation times are recorded into an
@@ -56,8 +54,7 @@ impl Default for SearchConfig {
 /// The outcome of one (algorithm, input) search.
 #[derive(Clone, Debug)]
 pub struct SearchResult {
-    /// Best complete schedule found (searchable winners plus
-    /// cost-neutral defaults).
+    /// Best complete schedule found (every knob of the table).
     pub best: Schedule,
     /// Modeled time of `best`.
     pub best_time: f64,
@@ -318,8 +315,7 @@ mod tests {
         let input = internet();
         let r = search(algo("gc"), &input, &SearchConfig::default()).unwrap();
         assert!(r.best.check_against_registry(algo("gc").knobs()).is_ok());
-        // The dispatch knobs ride along at defaults.
-        assert_eq!(r.best.str_knob("dispatch"), Some("pool"));
+        assert_eq!(r.best.len(), algo("gc").knobs().len());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 use std::sync::OnceLock;
 
 use ecl_algos::{Algorithm, ALL};
-use ecl_gpusim::schedule::DISPATCH_KNOBS;
-use ecl_gpusim::Schedule;
+use ecl_gpusim::pool::with_policy;
+use ecl_gpusim::{DispatchPolicy, Schedule};
 use ecl_tune::{evaluate, TuneInput};
 use proptest::prelude::*;
 
@@ -32,30 +32,14 @@ fn input_for(algo: &dyn Algorithm) -> &'static TuneInput {
 
 /// Mixed-radix decode of `salt` into one admissible value per
 /// registered knob: every point of the (small, discrete) knob
-/// cross-product is reachable, including the dispatch knobs the
-/// search itself never varies.
+/// cross-product is reachable.
 fn schedule_from_salt(algo: &dyn Algorithm, mut salt: u64) -> Schedule {
     let mut s = Schedule::new();
-    for spec in DISPATCH_KNOBS.iter().chain(algo.knobs()) {
+    for spec in algo.knobs() {
         let n = spec.domain.len() as u64;
         s.set(spec.name, spec.domain.value((salt % n) as usize));
         salt /= n;
     }
-    s
-}
-
-/// Pins the dispatch knobs to the sequential reference engine.
-/// Dispatch knobs round-trip like any other knob (the canonical
-/// fixed-point check covers them), but the *evaluation* comparison
-/// must not force multi-worker engines: SCC's per-block iteration
-/// counters — and hence its modeled time — legitimately depend on
-/// thread interleaving (see `tests/scheduler_determinism.rs`), which
-/// would fail the property for reasons unrelated to serialization.
-fn pin_sequential(mut s: Schedule) -> Schedule {
-    use ecl_gpusim::schedule::{KnobValue, INHERIT};
-    s.set("dispatch", KnobValue::Str("seq".into()));
-    s.set("workers", KnobValue::Int(1));
-    s.set("grain", KnobValue::Int(INHERIT));
     s
 }
 
@@ -77,9 +61,12 @@ proptest! {
         // fixed point (manifest diffs stay meaningful).
         prop_assert_eq!(parsed.to_json(), wire);
 
+        // A bit-for-bit modeled-time comparison pins the in-order
+        // schedule itself rather than relying on `evaluate`'s own pin.
         let input = input_for(algo);
-        let direct = evaluate(algo, input, &pin_sequential(schedule)).unwrap();
-        let roundtripped = evaluate(algo, input, &pin_sequential(parsed)).unwrap();
+        let (direct, roundtripped) = with_policy(DispatchPolicy::sequential(), || {
+            (evaluate(algo, input, &schedule).unwrap(), evaluate(algo, input, &parsed).unwrap())
+        });
         prop_assert!(
             direct.modeled_time.to_bits() == roundtripped.modeled_time.to_bits(),
             "{}: modeled time drifted across serialization: {} vs {} ({})",

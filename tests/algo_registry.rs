@@ -21,10 +21,10 @@ use ecl_suite::graph::{Csr, WeightedCsr};
 use ecl_suite::serve::exec::execute as serve_execute;
 use ecl_suite::serve::{Algo, CatalogConfig, GraphCatalog, JobSpec};
 use ecl_suite::sim::pool::{with_policy, DispatchPolicy};
-use ecl_suite::sim::schedule::{KnobDomain, KnobSpec, KnobValue, BLOCK_SIZES, DISPATCH_KNOBS};
+use ecl_suite::sim::schedule::{KnobDomain, KnobSpec, KnobValue, BLOCK_SIZES};
 use ecl_suite::sim::{launch_flat, CostKind, Device, DeviceConfig, LaunchConfig, Schedule};
 use ecl_suite::{cc, gc, gen, mis, mst, scc, shard};
-use ecl_tune::{evaluate, search, SearchConfig, TuneInput, TuneManifest};
+use ecl_tune::{evaluate, search, EvalOutcome, SearchConfig, TuneInput, TuneManifest};
 
 const SCALE: f64 = 0.002;
 const SEED: u64 = 7;
@@ -199,10 +199,9 @@ fn registry(name: &str, views: &Views<'_>, schedule: Option<&Schedule>) -> Golde
 }
 
 /// A manifest-style schedule: every knob present (the registered
-/// defaults), the named ones tuned, dispatch pinned to the sequential
-/// reference so the comparison is exact on any host.
+/// defaults), the named ones tuned.
 fn tuned(name: &str, knobs: &[(&str, KnobValue)]) -> Schedule {
-    let mut s = find(name).default_schedule().with("dispatch", KnobValue::Str("seq".into()));
+    let mut s = find(name).default_schedule();
     for (knob, value) in knobs {
         s.set(knob, value.clone());
     }
@@ -357,7 +356,7 @@ fn serve_registry_and_manifest_name_the_same_algorithms() {
 fn every_registered_default_schedule_is_valid() {
     for a in algos::ALL {
         let s = a.default_schedule();
-        assert_eq!(s.len(), DISPATCH_KNOBS.len() + a.knobs().len(), "{}: a name clash", a.name());
+        assert_eq!(s.len(), a.knobs().len(), "{}: a name clash", a.name());
         s.check_against_registry(a.knobs()).unwrap();
         let findings = ecl_check::lint_schedule(a.name(), a.knobs(), &s, &DeviceConfig::rtx4090());
         assert!(findings.is_empty(), "{}: {}", a.name(), findings[0].detail);
@@ -366,11 +365,36 @@ fn every_registered_default_schedule_is_valid() {
     // stale launch, GC both shortcuts, MIS degree priority salt 0.
     let defaults: Vec<String> = algos::ALL.iter().map(|a| a.default_schedule().to_json()).collect();
     let want = [
-        r#"{"block_size": 256, "dispatch": "pool", "grain": 0, "low_bin": 16, "medium_bin": 352, "optimized_init": false, "workers": 0}"#,
-        r#"{"block_size": 256, "dispatch": "pool", "grain": 0, "shortcut1": true, "shortcut2": true, "workers": 0}"#,
-        r#"{"dispatch": "pool", "grain": 0, "priority": "degree", "tie_salt": 0, "workers": 0}"#,
-        r#"{"block_size": 256, "dispatch": "pool", "fixed_launch": false, "grain": 0, "light_fraction": 0.5, "workers": 0}"#,
-        r#"{"block_size": 512, "dispatch": "pool", "grain": 0, "trim": false, "workers": 0}"#,
+        r#"{"block_size": 256, "low_bin": 16, "medium_bin": 352, "optimized_init": false}"#,
+        r#"{"block_size": 256, "shortcut1": true, "shortcut2": true}"#,
+        r#"{"priority": "degree", "tie_salt": 0}"#,
+        r#"{"block_size": 256, "fixed_launch": false, "light_fraction": 0.5}"#,
+        r#"{"block_size": 512, "trim": false}"#,
     ];
     assert_eq!(defaults, want);
+}
+
+/// The tuner's objective is the in-order modeled time whatever policy
+/// its caller runs under: ten evaluations inside a four-worker pool and
+/// ten inside the in-order policy give one modeled time and one result.
+#[test]
+fn evaluate_runs_in_order_under_any_caller_policy() {
+    let und = TuneInput::from_registry("internet", SCALE, SEED).unwrap();
+    let dir = TuneInput::from_registry("toroid-wedge", SCALE, SEED).unwrap();
+    for a in algos::ALL {
+        let input = if a.directed() { &dir } else { &und };
+        let schedule = a.default_schedule();
+        let ten = |policy| {
+            with_policy(policy, || {
+                (0..10).map(|_| evaluate(a, input, &schedule).unwrap()).collect::<Vec<_>>()
+            })
+        };
+        let mut runs = ten(DispatchPolicy::pooled(4));
+        runs.extend(ten(DispatchPolicy::sequential()));
+        let key = |r: &EvalOutcome| (r.modeled_time.to_bits(), r.result_sig);
+        let first = key(&runs[0]);
+        for (i, r) in runs.iter().enumerate() {
+            assert_eq!(key(r), first, "{}: run {i} of 20 ({})", a.name(), r.modeled_time);
+        }
+    }
 }

@@ -173,15 +173,20 @@ fn scc_1024_penalty_is_device_shape_dependent() {
 }
 
 /// §6.2.1 / Table 6: oversized blocks lose; the occupancy model gives
-/// 1024-thread blocks a hard 2/3 ceiling on the 1536-thread SM.
+/// 1024-thread blocks a hard 2/3 ceiling on the 1536-thread SM. The
+/// claim is about the canonical (in-order) modeled time: the 512-vs-1024
+/// margin is inside a multi-worker pool's interleaving spread.
 #[test]
 fn scc_block_size_extremes_lose() {
     let spec = gen::registry::find("toroid-hex").unwrap();
     let g = spec.generate(0.002, SEED);
     let cost = |bs: usize| {
-        let d = sim::Device::new(sim::DeviceConfig { num_sms: 8, ..sim::DeviceConfig::rtx4090() });
-        let r = scc::run(&d, &g, &scc::SccConfig::with_block_size(bs));
-        r.modeled_parallel_time / d.config().occupancy(bs)
+        sim::pool::with_policy(sim::DispatchPolicy::sequential(), || {
+            let d =
+                sim::Device::new(sim::DeviceConfig { num_sms: 8, ..sim::DeviceConfig::rtx4090() });
+            let r = scc::run(&d, &g, &scc::SccConfig::with_block_size(bs));
+            r.modeled_parallel_time / d.config().occupancy(bs)
+        })
     };
     let interior = cost(256).min(cost(512));
     assert!(interior < cost(1024), "interior block sizes should beat 1024");
