@@ -5,10 +5,11 @@
 //! Mirrors [`crate::check_suite`]: each entry declares its expected
 //! verdict and the run compares against it. Clean harnesses must
 //! verify with zero findings (the tentpole harnesses — ticket-claim,
-//! the block-local tally fold, finish-path, the serve reactor's
-//! event-ring / wake / handoff protocols, the cross-shard mailbox
-//! exchange, and the observer slot's publish-and-retire —
-//! additionally *exhaustively*, or the entry fails — a budget cut
+//! the block-local tally fold, the counted min/max test-first path,
+//! finish-path, the serve reactor's event-ring / wake / handoff
+//! protocols, the cross-shard mailbox exchange, and the observer
+//! slot's publish-and-retire — additionally *exhaustively*, or the
+//! entry fails — a budget cut
 //! there means the CI budget no longer covers the protocol); fixtures
 //! must be found and classified under their declared rule, so the
 //! detector itself is regression-tested.
@@ -89,9 +90,10 @@ impl McEntryOutcome {
 
 /// The protocol-bearing harnesses that must be explored exhaustively
 /// at the CI bound, not merely come out clean.
-const EXHAUSTIVE: [&str; 8] = [
+const EXHAUSTIVE: [&str; 9] = [
     "pool-ticket-claim",
     "tally-fold",
+    "counted-minmax",
     "scheduler-finish",
     "serve-conn-ring",
     "serve-reactor-wakeup",

@@ -16,7 +16,8 @@ use std::sync::Arc;
 use ecl_check::Rule;
 
 use crate::harnesses::{
-    drain, finish_path, reactor_handoff, reactor_wakeup, shard_exchange, sink_publish, tally_fold,
+    counted_minmax, drain, finish_path, reactor_handoff, reactor_wakeup, shard_exchange,
+    sink_publish, tally_fold,
 };
 use crate::shim::atomic::McAtomicU64;
 use crate::shim::cell::McCell;
@@ -98,6 +99,12 @@ pub const ALL: &[FixtureEntry] = &[
         name: "tally-fold-after-retire",
         about: "block-local cost tally folded after the retire: the launch joins without it",
         run: tally_fold_after_retire,
+        expect: Rule::McAssertion,
+    },
+    FixtureEntry {
+        name: "counted-minmax-inverted-skip",
+        about: "min/max skip test flipped: a raise is skipped and reported as an update",
+        run: counted_minmax_inverted_skip,
         expect: Rule::McAssertion,
     },
 ];
@@ -197,6 +204,14 @@ pub fn sink_free_on_replace() {
 /// reads a device tally that is missing this worker's blocks.
 pub fn tally_fold_after_retire() {
     tally_fold(false);
+}
+
+/// The counted `atomicMax` with its skip test pointing the wrong way
+/// (`min_is_noop`, i.e. skip when `v >= seen`): the call that should
+/// raise the cell returns the loaded value without writing, so its
+/// `Updated` outcome is not its effect and the maximum never lands.
+pub fn counted_minmax_inverted_skip() {
+    counted_minmax(ecl_gpusim::min_is_noop::<u64>);
 }
 
 /// Classic ABBA: thread 1 locks A then B, thread 2 locks B then A.

@@ -3,6 +3,7 @@
 //! instrumented shim primitives and — where the production code
 //! exposes its arithmetic as pure functions — the *same* functions
 //! the production path calls ([`ecl_gpusim::ticket_range`],
+//! [`ecl_gpusim::max_is_noop`],
 //! [`ecl_serve::jobs::JobState::can_become`],
 //! [`ecl_serve::cache::result_key`]).
 //!
@@ -18,7 +19,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ecl_gpusim::pool::auto_grain;
-use ecl_gpusim::ticket_range;
+use ecl_gpusim::{max_is_noop, ticket_range};
 use ecl_serve::cache::result_key;
 use ecl_serve::jobs::{Algo, JobSpec, JobState};
 use ecl_serve::ring::ring_slot;
@@ -52,6 +53,11 @@ pub const ALL: &[HarnessEntry] = &[
         name: "tally-fold",
         about: "block-local cost tally folded before the retire: the launch join sees all of it",
         run: tally_fold_clean,
+    },
+    HarnessEntry {
+        name: "counted-minmax",
+        about: "test-first atomicMax: a skipped RMW is a no-op, every call counted once",
+        run: counted_minmax_clean,
     },
     HarnessEntry {
         name: "scheduler-finish",
@@ -236,6 +242,65 @@ pub fn tally_fold(fold_before_retire: bool) {
 /// The clean fold (inside the block, before the retire).
 pub fn tally_fold_clean() {
     tally_fold(true);
+}
+
+/// Shared body for the counted min/max harness and its seeded-defect
+/// fixture: `CountedU64::fetch_max`'s test-first shape on the shim
+/// atomics. Each of two threads runs two maxes: a relaxed load, the
+/// skip test `skip(seen, v)`, and the RMW only when the test fails. The
+/// outcome is derived from the returned old value as production derives
+/// it (`Updated` iff `old < v`) and tallied; a call *wrote* iff it ran
+/// the RMW and that RMW raised the cell.
+///
+/// `skip = max_is_noop` is production's test: a call it skips writes
+/// nothing, so its `NoEffect` is true, and the cell ends at the maximum.
+/// `skip = min_is_noop` flips the direction: the first call already
+/// skips a raise, reports `Updated` for a write that never happened,
+/// and the maximum is lost.
+pub fn counted_minmax(skip: fn(u64, u64) -> bool) {
+    const VALUES: [[u64; 2]; 2] = [[3, 1], [2, 4]];
+    let cell = Arc::new(McAtomicU64::new("counted.cell", 0));
+    let updated = Arc::new(McAtomicU64::new("tally.updated", 0));
+    let no_effect = Arc::new(McAtomicU64::new("tally.no_effect", 0));
+
+    let worker = |w: usize| {
+        let cell = Arc::clone(&cell);
+        let updated = Arc::clone(&updated);
+        let no_effect = Arc::clone(&no_effect);
+        thread::spawn(&format!("thread{w}"), move || {
+            for v in VALUES[w] {
+                let seen = cell.load(Ordering::Relaxed);
+                let (old, wrote) = if skip(seen, v) {
+                    (seen, false)
+                } else {
+                    let old = cell.fetch_max(v, Ordering::Relaxed);
+                    (old, old < v)
+                };
+                let outcome_updated = old < v;
+                assert_eq!(
+                    outcome_updated, wrote,
+                    "max({v}) returned {old}: outcome is not the effect"
+                );
+                let tally = if outcome_updated { &updated } else { &no_effect };
+                tally.fetch_add(1, Ordering::Relaxed);
+            }
+        })
+    };
+    let h0 = worker(0);
+    let h1 = worker(1);
+    h0.join();
+    h1.join();
+    assert_eq!(cell.load(Ordering::Relaxed), 4, "the maximum was lost");
+    assert_eq!(
+        updated.load(Ordering::Relaxed) + no_effect.load(Ordering::Relaxed),
+        4,
+        "a call escaped the tally"
+    );
+}
+
+/// The clean counted min/max (production's skip test).
+pub fn counted_minmax_clean() {
+    counted_minmax(max_is_noop::<u64>);
 }
 
 /// Shared body for the scheduler finish-path harness and its seeded-

@@ -46,7 +46,7 @@ pub fn strongly_connected_components(device: &Device, g: &Csr, config: &SccConfi
     // before any propagation work. Trimmed vertices keep
     // v_in = v_out = id, which is already their correct label.
     if config.trim {
-        let trimmed = trim_edges(device, n, &mut edges, config.block_size);
+        let trimmed = trim_edges(device, n, &mut edges);
         if counters.enabled() {
             counters.edges_removed.add(trimmed);
         }
@@ -80,7 +80,7 @@ pub fn strongly_connected_components(device: &Device, g: &Csr, config: &SccConfi
         // Stage 3: edge removal.
         ecl_trace::sink::phase_start("prune");
         let before = edges.len();
-        prune(device, config, &edges, &v_in, &v_out);
+        prune(device, config, &edges);
         parallel_time += params.kernel_launch
             + edges.len().div_ceil(num_blocks.max(1)) as f64 * params.thread_work;
         edges.retain(|&(u, v)| {
@@ -242,7 +242,7 @@ fn partition_bounds(len: usize, parts: usize, i: usize) -> (usize, usize) {
 /// with zero in- or out-degree in the current edge list, until no
 /// such vertex remains. Returns the number of edges removed. Each
 /// pass is charged like a degree-counting + filtering kernel.
-fn trim_edges(device: &Device, n: usize, edges: &mut Vec<(u32, u32)>, block_size: usize) -> u64 {
+fn trim_edges(device: &Device, n: usize, edges: &mut Vec<(u32, u32)>) -> u64 {
     let mut removed = 0u64;
     let mut in_deg = vec![0u32; n];
     let mut out_deg = vec![0u32; n];
@@ -267,19 +267,12 @@ fn trim_edges(device: &Device, n: usize, edges: &mut Vec<(u32, u32)>, block_size
             return removed;
         }
         removed += (before - edges.len()) as u64;
-        let _ = block_size;
     }
 }
 
 /// The removal-test kernel: charges the per-edge signature comparison
 /// (the actual compaction happens host-side right after).
-fn prune(
-    device: &Device,
-    config: &SccConfig,
-    edges: &[(u32, u32)],
-    _v_in: &[CountedU32],
-    _v_out: &[CountedU32],
-) {
+fn prune(device: &Device, config: &SccConfig, edges: &[(u32, u32)]) {
     let len = edges.len();
     let cfg = LaunchConfig::cover(len, config.block_size);
     launch_flat_named(device, "scc.prune", cfg, |t| {

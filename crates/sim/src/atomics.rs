@@ -15,6 +15,17 @@
 //! of every launch provides the final synchronization. This mirrors the
 //! CUDA originals, which use plain `atomicCAS`/`atomicMin` with device
 //! memory semantics.
+//!
+//! An ineffective min/max is a load. `fetch_min`/`fetch_max` load the
+//! cell first. When the loaded value already proves the operation a
+//! no-op ([`min_is_noop`], [`max_is_noop`]), they issue no RMW and
+//! return the loaded value as the old value. A no-effect min/max writes
+//! nothing, so linearizing it at that load is a legal execution of the
+//! same atomic: the simulated program, its outcome counts, checker
+//! classification and trace events are those of the RMW. Only the host
+//! stops paying a locked read-modify-write (on x86 a `lock cmpxchg`
+//! loop) for a no-op. `cas` keeps its RMW: its failures are a measured
+//! outcome of their own.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
@@ -47,6 +58,21 @@ fn trace_outcome(outcome: AtomicOutcome) {
         };
         sink::emit(kind, u32::MAX, 0, 0);
     }
+}
+
+/// The skip test of the counted `atomicMin`: whether a cell seen
+/// holding `seen` makes `atomicMin(v)` a no-op (`v >= seen`). Shared
+/// with the `ecl-mc` harness that checks the test-first protocol.
+#[inline(always)]
+pub fn min_is_noop<T: Ord>(seen: T, v: T) -> bool {
+    v >= seen
+}
+
+/// The skip test of the counted `atomicMax`: whether a cell seen
+/// holding `seen` makes `atomicMax(v)` a no-op (`v <= seen`).
+#[inline(always)]
+pub fn max_is_noop<T: Ord>(seen: T, v: T) -> bool {
+    v <= seen
 }
 
 macro_rules! counted_atomic {
@@ -89,81 +115,70 @@ macro_rules! counted_atomic {
                 self.inner.store(v, Ordering::Relaxed)
             }
 
+            /// Records one RMW outcome in `tally`, the trace sink and
+            /// the checker.
+            #[inline(always)]
+            fn record_rmw(&self, outcome: AtomicOutcome, tally: Option<&AtomicTally>) {
+                if let Some(t) = tally {
+                    t.record(outcome);
+                }
+                trace_outcome(outcome);
+                check::on_access(
+                    self as *const Self as usize,
+                    std::mem::size_of::<Self>(),
+                    rmw_access_kind(outcome),
+                );
+            }
+
             /// CUDA `atomicCAS`: installs `new` iff the cell holds
             /// `expected`; returns the value held before the operation
             /// (CUDA semantics). Records Updated / CasFailed.
             #[inline]
             pub fn cas(&self, expected: $prim, new: $prim, tally: Option<&AtomicTally>) -> $prim {
-                match self.inner.compare_exchange(
+                let (old, outcome) = match self.inner.compare_exchange(
                     expected,
                     new,
                     Ordering::Relaxed,
                     Ordering::Relaxed,
                 ) {
-                    Ok(old) => {
-                        if let Some(t) = tally {
-                            t.record(AtomicOutcome::Updated);
-                        }
-                        trace_outcome(AtomicOutcome::Updated);
-                        check::on_access(
-                            self as *const Self as usize,
-                            std::mem::size_of::<Self>(),
-                            rmw_access_kind(AtomicOutcome::Updated),
-                        );
-                        old
-                    }
-                    Err(old) => {
-                        if let Some(t) = tally {
-                            t.record(AtomicOutcome::CasFailed);
-                        }
-                        trace_outcome(AtomicOutcome::CasFailed);
-                        check::on_access(
-                            self as *const Self as usize,
-                            std::mem::size_of::<Self>(),
-                            rmw_access_kind(AtomicOutcome::CasFailed),
-                        );
-                        old
-                    }
-                }
+                    Ok(old) => (old, AtomicOutcome::Updated),
+                    Err(old) => (old, AtomicOutcome::CasFailed),
+                };
+                self.record_rmw(outcome, tally);
+                old
             }
 
             /// CUDA `atomicMin`: lowers the cell to `v` if smaller;
             /// returns the previous value and records Updated /
-            /// NoEffect.
+            /// NoEffect. A no-op is a load (module docs).
             #[inline]
             pub fn fetch_min(&self, v: $prim, tally: Option<&AtomicTally>) -> $prim {
-                let old = self.inner.fetch_min(v, Ordering::Relaxed);
+                let seen = self.inner.load(Ordering::Relaxed);
+                let old = if min_is_noop(seen, v) {
+                    seen
+                } else {
+                    self.inner.fetch_min(v, Ordering::Relaxed)
+                };
                 let outcome =
                     if v < old { AtomicOutcome::Updated } else { AtomicOutcome::NoEffect };
-                if let Some(t) = tally {
-                    t.record(outcome);
-                }
-                trace_outcome(outcome);
-                check::on_access(
-                    self as *const Self as usize,
-                    std::mem::size_of::<Self>(),
-                    rmw_access_kind(outcome),
-                );
+                self.record_rmw(outcome, tally);
                 old
             }
 
             /// CUDA `atomicMax`: raises the cell to `v` if larger;
             /// returns the previous value and records Updated /
-            /// NoEffect.
+            /// NoEffect. A no-op is a load (module docs).
             #[inline]
             pub fn fetch_max(&self, v: $prim, tally: Option<&AtomicTally>) -> $prim {
-                let old = self.inner.fetch_max(v, Ordering::Relaxed);
+                let seen = self.inner.load(Ordering::Relaxed);
+                let old = if max_is_noop(seen, v) {
+                    seen
+                } else {
+                    self.inner.fetch_max(v, Ordering::Relaxed)
+                };
                 let outcome =
                     if v > old { AtomicOutcome::Updated } else { AtomicOutcome::NoEffect };
-                if let Some(t) = tally {
-                    t.record(outcome);
-                }
-                trace_outcome(outcome);
-                check::on_access(
-                    self as *const Self as usize,
-                    std::mem::size_of::<Self>(),
-                    rmw_access_kind(outcome),
-                );
+                self.record_rmw(outcome, tally);
                 old
             }
 
@@ -329,5 +344,126 @@ mod tests {
         let mut a = CountedU32::new(1);
         *a.get_mut() = 42;
         assert_eq!(a.load(), 42);
+    }
+
+    /// The test-first min/max against a reference that always issues
+    /// the RMW: same old values, same final value, same tally. Values
+    /// are multiples of `MAX / 15`, so equal operands (no-ops that the
+    /// skip test must catch) are common and the top bits are used.
+    macro_rules! minmax_matches_the_rmw {
+        ($test:ident, $counted:ty, $raw:ty, $prim:ty) => {
+            proptest::proptest! {
+                #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+                #[test]
+                fn $test(
+                    init in 0u64..16,
+                    ops in proptest::collection::vec((0u8..2, 0u64..16), 0..48),
+                ) {
+                    let step = <$prim>::MAX / 15;
+                    let fast = <$counted>::new(init as $prim * step);
+                    let rmw = <$raw>::new(init as $prim * step);
+                    let (fast_tally, rmw_tally) = (AtomicTally::new(), AtomicTally::new());
+                    for (is_max, x) in ops {
+                        let v = x as $prim * step;
+                        let (got, want, updated) = if is_max == 1 {
+                            let want = rmw.fetch_max(v, Ordering::Relaxed);
+                            (fast.fetch_max(v, Some(&fast_tally)), want, v > want)
+                        } else {
+                            let want = rmw.fetch_min(v, Ordering::Relaxed);
+                            (fast.fetch_min(v, Some(&fast_tally)), want, v < want)
+                        };
+                        rmw_tally.record(if updated {
+                            AtomicOutcome::Updated
+                        } else {
+                            AtomicOutcome::NoEffect
+                        });
+                        proptest::prop_assert_eq!(got, want);
+                    }
+                    proptest::prop_assert_eq!(fast.load(), rmw.load(Ordering::Relaxed));
+                    proptest::prop_assert_eq!(
+                        (fast_tally.updated(), fast_tally.no_effect()),
+                        (rmw_tally.updated(), rmw_tally.no_effect())
+                    );
+                }
+            }
+        };
+    }
+
+    minmax_matches_the_rmw!(minmax_u8_matches_the_rmw, CountedU8, AtomicU8, u8);
+    minmax_matches_the_rmw!(minmax_u32_matches_the_rmw, CountedU32, AtomicU32, u32);
+    minmax_matches_the_rmw!(minmax_u64_matches_the_rmw, CountedU64, AtomicU64, u64);
+
+    #[test]
+    fn concurrent_fetch_max_reaches_the_max_and_counts_every_call() {
+        const THREADS: u32 = 4;
+        const CALLS: u32 = 10_000;
+        let a = CountedU32::new(0);
+        let t = AtomicTally::new();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for w in 0..THREADS {
+                let (a, t, start) = (&a, &t, &start);
+                // Interleaved ascending values from a common start: the
+                // threads keep overtaking each other, so both paths run.
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..CALLS {
+                        a.fetch_max(i * THREADS + w, Some(t));
+                    }
+                });
+            }
+        });
+        assert_eq!(a.load(), THREADS * CALLS - 1);
+        assert_eq!(t.updated() + t.no_effect(), u64::from(THREADS * CALLS));
+        assert!(t.updated() >= 1);
+    }
+
+    #[test]
+    fn a_skipped_rmw_still_reports_no_effect_to_checker_and_tracer() {
+        use std::sync::Arc;
+
+        let _serial = crate::lock_global_sinks();
+        let d = crate::Device::test_small();
+        let rec =
+            Arc::new(check::tests::Recorder { device: check::device_id(&d), ..Default::default() });
+        check::install(rec.clone());
+        let tracer = Arc::new(ecl_trace::Tracer::new(ecl_trace::TracerConfig {
+            slots: 64,
+            events_per_slot: 256,
+            clock: ecl_trace::ClockMode::Logical,
+        }));
+        sink::install(Arc::clone(&tracer));
+        // Marks this thread's ring: other tests' threads record into
+        // their own rings while the tracer is installed.
+        const MARK: u32 = 0x5EED;
+        sink::emit(EventKind::Marker, 0, 0, MARK);
+
+        let (a, b, c) = (CountedU8::new(5), CountedU32::new(5), CountedU64::new(5));
+        // One in-order block, run on this thread: six no-ops (each
+        // proven by the first load, so no RMW), then one real update.
+        crate::pool::with_policy(crate::DispatchPolicy::sequential(), || {
+            crate::launch_blocks_named(&d, "t.skip", crate::LaunchConfig::new(1, 1), |_| {
+                assert_eq!((a.fetch_max(5, None), a.fetch_min(9, None)), (5, 5));
+                assert_eq!((b.fetch_max(1, None), b.fetch_min(5, None)), (5, 5));
+                assert_eq!((c.fetch_max(0, None), c.fetch_min(u64::MAX, None)), (5, 5));
+                assert_eq!(b.fetch_max(6, None), 5);
+            });
+        });
+        sink::uninstall();
+        check::uninstall();
+
+        let calls = rec.calls.lock().unwrap();
+        let accesses: Vec<&str> =
+            calls.iter().filter(|c| c.starts_with("access")).map(String::as_str).collect();
+        let no_effect = |size| format!("access AtomicNoEffect {size} b0");
+        let (n1, n4, n8) = (no_effect(1), no_effect(4), no_effect(8));
+        assert_eq!(accesses, [&n1, &n1, &n4, &n4, &n8, &n8, "access AtomicUpdated 4 b0"]);
+
+        let snap = tracer.snapshot();
+        let me = snap.of_kind(EventKind::Marker).find(|e| e.payload == MARK).unwrap().thread;
+        let mine = |kind| snap.of_kind(kind).filter(|e| e.thread == me).count();
+        assert_eq!(mine(EventKind::AtomicNoEffect), 6);
+        assert_eq!(mine(EventKind::AtomicUpdated), 1);
     }
 }

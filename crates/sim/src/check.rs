@@ -309,16 +309,17 @@ pub(crate) fn on_lane_sync(lane: u32) {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::atomics::atomic_u32_array;
     use crate::launch::{launch_blocks_named, launch_flat_named, launch_warps_named};
     use std::sync::Mutex as StdMutex;
 
+    /// Logs every hook call of launches on `device`, one line each.
     #[derive(Default)]
-    struct Recorder {
-        device: usize,
-        calls: StdMutex<Vec<String>>,
+    pub(crate) struct Recorder {
+        pub(crate) device: usize,
+        pub(crate) calls: StdMutex<Vec<String>>,
     }
 
     impl Recorder {
@@ -363,12 +364,14 @@ mod tests {
     }
 
     // The sink is process-global, so (like the trace sink's tests)
-    // everything shares one #[test] body to avoid interference under
-    // the parallel runner. Launches from *other* concurrently running
+    // everything shares one #[test] body, serialized with the crate's
+    // other sink-installing tests, to avoid interference under the
+    // parallel runner. Launches from *other* concurrently running
     // sim tests hit `launch_begin` with a different device id and are
     // rejected, so they cannot pollute the recording.
     #[test]
     fn hook_lifecycle_and_agent_identity() {
+        let _serial = crate::lock_global_sinks();
         assert!(!is_enabled());
         assert!(current_agent().is_none());
 

@@ -40,7 +40,7 @@ pub mod schedule;
 pub mod shard;
 pub mod timing;
 
-pub use atomics::{CountedU32, CountedU64, CountedU8};
+pub use atomics::{max_is_noop, min_is_noop, CountedU32, CountedU64, CountedU8};
 pub use check::{AccessKind, Agent, CheckSink, LaunchShape};
 pub use cost::{CostKind, CostParams, CostTally};
 pub use device::{Device, DeviceConfig};
@@ -54,3 +54,12 @@ pub use profile::{KernelProfile, KernelRecord};
 pub use schedule::{default_schedule, KnobDomain, KnobSpec, KnobValue, Schedule};
 pub use shard::ShardGuard;
 pub use timing::run_timed;
+
+/// Serializes this crate's unit tests that install a process-global
+/// observer (the check sink, the trace sink): each asserts on what its
+/// own observer recorded, which a concurrent install would replace.
+#[cfg(test)]
+pub(crate) fn lock_global_sinks() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

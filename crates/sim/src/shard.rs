@@ -116,6 +116,7 @@ mod tests {
 
     #[test]
     fn switches_emit_trace_markers() {
+        let _serial = crate::lock_global_sinks();
         let tracer = std::sync::Arc::new(ecl_trace::Tracer::new(ecl_trace::TracerConfig {
             slots: 2,
             events_per_slot: 64,

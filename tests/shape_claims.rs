@@ -150,16 +150,20 @@ fn scc_updates_localize_and_star_peels() {
 /// an SM-shape artifact. On an A100-shaped device (2048-thread SMs)
 /// the same sweep keeps 1024-thread blocks at full occupancy, so the
 /// occupancy-corrected penalty shrinks — the kind of what-if a
-/// simulator answers that a hardware study cannot.
+/// simulator answers that a hardware study cannot. Like the Table 6
+/// claim below, it is about the in-order modeled time: under a
+/// multi-worker pool the two penalties' spread overlaps.
 #[test]
 fn scc_1024_penalty_is_device_shape_dependent() {
     let spec = gen::registry::find("toroid-wedge").unwrap();
     let g = spec.generate(0.002, SEED);
     let ratio = |config: sim::DeviceConfig| {
         let cost = |bs: usize| {
-            let d = sim::Device::new(sim::DeviceConfig { num_sms: 8, ..config });
-            let r = scc::run(&d, &g, &scc::SccConfig::with_block_size(bs));
-            r.modeled_parallel_time / d.config().occupancy(bs)
+            sim::pool::with_policy(sim::DispatchPolicy::sequential(), || {
+                let d = sim::Device::new(sim::DeviceConfig { num_sms: 8, ..config });
+                let r = scc::run(&d, &g, &scc::SccConfig::with_block_size(bs));
+                r.modeled_parallel_time / d.config().occupancy(bs)
+            })
         };
         cost(1024) / cost(512)
     };
