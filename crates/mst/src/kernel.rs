@@ -1,8 +1,6 @@
 //! The ECL-MST Borůvka rounds: election (K1), selection/merge (K2),
 //! reset, and worklist compaction.
 
-use parking_lot::Mutex;
-
 use ecl_check::{register_benign_region, register_region, CheckedSlice};
 use ecl_gpusim::atomics::{atomic_u32_array, atomic_u64_array, atomic_u8_array};
 use ecl_gpusim::{
@@ -44,7 +42,8 @@ struct State<'a> {
     /// `(epoch << 32) | count` so they need no per-iteration reset.
     attempts: Vec<CountedU64>,
     epoch: u32,
-    winners: Mutex<Vec<EdgeId>>,
+    /// `(id, weight)` of every edge K2 merged, in compaction order.
+    winners: Vec<(EdgeId, u32)>,
 }
 
 /// Runs the full ECL-MST pipeline.
@@ -74,7 +73,7 @@ pub fn minimum_spanning_forest(device: &Device, g: &WeightedCsr, config: &MstCon
         best: atomic_u64_array(n, |_| NONE_KEY),
         attempts: atomic_u64_array(n, |_| 0),
         epoch: 0,
-        winners: Mutex::new(Vec::new()),
+        winners: Vec::new(),
     };
     // Best keys are written non-atomically only by the reset pass,
     // where every writer stores the same NONE_KEY sentinel. Attempt
@@ -136,11 +135,9 @@ pub fn minimum_spanning_forest(device: &Device, g: &WeightedCsr, config: &MstCon
         }
     }
 
-    let mut chosen = state.winners.into_inner();
+    let total_weight = state.winners.iter().map(|&(_, w)| u64::from(w)).sum();
+    let mut chosen: Vec<EdgeId> = state.winners.iter().map(|&(id, _)| id).collect();
     chosen.sort_unstable();
-    let weight_of: std::collections::HashMap<EdgeId, u32> =
-        g.unique_edges().into_iter().map(|(id, _, _, w)| (id, w)).collect();
-    let total_weight = chosen.iter().map(|id| weight_of[id] as u64).sum();
     let num_trees = state.uf.num_sets(device);
     MstResult { edges: chosen, total_weight, num_trees, counters }
 }
@@ -155,9 +152,8 @@ fn light_threshold(edges: &[WorkEdge], light_fraction: f64) -> u32 {
         return u32::MAX; // everything is light
     }
     let mut ws: Vec<u32> = edges.iter().map(|e| e.w).collect();
-    ws.sort_unstable();
-    let idx = ((ws.len() as f64) * light_fraction) as usize;
-    ws[idx.min(ws.len() - 1)]
+    let idx = (((ws.len() as f64) * light_fraction) as usize).min(ws.len() - 1);
+    *ws.select_nth_unstable(idx).1
 }
 
 /// One Borůvka iteration over `worklist`: K1 election, K2
@@ -194,7 +190,8 @@ fn iteration(
     let activity = ActivityTally::new();
     let iter_atomics = AtomicTally::new();
     // Roots observed by K1, reused by K2 for a consistent winner check,
-    // and attempt flags for the conflict metric.
+    // attempt flags for the conflict metric, and K2's merge flags for
+    // the compaction pass to collect.
     // Per-slot scratch is strictly exclusive: one warp (K1) or lane
     // (K2/reset) owns index i. Registered non-benign so the checker
     // proves that exclusivity every iteration.
@@ -204,6 +201,8 @@ fn iteration(
     let root_v = CheckedSlice::new("mst.root-v", &root_v);
     let attempted = atomic_u8_array(len, |_| 0);
     let attempted = CheckedSlice::new("mst.attempted", &attempted);
+    let won = atomic_u8_array(len, |_| 0);
+    let won = CheckedSlice::new("mst.won", &won);
 
     // K1: election. One thread per worklist slot; a non-atomic check
     // guards the atomicMin (the §6.1.4 conflict/useless-atomic
@@ -317,7 +316,7 @@ fn iteration(
             let tally = if profiling { Some(&counters.atomics) } else { None };
             if state.uf.union(ru, rv, device, tally) {
                 merges.inc();
-                state.winners.lock().push(e.id);
+                won[t.global].store(1);
             } else {
                 debug_assert!(false, "winner edges form a forest; union cannot fail");
             }
@@ -338,8 +337,17 @@ fn iteration(
     });
 
     // Compaction (K2's epilogue / the Filter step's "removes redundant
-    // edges early"): drop edges now internal to one component.
-    worklist.retain(|e| state.uf.find(e.u, device) != state.uf.find(e.v, device));
+    // edges early"): drop edges now internal to one component. Every
+    // edge K2 merged is internal now, so this pass also collects them
+    // (flag, then compact: no host lock on the simulated-thread path).
+    let mut slot = 0;
+    worklist.retain(|e| {
+        if won[slot].load() != 0 {
+            state.winners.push((e.id, e.w));
+        }
+        slot += 1;
+        state.uf.find(e.u, device) != state.uf.find(e.v, device)
+    });
 
     if profiling {
         counters.worklist_per_iteration.push(worklist.len() as u64);
@@ -381,15 +389,10 @@ fn attempt_count(attempts: &[CountedU64], root: u32, epoch: u32) -> u64 {
 impl MstCounters {
     /// Folds one iteration's atomic outcomes into the cumulative tally.
     fn merge_iteration(&self, iter: &AtomicTally) {
-        for _ in 0..iter.updated() {
-            self.atomics.record(ecl_profiling::AtomicOutcome::Updated);
-        }
-        for _ in 0..iter.no_effect() {
-            self.atomics.record(ecl_profiling::AtomicOutcome::NoEffect);
-        }
-        for _ in 0..iter.cas_failed() {
-            self.atomics.record(ecl_profiling::AtomicOutcome::CasFailed);
-        }
+        use ecl_profiling::AtomicOutcome::{CasFailed, NoEffect, Updated};
+        self.atomics.record_many(Updated, iter.updated());
+        self.atomics.record_many(NoEffect, iter.no_effect());
+        self.atomics.record_many(CasFailed, iter.cas_failed());
     }
 }
 
@@ -413,6 +416,46 @@ mod tests {
         assert_eq!(light_threshold(&edges, 0.0), 0);
         assert_eq!(light_threshold(&edges, 1.0), u32::MAX);
         assert_eq!(light_threshold(&[], 0.5), 0);
+    }
+
+    /// The q-quantile by its definition: sort, then index.
+    fn sorted_threshold(ws: &[u32], light_fraction: f64) -> u32 {
+        if ws.is_empty() || light_fraction <= 0.0 {
+            return 0;
+        }
+        if light_fraction >= 1.0 {
+            return u32::MAX;
+        }
+        let mut sorted = ws.to_vec();
+        sorted.sort_unstable();
+        let idx = ((sorted.len() as f64) * light_fraction) as usize;
+        sorted[idx.min(sorted.len() - 1)]
+    }
+
+    // Selection returns the element the full sort would. Weights come
+    // from a small range so ties are common; `pick` forces the 0 and 1
+    // fractions, and the weight vector is empty in one case in 40.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn threshold_selection_matches_the_sort(
+            ws in proptest::collection::vec(0u32..32, 0..40),
+            pick in 0u8..4,
+            frac in 0.0f64..1.0,
+        ) {
+            let light_fraction = match pick {
+                0 => 0.0,
+                1 => 1.0,
+                _ => frac,
+            };
+            let edges: Vec<WorkEdge> =
+                ws.iter().enumerate().map(|(id, &w)| WorkEdge { id, u: 0, v: 1, w }).collect();
+            proptest::prop_assert_eq!(
+                light_threshold(&edges, light_fraction),
+                sorted_threshold(&ws, light_fraction)
+            );
+        }
     }
 
     #[test]

@@ -81,16 +81,6 @@ impl GpuUnionFind {
         }
     }
 
-    /// True if `a` and `b` currently share a set.
-    pub fn same(&self, a: u32, b: u32, device: &Device) -> bool {
-        // A stable double-check: two finds could interleave with a
-        // concurrent union; re-resolving until both agree gives the
-        // linearized answer (this is only called from host-side
-        // verification and K1's work check, where a stale "different"
-        // answer is benign — the atomicMin and K2 re-check).
-        self.find(a, device) == self.find(b, device)
-    }
-
     /// Number of distinct sets (host-side, quiescent).
     pub fn num_sets(&self, device: &Device) -> usize {
         (0..self.parent.len() as u32).filter(|&x| self.find(x, device) == x).count()
@@ -110,8 +100,8 @@ mod tests {
         assert_eq!(uf.num_sets(&d), 4);
         assert!(uf.union(0, 1, &d, None));
         assert!(!uf.union(1, 0, &d, None));
-        assert!(uf.same(0, 1, &d));
-        assert!(!uf.same(0, 2, &d));
+        assert_eq!(uf.find(0, &d), uf.find(1, &d));
+        assert_ne!(uf.find(0, &d), uf.find(2, &d));
         assert_eq!(uf.num_sets(&d), 3);
     }
 
