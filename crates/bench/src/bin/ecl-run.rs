@@ -42,9 +42,6 @@ struct Args {
     /// `--shards N`: run CC/MIS/SCC sharded across N modeled GPUs
     /// through ecl-shard (1 = ordinary single-pool execution).
     shards: u32,
-    /// `--shards N --bench-json <path>`: write the shard scaling curve
-    /// instead of doing a single run.
-    bench_json: Option<String>,
     /// `--tuned <manifest>`: apply the best-known schedule for
     /// (algo, input family) from an `ecl-tune/1` manifest. Overrides
     /// the toggle flags; an explicit `--block-size` still wins.
@@ -118,8 +115,7 @@ fn usage() -> ! {
          \x20      [--profile <dir>] [--repeats n]  (write manifest.json/metrics.prom/flame.* \n\
          \x20                                        profiling artifacts; see the ecl-prof binary)\n\
          \x20      [--shards n]  (run cc|mis|scc across n modeled GPUs via ecl-shard)\n\
-         \x20      ecl-run --list    (show registered inputs)\n\
-         \x20      ecl-run --shards n --bench-json <path>  (shard scaling curve, torus + rmat)"
+         \x20      ecl-run --list    (show registered inputs)"
     );
     std::process::exit(2);
 }
@@ -142,7 +138,6 @@ fn parse() -> Args {
         profile: None,
         repeats: 3,
         shards: 1,
-        bench_json: None,
         tuned: None,
     };
     let argv: Vec<String> = std::env::args().collect();
@@ -178,7 +173,17 @@ fn parse() -> Args {
                 i += 1;
             }
             "--block-size" if i + 1 < argv.len() => {
-                a.block_size = argv[i + 1].parse().ok();
+                // Serve's bound on the same knob (`block_size` in a job).
+                match argv[i + 1].parse::<usize>() {
+                    Ok(bs) if (1..=1024).contains(&bs) => a.block_size = Some(bs),
+                    _ => {
+                        eprintln!(
+                            "--block-size must be an integer in [1, 1024], got {:?}",
+                            argv[i + 1]
+                        );
+                        std::process::exit(2);
+                    }
+                }
                 i += 1;
             }
             "--trace" if i + 1 < argv.len() => {
@@ -215,10 +220,6 @@ fn parse() -> Args {
                 }
                 i += 1;
             }
-            "--bench-json" if i + 1 < argv.len() => {
-                a.bench_json = Some(argv[i + 1].clone());
-                i += 1;
-            }
             "--optimized" => a.optimized = true,
             "--fixed-launch" => a.fixed_launch = true,
             "--no-shortcuts" => a.no_shortcuts = true,
@@ -230,46 +231,10 @@ fn parse() -> Args {
         }
         i += 1;
     }
-    match &a.bench_json {
-        Some(_) if a.shards < 2 => {
-            eprintln!("--bench-json writes the shard scaling curve; it wants --shards n (n > 1)");
-            std::process::exit(2);
-        }
-        None if a.algo.is_empty() || a.input.is_empty() => usage(),
-        _ => {}
+    if a.algo.is_empty() || a.input.is_empty() {
+        usage();
     }
     a
-}
-
-/// `--shards N --bench-json <path>`: run the shard scaling benchmark
-/// (CC across 1..N pools on the torus/RMAT pair) and write the
-/// `ecl-bench/2` report.
-fn shard_bench_json(path: &str, max_shards: u32) {
-    eprintln!("bench: measuring shard scaling up to {max_shards} pools (a minute or two)...");
-    let bench = ecl_bench::shard_bench::run(max_shards);
-    for c in &bench.cases {
-        for p in &c.points {
-            eprintln!(
-                "bench: cc on {} ({} vertices, {} arcs, {}): {} shards -> {:.0} units \
-                 ({:.2}x), cut {:.3}, {} msgs, {} supersteps",
-                c.graph,
-                c.vertices,
-                c.arcs,
-                p.strategy,
-                p.shards,
-                p.stats.modeled_time,
-                c.speedup(p.shards),
-                p.stats.cut_ratio(),
-                p.stats.exchange_messages,
-                p.stats.supersteps
-            );
-        }
-    }
-    if let Err(e) = std::fs::write(path, bench.to_json()) {
-        eprintln!("bench: failed to write {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("bench: wrote {path}");
 }
 
 fn print_cost(device: &ecl_gpusim::Device) {
@@ -283,10 +248,6 @@ fn print_cost(device: &ecl_gpusim::Device) {
 
 fn main() {
     let a = parse();
-    if let Some(path) = &a.bench_json {
-        shard_bench_json(path, a.shards);
-        return;
-    }
     let algo = ecl_algos::find(&a.algo).unwrap_or_else(|| {
         eprintln!("unknown algorithm '{}'", a.algo);
         usage();

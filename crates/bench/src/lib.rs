@@ -18,7 +18,6 @@ pub mod check_suite;
 pub mod experiments;
 pub mod mc_suite;
 pub mod profile_run;
-pub mod shard_bench;
 
 use ecl_gpusim::{Device, DeviceConfig};
 

@@ -1,5 +1,5 @@
-//! `ecl-run` refuses a bad (algorithm, input) pairing with exit code 2
-//! and the one line serve returns — no backtrace.
+//! `ecl-run` refuses a bad (algorithm, input) pairing or an
+//! out-of-range option with exit code 2 and one line — no backtrace.
 
 use std::process::Command;
 
@@ -14,6 +14,14 @@ fn contract_violations_exit_2_with_one_line() {
         (
             &["mst", "--input", "internet", "--shards", "2"],
             "mst does not support sharded execution",
+        ),
+        (
+            &["scc", "--input", "star", "--block-size", "abc"],
+            "--block-size must be an integer in [1, 1024], got \"abc\"",
+        ),
+        (
+            &["scc", "--input", "star", "--block-size", "0"],
+            "--block-size must be an integer in [1, 1024], got \"0\"",
         ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_ecl-run"))

@@ -13,7 +13,6 @@
 //! error, never a stack overflow, and parsing is linear in the input
 //! length.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -64,62 +63,6 @@ impl Value {
             Value::Arr(items) => Some(items),
             _ => None,
         }
-    }
-
-    /// Flattens every numeric leaf into `path -> samples`: a scalar
-    /// number becomes a one-sample series, an all-numeric array
-    /// becomes a sample vector (run repeats), and nesting joins path
-    /// segments with `/`. Array elements that are objects recurse with
-    /// their index in the path.
-    pub fn numeric_leaves(&self) -> BTreeMap<String, Vec<f64>> {
-        let mut out = BTreeMap::new();
-        self.collect_leaves("", &mut out);
-        out
-    }
-
-    fn collect_leaves(&self, path: &str, out: &mut BTreeMap<String, Vec<f64>>) {
-        match self {
-            Value::Num(n) => {
-                out.insert(path.to_string(), vec![*n]);
-            }
-            Value::Arr(items) => {
-                if !items.is_empty() && items.iter().all(|v| matches!(v, Value::Num(_))) {
-                    out.insert(path.to_string(), items.iter().filter_map(Value::as_f64).collect());
-                } else {
-                    for (i, item) in items.iter().enumerate() {
-                        // Prefer a "name" member over the positional
-                        // index so reordered entries still align.
-                        let seg = item
-                            .get("name")
-                            .and_then(Value::as_str)
-                            .map(String::from)
-                            .or_else(|| {
-                                item.get("algo").and_then(Value::as_str).map(|a| {
-                                    let input =
-                                        item.get("input").and_then(Value::as_str).unwrap_or("");
-                                    format!("{a}:{input}")
-                                })
-                            })
-                            .unwrap_or_else(|| i.to_string());
-                        item.collect_leaves(&join(path, &seg), out);
-                    }
-                }
-            }
-            Value::Obj(members) => {
-                for (k, v) in members {
-                    v.collect_leaves(&join(path, k), out);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-fn join(path: &str, seg: &str) -> String {
-    if path.is_empty() {
-        seg.to_string()
-    } else {
-        format!("{path}/{seg}")
     }
 }
 
@@ -405,27 +348,6 @@ mod tests {
         assert!(parse("\"\\u00é\"").is_err());
         assert!(parse("\"\\u12\"").is_err());
         assert!(parse("\"\\é\"").is_err());
-    }
-
-    #[test]
-    fn parses_real_bench_shape() {
-        let text = r#"{
-          "benchmark": "x",
-          "launch_overhead": {"spawn_ns_per_launch": 50431.2, "pool_ns_per_launch": 501.0},
-          "end_to_end": [
-            {"algo": "cc", "input": "as-skitter", "spawn_s": 0.21, "pool_s": 0.12}
-          ]
-        }"#;
-        let v = parse(text).unwrap();
-        let leaves = v.numeric_leaves();
-        assert_eq!(leaves["launch_overhead/spawn_ns_per_launch"], vec![50431.2]);
-        assert_eq!(leaves["end_to_end/cc:as-skitter/pool_s"], vec![0.12]);
-    }
-
-    #[test]
-    fn numeric_arrays_become_sample_vectors() {
-        let v = parse(r#"{"m": {"samples": [1.0, 2.0, 3.0]}}"#).unwrap();
-        assert_eq!(v.numeric_leaves()["m/samples"], vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `ecl-prof gate`: a noise-aware performance-regression detector.
 //!
-//! Compares a baseline and a candidate run (either `ecl-prof/1`
-//! manifests or generic BENCH-style JSON) metric by metric. A metric
+//! Compares a baseline and a candidate manifest (any document with a
+//! `schema` and a `metrics` array: `ecl-prof/1` profiles, `ecl-tune`
+//! default-vs-tuned reports) metric by metric. A metric
 //! only fails the gate when the candidate median moves past **all
 //! three** guards in the bad direction:
 //!
@@ -13,9 +14,8 @@
 //! 3. absolute: more than `abs_floor` away in raw units, so
 //!    microsecond jitter on near-zero timings can't trip the gate.
 //!
-//! Metrics with direction `info` are compared but never fail. Generic
-//! JSON inputs are flattened to numeric leaves and gated only on
-//! timing-like names (lower-is-better).
+//! Metrics with direction `info` are compared but never fail. Input
+//! without a `schema` field is an error, not a guess.
 
 use std::fmt::Write as _;
 
@@ -191,74 +191,44 @@ fn classify(
 }
 
 /// Named sample vectors with a gate direction, extracted from one
-/// input file.
-pub struct MetricSet {
+/// manifest.
+struct MetricSet {
     /// `(name, direction, samples)` triples in source order.
-    pub metrics: Vec<(String, Direction, Vec<f64>)>,
-    /// Schema string, when the input was a manifest.
-    pub schema: Option<String>,
+    metrics: Vec<(String, Direction, Vec<f64>)>,
+    /// The manifest's schema string.
+    schema: String,
 }
 
-/// Heuristic direction for generic-JSON leaf names: timing-like names
-/// gate lower-is-better, throughput-like higher, the rest are info.
-fn heuristic_direction(name: &str) -> Direction {
-    let n = name.to_ascii_lowercase();
-    let timing = ["seconds", "_ns", "wall", "time", "elapsed", "wait", "latency"];
-    let higher = ["util", "throughput", "ops_per", "per_sec", "success_rate"];
-    if timing.iter().any(|t| n.contains(t)) {
-        Direction::Lower
-    } else if higher.iter().any(|t| n.contains(t)) {
-        Direction::Higher
-    } else {
-        Direction::Info
+/// Extracts gateable metrics from a parsed manifest: its metrics
+/// section plus per-kernel wall medians. `Err` when `v` has no
+/// `schema` field.
+fn extract_metrics(v: &Value) -> Result<MetricSet, String> {
+    let m = Manifest::from_value(v)?;
+    let mut metrics: Vec<(String, Direction, Vec<f64>)> =
+        m.metrics.iter().map(|mm| (mm.name.clone(), mm.direction, mm.samples.clone())).collect();
+    for k in &m.kernels {
+        // Shard 0 keeps the historical metric name so existing
+        // baselines keep gating; multi-pool records gate per
+        // (kernel, shard) pair.
+        let name = if k.shard == 0 {
+            format!("kernel/{}/wall_ns_p50", k.name)
+        } else {
+            format!("kernel/{}@s{}/wall_ns_p50", k.name, k.shard)
+        };
+        metrics.push((name, Direction::Lower, vec![k.wall_ns.p50 as f64]));
     }
-}
-
-/// Extracts gateable metrics from parsed JSON: an `ecl-prof/1`
-/// manifest contributes its metrics section plus per-kernel wall
-/// medians; any other JSON is flattened to numeric leaves with
-/// heuristic directions.
-pub fn extract_metrics(v: &Value) -> MetricSet {
-    if v.get("schema").and_then(Value::as_str).is_some() {
-        if let Ok(m) = Manifest::from_value(v) {
-            let mut metrics: Vec<(String, Direction, Vec<f64>)> = m
-                .metrics
-                .iter()
-                .map(|mm| (mm.name.clone(), mm.direction, mm.samples.clone()))
-                .collect();
-            for k in &m.kernels {
-                // Shard 0 keeps the historical metric name so existing
-                // baselines keep gating; multi-pool records gate per
-                // (kernel, shard) pair.
-                let name = if k.shard == 0 {
-                    format!("kernel/{}/wall_ns_p50", k.name)
-                } else {
-                    format!("kernel/{}@s{}/wall_ns_p50", k.name, k.shard)
-                };
-                metrics.push((name, Direction::Lower, vec![k.wall_ns.p50 as f64]));
-            }
-            return MetricSet { metrics, schema: Some(m.schema) };
-        }
-    }
-    let metrics = v
-        .numeric_leaves()
-        .into_iter()
-        .map(|(name, samples)| {
-            let d = heuristic_direction(&name);
-            (name, d, samples)
-        })
-        .collect();
-    MetricSet { metrics, schema: None }
+    Ok(MetricSet { metrics, schema: m.schema })
 }
 
 /// Runs the gate over two parsed JSON inputs.
 pub fn gate(base: &Value, cand: &Value, cfg: &GateConfig) -> Result<GateReport, String> {
-    let base_set = extract_metrics(base);
-    let cand_set = extract_metrics(cand);
-    if let (Some(a), Some(b)) = (&base_set.schema, &cand_set.schema) {
-        if a != b {
-            return Err(format!("schema mismatch: baseline {a:?} vs candidate {b:?}"));
-        }
+    let base_set = extract_metrics(base).map_err(|e| format!("baseline: {e}"))?;
+    let cand_set = extract_metrics(cand).map_err(|e| format!("candidate: {e}"))?;
+    if base_set.schema != cand_set.schema {
+        return Err(format!(
+            "schema mismatch: baseline {:?} vs candidate {:?}",
+            base_set.schema, cand_set.schema
+        ));
     }
     let mut report = GateReport::default();
     for (name, direction, base_samples) in &base_set.metrics {
@@ -397,28 +367,16 @@ mod tests {
     }
 
     #[test]
-    fn generic_bench_json_gates_on_timing_names() {
-        let base = r#"{"results": [
-            {"name": "cc/road", "wall_seconds": 0.5, "rounds": 12},
-            {"name": "mis/rmat", "wall_seconds": 0.3, "rounds": 8}
-        ]}"#;
-        let slow = r#"{"results": [
-            {"name": "cc/road", "wall_seconds": 1.5, "rounds": 12},
-            {"name": "mis/rmat", "wall_seconds": 0.3, "rounds": 20}
-        ]}"#;
-        let r = gate_files(base, slow, &GateConfig::default()).unwrap();
-        assert!(!r.passed(), "{}", r.render());
-        // rounds changed 2.5x but is info-direction: not a regression.
-        assert_eq!(r.regressions(), 1);
-        let reg = r.verdicts.iter().find(|v| v.status == Status::Regressed).unwrap();
-        assert!(reg.name.contains("cc/road"), "{}", reg.name);
-    }
-
-    #[test]
     fn schema_mismatch_is_an_error() {
         let a = manifest(vec![0.1]);
         let b = a.replace("ecl-prof/1", "ecl-prof/999");
         assert!(gate_files(&a, &b, &GateConfig::default()).is_err());
+        // A document without a schema is not a manifest, on either side.
+        let bare = r#"{"results": [{"name": "cc/road", "wall_seconds": 0.5}]}"#;
+        for (base, cand) in [(a.as_str(), bare), (bare, a.as_str())] {
+            let e = gate_files(base, cand, &GateConfig::default()).unwrap_err();
+            assert!(e.contains("not an ecl-prof manifest"), "{e}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! - [`folded`] — pprof-style folded stacks and an SVG flamegraph
 //!   derived from `ecl-trace` captures.
 //! - [`gate`] — the noise-aware (median + MAD) regression detector
-//!   behind `ecl-prof gate`, comparing two manifests or BENCH JSONs
+//!   behind `ecl-prof gate`, comparing two manifests
 //!   and exiting nonzero on real slowdowns.
 //!
 //! [`json`] is a re-export of [`ecl_profiling::json`], where the

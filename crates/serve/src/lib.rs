@@ -45,13 +45,13 @@
 //!   the reactor, plus the route table. Thread count is fixed —
 //!   accept + reactor + scheduler workers — independent of how many
 //!   connections are open.
-//! * [`loadgen`] — closed- and open-loop load generation emitting
-//!   gateable `ecl-bench/2` reports.
+//! * [`client`] — a blocking HTTP/1.1 client (keep-alive or one-shot)
+//!   for tests, docs and the benchmark's load generator.
 //!
 //! ```
+//! use ecl_serve::client::http_call;
 //! use ecl_serve::jobs::{Algo, JobSpec};
 //! use ecl_serve::server::{ServeConfig, Server};
-//! use ecl_serve::loadgen::http_call;
 //!
 //! let server = Server::start(ServeConfig::default()).expect("bind");
 //! let target = server.addr().to_string();
@@ -70,11 +70,11 @@
 
 pub mod cache;
 pub mod catalog;
+pub mod client;
 pub mod conn;
 pub mod exec;
 pub mod http;
 pub mod jobs;
-pub mod loadgen;
 pub mod metrics;
 pub mod reactor;
 pub mod ring;
@@ -87,3 +87,9 @@ pub use exec::RunOutput;
 pub use jobs::{Algo, JobSpec, JobState};
 pub use scheduler::{Scheduler, SchedulerConfig, SubmitError};
 pub use server::{ServeConfig, Server};
+
+/// The client's former module path. `benchmark/` still imports
+/// `HttpClient` from here; code in this workspace uses [`client`].
+pub mod loadgen {
+    pub use crate::client::HttpClient;
+}

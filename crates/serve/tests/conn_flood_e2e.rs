@@ -3,17 +3,21 @@
 //! beyond `max_connections` must be rejected with an immediate 503 —
 //! not a thread each — while healthy requests keep succeeding, and the
 //! read deadline must reclaim the stuck slots without operator help.
+//! And a busy keep-alive soak must hold one connection per client for
+//! its whole run while answers stay deterministic.
 
 #![allow(clippy::unwrap_used)]
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use ecl_profiling::json::{parse, Value};
 use ecl_serve::catalog::CatalogConfig;
+use ecl_serve::client::{http_call, HttpClient};
 use ecl_serve::http::Limits;
-use ecl_serve::loadgen::http_call;
 use ecl_serve::scheduler::SchedulerConfig;
 use ecl_serve::server::{ServeConfig, Server};
 
@@ -226,5 +230,88 @@ fn keep_alive_serves_sequential_requests_on_one_socket() {
 
     // Exactly one connection served all three requests.
     assert_eq!(counter(&target, "ecl_serve_keepalive_reuses_total"), 2);
+    server.shutdown();
+}
+
+// 32 clients, each on one keep-alive connection, submit 8 jobs apiece
+// through a mix of 12 (algo, seed) pairs: every job finishes, every
+// (algo, seed) answers with one checksum however often and on whichever
+// worker it ran, no connection is ever re-opened, and the flight
+// recorder's slowest-first view keeps a sane kernel-time account.
+#[test]
+fn keep_alive_soak_answers_deterministically() {
+    let _guard = FLOOD_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    const CLIENTS: usize = 32;
+    const JOBS_PER_CLIENT: usize = 8;
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".to_string(),
+        scheduler: SchedulerConfig { max_queue: 64, max_concurrency: 2, max_history: 512 },
+        max_connections: 64,
+        read_timeout_ms: 30_000,
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let target = server.addr().to_string();
+
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let target = target.clone();
+            std::thread::spawn(move || {
+                let mut client = HttpClient::new(&target, true);
+                (0..JOBS_PER_CLIENT)
+                    .map(|j| {
+                        let i = c * JOBS_PER_CLIENT + j;
+                        let (algo, seed) = (["cc", "mis", "gc"][i % 3], i % 4);
+                        let body = format!(
+                            "{{\"algo\": \"{algo}\", \"graph\": \"internet\", \
+                             \"scale\": 0.002, \"seed\": {seed}, \"wait_ms\": 120000}}"
+                        );
+                        let (status, text) = client.call("POST", "/v1/jobs", Some(&body)).unwrap();
+                        assert_eq!(status, 200, "{algo}/{seed}: {text}");
+                        let v = parse(&text).unwrap();
+                        assert_eq!(v.get("state").and_then(Value::as_str), Some("done"), "{text}");
+                        let aggregates = v.get("result").and_then(|r| r.get("aggregates"));
+                        let checksum = ["labels_checksum", "set_checksum", "colors_checksum"]
+                            .iter()
+                            .find_map(|k| aggregates.and_then(|a| a.get(k)).and_then(Value::as_f64))
+                            .unwrap_or_else(|| panic!("{algo}/{seed} has no checksum: {text}"));
+                        ((algo, seed), checksum.to_bits())
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut answers: BTreeMap<(&str, usize), Vec<u64>> = BTreeMap::new();
+    for client in clients {
+        for (key, checksum) in client.join().unwrap() {
+            answers.entry(key).or_default().push(checksum);
+        }
+    }
+    assert_eq!(answers.len(), 12, "every (algo, seed) pair ran: {:?}", answers.keys());
+    for (key, checksums) in &answers {
+        assert!(checksums.windows(2).all(|w| w[0] == w[1]), "{key:?} answered {checksums:?}");
+    }
+
+    // Each client's first call opens its connection; the other seven
+    // reuse it (a reconnect would lose one).
+    let reuses = counter(&target, "ecl_serve_keepalive_reuses_total");
+    assert!(reuses >= (CLIENTS * (JOBS_PER_CLIENT - 1)) as u64, "{reuses} keep-alive reuses");
+
+    let (status, text) = http_call(&target, "GET", "/v1/debug/requests?slowest=5", None).unwrap();
+    assert_eq!(status, 200);
+    let dump = parse(&text).unwrap();
+    let reqs = dump.get("requests").and_then(Value::as_arr).unwrap();
+    assert!(!reqs.is_empty(), "recorder kept nothing: {text}");
+    let field = |r: &Value, k: &str| r.get(k).and_then(Value::as_f64).unwrap_or(-1.0);
+    let totals: Vec<f64> = reqs.iter().map(|r| field(r, "total_ns")).collect();
+    assert!(totals.windows(2).all(|w| w[0] >= w[1]), "not slowest-first: {totals:?}");
+    for r in reqs {
+        let ran = r.get("outcome").and_then(Value::as_str) == Some("done")
+            && !matches!(r.get("cached"), Some(Value::Bool(true)));
+        if ran {
+            let bound = field(r, "run_ns") * 1.25 + 5_000_000.0;
+            assert!(field(r, "kernel_wall_ns") <= bound, "kernel time exceeds run time: {r:?}");
+        }
+    }
     server.shutdown();
 }

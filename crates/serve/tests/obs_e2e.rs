@@ -10,8 +10,8 @@
 use ecl_profiling::expo::lint_exposition;
 use ecl_profiling::json::{parse, Value};
 use ecl_serve::catalog::CatalogConfig;
+use ecl_serve::client::{http_call, HttpClient};
 use ecl_serve::http::Limits;
-use ecl_serve::loadgen::{http_call, HttpClient};
 use ecl_serve::scheduler::SchedulerConfig;
 use ecl_serve::server::{ServeConfig, Server};
 

@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use ecl_profiling::json::{parse, Value};
 use ecl_serve::catalog::CatalogConfig;
+use ecl_serve::client::http_call;
 use ecl_serve::http::Limits;
-use ecl_serve::loadgen::http_call;
 use ecl_serve::scheduler::SchedulerConfig;
 use ecl_serve::server::{ServeConfig, Server};
 

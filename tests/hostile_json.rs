@@ -12,7 +12,7 @@
 use std::time::{Duration, Instant};
 
 use ecl_profiling::json::{parse, Value, MAX_DEPTH};
-use ecl_suite::serve::loadgen::http_call;
+use ecl_suite::serve::client::http_call;
 use ecl_suite::serve::{ServeConfig, Server};
 use proptest::prelude::*;
 

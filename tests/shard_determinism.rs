@@ -111,9 +111,10 @@ proptest! {
     }
 }
 
-/// The CI smoke entry point: a fixed torus/RMAT pair (the same shapes
-/// the shard bench measures) checked across shard counts. Heavier
-/// than a proptest case, deterministic, and fast enough for every run.
+/// The CI smoke entry point: a fixed torus/RMAT pair (the shapes
+/// [`shard_scaling_curve_is_pinned`] measures) checked across shard
+/// counts. Heavier than a proptest case, deterministic, and fast enough
+/// for every run.
 #[test]
 fn generator_inputs_bit_identical_across_shard_counts() {
     let torus = gen::grid::torus_2d(24, 24);
@@ -128,6 +129,61 @@ fn generator_inputs_bit_identical_across_shard_counts() {
             assert_eq!(r.labels, single_cc.labels, "cc at {shards} shards");
             let m = shard::run_mis(&devices(shards), g, &part, cfg.tie_salt);
             assert_eq!(m.in_set, single_mis.in_set, "mis at {shards} shards");
+        }
+    }
+}
+
+/// The shard scaling curve, pinned bit for bit: CC through
+/// `Partition::auto`, `devices_for` and `run_cc` on a torus (the
+/// partitioner slices contiguous ranges) and an RMAT graph (it hashes
+/// ids) at 1/2/4 shards, each shard the paper's device scaled to 0.05.
+/// Modeled time is a pure function of (graph, partition), so a change
+/// to the exchange term, the superstep accounting or the partitioner
+/// shows up here as a diff, not as a drift inside a tolerance.
+#[test]
+fn shard_scaling_curve_is_pinned() {
+    let torus = gen::grid::torus_2d(64, 64);
+    let rmat = gen::rmat::rmat(11, 8.0, gen::rmat::RmatParams::rmat(), 42);
+    // Per input: (shards, modeled-time bits, cut arcs, exchange
+    // messages, supersteps); the modeled time in units is in the comment.
+    let curves = [
+        (
+            "torus",
+            &torus,
+            "contiguous",
+            [
+                (1, 0x413e_7220_0000_0000, 0, 0, 66),       // 1 995 296
+                (2, 0x4138_cac0_0000_0000, 256, 8192, 66),  // 1 624 768
+                (4, 0x4134_52c0_0000_0000, 512, 16384, 66), // 1 331 904
+            ],
+        ),
+        (
+            "rmat",
+            &rmat,
+            "hashed",
+            [
+                (1, 0x4106_0320_0000_0000, 0, 0, 7),        // 180 324
+                (2, 0x4103_74cc_0000_0000, 8092, 3256, 7),  // 159 385.5
+                (4, 0x4103_3fca_0000_0000, 12070, 7604, 7), // 157 689.25
+            ],
+        ),
+    ];
+    for (name, g, strategy, pins) in curves {
+        for (shards, bits, cut_arcs, messages, supersteps) in pins {
+            let part = shard::Partition::auto(g, shards);
+            let devices = shard::devices_for(sim::DeviceConfig::rtx4090_scaled(0.05, 1), shards);
+            let s = shard::run_cc(&devices, g, &part).stats;
+            assert_eq!(
+                (part.strategy.name(), s.modeled_time.to_bits(), s.cut_arcs),
+                (strategy, bits, cut_arcs),
+                "{name} at {shards} shards: modeled {} units",
+                s.modeled_time
+            );
+            assert_eq!(
+                (s.exchange_messages, s.supersteps),
+                (messages, supersteps),
+                "{name}/{shards}"
+            );
         }
     }
 }
