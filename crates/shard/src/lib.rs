@@ -8,19 +8,22 @@
 //! detector terminates the run only when every shard **and** every
 //! mailbox is quiescent.
 //!
-//! Determinism is load-bearing: every sharded algorithm is written in
-//! Jacobi form — sweeps read the previous superstep's state snapshot
-//! and write a next-state buffer (or merge through commutative
-//! `fetch_max`), never their own in-flight output — so results,
-//! superstep counts, message volumes, and modeled time are all
-//! bit-identical across repeated runs, worker interleavings, *and*
-//! shard counts (results; the cost figures are per-shard-count
-//! deterministic). The sharded CC/SCC/MIS fixpoints coincide with the
-//! single-pool `ecl-cc` / `ecl-scc` / `ecl-mis` results: min-label and
-//! max-signature propagation converge to their unique monotone
-//! fixpoints on any schedule, and the MIS selection order is a total
-//! priority order under which adjacent same-superstep IN decisions
-//! are impossible.
+//! Determinism is load-bearing. Every exchange is Jacobi: sweeps read
+//! the previous superstep's state snapshot and write a next-state
+//! buffer (or merge through commutative `fetch_min` / `fetch_max`),
+//! never their own in-flight output. The one non-Jacobi piece, sharded
+//! CC's local phase, is ECL-CC itself — CAS hooking inside one shard —
+//! and runs in order, so its charges cannot depend on the pool's
+//! schedule either. Results, superstep counts, message volumes, and
+//! modeled time are therefore bit-identical across repeated runs and
+//! worker interleavings, and results are identical across shard counts
+//! (the cost figures are per-shard-count deterministic). The sharded
+//! CC/SCC/MIS results coincide with the single-pool `ecl-cc` /
+//! `ecl-scc` / `ecl-mis` results: CC's local components joined by
+//! min-label exchange and SCC's max-signature propagation converge to
+//! their unique fixpoints on any schedule, and the MIS selection order
+//! is a total priority order under which adjacent same-superstep IN
+//! decisions are impossible.
 //!
 //! Shards execute sequentially on the host (the simulator models
 //! parallel hardware through cost accounting, not wall-clock overlap):

@@ -8,23 +8,31 @@
 //! vertices** — read-only mirrors whose state is refreshed through the
 //! mailbox exchange between supersteps ([`crate::exchange`]).
 //!
-//! Two placement strategies:
+//! Three placement strategies:
 //!
 //! - [`Strategy::Contiguous`] slices the vertex id range into balanced
 //!   blocks. It cuts only the slice boundaries when topological
 //!   neighbors sit at nearby ids — true of the spatial generators'
-//!   *natural* ids (`InputSpec::generate_natural`), but of no
-//!   registered input: `InputSpec::generate` randomly relabels torus,
-//!   mesh, road, citation and RMAT graphs to reproduce the paper's
+//!   *natural* ids (`InputSpec::generate_natural`) and of inputs
+//!   stored that way, but not of most registered inputs:
+//!   `InputSpec::generate` randomly relabels torus, mesh, road,
+//!   citation and RMAT graphs to reproduce the paper's
 //!   id-vs-topology independence, so on those a contiguous slice is a
-//!   uniform random partition (cut ≈ 1 − 1/k; ROADMAP item 4).
+//!   uniform random partition (cut ≈ 1 − 1/k).
+//! - [`Strategy::Grown`] slices a breadth-first visit order of the
+//!   undirected view into the same balanced sizes. Each shard is a run
+//!   of consecutive BFS levels, so the cut is set by the topology, not
+//!   by the ids: on a relabelled 2-D torus it is a few level
+//!   boundaries.
 //! - [`Strategy::Hashed`] spreads vertices by a hashed id. Power-law
 //!   inputs (RMAT) concentrate degree mass at low ids; hashing trades
 //!   a higher cut ratio for balanced per-shard work.
 //!
-//! [`Partition::auto`] picks between them from the degree skew of the
-//! input, the same coefficient-of-variation classes
-//! [`ecl_graph::family`] uses for input fingerprinting.
+//! [`Partition::auto`] hashes inputs with real degree spread (the
+//! coefficient-of-variation classes [`ecl_graph::family`] uses for
+//! input fingerprinting) and, for near-regular ones, builds both a
+//! contiguous and a grown partition and keeps the one with the lower
+//! cut (a tie keeps the contiguous one).
 
 use ecl_graph::family::SkewClass;
 use ecl_graph::{Csr, VertexId};
@@ -39,6 +47,9 @@ pub enum Strategy {
     /// Balanced contiguous vertex-id ranges (structure-exploiting
     /// only where ids are spatially local — see the module docs).
     Contiguous,
+    /// Balanced contiguous ranges of a BFS visit order (id-independent
+    /// locality for near-regular inputs).
+    Grown,
     /// Hashed vertex ids (load-balancing for power-law inputs).
     Hashed,
 }
@@ -48,20 +59,8 @@ impl Strategy {
     pub fn name(&self) -> &'static str {
         match self {
             Strategy::Contiguous => "contiguous",
+            Strategy::Grown => "grown",
             Strategy::Hashed => "hashed",
-        }
-    }
-
-    /// Picks a strategy from the input's degree skew: near-regular
-    /// inputs (meshes, tori, road-like graphs — the ones whose
-    /// generators emit spatially local ids) slice contiguously;
-    /// anything with real degree spread (RMAT sits at cv ≈ 1.2–1.8
-    /// even at small scales) hashes for load balance.
-    pub fn auto(g: &Csr) -> Strategy {
-        if degree_skew_class(g) == SkewClass::Uniform {
-            Strategy::Contiguous
-        } else {
-            Strategy::Hashed
         }
     }
 }
@@ -100,6 +99,37 @@ fn hash_id(v: u32) -> u32 {
     x ^ (x >> 16)
 }
 
+/// Breadth-first visit order of the undirected view of `g` (out- and,
+/// for directed graphs, in-neighbors), one tree per component, each
+/// rooted at its smallest unvisited id. O(n + m); the visit order is
+/// its own queue.
+fn bfs_order(g: &Csr) -> Vec<u32> {
+    let n = g.num_vertices();
+    let reverse = g.is_directed().then(|| g.transpose());
+    let mut seen = vec![false; n];
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    for root in 0..n as u32 {
+        if seen[root as usize] {
+            continue;
+        }
+        seen[root as usize] = true;
+        let mut head = order.len();
+        order.push(root);
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
+            let ins = reverse.as_ref().map_or(&[][..], |r| r.neighbors(v));
+            for &w in g.neighbors(v).iter().chain(ins) {
+                if !seen[w as usize] {
+                    seen[w as usize] = true;
+                    order.push(w);
+                }
+            }
+        }
+    }
+    order
+}
+
 /// A vertex-disjoint assignment of a graph to `shards` shards.
 #[derive(Clone, Debug)]
 pub struct Partition {
@@ -124,16 +154,22 @@ impl Partition {
         assert!(shards >= 1, "at least one shard required");
         assert!(shards <= MAX_SHARDS, "at most {MAX_SHARDS} shards supported");
         let n = g.num_vertices();
+        // Balanced slices: the first `n % shards` shards hold one
+        // extra vertex, so sizes differ by at most one.
+        let slices = || {
+            let (base, extra) = (n / shards as usize, n % shards as usize);
+            let mut slices = Vec::with_capacity(n);
+            for s in 0..shards as usize {
+                slices.extend(std::iter::repeat_n(s as u32, base + usize::from(s < extra)));
+            }
+            slices
+        };
         let owner: Vec<u32> = match strategy {
-            Strategy::Contiguous => {
-                // Balanced slices: the first `n % shards` shards hold
-                // one extra vertex, so sizes differ by at most one.
-                let base = n / shards as usize;
-                let extra = n % shards as usize;
-                let mut owner = Vec::with_capacity(n);
-                for s in 0..shards as usize {
-                    let size = base + usize::from(s < extra);
-                    owner.extend(std::iter::repeat_n(s as u32, size));
+            Strategy::Contiguous => slices(),
+            Strategy::Grown => {
+                let mut owner = vec![0; n];
+                for (&v, s) in bfs_order(g).iter().zip(slices()) {
+                    owner[v as usize] = s;
                 }
                 owner
             }
@@ -143,9 +179,24 @@ impl Partition {
         Partition { shards, strategy, owner, cut_arcs, total_arcs: g.num_arcs() }
     }
 
-    /// [`Partition::new`] with [`Strategy::auto`].
+    /// Picks the strategy from the input: anything with real degree
+    /// spread (RMAT sits at cv ≈ 1.2–1.8 even at small scales) hashes
+    /// for load balance; near-regular inputs (meshes, tori, road-like
+    /// graphs) take whichever of [`Strategy::Contiguous`] and
+    /// [`Strategy::Grown`] cuts fewer arcs, contiguous on a tie — so a
+    /// mesh stored with spatially local ids keeps its slices and a
+    /// relabelled one gets BFS regions.
     pub fn auto(g: &Csr, shards: u32) -> Partition {
-        Partition::new(g, shards, Strategy::auto(g))
+        if degree_skew_class(g) != SkewClass::Uniform {
+            return Partition::new(g, shards, Strategy::Hashed);
+        }
+        let contiguous = Partition::new(g, shards, Strategy::Contiguous);
+        let grown = Partition::new(g, shards, Strategy::Grown);
+        if grown.cut_arcs < contiguous.cut_arcs {
+            grown
+        } else {
+            contiguous
+        }
     }
 
     /// Owning shard of global vertex `v`.
@@ -197,14 +248,17 @@ impl Partition {
             ghosts.sort_unstable();
         }
 
+        // Global -> local translation, shared by all shards: each
+        // shard writes only its own vertices' entries and every arc
+        // head it reads is one of them, so stale entries from earlier
+        // shards are never read and nothing needs resetting.
+        let mut local_of: Vec<u32> = vec![u32::MAX; n];
         (0..shards)
             .map(|s| {
                 let owned = &owned_globals[s];
                 let ghosts = &ghost_globals[s];
                 let locals = owned.len() + ghosts.len();
 
-                // Global -> local translation for this shard's vertices.
-                let mut local_of: Vec<u32> = vec![u32::MAX; n];
                 for (i, &v) in owned.iter().chain(ghosts.iter()).enumerate() {
                     local_of[v as usize] = i as u32;
                 }
@@ -376,6 +430,21 @@ mod tests {
     }
 
     #[test]
+    fn grown_strategy_follows_topology_not_ids() {
+        // A 16-vertex path whose i-th vertex has id 5i mod 16: id
+        // slices scatter it, BFS regions cut one edge per boundary.
+        let mut b = GraphBuilder::new_undirected(16);
+        for i in 0..15u32 {
+            b.add_edge(5 * i % 16, 5 * (i + 1) % 16);
+        }
+        let g = b.build();
+        let grown = Partition::new(&g, 4, Strategy::Grown);
+        assert_eq!(grown.cut_arcs, 6);
+        assert!(Partition::new(&g, 4, Strategy::Contiguous).cut_arcs > 6);
+        assert_eq!(Partition::auto(&g, 4).owner, grown.owner);
+    }
+
+    #[test]
     fn hashed_strategy_spreads_vertices() {
         let g = path(256);
         let p = Partition::new(&g, 4, Strategy::Hashed);
@@ -390,9 +459,9 @@ mod tests {
     #[test]
     fn auto_hashes_skewed_inputs_and_slices_meshes() {
         let torus = ecl_graphgen::grid::torus_2d(16, 16);
-        assert_eq!(Strategy::auto(&torus), Strategy::Contiguous);
+        assert_eq!(Partition::auto(&torus, 4).strategy, Strategy::Contiguous);
         let rmat = ecl_graphgen::rmat::rmat(9, 8.0, ecl_graphgen::rmat::RmatParams::rmat(), 42);
-        assert_eq!(Strategy::auto(&rmat), Strategy::Hashed);
+        assert_eq!(Partition::auto(&rmat, 4).strategy, Strategy::Hashed);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!    head is a ghost with the right owner, every owner knows exactly
 //!    which shards mirror it);
 //! 3. a one-shard partition is the identity: the local CSR is
-//!    byte-identical to the input.
+//!    byte-identical to the input;
+//! 4. a grown partition has exactly the contiguous slice sizes, and
+//!    [`Partition::auto`] never cuts more than the contiguous slices.
 
 #![allow(clippy::unwrap_used)]
 
@@ -42,8 +44,18 @@ fn directed_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = Csr> {
     })
 }
 
-fn both_strategies() -> impl Strategy<Value = ShardStrategy> {
-    (0u32..2).prop_map(|h| if h == 0 { ShardStrategy::Contiguous } else { ShardStrategy::Hashed })
+fn any_strategy() -> impl Strategy<Value = ShardStrategy> {
+    (0usize..3)
+        .prop_map(|i| [ShardStrategy::Contiguous, ShardStrategy::Grown, ShardStrategy::Hashed][i])
+}
+
+/// Vertices per shard.
+fn owner_sizes(part: &Partition) -> Vec<usize> {
+    let mut sizes = vec![0; part.shards as usize];
+    for &s in &part.owner {
+        sizes[s as usize] += 1;
+    }
+    sizes
 }
 
 /// Checks properties 1 and 2 for one (graph, partition) pair.
@@ -119,7 +131,7 @@ proptest! {
     fn prop_undirected_partitions_are_consistent(
         g in undirected_graph(80, 200),
         shards in 1u32..7,
-        strategy in both_strategies(),
+        strategy in any_strategy(),
     ) {
         let part = Partition::new(&g, shards, strategy);
         check_partition(&g, &part)?;
@@ -129,7 +141,7 @@ proptest! {
     fn prop_directed_partitions_are_consistent(
         g in directed_graph(80, 200),
         shards in 1u32..7,
-        strategy in both_strategies(),
+        strategy in any_strategy(),
     ) {
         let part = Partition::new(&g, shards, strategy);
         check_partition(&g, &part)?;
@@ -138,7 +150,7 @@ proptest! {
     #[test]
     fn prop_single_shard_is_identity(
         g in undirected_graph(80, 200),
-        strategy in both_strategies(),
+        strategy in any_strategy(),
     ) {
         let part = Partition::new(&g, 1, strategy);
         prop_assert_eq!(part.cut_arcs, 0);
@@ -155,7 +167,7 @@ proptest! {
     fn prop_owner_and_cut_stats_agree(
         g in undirected_graph(80, 200),
         shards in 1u32..7,
-        strategy in both_strategies(),
+        strategy in any_strategy(),
     ) {
         let part = Partition::new(&g, shards, strategy);
         // Every vertex owned by a real shard.
@@ -164,5 +176,31 @@ proptest! {
         let recount = g.arcs().filter(|&(u, v)| part.owner(u) != part.owner(v)).count();
         prop_assert_eq!(part.cut_arcs, recount);
         prop_assert_eq!(part.total_arcs, g.num_arcs());
+    }
+
+    #[test]
+    fn prop_grown_sizes_equal_contiguous(
+        g in directed_graph(80, 200),
+        shards in 1u32..7,
+    ) {
+        let grown = Partition::new(&g, shards, ShardStrategy::Grown);
+        let contiguous = Partition::new(&g, shards, ShardStrategy::Contiguous);
+        prop_assert_eq!(owner_sizes(&grown), owner_sizes(&contiguous));
+    }
+
+    #[test]
+    fn prop_auto_cuts_no_more_than_contiguous(
+        g in undirected_graph(80, 200),
+        shards in 1u32..7,
+    ) {
+        // Skewed draws hash for balance; every near-regular draw keeps
+        // the lower of the two local cuts.
+        let auto = Partition::auto(&g, shards);
+        if auto.strategy != ShardStrategy::Hashed {
+            let contiguous = Partition::new(&g, shards, ShardStrategy::Contiguous);
+            let grown = Partition::new(&g, shards, ShardStrategy::Grown);
+            prop_assert_eq!(auto.cut_arcs, contiguous.cut_arcs.min(grown.cut_arcs));
+            prop_assert!(auto.cut_arcs <= contiguous.cut_arcs);
+        }
     }
 }

@@ -4,10 +4,11 @@
 //! pattern) across repeated runs — the multi-pool analogue of the
 //! PR 3 scheduler-determinism suite.
 //!
-//! The property is structural, not statistical: every sharded sweep is
-//! Jacobi double-buffered and the exchange merges in a fixed shard
-//! order, so there is no interleaving anywhere for a shard count to
-//! expose.
+//! The property is structural, not statistical: every exchange sweep is
+//! Jacobi double-buffered, the exchange merges in a fixed shard order,
+//! and the one CAS-hooking piece — ECL-CC inside each shard for sharded
+//! CC — runs in order, so there is no interleaving anywhere for a shard
+//! count or a pool schedule to expose.
 
 #![allow(clippy::unwrap_used)]
 
@@ -134,9 +135,10 @@ fn generator_inputs_bit_identical_across_shard_counts() {
 }
 
 /// The shard scaling curve, pinned bit for bit: CC through
-/// `Partition::auto`, `devices_for` and `run_cc` on a torus (the
-/// partitioner slices contiguous ranges) and an RMAT graph (it hashes
-/// ids) at 1/2/4 shards, each shard the paper's device scaled to 0.05.
+/// `Partition::auto`, `devices_for` and `run_cc` on a torus with
+/// natural ids (contiguous slices cut fewer arcs than BFS regions) and
+/// an RMAT graph (the partitioner hashes ids) at 1/2/4 shards, each
+/// shard the paper's device scaled to 0.05.
 /// Modeled time is a pure function of (graph, partition), so a change
 /// to the exchange term, the superstep accounting or the partitioner
 /// shows up here as a diff, not as a drift inside a tolerance.
@@ -152,9 +154,9 @@ fn shard_scaling_curve_is_pinned() {
             &torus,
             "contiguous",
             [
-                (1, 0x413e_7220_0000_0000, 0, 0, 66),       // 1 995 296
-                (2, 0x4138_cac0_0000_0000, 256, 8192, 66),  // 1 624 768
-                (4, 0x4134_52c0_0000_0000, 512, 16384, 66), // 1 331 904
+                (1, 0x40ed_93c0_0000_0000, 0, 0, 2),      // 60 574
+                (2, 0x40f0_f050_0000_0000, 256, 382, 3),  // 69 381
+                (4, 0x40f3_d4b0_0000_0000, 512, 1020, 4), // 81 227
             ],
         ),
         (
@@ -162,9 +164,9 @@ fn shard_scaling_curve_is_pinned() {
             &rmat,
             "hashed",
             [
-                (1, 0x4106_0320_0000_0000, 0, 0, 7),        // 180 324
-                (2, 0x4103_74cc_0000_0000, 8092, 3256, 7),  // 159 385.5
-                (4, 0x4103_3fca_0000_0000, 12070, 7604, 7), // 157 689.25
+                (1, 0x40eb_9c28_0000_0000, 0, 0, 2),        // 56 545.25
+                (2, 0x40ff_6700_0000_0000, 8092, 2419, 5),  // 128 624
+                (4, 0x4102_d30e_0000_0000, 12070, 6416, 6), // 154 209.75
             ],
         ),
     ];
@@ -186,4 +188,19 @@ fn shard_scaling_curve_is_pinned() {
             );
         }
     }
+}
+
+/// `Partition::auto` at 4 shards on the `batch-shard4` inputs (seed 42):
+/// the randomly relabelled torus gets BFS-grown regions, while the hex
+/// mesh, whose generator keeps spatially local ids, keeps its
+/// contiguous slices — so the sharded SCC there runs on the same
+/// partition, at the same cost, as before the grown strategy existed.
+#[test]
+fn auto_partition_is_pinned_on_the_benchmark_inputs() {
+    let input = |name, scale| gen::registry::find(name).unwrap().generate(scale, 42);
+    let torus = shard::Partition::auto(&input("2d-2e20.sym", 0.025), 4);
+    assert_eq!((torus.strategy.name(), torus.cut_arcs), ("grown", 3120));
+    assert!(torus.cut_ratio() <= 0.03, "cut ratio {}", torus.cut_ratio());
+    let hex = shard::Partition::auto(&input("toroid-hex", 0.003), 4);
+    assert_eq!((hex.strategy.name(), hex.cut_arcs), ("contiguous", 558));
 }
