@@ -64,7 +64,8 @@ fn main() {
         match argv[i].as_str() {
             "--verbose" => verbose = true,
             "--scale" if i + 1 < argv.len() => {
-                scale = argv[i + 1].parse().unwrap_or(ecl_bench::DEFAULT_SCALE);
+                scale = ecl_bench::parse_scale(&argv[i + 1])
+                    .unwrap_or_else(|e| ecl_bench::usage_error(&e));
                 i += 1;
             }
             "--json" if i + 1 < argv.len() => {

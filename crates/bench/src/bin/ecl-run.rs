@@ -165,7 +165,8 @@ fn parse() -> Args {
                 i += 1;
             }
             "--scale" if i + 1 < argv.len() => {
-                a.scale = argv[i + 1].parse().unwrap_or_else(|_| usage());
+                a.scale = ecl_bench::parse_scale(&argv[i + 1])
+                    .unwrap_or_else(|e| ecl_bench::usage_error(&e));
                 i += 1;
             }
             "--seed" if i + 1 < argv.len() => {

@@ -120,7 +120,7 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
         match args[i].as_str() {
             "--inputs" => cfg.inputs = split_list(need(i)?),
             "--algos" => cfg.algos = split_list(need(i)?),
-            "--scale" => cfg.scale = need(i)?.parse().map_err(|e| format!("--scale: {e}"))?,
+            "--scale" => cfg.scale = ecl_bench::parse_scale(need(i)?)?,
             "--seed" => cfg.seed = need(i)?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--budget" => {
                 cfg.search.budget = need(i)?.parse().map_err(|e| format!("--budget: {e}"))?;

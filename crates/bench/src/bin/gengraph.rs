@@ -39,7 +39,8 @@ fn main() {
                 i += 1;
             }
             "--scale" if i + 1 < argv.len() => {
-                scale = argv[i + 1].parse().unwrap_or_else(|_| usage());
+                scale = ecl_bench::parse_scale(&argv[i + 1])
+                    .unwrap_or_else(|e| ecl_bench::usage_error(&e));
                 i += 1;
             }
             "--seed" if i + 1 < argv.len() => {

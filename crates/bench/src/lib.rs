@@ -48,38 +48,44 @@ pub fn scaled_device_min(scale: f64, min_sms: usize) -> Device {
     Device::new(DeviceConfig::rtx4090_scaled(scale, min_sms))
 }
 
+/// Parses a `--scale` / `ECL_SCALE` value: a fraction of the paper's
+/// input sizes in (0, 1]. The error is `ecl-serve`'s one line for the
+/// same field.
+pub fn parse_scale(text: &str) -> Result<f64, String> {
+    match text.parse::<f64>() {
+        Ok(scale) if scale > 0.0 && scale <= 1.0 => Ok(scale),
+        _ => Err(format!("scale must be in (0, 1], got {text}")),
+    }
+}
+
+/// Prints `message` and exits with status 2: the experiment binaries'
+/// answer to a bad argument.
+pub fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
 /// Parses `--scale <f>` and `--seed <n>` from argv, falling back to
 /// the `ECL_SCALE` / `ECL_SEED` environment variables and then the
-/// defaults. Returns `(scale, seed)`.
+/// defaults. Returns `(scale, seed)`. A malformed or out-of-range value
+/// or an unknown argument exits 2 with one line.
 pub fn parse_args() -> (f64, u64) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut scale: Option<f64> = None;
-    let mut seed: Option<u64> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].parse().ok();
-                i += 2;
-            }
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().ok();
-                i += 2;
-            }
-            other => {
-                eprintln!("ignoring unknown argument: {other}");
-                i += 1;
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let scale_of = |t: &str| parse_scale(t).unwrap_or_else(|e| usage_error(&e));
+    let seed_of = |t: &str| {
+        t.parse().unwrap_or_else(|_| usage_error(&format!("seed must be an integer, got {t}")))
+    };
+    let mut scale = std::env::var("ECL_SCALE").ok().map(|t| scale_of(&t));
+    let mut seed = std::env::var("ECL_SEED").ok().map(|t| seed_of(&t));
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match (arg.as_str(), args.next()) {
+            ("--scale", Some(v)) => scale = Some(scale_of(v)),
+            ("--seed", Some(v)) => seed = Some(seed_of(v)),
+            _ => usage_error(&format!("unknown argument: {arg}")),
         }
     }
-    let scale = scale
-        .or_else(|| std::env::var("ECL_SCALE").ok().and_then(|s| s.parse().ok()))
-        .unwrap_or(DEFAULT_SCALE);
-    let seed = seed
-        .or_else(|| std::env::var("ECL_SEED").ok().and_then(|s| s.parse().ok()))
-        .unwrap_or(DEFAULT_SEED);
-    assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
-    (scale, seed)
+    (scale.unwrap_or(DEFAULT_SCALE), seed.unwrap_or(DEFAULT_SEED))
 }
 
 #[cfg(test)]
@@ -99,6 +105,15 @@ mod tests {
         assert_eq!(d.config().threads_per_sm, 1536);
         assert!(d.resident_threads() >= 1536);
         assert_eq!(d.config().default_block_size, 512);
+    }
+
+    #[test]
+    fn scale_outside_the_unit_interval_is_refused() {
+        assert_eq!(parse_scale("0.5"), Ok(0.5));
+        assert_eq!(parse_scale("1"), Ok(1.0));
+        for bad in ["0", "-1", "nan", "inf", "2", "abc", ""] {
+            assert_eq!(parse_scale(bad), Err(format!("scale must be in (0, 1], got {bad}")));
+        }
     }
 
     #[test]

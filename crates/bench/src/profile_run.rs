@@ -163,7 +163,7 @@ mod tests {
     use ecl_gpusim::pool::with_policy;
     use ecl_gpusim::DispatchPolicy;
 
-    // One test body: the prof/trace sinks are process-global.
+    // One test body: the collector and tracer are one per process.
     #[test]
     fn profile_writes_all_artifacts_and_a_parseable_manifest() {
         // The tool measures under the caller's pool; the test pins the

@@ -1,6 +1,6 @@
-//! The tentpole guarantee of `ecl-prof`: with no collector installed,
+//! The tentpole guarantee of `ecl-prof`: with no observer installed,
 //! every launch in the simulator pays one relaxed atomic load for the
-//! profiling hook — running an algorithm must be within noise of the
+//! sample decision — running an algorithm must be within noise of the
 //! pre-profiling baseline.
 //!
 //! Mirrors `trace_overhead.rs`: timing comparisons in CI are noisy, so
@@ -39,14 +39,15 @@ fn disabled_profiling_overhead_on_cc_is_within_noise() {
     let g = spec.generate(SCALE, 42);
     sink::uninstall(); // ensure the disabled path
 
-    // Direct bound on the disabled guard: 10M checks must stay under
-    // 50 ns each. The real cost is a relaxed load (~1 ns); a
-    // regression that takes a lock or builds a sample per launch lands
-    // in the microseconds and fails by orders of magnitude.
+    // Direct bound on the observer slot's disabled guard: 10M checks
+    // must stay under 50 ns each. The real cost is a relaxed load
+    // (~1 ns); a regression that takes a lock or builds a sample per
+    // launch lands in the microseconds and fails by orders of
+    // magnitude.
     const CALLS: u32 = 10_000_000;
     let t0 = Instant::now();
     for _ in 0..CALLS {
-        std::hint::black_box(sink::is_enabled());
+        std::hint::black_box(ecl_gpusim::observe::is_enabled());
     }
     let per_call = t0.elapsed().as_secs_f64() / CALLS as f64;
     assert!(per_call < 50e-9, "disabled guard costs {:.1} ns/call", per_call * 1e9);

@@ -1,5 +1,5 @@
-//! The tentpole guarantee of `ecl-trace`: with no tracer installed,
-//! every emission site in the simulator and the algorithms costs one
+//! The tentpole guarantee of `ecl-trace`: with no observer installed,
+//! every hook site in the simulator and the algorithms costs one
 //! relaxed atomic load — running an instrumented algorithm must be
 //! within noise of the pre-tracing baseline.
 //!
@@ -14,15 +14,16 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ecl_cc::CcConfig;
+use ecl_gpusim::observe;
 use ecl_profiling::ProfileMode;
 use ecl_trace::{sink, ClockMode, EventKind, Tracer, TracerConfig};
 
 const SCALE: f64 = 0.002;
 
-/// The trace sink is process-global and the harness runs this file's
-/// tests on parallel threads: each holds this for its whole body, so
-/// "disabled" never times a run with the sibling's tracer installed and
-/// the sibling's tracer is never uninstalled under it.
+/// The observer slot is process-global and the harness runs this
+/// file's tests on parallel threads: each holds this for its whole
+/// body, so "disabled" never times a run with the sibling's tracer
+/// installed and the sibling's tracer is never uninstalled under it.
 static SINK_LOCK: Mutex<()> = Mutex::new(());
 
 fn median_cc_secs(g: &ecl_graph::Csr, runs: usize) -> f64 {
@@ -46,17 +47,18 @@ fn disabled_tracing_overhead_on_cc_is_within_noise() {
     let g = spec.generate(SCALE, 42);
     sink::uninstall(); // ensure the disabled path
 
-    // Direct bound on the disabled emission site: 10M calls must stay
-    // under 50 ns each. The real cost is a relaxed load (~1 ns); a
+    // Direct bound on a disabled hook site: 10M calls must stay under
+    // 50 ns each. The real cost is a relaxed load (~1 ns); a
     // regression that takes a lock or formats per event lands in the
     // microseconds and fails by orders of magnitude.
+    assert!(!observe::is_enabled());
     const CALLS: u32 = 10_000_000;
     let t0 = Instant::now();
     for i in 0..CALLS {
-        sink::emit(EventKind::AtomicUpdated, std::hint::black_box(i), 0, 0);
+        observe::round(std::hint::black_box(i));
     }
     let per_call = t0.elapsed().as_secs_f64() / CALLS as f64;
-    assert!(per_call < 50e-9, "disabled emit costs {:.1} ns/call", per_call * 1e9);
+    assert!(per_call < 50e-9, "disabled hook costs {:.1} ns/call", per_call * 1e9);
 
     // End-to-end: a CC run on the disabled path must sit within noise
     // of an identical back-to-back batch (~600k emission sites per

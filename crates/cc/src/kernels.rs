@@ -41,7 +41,7 @@ pub fn connected_components_profiled(
         "monotonic label hooking + pointer jumping: stale reads only delay convergence (§2.1)",
     );
     let scoped = |name: &str, f: &mut dyn FnMut()| {
-        ecl_trace::sink::phase_span(name, || match profile {
+        ecl_gpusim::observe::phase_span(name, || match profile {
             Some(p) => p.measure(device, name, f),
             None => f(),
         })

@@ -1,21 +1,22 @@
-//! The checker: a [`CheckSink`] implementation wiring shadow memory
-//! and the lint rules to the simulator's hooks, plus the
-//! [`CheckSession`] RAII wrapper that installs it.
+//! The checker: an [`Observer`] wiring shadow memory and the lint
+//! rules to the simulator's hooks, plus the [`CheckSession`] RAII
+//! wrapper that installs it.
 //!
 //! One session checks one [`Device`]: launches on other devices are
-//! rejected at `launch_begin` and stay invisible, which keeps the
-//! process-global hook safe under a parallel test runner. Sessions in
-//! one process serialize on an internal lock — the hook seam is
-//! global, so two concurrent sessions cannot both own it.
+//! not tracked and stay invisible, which keeps the process-global
+//! observer slot safe under a parallel test runner. Sessions in one
+//! process serialize on an internal lock: attribution keys on the one
+//! per-thread agent, so two concurrent sessions cannot both own it.
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ecl_gpusim::check::{self, AccessKind, Agent, CheckSink, LaunchShape};
-use ecl_gpusim::{CostKind, Device, DeviceConfig, LaunchConfig};
-use ecl_trace::{sink as trace_sink, EventKind};
+use ecl_gpusim::check::{self, AccessKind, Agent, LaunchShape};
+use ecl_gpusim::observe::{self, Launch, Observer, ObserverId, Wants};
+use ecl_gpusim::{CostKind, Device, LaunchConfig};
+use ecl_profiling::LaunchSample;
 
 use crate::region::RegionInfo;
 use crate::report::{Finding, Report, Rule};
@@ -88,7 +89,7 @@ struct FindingStore {
 /// leakage that per-launch thread spawning used to mask.
 static GLOBAL_EPOCH: AtomicU64 = AtomicU64::new(0);
 
-/// The shared checker state; implements [`CheckSink`].
+/// The shared checker state; implements [`Observer`].
 pub(crate) struct CheckerShared {
     device: usize,
     config: CheckConfig,
@@ -184,8 +185,8 @@ impl CheckerShared {
 
     /// Records one occurrence of a finding, folding into an existing
     /// entry when (rule, kernel, region, suppression) match. New
-    /// unsuppressed findings are mirrored as `CheckFinding` trace
-    /// events.
+    /// unsuppressed findings are reported to the observers (the trace
+    /// records them as `CheckFinding` events).
     fn record_finding(
         &self,
         rule: Rule,
@@ -214,7 +215,7 @@ impl CheckerShared {
         let i = list.len() - 1;
         store.index.insert(key, i);
         if !is_suppressed {
-            trace_sink::emit(EventKind::CheckFinding, block, 0, rule.raw());
+            observe::check_finding(block, rule.raw());
         }
     }
 
@@ -239,15 +240,13 @@ impl CheckerShared {
     }
 }
 
-impl CheckSink for CheckerShared {
-    fn launch_begin(
-        &self,
-        device: usize,
-        config: DeviceConfig,
-        name: &str,
-        shape: LaunchShape,
-        cfg: LaunchConfig,
-    ) -> bool {
+impl Observer for CheckerShared {
+    fn wants(&self) -> Wants {
+        Wants { blocks: true, accesses: true, charges: true, ..Wants::default() }
+    }
+
+    fn launch_begin(&self, launch: &Launch<'_>) -> bool {
+        let Launch { device, config, name, shape, cfg } = *launch;
         if device != self.device {
             return false;
         }
@@ -291,7 +290,10 @@ impl CheckSink for CheckerShared {
         true
     }
 
-    fn launch_end(&self, _device: usize) {
+    fn launch_end(&self, launch: &Launch<'_>, _tracked: bool, _sample: Option<&LaunchSample>) {
+        if launch.device != self.device {
+            return;
+        }
         let Some(st) = self.state().take() else { return };
         // over-launch: grid sized far beyond the blocks that touched
         // work. Persistent grids are exempt — sizing to the hardware
@@ -344,7 +346,8 @@ impl CheckSink for CheckerShared {
         }
     }
 
-    fn access(&self, addr: usize, _size: usize, kind: AccessKind, agent: Agent) {
+    fn access(&self, addr: usize, _size: usize, kind: AccessKind, agent: Option<Agent>) {
+        let Some(agent) = agent else { return };
         self.accesses.fetch_add(1, Ordering::Relaxed);
         self.mark_touched(agent);
         if kind.is_atomic() {
@@ -412,7 +415,10 @@ impl CheckSink for CheckerShared {
         }
     }
 
-    fn block_end(&self, block: u32, block_size: usize) {
+    fn block_end(&self, block: u32, block_size: usize, tracked: bool) {
+        if !tracked {
+            return;
+        }
         let mut guard = self.state();
         let Some(st) = guard.as_mut() else { return };
         let Some(arrivals) = st.lane_arrivals.remove(&block) else { return };
@@ -455,12 +461,13 @@ pub(crate) fn active() -> Option<Arc<CheckerShared>> {
 /// which returns the [`Report`]. Dropping without `finish` uninstalls
 /// cleanly and discards the findings.
 ///
-/// Sessions serialize process-wide (the simulator's hook seam is
-/// global); launches on devices other than the session's stay
-/// untracked, so unrelated concurrent tests are unaffected.
+/// Sessions serialize process-wide (the simulator's observer slot and
+/// per-thread agent are global); launches on devices other than the
+/// session's stay untracked, so unrelated concurrent tests are
+/// unaffected.
 pub struct CheckSession {
     shared: Arc<CheckerShared>,
-    guard: Option<MutexGuard<'static, ()>>,
+    installed: Option<(ObserverId, MutexGuard<'static, ()>)>,
 }
 
 impl CheckSession {
@@ -474,8 +481,8 @@ impl CheckSession {
         let guard = SESSION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let shared = Arc::new(CheckerShared::new(check::device_id(device), config));
         *ACTIVE.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&shared));
-        check::install(shared.clone());
-        Self { shared, guard: Some(guard) }
+        let id = observe::install(shared.clone());
+        Self { shared, installed: Some((id, guard)) }
     }
 
     /// Stops checking and returns the findings.
@@ -485,10 +492,10 @@ impl CheckSession {
     }
 
     fn teardown(&mut self) {
-        // Bound for the whole block: the next session must not
-        // install before this one has uninstalled.
-        if let Some(_guard) = self.guard.take() {
-            check::uninstall();
+        // The guard is bound for the whole block: the next session
+        // must not install before this one has uninstalled.
+        if let Some((id, _guard)) = self.installed.take() {
+            observe::uninstall(id);
             *ACTIVE.lock().unwrap_or_else(|e| e.into_inner()) = None;
         }
     }

@@ -141,7 +141,9 @@ impl ShadowMemory {
                     }
                 }
             }
-            AccessKind::AtomicUpdated | AccessKind::AtomicNoEffect => {}
+            AccessKind::AtomicUpdated
+            | AccessKind::AtomicNoEffect
+            | AccessKind::AtomicCasFailed => {}
         }
         None
     }

@@ -40,7 +40,7 @@ pub struct LaunchSample {
     /// Shard (simulated device instance) the launch ran on. 0 for
     /// single-pool runs, so existing output is unchanged; `ecl-shard`
     /// multi-pool runs attach the ambient shard id via
-    /// `ecl_gpusim::shard`, which keeps concurrent pool instances from
+    /// `ecl_gpusim::ctx`, which keeps concurrent pool instances from
     /// collapsing into one series.
     pub shard: u32,
 }

@@ -1,6 +1,8 @@
-//! [`Sink<T>`]: the one publish-and-retire observer slot every
-//! process-global hook (`ecl_trace::sink`, `ecl_prof::sink`,
-//! `ecl_obs::sink`, `ecl_gpusim::check`) is a `static` instance of.
+//! [`Sink<T>`]: a publish-and-retire slot for one `Arc<T>`. The
+//! simulator's one observer slot (`ecl_gpusim::observe`) is its only
+//! `static` instance: a `Sink<ObserverList>` whose payload is the
+//! immutable list of installed observers, republished on every install
+//! and uninstall.
 //!
 //! Hot path ([`Sink::is_enabled`], [`Sink::get`]): one `Relaxed`
 //! `AtomicBool` load — with nothing installed the caller pays a
@@ -12,12 +14,13 @@
 //! `Arc` stays on a list the slot keeps until it is itself dropped
 //! (never, for a `static`) — so a pointer loaded by a racing reader
 //! cannot dangle. The leak is one `Arc` per `install` call — a
-//! process installs a handful of observers — traded for wait-free
-//! reads with no reclamation protocol. Publication is `SeqCst`
-//! (disable → swap pointer → enable, all under the list's mutex), the
-//! guard `Relaxed`, the pointer load `Acquire`; `ecl-mc`'s
-//! `sink-publish` harness explores exactly this protocol, and its
-//! `sink-free-on-replace` fixture shows what retiring prevents.
+//! process republishes its observer list a handful of times — traded
+//! for wait-free reads with no reclamation protocol. Publication is
+//! `SeqCst` (disable → swap pointer → enable, all under the list's
+//! mutex), the guard `Relaxed`, the pointer load `Acquire`; `ecl-mc`'s
+//! `sink-publish` harness explores this protocol with a list payload,
+//! and its `sink-free-on-replace` and `observer-list-free-on-republish`
+//! fixtures show what retiring prevents.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -112,8 +115,8 @@ impl<T> Default for Sink<T> {
 mod tests {
     use super::*;
 
-    // The one lifecycle test for every sink in the workspace; the
-    // per-crate wrappers only test what is specific to their payload.
+    // The lifecycle test of the slot; `ecl_gpusim::observe` only tests
+    // what is specific to its observer list.
     #[test]
     fn sink_lifecycle() {
         static SINK: Sink<u32> = Sink::new();

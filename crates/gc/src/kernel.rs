@@ -34,7 +34,7 @@ pub fn color(device: &Device, g: &Csr, config: &GcConfig) -> GcResult {
 
     // Initialization stage: LDF priorities, DAG in-degrees, and the
     // possible-color bitmaps of indegree + 1 bits each (§2.2).
-    ecl_trace::sink::phase_start("init");
+    ecl_gpusim::observe::phase_start("init");
     let in_degrees = priority::dag_in_degrees(g);
     let layout = BitmapLayout::new(&in_degrees);
     let poss = layout.allocate();
@@ -46,7 +46,7 @@ pub fn color(device: &Device, g: &Csr, config: &GcConfig) -> GcResult {
         colors: atomic_u32_array(n, |_| UNCOLORED),
         arc_active: atomic_u8_array(g.num_arcs(), |_| 1),
     };
-    ecl_trace::sink::phase_end("init");
+    ecl_gpusim::observe::phase_end("init");
     // Region declarations for the sanitizer. The bitmaps and colors
     // race by construction: neighbors probe v's possible set while v
     // clears bits monotonically, and the single UNCOLORED->color store
@@ -71,8 +71,8 @@ pub fn color(device: &Device, g: &Csr, config: &GcConfig) -> GcResult {
     let mut rounds = 0u32;
     while !worklist.is_empty() {
         rounds += 1;
-        ecl_trace::sink::round(rounds);
-        ecl_trace::sink::phase_start("color-round");
+        ecl_gpusim::observe::round(rounds);
+        ecl_gpusim::observe::phase_start("color-round");
         let (small, large): (Vec<u32>, Vec<u32>) =
             worklist.iter().partition(|&&v| g.degree(v) <= LARGE_DEGREE);
         run_kernel(device, "gc.color-small", &state, config, &counters, &small);
@@ -82,7 +82,7 @@ pub fn color(device: &Device, g: &Csr, config: &GcConfig) -> GcResult {
         if counters.enabled() {
             counters.uncolored_per_round.push(worklist.len() as u64);
         }
-        ecl_trace::sink::phase_end("color-round");
+        ecl_gpusim::observe::phase_end("color-round");
         assert!(
             worklist.len() < before,
             "coloring made no progress in round {rounds} — DAG invariant violated"

@@ -16,8 +16,8 @@ use std::sync::Arc;
 use ecl_check::Rule;
 
 use crate::harnesses::{
-    counted_minmax, drain, finish_path, reactor_handoff, reactor_wakeup, shard_exchange,
-    sink_publish, tally_fold,
+    counted_minmax, drain, finish_path, observer_list_publish, reactor_handoff, reactor_wakeup,
+    shard_exchange, tally_fold, Reclaim,
 };
 use crate::shim::atomic::McAtomicU64;
 use crate::shim::cell::McCell;
@@ -91,8 +91,14 @@ pub const ALL: &[FixtureEntry] = &[
     },
     FixtureEntry {
         name: "sink-free-on-replace",
-        about: "observer slot frees the replaced payload: an in-flight emitter reads through it",
+        about: "observer slot frees the list an install replaces: an in-flight emitter walks it",
         run: sink_free_on_replace,
+        expect: Rule::McRace,
+    },
+    FixtureEntry {
+        name: "observer-list-free-on-republish",
+        about: "observer fan-out frees every replaced list: an in-flight emitter walks it",
+        run: observer_list_free_on_republish,
         expect: Rule::McRace,
     },
     FixtureEntry {
@@ -190,12 +196,18 @@ pub fn shard_idle_before_apply() {
     shard_exchange(true, false);
 }
 
-/// The observer slot without its retired list: replacing a payload
-/// frees the old one while an emitter that already loaded its pointer
-/// reads through it — nothing orders the two, a use-after-free on
-/// real storage and a data race here.
+/// The observer slot's `Sink` without its retired list: an install
+/// frees the list it publishes over while an emitter that already
+/// loaded the old pointer walks it — nothing orders the two, a
+/// use-after-free on real storage and a data race here.
 pub fn sink_free_on_replace() {
-    sink_publish(false);
+    observer_list_publish(Reclaim::FreeOnReplace);
+}
+
+/// The observer fan-out freeing every list it republishes over, the
+/// last uninstall's included — a data race on the list.
+pub fn observer_list_free_on_republish() {
+    observer_list_publish(Reclaim::FreeOnRepublish);
 }
 
 /// The block-local cost tally folded one statement too late: after

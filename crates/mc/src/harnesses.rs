@@ -7,6 +7,10 @@
 //! [`ecl_serve::jobs::JobState::can_become`],
 //! [`ecl_serve::cache::result_key`]).
 //!
+//! The one process-global observer slot (`ecl_gpusim::observe`, a
+//! `Sink<ObserverList>`) is covered by `sink-publish`: two installs and
+//! an uninstall republish the list while an emitter walks it.
+//!
 //! Each harness recreates all shared state per invocation (the
 //! explorer runs it once per schedule) and encodes its correctness
 //! contract as plain `assert!`s; memory-ordering bugs surface as
@@ -101,8 +105,8 @@ pub const ALL: &[HarnessEntry] = &[
     },
     HarnessEntry {
         name: "sink-publish",
-        about: "observer-slot install/replace/uninstall vs. an emitter: never a freed payload",
-        run: sink_publish_clean,
+        about: "observer fan-out: two installs and an uninstall vs. an emitter walking the list",
+        run: observer_list_publish_clean,
     },
 ];
 
@@ -867,60 +871,96 @@ pub fn shard_exchange_clean() {
     shard_exchange(true, true);
 }
 
-/// Shared body for the observer-slot harness and its seeded-defect
-/// fixture: the publish-and-retire protocol of
-/// `ecl_profiling::sink::Sink<T>`, which `ecl_trace::sink`,
-/// `ecl_prof::sink`, `ecl_obs::sink` and `ecl_gpusim::check` all
-/// instantiate. Two threads each `install` their own payload — whoever
-/// takes the state mutex second is the *replacer* — and the second
-/// thread then `uninstall`s, while an emitter runs one hook call
-/// (`Relaxed` guard, `Acquire` pointer load, payload read) with no
-/// lock at all, as a launch in flight does.
-///
-/// Payloads are plain cells, so the contract is checked twice: the
-/// emitter asserts it read a fully initialised payload (the current
-/// one or a retired one, never torn-down storage), and any payload
-/// access the `SeqCst` pointer publish does not order is a data race.
-///
-/// `retire = false` is the defect `Sink<T>` exists to exclude: the
-/// replacer tears the old payload down (as dropping its `Arc` would)
-/// while an emitter that loaded the old pointer may still be reading
-/// through it.
-pub fn sink_publish(retire: bool) {
-    const PAYLOADS: [u32; 2] = [11, 22];
-    const FREED: u32 = 0;
-    let enabled = Arc::new(McAtomicBool::new("sink.enabled", false));
-    // 0 is the null pointer; `i + 1` points at `payloads[i]`.
-    let ptr = Arc::new(McAtomicUsize::new("sink.ptr", 0));
-    // The installed payload as the state mutex guards it, same encoding.
-    let state = Arc::new(McMutex::new("sink.state", 0usize));
-    let payloads: Arc<Vec<McCell<u32>>> =
-        Arc::new((0..2).map(|i| McCell::new(&format!("sink.payload[{i}]"), FREED)).collect());
+/// How a republish reclaims the list it replaces.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub enum Reclaim {
+    /// Retired, never freed: the production slot.
+    Retire,
+    /// Freed when an install publishes over it — `Sink<T>` without its
+    /// retired list.
+    FreeOnReplace,
+    /// Freed on every republish, the last uninstall included.
+    FreeOnRepublish,
+}
 
-    let owner = |slot: usize, then_uninstall: bool| {
+/// Shared body for the observer-slot harness and its seeded-defect
+/// fixtures: the fan-out slot of `ecl_gpusim::observe`, a
+/// `ecl_profiling::Sink<ObserverList>` whose payload is an immutable
+/// list of observers. Two threads each construct an observer and
+/// `install` it — read the published list under the registry mutex,
+/// build its successor with the observer appended, publish it
+/// (`SeqCst` disable → pointer → enable) — and the second thread then
+/// `uninstall`s its own, republishing the list without it. An emitter
+/// meanwhile runs one hook with no lock at all, as a launch in flight
+/// does: `Relaxed` guard, `Acquire` pointer load, then it walks the
+/// list and reads every member.
+///
+/// Lists and observers are plain cells, so the contract is checked
+/// twice: the emitter asserts it walked a fully built list of fully
+/// built observers (the current list or a retired one, never
+/// torn-down storage), and any read the `SeqCst` pointer publish does
+/// not order is a data race.
+///
+/// Freeing a replaced list ([`Reclaim`]) is the defect the slot's
+/// retired list exists to exclude: an emitter that loaded the old
+/// pointer may still be walking it.
+pub fn observer_list_publish(reclaim: Reclaim) {
+    const OBSERVERS: [u32; 2] = [11, 22];
+    // A list is a bitmask of members; a published list is never empty
+    // (the last uninstall disables the slot), so 0 marks a freed list.
+    const FREED: u32 = 0;
+    let enabled = Arc::new(McAtomicBool::new("observe.enabled", false));
+    // 0 is the null pointer; `i + 1` points at `lists[i]`.
+    let ptr = Arc::new(McAtomicUsize::new("observe.ptr", 0));
+    // (published list, next unused list slot), as the registry mutex
+    // guards them.
+    let registry = Arc::new(McMutex::new("observe.registry", (0usize, 0usize)));
+    let lists: Arc<Vec<McCell<u32>>> =
+        Arc::new((0..3).map(|i| McCell::new(&format!("observe.list[{i}]"), FREED)).collect());
+    let observers: Arc<Vec<McCell<u32>>> =
+        Arc::new((0..2).map(|i| McCell::new(&format!("observe.member[{i}]"), FREED)).collect());
+
+    let owner = |me: usize, then_uninstall: bool| {
         let enabled = Arc::clone(&enabled);
         let ptr = Arc::clone(&ptr);
-        let state = Arc::clone(&state);
-        let payloads = Arc::clone(&payloads);
-        thread::spawn(&format!("owner{slot}"), move || {
-            // The caller builds its payload before handing it over.
-            payloads[slot].write(PAYLOADS[slot]);
-            {
-                let mut current = state.lock();
-                enabled.store(false, Ordering::SeqCst);
-                if !retire && *current != 0 {
-                    // Defect: the old payload is freed, not retired.
-                    payloads[*current - 1].write(FREED);
+        let registry = Arc::clone(&registry);
+        let lists = Arc::clone(&lists);
+        let observers = Arc::clone(&observers);
+        thread::spawn(&format!("owner{me}"), move || {
+            // Publishes `members` in place of the current list.
+            let republish = |members: &dyn Fn(u32) -> u32| {
+                let mut reg = registry.lock();
+                let (current, next) = *reg;
+                let old = if current == 0 { 0 } else { lists[current - 1].read() };
+                let new = members(old);
+                if new != 0 {
+                    // The successor is built before it is published.
+                    lists[next].write(new);
                 }
-                ptr.store(slot + 1, Ordering::SeqCst);
-                *current = slot + 1;
-                enabled.store(true, Ordering::SeqCst);
-            }
-            if then_uninstall {
-                let mut current = state.lock();
                 enabled.store(false, Ordering::SeqCst);
-                ptr.store(0, Ordering::SeqCst);
-                *current = 0;
+                let free = match reclaim {
+                    Reclaim::Retire => false,
+                    Reclaim::FreeOnReplace => new != 0,
+                    Reclaim::FreeOnRepublish => true,
+                };
+                if free && current != 0 {
+                    // Defect: the replaced list is freed, not retired.
+                    lists[current - 1].write(FREED);
+                }
+                if new == 0 {
+                    ptr.store(0, Ordering::SeqCst);
+                    *reg = (0, next);
+                } else {
+                    ptr.store(next + 1, Ordering::SeqCst);
+                    *reg = (next + 1, next + 1);
+                    enabled.store(true, Ordering::SeqCst);
+                }
+            };
+            // The caller builds its observer before installing it.
+            observers[me].write(OBSERVERS[me]);
+            republish(&|old| old | 1 << me);
+            if then_uninstall {
+                republish(&|old| old & !(1 << me));
             }
         })
     };
@@ -930,18 +970,22 @@ pub fn sink_publish(retire: bool) {
     let emitter = {
         let enabled = Arc::clone(&enabled);
         let ptr = Arc::clone(&ptr);
-        let payloads = Arc::clone(&payloads);
+        let lists = Arc::clone(&lists);
+        let observers = Arc::clone(&observers);
         thread::spawn("emitter", move || {
             if !enabled.load(Ordering::Relaxed) {
                 return;
             }
             let p = ptr.load(Ordering::Acquire);
-            if p != 0 {
-                assert_eq!(
-                    payloads[p - 1].read(),
-                    PAYLOADS[p - 1],
-                    "emitter read an uninitialised or freed payload"
-                );
+            if p == 0 {
+                return;
+            }
+            let members = lists[p - 1].read();
+            assert_ne!(members, FREED, "emitter walked a freed observer list");
+            for (i, want) in OBSERVERS.iter().enumerate() {
+                if members & 1 << i != 0 {
+                    assert_eq!(observers[i].read(), *want, "emitter reached an unbuilt observer");
+                }
             }
         })
     };
@@ -951,7 +995,7 @@ pub fn sink_publish(retire: bool) {
     emitter.join();
 }
 
-/// The clean observer slot (old payloads retired, never freed).
-pub fn sink_publish_clean() {
-    sink_publish(true);
+/// The clean observer slot (replaced lists retired, never freed).
+pub fn observer_list_publish_clean() {
+    observer_list_publish(Reclaim::Retire);
 }

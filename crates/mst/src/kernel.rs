@@ -96,8 +96,8 @@ pub fn minimum_spanning_forest(device: &Device, g: &WeightedCsr, config: &MstCon
     let mut reg_index = 0u32;
     while !light.is_empty() {
         reg_index += 1;
-        ecl_trace::sink::round(reg_index);
-        ecl_trace::sink::phase_start("regular");
+        ecl_gpusim::observe::round(reg_index);
+        ecl_gpusim::observe::phase_start("regular");
         let merged = iteration(
             &mut state,
             config,
@@ -108,7 +108,7 @@ pub fn minimum_spanning_forest(device: &Device, g: &WeightedCsr, config: &MstCon
             stale_light,
             profiling,
         );
-        ecl_trace::sink::phase_end("regular");
+        ecl_gpusim::observe::phase_end("regular");
         if merged == 0 {
             break;
         }
@@ -117,8 +117,8 @@ pub fn minimum_spanning_forest(device: &Device, g: &WeightedCsr, config: &MstCon
     let mut fil_index = 0u32;
     while !heavy.is_empty() {
         fil_index += 1;
-        ecl_trace::sink::round(reg_index + fil_index);
-        ecl_trace::sink::phase_start("filter");
+        ecl_gpusim::observe::round(reg_index + fil_index);
+        ecl_gpusim::observe::phase_start("filter");
         let merged = iteration(
             &mut state,
             config,
@@ -129,7 +129,7 @@ pub fn minimum_spanning_forest(device: &Device, g: &WeightedCsr, config: &MstCon
             stale_heavy,
             profiling,
         );
-        ecl_trace::sink::phase_end("filter");
+        ecl_gpusim::observe::phase_end("filter");
         if merged == 0 {
             break;
         }

@@ -17,8 +17,8 @@
 //!    entries, evicting the least-slow). Postmortems of outliers need
 //!    no pre-enabled tracing: the black box already has them.
 //!
-//! Kernel spans arrive via the sink's launch hook while the request is
-//! in flight; per-request span counts are capped
+//! Kernel spans arrive via the observer slot's launch hook while the
+//! request is in flight; per-request span counts are capped
 //! ([`RecorderConfig::max_kernels`]) with explicit drop accounting, so
 //! a pathological million-launch job cannot balloon the recorder.
 
@@ -177,9 +177,9 @@ struct Inner {
     pinned: Vec<Arc<RequestTrace>>,
 }
 
-/// The recorder. One per server; reached through the global obs sink
-/// by the scheduler and launch hooks, and directly by the debug/trace
-/// HTTP endpoints.
+/// The recorder. One per server, inside its [`crate::Obs`]: the
+/// scheduler records jobs into it, the observer slot hands it request
+/// launches, and the debug/trace HTTP endpoints read it.
 pub struct FlightRecorder {
     cfg: RecorderConfig,
     inner: Mutex<Inner>,

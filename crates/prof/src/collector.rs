@@ -56,9 +56,9 @@ pub struct KernelStats {
 }
 
 /// Thread-safe collector of launch samples, grouped by (kernel name,
-/// shard) in first-seen order. Installed globally through [`crate::sink`];
-/// recording takes a short mutex (launch completion is coarse-grained
-/// — hundreds per run, not millions).
+/// shard) in first-seen order. Installed in the observer slot through
+/// [`crate::sink`]; recording takes a short mutex (launch completion is
+/// coarse-grained — hundreds per run, not millions).
 #[derive(Debug, Default)]
 pub struct Collector {
     kernels: Mutex<Vec<KernelAgg>>,

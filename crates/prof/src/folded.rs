@@ -224,6 +224,7 @@ pub fn folded_to_svg(folded: &str) -> String {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use ecl_gpusim::observe::Observer;
     use ecl_trace::{ClockMode, Tracer, TracerConfig};
 
     fn capture() -> Snapshot {

@@ -1,46 +1,41 @@
-//! The global profiling sink: the zero-cost-when-disabled hook the
-//! simulator's launch and pool code reports into.
+//! The collector as an observer: [`Collector`] implements
+//! [`ecl_gpusim::observe::Observer`] and records the
+//! [`LaunchSample`] every launch hands it.
 //!
-//! A `static` [`Sink<Collector>`] — see [`ecl_profiling::sink`] for
-//! the publish-and-retire protocol. The hot-path guard
-//! ([`is_enabled`]) is one relaxed `AtomicBool` load, so a launch on
-//! the disabled path pays a single never-taken branch and skips both
-//! the timing instrumentation and the sample allocation entirely.
+//! [`install`] / [`uninstall`] keep one collector in the simulator's
+//! observer slot at a time: installing replaces the collector
+//! installed before (it keeps its aggregates). With no observer that
+//! wants samples, a launch skips both the timing instrumentation and
+//! the sample allocation.
 
 use std::sync::Arc;
 
-use ecl_profiling::Sink;
-
-use crate::collector::Collector;
+use ecl_gpusim::observe::{Exclusive, Launch, Observer, Wants};
 use ecl_profiling::LaunchSample;
 
-static SINK: Sink<Collector> = Sink::new();
+use crate::collector::Collector;
 
-/// Installs `collector` as the global sink and enables profiling. A
-/// previously installed collector keeps its aggregates but stops
-/// receiving launches.
+static INSTALLED: Exclusive<Collector> = Exclusive::new();
+
+/// Installs `collector` in the observer slot, replacing a collector
+/// installed here before.
 pub fn install(collector: Arc<Collector>) {
-    SINK.install(collector);
+    INSTALLED.install(collector);
 }
 
-/// Stops profiling and detaches the collector, returning it for
-/// snapshotting.
+/// Uninstalls the collector and returns it for snapshotting.
 pub fn uninstall() -> Option<Arc<Collector>> {
-    SINK.uninstall()
+    INSTALLED.uninstall()
 }
 
-/// Whether launches are currently profiled — the hot-path guard the
-/// simulator reads once per launch (not per thread or block).
-#[inline(always)]
-pub fn is_enabled() -> bool {
-    SINK.is_enabled()
-}
+impl Observer for Collector {
+    fn wants(&self) -> Wants {
+        Wants { samples: true, ..Wants::default() }
+    }
 
-/// Records one completed launch into the installed collector. Callers
-/// should build the sample only after checking [`is_enabled`]; this
-/// re-checks in case of a concurrent uninstall.
-pub fn on_launch(sample: &LaunchSample) {
-    if let Some(collector) = SINK.get() {
-        collector.record(sample);
+    fn launch_end(&self, _launch: &Launch<'_>, _tracked: bool, sample: Option<&LaunchSample>) {
+        if let Some(sample) = sample {
+            self.record(sample);
+        }
     }
 }

@@ -59,6 +59,17 @@ impl RunOutput {
 /// strings (they become the job's failure message). Panics propagate —
 /// the scheduler wraps this call in `catch_unwind`.
 pub fn execute(spec: &JobSpec, catalog: &Arc<GraphCatalog>) -> Result<RunOutput, String> {
+    execute_for(spec, catalog, None)
+}
+
+/// [`execute`] on behalf of a request: `obs` (present when the job
+/// carries a request id and the server records requests) gets the
+/// graph-resolve phase.
+pub(crate) fn execute_for(
+    spec: &JobSpec,
+    catalog: &Arc<GraphCatalog>,
+    obs: Option<&Arc<ecl_obs::Obs>>,
+) -> Result<RunOutput, String> {
     match spec.fault {
         Fault::Panic => panic!("injected fault: panic"),
         Fault::DelayMs(ms) => std::thread::sleep(Duration::from_millis(ms as u64)),
@@ -73,10 +84,9 @@ pub fn execute(spec: &JobSpec, catalog: &Arc<GraphCatalog>) -> Result<RunOutput,
     // Request-scoped phase: a cold resolve (generate + materialize) can
     // dominate a request's run time; the flight recorder shows it as a
     // distinct span instead of unexplained non-kernel time.
-    let req = ecl_obs::ctx::current();
-    if req != 0 {
+    if let Some(obs) = obs {
         let resolve_ns = resolve_start.elapsed().as_nanos() as u64;
-        ecl_obs::sink::with(|obs| obs.recorder.on_phase(req, "graph.resolve", resolve_ns));
+        obs.recorder.on_phase(ecl_gpusim::ctx::request(), "graph.resolve", resolve_ns);
     }
     let structure = resolved.structure();
     let views = Views {

@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use crate::cache::{result_key, ResultCache};
 use crate::catalog::GraphCatalog;
-use crate::exec::execute;
+use crate::exec::execute_for;
 use crate::jobs::{Fault, JobEnd, JobRecord, JobSpec, JobState};
 use crate::metrics::ServeMetrics;
 use crate::ring::EventRing;
@@ -85,6 +85,8 @@ struct Shared {
     idle: Mutex<()>,
     work_ready: Condvar,
     hook: OnceLock<CompletionHook>,
+    /// The server's flight recorder and SLO engine, once attached.
+    obs: OnceLock<Arc<ecl_obs::Obs>>,
     shutdown: AtomicBool,
     running: AtomicUsize,
     jobs: Mutex<HashMap<u64, Arc<JobRecord>>>,
@@ -119,6 +121,7 @@ impl Scheduler {
             idle: Mutex::new(()),
             work_ready: Condvar::new(),
             hook: OnceLock::new(),
+            obs: OnceLock::new(),
             shutdown: AtomicBool::new(false),
             running: AtomicUsize::new(0),
             jobs: Mutex::new(HashMap::new()),
@@ -177,6 +180,12 @@ impl Scheduler {
         let _ = self.shared.hook.set(hook);
     }
 
+    /// Attaches the server's observability state (first attach wins):
+    /// jobs carrying a request id are recorded into it.
+    pub(crate) fn set_obs(&self, obs: Arc<ecl_obs::Obs>) {
+        let _ = self.shared.obs.set(obs);
+    }
+
     /// Looks up a job by id.
     pub fn job(&self, id: u64) -> Option<Arc<JobRecord>> {
         lock(&self.shared.jobs).get(&id).cloned()
@@ -195,7 +204,7 @@ impl Scheduler {
             .transition(JobState::Cancelled, Some(JobEnd::Message("cancelled by client".into())));
         if cancelled {
             self.shared.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
-            observe_terminal(job);
+            observe_terminal(&self.shared, job);
             notify_completion(&self.shared, job.id);
         }
         cancelled
@@ -316,7 +325,7 @@ fn run_one(shared: &Shared, job: &Arc<JobRecord>) {
                 JobState::DeadlineExceeded,
                 Some(JobEnd::Message("start deadline exceeded while queued".into())),
             ) {
-                observe_terminal(job);
+                observe_terminal(shared, job);
                 notify_completion(shared, job.id);
             } else {
                 shared.metrics.jobs_deadline_exceeded.fetch_sub(1, Ordering::Relaxed);
@@ -332,11 +341,10 @@ fn run_one(shared: &Shared, job: &Arc<JobRecord>) {
     // below this point (including from the simulator's worker threads,
     // which inherit the context through the pool's job records) carries
     // the originating request id. Jobs without one skip all of it.
-    let _ctx = (job.req != 0).then(|| ecl_obs::ctx::CtxGuard::enter(job.req));
-    if job.req != 0 {
-        ecl_obs::sink::with(|obs| {
-            obs.recorder.begin(job.req, job.id, job.spec.algo.name(), &job.spec.graph);
-        });
+    let _ctx = (job.req != 0).then(|| ecl_gpusim::ctx::CtxGuard::request(job.req));
+    let obs = shared.obs.get().filter(|_| job.req != 0);
+    if let Some(obs) = obs {
+        obs.recorder.begin(job.req, job.id, job.spec.algo.name(), &job.spec.graph);
     }
 
     let spec = job.spec.clone();
@@ -355,9 +363,9 @@ fn run_one(shared: &Shared, job: &Arc<JobRecord>) {
     };
     let key = resolved.as_ref().map(|g| result_key(g.content_hash, &spec));
     let hit = key.as_ref().and_then(|k| shared.results.get(k));
-    if job.req != 0 {
+    if let Some(obs) = obs {
         let probe_ns = probe_start.elapsed().as_nanos() as u64;
-        ecl_obs::sink::with(|obs| obs.recorder.on_phase(job.req, "cache.probe", probe_ns));
+        obs.recorder.on_phase(job.req, "cache.probe", probe_ns);
     }
     if let Some(hit) = hit {
         job.mark_cached();
@@ -377,9 +385,9 @@ fn run_one(shared: &Shared, job: &Arc<JobRecord>) {
     } else {
         format!("serve.job/{}", spec.algo.name())
     };
-    ecl_trace::sink::phase_start(&span);
-    let outcome = catch_unwind(AssertUnwindSafe(|| execute(&spec, &shared.catalog)));
-    ecl_trace::sink::phase_end(&span);
+    let outcome = ecl_gpusim::observe::phase_span(&span, || {
+        catch_unwind(AssertUnwindSafe(|| execute_for(&spec, &shared.catalog, obs)))
+    });
     match outcome {
         Ok(Ok(output)) => {
             if let Some(k) = key {
@@ -429,7 +437,7 @@ fn finish(shared: &Shared, job: &Arc<JobRecord>, state: JobState, end: JobEnd) {
     }
     // Flight-recorder/SLO record lands *before* the completion hook: a
     // client answered through the hook can immediately fetch the trace.
-    observe_terminal(job);
+    observe_terminal(shared, job);
     notify_completion(shared, job.id);
     let st = job.status();
     shared.metrics.record_latency(
@@ -439,14 +447,12 @@ fn finish(shared: &Shared, job: &Arc<JobRecord>, state: JobState, end: JobEnd) {
     );
 }
 
-/// Folds a just-terminal job into the observability sink (flight
-/// recorder + SLO engine), if one is installed and the job carries a
+/// Folds a just-terminal job into the observability state (flight
+/// recorder + SLO engine), if one is attached and the job carries a
 /// request id. Called exactly once per terminal transition, from
 /// whichever path won the transition race.
-fn observe_terminal(job: &JobRecord) {
-    if job.req == 0 || !ecl_obs::sink::is_enabled() {
-        return;
-    }
+fn observe_terminal(shared: &Shared, job: &JobRecord) {
+    let Some(obs) = shared.obs.get().filter(|_| job.req != 0) else { return };
     let state = job.state();
     let st = job.status();
     let queue_ns = (st.queue_ms * 1e6) as u64;
@@ -470,12 +476,10 @@ fn observe_terminal(job: &JobRecord) {
         run_ns,
         rounds,
     };
-    ecl_obs::sink::with(|obs| {
-        obs.recorder.finish(job.req, job.id, job.spec.algo.name(), &job.spec.graph, info);
-        if let Some(slo) = &obs.slo {
-            slo.observe(job.spec.algo.name(), job.req, queue_ns + run_ns, state == JobState::Done);
-        }
-    });
+    obs.recorder.finish(job.req, job.id, job.spec.algo.name(), &job.spec.graph, info);
+    if let Some(slo) = &obs.slo {
+        slo.observe(job.spec.algo.name(), job.req, queue_ns + run_ns, state == JobState::Done);
+    }
 }
 
 #[cfg(test)]

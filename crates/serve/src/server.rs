@@ -38,6 +38,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use ecl_gpusim::observe::{self, ObserverId};
 use ecl_prof::Collector;
 use ecl_profiling::json::{self, escape, num, Value};
 
@@ -116,9 +117,11 @@ pub(crate) struct ServerShared {
     pub(crate) scheduler: Scheduler,
     pub(crate) collector: Arc<Collector>,
     /// Request-scoped observability: the flight recorder plus the
-    /// optional SLO engine. Also installed as the process-global
-    /// `ecl-obs` sink for the lifetime of the server.
+    /// optional SLO engine. Attached to the scheduler, and installed in
+    /// the simulator's observer slot (as `obs_id`) for the lifetime of
+    /// the server.
     pub(crate) obs: Arc<ecl_obs::Obs>,
+    pub(crate) obs_id: ObserverId,
     pub(crate) limits: Limits,
     pub(crate) max_connections: usize,
     pub(crate) stopping: AtomicBool,
@@ -161,8 +164,9 @@ impl Server {
             ecl_trace::ClockMode::Wall,
         )));
         // Request-scoped observability: flight recorder (always on) and
-        // the SLO engine when objectives were configured. Installed as
-        // the global sink so scheduler/pool/kernel hooks can reach it.
+        // the SLO engine when objectives were configured. The scheduler
+        // records jobs into it; as an observer it gets the launches
+        // issued on behalf of a request.
         let slo = match &config.slo {
             Some(spec) => Some(ecl_obs::SloEngine::from_spec(spec).map_err(|e| {
                 std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("bad --slo: {e}"))
@@ -174,7 +178,8 @@ impl Server {
             ..ecl_obs::RecorderConfig::default()
         };
         let obs = Arc::new(ecl_obs::Obs::new(recorder_config, slo));
-        ecl_obs::sink::install(Arc::clone(&obs));
+        scheduler.set_obs(Arc::clone(&obs));
+        let obs_id = observe::install(obs.clone());
 
         let shared = Arc::new(ServerShared {
             catalog,
@@ -183,6 +188,7 @@ impl Server {
             scheduler,
             collector,
             obs,
+            obs_id,
             limits: config.limits,
             max_connections: config.max_connections.max(1),
             stopping: AtomicBool::new(false),
@@ -264,7 +270,7 @@ impl Server {
 
     /// Graceful drain: stop accepting, let the reactor finish or
     /// reclaim its connections, let every admitted job reach a
-    /// terminal state, flush the profiling sink. Idempotent.
+    /// terminal state, uninstall the observers. Idempotent.
     pub fn shutdown(&self) {
         if self.shared.stopping.swap(true, Ordering::AcqRel) {
             return;
@@ -286,13 +292,13 @@ impl Server {
         }
         self.shared.scheduler.shutdown();
         ecl_prof::sink::uninstall();
-        // Flush the trace sink after the last job has finished so no
+        // Uninstall the tracer after the last job has finished so no
         // span is cut mid-record; the snapshot is discarded here —
         // callers who want the capture install their own tracer first.
         ecl_trace::sink::uninstall();
         // The recorder/SLO state itself stays alive through
-        // `self.shared.obs`; only the global sink registration ends.
-        ecl_obs::sink::uninstall();
+        // `self.shared.obs`; only its observer registration ends.
+        observe::uninstall(self.shared.obs_id);
     }
 }
 

@@ -3,9 +3,9 @@
 //! cross-contaminate, and the SLO engine's series appear in `/metrics`
 //! with finite burn rates and exemplars.
 //!
-//! One `#[test]` on purpose — the obs/prof/trace sinks are
-//! process-global, so a second concurrently running server in the same
-//! process would race the install/uninstall pairs.
+//! One `#[test]` on purpose — the collector and tracer a server
+//! installs are one per process (installing replaces), so a second
+//! concurrently running server would race the install/uninstall pairs.
 
 use ecl_profiling::expo::lint_exposition;
 use ecl_profiling::json::{parse, Value};

@@ -26,8 +26,9 @@
 
 use ecl_cc::CcConfig;
 use ecl_gpusim::atomics::atomic_u32_array;
+use ecl_gpusim::ctx::CtxGuard;
 use ecl_gpusim::pool::with_policy;
-use ecl_gpusim::{launch_flat_named, CostKind, Device, DispatchPolicy, LaunchConfig, ShardGuard};
+use ecl_gpusim::{launch_flat_named, CostKind, Device, DispatchPolicy, LaunchConfig};
 use ecl_graph::Csr;
 use ecl_profiling::ProfileMode;
 
@@ -87,7 +88,7 @@ pub fn run_cc(devices: &[Device], g: &Csr, part: &Partition) -> ShardCcResult {
         for (s, sg) in graphs.iter().enumerate() {
             let device = &devices[s];
             let before = device.modeled_time();
-            let _guard = ShardGuard::enter(s as u32);
+            let _guard = CtxGuard::shard(s as u32);
             let (cur, next, boundary) = (&cur[s], &next[s], &boundary[s]);
             if step == 0 {
                 roots[s] = local_roots(device, sg);

@@ -30,7 +30,7 @@
 //! a superstep's modeled latency is the maximum per-shard compute
 //! delta plus the exchange term ([`time::ShardClock`]). Because each
 //! shard launches through the ordinary `ecl-gpusim` launch path inside
-//! a [`ecl_gpusim::ShardGuard`], the existing `ecl-check`, `ecl-trace`
+//! a shard [`ecl_gpusim::ctx::CtxGuard`], the existing `ecl-check`, `ecl-trace`
 //! and `ecl-prof` instrumentation applies per shard for free, with the
 //! shard id attached to trace markers and launch samples.
 

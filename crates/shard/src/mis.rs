@@ -23,7 +23,8 @@
 //! the same salt at every shard count.
 
 use ecl_gpusim::atomics::atomic_u32_array;
-use ecl_gpusim::{launch_flat_named, CostKind, Device, LaunchConfig, ShardGuard};
+use ecl_gpusim::ctx::CtxGuard;
+use ecl_gpusim::{launch_flat_named, CostKind, Device, LaunchConfig};
 use ecl_graph::Csr;
 use ecl_mis::status::{self, PriorityPolicy};
 
@@ -70,7 +71,7 @@ pub fn run_mis(devices: &[Device], g: &Csr, part: &Partition, tie_salt: u32) -> 
     for (s, sg) in graphs.iter().enumerate() {
         let device = &devices[s];
         let before = device.modeled_time();
-        let _guard = ShardGuard::enter(s as u32);
+        let _guard = CtxGuard::shard(s as u32);
         let locals = sg.locals();
         let init_byte =
             |l: usize| policy.initial_byte(sg.global_degree[l] as usize, sg.globals[l]) as u32;
@@ -95,7 +96,7 @@ pub fn run_mis(devices: &[Device], g: &Csr, part: &Partition, tie_salt: u32) -> 
         for (s, sg) in graphs.iter().enumerate() {
             let device = &devices[s];
             let before = device.modeled_time();
-            let _guard = ShardGuard::enter(s as u32);
+            let _guard = CtxGuard::shard(s as u32);
 
             for msg in mail.take_inbox(s as u32) {
                 let l = sg

@@ -22,7 +22,8 @@
 //! bit-identical to `ecl_scc::run` at every shard count.
 
 use ecl_gpusim::atomics::atomic_u32_array;
-use ecl_gpusim::{launch_flat_named, CostKind, CountedU32, Device, LaunchConfig, ShardGuard};
+use ecl_gpusim::ctx::CtxGuard;
+use ecl_gpusim::{launch_flat_named, CostKind, CountedU32, Device, LaunchConfig};
 use ecl_graph::Csr;
 
 use crate::exchange::{Mailboxes, Message};
@@ -107,7 +108,7 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
         for (s, sg) in graphs.iter().enumerate() {
             let device = &devices[s];
             let before = device.modeled_time();
-            let _guard = ShardGuard::enter(s as u32);
+            let _guard = CtxGuard::shard(s as u32);
             let locals = sg.locals();
             for l in 0..locals {
                 let id = sg.globals[l];
@@ -139,7 +140,7 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
             for (s, sg) in graphs.iter().enumerate() {
                 let device = &devices[s];
                 let before = device.modeled_time();
-                let _guard = ShardGuard::enter(s as u32);
+                let _guard = CtxGuard::shard(s as u32);
                 let owned = sg.owned;
                 let mut touched = vec![false; owned];
 
@@ -261,7 +262,7 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
         for (s, sg) in graphs.iter().enumerate() {
             let device = &devices[s];
             let before = device.modeled_time();
-            let _guard = ShardGuard::enter(s as u32);
+            let _guard = CtxGuard::shard(s as u32);
             let live_arcs = alive[s].iter().filter(|&&a| a).count();
             launch_flat_named(
                 device,

@@ -30,33 +30,19 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 use ecl_profiling::{AtomicOutcome, AtomicTally};
-use ecl_trace::{sink, EventKind};
 
-use crate::check::{self, AccessKind};
+use crate::check::AccessKind;
+use crate::observe;
 
-/// Maps an RMW outcome to the access classification the checker sees.
-/// Both map to atomic (race-exempt) kinds; the split lets lint rules
-/// count *effective* updates.
+/// Maps an RMW outcome to the access kind the observers see. All three
+/// are atomic (race-exempt) kinds; the split lets lint rules count
+/// *effective* updates and the trace keep failed CASes apart.
 #[inline]
 fn rmw_access_kind(outcome: AtomicOutcome) -> AccessKind {
     match outcome {
         AtomicOutcome::Updated => AccessKind::AtomicUpdated,
-        AtomicOutcome::NoEffect | AtomicOutcome::CasFailed => AccessKind::AtomicNoEffect,
-    }
-}
-
-/// Mirrors an atomic outcome into the global trace sink. A single
-/// relaxed load when tracing is disabled, so counted atomics stay
-/// cheap on the hot path.
-#[inline]
-fn trace_outcome(outcome: AtomicOutcome) {
-    if sink::is_enabled() {
-        let kind = match outcome {
-            AtomicOutcome::Updated => EventKind::AtomicUpdated,
-            AtomicOutcome::NoEffect => EventKind::AtomicNoEffect,
-            AtomicOutcome::CasFailed => EventKind::AtomicCasFailed,
-        };
-        sink::emit(kind, u32::MAX, 0, 0);
+        AtomicOutcome::NoEffect => AccessKind::AtomicNoEffect,
+        AtomicOutcome::CasFailed => AccessKind::AtomicCasFailed,
     }
 }
 
@@ -94,7 +80,7 @@ macro_rules! counted_atomic {
             /// atomic.
             #[inline]
             pub fn load(&self) -> $prim {
-                check::on_access(
+                observe::access(
                     self as *const Self as usize,
                     std::mem::size_of::<Self>(),
                     AccessKind::Read,
@@ -107,7 +93,7 @@ macro_rules! counted_atomic {
             /// atomic.
             #[inline]
             pub fn store(&self, v: $prim) {
-                check::on_access(
+                observe::access(
                     self as *const Self as usize,
                     std::mem::size_of::<Self>(),
                     AccessKind::Write,
@@ -115,15 +101,14 @@ macro_rules! counted_atomic {
                 self.inner.store(v, Ordering::Relaxed)
             }
 
-            /// Records one RMW outcome in `tally`, the trace sink and
-            /// the checker.
+            /// Records one RMW outcome in `tally` and reports it to the
+            /// observers.
             #[inline(always)]
             fn record_rmw(&self, outcome: AtomicOutcome, tally: Option<&AtomicTally>) {
                 if let Some(t) = tally {
                     t.record(outcome);
                 }
-                trace_outcome(outcome);
-                check::on_access(
+                observe::access(
                     self as *const Self as usize,
                     std::mem::size_of::<Self>(),
                     rmw_access_kind(outcome),
@@ -420,25 +405,11 @@ mod tests {
     }
 
     #[test]
-    fn a_skipped_rmw_still_reports_no_effect_to_checker_and_tracer() {
-        use std::sync::Arc;
-
-        let _serial = crate::lock_global_sinks();
+    fn a_skipped_rmw_still_reports_no_effect_to_the_observers() {
+        let _serial = crate::lock_observer_slot();
         let d = crate::Device::test_small();
-        let rec =
-            Arc::new(check::tests::Recorder { device: check::device_id(&d), ..Default::default() });
-        check::install(rec.clone());
-        let tracer = Arc::new(ecl_trace::Tracer::new(ecl_trace::TracerConfig {
-            slots: 64,
-            events_per_slot: 256,
-            clock: ecl_trace::ClockMode::Logical,
-        }));
-        sink::install(Arc::clone(&tracer));
-        // Marks this thread's ring: other tests' threads record into
-        // their own rings while the tracer is installed.
-        const MARK: u32 = 0x5EED;
-        sink::emit(EventKind::Marker, 0, 0, MARK);
-
+        let rec = crate::check::tests::Recorder::on(&d);
+        let id = observe::install(rec.clone());
         let (a, b, c) = (CountedU8::new(5), CountedU32::new(5), CountedU64::new(5));
         // One in-order block, run on this thread: six no-ops (each
         // proven by the first load, so no RMW), then one real update.
@@ -450,20 +421,13 @@ mod tests {
                 assert_eq!(b.fetch_max(6, None), 5);
             });
         });
-        sink::uninstall();
-        check::uninstall();
+        observe::uninstall(id);
 
-        let calls = rec.calls.lock().unwrap();
+        let calls = rec.take();
         let accesses: Vec<&str> =
             calls.iter().filter(|c| c.starts_with("access")).map(String::as_str).collect();
         let no_effect = |size| format!("access AtomicNoEffect {size} b0");
         let (n1, n4, n8) = (no_effect(1), no_effect(4), no_effect(8));
         assert_eq!(accesses, [&n1, &n1, &n4, &n4, &n8, &n8, "access AtomicUpdated 4 b0"]);
-
-        let snap = tracer.snapshot();
-        let me = snap.of_kind(EventKind::Marker).find(|e| e.payload == MARK).unwrap().thread;
-        let mine = |kind| snap.of_kind(kind).filter(|e| e.thread == me).count();
-        assert_eq!(mine(EventKind::AtomicNoEffect), 6);
-        assert_eq!(mine(EventKind::AtomicUpdated), 1);
     }
 }

@@ -1,34 +1,19 @@
-//! Checker hooks: the seam `ecl-check` plugs into.
+//! What an access is attributed to: launch shapes, access kinds and
+//! the per-thread [`Agent`] the checker's race and lint analysis keys
+//! on.
 //!
-//! The simulator reports four things to an installed [`CheckSink`]:
-//! kernel-launch boundaries (with name, shape and [`LaunchConfig`]),
-//! every counted-atomic cell access (address, width, read / write /
-//! atomic), cost charges attributed to the executing agent, and
-//! barrier participation. From those a checker can rebuild per-launch
-//! shadow memory and launch statistics without the simulator knowing
-//! anything about races or lint rules.
-//!
-//! The plumbing is a `static` [`Sink`] (see [`ecl_profiling::sink`]):
-//! one relaxed `AtomicBool` load on the hot path when no checker is
-//! installed, an acquire load of a retired-never-freed pointer when
-//! one is. Which launches are
-//! *tracked* is the sink's decision — [`CheckSink::launch_begin`]
-//! returns `false` for devices it does not watch, and untracked
-//! launches never set the thread-local agent, so their accesses are
-//! invisible. Host-side code (no launch in progress on the calling
-//! thread) has no agent either and is likewise skipped: only work
-//! attributable to a simulated thread participates in race and lint
-//! analysis.
+//! Which launches are *tracked* is the observers' decision
+//! ([`crate::observe::Observer::launch_begin`]): `ecl-check` tracks
+//! the device it watches and nothing else. Untracked launches never
+//! set the thread-local agent, so the access, charge and sync hooks
+//! carry no agent for them. Host-side code (no launch in progress on
+//! the calling thread) has no agent either: only work attributable to
+//! a simulated thread participates in race and lint analysis.
 
 use std::cell::Cell;
 use std::fmt;
-use std::sync::Arc;
 
-use ecl_profiling::Sink;
-
-use crate::cost::CostKind;
-use crate::device::{Device, DeviceConfig};
-use crate::launch::LaunchConfig;
+use crate::device::Device;
 
 /// The execution granularity of a launch, as seen by the checker.
 ///
@@ -73,16 +58,20 @@ pub enum AccessKind {
     /// A true atomic RMW that changed the cell (successful CAS,
     /// effective min/max). Exempt from race analysis.
     AtomicUpdated,
-    /// A true atomic RMW that left the cell unchanged (failed CAS,
-    /// ineffective min/max). Exempt from race analysis.
+    /// An atomic min/max that left the cell unchanged. Exempt from
+    /// race analysis.
     AtomicNoEffect,
+    /// An `atomicCAS` that found an unexpected value. Exempt from race
+    /// analysis; kept apart from [`AccessKind::AtomicNoEffect`] because
+    /// the paper (and the trace) count the two outcomes separately.
+    AtomicCasFailed,
 }
 
 impl AccessKind {
     /// Whether the access was a hardware atomic (and therefore exempt
     /// from the race rules).
     pub fn is_atomic(self) -> bool {
-        matches!(self, AccessKind::AtomicUpdated | AccessKind::AtomicNoEffect)
+        !matches!(self, AccessKind::Read | AccessKind::Write)
     }
 }
 
@@ -132,43 +121,6 @@ impl fmt::Display for Agent {
     }
 }
 
-/// Receiver for checker hooks. Implemented by `ecl-check`; the
-/// simulator only ever talks to this trait.
-pub trait CheckSink: Send + Sync {
-    /// A kernel launch is starting on `device` (an opaque identity —
-    /// see [`device_id`]). Returns whether the sink wants this launch
-    /// tracked; untracked launches produce no further hook calls.
-    fn launch_begin(
-        &self,
-        device: usize,
-        config: DeviceConfig,
-        name: &str,
-        shape: LaunchShape,
-        cfg: LaunchConfig,
-    ) -> bool;
-
-    /// A tracked launch completed (all blocks joined).
-    fn launch_end(&self, device: usize);
-
-    /// A counted-atomic cell access by `agent` during a tracked launch.
-    fn access(&self, addr: usize, size: usize, kind: AccessKind, agent: Agent);
-
-    /// A cost charge issued by `agent` during a tracked launch.
-    fn charge(&self, kind: CostKind, units: u64, agent: Agent);
-
-    /// A block-wide synchronization round (`BlockCtx::sync`) with
-    /// `participants` charged thread slots.
-    fn block_sync(&self, agent: Agent, participants: u64);
-
-    /// One lane arrived at a per-lane barrier (`BlockCtx::lane_sync`).
-    fn lane_sync(&self, agent: Agent, lane: u32);
-
-    /// A tracked block finished executing.
-    fn block_end(&self, block: u32, block_size: usize);
-}
-
-static SINK: Sink<Arc<dyn CheckSink>> = Sink::new();
-
 thread_local! {
     static AGENT: Cell<Option<Agent>> = const { Cell::new(None) };
 }
@@ -177,29 +129,6 @@ thread_local! {
 /// the lifetime of the borrow a checker holds on the device.
 pub fn device_id(device: &Device) -> usize {
     device as *const Device as usize
-}
-
-/// Installs `sink` as the process-global checker and enables hooks.
-/// Replaces (and retires) any previously installed sink.
-pub fn install(sink: Arc<dyn CheckSink>) {
-    SINK.install(Arc::new(sink));
-}
-
-/// Disables hooks and detaches the sink (retiring its storage).
-pub fn uninstall() {
-    SINK.uninstall();
-}
-
-/// Whether a checker is installed. One relaxed load — the hot-path
-/// guard every hook starts with.
-#[inline(always)]
-pub fn is_enabled() -> bool {
-    SINK.is_enabled()
-}
-
-#[inline(always)]
-fn with_sink<R>(f: impl FnOnce(&dyn CheckSink) -> R) -> Option<R> {
-    SINK.get().map(|s| f(s.as_ref()))
 }
 
 /// The agent currently executing on this thread, if a tracked launch
@@ -237,117 +166,79 @@ impl Drop for AgentScope {
     }
 }
 
-pub(crate) fn launch_begin(
-    device: &Device,
-    name: &str,
-    shape: LaunchShape,
-    cfg: LaunchConfig,
-) -> bool {
-    with_sink(|s| s.launch_begin(device_id(device), *device.config(), name, shape, cfg))
-        .unwrap_or(false)
-}
-
-pub(crate) fn launch_end(device: &Device, tracked: bool) {
-    if tracked {
-        with_sink(|s| s.launch_end(device_id(device)));
-    }
-}
-
-pub(crate) fn block_end(block: u32, block_size: usize) {
-    with_sink(|s| s.block_end(block, block_size));
-}
-
-/// Reports one counted-atomic access. Skipped unless a checker is
-/// installed *and* the calling thread is an agent of a tracked launch
-/// (host-side accesses are not race candidates).
-#[inline(always)]
-pub(crate) fn on_access(addr: usize, size: usize, kind: AccessKind) {
-    if is_enabled() {
-        access_slow(addr, size, kind);
-    }
-}
-
-#[cold]
-fn access_slow(addr: usize, size: usize, kind: AccessKind) {
-    if let Some(agent) = current_agent() {
-        with_sink(|s| s.access(addr, size, kind, agent));
-    }
-}
-
-/// Reports one cost charge (same gating as [`on_access`]).
-#[inline(always)]
-pub(crate) fn on_charge(kind: CostKind, units: u64) {
-    if is_enabled() {
-        charge_slow(kind, units);
-    }
-}
-
-#[cold]
-fn charge_slow(kind: CostKind, units: u64) {
-    if let Some(agent) = current_agent() {
-        with_sink(|s| s.charge(kind, units, agent));
-    }
-}
-
-#[inline(always)]
-pub(crate) fn on_block_sync(participants: u64) {
-    if is_enabled() {
-        if let Some(agent) = current_agent() {
-            with_sink(|s| s.block_sync(agent, participants));
-        }
-    }
-}
-
-#[inline(always)]
-pub(crate) fn on_lane_sync(lane: u32) {
-    if is_enabled() {
-        if let Some(agent) = current_agent() {
-            with_sink(|s| s.lane_sync(agent, lane));
-        }
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 pub(crate) mod tests {
     use super::*;
-    use crate::atomics::atomic_u32_array;
-    use crate::launch::{launch_blocks_named, launch_flat_named, launch_warps_named};
-    use std::sync::Mutex as StdMutex;
+    use std::sync::{Arc, Mutex};
 
-    /// Logs every hook call of launches on `device`, one line each.
+    use ecl_profiling::LaunchSample;
+
+    use crate::atomics::atomic_u32_array;
+    use crate::cost::CostKind;
+    use crate::launch::{
+        launch_blocks_named, launch_flat_named, launch_persistent_named, launch_warps_named,
+        LaunchConfig,
+    };
+    use crate::observe::{self, Launch, Observer, Wants};
+    use crate::pool::{with_policy, DispatchPolicy};
+
+    /// Logs every hook call of launches on `device` (and every phase,
+    /// round and finding), one line each. Hooks of untracked launches
+    /// and host code, which other tests running concurrently produce,
+    /// are not logged.
     #[derive(Default)]
     pub(crate) struct Recorder {
         pub(crate) device: usize,
-        pub(crate) calls: StdMutex<Vec<String>>,
+        pub(crate) calls: Mutex<Vec<String>>,
     }
 
     impl Recorder {
+        pub(crate) fn on(device: &Device) -> Arc<Recorder> {
+            Arc::new(Recorder { device: device_id(device), ..Default::default() })
+        }
+
         fn log(&self, s: String) {
             self.calls.lock().unwrap().push(s);
         }
+
+        pub(crate) fn take(&self) -> Vec<String> {
+            std::mem::take(&mut *self.calls.lock().unwrap())
+        }
     }
 
-    impl CheckSink for Recorder {
-        fn launch_begin(
-            &self,
-            device: usize,
-            _config: DeviceConfig,
-            name: &str,
-            shape: LaunchShape,
-            cfg: LaunchConfig,
-        ) -> bool {
-            if device != self.device {
+    impl Observer for Recorder {
+        fn wants(&self) -> Wants {
+            Wants { blocks: true, accesses: true, charges: true, samples: true, ..Wants::default() }
+        }
+        fn launch_begin(&self, l: &Launch<'_>) -> bool {
+            if l.device != self.device {
                 return false;
             }
-            self.log(format!("begin {name} {} {}x{}", shape.name(), cfg.blocks, cfg.block_size));
+            let (name, shape, cfg) = (l.name, l.shape.name(), l.cfg);
+            self.log(format!("begin {name} {shape} {}x{}", cfg.blocks, cfg.block_size));
             true
         }
-        fn launch_end(&self, _device: usize) {
-            self.log("end".into());
+        fn launch_end(&self, l: &Launch<'_>, tracked: bool, sample: Option<&LaunchSample>) {
+            if l.device == self.device {
+                let sample = sample.map_or("none", |s| s.kernel.as_str());
+                self.log(format!("end {} tracked={tracked} sample={sample}", l.name));
+            }
         }
-        fn access(&self, _addr: usize, size: usize, kind: AccessKind, agent: Agent) {
-            self.log(format!("access {kind:?} {size} {agent}"));
+        fn block_begin(&self, block: u32, block_size: usize, tracked: bool) {
+            if tracked {
+                self.log(format!("block-begin {block} {block_size}"));
+            }
+        }
+        fn block_end(&self, block: u32, block_size: usize, tracked: bool) {
+            if tracked {
+                self.log(format!("block-end {block} {block_size}"));
+            }
+        }
+        fn access(&self, _addr: usize, size: usize, kind: AccessKind, agent: Option<Agent>) {
+            if let Some(agent) = agent {
+                self.log(format!("access {kind:?} {size} {agent}"));
+            }
         }
         fn charge(&self, kind: CostKind, units: u64, agent: Agent) {
             self.log(format!("charge {kind:?} {units} {agent}"));
@@ -358,88 +249,158 @@ pub(crate) mod tests {
         fn lane_sync(&self, agent: Agent, lane: u32) {
             self.log(format!("lane-sync {agent} {lane}"));
         }
-        fn block_end(&self, block: u32, block_size: usize) {
-            self.log(format!("block-end {block} {block_size}"));
+        fn phase_start(&self, name: &str) {
+            self.log(format!("phase-start {name}"));
+        }
+        fn phase_end(&self, name: &str) {
+            self.log(format!("phase-end {name}"));
+        }
+        fn round(&self, n: u32) {
+            self.log(format!("round {n}"));
+        }
+        fn check_finding(&self, block: u32, rule: u32) {
+            self.log(format!("finding {block} {rule}"));
         }
     }
 
-    // The sink is process-global, so (like the trace sink's tests)
-    // everything shares one #[test] body, serialized with the crate's
-    // other sink-installing tests, to avoid interference under the
-    // parallel runner. Launches from *other* concurrently running
-    // sim tests hit `launch_begin` with a different device id and are
-    // rejected, so they cannot pollute the recording.
+    /// The log one tracked launch of `name` produces: `per_agent(block)`
+    /// lists the lines each block logs between its begin and end.
+    fn expected(
+        name: &str,
+        shape: &str,
+        cfg: LaunchConfig,
+        per_block: impl Fn(usize) -> Vec<String>,
+    ) -> Vec<String> {
+        let mut log = vec![format!("begin {name} {shape} {}x{}", cfg.blocks, cfg.block_size)];
+        for b in 0..cfg.blocks {
+            log.push(format!("block-begin {b} {}", cfg.block_size));
+            log.extend(per_block(b));
+            log.push(format!("block-end {b} {}", cfg.block_size));
+        }
+        log.push(format!("end {name} tracked=true sample={name}"));
+        log
+    }
+
+    /// Runs the four launch shapes (and the phase, round and finding
+    /// hooks) on `d`, in order, returning the log each must produce.
+    fn all_shapes(d: &Device) -> Vec<String> {
+        let mut want = Vec::new();
+        // Flat: per-lane agents; stores and charges attributed.
+        let cells = atomic_u32_array(4, |_| 0);
+        let cfg = LaunchConfig::new(2, 2);
+        launch_flat_named(d, "t.flat", cfg, |t| {
+            cells[t.global].store(t.global as u32);
+            d.charge(CostKind::ThreadWork, 1);
+        });
+        want.extend(expected("t.flat", "flat", cfg, |b| {
+            (0..2)
+                .flat_map(|l| {
+                    [format!("access Write 4 b{b}/t{l}"), format!("charge ThreadWork 1 b{b}/t{l}")]
+                })
+                .collect()
+        }));
+
+        // Persistent: one lane per resident thread, grid rounded up.
+        let n = d.resident_threads();
+        let seen = atomic_u32_array(n, |_| 1);
+        launch_persistent_named(d, "t.persistent", |t| {
+            if t.global < n {
+                seen[t.global].fetch_max(0, None);
+            }
+        });
+        let cfg = LaunchConfig::cover(n, d.config().default_block_size);
+        want.extend(expected("t.persistent", "persistent", cfg, |b| {
+            (0..cfg.block_size)
+                .filter(|l| b * cfg.block_size + l < n)
+                .map(|l| format!("access AtomicNoEffect 4 b{b}/t{l}"))
+                .collect()
+        }));
+
+        // Blocks: block-wide agents; RMW outcomes, barriers.
+        let cells = atomic_u32_array(2, |_| 5);
+        let cfg = LaunchConfig::new(2, 4);
+        launch_blocks_named(d, "t.blocks", cfg, |b| {
+            cells[b.block].fetch_min(0, None);
+            cells[b.block].cas(99, 1, None);
+            b.sync();
+            b.threads().for_each(|t| b.lane_sync(t));
+        });
+        want.extend(expected("t.blocks", "blocks", cfg, |b| {
+            let mut log = vec![
+                format!("access AtomicUpdated 4 b{b}"),
+                format!("access AtomicCasFailed 4 b{b}"),
+                format!("charge BlockSync 4 b{b}"),
+                format!("sync b{b} 4"),
+            ];
+            for l in 0..4 {
+                log.push(format!("charge BlockSync 1 b{b}"));
+                log.push(format!("lane-sync b{b} {l}"));
+            }
+            log
+        }));
+
+        // Warps: warp-granular agents.
+        let cfg = LaunchConfig::new(1, 64);
+        launch_warps_named(d, "t.warps", cfg, |w| {
+            cells[w.block].load();
+        });
+        want.extend(expected("t.warps", "warps", cfg, |b| {
+            (0..2).map(|w| format!("access Read 4 b{b}/w{w}")).collect()
+        }));
+
+        observe::phase_span("p", || observe::round(3));
+        observe::check_finding(7, 2);
+        want.extend(["phase-start p", "round 3", "phase-end p", "finding 7 2"].map(String::from));
+        want
+    }
+
+    // The slot is process-global, so everything shares one #[test]
+    // body, serialized with the crate's other observer-installing
+    // tests. Launches from *other* concurrently running sim tests are
+    // on other devices: untracked, so the recorders ignore them.
     #[test]
     fn hook_lifecycle_and_agent_identity() {
-        let _serial = crate::lock_global_sinks();
-        assert!(!is_enabled());
+        let _serial = crate::lock_observer_slot();
+        assert!(!observe::is_enabled());
         assert!(current_agent().is_none());
 
-        let d = Device::test_small();
-        let rec = Arc::new(Recorder { device: device_id(&d), ..Default::default() });
-        install(rec.clone());
-        assert!(is_enabled());
+        with_policy(DispatchPolicy::sequential(), || {
+            // Two observers: each sees each hook of every shape once,
+            // in the same order.
+            let d = Device::test_small();
+            let (a, b) = (Recorder::on(&d), Recorder::on(&d));
+            let a_id = observe::install(a.clone());
+            let b_id = observe::install(b.clone());
+            assert!(observe::is_enabled());
+            let want = all_shapes(&d);
+            assert_eq!(a.take(), want);
+            assert_eq!(b.take(), want);
 
-        // Flat launch: per-lane agents; loads/stores visible.
-        let cells = atomic_u32_array(4, |_| 0);
-        launch_flat_named(&d, "t.flat", LaunchConfig::new(2, 2), |t| {
-            cells[t.global].store(t.global as u32);
+            // A launch on a different device is untracked and leaves no
+            // agent behind; host-side accesses are never attributed.
+            let other = Device::test_small();
+            let cells = atomic_u32_array(1, |_| 0);
+            launch_flat_named(&other, "t.other", LaunchConfig::new(1, 1), |_| {
+                assert!(current_agent().is_none());
+                cells[0].store(7);
+            });
+            cells[0].store(9);
+            assert!(a.take().is_empty());
+            assert!(b.take().is_empty());
+
+            // After one leaves, the other keeps receiving.
+            observe::uninstall(a_id);
+            let want = all_shapes(&d);
+            assert_eq!(b.take(), want);
+            assert!(a.take().is_empty());
+
+            // After both are gone, no hook fires.
+            observe::uninstall(b_id);
+            assert!(!observe::is_enabled());
+            all_shapes(&d);
+            assert!(a.take().is_empty());
+            assert!(b.take().is_empty());
         });
-        {
-            let calls = rec.calls.lock().unwrap();
-            assert!(calls.iter().any(|c| c == "begin t.flat flat 2x2"), "{calls:?}");
-            assert!(calls.iter().any(|c| c == "access Write 4 b0/t1"), "{calls:?}");
-            assert!(calls.iter().any(|c| c == "access Write 4 b1/t0"), "{calls:?}");
-            assert!(calls.iter().any(|c| c.starts_with("block-end 1")), "{calls:?}");
-            assert_eq!(calls.iter().filter(|c| *c == "end").count(), 1);
-            // The launch itself charges KernelLaunch host-side (no
-            // agent) — must NOT be attributed.
-            assert!(!calls.iter().any(|c| c.contains("KernelLaunch")), "{calls:?}");
-        }
-        rec.calls.lock().unwrap().clear();
-
-        // Block launch: block-wide agents, sync reported.
-        launch_blocks_named(&d, "t.blocks", LaunchConfig::new(2, 4), |b| {
-            cells[b.block].fetch_min(0, None);
-            b.sync();
-        });
-        {
-            let calls = rec.calls.lock().unwrap();
-            assert!(calls.iter().any(|c| c == "begin t.blocks blocks 2x4"), "{calls:?}");
-            assert!(calls.iter().any(|c| c == "access AtomicUpdated 4 b1"), "{calls:?}");
-            assert!(calls.iter().any(|c| c == "sync b0 4"), "{calls:?}");
-        }
-        rec.calls.lock().unwrap().clear();
-
-        // Warp launch: warp-granular agents.
-        launch_warps_named(&d, "t.warps", LaunchConfig::new(1, 64), |w| {
-            cells[w.block].load();
-            let _ = w.lanes;
-        });
-        {
-            let calls = rec.calls.lock().unwrap();
-            assert!(calls.iter().any(|c| c == "access Read 4 b0/w0"), "{calls:?}");
-            assert!(calls.iter().any(|c| c == "access Read 4 b0/w1"), "{calls:?}");
-        }
-
-        // A launch on a different device is rejected and leaves no
-        // agent behind.
-        let other = Device::test_small();
-        rec.calls.lock().unwrap().clear();
-        launch_flat_named(&other, "t.other", LaunchConfig::new(1, 1), |_| {
-            assert!(current_agent().is_none());
-            cells[0].store(7);
-        });
-        assert!(rec.calls.lock().unwrap().is_empty());
-
-        // Host-side accesses (no launch) are never reported.
-        cells[0].store(9);
-        assert!(rec.calls.lock().unwrap().is_empty());
-
-        uninstall();
-        assert!(!is_enabled());
-        launch_flat_named(&d, "t.after", LaunchConfig::new(1, 1), |_| {});
-        assert!(rec.calls.lock().unwrap().is_empty());
     }
 
     #[test]

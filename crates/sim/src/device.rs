@@ -130,11 +130,12 @@ impl Device {
     }
 
     /// Charges `units` of `kind` to this device's tally. Also reports
-    /// the charge to an installed checker (one relaxed load when none
-    /// is) so launch lints can attribute work to the executing agent.
+    /// the charge to the observers (one relaxed load when none is
+    /// installed) so launch lints can attribute work to the executing
+    /// agent.
     #[inline]
     pub fn charge(&self, kind: CostKind, units: u64) {
-        crate::check::on_charge(kind, units);
+        crate::observe::charge(kind, units);
         self.cost.charge(kind, units);
     }
 

@@ -25,47 +25,43 @@
 //! block-scheduling contract — so kernels must not spin-wait on other
 //! blocks.
 
-use ecl_trace::{sink, EventKind};
+use ecl_profiling::LaunchSample;
 
 use crate::check::{self, Agent, LaunchShape};
 use crate::cost::CostKind;
 use crate::device::Device;
-use crate::pool;
+use crate::observe::{self, Launch};
+use crate::{ctx, pool};
 
-/// Dispatches a launch's blocks onto the pool, reporting a per-launch
-/// profile sample when `ecl-prof`'s sink is installed and/or the
-/// launch runs inside a request context with `ecl-obs` installed. The
-/// disabled path is the plain [`pool::dispatch`] plus two relaxed
-/// atomic loads.
-fn dispatch_blocks<F>(name: &str, shape: &'static str, cfg: LaunchConfig, f: F)
+/// Dispatches a launch's blocks onto the pool and, when an observer
+/// wants one ([`observe::Wants`]), builds the launch's profile sample.
+/// Without one this is the plain [`pool::dispatch`] plus one relaxed
+/// load.
+fn dispatch_blocks<F>(
+    name: &str,
+    shape: &'static str,
+    cfg: LaunchConfig,
+    f: F,
+) -> Option<LaunchSample>
 where
     F: Fn(usize) + Sync,
 {
-    let prof = ecl_prof::sink::is_enabled();
-    let obs = ecl_obs::sink::wants_samples();
-    if !prof && !obs {
+    if !observe::wants_sample() {
         pool::dispatch(cfg.blocks, f);
-        return;
+        return None;
     }
     let started = std::time::Instant::now();
     let workers = pool::dispatch_profiled(cfg.blocks, f);
-    let wall_ns = started.elapsed().as_nanos() as u64;
-    let sample = ecl_profiling::LaunchSample {
+    Some(LaunchSample {
         kernel: name.to_string(),
         shape,
         blocks: cfg.blocks as u64,
         block_size: cfg.block_size as u64,
-        wall_ns,
+        wall_ns: started.elapsed().as_nanos() as u64,
         workers,
-        req: ecl_obs::ctx::current(),
-        shard: crate::shard::current(),
-    };
-    if prof {
-        ecl_prof::sink::on_launch(&sample);
-    }
-    if obs {
-        ecl_obs::sink::on_launch(&sample);
-    }
+        req: ctx::request(),
+        shard: ctx::shard(),
+    })
 }
 
 /// Grid dimensions of one launch.
@@ -109,35 +105,34 @@ pub struct ThreadCtx {
     pub lane: usize,
 }
 
-/// The launch skeleton every shape shares: charges the launch, emits
-/// the launch / block-start / block-end trace events, brackets the
-/// grid with the checker's `launch_begin` / `launch_end`, scopes the
+/// The launch skeleton every shape shares: charges the launch,
+/// brackets the grid with the observers' `launch_begin` / `launch_end`
+/// and each block with `block_begin` / `block_end`, and scopes the
 /// per-OS-thread agent and the block-local cost tally around each
 /// block (the tally folds into the device's when the block ends, so
 /// before the pool retires the block and the launch join publishes
-/// it) and, for tracked launches, clears the agent and reports
-/// `block_end` after `per_block(block, tracked)` returns. `per_block`
-/// only runs the shape's inner loop, setting the agent it iterates
-/// when `tracked`.
+/// it). `per_block(block, tracked)` only runs the shape's inner loop,
+/// setting the agent it iterates when `tracked`; the agent is cleared
+/// before `block_end`.
 fn run_grid<F>(device: &Device, name: &str, shape: LaunchShape, cfg: LaunchConfig, per_block: F)
 where
     F: Fn(usize, bool) + Sync,
 {
     device.charge(CostKind::KernelLaunch, 1);
-    sink::emit(EventKind::KernelLaunch, u32::MAX, 0, cfg.blocks.min(u32::MAX as usize) as u32);
-    let tracked = check::launch_begin(device, name, shape, cfg);
-    dispatch_blocks(name, shape.name(), cfg, |block| {
+    let launch =
+        Launch { device: check::device_id(device), config: device.config(), name, shape, cfg };
+    let tracked = observe::launch_begin(&launch);
+    let sample = dispatch_blocks(name, shape.name(), cfg, |block| {
         let _agents = check::AgentScope::enter();
         let _tally = device.cost().open_block();
-        sink::emit(EventKind::BlockStart, block as u32, 0, cfg.block_size as u32);
+        observe::block_begin(block as u32, cfg.block_size, tracked);
         per_block(block, tracked);
         if tracked {
             check::set_agent(None);
-            check::block_end(block as u32, cfg.block_size);
         }
-        sink::emit(EventKind::BlockEnd, block as u32, 0, cfg.block_size as u32);
+        observe::block_end(block as u32, cfg.block_size, tracked);
     });
-    check::launch_end(device, tracked);
+    observe::launch_end(&launch, tracked, sample.as_ref());
 }
 
 /// Shared body of the per-thread launch shapes: flat grids and
@@ -221,7 +216,7 @@ impl BlockCtx<'_> {
     /// idle threads to participate in block-wide synchronizations").
     pub fn sync(&self) {
         self.device.charge(CostKind::BlockSync, self.block_size as u64);
-        check::on_block_sync(self.block_size as u64);
+        observe::block_sync(self.block_size as u64);
     }
 
     /// One *lane's* arrival at a block-wide barrier: charges a single
@@ -234,7 +229,7 @@ impl BlockCtx<'_> {
     pub fn lane_sync(&self, t: ThreadCtx) {
         debug_assert_eq!(t.block, self.block, "lane_sync from a foreign block");
         self.device.charge(CostKind::BlockSync, 1);
-        check::on_lane_sync(t.lane as u32);
+        observe::lane_sync(t.lane as u32);
     }
 
     /// The device this block runs on (for cost charges from kernel
@@ -602,30 +597,51 @@ mod tests {
 
     #[test]
     fn profiling_sink_sees_every_launch_shape() {
-        // One test body: the prof sink is process-global state.
+        use crate::observe::{Observer, Wants};
+        use std::sync::{Arc, Mutex};
+
+        /// Keeps the samples of this test's launches (other tests
+        /// launch concurrently while it is installed).
+        struct Samples(Mutex<Vec<LaunchSample>>);
+        impl Observer for Samples {
+            fn wants(&self) -> Wants {
+                Wants { samples: true, ..Wants::default() }
+            }
+            fn launch_end(&self, _: &Launch<'_>, _: bool, sample: Option<&LaunchSample>) {
+                if let Some(s) = sample.filter(|s| s.kernel.starts_with("prof-")) {
+                    self.0.lock().unwrap().push(s.clone());
+                }
+            }
+        }
+
+        let _serial = crate::lock_observer_slot();
         let d = Device::test_small();
-        let collector = std::sync::Arc::new(ecl_prof::Collector::new());
-        ecl_prof::sink::install(std::sync::Arc::clone(&collector));
+        let samples = Arc::new(Samples(Mutex::new(Vec::new())));
+        let id = observe::install(samples.clone());
         launch_flat_named(&d, "prof-flat", LaunchConfig::new(4, 8), |_| {});
         launch_blocks_named(&d, "prof-blocks", LaunchConfig::new(3, 8), |_| {});
         launch_warps_named(&d, "prof-warps", LaunchConfig::new(2, 64), |_| {});
-        launch_flat_named(&d, "prof-flat", LaunchConfig::new(4, 8), |_| {});
-        ecl_prof::sink::uninstall();
-        // Launches after uninstall are not recorded.
+        launch_persistent_named(&d, "prof-persistent", |_| {});
+        observe::uninstall(id);
+        // Launches after uninstall are not sampled.
         launch_flat_named(&d, "prof-flat", LaunchConfig::new(4, 8), |_| {});
 
-        let stats = collector.snapshot();
-        let by_name =
-            |n: &str| stats.iter().find(|k| k.name == n).unwrap_or_else(|| panic!("missing {n}"));
-        let flat = by_name("prof-flat");
-        assert_eq!(flat.launches, 2);
-        assert_eq!(flat.blocks, 8);
-        assert_eq!(flat.threads, 64);
-        assert_eq!(flat.shape, "flat");
-        assert_eq!(flat.wall_ns.count, 2);
-        assert_eq!(by_name("prof-blocks").shape, "blocks");
-        assert_eq!(by_name("prof-warps").shape, "warps");
+        let got = samples.0.lock().unwrap();
+        let seen: Vec<_> =
+            got.iter().map(|s| (s.kernel.as_str(), s.shape, s.blocks, s.block_size)).collect();
+        assert_eq!(
+            seen,
+            [
+                ("prof-flat", "flat", 4, 8),
+                ("prof-blocks", "blocks", 3, 8),
+                ("prof-warps", "warps", 2, 64),
+                ("prof-persistent", "persistent", 8, 32),
+            ]
+        );
         // Participant accounting covered every block of each launch.
-        assert!(flat.utilization >= 0.0 && flat.utilization <= 1.0);
+        for s in got.iter() {
+            assert_eq!(s.workers.iter().map(|w| w.blocks).sum::<u64>(), s.blocks, "{}", s.kernel);
+            assert!((0.0..=1.0).contains(&s.utilization()));
+        }
     }
 }

@@ -32,16 +32,17 @@
 pub mod atomics;
 pub mod check;
 pub mod cost;
+pub mod ctx;
 pub mod device;
 pub mod launch;
+pub mod observe;
 pub mod pool;
 pub mod profile;
 pub mod schedule;
-pub mod shard;
 pub mod timing;
 
 pub use atomics::{max_is_noop, min_is_noop, CountedU32, CountedU64, CountedU8};
-pub use check::{AccessKind, Agent, CheckSink, LaunchShape};
+pub use check::{AccessKind, Agent, LaunchShape};
 pub use cost::{CostKind, CostParams, CostTally};
 pub use device::{Device, DeviceConfig};
 pub use launch::{
@@ -52,14 +53,13 @@ pub use launch::{
 pub use pool::{ticket_range, DispatchPolicy};
 pub use profile::{KernelProfile, KernelRecord};
 pub use schedule::{default_schedule, KnobDomain, KnobSpec, KnobValue, Schedule};
-pub use shard::ShardGuard;
 pub use timing::run_timed;
 
-/// Serializes this crate's unit tests that install a process-global
-/// observer (the check sink, the trace sink): each asserts on what its
-/// own observer recorded, which a concurrent install would replace.
+/// Serializes this crate's unit tests that install an observer: each
+/// asserts on exactly what its own observer recorded, or that nothing
+/// is installed.
 #[cfg(test)]
-pub(crate) fn lock_global_sinks() -> std::sync::MutexGuard<'static, ()> {
+pub(crate) fn lock_observer_slot() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

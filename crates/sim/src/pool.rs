@@ -155,7 +155,7 @@ where
 /// [`dispatch`] with per-participant execution stats: every thread
 /// that executed at least one block contributes one
 /// [`WorkerStat`] (in completion order). Used by the launch layer
-/// when `ecl-prof`'s sink is installed; costs one `Instant` pair per
+/// when an observer wants launch samples; costs one `Instant` pair per
 /// ticket claim plus one short mutex per claim, none of which is paid
 /// by the unprofiled [`dispatch`] path.
 pub fn dispatch_profiled<F>(n: usize, f: F) -> Vec<WorkerStat>
@@ -277,7 +277,7 @@ impl PoolShared {
         // this job's claims (restored on return and on panic unwind).
         // On the submitting thread this re-enters the same id — a
         // cheap no-op with no trace marker.
-        let _ctx = (job.ctx != 0).then(|| ecl_obs::ctx::CtxGuard::enter(job.ctx));
+        let _ctx = (job.ctx != 0).then(|| crate::ctx::CtxGuard::request(job.ctx));
         // Index of this thread's entry in `job.stats`, claimed lazily
         // on its first executed ticket range.
         let mut stat_slot: Option<usize> = None;
@@ -372,7 +372,7 @@ fn pooled_dispatch(
         remaining: AtomicUsize::new(n),
         n,
         grain,
-        ctx: ecl_obs::ctx::current(),
+        ctx: crate::ctx::request(),
         func,
         panic: Mutex::new(None),
         stats: profiled.then(|| Mutex::new(Vec::new())),

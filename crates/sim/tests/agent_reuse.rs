@@ -23,9 +23,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ecl_gpusim::atomics::atomic_u32_array;
-use ecl_gpusim::check::{self, AccessKind, Agent, CheckSink, LaunchShape};
+use ecl_gpusim::check::{self, AccessKind, Agent};
+use ecl_gpusim::observe::{self, Launch, Observer, Wants};
 use ecl_gpusim::pool::{dispatch, with_policy, DispatchPolicy};
-use ecl_gpusim::{launch_flat_named, CostKind, Device, DeviceConfig, LaunchConfig};
+use ecl_gpusim::{launch_flat_named, CostKind, Device, LaunchConfig};
 
 /// Records every attributed access together with the index of the
 /// tracked launch it arrived in.
@@ -35,30 +36,23 @@ struct Recorder {
     accesses: Mutex<Vec<(u64, Agent)>>,
 }
 
-impl CheckSink for Recorder {
-    fn launch_begin(
-        &self,
-        device: usize,
-        _config: DeviceConfig,
-        _name: &str,
-        _shape: LaunchShape,
-        _cfg: LaunchConfig,
-    ) -> bool {
-        if device != self.device {
+impl Observer for Recorder {
+    fn wants(&self) -> Wants {
+        Wants { accesses: true, ..Wants::default() }
+    }
+    fn launch_begin(&self, launch: &Launch<'_>) -> bool {
+        if launch.device != self.device {
             return false;
         }
         self.tracked_launches.fetch_add(1, Ordering::SeqCst);
         true
     }
-    fn launch_end(&self, _device: usize) {}
-    fn access(&self, _addr: usize, _size: usize, _kind: AccessKind, agent: Agent) {
-        let launch = self.tracked_launches.load(Ordering::SeqCst);
-        self.accesses.lock().unwrap().push((launch, agent));
+    fn access(&self, _addr: usize, _size: usize, _kind: AccessKind, agent: Option<Agent>) {
+        if let Some(agent) = agent {
+            let launch = self.tracked_launches.load(Ordering::SeqCst);
+            self.accesses.lock().unwrap().push((launch, agent));
+        }
     }
-    fn charge(&self, _kind: CostKind, _units: u64, _agent: Agent) {}
-    fn block_sync(&self, _agent: Agent, _participants: u64) {}
-    fn lane_sync(&self, _agent: Agent, _lane: u32) {}
-    fn block_end(&self, _block: u32, _block_size: usize) {}
 }
 
 /// One scenario: a tracked launch that panics mid-block, then an
@@ -75,7 +69,7 @@ fn exercise(policy: DispatchPolicy) {
             tracked_launches: AtomicU64::new(0),
             accesses: Mutex::new(Vec::new()),
         });
-        check::install(rec.clone());
+        let id = observe::install(rec.clone());
 
         // Tracked launch 1 unwinds after per-lane agents were
         // installed. Before the pool, the worker threads died here and
@@ -117,7 +111,7 @@ fn exercise(policy: DispatchPolicy) {
         );
 
         // An *untracked* launch (different device) reusing the same
-        // threads: none of its accesses may reach the sink. A leaked
+        // threads: none of its accesses may carry an agent. A leaked
         // agent from launch 1 would attribute them.
         let before = rec.accesses.lock().unwrap().len();
         launch_flat_named(&other_dev, "reuse.untracked", LaunchConfig::new(2, 2), |t| {
@@ -143,11 +137,11 @@ fn exercise(policy: DispatchPolicy) {
             assert!(agent.lane < 2, "cross-launch agent attribution: {agent}");
         }
         drop(accesses);
-        check::uninstall();
+        observe::uninstall(id);
     });
 }
 
-// One test body: the check sink is process-global, so the scenarios
+// One test body: the observer slot is process-global, so the scenarios
 // must not interleave with each other under the parallel runner.
 #[test]
 fn thread_reuse_does_not_leak_agents_across_launches() {

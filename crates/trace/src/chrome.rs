@@ -101,6 +101,7 @@ fn instant(snap: &Snapshot, e: &Event, name: &str) -> String {
 mod tests {
     use super::*;
     use crate::ring::{Tracer, TracerConfig};
+    use ecl_gpusim::observe::Observer;
 
     fn capture() -> Snapshot {
         let t =

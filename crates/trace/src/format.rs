@@ -249,6 +249,7 @@ mod tests {
     use super::*;
     use crate::event::EventKind;
     use crate::ring::{Tracer, TracerConfig};
+    use ecl_gpusim::observe::Observer;
 
     fn sample() -> Snapshot {
         let t =

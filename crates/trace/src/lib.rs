@@ -10,9 +10,10 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Disabled is free.** Instrumented code guards every emission
-//!    with one relaxed atomic load ([`sink::is_enabled`]); the
-//!    overhead benchmark asserts the disabled path is within noise.
+//! 1. **Disabled is free.** The simulator reaches the tracer through
+//!    its one observer slot ([`ecl_gpusim::observe`]), whose hook
+//!    sites cost one relaxed atomic load when nothing is installed;
+//!    the overhead benchmark asserts the disabled path is within noise.
 //! 2. **Enabled never blocks the hot path.** [`Tracer::record`] is a
 //!    thread-local slot lookup plus three relaxed stores into a ring
 //!    owned by the calling thread — no locks, no allocation. Full
@@ -28,14 +29,14 @@
 //!
 //! ```
 //! use std::sync::Arc;
+//! use ecl_gpusim::observe;
 //! use ecl_trace::{sink, ClockMode, EventKind, Tracer};
 //!
 //! sink::install(Arc::new(Tracer::with_clock(ClockMode::Logical)));
-//! sink::phase_span("compute", || {
-//!     sink::emit(EventKind::AtomicUpdated, 7, 0, 0);
-//! });
+//! observe::phase_span("compute", || observe::round(7));
 //! let tracer = sink::uninstall().unwrap();
 //! let snap = tracer.snapshot();
+//! assert_eq!(snap.of_kind(EventKind::Round).count(), 1);
 //!
 //! let mut bytes = Vec::new();
 //! ecl_trace::write_snapshot(&mut bytes, &snap).unwrap();

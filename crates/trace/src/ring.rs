@@ -213,23 +213,6 @@ impl Tracer {
         (strings.len() - 1) as u32
     }
 
-    /// Records a named phase start.
-    pub fn phase_start(&self, name: &str) {
-        let id = self.intern(name);
-        self.record(EventKind::PhaseStart, u32::MAX, 0, id);
-    }
-
-    /// Records a named phase end.
-    pub fn phase_end(&self, name: &str) {
-        let id = self.intern(name);
-        self.record(EventKind::PhaseEnd, u32::MAX, 0, id);
-    }
-
-    /// Records a round boundary.
-    pub fn round(&self, n: u32) {
-        self.record(EventKind::Round, u32::MAX, 0, n);
-    }
-
     /// Events dropped because no ring slot was free.
     pub fn dropped_unslotted(&self) -> u64 {
         self.unslotted.load(Ordering::Relaxed)
@@ -277,6 +260,7 @@ impl std::fmt::Debug for Tracer {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use ecl_gpusim::observe::Observer;
 
     fn logical(slots: usize, per_slot: usize) -> Tracer {
         Tracer::new(TracerConfig { slots, events_per_slot: per_slot, clock: ClockMode::Logical })

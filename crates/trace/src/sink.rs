@@ -1,79 +1,92 @@
-//! The global trace sink: the zero-cost-when-disabled hook that lets
-//! the simulator and algorithm crates emit events without threading a
-//! tracer handle through every signature.
+//! The tracer as an observer: [`Tracer`] implements
+//! [`ecl_gpusim::observe::Observer`], turning the simulator's launch,
+//! block, atomic, phase, round, context and finding hooks into events.
 //!
-//! A `static` [`Sink<Tracer>`] — see [`ecl_profiling::sink`] for the
-//! publish-and-retire protocol and its safety argument. Hot path
-//! (`emit`, `is_enabled`): one relaxed `AtomicBool` load — when
-//! tracing is off the compiler sees a never-taken branch and the cost
-//! is indistinguishable from noise (the overhead benchmark and
-//! `crates/bench/tests/trace_overhead.rs` hold this to account). When
-//! on, one acquire pointer load then a lock-free ring write.
+//! [`install`] / [`uninstall`] keep one tracer in the simulator's
+//! observer slot at a time: installing replaces the tracer installed
+//! before (it keeps its recorded events). With no observer installed
+//! every hook site costs one relaxed load; the overhead tests in
+//! `crates/bench/tests/trace_overhead.rs` hold this to account.
 
 use std::sync::Arc;
 
-use ecl_profiling::Sink;
+use ecl_gpusim::observe::{CtxSwitch, Exclusive, Launch, Observer, Wants};
+use ecl_gpusim::{AccessKind, Agent};
 
 use crate::event::EventKind;
 use crate::ring::Tracer;
 
-static SINK: Sink<Tracer> = Sink::new();
+static INSTALLED: Exclusive<Tracer> = Exclusive::new();
 
-/// Installs `tracer` as the global sink and enables emission.
-/// A previously installed tracer keeps its recorded events but stops
-/// receiving new ones.
+/// Installs `tracer` in the observer slot, replacing a tracer installed
+/// here before.
 pub fn install(tracer: Arc<Tracer>) {
-    SINK.install(tracer);
+    INSTALLED.install(tracer);
 }
 
-/// Stops emission and detaches the tracer, returning it so the caller
-/// can snapshot.
+/// Uninstalls the tracer and returns it so the caller can snapshot.
 pub fn uninstall() -> Option<Arc<Tracer>> {
-    SINK.uninstall()
+    INSTALLED.uninstall()
 }
 
-/// Whether `emit` currently records. The hot-path guard: a single
-/// relaxed load.
-#[inline(always)]
-pub fn is_enabled() -> bool {
-    SINK.is_enabled()
-}
-
-#[inline(always)]
-fn with_tracer(f: impl FnOnce(&Tracer)) {
-    if let Some(t) = SINK.get() {
-        f(t);
+impl Observer for Tracer {
+    fn wants(&self) -> Wants {
+        Wants { blocks: true, atomics: true, ..Wants::default() }
     }
-}
 
-/// Records one event into the installed tracer; a single branch when
-/// tracing is disabled.
-#[inline(always)]
-pub fn emit(kind: EventKind, block: u32, lane: u16, payload: u32) {
-    with_tracer(|t| t.record(kind, block, lane, payload));
-}
+    fn launch_begin(&self, launch: &Launch<'_>) -> bool {
+        let blocks = launch.cfg.blocks.min(u32::MAX as usize) as u32;
+        self.record(EventKind::KernelLaunch, u32::MAX, 0, blocks);
+        false
+    }
 
-/// Records a named phase start (interns on the cold path).
-pub fn phase_start(name: &str) {
-    with_tracer(|t| t.phase_start(name));
-}
+    fn block_begin(&self, block: u32, block_size: usize, _tracked: bool) {
+        self.record(EventKind::BlockStart, block, 0, block_size as u32);
+    }
 
-/// Records a named phase end.
-pub fn phase_end(name: &str) {
-    with_tracer(|t| t.phase_end(name));
-}
+    fn block_end(&self, block: u32, block_size: usize, _tracked: bool) {
+        self.record(EventKind::BlockEnd, block, 0, block_size as u32);
+    }
 
-/// Records a round boundary.
-pub fn round(n: u32) {
-    with_tracer(|t| t.round(n));
-}
+    fn access(&self, _addr: usize, _size: usize, kind: AccessKind, _agent: Option<Agent>) {
+        let kind = match kind {
+            AccessKind::Read | AccessKind::Write => return,
+            AccessKind::AtomicUpdated => EventKind::AtomicUpdated,
+            AccessKind::AtomicNoEffect => EventKind::AtomicNoEffect,
+            AccessKind::AtomicCasFailed => EventKind::AtomicCasFailed,
+        };
+        self.record(kind, u32::MAX, 0, 0);
+    }
 
-/// Runs `f` between `phase_start(name)` and `phase_end(name)`.
-pub fn phase_span<R>(name: &str, f: impl FnOnce() -> R) -> R {
-    phase_start(name);
-    let r = f();
-    phase_end(name);
-    r
+    fn phase_start(&self, name: &str) {
+        self.record(EventKind::PhaseStart, u32::MAX, 0, self.intern(name));
+    }
+
+    fn phase_end(&self, name: &str) {
+        self.record(EventKind::PhaseEnd, u32::MAX, 0, self.intern(name));
+    }
+
+    fn round(&self, n: u32) {
+        self.record(EventKind::Round, u32::MAX, 0, n);
+    }
+
+    fn context(&self, switch: CtxSwitch) {
+        match switch {
+            // The id's high half in the block word, its low half in
+            // the payload.
+            CtxSwitch::Request(req) => {
+                self.record(EventKind::ReqCtx, (req >> 32) as u32, 0, req as u32)
+            }
+            // Shard id + 1, so "no shard" (0) differs from shard 0.
+            CtxSwitch::Shard(shard) => {
+                self.record(EventKind::ShardCtx, u32::MAX, 0, shard.map_or(0, |s| s + 1))
+            }
+        }
+    }
+
+    fn check_finding(&self, block: u32, rule: u32) {
+        self.record(EventKind::CheckFinding, block, 0, rule);
+    }
 }
 
 #[cfg(test)]
@@ -81,42 +94,78 @@ pub fn phase_span<R>(name: &str, f: impl FnOnce() -> R) -> R {
 mod tests {
     use super::*;
     use crate::ring::{ClockMode, TracerConfig};
+    use ecl_gpusim::ctx::CtxGuard;
+    use ecl_gpusim::observe;
+    use ecl_gpusim::{atomics::atomic_u32_array, launch_flat_named, Device, LaunchConfig};
 
-    // Install/uninstall/replace live in `ecl_profiling::sink`'s test;
-    // what is specific here is that events reach the installed tracer
-    // in emission order, and only while it is installed.
+    // What is specific here is the event mapping: the hooks one
+    // thread drives reach the installed tracer as events, in order,
+    // and only while it is installed.
     #[test]
-    fn emits_reach_the_installed_tracer_in_order() {
-        emit(EventKind::Marker, 0, 0, 1); // no sink: must be a no-op
+    fn hooks_reach_the_installed_tracer_in_order() {
+        observe::round(1); // nothing installed: a no-op
 
         let t = Arc::new(Tracer::new(TracerConfig {
-            slots: 4,
-            events_per_slot: 64,
+            slots: 64,
+            events_per_slot: 256,
             clock: ClockMode::Logical,
         }));
         install(Arc::clone(&t));
-        assert!(is_enabled());
-        emit(EventKind::Marker, 0, 0, 2);
-        phase_span("p", || emit(EventKind::AtomicUpdated, 1, 0, 0));
-        round(3);
-        emit(EventKind::Marker, 0, 0, 4);
+        // Marks this thread's ring: other tests' threads record into
+        // their own rings while the tracer is installed.
+        t.record(EventKind::Marker, 0, 0, 0x5EED);
+        let cells = atomic_u32_array(1, |_| 5);
+        let d = Device::test_small();
+        ecl_gpusim::pool::with_policy(ecl_gpusim::DispatchPolicy::sequential(), || {
+            observe::phase_span("p", || {
+                launch_flat_named(&d, "t", LaunchConfig::new(1, 1), |_| {
+                    cells[0].load(); // plain: not traced
+                    cells[0].fetch_min(3, None);
+                    cells[0].fetch_min(4, None);
+                    cells[0].cas(9, 1, None);
+                });
+            });
+        });
+        observe::round(3);
+        {
+            let _r = CtxGuard::request((7 << 32) | 9);
+            let _s = CtxGuard::shard(0);
+        }
+        observe::check_finding(2, 5);
 
         let back = uninstall().expect("tracer was installed");
         assert!(Arc::ptr_eq(&back, &t));
-        emit(EventKind::Marker, 0, 0, 100); // detached: no-op
+        observe::round(100); // detached: a no-op
 
         let s = back.snapshot();
-        let kinds: Vec<u16> = s.events.iter().map(|e| e.kind).collect();
-        let expect = [
-            EventKind::Marker,
-            EventKind::PhaseStart,
-            EventKind::AtomicUpdated,
-            EventKind::PhaseEnd,
-            EventKind::Round,
-            EventKind::Marker,
-        ];
-        assert_eq!(kinds, expect.map(EventKind::raw));
-        assert_eq!(s.of_kind(EventKind::Marker).map(|e| e.payload).collect::<Vec<_>>(), [2, 4]);
-        assert_eq!(s.of_kind(EventKind::Round).next().unwrap().payload, 3);
+        let me = s.of_kind(EventKind::Marker).find(|e| e.payload == 0x5EED).unwrap().thread;
+        let mine: Vec<(EventKind, u32, u32)> = s
+            .events
+            .iter()
+            .filter(|e| e.thread == me)
+            .map(|e| (EventKind::from_raw(e.kind).unwrap(), e.block, e.payload))
+            .collect();
+        let p = t.intern("p");
+        use EventKind::*;
+        assert_eq!(
+            mine,
+            [
+                (Marker, 0, 0x5EED),
+                (PhaseStart, u32::MAX, p),
+                (KernelLaunch, u32::MAX, 1),
+                (BlockStart, 0, 1),
+                (AtomicUpdated, u32::MAX, 0),
+                (AtomicNoEffect, u32::MAX, 0),
+                (AtomicCasFailed, u32::MAX, 0),
+                (BlockEnd, 0, 1),
+                (PhaseEnd, u32::MAX, p),
+                (Round, u32::MAX, 3),
+                (ReqCtx, 7, 9),
+                (ShardCtx, u32::MAX, 1),
+                (ShardCtx, u32::MAX, 0),
+                (ReqCtx, 0, 0),
+                (CheckFinding, 2, 5),
+            ]
+        );
     }
 }

@@ -63,6 +63,7 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::ring::{Tracer, TracerConfig};
+    use ecl_gpusim::observe::Observer;
 
     fn capture() -> Snapshot {
         let t =

@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 
+use ecl_gpusim::observe::Observer;
 use ecl_trace::{read_snapshot, write_snapshot, ClockMode, EventKind, Tracer, TracerConfig, MAGIC};
 
 /// Builds a capture with `spec`-driven contents on a logical clock.
