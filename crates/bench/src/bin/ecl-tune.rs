@@ -3,29 +3,26 @@
 //! ```text
 //! ecl-tune sweep [--inputs a,b] [--algos cc,scc] [--scale F] [--seed N]
 //!                [--budget N] --out manifest.json
-//!                [--report-default base.json] [--report-tuned cand.json]
 //! ecl-tune validate <manifest.json>
 //! ecl-tune show <manifest.json>
 //! ```
 //!
-//! `sweep` tunes every compatible (algorithm, input) pair and writes
-//! the `ecl-tune/1` manifest; the optional report files are gateable
-//! `ecl-prof/1` documents (default vs tuned modeled times) for
-//! `ecl-prof gate --metric modeled`. `validate` checks schema,
-//! registry domains, the tuned ≤ default invariant, and runs
-//! `ecl-check`'s schedule-domain lint over every entry against the
-//! modeled device (`--device rtx4090|a100|rtx3090|test-small`).
-//! `show` prints a human-readable summary.
+//! `sweep` tunes every compatible (algorithm, input) pair, validates
+//! the result and writes the `ecl-tune/1` manifest. `validate` checks
+//! the schema, registered algorithm names, finite times, registry
+//! domains and the tuned ≤ default invariant, and runs `ecl-check`'s
+//! schedule-domain lint over every entry against the modeled device
+//! (`--device rtx4090|a100|rtx3090|test-small`). `show` prints a
+//! human-readable summary.
 
 use std::process::ExitCode;
 
 use ecl_gpusim::DeviceConfig;
-use ecl_tune::{gate_report, sweep, ReportSide, SearchConfig, SweepConfig, TuneManifest};
+use ecl_tune::{sweep, SearchConfig, SweepConfig, TuneManifest};
 
 const USAGE: &str = "usage:
   ecl-tune sweep [--inputs a,b] [--algos cc,gc,mis,mst,scc] [--scale F] [--seed N]
                  [--budget N] --out manifest.json
-                 [--report-default base.json] [--report-tuned cand.json]
   ecl-tune validate <manifest.json> [--device rtx4090|a100|rtx3090|test-small]
   ecl-tune show <manifest.json>";
 
@@ -110,8 +107,6 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
         search: SearchConfig::default(),
     };
     let mut out: Option<String> = None;
-    let mut report_default: Option<String> = None;
-    let mut report_tuned: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         let need = |i: usize| -> Result<&String, String> {
@@ -126,8 +121,6 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
                 cfg.search.budget = need(i)?.parse().map_err(|e| format!("--budget: {e}"))?;
             }
             "--out" => out = Some(need(i)?.clone()),
-            "--report-default" => report_default = Some(need(i)?.clone()),
-            "--report-tuned" => report_tuned = Some(need(i)?.clone()),
             other => return Err(format!("unknown argument {other}\n{USAGE}")),
         }
         i += 2;
@@ -139,19 +132,10 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
         eprintln!("skipped {algo} on {input}: {reason}");
     }
     outcome.manifest.validate()?;
-    let write = |path: &str, text: String| -> Result<(), String> {
-        std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))
-    };
-    write(&out, outcome.manifest.to_json())?;
+    std::fs::write(&out, outcome.manifest.to_json()).map_err(|e| format!("{out}: {e}"))?;
     println!("wrote {} entries to {out}", outcome.manifest.entries.len());
     for e in &outcome.manifest.entries {
         println!("  {:4} {:<18} {:.2}x  {}", e.algo, e.input, e.speedup(), e.schedule.to_json());
-    }
-    if let Some(path) = report_default {
-        write(&path, gate_report(&outcome.manifest, ReportSide::Default).to_json())?;
-    }
-    if let Some(path) = report_tuned {
-        write(&path, gate_report(&outcome.manifest, ReportSide::Tuned).to_json())?;
     }
     Ok(())
 }

@@ -12,10 +12,13 @@
 //!   capture of the final repeat;
 //! - `flame.svg` — the folded stacks rendered as a flamegraph.
 //!
-//! The `wall_seconds` metric carries one sample per repeat so the
-//! gate can apply its MAD noise envelope; `modeled_time` is the
-//! simulator's deterministic cost estimate — byte-identical across
-//! hosts for a given input, which is what CI gates on.
+//! The `wall_seconds` and `modeled_time` metrics carry one sample per
+//! repeat. `modeled_time` is the simulator's cost estimate. It is
+//! bit-stable only in order (one simulator worker, e.g.
+//! `ECL_SIM_WORKERS=1`): under a pool, charges that depend on the
+//! interleaving can move it by a few cost units. The Tier-1 suite pins
+//! the in-order number of every registered algorithm
+//! (`tests/algo_registry.rs`).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -113,7 +116,7 @@ pub fn profile(spec: &ProfileSpec<'_>, out_dir: &Path) -> Result<Manifest, Strin
     let manifest = Manifest {
         schema: SCHEMA.to_string(),
         git_sha: ecl_prof::git_sha(),
-        dispatch: DispatchInfo { mode: "pool".to_string(), workers: workers as u64, grain: None },
+        dispatch: DispatchInfo { mode: "pool".to_string(), workers: workers as u64 },
         context: vec![
             ("algo".to_string(), spec.algo.name().to_string()),
             ("input".to_string(), spec.input.to_string()),
@@ -195,9 +198,6 @@ mod tests {
         let text = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
         let back = Manifest::from_json(&text).expect("round-trip");
         assert_eq!(back.kernels.len(), manifest.kernels.len());
-        // The manifest gates against itself cleanly.
-        let report = ecl_prof::gate_files(&text, &text, &ecl_prof::GateConfig::default()).unwrap();
-        assert!(report.passed(), "{}", report.render());
 
         let scc = ecl_algos::find("scc").unwrap();
         let undirected = in_order(&ProfileSpec { algo: scc, ..spec }, &dir).expect_err("contract");

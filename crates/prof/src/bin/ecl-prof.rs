@@ -1,24 +1,19 @@
 //! `ecl-prof` — profiling artifact toolbox.
 //!
 //! ```text
-//! ecl-prof gate <baseline.json> <candidate.json> [--threshold R] [--mad-k K]
-//!               [--abs-floor F] [--metric SUBSTR]
 //! ecl-prof expose <manifest.json>
 //! ecl-prof folded <capture.etr>
 //! ecl-prof flame  <capture.etr> [-o out.svg]
 //! ```
 //!
-//! `gate` exits 2 on usage/parse errors and 1 when a real regression
-//! is detected, so CI can wire it directly into a job step.
+//! Usage and parse errors exit 2 with a message on stderr.
 
 use std::fs;
 use std::process::ExitCode;
 
-use ecl_prof::{folded_to_svg, gate_files, to_folded, to_prometheus, GateConfig, Manifest};
+use ecl_prof::{folded_to_svg, to_folded, to_prometheus, Manifest};
 
 const USAGE: &str = "usage:
-  ecl-prof gate <baseline.json> <candidate.json> [--threshold R] [--mad-k K]
-                [--abs-floor F] [--metric SUBSTR]
   ecl-prof expose <manifest.json>
   ecl-prof folded <capture.etr>
   ecl-prof flame  <capture.etr> [-o out.svg]";
@@ -32,61 +27,40 @@ fn read_capture(path: &str) -> Result<ecl_trace::Snapshot, String> {
     ecl_trace::read_snapshot(&mut bytes.as_slice()).map_err(|e| format!("{path}: {e}"))
 }
 
-fn parse_flag<T: std::str::FromStr>(
-    args: &mut Vec<String>,
-    flag: &str,
-) -> Result<Option<T>, String> {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 >= args.len() {
-            return Err(format!("{flag} needs a value"));
-        }
-        let raw = args.remove(i + 1);
-        args.remove(i);
-        return raw.parse().map(Some).map_err(|_| format!("bad value for {flag}: {raw}"));
+/// Removes `flag` and its value from `args`, returning the value.
+fn parse_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    if i + 1 >= args.len() {
+        return Err(format!("{flag} needs a value"));
     }
-    Ok(None)
+    let value = args.remove(i + 1);
+    args.remove(i);
+    Ok(Some(value))
 }
 
-fn run() -> Result<bool, String> {
+fn run() -> Result<(), String> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = if args.is_empty() { String::new() } else { args.remove(0) };
     match cmd.as_str() {
-        "gate" => {
-            let mut cfg = GateConfig::default();
-            if let Some(t) = parse_flag::<f64>(&mut args, "--threshold")? {
-                cfg.rel_threshold = t;
-            }
-            if let Some(k) = parse_flag::<f64>(&mut args, "--mad-k")? {
-                cfg.mad_k = k;
-            }
-            if let Some(f) = parse_flag::<f64>(&mut args, "--abs-floor")? {
-                cfg.abs_floor = f;
-            }
-            cfg.metric_filter = parse_flag::<String>(&mut args, "--metric")?;
-            let [base, cand] = args.as_slice() else {
-                return Err(format!("gate wants exactly two files\n{USAGE}"));
-            };
-            let report = gate_files(&read(base)?, &read(cand)?, &cfg)?;
-            print!("{}", report.render());
-            Ok(report.passed())
-        }
         "expose" => {
             let [path] = args.as_slice() else {
                 return Err(format!("expose wants one manifest\n{USAGE}"));
             };
             let manifest = Manifest::from_json(&read(path)?)?;
             print!("{}", to_prometheus(&manifest));
-            Ok(true)
+            Ok(())
         }
         "folded" => {
             let [path] = args.as_slice() else {
                 return Err(format!("folded wants one .etr capture\n{USAGE}"));
             };
             print!("{}", to_folded(&read_capture(path)?));
-            Ok(true)
+            Ok(())
         }
         "flame" => {
-            let out = parse_flag::<String>(&mut args, "-o")?;
+            let out = parse_flag(&mut args, "-o")?;
             let [path] = args.as_slice() else {
                 return Err(format!("flame wants one .etr capture\n{USAGE}"));
             };
@@ -98,11 +72,11 @@ fn run() -> Result<bool, String> {
                 }
                 None => print!("{svg}"),
             }
-            Ok(true)
+            Ok(())
         }
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
-            Ok(true)
+            Ok(())
         }
         other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
     }
@@ -110,8 +84,7 @@ fn run() -> Result<bool, String> {
 
 fn main() -> ExitCode {
     match run() {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::from(1),
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("ecl-prof: {msg}");
             ExitCode::from(2)

@@ -109,7 +109,7 @@ mod tests {
         Manifest {
             schema: SCHEMA.to_string(),
             git_sha: "abc".into(),
-            dispatch: DispatchInfo { mode: "pool".into(), workers: 8, grain: None },
+            dispatch: DispatchInfo { mode: "pool".into(), workers: 8 },
             context: vec![("algo".into(), "mis".into())],
             metrics: vec![Metric {
                 name: "wall_seconds".into(),

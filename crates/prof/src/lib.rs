@@ -19,27 +19,27 @@
 //!   [`ecl_profiling::LogSketch`] percentile sketches of wall time
 //!   and load imbalance, plus utilization and claim-wait totals.
 //! - [`manifest::Manifest`] — the versioned (`ecl-prof/1`) JSON run
-//!   manifest: git SHA, dispatch policy, gateable metric sample
+//!   manifest: git SHA, dispatch policy, per-repeat metric sample
 //!   vectors, kernel stats, counter distributions.
 //! - [`expose`] — Prometheus text exposition of a manifest, written
 //!   through [`ecl_profiling::expo`].
 //! - [`folded`] — pprof-style folded stacks and an SVG flamegraph
 //!   derived from `ecl-trace` captures.
-//! - [`gate`] — the noise-aware (median + MAD) regression detector
-//!   behind `ecl-prof gate`, comparing two manifests
-//!   and exiting nonzero on real slowdowns.
 //!
 //! [`json`] is a re-export of [`ecl_profiling::json`], where the
 //! module lives; in-workspace code imports it from there.
 //!
-//! The `ecl-prof` binary wires the exposition and gate surfaces into
+//! Nothing here compares two runs: in-order modeled time is a pure
+//! function of its inputs, so the Tier-1 suite pins it bit for bit
+//! (`tests/algo_registry.rs`) and `benchmark/` measures wall time.
+//!
+//! The `ecl-prof` binary wires the exposition surfaces into
 //! subcommands; `ecl-run --profile` (in `ecl-bench`) produces the
 //! artifacts.
 
 pub mod collector;
 pub mod expose;
 pub mod folded;
-pub mod gate;
 pub mod manifest;
 pub mod sink;
 
@@ -48,5 +48,4 @@ pub use ecl_profiling::json;
 pub use ecl_profiling::{LaunchSample, WorkerStat};
 pub use expose::to_prometheus;
 pub use folded::{folded_to_svg, to_folded};
-pub use gate::{gate_files, GateConfig, GateReport, Status};
 pub use manifest::{git_sha, Direction, DispatchInfo, Manifest, Metric, SCHEMA};

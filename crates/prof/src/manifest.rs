@@ -1,10 +1,10 @@
 //! The versioned JSON run manifest — the machine-readable record of
-//! one profiled run that the gate compares across PRs.
+//! one profiled run.
 //!
-//! A manifest embeds everything needed to decide whether two runs are
-//! comparable (schema version, git SHA, dispatch policy, worker
-//! count, run context) plus three payload sections: gateable
-//! *metrics* (named sample vectors with an explicit better-direction),
+//! A manifest embeds what a reader needs to place a run (schema
+//! version, git SHA, dispatch policy, worker count, run context) plus
+//! three payload sections: *metrics* (named sample vectors with an
+//! explicit better-direction),
 //! per-kernel *launch statistics* from the pool hooks, and the
 //! algorithm-specific counter *distributions* as percentile sketches.
 
@@ -15,8 +15,7 @@ use ecl_profiling::SketchSnapshot;
 use crate::collector::KernelStats;
 use ecl_profiling::json::{self, Value};
 
-/// Manifest schema identifier. Bump on breaking layout changes; the
-/// gate refuses to compare mismatched schemas.
+/// Manifest schema identifier. Bump on breaking layout changes.
 pub const SCHEMA: &str = "ecl-prof/1";
 
 /// Which way a metric improves.
@@ -26,7 +25,7 @@ pub enum Direction {
     Lower,
     /// Larger is better (utilization, throughput).
     Higher,
-    /// Not gateable (counts that legitimately change).
+    /// Informational (counts that legitimately change).
     Info,
 }
 
@@ -40,8 +39,7 @@ impl Direction {
         }
     }
 
-    /// Decodes a wire name (unknown names are `Info`: never gate what
-    /// we do not understand).
+    /// Decodes a wire name (unknown names are `Info`).
     pub fn from_name(s: &str) -> Direction {
         match s {
             "lower" => Direction::Lower,
@@ -51,7 +49,7 @@ impl Direction {
     }
 }
 
-/// One gateable metric: a named sample vector (one sample per repeat).
+/// One metric: a named sample vector (one sample per repeat).
 #[derive(Clone, Debug)]
 pub struct Metric {
     /// Stable metric name (e.g. `wall_seconds`, `kernel/init/wall_ns`).
@@ -71,8 +69,6 @@ pub struct DispatchInfo {
     pub mode: String,
     /// Effective worker count.
     pub workers: u64,
-    /// Forced claim grain, if any.
-    pub grain: Option<u64>,
 }
 
 /// A complete profiled-run manifest.
@@ -87,7 +83,7 @@ pub struct Manifest {
     /// Free-form run context (`algo`, `input`, `scale`, `seed`, …),
     /// order-preserving.
     pub context: Vec<(String, String)>,
-    /// Gateable metrics.
+    /// Per-repeat metrics.
     pub metrics: Vec<Metric>,
     /// Per-kernel launch statistics.
     pub kernels: Vec<KernelStats>,
@@ -163,10 +159,9 @@ impl Manifest {
         let _ = writeln!(s, "  \"git_sha\": \"{}\",", json::escape(&self.git_sha));
         let _ = writeln!(
             s,
-            "  \"dispatch\": {{\"mode\": \"{}\", \"workers\": {}, \"grain\": {}}},",
+            "  \"dispatch\": {{\"mode\": \"{}\", \"workers\": {}}},",
             json::escape(&self.dispatch.mode),
-            self.dispatch.workers,
-            self.dispatch.grain.map_or("null".to_string(), |g| g.to_string())
+            self.dispatch.workers
         );
         s.push_str("  \"context\": {");
         for (i, (k, v)) in self.context.iter().enumerate() {
@@ -231,8 +226,8 @@ impl Manifest {
         s
     }
 
-    /// Parses a manifest back from JSON (for the gate and the
-    /// exposition subcommands). Sections that are missing parse as
+    /// Parses a manifest back from JSON (for the exposition
+    /// subcommand). Sections that are missing parse as
     /// empty; `Err` only on structurally non-JSON input or a missing
     /// schema field.
     pub fn from_json(text: &str) -> Result<Manifest, String> {
@@ -253,9 +248,8 @@ impl Manifest {
             .map(|d| DispatchInfo {
                 mode: d.get("mode").and_then(Value::as_str).unwrap_or("pool").to_string(),
                 workers: d.get("workers").and_then(Value::as_f64).unwrap_or(0.0) as u64,
-                grain: d.get("grain").and_then(Value::as_f64).map(|g| g as u64),
             })
-            .unwrap_or(DispatchInfo { mode: "pool".into(), workers: 0, grain: None });
+            .unwrap_or(DispatchInfo { mode: "pool".into(), workers: 0 });
         let context = match v.get("context") {
             Some(Value::Obj(members)) => members
                 .iter()
@@ -289,7 +283,7 @@ impl Manifest {
                     name: k.get("name")?.as_str()?.to_string(),
                     shape: k.get("shape").and_then(Value::as_str).unwrap_or("").to_string(),
                     // Default 0 so manifests written before the shard
-                    // dimension existed keep parsing (and gating).
+                    // dimension existed keep parsing.
                     shard: k.get("shard").and_then(Value::as_f64).unwrap_or(0.0) as u32,
                     launches: k.get("launches")?.as_f64()? as u64,
                     blocks: k.get("blocks").and_then(Value::as_f64).unwrap_or(0.0) as u64,
@@ -328,7 +322,7 @@ mod tests {
         Manifest {
             schema: SCHEMA.to_string(),
             git_sha: "abc123".to_string(),
-            dispatch: DispatchInfo { mode: "pool".into(), workers: 4, grain: None },
+            dispatch: DispatchInfo { mode: "pool".into(), workers: 4 },
             context: vec![("algo".into(), "cc".into()), ("input".into(), "as-skitter".into())],
             metrics: vec![
                 Metric {
@@ -362,7 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_everything_the_gate_needs() {
+    fn json_roundtrip_preserves_everything_exposition_needs() {
         let m = demo();
         let text = m.to_json();
         let back = Manifest::from_json(&text).unwrap();

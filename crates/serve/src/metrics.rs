@@ -122,7 +122,6 @@ impl ServeMetrics {
             dispatch: DispatchInfo {
                 mode: "pool".to_string(),
                 workers: ecl_gpusim::pool::effective_workers() as u64,
-                grain: None,
             },
             context: vec![("service".to_string(), "ecl-serve".to_string())],
             metrics: Vec::new(),

@@ -32,4 +32,4 @@ pub mod sweep;
 pub use eval::{evaluate, EvalOutcome, TuneInput};
 pub use manifest::{TuneEntry, TuneManifest, SCHEMA};
 pub use search::{search, SearchConfig, SearchResult};
-pub use sweep::{gate_report, sweep, ReportSide, SweepConfig, SweepOutcome};
+pub use sweep::{sweep, SweepConfig, SweepOutcome};

@@ -81,11 +81,19 @@ pub fn knobs_of(algo: &str) -> &'static [KnobSpec] {
     ecl_algos::find(algo).map_or(&[], |a| a.knobs())
 }
 
-/// Checks an entry's schedule against its algorithm's knob table
-/// (unknown knob, or a value — a string included — outside its
-/// domain).
-fn check_schedule(algo: &str, input: &str, schedule: &Schedule) -> Result<(), String> {
-    schedule.check_against_registry(knobs_of(algo)).map_err(|err| format!("{algo}/{input}: {err}"))
+/// Checks an entry's identity and schedule: a registered algorithm, a
+/// named input, and a schedule inside its algorithm's knob table (no
+/// unknown knob, no value — a string included — outside its domain).
+fn check_entry(algo: &str, input: &str, schedule: &Schedule) -> Result<(), String> {
+    let Some(registered) = ecl_algos::find(algo) else {
+        return Err(format!("unknown algorithm {algo:?}"));
+    };
+    if input.is_empty() {
+        return Err(format!("{algo}: input missing or empty"));
+    }
+    schedule
+        .check_against_registry(registered.knobs())
+        .map_err(|err| format!("{algo}/{input}: {err}"))
 }
 
 fn sketch_json(s: &SketchSnapshot) -> String {
@@ -123,17 +131,18 @@ impl TuneManifest {
         })
     }
 
-    /// Structural and semantic validation: schema string, schedules
-    /// inside their registry domains, and tuned time never worse than
-    /// default (the search always evaluates the default, so a
-    /// violating entry is corrupt or hand-edited).
+    /// Structural and semantic validation: schema string, registered
+    /// algorithms, named inputs, schedules inside their registry
+    /// domains, and tuned time never worse than default (the search
+    /// always evaluates the default, so a violating entry is corrupt or
+    /// hand-edited).
     pub fn validate(&self) -> Result<(), String> {
         if self.schema != SCHEMA {
             return Err(format!("schema {:?}, expected {SCHEMA:?}", self.schema));
         }
         for e in &self.entries {
             let tag = format!("{}/{}", e.algo, e.input);
-            check_schedule(&e.algo, &e.input, &e.schedule)?;
+            check_entry(&e.algo, &e.input, &e.schedule)?;
             // NaN on either side also fails: partial_cmp yields None.
             let ok = matches!(
                 e.tuned_time.partial_cmp(&e.default_time),
@@ -206,8 +215,10 @@ impl TuneManifest {
     }
 
     /// [`TuneManifest::from_json`] over an already-parsed [`Value`].
-    /// A schedule outside its algorithm's knob domains is rejected
-    /// here, on load, so no consumer ever applies one.
+    /// An unregistered algorithm, an empty input, a missing or
+    /// non-finite time and a schedule outside its algorithm's knob
+    /// domains are rejected here, on load, so no consumer ever
+    /// applies such an entry.
     pub fn from_value(v: &Value) -> Result<TuneManifest, String> {
         let schema = v
             .get("schema")
@@ -222,6 +233,7 @@ impl TuneManifest {
         for e in v.get("entries").and_then(Value::as_arr).unwrap_or(&[]) {
             let text = |k: &str| e.get(k).and_then(Value::as_str).unwrap_or("").to_string();
             let num = |k: &str| e.get(k).and_then(Value::as_f64).unwrap_or(0.0);
+            let (algo, input) = (text("algo"), text("input"));
             let fp = e.get("fingerprint").cloned().unwrap_or(Value::Null);
             let fnum = |k: &str| fp.get(k).and_then(Value::as_f64).unwrap_or(0.0);
             let search = e.get("search").cloned().unwrap_or(Value::Null);
@@ -230,10 +242,17 @@ impl TuneManifest {
                 .map(Schedule::from_value)
                 .transpose()?
                 .ok_or("entry missing \"schedule\"")?;
-            check_schedule(&text("algo"), &text("input"), &schedule)?;
+            check_entry(&algo, &input, &schedule)?;
+            let time = |k: &str| {
+                e.get(k)
+                    .and_then(Value::as_f64)
+                    .filter(|t| t.is_finite())
+                    .ok_or_else(|| format!("{algo}/{input}: {k} missing or not a finite number"))
+            };
+            let (default_time, tuned_time) = (time("default_time")?, time("tuned_time")?);
             entries.push(TuneEntry {
-                algo: text("algo"),
-                input: text("input"),
+                algo,
+                input,
                 family: text("family"),
                 fingerprint: Fingerprint {
                     vertices: fnum("vertices") as usize,
@@ -251,8 +270,8 @@ impl TuneManifest {
                 evaluations: search.get("evaluations").and_then(Value::as_f64).unwrap_or(0.0)
                     as u64,
                 space: search.get("space").and_then(Value::as_f64).unwrap_or(0.0) as u64,
-                default_time: num("default_time"),
-                tuned_time: num("tuned_time"),
+                default_time,
+                tuned_time,
                 eval_sketch: search.get("eval_units").map(sketch_from_value).unwrap_or_else(|| {
                     SketchSnapshot {
                         count: 0,
@@ -342,9 +361,36 @@ mod tests {
         out_of_domain.entries[0].schedule.set("block_size", KnobValue::Int(333));
         assert!(out_of_domain.validate().is_err());
 
-        let mut bad_schema = good;
+        let mut bad_schema = good.clone();
         bad_schema.schema = "ecl-tune/99".into();
         assert!(bad_schema.validate().is_err());
+
+        // A missing or non-numeric time would load as 0.0 and make
+        // "tuned <= default" hold trivially; each such document fails
+        // to load with one line naming the entry and the field.
+        let text = good.to_json();
+        let times = "\"default_time\": 250, \"tuned_time\": 200";
+        let named = "\"algo\": \"scc\", \"input\": \"klein-bottle\"";
+        assert!(text.contains(times) && text.contains(named), "{text}");
+        for (from, to, want) in [
+            (
+                times,
+                "\"default_time\": 250, \"tuned_time\": \"fast\"",
+                "scc/klein-bottle: tuned_time missing or not a finite number",
+            ),
+            (
+                times,
+                "\"default_time\": 250",
+                "scc/klein-bottle: tuned_time missing or not a finite number",
+            ),
+            (named, "\"algo\": \"zz\", \"input\": \"\"", "unknown algorithm \"zz\""),
+            (named, "\"algo\": \"scc\", \"input\": \"\"", "scc: input missing or empty"),
+        ] {
+            assert_eq!(TuneManifest::from_json(&text.replace(from, to)).unwrap_err(), want);
+        }
+        let mut unregistered = good;
+        unregistered.entries[0].algo = "zz".into();
+        assert_eq!(unregistered.validate().unwrap_err(), "unknown algorithm \"zz\"");
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The sweep: run the search over an (algorithms × inputs) grid and
-//! assemble a manifest plus gateable before/after reports.
-
-use ecl_gpusim::pool::effective_workers;
-use ecl_prof::manifest::{Direction, DispatchInfo, Manifest, Metric};
+//! assemble a manifest. Each entry records its default and tuned
+//! modeled times; `ecl-tune sweep` runs [`TuneManifest::validate`],
+//! which checks tuned ≤ default per entry, before it writes one.
 
 use crate::eval::TuneInput;
 use crate::manifest::{TuneEntry, TuneManifest};
@@ -79,82 +78,21 @@ pub fn sweep(cfg: &SweepConfig) -> Result<SweepOutcome, String> {
     Ok(SweepOutcome { manifest: TuneManifest::new(entries), skipped })
 }
 
-/// Which side of the before/after comparison to report.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReportSide {
-    /// Default-schedule modeled times.
-    Default,
-    /// Tuned-schedule modeled times.
-    Tuned,
-}
-
-/// Renders one side of the sweep as a gateable `ecl-prof/1` manifest:
-/// a `modeled/<algo>:<input>` metric per entry plus a `modeled_total`
-/// sum, all lower-is-better. Feeding the Default report as baseline
-/// and the Tuned report as candidate to `ecl-prof gate --metric
-/// modeled` asserts tuned ≤ default pair by pair.
-pub fn gate_report(manifest: &TuneManifest, side: ReportSide) -> Manifest {
-    let pick = |e: &TuneEntry| match side {
-        ReportSide::Default => e.default_time,
-        ReportSide::Tuned => e.tuned_time,
-    };
-    let mut metrics: Vec<Metric> = manifest
-        .entries
-        .iter()
-        .map(|e| Metric {
-            name: format!("modeled/{}:{}", e.algo, e.input),
-            unit: "cost_units".into(),
-            direction: Direction::Lower,
-            samples: vec![pick(e)],
-        })
-        .collect();
-    metrics.push(Metric {
-        name: "modeled_total".into(),
-        unit: "cost_units".into(),
-        direction: Direction::Lower,
-        samples: vec![manifest.entries.iter().map(pick).sum()],
-    });
-    Manifest {
-        schema: ecl_prof::manifest::SCHEMA.to_string(),
-        git_sha: manifest.git_sha.clone(),
-        dispatch: DispatchInfo {
-            mode: "pool".into(),
-            workers: effective_workers() as u64,
-            grain: None,
-        },
-        context: vec![(
-            "side".into(),
-            match side {
-                ReportSide::Default => "default".into(),
-                ReportSide::Tuned => "tuned".into(),
-            },
-        )],
-        metrics,
-        kernels: Vec::new(),
-        distributions: Vec::new(),
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use ecl_prof::{gate_files, GateConfig};
 
-    fn small_sweep() -> SweepOutcome {
-        sweep(&SweepConfig {
+    #[test]
+    fn sweep_covers_compatible_pairs_and_reports_skips() {
+        let out = sweep(&SweepConfig {
             inputs: vec!["internet".into(), "toroid-wedge".into()],
             algos: vec!["cc".into(), "scc".into()],
             scale: 0.002,
             seed: 7,
             search: SearchConfig { budget: 64, ..SearchConfig::default() },
         })
-        .unwrap()
-    }
-
-    #[test]
-    fn sweep_covers_compatible_pairs_and_reports_skips() {
-        let out = small_sweep();
+        .unwrap();
         let pairs: Vec<(String, String)> =
             out.manifest.entries.iter().map(|e| (e.algo.clone(), e.input.clone())).collect();
         assert!(pairs.contains(&("cc".into(), "internet".into())));
@@ -162,16 +100,6 @@ mod tests {
         assert_eq!(out.manifest.entries.len(), 2);
         assert_eq!(out.skipped.len(), 2, "cc×toroid-wedge and scc×internet skip");
         assert!(out.manifest.validate().is_ok());
-    }
-
-    #[test]
-    fn gate_passes_tuned_vs_default() {
-        let out = small_sweep();
-        let base = gate_report(&out.manifest, ReportSide::Default).to_json();
-        let cand = gate_report(&out.manifest, ReportSide::Tuned).to_json();
-        let cfg = GateConfig { metric_filter: Some("modeled".into()), ..GateConfig::default() };
-        let report = gate_files(&base, &cand, &cfg).unwrap();
-        assert!(report.passed(), "{}", report.render());
     }
 
     #[test]

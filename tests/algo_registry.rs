@@ -10,6 +10,8 @@
 //! - **Parity.** Serve's wire names, the registry and the committed
 //!   tune manifest name the same algorithms in the same order, and
 //!   every registered default schedule is valid.
+//! - **Pins.** The in-order modeled time of every registered algorithm
+//!   on the `ecl-run --profile` inputs is a literal, bit for bit.
 
 #![allow(clippy::unwrap_used)]
 
@@ -396,5 +398,37 @@ fn evaluate_runs_in_order_under_any_caller_policy() {
         for (i, r) in runs.iter().enumerate() {
             assert_eq!(key(r), first, "{}: run {i} of 20 ({})", a.name(), r.modeled_time);
         }
+    }
+}
+
+/// In order, modeled time is a pure function of (algorithm, input,
+/// schedule): each registered algorithm's, on the inputs and the path
+/// `ecl-run --profile --scale 0.0005 --seed 42` takes, is pinned bit
+/// for bit. A cost-model change shows up here as a diff, not as drift
+/// inside a tolerance.
+#[test]
+fn in_order_modeled_time_of_every_algorithm_is_pinned() {
+    const SCALE: f64 = 0.0005;
+    const SEED: u64 = 42;
+    let pins = [
+        ("cc", 32_857.0),
+        ("gc", 115_969.75),
+        ("mis", 29_264.5),
+        ("mst", 119_583.0),
+        ("scc", 619_122.25),
+    ];
+    for (a, (name, want)) in algos::ALL.into_iter().zip(pins) {
+        assert_eq!(a.name(), name);
+        let input = if a.directed() { "toroid-wedge" } else { "as-skitter" };
+        let reg = gen::registry::find(input).unwrap();
+        // `ecl-run`'s weight range for generated MST inputs.
+        let (csr, weighted) = if a.weighted() {
+            (None, Some(reg.generate_weighted(SCALE, SEED, 1 << 20)))
+        } else {
+            (Some(reg.generate(SCALE, SEED)), None)
+        };
+        let views = Views { name: input, csr: csr.as_ref(), weighted: weighted.as_ref() };
+        let (_, time) = sequential(|| algos::execute(a, SCALE, &views, None)).unwrap();
+        assert_eq!(time.to_bits(), f64::to_bits(want), "{name} on {input}: {time}");
     }
 }
