@@ -3,10 +3,12 @@
 //! The paper profiles five codes that differ only in their kernels,
 //! their counters and a handful of knobs, so everything that runs "an
 //! algorithm, by name, on these graph views, under this schedule" —
-//! `ecl-serve` jobs, `ecl-tune` evaluations, `ecl-run --profile` and
-//! `--shards` — holds a `&dyn` [`Algorithm`] from [`ALL`] / [`find`]
-//! and calls the one driver, [`execute`] / [`execute_sharded`]. The
-//! algorithm is stated once; a [`Schedule`] is data applied to it.
+//! `ecl-serve` jobs, `ecl-tune` evaluations and every `ecl-run` mode —
+//! holds a `&dyn` [`Algorithm`] from [`ALL`] / [`find`] and runs it on
+//! the one device preset ([`device_config`]), mostly through the one
+//! driver, [`execute`] / [`execute_sharded`]. The algorithm is stated
+//! once; a [`Schedule`] is data applied to it, and the counters it
+//! reports are data in its [`Outcome`].
 //!
 //! Adding an algorithm is a kernel crate (`Config`, `KNOBS`,
 //! `apply_schedule`, `run`), one adapter in [`adapters`], and one line
@@ -19,7 +21,7 @@ pub mod adapters;
 use ecl_gpusim::schedule::KnobSpec;
 use ecl_gpusim::{Device, DeviceConfig, Schedule};
 use ecl_graph::{Csr, WeightedCsr};
-use ecl_profiling::SketchSnapshot;
+use ecl_profiling::{SketchSnapshot, Table};
 use ecl_shard::{Partition, ShardStats};
 
 pub use adapters::SCC_MIN_SMS;
@@ -65,9 +67,22 @@ pub struct Outcome {
     /// solution vectors), in a fixed order. Bit-exact: two runs are
     /// "the same result" iff these match.
     pub aggregates: Vec<(&'static str, u64)>,
-    /// Named counter distributions (`<algo>/<counter>`), for profile
-    /// manifests.
-    pub distributions: Vec<(&'static str, SketchSnapshot)>,
+    /// The algorithm's application-specific counters (`<algo>/<name>`),
+    /// in a fixed order: what `ecl-run` prints and, for the sketches,
+    /// what a profile manifest records. Read after the run, so they
+    /// charge nothing to the device.
+    pub counters: Vec<(&'static str, Counter)>,
+}
+
+/// One named counter of an [`Outcome`] — the paper's three shapes.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Counter {
+    /// A global count (e.g. CAS attempts).
+    Count(u64),
+    /// A distribution over threads, vertices or launches.
+    Sketch(SketchSnapshot),
+    /// A per-iteration or per-block series (Figures 1 and 2).
+    Table(Table),
 }
 
 impl Outcome {
@@ -169,7 +184,13 @@ pub fn check_input(algo: &dyn Algorithm, views: &Views<'_>) -> Result<(), String
     present.then_some(()).ok_or_else(|| format!("internal: {kind} view missing"))
 }
 
-/// Runs `algo` on a fresh RTX 4090 scaled by `scale` and returns its
+/// The one device preset: an RTX 4090 scaled by `scale`, with at
+/// least `algo.min_sms()` SMs.
+pub fn device_config(algo: &dyn Algorithm, scale: f64) -> DeviceConfig {
+    DeviceConfig::rtx4090_scaled(scale, algo.min_sms())
+}
+
+/// Runs `algo` on a fresh device from [`device_config`] and returns its
 /// outcome with the device's modeled time. The run applies the
 /// schedule's knobs to the default configuration (no schedule: the
 /// defaults) under the caller's dispatch policy; the modeled time is
@@ -182,7 +203,7 @@ pub fn execute(
     schedule: Option<&Schedule>,
 ) -> Result<(Outcome, f64), String> {
     check_input(algo, views)?;
-    let device = Device::new(DeviceConfig::rtx4090_scaled(scale, algo.min_sms()));
+    let device = Device::new(device_config(algo, scale));
     let outcome = algo.run(&device, views, schedule.unwrap_or(&Schedule::new()));
     Ok((outcome, device.modeled_time()))
 }
@@ -206,8 +227,7 @@ pub fn execute_sharded(
         .run_sharded()
         .ok_or_else(|| format!("{} does not support sharded execution", algo.name()))?;
     let part = Partition::auto(g, shards);
-    let devices =
-        ecl_shard::devices_for(DeviceConfig::rtx4090_scaled(scale, algo.min_sms()), shards);
+    let devices = ecl_shard::devices_for(device_config(algo, scale), shards);
     Ok(run(&devices, g, &part, schedule.unwrap_or(&Schedule::new())))
 }
 
@@ -251,8 +271,8 @@ mod tests {
     fn checksum_is_pinned_and_signature_tracks_the_aggregates() {
         // Served aggregates (and cached results) carry the checksum.
         assert_eq!(checksum_u32([1, 2, 3]), 0xe001_7b43_81eb_0395);
-        let a = Outcome { aggregates: vec![("n", 1), ("sum", 2)], distributions: Vec::new() };
-        let b = Outcome { aggregates: vec![("n", 1), ("sum", 3)], distributions: Vec::new() };
+        let a = Outcome { aggregates: vec![("n", 1), ("sum", 2)], counters: Vec::new() };
+        let b = Outcome { aggregates: vec![("n", 1), ("sum", 3)], counters: Vec::new() };
         assert_eq!(a.signature(), a.clone().signature());
         assert_ne!(a.signature(), b.signature());
     }

@@ -1,16 +1,25 @@
-//! `ecl-run` — run any of the five instrumented algorithms on any
-//! registered input and dump the counters the paper's methodology
-//! produces.
+//! `ecl-run` — run any registered algorithm on any registered input and
+//! print its aggregates and the application-specific counters the
+//! paper's methodology produces.
 //!
 //! ```text
 //! ecl-run --algo cc  --input europe_osm --scale 0.01 [--optimized]
 //! ecl-run --algo mis --input as-skitter --histogram
 //! ecl-run --algo scc --input star --block-size 256 [--trim]
-//! ecl-run --algo mst --input amazon0601 [--fixed-launch]
+//! ecl-run --algo mst --input amazon0601 [--fixed-launch] [--kernels]
 //! ecl-run --algo gc  --input coPapersDBLP [--no-shortcuts]
 //! ecl-run --algo cc  --input coPapersDBLP --trace out.etr
 //! ecl-run --list
 //! ```
+//!
+//! Every mode goes through the registry (`ecl_algos`): the algorithm is
+//! a `&dyn Algorithm`, the counters come from its `Outcome`, and the
+//! variant flags are schedule knobs ([`FLAG_KNOBS`]), so this file names
+//! no algorithm. The schedule is the `--tuned` entry for the input's
+//! family, then the flags (which win), then the seed's tie-break salt
+//! for an algorithm that has one, as serve sets it. `--profile` and
+//! `--shards` run that same schedule. `--kernels` adds a per-phase cost
+//! table: an `ecl_gpusim::KernelProfile` observer over the run.
 //!
 //! `--trace <path>` records kernel launches, block lifetimes, atomic
 //! outcomes, and per-round phases into a `.etr` capture; inspect it
@@ -20,58 +29,49 @@
 //! `--check` runs the algorithm under the `ecl-check` data-race
 //! sanitizer and launch linter, prints the findings report after the
 //! run, and exits with status 1 if any unsuppressed finding remains.
+//!
+//! A bad argument exits 2 with one line.
 
-use ecl_profiling::{chart, Histogram};
+use std::sync::Arc;
 
+use ecl_algos::Algorithm;
+use ecl_bench::usage_error;
+use ecl_gpusim::schedule::find_knob;
+use ecl_gpusim::{Device, KernelProfile, KnobValue, Schedule};
+
+/// The variant flags and the schedule knobs each one sets.
+/// `--block-size n` sets `block_size` the same way.
+const FLAG_KNOBS: [(&str, &[(&str, bool)]); 4] = [
+    ("--optimized", &[("optimized_init", true)]),
+    ("--fixed-launch", &[("fixed_launch", true)]),
+    ("--no-shortcuts", &[("shortcut1", false), ("shortcut2", false)]),
+    ("--trim", &[("trim", true)]),
+];
+
+#[derive(Default)]
 struct Args {
     algo: String,
     input: String,
     scale: f64,
     seed: u64,
-    optimized: bool,
-    fixed_launch: bool,
-    no_shortcuts: bool,
-    trim: bool,
-    block_size: Option<usize>,
+    /// `(flag, knob, value)` for every knob a flag set, in flag order.
+    knobs: Vec<(&'static str, &'static str, KnobValue)>,
     histogram: bool,
     kernels: bool,
     trace: Option<String>,
     check: bool,
     profile: Option<String>,
     repeats: usize,
-    /// `--shards N`: run CC/MIS/SCC sharded across N modeled GPUs
-    /// through ecl-shard (1 = ordinary single-pool execution).
+    /// `--shards N`: run across N modeled GPUs through ecl-shard
+    /// (1 = ordinary single-pool execution).
     shards: u32,
-    /// `--tuned <manifest>`: apply the best-known schedule for
-    /// (algo, input family) from an `ecl-tune/1` manifest. Overrides
-    /// the toggle flags; an explicit `--block-size` still wins.
+    /// `--tuned <manifest>`: the `ecl-tune/1` manifest whose entry for
+    /// (algo, input family) the schedule starts from.
     tuned: Option<ecl_tune::TuneManifest>,
 }
 
-/// Looks up the manifest schedule matching `algo` and the generated
-/// graph's family fingerprint; announces the match on stderr.
-fn tuned_schedule(a: &Args, algo: &str, g: &ecl_graph::Csr) -> Option<ecl_gpusim::Schedule> {
-    let manifest = a.tuned.as_ref()?;
-    let family = ecl_graph::Fingerprint::of(g).family_key();
-    match manifest.lookup(algo, &family) {
-        Some(e) => {
-            eprintln!(
-                "tuned: {algo} matched family {family} (tuned on {}, {:.2}x): {}",
-                e.input,
-                e.speedup(),
-                e.schedule.to_json()
-            );
-            Some(e.schedule.clone())
-        }
-        None => {
-            eprintln!("tuned: no {algo} entry for family {family}; running defaults");
-            None
-        }
-    }
-}
-
-/// Writes the `.etr` capture when the run finishes — on drop, so the
-/// early-return paths (e.g. `--kernels`) still produce the file.
+/// Writes the `.etr` capture when the run finishes — on drop, so every
+/// path out of `main` still produces the file.
 struct TraceGuard {
     path: Option<String>,
 }
@@ -79,7 +79,7 @@ struct TraceGuard {
 impl TraceGuard {
     fn start(path: Option<String>) -> TraceGuard {
         if path.is_some() {
-            ecl_trace::sink::install(std::sync::Arc::new(ecl_trace::Tracer::with_clock(
+            ecl_trace::sink::install(Arc::new(ecl_trace::Tracer::with_clock(
                 ecl_trace::ClockMode::Wall,
             )));
         }
@@ -106,44 +106,47 @@ impl Drop for TraceGuard {
 }
 
 fn usage() -> ! {
+    let names = |keep: fn(&dyn Algorithm) -> bool| {
+        ecl_algos::ALL.iter().filter(|a| keep(**a)).map(|a| a.name()).collect::<Vec<_>>().join("|")
+    };
     eprintln!(
-        "usage: ecl-run --algo <cc|gc|mis|mst|scc> --input <name> \
+        "usage: ecl-run --algo <{}> --input <name> \
          [--scale f] [--seed n] [--block-size n]\n\
-         \x20      [--optimized] [--fixed-launch] [--no-shortcuts] [--trim] [--histogram] [--kernels]\n\
+         \x20      [--optimized] [--fixed-launch] [--no-shortcuts] [--trim]  (schedule knobs)\n\
+         \x20      [--histogram] [--kernels]\n\
          \x20      [--tuned <manifest.json>]  (apply the ecl-tune/1 schedule for this input's family)\n\
          \x20      [--trace <path>]  (record a .etr event capture; see the ecl-trace binary)\n\
          \x20      [--profile <dir>] [--repeats n]  (write manifest.json/metrics.prom/flame.* \n\
          \x20                                        profiling artifacts; see the ecl-prof binary)\n\
-         \x20      [--shards n]  (run cc|mis|scc across n modeled GPUs via ecl-shard)\n\
-         \x20      ecl-run --list    (show registered inputs)"
+         \x20      [--shards n]  (run {} across n modeled GPUs via ecl-shard)\n\
+         \x20      ecl-run --list    (show registered inputs)",
+        names(|_| true),
+        names(|a| a.run_sharded().is_some()),
     );
     std::process::exit(2);
 }
 
+/// Parses an integer argument or exits 2 with one line.
+fn int<T: std::str::FromStr>(name: &str, text: &str) -> T {
+    text.parse().unwrap_or_else(|_| usage_error(&format!("{name} must be an integer, got {text}")))
+}
+
 fn parse() -> Args {
     let mut a = Args {
-        algo: String::new(),
-        input: String::new(),
         scale: ecl_bench::DEFAULT_SCALE,
         seed: ecl_bench::DEFAULT_SEED,
-        optimized: false,
-        fixed_launch: false,
-        no_shortcuts: false,
-        trim: false,
-        block_size: None,
-        histogram: false,
-        kernels: false,
-        trace: None,
-        check: false,
-        profile: None,
         repeats: 3,
         shards: 1,
-        tuned: None,
+        ..Args::default()
     };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = argv.iter();
+    while let Some(arg) = args.next() {
+        if let Some((flag, knobs)) = FLAG_KNOBS.iter().find(|(flag, _)| flag == arg) {
+            a.knobs.extend(knobs.iter().map(|&(knob, v)| (*flag, knob, KnobValue::Bool(v))));
+            continue;
+        }
+        match arg.as_str() {
             "--list" => {
                 for spec in ecl_graphgen::all_inputs() {
                     println!(
@@ -156,81 +159,53 @@ fn parse() -> Args {
                 }
                 std::process::exit(0);
             }
-            "--algo" if i + 1 < argv.len() => {
-                a.algo = argv[i + 1].clone();
-                i += 1;
-            }
-            "--input" if i + 1 < argv.len() => {
-                a.input = argv[i + 1].clone();
-                i += 1;
-            }
-            "--scale" if i + 1 < argv.len() => {
-                a.scale = ecl_bench::parse_scale(&argv[i + 1])
-                    .unwrap_or_else(|e| ecl_bench::usage_error(&e));
-                i += 1;
-            }
-            "--seed" if i + 1 < argv.len() => {
-                a.seed = argv[i + 1].parse().unwrap_or_else(|_| usage());
-                i += 1;
-            }
-            "--block-size" if i + 1 < argv.len() => {
-                // Serve's bound on the same knob (`block_size` in a job).
-                match argv[i + 1].parse::<usize>() {
-                    Ok(bs) if (1..=1024).contains(&bs) => a.block_size = Some(bs),
-                    _ => {
-                        eprintln!(
-                            "--block-size must be an integer in [1, 1024], got {:?}",
-                            argv[i + 1]
-                        );
-                        std::process::exit(2);
-                    }
-                }
-                i += 1;
-            }
-            "--trace" if i + 1 < argv.len() => {
-                a.trace = Some(argv[i + 1].clone());
-                i += 1;
-            }
-            "--tuned" if i + 1 < argv.len() => {
-                let path = &argv[i + 1];
-                let loaded = std::fs::read_to_string(path)
-                    .map_err(|e| e.to_string())
-                    .and_then(|t| ecl_tune::TuneManifest::from_json(&t));
-                match loaded {
-                    Ok(m) => a.tuned = Some(m),
-                    Err(e) => {
-                        eprintln!("--tuned {path}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-                i += 1;
-            }
-            "--profile" if i + 1 < argv.len() => {
-                a.profile = Some(argv[i + 1].clone());
-                i += 1;
-            }
-            "--repeats" if i + 1 < argv.len() => {
-                a.repeats = argv[i + 1].parse().unwrap_or_else(|_| usage());
-                i += 1;
-            }
-            "--shards" if i + 1 < argv.len() => {
-                a.shards = argv[i + 1].parse().unwrap_or_else(|_| usage());
-                if a.shards < 1 || a.shards as usize > ecl_shard::MAX_SHARDS as usize {
-                    eprintln!("--shards must be in [1, {}]", ecl_shard::MAX_SHARDS);
-                    std::process::exit(2);
-                }
-                i += 1;
-            }
-            "--optimized" => a.optimized = true,
-            "--fixed-launch" => a.fixed_launch = true,
-            "--no-shortcuts" => a.no_shortcuts = true,
-            "--trim" => a.trim = true,
             "--histogram" => a.histogram = true,
             "--kernels" => a.kernels = true,
             "--check" => a.check = true,
-            _ => usage(),
+            flag => {
+                let unknown = || -> ! { usage_error(&format!("unknown argument: {arg}")) };
+                let value = args.next().unwrap_or_else(|| unknown());
+                match flag {
+                    "--algo" => a.algo = value.clone(),
+                    "--input" => a.input = value.clone(),
+                    "--scale" => {
+                        a.scale = ecl_bench::parse_scale(value).unwrap_or_else(|e| usage_error(&e))
+                    }
+                    "--seed" => a.seed = int("seed", value),
+                    "--repeats" => a.repeats = int("repeats", value),
+                    "--shards" => {
+                        a.shards = int("shards", value);
+                        if a.shards < 1 || a.shards > ecl_shard::MAX_SHARDS {
+                            usage_error(&format!(
+                                "--shards must be in [1, {}]",
+                                ecl_shard::MAX_SHARDS
+                            ));
+                        }
+                    }
+                    "--block-size" => match value.parse::<i64>() {
+                        // Serve's bound on the same knob (`block_size` in a job).
+                        Ok(bs) if (1..=1024).contains(&bs) => {
+                            a.knobs.push(("--block-size", "block_size", KnobValue::Int(bs)))
+                        }
+                        _ => usage_error(&format!(
+                            "--block-size must be an integer in [1, 1024], got {value:?}"
+                        )),
+                    },
+                    "--trace" => a.trace = Some(value.clone()),
+                    "--profile" => a.profile = Some(value.clone()),
+                    "--tuned" => {
+                        let loaded = std::fs::read_to_string(value)
+                            .map_err(|e| e.to_string())
+                            .and_then(|t| ecl_tune::TuneManifest::from_json(&t));
+                        a.tuned = Some(
+                            loaded
+                                .unwrap_or_else(|e| usage_error(&format!("--tuned {value}: {e}"))),
+                        );
+                    }
+                    _ => unknown(),
+                }
+            }
         }
-        i += 1;
     }
     if a.algo.is_empty() || a.input.is_empty() {
         usage();
@@ -238,7 +213,38 @@ fn parse() -> Args {
     a
 }
 
-fn print_cost(device: &ecl_gpusim::Device) {
+/// The run's schedule: the `--tuned` entry for the input's family
+/// (single-pool runs only, as in serve), then the flags' knobs, then the
+/// seed's tie-break salt, which keeps authority over the permutation as
+/// it does in serve.
+fn schedule(a: &Args, algo: &dyn Algorithm, g: &ecl_graph::Csr) -> Schedule {
+    let mut s = Schedule::new();
+    if let Some(manifest) = a.tuned.as_ref().filter(|_| a.shards == 1) {
+        let name = algo.name();
+        let family = ecl_graph::Fingerprint::of(g).family_key();
+        match manifest.lookup(name, &family) {
+            Some(e) => {
+                eprintln!(
+                    "tuned: {name} matched family {family} (tuned on {}, {:.2}x): {}",
+                    e.input,
+                    e.speedup(),
+                    e.schedule.to_json()
+                );
+                s = e.schedule.clone();
+            }
+            None => eprintln!("tuned: no {name} entry for family {family}; running defaults"),
+        }
+    }
+    for (_, knob, value) in &a.knobs {
+        s.set(knob, value.clone());
+    }
+    if find_knob(algo.knobs(), "tie_salt").is_some() {
+        s.set("tie_salt", ecl_algos::adapters::mis_tie_salt(a.seed));
+    }
+    s
+}
+
+fn print_cost(device: &Device) {
     println!("\nmodeled cost: {:.0} units", device.modeled_time());
     for (kind, units) in device.cost().breakdown() {
         if units > 0 {
@@ -249,20 +255,24 @@ fn print_cost(device: &ecl_gpusim::Device) {
 
 fn main() {
     let a = parse();
-    let algo = ecl_algos::find(&a.algo).unwrap_or_else(|| {
-        eprintln!("unknown algorithm '{}'", a.algo);
-        usage();
-    });
-    let spec = ecl_graphgen::registry::find(&a.input).unwrap_or_else(|| {
-        eprintln!("unknown input '{}'; try --list", a.input);
-        std::process::exit(2);
-    });
+    let algo = ecl_algos::find(&a.algo)
+        .unwrap_or_else(|| usage_error(&format!("unknown algorithm {:?}", a.algo)));
+    let spec = ecl_graphgen::registry::find(&a.input)
+        .unwrap_or_else(|| usage_error(&format!("unknown input '{}'; try --list", a.input)));
     // The input contract every consumer shares (serve answers a job
     // with the same line): checked before anything is generated.
     if let Err(e) = ecl_algos::check_directedness(algo, spec.name, spec.directed) {
-        eprintln!("{e}");
-        std::process::exit(2);
+        usage_error(&e);
     }
+    for (flag, knob, _) in &a.knobs {
+        if find_knob(algo.knobs(), knob).is_none() {
+            usage_error(&format!("{} has no knob {knob:?} ({flag})", algo.name()));
+        }
+    }
+    let input = ecl_bench::Generated::new(algo, spec, a.scale, a.seed);
+    let views = input.views();
+    let schedule = schedule(&a, algo, views.structure().expect("a generated view"));
+
     if let Some(dir) = &a.profile {
         let pspec = ecl_bench::profile_run::ProfileSpec {
             algo,
@@ -270,6 +280,7 @@ fn main() {
             scale: a.scale,
             seed: a.seed,
             repeats: a.repeats,
+            schedule: &schedule,
         };
         match ecl_bench::profile_run::profile(&pspec, std::path::Path::new(dir)) {
             Ok(manifest) => {
@@ -295,7 +306,8 @@ fn main() {
         }
         return;
     }
-    let device = ecl_bench::scaled_device(a.scale);
+
+    let device = Arc::new(Device::new(ecl_algos::device_config(algo, a.scale)));
     let _trace = TraceGuard::start(a.trace.clone());
     println!(
         "input {} at scale {} (seed {}), device: {} SMs / {} threads",
@@ -305,217 +317,52 @@ fn main() {
         device.config().num_sms,
         device.resident_threads()
     );
+    let session = a.check.then(|| ecl_check::CheckSession::begin(&device));
+    let title = algo.name().to_uppercase();
+    if a.shards > 1 {
+        // One modeled GPU per shard: results bit-identical to the
+        // single-pool run; modeled time is max-over-shards compute plus
+        // the cross-shard exchange cost.
+        let (run, secs) = ecl_gpusim::run_timed(|| {
+            ecl_algos::execute_sharded(algo, a.scale, &views, a.shards, Some(&schedule))
+        });
+        let (outcome, stats) = run.unwrap_or_else(|e| usage_error(&e));
+        println!("\nECL-{title} ({} shards) in {secs:.3}s", a.shards);
+        print!("{}", ecl_bench::render_counters(&outcome, a.histogram));
+        println!(
+            "  partition: {} ({} shards), cut {}/{} arcs ({:.3})",
+            stats.strategy.name(),
+            stats.shards,
+            stats.cut_arcs,
+            stats.total_arcs,
+            stats.cut_ratio()
+        );
+        println!(
+            "  supersteps: {}, exchange messages: {}",
+            stats.supersteps, stats.exchange_messages
+        );
+        println!("\nmodeled cost: {:.0} units (max-over-shards + exchange)", stats.modeled_time);
+    } else {
+        let profile = a.kernels.then(|| {
+            let profile = Arc::new(KernelProfile::new(Arc::clone(&device)));
+            (ecl_gpusim::observe::install(profile.clone()), profile)
+        });
+        let (outcome, secs) = ecl_gpusim::run_timed(|| algo.run(&device, &views, &schedule));
+        println!("\nECL-{title} in {secs:.3}s");
+        print!("{}", ecl_bench::render_counters(&outcome, a.histogram));
+        if let Some((id, profile)) = profile {
+            ecl_gpusim::observe::uninstall(id);
+            print!("\n{}", profile.render("per-kernel cost breakdown"));
+        }
+        print_cost(&device);
+    }
 
-    if a.check {
-        let session = ecl_check::CheckSession::begin(&device);
-        run_algo(&a, algo, spec, &device);
+    if let Some(session) = session {
         let report = session.finish();
         print!("\n{}", report.render(&format!("ecl-check: {} on {}", a.algo, spec.name)));
         if !report.is_clean() {
             eprintln!("ecl-check: unsuppressed findings — failing");
             std::process::exit(1);
         }
-        return;
-    }
-    run_algo(&a, algo, spec, &device);
-}
-
-/// `--shards N` execution: partition the input and run through
-/// ecl-shard with one modeled GPU per shard. Results are bit-identical
-/// to the single-pool kernels; modeled time reflects max-over-shards
-/// compute plus the cross-shard exchange cost.
-fn run_sharded(a: &Args, algo: &dyn ecl_algos::Algorithm, spec: &ecl_graphgen::InputSpec) {
-    let g = spec.generate(a.scale, a.seed);
-    let views = ecl_algos::Views { name: spec.name, csr: Some(&g), weighted: None };
-    // The job seed selects the MIS tie-break permutation, as in serve.
-    let schedule =
-        ecl_gpusim::Schedule::new().with("tie_salt", ecl_algos::adapters::mis_tie_salt(a.seed));
-    let (run, secs) = ecl_gpusim::run_timed(|| {
-        ecl_algos::execute_sharded(algo, a.scale, &views, a.shards, Some(&schedule))
-    });
-    let (outcome, stats) = run.unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    println!("\nECL-{} ({} shards) in {secs:.3}s", algo.name().to_uppercase(), a.shards);
-    for (name, value) in &outcome.aggregates {
-        println!("  {name}: {value}");
-    }
-    println!(
-        "  partition: {} ({} shards), cut {}/{} arcs ({:.3})",
-        stats.strategy.name(),
-        stats.shards,
-        stats.cut_arcs,
-        stats.total_arcs,
-        stats.cut_ratio()
-    );
-    println!("  supersteps: {}, exchange messages: {}", stats.supersteps, stats.exchange_messages);
-    println!("\nmodeled cost: {:.0} units (max-over-shards + exchange)", stats.modeled_time);
-}
-
-fn run_algo(
-    a: &Args,
-    algo: &dyn ecl_algos::Algorithm,
-    spec: &ecl_graphgen::InputSpec,
-    device: &ecl_gpusim::Device,
-) {
-    if a.shards > 1 {
-        run_sharded(a, algo, spec);
-        return;
-    }
-    match a.algo.as_str() {
-        "cc" => {
-            let g = spec.generate(a.scale, a.seed);
-            let mut cfg = if a.optimized {
-                ecl_cc::CcConfig::optimized()
-            } else {
-                ecl_cc::CcConfig::baseline()
-            };
-            if let Some(s) = tuned_schedule(a, "cc", &g) {
-                cfg.apply_schedule(&s);
-            }
-            if a.kernels {
-                let ((r, profile), secs) =
-                    ecl_gpusim::run_timed(|| ecl_cc::run_profiled(device, &g, &cfg));
-                println!("\nECL-CC: {} components in {secs:.3}s", r.num_components());
-                print!("{}", profile.render("per-kernel cost breakdown"));
-                print_cost(device);
-                return;
-            }
-            let (r, secs) = ecl_gpusim::run_timed(|| ecl_cc::run(device, &g, &cfg));
-            println!(
-                "\nECL-CC{}: {} components in {:.3}s",
-                if a.optimized { " (optimized init)" } else { "" },
-                r.num_components(),
-                secs
-            );
-            let c = &r.counters;
-            println!("  vertices initialized: {}", c.vertices_initialized.get());
-            println!("  neighbors traversed:  {}", c.vertices_traversed.get());
-            println!(
-                "  representative(): {} calls ({} made progress)",
-                c.find_calls.get(),
-                c.find_smaller.get()
-            );
-            println!(
-                "  hook atomicCAS: {} attempted, {} failed",
-                c.hook_cas.attempted(),
-                c.hook_cas.cas_failed()
-            );
-            print_cost(device);
-        }
-        "mis" => {
-            let g = spec.generate(a.scale, a.seed);
-            let mut cfg = ecl_mis::MisConfig::default();
-            if let Some(s) = tuned_schedule(a, "mis", &g) {
-                cfg.apply_schedule(&s);
-            }
-            let (r, secs) = ecl_gpusim::run_timed(|| ecl_mis::run(device, &g, &cfg));
-            println!("\nECL-MIS: {} selected in {} rounds ({secs:.3}s)", r.set_size(), r.rounds);
-            for (name, counter) in [
-                ("iterations", &r.counters.iterations),
-                ("assigned", &r.counters.assigned),
-                ("finalized", &r.counters.finalized),
-            ] {
-                let s = counter.summary();
-                println!("  {name}: avg {:.2}, max {:.0}", s.avg, s.max);
-                if a.histogram {
-                    print!(
-                        "{}",
-                        Histogram::of(&counter.values())
-                            .render(&format!("  {name} distribution"), 40)
-                    );
-                }
-            }
-            print_cost(device);
-        }
-        "gc" => {
-            let g = spec.generate(a.scale, a.seed);
-            let mut cfg = if a.no_shortcuts {
-                ecl_gc::GcConfig::no_shortcuts()
-            } else {
-                ecl_gc::GcConfig::default()
-            };
-            if let Some(s) = tuned_schedule(a, "gc", &g) {
-                cfg.apply_schedule(&s);
-            }
-            let (r, secs) = ecl_gpusim::run_timed(|| ecl_gc::run(device, &g, &cfg));
-            println!(
-                "\nECL-GC{}: {} colors in {} rounds ({secs:.3}s)",
-                if a.no_shortcuts { " (no shortcuts)" } else { "" },
-                r.num_colors(),
-                r.rounds
-            );
-            let (bc, nyp) = r.counters.large_vertex_summaries(&g, ecl_gc::LARGE_DEGREE);
-            println!("  runLarge best-color-changed: avg {:.2}, max {:.0}", bc.avg, bc.max);
-            println!("  runLarge not-yet-possible:   avg {:.2}, max {:.0}", nyp.avg, nyp.max);
-            println!("  shortcut-2 removals: {}", r.counters.shortcut2_removals.get());
-            if a.histogram {
-                print!(
-                    "{}",
-                    Histogram::of(&r.counters.not_yet_possible.values())
-                        .render("  per-vertex stall distribution", 40)
-                );
-            }
-            print_cost(device);
-        }
-        "mst" => {
-            let g = spec.generate_weighted(a.scale, a.seed, 1 << 20);
-            let mut cfg = if a.fixed_launch {
-                ecl_mst::MstConfig::fixed()
-            } else {
-                ecl_mst::MstConfig::baseline()
-            };
-            if let Some(s) = tuned_schedule(a, "mst", g.csr()) {
-                cfg.apply_schedule(&s);
-            }
-            let (r, secs) = ecl_gpusim::run_timed(|| ecl_mst::run(device, &g, &cfg));
-            println!(
-                "\nECL-MST{}: {} edges, weight {}, {} trees ({secs:.3}s)",
-                if a.fixed_launch { " (fixed launch)" } else { "" },
-                r.edges.len(),
-                r.total_weight,
-                r.num_trees
-            );
-            print!("{}", r.counters.bars.to_table("  per-iteration metrics").render());
-            println!(
-                "  atomicMin total: {} attempted, {:.1}% useless",
-                r.counters.atomics.attempted(),
-                100.0 * r.counters.atomics.useless_fraction()
-            );
-            print_cost(device);
-        }
-        "scc" => {
-            let g = spec.generate(a.scale, a.seed);
-            let mut cfg = ecl_scc::SccConfig::original();
-            cfg.trim = a.trim;
-            if let Some(s) = tuned_schedule(a, "scc", &g) {
-                cfg.apply_schedule(&s);
-            }
-            // An explicit flag still beats the manifest.
-            if let Some(bs) = a.block_size {
-                cfg.block_size = bs;
-            }
-            let (r, secs) = ecl_gpusim::run_timed(|| ecl_scc::run(device, &g, &cfg));
-            println!(
-                "\nECL-SCC (block {}{}): {} SCCs in {} outer iterations ({secs:.3}s)",
-                cfg.block_size,
-                if a.trim { ", trimmed" } else { "" },
-                r.num_sccs(),
-                r.outer_iterations
-            );
-            println!("  edges pruned: {}", r.counters.edges_removed.get());
-            println!(
-                "  atomicMax: {} attempted, {} effective",
-                r.counters.max_tally.attempted(),
-                r.counters.max_tally.updated()
-            );
-            println!("  modeled parallel time: {:.0}", r.modeled_parallel_time);
-            if let Some(row) = r.counters.series.row(1, 1) {
-                print!("{}", chart::column_chart("  block updates, m=1 n=1", &row, 60, 6));
-            }
-            print_cost(device);
-        }
-        other => unreachable!("'{other}' is registered but has no counter printer here"),
     }
 }

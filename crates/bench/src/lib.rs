@@ -19,7 +19,11 @@ pub mod experiments;
 pub mod mc_suite;
 pub mod profile_run;
 
+use ecl_algos::{Algorithm, Counter, Outcome, Views};
 use ecl_gpusim::{Device, DeviceConfig};
+use ecl_graph::{Csr, WeightedCsr};
+use ecl_graphgen::InputSpec;
+use ecl_profiling::Histogram;
 
 pub use ecl_algos::SCC_MIN_SMS;
 
@@ -46,6 +50,55 @@ pub fn scaled_device(scale: f64) -> Device {
 pub fn scaled_device_min(scale: f64, min_sms: usize) -> Device {
     assert!(scale > 0.0, "scale must be positive");
     Device::new(DeviceConfig::rtx4090_scaled(scale, min_sms))
+}
+
+/// A registry input generated as the view an algorithm consumes: the
+/// weighted one (weights in `[1, 1 << 20]`) for a weighted algorithm,
+/// the plain one otherwise. `ecl-run` and its `--profile` path share it.
+pub struct Generated {
+    name: &'static str,
+    csr: Option<Csr>,
+    weighted: Option<WeightedCsr>,
+}
+
+impl Generated {
+    /// Generates `spec` at `scale` and `seed` for `algo`.
+    pub fn new(algo: &dyn Algorithm, spec: &InputSpec, scale: f64, seed: u64) -> Generated {
+        let (csr, weighted) = if algo.weighted() {
+            (None, Some(spec.generate_weighted(scale, seed, 1 << 20)))
+        } else {
+            (Some(spec.generate(scale, seed)), None)
+        };
+        Generated { name: spec.name, csr, weighted }
+    }
+
+    /// The views to run on.
+    pub fn views(&self) -> Views<'_> {
+        Views { name: self.name, csr: self.csr.as_ref(), weighted: self.weighted.as_ref() }
+    }
+}
+
+/// Renders an outcome the way `ecl-run` prints it: the aggregates,
+/// then the counters. A count prints its value, a sketch its average
+/// and maximum (and, with `histogram`, its power-of-two buckets), a
+/// table itself.
+pub fn render_counters(outcome: &Outcome, histogram: bool) -> String {
+    let mut out = String::new();
+    for (name, value) in &outcome.aggregates {
+        out += &format!("  {name}: {value}\n");
+    }
+    for (name, counter) in &outcome.counters {
+        out += &match counter {
+            Counter::Count(v) => format!("  {name}: {v}\n"),
+            Counter::Sketch(s) if histogram => {
+                let drawn = Histogram::from(s).render(&format!("  {name} distribution"), 40);
+                format!("  {name}: avg {:.2}, max {}\n{drawn}", s.mean(), s.max)
+            }
+            Counter::Sketch(s) => format!("  {name}: avg {:.2}, max {}\n", s.mean(), s.max),
+            Counter::Table(t) => format!("  {name}:\n{}", t.render()),
+        };
+    }
+    out
 }
 
 /// Parses a `--scale` / `ECL_SCALE` value: a fraction of the paper's

@@ -1,12 +1,14 @@
 //! `ecl-run --profile <dir>`: one self-profiling algorithm run.
 //!
 //! Installs the `ecl-prof` collector (and a wall-clock tracer for the
-//! final repeat), runs the requested algorithm `repeats` times, and
-//! writes four artifacts into the output directory:
+//! final repeat), runs the requested algorithm `repeats` times under
+//! the schedule `ecl-run` built from its flags, and writes four
+//! artifacts into the output directory:
 //!
 //! - `manifest.json` — the versioned `ecl-prof/1` run manifest: git
 //!   SHA, dispatch policy, per-repeat metric samples, per-kernel
-//!   launch statistics, and the algorithm's counter distributions;
+//!   launch statistics, and every sketch counter of the algorithm's
+//!   outcome, in order;
 //! - `metrics.prom` — the same data in Prometheus text exposition;
 //! - `flame.folded` — pprof-style folded stacks from the trace
 //!   capture of the final repeat;
@@ -23,7 +25,8 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use ecl_algos::{Algorithm, Views};
+use ecl_algos::{Algorithm, Counter};
+use ecl_gpusim::Schedule;
 use ecl_prof::manifest::{Direction, DispatchInfo, Manifest, Metric, SCHEMA};
 use ecl_prof::{folded_to_svg, to_folded, to_prometheus, Collector};
 use ecl_profiling::SketchSnapshot;
@@ -41,14 +44,16 @@ pub struct ProfileSpec<'a> {
     pub seed: u64,
     /// Repeats (one `wall_seconds` sample each).
     pub repeats: usize,
+    /// The schedule every repeat runs under.
+    pub schedule: &'a Schedule,
 }
 
 /// One repeat's outcome.
 struct RepeatResult {
     wall_seconds: f64,
     modeled_time: f64,
-    /// Counter distributions, overwritten each repeat (deterministic
-    /// per input, so the last repeat's snapshot is representative).
+    /// Sketch counters, overwritten each repeat (deterministic per
+    /// input, so the last repeat's snapshot is representative).
     distributions: Vec<(String, SketchSnapshot)>,
 }
 
@@ -56,17 +61,19 @@ fn run_once(spec: &ProfileSpec<'_>) -> Result<RepeatResult, String> {
     let reg = ecl_graphgen::registry::find(spec.input)
         .ok_or_else(|| format!("unknown input '{}'", spec.input))?;
     // Only the algorithm run is timed, not input generation.
-    let (csr, weighted) = if spec.algo.weighted() {
-        (None, Some(reg.generate_weighted(spec.scale, spec.seed, 1 << 20)))
-    } else {
-        (Some(reg.generate(spec.scale, spec.seed)), None)
-    };
-    let views = Views { name: spec.input, csr: csr.as_ref(), weighted: weighted.as_ref() };
-    let (run, wall_seconds) =
-        ecl_gpusim::run_timed(|| ecl_algos::execute(spec.algo, spec.scale, &views, None));
+    let input = crate::Generated::new(spec.algo, reg, spec.scale, spec.seed);
+    let (run, wall_seconds) = ecl_gpusim::run_timed(|| {
+        ecl_algos::execute(spec.algo, spec.scale, &input.views(), Some(spec.schedule))
+    });
     let (outcome, modeled_time) = run?;
-    let distributions =
-        outcome.distributions.into_iter().map(|(name, snap)| (name.to_string(), snap)).collect();
+    let distributions = outcome
+        .counters
+        .into_iter()
+        .filter_map(|(name, c)| match c {
+            Counter::Sketch(snap) => Some((name.to_string(), snap)),
+            _ => None,
+        })
+        .collect();
     Ok(RepeatResult { wall_seconds, modeled_time, distributions })
 }
 
@@ -176,8 +183,15 @@ mod tests {
         };
         let dir = std::env::temp_dir().join(format!("ecl-prof-test-{}", std::process::id()));
         let cc = ecl_algos::find("cc").unwrap();
-        let spec =
-            ProfileSpec { algo: cc, input: "as-skitter", scale: 0.0005, seed: 42, repeats: 2 };
+        let schedule = cc.default_schedule();
+        let spec = ProfileSpec {
+            algo: cc,
+            input: "as-skitter",
+            scale: 0.0005,
+            seed: 42,
+            repeats: 2,
+            schedule: &schedule,
+        };
         let manifest = in_order(&spec, &dir).expect("profiled run");
         assert_eq!(manifest.schema, SCHEMA);
         assert_eq!(manifest.dispatch.workers, 1);

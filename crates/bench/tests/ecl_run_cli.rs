@@ -1,5 +1,6 @@
 //! `ecl-run` and the experiment binaries refuse a bad (algorithm,
-//! input) pairing, an out-of-range option or an unknown argument with
+//! input) pairing, an out-of-range or malformed option, a flag whose
+//! knob the algorithm lacks, or an unknown argument or algorithm with
 //! exit code 2 and one line — no backtrace.
 
 use std::process::Command;
@@ -30,6 +31,18 @@ fn contract_violations_exit_2_with_one_line() {
         (&["cc", "--input", "internet", "--scale", "inf"], "scale must be in (0, 1], got inf"),
         (&["cc", "--input", "internet", "--scale", "2"], "scale must be in (0, 1], got 2"),
         (&["cc", "--input", "internet", "--scale", "abc"], "scale must be in (0, 1], got abc"),
+        (&["cc", "--input", "internet", "--seed", "abc"], "seed must be an integer, got abc"),
+        (&["cc", "--input", "internet", "--repeats", "x"], "repeats must be an integer, got x"),
+        (&["cc", "--input", "internet", "--shards", "x"], "shards must be an integer, got x"),
+        (&["cc", "--input", "internet", "--bogus"], "unknown argument: --bogus"),
+        (&["cc", "--input", "internet", "--seed"], "unknown argument: --seed"),
+        (&["zz", "--input", "internet"], "unknown algorithm \"zz\""),
+        // A variant flag is a schedule knob; an algorithm without it refuses.
+        (&["gc", "--input", "internet", "--trim"], "gc has no knob \"trim\" (--trim)"),
+        (
+            &["mis", "--input", "internet", "--block-size", "256"],
+            "mis has no knob \"block_size\" (--block-size)",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_ecl-run"))
             .args(["--scale", "0.002", "--algo"])

@@ -6,6 +6,8 @@
 //! ("we statistically and visually analyze the code-specific
 //! metrics").
 
+use crate::SketchSnapshot;
+
 /// A histogram over power-of-two buckets: bucket 0 holds the value 0,
 /// bucket `k >= 1` holds values in `[2^(k-1), 2^k)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -137,6 +139,19 @@ impl Histogram {
     }
 }
 
+/// A sketch's buckets as a histogram: both use the same power-of-two
+/// layout, so this is the histogram of the values the sketch recorded.
+impl From<&SketchSnapshot> for Histogram {
+    fn from(s: &SketchSnapshot) -> Self {
+        let len = s.buckets.last().map_or(0, |&(k, _)| k as usize + 1);
+        let mut buckets = vec![0; len];
+        for &(k, c) in &s.buckets {
+            buckets[k as usize] = c;
+        }
+        Self { buckets, count: s.count }
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -153,6 +168,15 @@ mod tests {
         assert_eq!(Histogram::bucket_of(1024), 11);
         assert_eq!(Histogram::bucket_range(0), (0, 1));
         assert_eq!(Histogram::bucket_range(3), (4, 8));
+    }
+
+    #[test]
+    fn a_sketch_of_the_values_gives_their_histogram() {
+        let values = [0, 0, 1, 2, 3, 4, 100, u64::MAX];
+        let sketch = crate::LogSketch::new();
+        sketch.record_values(&values);
+        assert_eq!(Histogram::from(&sketch.snapshot()), Histogram::of(&values));
+        assert_eq!(Histogram::from(&crate::LogSketch::new().snapshot()), Histogram::of(&[]));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 /// A simple column-aligned text table with a title row, used by the
 /// experiment harness binaries to print each reproduced table.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Table {
     title: String,
     header: Vec<String>,

@@ -2,15 +2,22 @@
 //!
 //! The paper anchors several arguments on how runtime distributes over
 //! kernels (e.g. "the init kernel ... accounts for 10-20% of the total
-//! runtime" of ECL-CC, §6.1.3). [`KernelProfile`] scopes the device's
-//! cost tally around each host-side kernel phase so the harness can
-//! report a per-kernel breakdown like a profiler's kernel table —
-//! except in deterministic modeled time.
+//! runtime" of ECL-CC, §6.1.3). [`KernelProfile`] is an [`Observer`]:
+//! installed around a run, it folds the device's cost delta between
+//! each `phase_start` / `phase_end` the kernel crates mark into a
+//! per-phase record, so the harness can report a per-kernel breakdown
+//! like a profiler's kernel table — except in deterministic modeled
+//! time — for any algorithm, without the algorithm knowing.
+
+use std::sync::Arc;
+use std::thread::ThreadId;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use crate::cost::{CostKind, CostTally};
 use crate::device::Device;
+use crate::observe::Observer;
 
 /// One profiled kernel phase.
 #[derive(Clone, Debug)]
@@ -27,79 +34,37 @@ pub struct KernelRecord {
     pub calls: u64,
 }
 
-/// Accumulates per-phase cost deltas. Phases must not overlap (kernel
-/// launches are serialized by the host loop, so scoping around each
-/// call site is safe).
-#[derive(Debug, Default)]
+/// Accumulates per-phase cost deltas of one device. It listens to the
+/// phases of the thread that created it — the host loop driving the
+/// device — and ignores any other thread's.
+#[derive(Debug)]
 pub struct KernelProfile {
-    records: Mutex<Vec<KernelRecord>>,
+    device: Arc<Device>,
+    host: ThreadId,
+    state: Mutex<State>,
+}
+
+#[derive(Debug, Default)]
+struct State {
+    /// Phases begun and not yet ended: name, tally then, start time.
+    open: Vec<(String, CostTally, Instant)>,
+    records: Vec<KernelRecord>,
 }
 
 impl KernelProfile {
-    /// An empty profile.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs `f`, attributing the device-cost delta and wall time to
-    /// `name`. Repeated calls under the same name are folded together.
-    pub fn measure<T>(&self, device: &Device, name: &str, f: impl FnOnce() -> T) -> T {
-        let before: CostTally = device.cost().clone();
-        let start = std::time::Instant::now();
-        let out = f();
-        let wall = start.elapsed().as_secs_f64();
-        let after = device.cost();
-        let delta: Vec<(CostKind, u64)> =
-            CostKind::ALL.iter().map(|&k| (k, after.units(k) - before.units(k))).collect();
-        let dt = CostTally::new();
-        for &(k, u) in &delta {
-            dt.charge(k, u);
-        }
-        let modeled = dt.modeled_time(device.params());
-        let mut records = self.records.lock();
-        match records.iter_mut().find(|r| r.name == name) {
-            Some(r) => {
-                for (acc, &(_, u)) in r.cost.iter_mut().zip(&delta) {
-                    acc.1 += u;
-                }
-                r.modeled_time += modeled;
-                r.wall_seconds += wall;
-                r.calls += 1;
-            }
-            None => records.push(KernelRecord {
-                name: name.to_string(),
-                cost: delta,
-                modeled_time: modeled,
-                wall_seconds: wall,
-                calls: 1,
-            }),
-        }
-        out
+    /// An empty profile of `device`'s phases run on this thread.
+    pub fn new(device: Arc<Device>) -> Self {
+        Self { device, host: std::thread::current().id(), state: Mutex::default() }
     }
 
     /// All records in first-seen order.
     pub fn records(&self) -> Vec<KernelRecord> {
-        self.records.lock().clone()
+        self.state.lock().records.clone()
     }
 
     /// Total modeled time across phases.
     pub fn total_modeled(&self) -> f64 {
-        self.records.lock().iter().map(|r| r.modeled_time).sum()
-    }
-
-    /// Fraction of the total modeled time spent in `name` (0 when the
-    /// phase is unknown or nothing was measured).
-    pub fn fraction(&self, name: &str) -> f64 {
-        let total = self.total_modeled();
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.records
-            .lock()
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| r.modeled_time / total)
-            .unwrap_or(0.0)
+        self.state.lock().records.iter().map(|r| r.modeled_time).sum()
     }
 
     /// Renders the profile as a kernel table (modeled-time ordered).
@@ -130,18 +95,74 @@ impl KernelProfile {
     }
 }
 
+impl Observer for KernelProfile {
+    fn phase_start(&self, name: &str) {
+        if std::thread::current().id() == self.host {
+            let before = self.device.cost().clone();
+            self.state.lock().open.push((name.to_string(), before, Instant::now()));
+        }
+    }
+
+    /// Attributes the device-cost delta and wall time since the
+    /// matching `phase_start` to `name`; repeated phases of one name
+    /// fold together.
+    fn phase_end(&self, name: &str) {
+        if std::thread::current().id() != self.host {
+            return;
+        }
+        let mut state = self.state.lock();
+        let Some(at) = state.open.iter().rposition(|(open, _, _)| open == name) else { return };
+        let (_, before, start) = state.open.remove(at);
+        let wall = start.elapsed().as_secs_f64();
+        let (after, params) = (self.device.cost(), self.device.params());
+        let delta: Vec<(CostKind, u64)> =
+            CostKind::ALL.iter().map(|&k| (k, after.units(k) - before.units(k))).collect();
+        let modeled = delta.iter().map(|&(k, u)| u as f64 * params.weight(k)).sum();
+        match state.records.iter_mut().find(|r| r.name == name) {
+            Some(r) => {
+                for (acc, &(_, u)) in r.cost.iter_mut().zip(&delta) {
+                    acc.1 += u;
+                }
+                r.modeled_time += modeled;
+                r.wall_seconds += wall;
+                r.calls += 1;
+            }
+            None => state.records.push(KernelRecord {
+                name: name.to_string(),
+                cost: delta,
+                modeled_time: modeled,
+                wall_seconds: wall,
+                calls: 1,
+            }),
+        }
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
+    /// A profile of a fresh test device; phases are driven by calling
+    /// the hooks directly, so no observer is installed process-wide.
+    fn profile() -> (Arc<Device>, KernelProfile) {
+        let d = Arc::new(Device::test_small());
+        (Arc::clone(&d), KernelProfile::new(d))
+    }
+
+    fn phase(p: &KernelProfile, name: &str, f: impl FnOnce()) {
+        p.phase_start(name);
+        f();
+        p.phase_end(name);
+    }
+
     #[test]
     fn attributes_costs_to_phases() {
-        let d = Device::test_small();
-        let p = KernelProfile::new();
-        p.measure(&d, "a", || d.charge(CostKind::ThreadWork, 10));
-        p.measure(&d, "b", || d.charge(CostKind::Atomic, 5));
-        p.measure(&d, "a", || d.charge(CostKind::ThreadWork, 30));
+        let (d, p) = profile();
+        phase(&p, "a", || d.charge(CostKind::ThreadWork, 10));
+        phase(&p, "b", || d.charge(CostKind::Atomic, 5));
+        d.charge(CostKind::ThreadWork, 1000); // outside any phase
+        phase(&p, "a", || d.charge(CostKind::ThreadWork, 30));
         let records = p.records();
         assert_eq!(records.len(), 2);
         let a = records.iter().find(|r| r.name == "a").unwrap();
@@ -152,38 +173,37 @@ mod tests {
     }
 
     #[test]
-    fn fractions_sum_to_one() {
-        let d = Device::test_small();
-        let p = KernelProfile::new();
-        p.measure(&d, "x", || d.charge(CostKind::ThreadWork, 100));
-        p.measure(&d, "y", || d.charge(CostKind::ThreadWork, 300));
-        assert!((p.fraction("x") - 0.25).abs() < 1e-9);
-        assert!((p.fraction("y") - 0.75).abs() < 1e-9);
-        assert_eq!(p.fraction("zzz"), 0.0);
+    fn phase_times_sum_to_the_devices() {
+        let (d, p) = profile();
+        phase(&p, "x", || d.charge(CostKind::ThreadWork, 100));
+        phase(&p, "y", || d.charge(CostKind::Atomic, 300));
+        assert_eq!(p.total_modeled(), d.modeled_time());
     }
 
     #[test]
     fn empty_profile() {
-        let p = KernelProfile::new();
+        let (_, p) = profile();
+        p.phase_end("never-started");
         assert_eq!(p.total_modeled(), 0.0);
-        assert_eq!(p.fraction("anything"), 0.0);
         assert!(p.records().is_empty());
     }
 
     #[test]
-    fn returns_closure_output() {
-        let d = Device::test_small();
-        let p = KernelProfile::new();
-        let v = p.measure(&d, "calc", || 21 * 2);
-        assert_eq!(v, 42);
+    fn other_threads_phases_are_ignored() {
+        let (d, p) = profile();
+        std::thread::scope(|s| {
+            s.spawn(|| phase(&p, "elsewhere", || d.charge(CostKind::ThreadWork, 7)));
+        });
+        phase(&p, "outer", || phase(&p, "inner", || d.charge(CostKind::ThreadWork, 3)));
+        let names: Vec<String> = p.records().into_iter().map(|r| r.name).collect();
+        assert_eq!(names, ["inner", "outer"]);
     }
 
     #[test]
     fn render_contains_phases_and_shares() {
-        let d = Device::test_small();
-        let p = KernelProfile::new();
-        p.measure(&d, "init", || d.charge(CostKind::ThreadWork, 10));
-        p.measure(&d, "compute", || d.charge(CostKind::ThreadWork, 90));
+        let (d, p) = profile();
+        phase(&p, "init", || d.charge(CostKind::ThreadWork, 10));
+        phase(&p, "compute", || d.charge(CostKind::ThreadWork, 90));
         let s = p.render("kernel table");
         assert!(s.contains("init"));
         assert!(s.contains("compute"));

@@ -6,19 +6,20 @@
 //! - **Golden equivalence.** Under the sequential policy the driver
 //!   returns, bit for bit, what the hand-written per-algorithm arms it
 //!   replaced returned: `ecl_*::run` / `ecl_shard::run_*` with a
-//!   hand-built config on a device from the one preset.
+//!   hand-built config on a device from the one preset, down to the
+//!   typed counts `ecl-run` prints.
 //! - **Parity.** Serve's wire names, the registry and the committed
 //!   tune manifest name the same algorithms in the same order, and
 //!   every registered default schedule is valid.
 //! - **Pins.** The in-order modeled time of every registered algorithm
-//!   on the `ecl-run --profile` inputs is a literal, bit for bit.
+//!   under its default schedule is a literal, bit for bit.
 
 #![allow(clippy::unwrap_used)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ecl_suite::algos::{self, checksum_u32, Algorithm, Outcome, Views};
+use ecl_suite::algos::{self, checksum_u32, Algorithm, Counter, Outcome, Views};
 use ecl_suite::graph::{Csr, WeightedCsr};
 use ecl_suite::serve::exec::execute as serve_execute;
 use ecl_suite::serve::{Algo, CatalogConfig, GraphCatalog, JobSpec};
@@ -78,7 +79,7 @@ impl Algorithm for DegreeSum {
         });
         Outcome {
             aggregates: vec![("degree_sum", sum.load(Ordering::Relaxed)), ("vertices", n as u64)],
-            distributions: vec![("degsum/degree", degrees.snapshot())],
+            counters: vec![("degsum/degree", Counter::Sketch(degrees.snapshot()))],
         }
     }
 }
@@ -121,6 +122,14 @@ fn toy_algorithm_tunes_and_profiles_without_a_registry_entry() {
     });
     assert_eq!(r.best_time.to_bits(), brute.fold(f64::INFINITY, f64::min).to_bits());
 
+    // `ecl-run` prints its counters with no edit anywhere.
+    let spec = gen::registry::find("internet").unwrap();
+    let generated = ecl_bench::Generated::new(&DegreeSum, spec, SCALE, SEED);
+    let (out, _) = algos::execute(&DegreeSum, SCALE, &generated.views(), Some(&default)).unwrap();
+    let printed = ecl_bench::render_counters(&out, true);
+    assert!(printed.contains("  degsum/degree: avg "), "{printed}");
+    assert!(printed.contains("  degsum/degree distribution"), "{printed}");
+
     let dir = std::env::temp_dir().join(format!("ecl-algo-registry-{}", std::process::id()));
     let spec = ecl_bench::profile_run::ProfileSpec {
         algo: &DegreeSum,
@@ -128,6 +137,7 @@ fn toy_algorithm_tunes_and_profiles_without_a_registry_entry() {
         scale: SCALE,
         seed: SEED,
         repeats: 2,
+        schedule: &default,
     };
     let manifest = ecl_bench::profile_run::profile(&spec, &dir).unwrap();
     std::fs::remove_dir_all(&dir).ok();
@@ -139,29 +149,42 @@ fn toy_algorithm_tunes_and_profiles_without_a_registry_entry() {
 }
 
 /// What a hand-written arm produced: its aggregate values in its
-/// order, and the bits of its device's modeled time.
-type Golden = (Vec<u64>, u64);
+/// order, its typed global counts in the adapter's counter order, and
+/// the bits of its device's modeled time.
+type Golden = (Vec<u64>, Vec<u64>, u64);
 
 fn device(name: &str) -> Device {
     Device::new(DeviceConfig::rtx4090_scaled(SCALE, if name == "scc" { 8 } else { 1 }))
 }
 
-fn golden(name: &str, arm: impl FnOnce(&Device) -> Vec<u64>) -> Golden {
+fn golden(name: &str, arm: impl FnOnce(&Device) -> (Vec<u64>, Vec<u64>)) -> Golden {
     let d = device(name);
-    (arm(&d), d.modeled_time().to_bits())
+    let (aggregates, counts) = arm(&d);
+    (aggregates, counts, d.modeled_time().to_bits())
 }
 
 fn golden_cc(g: &Csr, cfg: &cc::CcConfig) -> Golden {
     golden("cc", |d| {
         let r = cc::run(d, g, cfg);
-        vec![r.num_components() as u64, checksum_u32(r.labels.iter().copied())]
+        let c = &r.counters;
+        let counts = vec![
+            c.vertices_initialized.get(),
+            c.vertices_traversed.get(),
+            c.find_calls.get(),
+            c.find_smaller.get(),
+            c.hook_cas.attempted(),
+            c.hook_cas.cas_failed(),
+        ];
+        (vec![r.num_components() as u64, checksum_u32(r.labels.iter().copied())], counts)
     })
 }
 
 fn golden_gc(g: &Csr, cfg: &gc::GcConfig) -> Golden {
     golden("gc", |d| {
         let r = gc::run(d, g, cfg);
-        vec![r.num_colors() as u64, r.rounds as u64, checksum_u32(r.colors.iter().copied())]
+        let colors = checksum_u32(r.colors.iter().copied());
+        let counts = vec![r.counters.shortcut2_removals.get()];
+        (vec![r.num_colors() as u64, r.rounds as u64, colors], counts)
     })
 }
 
@@ -169,7 +192,7 @@ fn golden_mis(g: &Csr, cfg: &mis::MisConfig) -> Golden {
     golden("mis", |d| {
         let r = mis::run(d, g, cfg);
         let set = checksum_u32(r.in_set.iter().map(|&b| b as u32));
-        vec![r.set_size() as u64, r.rounds as u64, set]
+        (vec![r.set_size() as u64, r.rounds as u64, set], Vec::new())
     })
 }
 
@@ -178,7 +201,8 @@ fn golden_mst(g: &WeightedCsr, cfg: &mst::MstConfig) -> Golden {
         let r = mst::run(d, g, cfg);
         let mut edges: Vec<u32> = r.edges.iter().map(|&e| e as u32).collect();
         edges.sort_unstable();
-        vec![r.total_weight, r.num_trees as u64, edges.len() as u64, checksum_u32(edges)]
+        let counts = vec![r.counters.atomics.attempted(), r.counters.atomics.useless()];
+        (vec![r.total_weight, r.num_trees as u64, edges.len() as u64, checksum_u32(edges)], counts)
     })
 }
 
@@ -186,7 +210,14 @@ fn golden_scc(g: &Csr, cfg: &scc::SccConfig) -> Golden {
     golden("scc", |d| {
         let r = scc::run(d, g, cfg);
         let labels = checksum_u32(r.labels.iter().copied());
-        vec![r.num_sccs() as u64, r.outer_iterations as u64, labels]
+        let c = &r.counters;
+        let counts = vec![
+            c.edges_removed.get(),
+            c.max_tally.attempted(),
+            c.max_tally.updated(),
+            r.modeled_parallel_time.round_ties_even() as u64,
+        ];
+        (vec![r.num_sccs() as u64, r.outer_iterations as u64, labels], counts)
     })
 }
 
@@ -197,7 +228,11 @@ fn values(aggregates: &[(&'static str, u64)]) -> Vec<u64> {
 /// The registry's answer for `name`, in `Golden` form.
 fn registry(name: &str, views: &Views<'_>, schedule: Option<&Schedule>) -> Golden {
     let (out, time) = algos::execute(find(name), SCALE, views, schedule).unwrap();
-    (values(&out.aggregates), time.to_bits())
+    let counts = out.counters.iter().filter_map(|(_, c)| match c {
+        Counter::Count(v) => Some(*v),
+        _ => None,
+    });
+    (values(&out.aggregates), counts.collect(), time.to_bits())
 }
 
 /// A manifest-style schedule: every knob present (the registered
@@ -271,9 +306,10 @@ fn driver_equals_the_hand_written_arms_under_the_sequential_policy() {
 fn serve_overrides_equal_the_hand_written_arms() {
     let catalog = Arc::new(GraphCatalog::new(CatalogConfig::default()));
     let job = |algo, graph: &str| JobSpec { scale: SCALE, seed: SEED, ..JobSpec::new(algo, graph) };
-    let served = |spec: &JobSpec| {
+    // Serve reports the aggregates and the modeled time.
+    let served = |spec: &JobSpec, (aggregates, _, time): Golden| {
         let out = serve_execute(spec, &catalog).unwrap();
-        (values(&out.aggregates), out.modeled_time.to_bits())
+        assert_eq!((values(&out.aggregates), out.modeled_time.to_bits()), (aggregates, time));
     };
     sequential(|| {
         // A client block_size reaches gc and scc, and only them.
@@ -281,22 +317,22 @@ fn serve_overrides_equal_the_hand_written_arms() {
         let g = g.csr.as_deref().unwrap();
         let sized = |algo, graph| JobSpec { block_size: Some(128), ..job(algo, graph) };
         let cfg = gc::GcConfig { block_size: 128, ..gc::GcConfig::default() };
-        assert_eq!(served(&sized(Algo::Gc, "internet")), golden_gc(g, &cfg));
-        assert_eq!(served(&sized(Algo::Cc, "internet")), golden_cc(g, &cc::CcConfig::baseline()));
+        served(&sized(Algo::Gc, "internet"), golden_gc(g, &cfg));
+        served(&sized(Algo::Cc, "internet"), golden_cc(g, &cc::CcConfig::baseline()));
         let d = catalog.resolve("toroid-wedge", SCALE, SEED, false).unwrap();
         let cfg = scc::SccConfig::with_block_size(128);
         let want = golden_scc(d.csr.as_deref().unwrap(), &cfg);
-        assert_eq!(served(&sized(Algo::Scc, "toroid-wedge")), want);
+        served(&sized(Algo::Scc, "toroid-wedge"), want);
         let w = catalog.resolve("internet", SCALE, SEED, true).unwrap();
         let want = golden_mst(w.weighted.as_deref().unwrap(), &mst::MstConfig::baseline());
-        assert_eq!(served(&job(Algo::Mst, "internet")), want);
+        served(&job(Algo::Mst, "internet"), want);
 
         // The job seed selects the MIS tie-break permutation (and the
         // generated graph): two seeds, two hand-built seeded configs.
         for seed in [5u64, 0xDEAD_BEEF_CAFE] {
             let g = catalog.resolve("internet", SCALE, seed, false).unwrap();
             let want = golden_mis(g.csr.as_deref().unwrap(), &mis::MisConfig::seeded(seed));
-            assert_eq!(served(&JobSpec { seed, ..job(Algo::Mis, "internet") }), want);
+            served(&JobSpec { seed, ..job(Algo::Mis, "internet") }, want);
         }
     });
 }
@@ -402,10 +438,11 @@ fn evaluate_runs_in_order_under_any_caller_policy() {
 }
 
 /// In order, modeled time is a pure function of (algorithm, input,
-/// schedule): each registered algorithm's, on the inputs and the path
-/// `ecl-run --profile --scale 0.0005 --seed 42` takes, is pinned bit
-/// for bit. A cost-model change shows up here as a diff, not as drift
-/// inside a tolerance.
+/// schedule): each registered algorithm's under its default schedule,
+/// on the views `ecl-run --scale 0.0005 --seed 42` generates, is pinned
+/// bit for bit. (`ecl-run` itself salts MIS with its seed, so its MIS
+/// number differs.) A cost-model change shows up here as a diff, not as
+/// drift inside a tolerance.
 #[test]
 fn in_order_modeled_time_of_every_algorithm_is_pinned() {
     const SCALE: f64 = 0.0005;
@@ -420,15 +457,9 @@ fn in_order_modeled_time_of_every_algorithm_is_pinned() {
     for (a, (name, want)) in algos::ALL.into_iter().zip(pins) {
         assert_eq!(a.name(), name);
         let input = if a.directed() { "toroid-wedge" } else { "as-skitter" };
-        let reg = gen::registry::find(input).unwrap();
-        // `ecl-run`'s weight range for generated MST inputs.
-        let (csr, weighted) = if a.weighted() {
-            (None, Some(reg.generate_weighted(SCALE, SEED, 1 << 20)))
-        } else {
-            (Some(reg.generate(SCALE, SEED)), None)
-        };
-        let views = Views { name: input, csr: csr.as_ref(), weighted: weighted.as_ref() };
-        let (_, time) = sequential(|| algos::execute(a, SCALE, &views, None)).unwrap();
+        let generated =
+            ecl_bench::Generated::new(a, gen::registry::find(input).unwrap(), SCALE, SEED);
+        let (_, time) = sequential(|| algos::execute(a, SCALE, &generated.views(), None)).unwrap();
         assert_eq!(time.to_bits(), f64::to_bits(want), "{name} on {input}: {time}");
     }
 }
