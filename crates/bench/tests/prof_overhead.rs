@@ -10,7 +10,7 @@
 
 #![allow(clippy::unwrap_used)]
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ecl_cc::CcConfig;
@@ -18,6 +18,12 @@ use ecl_prof::{sink, Collector};
 use ecl_profiling::ProfileMode;
 
 const SCALE: f64 = 0.002;
+
+/// The collector slot is process-global and the harness runs this
+/// file's tests on parallel threads: each holds this for its whole
+/// body, so the sibling's CC runs never land in the collector and
+/// "disabled" never times a run with the collector installed.
+static SINK_LOCK: Mutex<()> = Mutex::new(());
 
 fn median_cc_secs(g: &ecl_graph::Csr, runs: usize) -> f64 {
     let cfg = CcConfig { mode: ProfileMode::Off, ..CcConfig::baseline() };
@@ -35,6 +41,7 @@ fn median_cc_secs(g: &ecl_graph::Csr, runs: usize) -> f64 {
 
 #[test]
 fn disabled_profiling_overhead_on_cc_is_within_noise() {
+    let _sink = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let spec = ecl_graphgen::registry::find("as-skitter").expect("registered input");
     let g = spec.generate(SCALE, 42);
     sink::uninstall(); // ensure the disabled path
@@ -66,6 +73,7 @@ fn disabled_profiling_overhead_on_cc_is_within_noise() {
 
 #[test]
 fn enabled_profiling_captures_cc_kernels_within_budget() {
+    let _sink = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let spec = ecl_graphgen::registry::find("as-skitter").expect("registered input");
     let g = spec.generate(SCALE, 42);
 

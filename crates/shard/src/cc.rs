@@ -148,18 +148,7 @@ pub fn run_cc(devices: &[Device], g: &Csr, part: &Partition) -> ShardCcResult {
             labels[sg.globals[v] as usize] = cur[s][roots[s][v] as usize].load();
         }
     }
-    ShardCcResult {
-        labels,
-        stats: ShardStats {
-            shards: part.shards,
-            strategy: part.strategy,
-            cut_arcs: part.cut_arcs,
-            total_arcs: part.total_arcs,
-            supersteps: clock.supersteps(),
-            exchange_messages: clock.messages(),
-            modeled_time: clock.total(),
-        },
-    }
+    ShardCcResult { labels, stats: ShardStats::of(part, &clock) }
 }
 
 #[cfg(test)]

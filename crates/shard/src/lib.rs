@@ -8,22 +8,24 @@
 //! detector terminates the run only when every shard **and** every
 //! mailbox is quiescent.
 //!
-//! Determinism is load-bearing. Every exchange is Jacobi: sweeps read
-//! the previous superstep's state snapshot and write a next-state
-//! buffer (or merge through commutative `fetch_min` / `fetch_max`),
-//! never their own in-flight output. The one non-Jacobi piece, sharded
-//! CC's local phase, is ECL-CC itself — CAS hooking inside one shard —
-//! and runs in order, so its charges cannot depend on the pool's
-//! schedule either. Results, superstep counts, message volumes, and
-//! modeled time are therefore bit-identical across repeated runs and
-//! worker interleavings, and results are identical across shard counts
-//! (the cost figures are per-shard-count deterministic). The sharded
-//! CC/SCC/MIS results coincide with the single-pool `ecl-cc` /
-//! `ecl-scc` / `ecl-mis` results: CC's local components joined by
-//! min-label exchange and SCC's max-signature propagation converge to
-//! their unique fixpoints on any schedule, and the MIS selection order
-//! is a total priority order under which adjacent same-superstep IN
-//! decisions are impossible.
+//! Determinism is load-bearing. The exchange is double-buffered:
+//! nothing a shard sends is visible before the next superstep, and
+//! inboxes merge in fixed shard order through commutative min/max. The
+//! MIS sweeps are Jacobi (they read the previous superstep's snapshot
+//! and write a next-state buffer). CC and SCC instead run a local phase
+//! to a fixpoint inside each shard — ECL-CC's CAS hooking for CC, a
+//! one-thread max-first worklist for SCC — and both run in order, so
+//! their charges cannot depend on the pool's schedule. Results,
+//! superstep counts, message volumes, and modeled time are therefore
+//! bit-identical across repeated runs and worker interleavings, and
+//! results are identical across shard counts (the cost figures are
+//! per-shard-count deterministic). The sharded CC/SCC/MIS results
+//! coincide with the single-pool `ecl-cc` / `ecl-scc` / `ecl-mis`
+//! results: CC's local components joined by min-label exchange and
+//! SCC's max-signature propagation converge to their unique fixpoints
+//! on any schedule, and the MIS selection order is a total priority
+//! order under which adjacent same-superstep IN decisions are
+//! impossible.
 //!
 //! Shards execute sequentially on the host (the simulator models
 //! parallel hardware through cost accounting, not wall-clock overlap):
@@ -80,6 +82,19 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
+    /// The statistics of a run over `part` that `clock` accounted.
+    pub(crate) fn of(part: &Partition, clock: &ShardClock) -> ShardStats {
+        ShardStats {
+            shards: part.shards,
+            strategy: part.strategy,
+            cut_arcs: part.cut_arcs,
+            total_arcs: part.total_arcs,
+            supersteps: clock.supersteps(),
+            exchange_messages: clock.messages(),
+            modeled_time: clock.total(),
+        }
+    }
+
     /// Fraction of arcs crossing shard boundaries.
     pub fn cut_ratio(&self) -> f64 {
         if self.total_arcs == 0 {

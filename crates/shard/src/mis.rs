@@ -188,18 +188,7 @@ pub fn run_mis(devices: &[Device], g: &Csr, part: &Partition, tie_salt: u32) -> 
             in_set[sg.globals[v] as usize] = sv == status::IN;
         }
     }
-    ShardMisResult {
-        in_set,
-        stats: ShardStats {
-            shards: part.shards,
-            strategy: part.strategy,
-            cut_arcs: part.cut_arcs,
-            total_arcs: part.total_arcs,
-            supersteps: clock.supersteps(),
-            exchange_messages: clock.messages(),
-            modeled_time: clock.total(),
-        },
-    }
+    ShardMisResult { in_set, stats: ShardStats::of(part, &clock) }
 }
 
 #[cfg(test)]

@@ -1,24 +1,42 @@
 //! Sharded strongly connected components: the ECL-SCC outer loop
-//! (signature init → max propagation → edge pruning) with cross-shard
-//! signature exchange.
+//! (signature init → max propagation → edge pruning) with each shard
+//! propagating to a local fixpoint and only boundary changes crossing
+//! the cut. Arcs belong to the owner of their source; ghost slots
+//! mirror remote heads and have no adjacency.
 //!
-//! Arcs are owned by the owner of their source, so the forward sweep
-//! (`v_in` flows along the arc) can hit remote heads: those
-//! contributions accumulate in the head's local ghost slot via
-//! commutative `fetch_max` and leave the shard as **candidate**
-//! messages to the head's owner, which merges them by max. The
-//! backward sweep (`v_out` flows against the arc) is a pull into the
-//! owned source and reads remote heads through their ghost mirrors.
-//! Owners broadcast changed `(v_in, v_out)` pairs — packed into one
-//! `u64` payload — to every mirror holder after each superstep.
+//! **Local phase.** Each superstep, each shard runs one launch,
+//! `shard.scc.local-fixpoint`: `v_in` flows forward along live
+//! out-arcs from a max-first worklist, then `v_out` backward along live
+//! in-arcs (an in-arc index built once from the local CSR) from a
+//! second one. Seeds go largest value first and values only grow, so a
+//! slot is raised at most once, to its final value, and a slot popped
+//! at its current value is final. An outer iteration's first superstep
+//! seeds every slot; later ones seed owned vertices a candidate raised
+//! and ghosts whose mirrored `v_out` rose. A shard with nothing seeded
+//! launches nothing.
+//! Cost per launch: `ThreadWork` 1 per pop and 1 per live arc examined,
+//! `Atomic` 1 per arc examined (the atomicMax) and 1 per push, seeds
+//! included (the tail-counter atomicAdd of a GPU worklist). It is one
+//! thread, so its charges do not depend on the pool's schedule, and it
+//! adds no concurrent host protocol: `ecl-mc`'s `shard-exchange`
+//! harness still covers the exchange.
 //!
-//! Propagation runs to the *global* fixpoint (no shard changed an
-//! owned signature and both mailbox planes are quiescent) before any
-//! shard prunes, so pruning always compares fully converged
-//! signatures — mirrors included. Max-propagation has a unique
-//! fixpoint on a fixed arc set, pruning decisions are pointwise
-//! functions of that fixpoint, and the termination test matches the
-//! single-pool kernel's, so labels *and* outer iteration counts are
+//! **Exchange.** A ghost the forward phase raised goes to its owner as
+//! a **candidate**, merged by max; one the owner already meets changes
+//! nothing, so nothing echoes back. Owners broadcast changed
+//! `(v_in, v_out)` pairs, packed in one `u64`, to every mirror holder;
+//! a ghost keeps the max of its mirror and its own raises. Propagation
+//! ends after a superstep that sends nothing.
+//!
+//! **Not ECL-SCC's `propagate` per shard.** That prototype took
+//! batch-shard4's `scc_ms` to 56.6 ms (2-CPU host) but raised its
+//! modeled units 131 %: each superstep repays about five full grid
+//! passes with 512-wide block syncs; the worklist touches what changed.
+//!
+//! **Determinism.** Max-propagation has a unique fixpoint on a fixed
+//! arc set, pruning runs only at the global fixpoint (mirrors
+//! included) and decides pointwise, and the termination test matches
+//! the single-pool kernel's: labels *and* outer iteration counts are
 //! bit-identical to `ecl_scc::run` at every shard count.
 
 use ecl_gpusim::atomics::atomic_u32_array;
@@ -27,7 +45,7 @@ use ecl_gpusim::{launch_flat_named, CostKind, CountedU32, Device, LaunchConfig};
 use ecl_graph::Csr;
 
 use crate::exchange::{Mailboxes, Message};
-use crate::partition::Partition;
+use crate::partition::{Partition, ShardGraph};
 use crate::time::ShardClock;
 use crate::{check_devices, ShardStats, BLOCK_SIZE};
 
@@ -57,10 +75,97 @@ fn pack(v_in: u32, v_out: u32) -> u64 {
     (u64::from(v_in) << 32) | u64::from(v_out)
 }
 
-/// Unpacks a mirror payload.
-#[inline]
-fn unpack(payload: u64) -> (u32, u32) {
-    ((payload >> 32) as u32, payload as u32)
+/// A flat launch over `n` items charging one unit per thread.
+fn flat_pass(device: &Device, name: &str, n: usize) {
+    launch_flat_named(device, name, LaunchConfig::cover(n, BLOCK_SIZE), |t| {
+        let kind = if t.global < n { CostKind::ThreadWork } else { CostKind::IdleCheck };
+        device.charge(kind, 1);
+    });
+}
+
+/// One shard's signatures, arc liveness and in-arc index.
+struct ShardState<'g> {
+    sg: &'g ShardGraph,
+    v_in: Vec<CountedU32>,
+    v_out: Vec<CountedU32>,
+    alive: Vec<bool>,
+    /// The local CSR transposed (in-arc sources per slot), and the
+    /// local arc id of each of its entries.
+    rev: Csr,
+    rev_arc: Vec<u32>,
+    /// Per slot, the pair last exchanged: an owned vertex's last
+    /// broadcast, a ghost's mirror joined with the candidates it sent.
+    sent: Vec<u64>,
+}
+
+impl<'g> ShardState<'g> {
+    fn new(sg: &'g ShardGraph) -> ShardState<'g> {
+        let rev = sg.csr.transpose();
+        // `transpose` lists each head's in-arcs in ascending arc order.
+        let mut cursor = rev.offsets().to_vec();
+        let mut rev_arc = vec![0u32; sg.csr.num_arcs()];
+        for (a, (_, v)) in sg.csr.arcs().enumerate() {
+            rev_arc[cursor[v as usize]] = a as u32;
+            cursor[v as usize] += 1;
+        }
+        let zeros = || atomic_u32_array(sg.locals(), |_| 0);
+        let (alive, sent) = (vec![true; sg.csr.num_arcs()], vec![0; sg.locals()]);
+        ShardState { sg, v_in: zeros(), v_out: zeros(), alive, rev, rev_arc, sent }
+    }
+
+    fn pair(&self, l: usize) -> u64 {
+        pack(self.v_in[l].load(), self.v_out[l].load())
+    }
+
+    /// The local phase: `v_in` forward from `fwd`, then `v_out`
+    /// backward from `bwd`, each seeded with `(value, slot)` entries.
+    fn local_fixpoint(&self, device: &Device, fwd: &[(u32, u32)], bwd: &[(u32, u32)]) {
+        let (csr, rev) = (&self.sg.csr, &self.rev);
+        let config = LaunchConfig::new(1, 1);
+        launch_flat_named(device, "shard.scc.local-fixpoint", config, |_| {
+            let heads = csr.neighbor_array();
+            let f = self.drain(&self.v_in, fwd, |u| csr.arc_range(u).map(|a| (a, heads[a])));
+            let b = self.drain(&self.v_out, bwd, |v| {
+                rev.arc_range(v).map(|i| (self.rev_arc[i] as usize, rev.neighbor_array()[i]))
+            });
+            device.charge(CostKind::ThreadWork, f[0] + f[1] + b[0] + b[1]);
+            device.charge(CostKind::Atomic, f[1] + f[2] + b[1] + b[2]);
+        });
+    }
+
+    /// Max-propagates `sig` from `seeds` along the live `(arc, target)`
+    /// pairs of `step`: seeds go largest value first, each flooding its
+    /// value through a stack, so a slot is raised at most once — to its
+    /// final value — and a seed an earlier flood raised is stale. Ghost
+    /// targets are raised but not expanded. Returns `[pops, arcs
+    /// examined, pushes]`.
+    fn drain<I: Iterator<Item = (usize, u32)>>(
+        &self,
+        sig: &[CountedU32],
+        seeds: &[(u32, u32)],
+        step: impl Fn(u32) -> I,
+    ) -> [u64; 3] {
+        let mut order = seeds.to_vec();
+        order.sort_unstable_by(|a, b| b.cmp(a));
+        let (mut stack, mut counts) = (Vec::new(), [0, 0, seeds.len() as u64]);
+        for (val, seed) in order {
+            stack.push(seed);
+            while let Some(l) = stack.pop() {
+                counts[0] += 1;
+                if val != sig[l as usize].load() {
+                    continue;
+                }
+                for (_, t) in step(l).filter(|&(a, _)| self.alive[a]) {
+                    counts[1] += 1;
+                    if sig[t as usize].fetch_max(val, None) < val && !self.sg.is_ghost(t as usize) {
+                        stack.push(t);
+                        counts[2] += 1;
+                    }
+                }
+            }
+        }
+        counts
+    }
 }
 
 /// Runs sharded SCC over `part` with one device per shard.
@@ -71,31 +176,15 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
     assert!(g.is_directed(), "SCC consumes directed graphs");
     check_devices(devices, part);
     let graphs = part.shard_graphs(g);
-    let shards = part.shards as usize;
+    let mut states: Vec<ShardState> = graphs.iter().map(ShardState::new).collect();
     let mut clock = ShardClock::new();
     let params = *devices[0].params();
 
-    // Per-shard signature state (cur/next double buffers over owned +
-    // ghost slots) and per-local-arc liveness.
-    let mut cur_in: Vec<Vec<CountedU32>> = Vec::with_capacity(shards);
-    let mut cur_out: Vec<Vec<CountedU32>> = Vec::with_capacity(shards);
-    let mut next_in: Vec<Vec<CountedU32>> = Vec::with_capacity(shards);
-    let mut next_out: Vec<Vec<CountedU32>> = Vec::with_capacity(shards);
-    let mut alive: Vec<Vec<bool>> = Vec::with_capacity(shards);
-    for sg in &graphs {
-        let locals = sg.locals();
-        cur_in.push(atomic_u32_array(locals, |_| 0));
-        cur_out.push(atomic_u32_array(locals, |_| 0));
-        next_in.push(atomic_u32_array(locals, |_| 0));
-        next_out.push(atomic_u32_array(locals, |_| 0));
-        alive.push(vec![true; sg.csr.num_arcs()]);
-    }
-
-    // Candidate plane (forward contributions to remote heads, merged
-    // by the owner) and mirror plane (owner broadcasts of changed
-    // signature pairs) are kept separate so payloads need no tag bits.
-    let mut candidates = Mailboxes::new(shards);
-    let mut mirrors = Mailboxes::new(shards);
+    // Candidate plane (forward raises of ghosts, merged by the owner)
+    // and mirror plane (owner broadcasts of changed signature pairs)
+    // are kept separate so payloads need no tag bits.
+    let mut candidates = Mailboxes::new(graphs.len());
+    let mut mirrors = Mailboxes::new(graphs.len());
 
     let mut m = 0u32;
     loop {
@@ -105,151 +194,80 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
         // the owner's init value is the global id, so mirrors start
         // consistent without an exchange).
         let mut init_max = 0.0f64;
-        for (s, sg) in graphs.iter().enumerate() {
+        for (s, st) in states.iter_mut().enumerate() {
             let device = &devices[s];
             let before = device.modeled_time();
             let _guard = CtxGuard::shard(s as u32);
-            let locals = sg.locals();
-            for l in 0..locals {
-                let id = sg.globals[l];
-                cur_in[s][l].store(id);
-                cur_out[s][l].store(id);
-                next_in[s][l].store(id);
-                next_out[s][l].store(id);
+            for (l, &id) in st.sg.globals.iter().enumerate() {
+                st.v_in[l].store(id);
+                st.v_out[l].store(id);
+                st.sent[l] = pack(id, id);
             }
-            launch_flat_named(
-                device,
-                "shard.scc.signature-init",
-                LaunchConfig::cover(locals, BLOCK_SIZE),
-                |t| {
-                    if t.global >= locals {
-                        device.charge(CostKind::IdleCheck, 1);
-                    } else {
-                        device.charge(CostKind::ThreadWork, 1);
-                    }
-                },
-            );
+            flat_pass(device, "shard.scc.signature-init", st.sg.locals());
             init_max = init_max.max(device.modeled_time() - before);
         }
         clock.superstep(&params, init_max, 0);
 
-        // Stage 2: max propagation to the global fixpoint.
-        loop {
-            let mut any_changed = false;
-            let mut sweep_max = 0.0f64;
-            for (s, sg) in graphs.iter().enumerate() {
+        // Stage 2: worklist propagation to the global fixpoint.
+        for step in 0u32.. {
+            let mut step_max = 0.0f64;
+            for (s, st) in states.iter_mut().enumerate() {
                 let device = &devices[s];
                 let before = device.modeled_time();
                 let _guard = CtxGuard::shard(s as u32);
-                let owned = sg.owned;
-                let mut touched = vec![false; owned];
-
-                // Owner-side candidate merges (max, commutative).
+                let sg = st.sg;
+                let seed = |sig: &[CountedU32]| -> Vec<(u32, u32)> {
+                    sig.iter().zip(0..).map(|(c, l)| (c.load(), l)).collect()
+                };
+                let (mut fwd, mut bwd) = if step == 0 {
+                    (seed(&st.v_in[..sg.owned]), seed(&st.v_out))
+                } else {
+                    (Vec::new(), Vec::new())
+                };
                 for msg in candidates.take_inbox(s as u32) {
-                    let l = sg
-                        .local_of(msg.vertex)
-                        .expect("candidate for a vertex this shard does not know");
+                    let l = sg.local_of(msg.vertex).expect("candidate for an unknown vertex");
                     debug_assert!(!sg.is_ghost(l), "candidates are addressed to the owner");
                     let cand = msg.payload as u32;
-                    if cand > cur_in[s][l].load() {
-                        cur_in[s][l].store(cand);
-                        next_in[s][l].store(cand);
-                        touched[l] = true;
-                        any_changed = true;
+                    if st.v_in[l].fetch_max(cand, None) < cand {
+                        fwd.push((cand, l as u32));
                     }
                 }
-                // Mirror refreshes from owners.
                 for msg in mirrors.take_inbox(s as u32) {
-                    let l = sg
-                        .ghost_local(msg.vertex)
-                        .expect("mirror update for a vertex this shard does not ghost");
-                    let (v_in, v_out) = unpack(msg.payload);
-                    cur_in[s][l].store(v_in);
-                    cur_out[s][l].store(v_out);
-                    // Re-baseline the candidate accumulator.
-                    next_in[s][l].store(v_in);
+                    let l = sg.ghost_local(msg.vertex).expect("mirror update for a non-ghost");
+                    let v_out = msg.payload as u32;
+                    st.v_in[l].fetch_max((msg.payload >> 32) as u32, None);
+                    if st.v_out[l].fetch_max(v_out, None) < v_out {
+                        bwd.push((v_out, l as u32));
+                    }
+                    st.sent[l] = st.pair(l);
+                }
+                if !fwd.is_empty() || !bwd.is_empty() {
+                    st.local_fixpoint(device, &fwd, &bwd);
                 }
 
-                let csr = &sg.csr;
-                let (ci, co, ni, no) = (&cur_in[s], &cur_out[s], &next_in[s], &next_out[s]);
-                let live = &alive[s];
-                launch_flat_named(
-                    device,
-                    "shard.scc.propagate",
-                    LaunchConfig::cover(owned, BLOCK_SIZE),
-                    |t| {
-                        if t.global >= owned {
-                            device.charge(CostKind::IdleCheck, 1);
-                            return;
-                        }
-                        let u = t.global;
-                        let range = csr.arc_range(u as u32);
-                        let heads = &csr.neighbor_array()[range.clone()];
-                        let iu = ci[u].load();
-                        let mut ou = co[u].load();
-                        let mut work = 0u64;
-                        for (a, &v) in range.zip(heads.iter()) {
-                            if !live[a] {
-                                continue;
-                            }
-                            work += 1;
-                            // v_in flows forward: commutative max into
-                            // the head's next slot (owned or ghost
-                            // candidate accumulator).
-                            ni[v as usize].fetch_max(iu, None);
-                            // v_out flows backward: pull into u.
-                            ou = ou.max(co[v as usize].load());
-                        }
-                        no[u].fetch_max(ou, None);
-                        device.charge(CostKind::ThreadWork, 1 + work);
-                        device.charge(CostKind::Atomic, 2 * work);
-                    },
-                );
-
-                // Commit: fold next into cur for owned slots, queue
-                // mirror broadcasts for changed boundary vertices, and
-                // drain ghost accumulators into candidate messages —
-                // all in ascending local order for determinism.
-                for v in 0..owned {
-                    let new_in = next_in[s][v].load();
-                    let new_out = next_out[s][v].load();
-                    if new_in != cur_in[s][v].load() || new_out != cur_out[s][v].load() {
-                        cur_in[s][v].store(new_in);
-                        cur_out[s][v].store(new_out);
-                        touched[v] = true;
-                        any_changed = true;
+                // Publish in ascending local order (determinism):
+                // changed owned pairs to their mirror holders, raised
+                // ghosts to their owners.
+                for l in 0..sg.locals() {
+                    let pair = st.pair(l);
+                    if pair == st.sent[l] {
+                        continue;
+                    }
+                    st.sent[l] = pair;
+                    let vertex = sg.globals[l];
+                    if sg.is_ghost(l) {
+                        let owner = sg.ghost_owner[l - sg.owned];
+                        candidates.send(s as u32, owner, Message { vertex, payload: pair >> 32 });
+                    } else {
+                        let msg = Message { vertex, payload: pair };
+                        mirrors.broadcast(s as u32, sg.ghost_of[l], msg);
                     }
                 }
-                for (v, &was_touched) in touched.iter().enumerate() {
-                    if was_touched && sg.ghost_of[v] != 0 {
-                        mirrors.broadcast(
-                            s as u32,
-                            sg.ghost_of[v],
-                            Message {
-                                vertex: sg.globals[v],
-                                payload: pack(cur_in[s][v].load(), cur_out[s][v].load()),
-                            },
-                        );
-                    }
-                }
-                for gslot in owned..sg.locals() {
-                    let cand = next_in[s][gslot].load();
-                    if cand > cur_in[s][gslot].load() {
-                        candidates.send(
-                            s as u32,
-                            sg.ghost_owner[gslot - owned],
-                            Message { vertex: sg.globals[gslot], payload: u64::from(cand) },
-                        );
-                        // Reset so the next sweep re-accumulates
-                        // against the (possibly refreshed) mirror.
-                        next_in[s][gslot].store(cur_in[s][gslot].load());
-                    }
-                }
-                sweep_max = sweep_max.max(device.modeled_time() - before);
+                step_max = step_max.max(device.modeled_time() - before);
             }
             let moved = candidates.flush() + mirrors.flush();
-            clock.superstep(&params, sweep_max, moved);
-            if !any_changed && candidates.quiescent() && mirrors.quiescent() {
+            clock.superstep(&params, step_max, moved);
+            if moved == 0 {
                 break;
             }
         }
@@ -259,33 +277,17 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
         // exact).
         let mut removed = 0usize;
         let mut prune_max = 0.0f64;
-        for (s, sg) in graphs.iter().enumerate() {
+        for (s, st) in states.iter_mut().enumerate() {
             let device = &devices[s];
             let before = device.modeled_time();
             let _guard = CtxGuard::shard(s as u32);
-            let live_arcs = alive[s].iter().filter(|&&a| a).count();
-            launch_flat_named(
-                device,
-                "shard.scc.prune",
-                LaunchConfig::cover(live_arcs, BLOCK_SIZE),
-                |t| {
-                    if t.global >= live_arcs {
-                        device.charge(CostKind::IdleCheck, 1);
-                    } else {
-                        device.charge(CostKind::ThreadWork, 1);
-                    }
-                },
-            );
-            let csr = &sg.csr;
-            for u in 0..sg.owned {
-                let range = csr.arc_range(u as u32);
-                let heads = &csr.neighbor_array()[range.clone()];
-                for (a, &v) in range.zip(heads.iter()) {
-                    if alive[s][a]
-                        && (cur_in[s][u].load() != cur_in[s][v as usize].load()
-                            || cur_out[s][u].load() != cur_out[s][v as usize].load())
-                    {
-                        alive[s][a] = false;
+            flat_pass(device, "shard.scc.prune", st.alive.iter().filter(|&&a| a).count());
+            let csr = &st.sg.csr;
+            for u in 0..st.sg.owned {
+                for a in csr.arc_range(u as u32) {
+                    let v = csr.neighbor_array()[a] as usize;
+                    if st.alive[a] && st.pair(u) != st.pair(v) {
+                        st.alive[a] = false;
                         removed += 1;
                     }
                 }
@@ -294,10 +296,9 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
         }
         clock.superstep(&params, prune_max, 0);
 
-        let done = graphs
+        let done = states
             .iter()
-            .enumerate()
-            .all(|(s, sg)| (0..sg.owned).all(|v| cur_in[s][v].load() == cur_out[s][v].load()));
+            .all(|st| (0..st.sg.owned).all(|v| st.v_in[v].load() == st.v_out[v].load()));
         if done {
             break;
         }
@@ -309,24 +310,12 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
     }
 
     let mut labels = vec![0u32; g.num_vertices()];
-    for (s, sg) in graphs.iter().enumerate() {
-        for v in 0..sg.owned {
-            labels[sg.globals[v] as usize] = cur_in[s][v].load();
+    for st in &states {
+        for v in 0..st.sg.owned {
+            labels[st.sg.globals[v] as usize] = st.v_in[v].load();
         }
     }
-    ShardSccResult {
-        labels,
-        outer_iterations: m,
-        stats: ShardStats {
-            shards: part.shards,
-            strategy: part.strategy,
-            cut_arcs: part.cut_arcs,
-            total_arcs: part.total_arcs,
-            supersteps: clock.supersteps(),
-            exchange_messages: clock.messages(),
-            modeled_time: clock.total(),
-        },
-    }
+    ShardSccResult { labels, outer_iterations: m, stats: ShardStats::of(part, &clock) }
 }
 
 #[cfg(test)]
@@ -412,6 +401,107 @@ mod tests {
         assert_eq!(a.stats.supersteps, b.stats.supersteps);
         assert_eq!(a.stats.exchange_messages, b.stats.exchange_messages);
         assert_eq!(a.stats.modeled_time.to_bits(), b.stats.modeled_time.to_bits());
+    }
+
+    fn digraph(n: usize, arcs: &[(u32, u32)]) -> Csr {
+        let mut b = GraphBuilder::new_directed(n);
+        for &(u, v) in arcs {
+            b.add_edge(u, v);
+        }
+        b.build()
+    }
+
+    /// A partition with an explicit owner per vertex.
+    fn owned_by(g: &Csr, owner: &[u32]) -> Partition {
+        let shards = owner.iter().max().map_or(1, |&s| s + 1);
+        let cut_arcs = g.arcs().filter(|&(u, v)| owner[u as usize] != owner[v as usize]).count();
+        let owner = owner.to_vec();
+        Partition {
+            shards,
+            strategy: Strategy::Contiguous,
+            owner,
+            cut_arcs,
+            total_arcs: g.num_arcs(),
+        }
+    }
+
+    /// Runs `part` and checks labels and outer iterations against
+    /// `ecl_scc::run`.
+    fn check_against_single(g: &Csr, part: &Partition) -> ShardSccResult {
+        let single = ecl_scc::run(&Device::test_small(), g, &ecl_scc::SccConfig::original());
+        let r = run_scc(&devices_for(DeviceConfig::test_small(), part.shards), g, part);
+        assert_eq!(r.labels, single.labels, "{} shards", part.shards);
+        assert_eq!(r.outer_iterations, single.outer_iterations, "{} shards", part.shards);
+        r
+    }
+
+    #[test]
+    fn more_shards_than_vertices_leaves_shards_empty() {
+        let g = digraph(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
+        let part = Partition::new(&g, 6, Strategy::Contiguous);
+        assert_eq!(part.shard_graphs(&g).iter().filter(|sg| sg.locals() == 0).count(), 2);
+        let r = check_against_single(&g, &part);
+        assert_eq!(r.labels, vec![2, 2, 2, 3]);
+    }
+
+    #[test]
+    fn one_cycle_through_all_four_shards() {
+        // Every arc of 0 → 4 → 2 → 6 → 1 → 5 → 3 → 7 → 0 crosses the
+        // cut; the two slots of each shard sit at different points of it.
+        let order = [0u32, 4, 2, 6, 1, 5, 3, 7];
+        let arcs: Vec<(u32, u32)> = (0..8).map(|i| (order[i], order[(i + 1) % 8])).collect();
+        let g = digraph(8, &arcs);
+        let part = Partition::new(&g, 4, Strategy::Contiguous);
+        assert_eq!(part.cut_arcs, 8);
+        let r = check_against_single(&g, &part);
+        assert_eq!(r.labels, vec![7; 8]);
+    }
+
+    #[test]
+    fn self_loops_on_boundary_vertices() {
+        // Shards {0, 1, 2} and {3, 4, 5}: 2 and 3 loop on themselves
+        // and form an SCC across the cut.
+        let arcs = [(2, 2), (3, 3), (2, 3), (3, 2), (1, 2), (4, 3), (5, 5), (0, 1), (3, 4)];
+        let g = digraph(6, &arcs);
+        let part = Partition::new(&g, 2, Strategy::Contiguous);
+        let r = check_against_single(&g, &part);
+        assert_eq!(r.labels, vec![0, 1, 4, 4, 4, 5]);
+    }
+
+    #[test]
+    fn vertex_mirrored_by_three_shards() {
+        // Vertex 0 (shard 0) is an arc head in shards 1, 2 and 3, so
+        // each of its broadcasts reaches three holders.
+        let arcs = [(0, 2), (2, 0), (4, 0), (0, 4), (6, 0), (0, 7), (7, 6), (3, 5), (5, 1)];
+        let g = digraph(8, &arcs);
+        let part = Partition::new(&g, 4, Strategy::Contiguous);
+        assert_eq!(part.shard_graphs(&g)[0].ghost_of[0].count_ones(), 3);
+        let r = check_against_single(&g, &part);
+        assert_eq!(r.labels, vec![7, 1, 7, 3, 7, 5, 7, 7]);
+    }
+
+    #[test]
+    fn candidate_the_owner_already_exceeds_is_not_echoed() {
+        // Shard 0 owns {0, 1, 4} and raises 1 to 4 over 4 → 1 while
+        // shard 1 sends the candidate 3 over 3 → 1. The owner ignores
+        // it and shard 1's ghost takes the broadcast 4 without sending
+        // again: the broadcast and the candidate are the only messages.
+        let g = digraph(5, &[(3, 1), (4, 1)]);
+        let r = check_against_single(&g, &owned_by(&g, &[0, 0, 1, 1, 0]));
+        assert_eq!(r.stats.exchange_messages, 2);
+    }
+
+    #[test]
+    fn hashed_random_digraph_with_many_ghosts() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let arcs: Vec<(u32, u32)> =
+            (0..900).map(|_| (rng.random_range(0..300u32), rng.random_range(0..300u32))).collect();
+        let g = digraph(300, &arcs);
+        let part = Partition::new(&g, 4, Strategy::Hashed);
+        let ghosts: usize = part.shard_graphs(&g).iter().map(ShardGraph::ghosts).sum();
+        assert!(ghosts > 300, "{ghosts} ghosts");
+        check_against_single(&g, &part);
     }
 
     #[test]

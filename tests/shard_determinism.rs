@@ -4,11 +4,11 @@
 //! pattern) across repeated runs — the multi-pool analogue of the
 //! PR 3 scheduler-determinism suite.
 //!
-//! The property is structural, not statistical: every exchange sweep is
-//! Jacobi double-buffered, the exchange merges in a fixed shard order,
-//! and the one CAS-hooking piece — ECL-CC inside each shard for sharded
-//! CC — runs in order, so there is no interleaving anywhere for a shard
-//! count or a pool schedule to expose.
+//! The property is structural, not statistical: the exchange is
+//! double-buffered and merges in a fixed shard order, and the local
+//! phases — ECL-CC inside each shard for CC, the one-thread worklist
+//! fixpoint for SCC — run in order, so there is no interleaving
+//! anywhere for a shard count or a pool schedule to expose.
 
 #![allow(clippy::unwrap_used)]
 
@@ -185,6 +185,64 @@ fn shard_scaling_curve_is_pinned() {
                 (s.exchange_messages, s.supersteps),
                 (messages, supersteps),
                 "{name}/{shards}"
+            );
+        }
+    }
+}
+
+/// Sharded SCC pinned bit for bit next to the CC curve: a directed
+/// toroid-hex and a star mesh through `Partition::auto` at 1/2/4 shards,
+/// each shard the paper's device scaled to 0.05. The worklist local
+/// phase charges per pop, arc and push, so a change to it, to the
+/// exchange or to the superstep accounting shows up here as a diff. Every
+/// shard count must also cost no more modeled units than the in-order
+/// single-pool `ecl_scc::run` on the same device.
+#[test]
+fn sharded_scc_is_pinned() {
+    let hex = gen::mesh::toroid_hex(24, 24, 5);
+    let star = gen::mesh::star(6, 8, 3);
+    let config = sim::DeviceConfig::rtx4090_scaled(0.05, 1);
+    // Per input: (shards, strategy, modeled-time bits, supersteps,
+    // exchange messages); the modeled time in units is in the comment.
+    let pins = [
+        (
+            "hex",
+            &hex,
+            [
+                (1, "contiguous", 0x4106_1716_0000_0000, 9, 0), // 180 962.75
+                (2, "contiguous", 0x4111_8fd3_0000_0000, 18, 449), // 287 732.75
+                (4, "contiguous", 0x4113_b8fe_0000_0000, 21, 1285), // 323 135.5
+            ],
+        ),
+        (
+            "star",
+            &star,
+            [
+                (1, "contiguous", 0x410a_8918_0000_0000, 18, 0), // 217 379
+                (2, "contiguous", 0x411a_ac42_0000_0000, 36, 399), // 437 008.5
+                (4, "contiguous", 0x411e_5ae4_0000_0000, 40, 1548), // 497 337
+            ],
+        ),
+    ];
+    for (name, g, rows) in pins {
+        let single = sim::pool::with_policy(sim::DispatchPolicy::sequential(), || {
+            let device = sim::Device::new(config);
+            scc::run(&device, g, &scc::SccConfig::default());
+            device.modeled_time()
+        });
+        for (shards, strategy, bits, supersteps, messages) in rows {
+            let part = shard::Partition::auto(g, shards);
+            let s = shard::run_scc(&shard::devices_for(config, shards), g, &part).stats;
+            assert_eq!(
+                (part.strategy.name(), s.modeled_time.to_bits(), s.supersteps, s.exchange_messages),
+                (strategy, bits, supersteps, messages),
+                "{name} at {shards} shards: modeled {} units",
+                s.modeled_time
+            );
+            assert!(
+                s.modeled_time <= single,
+                "{name} at {shards} shards: {} units vs {single} single-pool",
+                s.modeled_time
             );
         }
     }
