@@ -779,9 +779,9 @@ pub fn reactor_handoff_clean() {
 /// slot and publishes it with a flag store; shard 1 swaps the flag,
 /// applies the payload, and votes idle; a detector declares the
 /// global fixpoint only when both shards voted idle **and** the
-/// mailbox is empty — the `Mailboxes::quiescent()` half of the
-/// termination rule, checked last precisely because an idle vote can
-/// go stale the moment a publish lands after it.
+/// mailbox is empty — the "no message moved" half of the termination
+/// rule, checked last precisely because an idle vote can go stale the
+/// moment a publish lands after it.
 ///
 /// `publish_release = false` severs the flag's release edge: the
 /// receiver's acquire swap no longer orders the slot write, so the

@@ -91,7 +91,14 @@ pub fn beats(status_a: u8, a: u32, status_b: u8, b: u32) -> bool {
 /// while identical `(input, seed)` requests stay byte-identical.
 #[inline]
 pub fn beats_salted(salt: u32, status_a: u8, a: u32, status_b: u8, b: u32) -> bool {
-    (status_a, hash_id(a ^ salt), a) > (status_b, hash_id(b ^ salt), b)
+    salted_rank(salt, status_a, a) > salted_rank(salt, status_b, b)
+}
+
+/// The sort key of [`beats_salted`]: `a` beats `b` exactly when `a`'s
+/// rank is the larger, so a max-heap of ranks pops in priority order.
+#[inline]
+pub fn salted_rank(salt: u32, status: u8, v: u32) -> (u8, u32, u32) {
+    (status, hash_id(v ^ salt), v)
 }
 
 #[inline]

@@ -26,16 +26,14 @@
 
 use ecl_cc::CcConfig;
 use ecl_gpusim::atomics::atomic_u32_array;
-use ecl_gpusim::ctx::CtxGuard;
 use ecl_gpusim::pool::with_policy;
 use ecl_gpusim::{launch_flat_named, CostKind, Device, DispatchPolicy, LaunchConfig};
 use ecl_graph::Csr;
 use ecl_profiling::ProfileMode;
 
-use crate::exchange::{Mailboxes, Message};
+use crate::exchange::{Driver, Mailboxes, Message};
 use crate::partition::{Partition, ShardGraph};
-use crate::time::ShardClock;
-use crate::{check_devices, ShardStats, BLOCK_SIZE};
+use crate::{ShardStats, BLOCK_SIZE};
 
 /// Result of a sharded CC run.
 #[derive(Debug)]
@@ -68,11 +66,8 @@ fn local_roots(device: &Device, sg: &ShardGraph) -> Vec<u32> {
 /// Panics if `g` is directed or `devices.len() != part.shards`.
 pub fn run_cc(devices: &[Device], g: &Csr, part: &Partition) -> ShardCcResult {
     assert!(!g.is_directed(), "connected components consume undirected graphs");
-    check_devices(devices, part);
+    let mut driver = Driver::new(devices, part);
     let graphs = part.shard_graphs(g);
-    let mut clock = ShardClock::new();
-    let mut mail = Mailboxes::new(graphs.len());
-    let params = *devices[0].params();
 
     // `cur[l]`: a root's component label, another owned vertex's last
     // published label, or a ghost's mirror. `next` takes the minima.
@@ -82,65 +77,57 @@ pub fn run_cc(devices: &[Device], g: &Csr, part: &Partition) -> ShardCcResult {
         .iter()
         .map(|sg| (0..sg.owned as u32).filter(|&v| sg.ghost_of[v as usize] != 0).collect())
         .collect();
+    // Commit and publish: a boundary vertex whose component label
+    // differs from the one it last sent tells its mirrors (ascending
+    // order keeps the stream deterministic).
+    let publish = |s: usize, roots: &[u32], mail: &mut Mailboxes| {
+        let sg = &graphs[s];
+        for &v in &boundary[s] {
+            let (v, r) = (v as usize, roots[v as usize] as usize);
+            let label = next[s][r].load();
+            if label != cur[s][v].load() {
+                let msg = Message { vertex: sg.globals[v], payload: label as u64 };
+                mail.broadcast(s as u32, sg.ghost_of[v], msg);
+            }
+            cur[s][v].store(label);
+            cur[s][r].store(label);
+        }
+    };
+
     let mut roots: Vec<Vec<u32>> = vec![Vec::new(); graphs.len()];
-    for step in 0u32.. {
-        let mut step_max = 0.0f64;
-        for (s, sg) in graphs.iter().enumerate() {
-            let device = &devices[s];
-            let before = device.modeled_time();
-            let _guard = CtxGuard::shard(s as u32);
-            let (cur, next, boundary) = (&cur[s], &next[s], &boundary[s]);
-            if step == 0 {
-                roots[s] = local_roots(device, sg);
-            } else {
-                // Refresh ghost mirrors (host-side apply; the modeled
-                // transfer cost lives in the clock's exchange term),
-                // then pull. Ghosts sort after every owned local, so
-                // they are the tail of each adjacency.
-                for msg in mail.take_inbox(s as u32) {
-                    let l = sg.ghost_local(msg.vertex).expect("update for a vertex not ghosted");
-                    cur[l].store(msg.payload as u32);
-                }
-                let (roots, owned, n) = (&roots[s], sg.owned, boundary.len());
-                let config = LaunchConfig::cover(n, BLOCK_SIZE);
-                launch_flat_named(device, "shard.cc.exchange", config, |t| {
-                    if t.global >= n {
-                        device.charge(CostKind::IdleCheck, 1);
-                        return;
-                    }
-                    let adj = sg.csr.neighbors(boundary[t.global]);
-                    let ghosts = &adj[adj.partition_point(|&u| (u as usize) < owned)..];
-                    let r = roots[boundary[t.global] as usize] as usize;
-                    let m = ghosts.iter().map(|&l| cur[l as usize].load()).min();
-                    device.charge(CostKind::ThreadWork, 1 + ghosts.len() as u64);
-                    if let Some(m) = m.filter(|&m| m < cur[r].load()) {
-                        device.charge(CostKind::Atomic, 1);
-                        next[r].fetch_min(m, None);
-                    }
-                });
-            }
-            // Commit and publish: a boundary vertex whose component
-            // label differs from the one it last sent tells its
-            // mirrors (ascending order keeps the stream deterministic).
-            for &v in boundary {
-                let (v, r) = (v as usize, roots[s][v as usize] as usize);
-                let label = next[r].load();
-                if label != cur[v].load() {
-                    let msg = Message { vertex: sg.globals[v], payload: label as u64 };
-                    mail.broadcast(s as u32, sg.ghost_of[v], msg);
-                }
-                cur[v].store(label);
-                cur[r].store(label);
-            }
-            step_max = step_max.max(device.modeled_time() - before);
+    driver.step(|s, device, _, mail| {
+        roots[s] = local_roots(device, &graphs[s]);
+        publish(s, &roots[s], mail);
+    });
+    driver.step_to_fixpoint(|s, device, inbox, mail| {
+        // Refresh ghost mirrors (host-side apply; the modeled transfer
+        // cost lives in the clock's exchange term), then pull. Ghosts
+        // sort after every owned local, so they are the tail of each
+        // adjacency.
+        let (sg, cur, next, boundary) = (&graphs[s], &cur[s], &next[s], &boundary[s]);
+        for msg in inbox {
+            let l = sg.ghost_local(msg.vertex).expect("update for a vertex not ghosted");
+            cur[l].store(msg.payload as u32);
         }
-        clock.superstep(&params, step_max, mail.flush());
-        // Global fixpoint after at least one sweep: every changed label
-        // sends, so drained mailboxes mean every shard was quiet.
-        if step > 0 && mail.quiescent() {
-            break;
-        }
-    }
+        let (roots, owned, n) = (&roots[s], sg.owned, boundary.len());
+        let config = LaunchConfig::cover(n, BLOCK_SIZE);
+        launch_flat_named(device, "shard.cc.exchange", config, |t| {
+            if t.global >= n {
+                device.charge(CostKind::IdleCheck, 1);
+                return;
+            }
+            let adj = sg.csr.neighbors(boundary[t.global]);
+            let ghosts = &adj[adj.partition_point(|&u| (u as usize) < owned)..];
+            let r = roots[boundary[t.global] as usize] as usize;
+            let m = ghosts.iter().map(|&l| cur[l as usize].load()).min();
+            device.charge(CostKind::ThreadWork, 1 + ghosts.len() as u64);
+            if let Some(m) = m.filter(|&m| m < cur[r].load()) {
+                device.charge(CostKind::Atomic, 1);
+                next[r].fetch_min(m, None);
+            }
+        });
+        publish(s, roots, mail);
+    });
 
     let mut labels = vec![0u32; g.num_vertices()];
     for (s, sg) in graphs.iter().enumerate() {
@@ -148,7 +135,7 @@ pub fn run_cc(devices: &[Device], g: &Csr, part: &Partition) -> ShardCcResult {
             labels[sg.globals[v] as usize] = cur[s][roots[s][v] as usize].load();
         }
     }
-    ShardCcResult { labels, stats: ShardStats::of(part, &clock) }
+    ShardCcResult { labels, stats: driver.stats(part) }
 }
 
 #[cfg(test)]

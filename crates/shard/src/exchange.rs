@@ -1,24 +1,28 @@
-//! Double-buffered cross-shard mailboxes.
+//! The superstep driver and its double-buffered cross-shard mailboxes.
 //!
-//! During a superstep each shard pushes messages into per-destination
-//! *outboxes*; after every shard has swept, [`Mailboxes::flush`] moves
-//! the outboxes into the destinations' *inboxes*, merging in ascending
-//! source-shard order. Shards consume their inbox at the start of the
-//! next superstep. The double buffer gives the exchange synchronous
-//! (Jacobi) semantics: nothing a shard sends is visible to any shard —
-//! including itself — before the next superstep, so results do not
-//! depend on the order shards are swept in.
+//! Every sharded runner is a sequence of calls on one `Driver`. A
+//! superstep runs a phase on every shard in ascending order, each in
+//! its shard context: the phase consumes its inbox and pushes messages
+//! into per-destination *outboxes*. [`Mailboxes::flush`] then moves the
+//! outboxes into the destinations' *inboxes*, merging in ascending
+//! source-shard order, and the slowest shard's compute delta plus the
+//! exchange term go into the run's [`ShardClock`]. Nothing a shard
+//! sends is visible to any shard — itself included — before the next
+//! superstep, so results do not depend on the order shards run in, and
+//! any two runs that issue the same sends deliver the same inboxes in
+//! the same order.
 //!
-//! Determinism: sends from one shard preserve program order, flush
-//! concatenates source shards in ascending order, and inboxes are
-//! consumed as delivered. Any two runs that issue the same sends
-//! deliver the same inboxes in the same order.
-//!
-//! The global fixpoint detector ([`Mailboxes::quiescent`]) reflects
-//! the termination rule of every sharded algorithm here: a run may
-//! stop only when no shard changed local state **and** no message is
-//! buffered anywhere — an in-flight message can wake an otherwise
-//! quiet shard, so draining the mailboxes is part of the fixpoint.
+//! Termination has one rule: stop after a superstep that moved no
+//! message. Every runner publishes every boundary change it makes, so
+//! such a superstep leaves every shard at its local fixpoint with
+//! current mirrors.
+
+use ecl_gpusim::ctx::CtxGuard;
+use ecl_gpusim::Device;
+
+use crate::partition::Partition;
+use crate::time::ShardClock;
+use crate::ShardStats;
 
 /// One cross-shard message: a global vertex id plus an
 /// algorithm-defined payload (a CC label, packed SCC signatures, or a
@@ -34,23 +38,19 @@ pub struct Message {
 /// Double-buffered per-shard outbox/inbox matrix.
 #[derive(Debug)]
 pub struct Mailboxes {
-    shards: usize,
     /// `out[src][dst]`: messages produced by `src` for `dst` this
     /// superstep.
     out: Vec<Vec<Vec<Message>>>,
     /// `inbox[dst]`: messages delivered by the last flush.
     inbox: Vec<Vec<Message>>,
-    total: u64,
 }
 
 impl Mailboxes {
     /// Empty mailboxes for `shards` shards.
     pub fn new(shards: usize) -> Mailboxes {
         Mailboxes {
-            shards,
             out: (0..shards).map(|_| vec![Vec::new(); shards]).collect(),
             inbox: vec![Vec::new(); shards],
-            total: 0,
         }
     }
 
@@ -77,16 +77,15 @@ impl Mailboxes {
     /// messages moved. Undelivered inbox remnants are dropped first —
     /// callers consume inboxes exactly once per superstep.
     pub fn flush(&mut self) -> u64 {
-        let mut moved = 0u64;
-        for dst in 0..self.shards {
+        let (mut moved, shards) = (0u64, self.inbox.len());
+        for dst in 0..shards {
             self.inbox[dst].clear();
-            for src in 0..self.shards {
+            for src in 0..shards {
                 let box_ = &mut self.out[src][dst];
                 moved += box_.len() as u64;
                 self.inbox[dst].append(box_);
             }
         }
-        self.total += moved;
         moved
     }
 
@@ -94,18 +93,71 @@ impl Mailboxes {
     pub fn take_inbox(&mut self, dst: u32) -> Vec<Message> {
         std::mem::take(&mut self.inbox[dst as usize])
     }
+}
 
-    /// True when no message is buffered anywhere: all outboxes and all
-    /// inboxes are empty. Part of the global fixpoint test.
-    pub fn quiescent(&self) -> bool {
-        self.inbox.iter().all(Vec::is_empty)
-            && self.out.iter().all(|row| row.iter().all(Vec::is_empty))
+/// The one superstep driver of a sharded run: it owns the devices (one
+/// per shard), one [`Mailboxes`] and the [`ShardClock`].
+pub(crate) struct Driver<'d> {
+    devices: &'d [Device],
+    mail: Mailboxes,
+    clock: ShardClock,
+}
+
+impl<'d> Driver<'d> {
+    /// A driver over `devices` for the shards of `part`.
+    ///
+    /// # Panics
+    /// Panics if `devices.len() != part.shards`.
+    pub(crate) fn new(devices: &'d [Device], part: &Partition) -> Driver<'d> {
+        assert_eq!(
+            devices.len(),
+            part.shards as usize,
+            "one device per shard required ({} devices for {} shards)",
+            devices.len(),
+            part.shards
+        );
+        Driver { devices, mail: Mailboxes::new(devices.len()), clock: ShardClock::default() }
     }
 
-    /// Total messages delivered over the run's lifetime (the exchange
-    /// volume reported in benchmarks).
-    pub fn total_messages(&self) -> u64 {
-        self.total
+    /// One superstep: `phase(shard, device, inbox, mail)` on every shard
+    /// in ascending order, then a flush. Folds the slowest shard's
+    /// modeled delta and the messages moved into the clock, and returns
+    /// the messages moved.
+    pub(crate) fn step(
+        &mut self,
+        mut phase: impl FnMut(usize, &Device, Vec<Message>, &mut Mailboxes),
+    ) -> u64 {
+        let mut slowest = 0.0f64;
+        for (s, device) in self.devices.iter().enumerate() {
+            let before = device.modeled_time();
+            let _guard = CtxGuard::shard(s as u32);
+            phase(s, device, self.mail.take_inbox(s as u32), &mut self.mail);
+            slowest = slowest.max(device.modeled_time() - before);
+        }
+        let moved = self.mail.flush();
+        self.clock.superstep(self.devices[0].params(), slowest, moved);
+        moved
+    }
+
+    /// Repeats [`Driver::step`] until a superstep moves no message.
+    pub(crate) fn step_to_fixpoint(
+        &mut self,
+        mut phase: impl FnMut(usize, &Device, Vec<Message>, &mut Mailboxes),
+    ) {
+        while self.step(&mut phase) > 0 {}
+    }
+
+    /// The statistics of the run so far over `part`.
+    pub(crate) fn stats(&self, part: &Partition) -> ShardStats {
+        ShardStats {
+            shards: part.shards,
+            strategy: part.strategy,
+            cut_arcs: part.cut_arcs,
+            total_arcs: part.total_arcs,
+            supersteps: self.clock.supersteps(),
+            exchange_messages: self.clock.messages(),
+            modeled_time: self.clock.total(),
+        }
     }
 }
 
@@ -116,21 +168,19 @@ mod tests {
 
     #[test]
     fn starts_quiescent() {
-        let m = Mailboxes::new(3);
-        assert!(m.quiescent());
-        assert_eq!(m.total_messages(), 0);
+        let mut m = Mailboxes::new(3);
+        assert!((0..3).all(|s| m.take_inbox(s).is_empty()));
+        assert_eq!(m.flush(), 0);
     }
 
     #[test]
     fn send_breaks_quiescence_until_consumed() {
         let mut m = Mailboxes::new(2);
         m.send(0, 1, Message { vertex: 7, payload: 42 });
-        assert!(!m.quiescent(), "pending outbox");
+        assert!(m.take_inbox(1).is_empty(), "pending outbox");
         assert_eq!(m.flush(), 1);
-        assert!(!m.quiescent(), "delivered but unconsumed inbox");
         assert_eq!(m.take_inbox(1), vec![Message { vertex: 7, payload: 42 }]);
-        assert!(m.quiescent());
-        assert_eq!(m.total_messages(), 1);
+        assert_eq!(m.flush(), 0, "consumed: the next superstep is quiet");
     }
 
     #[test]
@@ -173,7 +223,7 @@ mod tests {
     fn self_send_still_buffers_one_superstep() {
         let mut m = Mailboxes::new(1);
         m.send(0, 0, Message { vertex: 0, payload: 3 });
-        assert!(!m.quiescent());
+        assert!(m.take_inbox(0).is_empty());
         m.flush();
         assert_eq!(m.take_inbox(0).len(), 1);
     }

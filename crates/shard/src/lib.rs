@@ -2,30 +2,23 @@
 //!
 //! Each shard of a [`Partition`] executes on its own simulated
 //! [`ecl_gpusim::Device`] — one dispatch-pool instance per modeled
-//! GPU. The shards sweep their local subgraphs in *supersteps*;
-//! between supersteps, boundary state crosses shards through
-//! double-buffered [`exchange::Mailboxes`], and a global fixpoint
-//! detector terminates the run only when every shard **and** every
-//! mailbox is quiescent.
+//! GPU. A run is a sequence of *supersteps* on one driver
+//! (`exchange::Driver`): each runs a phase on every shard, then
+//! boundary state crosses shards through double-buffered mailboxes,
+//! and the run stops after a superstep that moves no message.
 //!
-//! Determinism is load-bearing. The exchange is double-buffered:
-//! nothing a shard sends is visible before the next superstep, and
-//! inboxes merge in fixed shard order through commutative min/max. The
-//! MIS sweeps are Jacobi (they read the previous superstep's snapshot
-//! and write a next-state buffer). CC and SCC instead run a local phase
-//! to a fixpoint inside each shard — ECL-CC's CAS hooking for CC, a
-//! one-thread max-first worklist for SCC — and both run in order, so
-//! their charges cannot depend on the pool's schedule. Results,
-//! superstep counts, message volumes, and modeled time are therefore
-//! bit-identical across repeated runs and worker interleavings, and
-//! results are identical across shard counts (the cost figures are
-//! per-shard-count deterministic). The sharded CC/SCC/MIS results
-//! coincide with the single-pool `ecl-cc` / `ecl-scc` / `ecl-mis`
-//! results: CC's local components joined by min-label exchange and
-//! SCC's max-signature propagation converge to their unique fixpoints
-//! on any schedule, and the MIS selection order is a total priority
-//! order under which adjacent same-superstep IN decisions are
-//! impossible.
+//! Every runner has one shape: each shard runs a local phase to a
+//! fixpoint, with ghost slots mirroring remote vertices, and only
+//! boundary changes cross the cut — ECL-CC's CAS hooking for CC,
+//! one-thread max-first worklists for SCC (signatures) and MIS
+//! (decisions; an undecided ghost blocks like any undecided vertex).
+//! Local phases run in order and inboxes merge in fixed shard order,
+//! so results, superstep counts, message volumes and modeled time are
+//! bit-identical across runs and worker interleavings, and results
+//! equal the single-pool `ecl-cc` / `ecl-scc` / `ecl-mis` ones at every
+//! shard count: min-label and max-signature propagation have unique
+//! fixpoints, and a lagging MIS mirror can delay a decision, never
+//! change it.
 //!
 //! Shards execute sequentially on the host (the simulator models
 //! parallel hardware through cost accounting, not wall-clock overlap):
@@ -44,15 +37,13 @@ pub mod scc;
 pub mod time;
 
 pub use cc::{run_cc, ShardCcResult};
-pub use exchange::{Mailboxes, Message};
 pub use mis::{run_mis, ShardMisResult};
 pub use partition::{Partition, ShardGraph, Strategy, MAX_SHARDS};
 pub use scc::{run_scc, ShardSccResult};
-pub use time::ShardClock;
 
 use ecl_gpusim::{Device, DeviceConfig};
 
-/// Block size of the sharded sweep kernels.
+/// Block size of the sharded flat kernels.
 pub(crate) const BLOCK_SIZE: usize = 256;
 
 /// Builds one device per shard from a common configuration (the
@@ -82,19 +73,6 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// The statistics of a run over `part` that `clock` accounted.
-    pub(crate) fn of(part: &Partition, clock: &ShardClock) -> ShardStats {
-        ShardStats {
-            shards: part.shards,
-            strategy: part.strategy,
-            cut_arcs: part.cut_arcs,
-            total_arcs: part.total_arcs,
-            supersteps: clock.supersteps(),
-            exchange_messages: clock.messages(),
-            modeled_time: clock.total(),
-        }
-    }
-
     /// Fraction of arcs crossing shard boundaries.
     pub fn cut_ratio(&self) -> f64 {
         if self.total_arcs == 0 {
@@ -103,15 +81,4 @@ impl ShardStats {
             self.cut_arcs as f64 / self.total_arcs as f64
         }
     }
-}
-
-/// Validates the devices-vs-partition pairing shared by all runners.
-pub(crate) fn check_devices(devices: &[Device], part: &Partition) {
-    assert_eq!(
-        devices.len(),
-        part.shards as usize,
-        "one device per shard required ({} devices for {} shards)",
-        devices.len(),
-        part.shards
-    );
 }

@@ -1,37 +1,45 @@
-//! Sharded maximal independent set: Jacobi selection sweeps over the
-//! one-byte ECL-MIS status/priority encoding.
+//! Sharded maximal independent set: each shard decides its owned
+//! vertices to a local fixpoint from a worklist, over the one-byte
+//! ECL-MIS status/priority encoding, and only changed statuses cross
+//! the cut.
 //!
-//! Every vertex starts undecided with the priority byte of
-//! [`ecl_mis::status::PriorityPolicy::initial_byte`] computed from its
-//! **global** degree and id (ghost slots included — priorities are a
-//! pure function of the global graph, so no initial exchange is
-//! needed). Each superstep, an undecided owned vertex reads the
-//! previous superstep's snapshot of its neighborhood:
+//! Every slot, ghosts included, starts with the priority byte of its
+//! **global** degree and id, so no initial exchange is needed. Each
+//! superstep a shard writes its inbox into its ghost slots and runs one
+//! launch, `shard.mis.local-fixpoint`: a one-thread worklist of owned
+//! vertices, highest salted priority first. A popped undecided vertex
+//! enters if it beats every not-OUT neighbor; otherwise it waits on the
+//! first higher one — an undecided ghost blocks like any other
+//! neighbor. A slot that enters turns its undecided owned neighbors OUT
+//! (an in-arc index built once lists them for ghosts, which have no
+//! adjacency); a slot that turns OUT requeues its waiters. The
+//! first superstep seeds every owned vertex, later ones only settle
+//! arrived ghosts. An owned boundary vertex publishes its status once,
+//! when it decides; a ghost never sends.
 //!
-//! - any neighbor decided IN ⇒ the vertex decides OUT;
-//! - otherwise, if it beats every not-OUT neighbor under the salted
-//!   total priority order ⇒ it decides IN;
-//! - otherwise it stays undecided.
+//! Cost per launch: `ThreadWork` 1 per first-superstep seed (written by
+//! index), pop and arc examined; `Atomic` 1 per waiter-list link and
+//! requeue (a GPU worklist's atomicExch and atomicAdd). One thread: the
+//! charges do not depend on the pool's schedule.
 //!
-//! Decisions are final, the sweep writes only its own next-state slot,
-//! and undecided priorities never change. Two adjacent vertices can
-//! therefore never decide IN — not even from stale ghost mirrors: a
-//! mirror can lag (showing a decided neighbor as still undecided) but
-//! never lie about priorities, and the total order lets at most one
-//! side of an edge beat the other. The fixpoint is the unique greedy
-//! MIS of the priority order — bit-identical to `ecl_mis::run` with
-//! the same salt at every shard count.
+//! **Why the set is `ecl_mis::run`'s.** Decisions are final and
+//! priorities fixed, so a mirror can lag — show a decided vertex as
+//! undecided — but never lie, and a lagging ghost only blocks: no
+//! vertex enters while a higher neighbor may still enter, so every IN
+//! decision is the greedy MIS's. At the global fixpoint every mirror is
+//! current, and an undecided vertex would wait on a higher undecided
+//! one, and that one on a higher one — impossible in a finite order.
 
-use ecl_gpusim::atomics::atomic_u32_array;
-use ecl_gpusim::ctx::CtxGuard;
-use ecl_gpusim::{launch_flat_named, CostKind, Device, LaunchConfig};
+use std::collections::BinaryHeap;
+
+use ecl_gpusim::atomics::{atomic_u32_array, atomic_u8_array};
+use ecl_gpusim::{launch_flat_named, CostKind, CountedU32, CountedU8, Device, LaunchConfig};
 use ecl_graph::Csr;
 use ecl_mis::status::{self, PriorityPolicy};
 
-use crate::exchange::{Mailboxes, Message};
-use crate::partition::Partition;
-use crate::time::ShardClock;
-use crate::{check_devices, ShardStats, BLOCK_SIZE};
+use crate::exchange::{Driver, Message};
+use crate::partition::{Partition, ShardGraph};
+use crate::ShardStats;
 
 /// Result of a sharded MIS run.
 #[derive(Debug)]
@@ -50,6 +58,118 @@ impl ShardMisResult {
     }
 }
 
+/// No owned vertex: the end of a waiter list.
+const NONE: u32 = u32::MAX;
+
+/// One shard's statuses, ghost in-arcs, waiter lists and work.
+struct ShardState<'g> {
+    sg: &'g ShardGraph,
+    salt: u32,
+    status: Vec<CountedU8>,
+    /// The owned neighbors of each ghost slot, which has no adjacency.
+    ghost_in: Vec<Vec<u32>>,
+    /// Per slot, the first owned vertex it blocks, and per owned
+    /// vertex, the next one blocked by the same slot: a blocked vertex
+    /// waits on one higher undecided neighbor at a time.
+    first: Vec<CountedU32>,
+    next: Vec<CountedU32>,
+    /// Owned vertices the next launch evaluates.
+    seeds: Vec<u32>,
+    /// Owned boundary vertices not yet published, ascending.
+    boundary: Vec<u32>,
+}
+
+impl<'g> ShardState<'g> {
+    fn new(sg: &'g ShardGraph, salt: u32) -> ShardState<'g> {
+        let policy = PriorityPolicy::DegreeBased;
+        let status = atomic_u8_array(sg.locals(), |l| {
+            policy.initial_byte(sg.global_degree[l] as usize, sg.globals[l])
+        });
+        let (first, next) =
+            (atomic_u32_array(sg.locals(), |_| NONE), atomic_u32_array(sg.owned, |_| NONE));
+        let owned = 0..sg.owned as u32;
+        let boundary = owned.clone().filter(|&v| sg.ghost_of[v as usize] != 0).collect();
+        let mut ghost_in = vec![Vec::new(); sg.ghosts()];
+        for (u, v) in sg.csr.arcs().filter(|&(_, v)| sg.is_ghost(v as usize)) {
+            ghost_in[v as usize - sg.owned].push(u);
+        }
+        ShardState { sg, salt, status, ghost_in, first, next, seeds: owned.collect(), boundary }
+    }
+
+    /// The local phase: settles the ghosts in `arrived`, then pops the
+    /// seeds and every vertex settling wakes, highest priority first,
+    /// until the worklist is empty.
+    fn local_fixpoint(&self, device: &Device, seeds: &[u32], arrived: &[u32]) {
+        let config = LaunchConfig::new(1, 1);
+        launch_flat_named(device, "shard.mis.local-fixpoint", config, |_| {
+            let mut heap = BinaryHeap::new();
+            let mut charges = [seeds.len() as u64, 0];
+            heap.extend(seeds.iter().map(|&v| (self.rank(v), v)));
+            for &l in arrived {
+                self.settle(l, &mut heap, &mut charges);
+            }
+            let g = &self.sg.globals;
+            while let Some((_, v)) = heap.pop() {
+                charges[0] += 1;
+                let sv = self.status[v as usize].load();
+                if status::decided(sv) {
+                    continue;
+                }
+                // No neighbor is IN: an IN decision settles at once.
+                let adj = self.sg.csr.neighbors(v);
+                let blocker = adj.iter().position(|&u| {
+                    let su = self.status[u as usize].load();
+                    su != status::OUT
+                        && status::beats_salted(self.salt, su, g[u as usize], sv, g[v as usize])
+                });
+                charges[0] += blocker.map_or(adj.len(), |i| i + 1) as u64;
+                if let Some(i) = blocker {
+                    self.next[v as usize].store(self.first[adj[i] as usize].load());
+                    self.first[adj[i] as usize].store(v);
+                    charges[1] += 1;
+                } else {
+                    self.status[v as usize].store(status::IN);
+                    self.settle(v, &mut heap, &mut charges);
+                }
+            }
+            device.charge(CostKind::ThreadWork, charges[0]);
+            device.charge(CostKind::Atomic, charges[1]);
+        });
+    }
+
+    /// Slot `l` has decided. IN turns its undecided owned neighbors —
+    /// every vertex waiting on it among them — OUT; OUT puts the
+    /// vertices waiting on it back on the worklist. Adds arcs examined
+    /// and pushes to `charges`, the launch's `[ThreadWork, Atomic]`.
+    fn settle(&self, l: u32, heap: &mut BinaryHeap<((u8, u32, u32), u32)>, charges: &mut [u64; 2]) {
+        let (sg, i) = (self.sg, l as usize);
+        if self.status[i].load() == status::IN {
+            let adj =
+                if sg.is_ghost(i) { &self.ghost_in[i - sg.owned] } else { sg.csr.neighbors(l) };
+            for &u in adj.iter().take_while(|&&u| !sg.is_ghost(u as usize)) {
+                charges[0] += 1;
+                if status::undecided(self.status[u as usize].load()) {
+                    self.status[u as usize].store(status::OUT);
+                    self.settle(u, heap, charges);
+                }
+            }
+            return;
+        }
+        let mut v = self.first[i].load();
+        while v != NONE {
+            heap.push((self.rank(v), v));
+            charges[1] += 1;
+            v = self.next[v as usize].load();
+        }
+    }
+
+    /// Worklist key of owned vertex `v`.
+    fn rank(&self, v: u32) -> (u8, u32, u32) {
+        let v = v as usize;
+        status::salted_rank(self.salt, self.status[v].load(), self.sg.globals[v])
+    }
+}
+
 /// Runs sharded MIS over `part` with one device per shard, using the
 /// degree-based ECL-MIS priority policy under `tie_salt`.
 ///
@@ -57,138 +177,46 @@ impl ShardMisResult {
 /// Panics if `g` is directed or `devices.len() != part.shards`.
 pub fn run_mis(devices: &[Device], g: &Csr, part: &Partition, tie_salt: u32) -> ShardMisResult {
     assert!(!g.is_directed(), "MIS consumes undirected graphs");
-    check_devices(devices, part);
+    let mut driver = Driver::new(devices, part);
     let graphs = part.shard_graphs(g);
-    let shards = part.shards as usize;
-    let policy = PriorityPolicy::DegreeBased;
+    let mut states: Vec<ShardState> =
+        graphs.iter().map(|sg| ShardState::new(sg, tie_salt)).collect();
 
-    let mut cur: Vec<Vec<ecl_gpusim::CountedU32>> = Vec::with_capacity(shards);
-    let mut next: Vec<Vec<ecl_gpusim::CountedU32>> = Vec::with_capacity(shards);
-    let mut clock = ShardClock::new();
-    let params = *devices[0].params();
-
-    let mut init_max = 0.0f64;
-    for (s, sg) in graphs.iter().enumerate() {
-        let device = &devices[s];
-        let before = device.modeled_time();
-        let _guard = CtxGuard::shard(s as u32);
-        let locals = sg.locals();
-        let init_byte =
-            |l: usize| policy.initial_byte(sg.global_degree[l] as usize, sg.globals[l]) as u32;
-        let state = atomic_u32_array(locals, init_byte);
-        launch_flat_named(device, "shard.mis.init", LaunchConfig::cover(locals, BLOCK_SIZE), |t| {
-            if t.global >= locals {
-                device.charge(CostKind::IdleCheck, 1);
-            } else {
-                device.charge(CostKind::ThreadWork, 1);
+    driver.step_to_fixpoint(|s, device, inbox, mail| {
+        let st = &mut states[s];
+        let sg = st.sg;
+        let mut arrived = Vec::new();
+        for msg in inbox {
+            let l = sg.ghost_local(msg.vertex).expect("status of a vertex not ghosted");
+            st.status[l].store(msg.payload as u8);
+            if msg.payload as u8 == status::IN || st.first[l].load() != NONE {
+                arrived.push(l as u32);
             }
+        }
+        let seeds = std::mem::take(&mut st.seeds);
+        if !seeds.is_empty() || !arrived.is_empty() {
+            st.local_fixpoint(device, &seeds, &arrived);
+        }
+        let status = &st.status;
+        st.boundary.retain(|&v| {
+            let sv = status[v as usize].load();
+            if status::decided(sv) {
+                let msg = Message { vertex: sg.globals[v as usize], payload: sv.into() };
+                mail.broadcast(s as u32, sg.ghost_of[v as usize], msg);
+            }
+            status::undecided(sv)
         });
-        next.push(atomic_u32_array(locals, init_byte));
-        cur.push(state);
-        init_max = init_max.max(device.modeled_time() - before);
-    }
-    clock.superstep(&params, init_max, 0);
-
-    let mut mail = Mailboxes::new(shards);
-    loop {
-        let mut any_changed = false;
-        let mut sweep_max = 0.0f64;
-        for (s, sg) in graphs.iter().enumerate() {
-            let device = &devices[s];
-            let before = device.modeled_time();
-            let _guard = CtxGuard::shard(s as u32);
-
-            for msg in mail.take_inbox(s as u32) {
-                let l = sg
-                    .ghost_local(msg.vertex)
-                    .expect("mirror update for a vertex this shard does not ghost");
-                cur[s][l].store(msg.payload as u32);
-            }
-
-            let owned = sg.owned;
-            let csr = &sg.csr;
-            let globals = &sg.globals;
-            let (cur_s, next_s) = (&cur[s], &next[s]);
-            launch_flat_named(
-                device,
-                "shard.mis.sweep",
-                LaunchConfig::cover(owned, BLOCK_SIZE),
-                |t| {
-                    if t.global >= owned {
-                        device.charge(CostKind::IdleCheck, 1);
-                        return;
-                    }
-                    let v = t.global;
-                    let sv = cur_s[v].load() as u8;
-                    if status::decided(sv) {
-                        device.charge(CostKind::ThreadWork, 1);
-                        next_s[v].store(sv as u32);
-                        return;
-                    }
-                    let mut out = false;
-                    let mut wins = true;
-                    for &u in csr.neighbors(v as u32) {
-                        let su = cur_s[u as usize].load() as u8;
-                        if su == status::IN {
-                            out = true;
-                            break;
-                        }
-                        if su != status::OUT
-                            && !status::beats_salted(
-                                tie_salt,
-                                sv,
-                                globals[v],
-                                su,
-                                globals[u as usize],
-                            )
-                        {
-                            wins = false;
-                        }
-                    }
-                    device.charge(CostKind::ThreadWork, 1 + csr.degree(v as u32) as u64);
-                    let new = if out {
-                        status::OUT
-                    } else if wins {
-                        status::IN
-                    } else {
-                        sv
-                    };
-                    next_s[v].store(new as u32);
-                },
-            );
-
-            for v in 0..owned {
-                let new = next[s][v].load();
-                if new != cur[s][v].load() {
-                    any_changed = true;
-                    cur[s][v].store(new);
-                    if sg.ghost_of[v] != 0 {
-                        mail.broadcast(
-                            s as u32,
-                            sg.ghost_of[v],
-                            Message { vertex: sg.globals[v], payload: new as u64 },
-                        );
-                    }
-                }
-            }
-            sweep_max = sweep_max.max(device.modeled_time() - before);
-        }
-        let moved = mail.flush();
-        clock.superstep(&params, sweep_max, moved);
-        if !any_changed && mail.quiescent() {
-            break;
-        }
-    }
+    });
 
     let mut in_set = vec![false; g.num_vertices()];
-    for (s, sg) in graphs.iter().enumerate() {
-        for v in 0..sg.owned {
-            let sv = cur[s][v].load() as u8;
-            debug_assert!(status::decided(sv), "fixpoint with an undecided vertex");
-            in_set[sg.globals[v] as usize] = sv == status::IN;
+    for st in &states {
+        for v in 0..st.sg.owned {
+            let sv = st.status[v].load();
+            assert!(status::decided(sv), "fixpoint with an undecided vertex");
+            in_set[st.sg.globals[v] as usize] = sv == status::IN;
         }
     }
-    ShardMisResult { in_set, stats: ShardStats::of(part, &clock) }
+    ShardMisResult { in_set, stats: driver.stats(part) }
 }
 
 #[cfg(test)]
@@ -198,6 +226,7 @@ mod tests {
     use crate::devices_for;
     use crate::partition::Strategy;
     use ecl_gpusim::DeviceConfig;
+    use ecl_graph::GraphBuilder;
 
     fn run_sharded(g: &Csr, shards: u32, salt: u32) -> ShardMisResult {
         let part = Partition::new(g, shards, Strategy::Contiguous);
@@ -268,5 +297,82 @@ mod tests {
         assert_valid_mis(&g, &a.in_set);
         assert_valid_mis(&g, &b.in_set);
         assert_ne!(a.in_set, b.in_set, "different salts should pick different sets");
+    }
+
+    fn path(order: &[u32]) -> Csr {
+        let mut b = GraphBuilder::new_undirected(order.len());
+        for w in order.windows(2) {
+            b.add_edge(w[0], w[1]);
+        }
+        b.build()
+    }
+
+    /// Runs `part` and checks the set against `ecl_mis::run`.
+    fn check_against_single(g: &Csr, part: &Partition, salt: u32) -> ShardMisResult {
+        let cfg = ecl_mis::MisConfig { tie_salt: salt, ..ecl_mis::MisConfig::default() };
+        let single = ecl_mis::run(&Device::test_small(), g, &cfg);
+        let r = run_mis(&devices_for(DeviceConfig::test_small(), part.shards), g, part, salt);
+        assert_eq!(r.in_set, single.in_set, "{} shards", part.shards);
+        r
+    }
+
+    #[test]
+    fn more_shards_than_vertices_leaves_shards_empty() {
+        let g = path(&[0, 1, 2, 3]);
+        let part = Partition::new(&g, 6, Strategy::Contiguous);
+        assert_eq!(part.shard_graphs(&g).iter().filter(|sg| sg.locals() == 0).count(), 2);
+        check_against_single(&g, &part, 5);
+    }
+
+    #[test]
+    fn priority_chain_across_the_cut_waits_on_undecided_ghosts() {
+        // Path p0 - p1 - p2 - p3 in falling priority (degrees 1 and 2
+        // share a byte, so the hashed id decides), owned alternately by
+        // shards 0 and 1: every arc is cut. p2 must wait on ghost p1
+        // until p0's IN turns p1 OUT; a ghost that did not block would
+        // let p1 and p2 enter next to p0 and each other.
+        assert_eq!(status::priority(1), status::priority(2));
+        let mut order: Vec<u32> = (0..4).collect();
+        order.sort_by_key(|&v| std::cmp::Reverse(status::salted_rank(0, 0, v)));
+        let g = path(&order);
+        let mut owner = [0u32; 4];
+        for (i, &v) in order.iter().enumerate() {
+            owner[v as usize] = i as u32 % 2;
+        }
+        let part = Partition::owned_by(&g, &owner);
+        assert_eq!(part.cut_arcs, 6);
+        let r = check_against_single(&g, &part, 0);
+        let in_set: Vec<bool> = order.iter().map(|&v| r.in_set[v as usize]).collect();
+        assert_eq!(in_set, [true, false, true, false]);
+        // One decision crosses the cut per superstep, then a quiet one.
+        assert_eq!((r.stats.supersteps, r.stats.exchange_messages), (5, 4));
+    }
+
+    #[test]
+    fn vertex_mirrored_by_three_shards() {
+        // Vertex 0 (shard 0) neighbors 2, 4 and 6, one in each other
+        // shard, so its status reaches three holders.
+        let mut b = GraphBuilder::new_undirected(8);
+        for (u, v) in [(0, 2), (0, 4), (0, 6), (1, 3), (3, 5), (5, 7), (2, 3)] {
+            b.add_edge(u, v);
+        }
+        let g = b.build();
+        let part = Partition::new(&g, 4, Strategy::Contiguous);
+        assert_eq!(part.shard_graphs(&g)[0].ghost_of[0].count_ones(), 3);
+        for salt in [0, 1, 2, 3] {
+            check_against_single(&g, &part, salt);
+        }
+    }
+
+    #[test]
+    fn decided_vertex_publishes_once_and_is_not_echoed() {
+        // 0 - 1 | 2 - 3 over two shards: 1 and 2 each decide once and
+        // tell their one holder; the holders send nothing back.
+        let g = path(&[0, 1, 2, 3]);
+        let part = Partition::new(&g, 2, Strategy::Contiguous);
+        for salt in [0, 1, 2, 3] {
+            let r = check_against_single(&g, &part, salt);
+            assert_eq!(r.stats.exchange_messages, 2, "salt {salt}");
+        }
     }
 }

@@ -362,6 +362,23 @@ impl ShardGraph {
 }
 
 #[cfg(test)]
+impl Partition {
+    /// A partition with an explicit owner per vertex.
+    pub(crate) fn owned_by(g: &Csr, owner: &[u32]) -> Partition {
+        let shards = owner.iter().max().map_or(1, |&s| s + 1);
+        let cut_arcs = g.arcs().filter(|&(u, v)| owner[u as usize] != owner[v as usize]).count();
+        let owner = owner.to_vec();
+        Partition {
+            shards,
+            strategy: Strategy::Contiguous,
+            owner,
+            cut_arcs,
+            total_arcs: g.num_arcs(),
+        }
+    }
+}
+
+#[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;

@@ -25,8 +25,10 @@
 //! a **candidate**, merged by max; one the owner already meets changes
 //! nothing, so nothing echoes back. Owners broadcast changed
 //! `(v_in, v_out)` pairs, packed in one `u64`, to every mirror holder;
-//! a ghost keeps the max of its mirror and its own raises. Propagation
-//! ends after a superstep that sends nothing.
+//! a ghost keeps the max of its mirror and its own raises. Both kinds
+//! share one mailbox: a candidate lands on an owned slot, a mirror
+//! update on a ghost slot. Propagation ends after a superstep that
+//! sends nothing.
 //!
 //! **Not ECL-SCC's `propagate` per shard.** That prototype took
 //! batch-shard4's `scc_ms` to 56.6 ms (2-CPU host) but raised its
@@ -40,14 +42,12 @@
 //! bit-identical to `ecl_scc::run` at every shard count.
 
 use ecl_gpusim::atomics::atomic_u32_array;
-use ecl_gpusim::ctx::CtxGuard;
 use ecl_gpusim::{launch_flat_named, CostKind, CountedU32, Device, LaunchConfig};
 use ecl_graph::Csr;
 
-use crate::exchange::{Mailboxes, Message};
+use crate::exchange::{Driver, Message};
 use crate::partition::{Partition, ShardGraph};
-use crate::time::ShardClock;
-use crate::{check_devices, ShardStats, BLOCK_SIZE};
+use crate::{ShardStats, BLOCK_SIZE};
 
 /// Result of a sharded SCC run.
 #[derive(Debug)]
@@ -96,6 +96,9 @@ struct ShardState<'g> {
     /// Per slot, the pair last exchanged: an owned vertex's last
     /// broadcast, a ghost's mirror joined with the candidates it sent.
     sent: Vec<u64>,
+    /// `(value, slot)` seeds of the next forward and backward drains.
+    fwd: Vec<(u32, u32)>,
+    bwd: Vec<(u32, u32)>,
 }
 
 impl<'g> ShardState<'g> {
@@ -110,7 +113,8 @@ impl<'g> ShardState<'g> {
         }
         let zeros = || atomic_u32_array(sg.locals(), |_| 0);
         let (alive, sent) = (vec![true; sg.csr.num_arcs()], vec![0; sg.locals()]);
-        ShardState { sg, v_in: zeros(), v_out: zeros(), alive, rev, rev_arc, sent }
+        let (fwd, bwd) = (Vec::new(), Vec::new());
+        ShardState { sg, v_in: zeros(), v_out: zeros(), alive, rev, rev_arc, sent, fwd, bwd }
     }
 
     fn pair(&self, l: usize) -> u64 {
@@ -174,17 +178,9 @@ impl<'g> ShardState<'g> {
 /// Panics if `g` is undirected or `devices.len() != part.shards`.
 pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult {
     assert!(g.is_directed(), "SCC consumes directed graphs");
-    check_devices(devices, part);
+    let mut driver = Driver::new(devices, part);
     let graphs = part.shard_graphs(g);
     let mut states: Vec<ShardState> = graphs.iter().map(ShardState::new).collect();
-    let mut clock = ShardClock::new();
-    let params = *devices[0].params();
-
-    // Candidate plane (forward raises of ghosts, merged by the owner)
-    // and mirror plane (owner broadcasts of changed signature pairs)
-    // are kept separate so payloads need no tag bits.
-    let mut candidates = Mailboxes::new(graphs.len());
-    let mut mirrors = Mailboxes::new(graphs.len());
 
     let mut m = 0u32;
     loop {
@@ -192,95 +188,70 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
 
         // Stage 1: signature init — every local slot (ghosts included:
         // the owner's init value is the global id, so mirrors start
-        // consistent without an exchange).
-        let mut init_max = 0.0f64;
-        for (s, st) in states.iter_mut().enumerate() {
-            let device = &devices[s];
-            let before = device.modeled_time();
-            let _guard = CtxGuard::shard(s as u32);
+        // consistent without an exchange) — seeding both drains with
+        // every slot they expand from.
+        driver.step(|s, device, _, _| {
+            let st = &mut states[s];
             for (l, &id) in st.sg.globals.iter().enumerate() {
                 st.v_in[l].store(id);
                 st.v_out[l].store(id);
                 st.sent[l] = pack(id, id);
             }
+            st.bwd = st.sg.globals.iter().copied().zip(0..).collect();
+            st.fwd = st.bwd[..st.sg.owned].to_vec();
             flat_pass(device, "shard.scc.signature-init", st.sg.locals());
-            init_max = init_max.max(device.modeled_time() - before);
-        }
-        clock.superstep(&params, init_max, 0);
+        });
 
         // Stage 2: worklist propagation to the global fixpoint.
-        for step in 0u32.. {
-            let mut step_max = 0.0f64;
-            for (s, st) in states.iter_mut().enumerate() {
-                let device = &devices[s];
-                let before = device.modeled_time();
-                let _guard = CtxGuard::shard(s as u32);
-                let sg = st.sg;
-                let seed = |sig: &[CountedU32]| -> Vec<(u32, u32)> {
-                    sig.iter().zip(0..).map(|(c, l)| (c.load(), l)).collect()
-                };
-                let (mut fwd, mut bwd) = if step == 0 {
-                    (seed(&st.v_in[..sg.owned]), seed(&st.v_out))
-                } else {
-                    (Vec::new(), Vec::new())
-                };
-                for msg in candidates.take_inbox(s as u32) {
-                    let l = sg.local_of(msg.vertex).expect("candidate for an unknown vertex");
-                    debug_assert!(!sg.is_ghost(l), "candidates are addressed to the owner");
-                    let cand = msg.payload as u32;
-                    if st.v_in[l].fetch_max(cand, None) < cand {
-                        fwd.push((cand, l as u32));
-                    }
-                }
-                for msg in mirrors.take_inbox(s as u32) {
-                    let l = sg.ghost_local(msg.vertex).expect("mirror update for a non-ghost");
+        driver.step_to_fixpoint(|s, device, inbox, mail| {
+            let st = &mut states[s];
+            let sg = st.sg;
+            let (mut fwd, mut bwd) = (std::mem::take(&mut st.fwd), std::mem::take(&mut st.bwd));
+            for msg in inbox {
+                let l = sg.local_of(msg.vertex).expect("message for a vertex this shard lacks");
+                if sg.is_ghost(l) {
                     let v_out = msg.payload as u32;
                     st.v_in[l].fetch_max((msg.payload >> 32) as u32, None);
                     if st.v_out[l].fetch_max(v_out, None) < v_out {
                         bwd.push((v_out, l as u32));
                     }
                     st.sent[l] = st.pair(l);
+                } else {
+                    let cand = msg.payload as u32;
+                    if st.v_in[l].fetch_max(cand, None) < cand {
+                        fwd.push((cand, l as u32));
+                    }
                 }
-                if !fwd.is_empty() || !bwd.is_empty() {
-                    st.local_fixpoint(device, &fwd, &bwd);
-                }
+            }
+            if !fwd.is_empty() || !bwd.is_empty() {
+                st.local_fixpoint(device, &fwd, &bwd);
+            }
 
-                // Publish in ascending local order (determinism):
-                // changed owned pairs to their mirror holders, raised
-                // ghosts to their owners.
-                for l in 0..sg.locals() {
-                    let pair = st.pair(l);
-                    if pair == st.sent[l] {
-                        continue;
-                    }
-                    st.sent[l] = pair;
-                    let vertex = sg.globals[l];
-                    if sg.is_ghost(l) {
-                        let owner = sg.ghost_owner[l - sg.owned];
-                        candidates.send(s as u32, owner, Message { vertex, payload: pair >> 32 });
-                    } else {
-                        let msg = Message { vertex, payload: pair };
-                        mirrors.broadcast(s as u32, sg.ghost_of[l], msg);
-                    }
+            // Publish in ascending local order (determinism): changed
+            // owned pairs to their mirror holders, raised ghosts to
+            // their owners.
+            for l in 0..sg.locals() {
+                let pair = st.pair(l);
+                if pair == st.sent[l] {
+                    continue;
                 }
-                step_max = step_max.max(device.modeled_time() - before);
+                st.sent[l] = pair;
+                let vertex = sg.globals[l];
+                if sg.is_ghost(l) {
+                    let owner = sg.ghost_owner[l - sg.owned];
+                    mail.send(s as u32, owner, Message { vertex, payload: pair >> 32 });
+                } else {
+                    mail.broadcast(s as u32, sg.ghost_of[l], Message { vertex, payload: pair });
+                }
             }
-            let moved = candidates.flush() + mirrors.flush();
-            clock.superstep(&params, step_max, moved);
-            if moved == 0 {
-                break;
-            }
-        }
+        });
 
         // Stage 3: prune arcs whose endpoint signature pairs differ
         // (mirrors are converged here, so remote comparisons are
         // exact).
         let mut removed = 0usize;
-        let mut prune_max = 0.0f64;
-        for (s, st) in states.iter_mut().enumerate() {
-            let device = &devices[s];
-            let before = device.modeled_time();
-            let _guard = CtxGuard::shard(s as u32);
+        driver.step(|s, device, _, _| {
+            let st = &mut states[s];
             flat_pass(device, "shard.scc.prune", st.alive.iter().filter(|&&a| a).count());
             let csr = &st.sg.csr;
             for u in 0..st.sg.owned {
@@ -292,9 +263,7 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
                     }
                 }
             }
-            prune_max = prune_max.max(device.modeled_time() - before);
-        }
-        clock.superstep(&params, prune_max, 0);
+        });
 
         let done = states
             .iter()
@@ -315,7 +284,7 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
             labels[st.sg.globals[v] as usize] = st.v_in[v].load();
         }
     }
-    ShardSccResult { labels, outer_iterations: m, stats: ShardStats::of(part, &clock) }
+    ShardSccResult { labels, outer_iterations: m, stats: driver.stats(part) }
 }
 
 #[cfg(test)]
@@ -411,20 +380,6 @@ mod tests {
         b.build()
     }
 
-    /// A partition with an explicit owner per vertex.
-    fn owned_by(g: &Csr, owner: &[u32]) -> Partition {
-        let shards = owner.iter().max().map_or(1, |&s| s + 1);
-        let cut_arcs = g.arcs().filter(|&(u, v)| owner[u as usize] != owner[v as usize]).count();
-        let owner = owner.to_vec();
-        Partition {
-            shards,
-            strategy: Strategy::Contiguous,
-            owner,
-            cut_arcs,
-            total_arcs: g.num_arcs(),
-        }
-    }
-
     /// Runs `part` and checks labels and outer iterations against
     /// `ecl_scc::run`.
     fn check_against_single(g: &Csr, part: &Partition) -> ShardSccResult {
@@ -487,7 +442,7 @@ mod tests {
         // it and shard 1's ghost takes the broadcast 4 without sending
         // again: the broadcast and the candidate are the only messages.
         let g = digraph(5, &[(3, 1), (4, 1)]);
-        let r = check_against_single(&g, &owned_by(&g, &[0, 0, 1, 1, 0]));
+        let r = check_against_single(&g, &Partition::owned_by(&g, &[0, 0, 1, 1, 0]));
         assert_eq!(r.stats.exchange_messages, 2);
     }
 

@@ -21,7 +21,8 @@
 
 use ecl_gpusim::CostParams;
 
-/// Running modeled-time account of one sharded run.
+/// Running modeled-time account of one sharded run; the default is a
+/// zeroed clock.
 #[derive(Clone, Debug, Default)]
 pub struct ShardClock {
     total: f64,
@@ -30,11 +31,6 @@ pub struct ShardClock {
 }
 
 impl ShardClock {
-    /// A zeroed clock.
-    pub fn new() -> ShardClock {
-        ShardClock::default()
-    }
-
     /// Folds in one superstep: `max_shard_delta` is the largest
     /// per-shard modeled-compute delta of the superstep, `messages`
     /// the count the exchange moved.
@@ -73,7 +69,7 @@ mod tests {
     #[test]
     fn quiet_superstep_charges_detector_only() {
         let params = CostParams::default();
-        let mut clock = ShardClock::new();
+        let mut clock = ShardClock::default();
         clock.superstep(&params, 100.0, 0);
         assert_eq!(clock.total(), 100.0 + params.host_reconfig);
         assert_eq!(clock.supersteps(), 1);
@@ -83,7 +79,7 @@ mod tests {
     #[test]
     fn messages_add_transfer_term() {
         let params = CostParams::default();
-        let mut clock = ShardClock::new();
+        let mut clock = ShardClock::default();
         clock.superstep(&params, 50.0, 10);
         let expect = 50.0
             + params.kernel_launch
@@ -97,7 +93,7 @@ mod tests {
     fn accumulation_is_deterministic() {
         let params = CostParams::default();
         let run = || {
-            let mut clock = ShardClock::new();
+            let mut clock = ShardClock::default();
             for step in 0..100u64 {
                 clock.superstep(&params, (step * 37 % 11) as f64, step % 5);
             }

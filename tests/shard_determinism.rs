@@ -6,8 +6,8 @@
 //!
 //! The property is structural, not statistical: the exchange is
 //! double-buffered and merges in a fixed shard order, and the local
-//! phases — ECL-CC inside each shard for CC, the one-thread worklist
-//! fixpoint for SCC — run in order, so there is no interleaving
+//! phases — ECL-CC inside each shard for CC, the one-thread worklists
+//! for SCC and MIS — run in order, so there is no interleaving
 //! anywhere for a shard count or a pool schedule to expose.
 
 #![allow(clippy::unwrap_used)]
@@ -244,6 +244,68 @@ fn sharded_scc_is_pinned() {
                 "{name} at {shards} shards: {} units vs {single} single-pool",
                 s.modeled_time
             );
+        }
+    }
+}
+
+/// Sharded MIS pinned bit for bit next to SCC: the torus and the RMAT
+/// graph of the CC curve through `Partition::auto` at 1/2/4 shards,
+/// each shard the paper's device scaled to 0.05, salt 0. The local
+/// phase charges per seed, pop, arc and waiter-list operation, so a
+/// change to it, to the exchange or to the superstep accounting shows
+/// up here as a diff. One shard costs no more modeled units than the
+/// in-order single-pool `ecl_mis::run` on the same device: the local
+/// phase is work-efficient. More shards do cost more: ECL-MIS needs a
+/// handful of rounds, while every superstep here pays the fixpoint
+/// detector, a transfer and a launch, and each decided boundary vertex
+/// a message per holder.
+#[test]
+fn sharded_mis_is_pinned() {
+    let torus = gen::grid::torus_2d(64, 64);
+    let rmat = gen::rmat::rmat(11, 8.0, gen::rmat::RmatParams::rmat(), 42);
+    let config = sim::DeviceConfig::rtx4090_scaled(0.05, 1);
+    let cfg = mis::MisConfig::default();
+    // Per input: (shards, strategy, modeled-time bits, supersteps,
+    // exchange messages); the modeled time in units is in the comment.
+    let pins = [
+        (
+            "torus",
+            &torus,
+            [
+                (1, "contiguous", 0x40dd_8e00_0000_0000, 1, 0), // 30 264
+                (2, "contiguous", 0x40ef_1f20_0000_0000, 4, 256), // 63 737
+                (4, "contiguous", 0x40ed_4a60_0000_0000, 4, 512), // 59 987
+            ],
+        ),
+        (
+            "rmat",
+            &rmat,
+            [
+                (1, "hashed", 0x40d3_5900_0000_0000, 1, 0),    // 19 812
+                (2, "hashed", 0x40f2_c7b0_0000_0000, 5, 1581), // 76 923
+                (4, "hashed", 0x40f5_d0b0_0000_0000, 5, 3795), // 89 355
+            ],
+        ),
+    ];
+    for (name, g, rows) in pins {
+        let single = sim::pool::with_policy(sim::DispatchPolicy::sequential(), || {
+            let device = sim::Device::new(config);
+            mis::run(&device, g, &cfg);
+            device.modeled_time()
+        });
+        for (shards, strategy, bits, supersteps, messages) in rows {
+            let part = shard::Partition::auto(g, shards);
+            let devices = shard::devices_for(config, shards);
+            let s = shard::run_mis(&devices, g, &part, cfg.tie_salt).stats;
+            assert_eq!(
+                (part.strategy.name(), s.modeled_time.to_bits(), s.supersteps, s.exchange_messages),
+                (strategy, bits, supersteps, messages),
+                "{name} at {shards} shards: modeled {} units",
+                s.modeled_time
+            );
+            if shards == 1 {
+                assert!(s.modeled_time <= single, "{name}: {} vs {single}", s.modeled_time);
+            }
         }
     }
 }
