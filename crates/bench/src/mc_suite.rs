@@ -7,7 +7,7 @@
 //! verify with zero findings (the tentpole harnesses — ticket-claim,
 //! the block-local tally fold, the counted min/max test-first path,
 //! finish-path, the serve reactor's event-ring / wake / handoff
-//! protocols, the cross-shard mailbox exchange, and the observer
+//! protocols, the sharded superstep's barrier and flush, and the observer
 //! slot's publish-and-retire — additionally *exhaustively*, or the
 //! entry fails — a budget cut
 //! there means the CI budget no longer covers the protocol); fixtures
@@ -98,7 +98,7 @@ const EXHAUSTIVE: [&str; 9] = [
     "serve-conn-ring",
     "serve-reactor-wakeup",
     "serve-reactor-handoff",
-    "shard-exchange",
+    "shard-superstep",
     "sink-publish",
 ];
 

@@ -17,7 +17,7 @@ use ecl_check::Rule;
 
 use crate::harnesses::{
     counted_minmax, drain, finish_path, observer_list_publish, reactor_handoff, reactor_wakeup,
-    shard_exchange, tally_fold, Reclaim,
+    shard_superstep, tally_fold, Reclaim,
 };
 use crate::shim::atomic::McAtomicU64;
 use crate::shim::cell::McCell;
@@ -78,16 +78,10 @@ pub const ALL: &[FixtureEntry] = &[
         expect: Rule::McAssertion,
     },
     FixtureEntry {
-        name: "shard-relaxed-publish",
-        about: "mailbox flag stored Relaxed: receiver applies an unsynchronized frontier",
-        run: shard_relaxed_publish,
+        name: "shard-flush-before-barrier",
+        about: "superstep flushes when its own claims run out: a shard still writes its row",
+        run: shard_flush_before_barrier,
         expect: Rule::McRace,
-    },
-    FixtureEntry {
-        name: "shard-idle-before-apply",
-        about: "shard votes idle before applying its inbox: fixpoint with mail in flight",
-        run: shard_idle_before_apply,
-        expect: Rule::McAssertion,
     },
     FixtureEntry {
         name: "sink-free-on-replace",
@@ -180,20 +174,12 @@ pub fn reactor_handoff_no_recheck() {
     reactor_handoff(false);
 }
 
-/// The exchange publication edge severed: the sender stores the
-/// mailbox flag with `Relaxed`, so the receiver's acquire swap orders
-/// nothing — its read of the frontier slot is a data race, the
-/// cross-shard lost-update class.
-pub fn shard_relaxed_publish() {
-    shard_exchange(false, true);
-}
-
-/// The termination rule raced: the receiving shard votes idle before
-/// applying its inbox, and a detector that samples the votes inside
-/// that window declares the global fixpoint with a frontier still in
-/// flight — sharded runs would terminate early with wrong labels.
-pub fn shard_idle_before_apply() {
-    shard_exchange(true, false);
+/// The superstep barrier skipped: the submitter flushes the outbox
+/// rows as soon as its own claims run out, while the pool worker may
+/// still be running a shard phase that writes its row — sharded runs
+/// would lose or half-deliver that shard's messages.
+pub fn shard_flush_before_barrier() {
+    shard_superstep(false);
 }
 
 /// The observer slot's `Sink` without its retired list: an install

@@ -99,9 +99,9 @@ pub const ALL: &[HarnessEntry] = &[
         run: reactor_handoff_clean,
     },
     HarnessEntry {
-        name: "shard-exchange",
-        about: "cross-shard mailbox publish + quiescence vote: fixpoint only after delivery",
-        run: shard_exchange_clean,
+        name: "shard-superstep",
+        about: "shards write their own outbox rows, the pool's countdown is the barrier, then one flush",
+        run: shard_superstep_clean,
     },
     HarnessEntry {
         name: "sink-publish",
@@ -773,102 +773,80 @@ pub fn reactor_handoff_clean() {
     reactor_handoff(true);
 }
 
-/// Shared body for the cross-shard exchange harness and its seeded-
-/// defect fixtures. Models one `ecl-shard` superstep edge between two
-/// shards: shard 0 writes a frontier payload into shard 1's mailbox
-/// slot and publishes it with a flag store; shard 1 swaps the flag,
-/// applies the payload, and votes idle; a detector declares the
-/// global fixpoint only when both shards voted idle **and** the
-/// mailbox is empty — the "no message moved" half of the termination
-/// rule, checked last precisely because an idle vote can go stale the
-/// moment a publish lands after it.
+/// Shared body for the sharded-superstep harness and its seeded-defect
+/// fixture: the barrier and flush of `ecl-shard`'s superstep driver.
+/// The pool dispatches one block per shard, claimed off the ticket with
+/// the production [`ticket_range`]; the submitter participates, as
+/// `pool::dispatch` does, next to one pool worker. Each block writes
+/// only its own shard's outbox row `out[s][*]`. The claim whose
+/// `remaining` decrement reaches zero retires the job and wakes the
+/// submitter — the barrier — which then flushes: each destination's
+/// inbox takes `out[0][dst]`, then `out[1][dst]`. Rows are plain
+/// cells, so a block writing another shard's row would be a
+/// write-write race.
 ///
-/// `publish_release = false` severs the flag's release edge: the
-/// receiver's acquire swap no longer orders the slot write, so the
-/// frontier read is a data race — the cross-shard lost-update class.
-/// `apply_before_idle = false` reorders the receiver to vote idle
-/// before applying its inbox: the schedule where the detector samples
-/// the votes inside that window declares the fixpoint with a message
-/// still in flight — the premature-termination class.
-pub fn shard_exchange(publish_release: bool, apply_before_idle: bool) {
-    let slot = Arc::new(McCell::new("mailbox.slot", 0u64));
-    let flag = Arc::new(McAtomicBool::new("mailbox.flag", false));
-    // Atomic (unlike the payload slot) so the idle-before-apply defect
-    // is a pure termination bug, not a data race on the applied label.
-    let applied = Arc::new(McAtomicU64::new("shard1.applied", 0));
-    let sender_idle = Arc::new(McAtomicBool::new("shard0.idle", false));
-    let receiver_idle = Arc::new(McAtomicBool::new("shard1.idle", false));
+/// `flush_after_barrier = false` has the submitter flush as soon as its
+/// own claims run out, without waiting for the retire: a block the
+/// worker still runs writes a row the flush reads, with nothing
+/// ordering the two — a data race, and the lost-message class. The
+/// inboxes are checked only after the joins, so a flush that read
+/// early is convicted as the race it is.
+pub fn shard_superstep(flush_after_barrier: bool) {
+    const SHARDS: usize = 2;
+    let message = |src: usize, dst: usize| (1 + src * SHARDS + dst) as u64;
+    let grain = auto_grain(SHARDS, 2);
+    let next = Arc::new(McAtomicUsize::new("job.next", 0));
+    let remaining = Arc::new(McAtomicUsize::new("job.remaining", SHARDS));
+    let out: Arc<Vec<McCell<u64>>> = Arc::new(
+        (0..SHARDS * SHARDS)
+            .map(|i| McCell::new(&format!("out[{}][{}]", i / SHARDS, i % SHARDS), 0))
+            .collect(),
+    );
+    let done = Arc::new((McMutex::new("job.done", false), McCondvar::new("job.done_cv")));
 
-    let sender = {
-        let slot = Arc::clone(&slot);
-        let flag = Arc::clone(&flag);
-        let sender_idle = Arc::clone(&sender_idle);
-        thread::spawn("shard0", move || {
-            slot.write(42);
-            let order = if publish_release { Ordering::Release } else { Ordering::Relaxed };
-            flag.store(true, order);
-            sender_idle.store(true, Ordering::Release);
-        })
-    };
-
-    let receiver = {
-        let slot = Arc::clone(&slot);
-        let flag = Arc::clone(&flag);
-        let applied = Arc::clone(&applied);
-        let receiver_idle = Arc::clone(&receiver_idle);
-        thread::spawn("shard1", move || {
-            // One inbox sweep, as in the runner's `exchange()`: consume
-            // the flag, apply the frontier, then vote idle.
-            if apply_before_idle {
-                if flag.swap(false, Ordering::Acquire) {
-                    applied.store(slot.read(), Ordering::Relaxed);
-                }
-                receiver_idle.store(true, Ordering::Release);
-            } else {
-                // Defect: idle voted between the swap and the apply —
-                // the detector can observe "idle + empty mailbox" while
-                // the frontier sits unapplied in this window.
-                let seen = flag.swap(false, Ordering::Acquire);
-                receiver_idle.store(true, Ordering::Release);
-                if seen {
-                    applied.store(slot.read(), Ordering::Relaxed);
+    // `run_job`: claim, run shard phases, count down, retire.
+    let run_job = {
+        let (next, remaining, out, done) =
+            (Arc::clone(&next), Arc::clone(&remaining), Arc::clone(&out), Arc::clone(&done));
+        move || loop {
+            let claimed = next.fetch_add(grain, Ordering::Relaxed);
+            let Some((start, end)) = ticket_range(claimed, SHARDS, grain) else {
+                return;
+            };
+            for src in start..end {
+                for dst in 0..SHARDS {
+                    out[src * SHARDS + dst].write(message(src, dst));
                 }
             }
-        })
-    };
-
-    let detector = {
-        let flag = Arc::clone(&flag);
-        let applied = Arc::clone(&applied);
-        let sender_idle = Arc::clone(&sender_idle);
-        let receiver_idle = Arc::clone(&receiver_idle);
-        thread::spawn("detector", move || {
-            // Termination rule, mailbox last: the acquire of a true
-            // sender vote orders the publish before the flag load, so a
-            // missed message keeps the flag set and the fixpoint open;
-            // the flag only returns to zero through the receiver's
-            // consuming swap.
-            let quiescent = receiver_idle.load(Ordering::Acquire)
-                && sender_idle.load(Ordering::Acquire)
-                && !flag.load(Ordering::Acquire);
-            if quiescent {
-                assert_eq!(
-                    applied.load(Ordering::Relaxed),
-                    42,
-                    "fixpoint declared with an undelivered frontier"
-                );
+            if remaining.fetch_sub(end - start, Ordering::AcqRel) == end - start {
+                let (lock, cv) = &*done;
+                *lock.lock() = true;
+                cv.notify_all();
             }
-        })
+        }
     };
-
-    sender.join();
-    receiver.join();
-    detector.join();
+    let worker = thread::spawn("pool-worker", run_job.clone());
+    run_job();
+    if flush_after_barrier {
+        let (lock, cv) = &*done;
+        let mut finished = lock.lock();
+        while !*finished {
+            finished = cv.wait(finished);
+        }
+    }
+    let inboxes: Vec<Vec<u64>> = (0..SHARDS)
+        .map(|dst| (0..SHARDS).map(|src| out[src * SHARDS + dst].read()).collect())
+        .collect();
+    worker.join();
+    for (dst, inbox) in inboxes.iter().enumerate() {
+        let sent: Vec<u64> = (0..SHARDS).map(|src| message(src, dst)).collect();
+        assert_eq!(*inbox, sent, "inbox {dst} flushed without every shard's messages");
+    }
 }
 
-/// The clean exchange (released publish, apply before the idle vote).
-pub fn shard_exchange_clean() {
-    shard_exchange(true, true);
+/// The clean superstep (flush after the barrier).
+pub fn shard_superstep_clean() {
+    shard_superstep(true);
 }
 
 /// How a republish reclaims the list it replaces.

@@ -56,9 +56,9 @@ pub struct KernelStats {
 }
 
 /// Thread-safe collector of launch samples, grouped by (kernel name,
-/// shard) in first-seen order. Installed in the observer slot through
-/// [`crate::sink`]; recording takes a short mutex (launch completion is
-/// coarse-grained — hundreds per run, not millions).
+/// shard). Installed in the observer slot through [`crate::sink`];
+/// recording takes a short mutex (launch completion is coarse-grained —
+/// hundreds per run, not millions).
 #[derive(Debug, Default)]
 pub struct Collector {
     kernels: Mutex<Vec<KernelAgg>>,
@@ -116,11 +116,16 @@ impl Collector {
         kernels.iter().map(|k| k.launches).sum()
     }
 
-    /// Per-kernel statistics in first-seen order.
+    /// Per-kernel statistics, ordered by the kernel's first appearance,
+    /// then by ascending shard — not by which shard launched first, which
+    /// varies when shards run side by side.
     pub fn snapshot(&self) -> Vec<KernelStats> {
         let kernels = self.kernels.lock().unwrap_or_else(|e| e.into_inner());
-        kernels
-            .iter()
+        let first_seen = |k: &KernelAgg| kernels.iter().position(|f| f.name == k.name);
+        let mut order: Vec<&KernelAgg> = kernels.iter().collect();
+        order.sort_by_key(|&k| (first_seen(k), k.shard));
+        order
+            .into_iter()
             .map(|k| KernelStats {
                 name: k.name.clone(),
                 shape: k.shape.to_string(),
@@ -213,6 +218,21 @@ mod tests {
         assert_eq!((snap[0].shard, snap[0].launches), (0, 2));
         assert_eq!((snap[1].shard, snap[1].launches), (3, 1));
         assert_eq!(snap[1].wall_ns.min, 200);
+    }
+
+    #[test]
+    fn shard_rows_follow_the_kernel_then_ascending_shard() {
+        let c = Collector::new();
+        let on = |kernel: &str, shard: u32| LaunchSample { shard, ..sample(kernel, 100, &[50]) };
+        c.record(&on("init", 3));
+        c.record(&on("sweep", 3));
+        c.record(&on("init", 0));
+        c.record(&on("sweep", 1));
+        c.record(&on("sweep", 0));
+        let rows: Vec<(String, u32)> =
+            c.snapshot().into_iter().map(|k| (k.name, k.shard)).collect();
+        let expect = [("init", 0), ("init", 3), ("sweep", 0), ("sweep", 1), ("sweep", 3)];
+        assert_eq!(rows, expect.map(|(name, shard)| (name.to_string(), shard)));
     }
 
     #[test]

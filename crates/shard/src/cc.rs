@@ -7,9 +7,9 @@
 //! from its larger endpoint, towards the smaller) never hooks across a
 //! cut arc: every ghost stays its own root, and every other root is the
 //! smallest owned local id — and so the smallest global id — of its
-//! local component. The phase runs in order
-//! ([`DispatchPolicy::sequential`]): ECL-CC's CAS outcomes, and with
-//! them the modeled time, then do not depend on the pool's schedule.
+//! local component. The driver runs the phase in order, so ECL-CC's CAS
+//! outcomes, and with them the modeled time, do not depend on the
+//! pool's schedule.
 //!
 //! **Exchange.** Each local component carries one label, initially its
 //! root's global id; each ghost slot mirrors its owner's label for that
@@ -26,12 +26,11 @@
 
 use ecl_cc::CcConfig;
 use ecl_gpusim::atomics::atomic_u32_array;
-use ecl_gpusim::pool::with_policy;
-use ecl_gpusim::{launch_flat_named, CostKind, Device, DispatchPolicy, LaunchConfig};
+use ecl_gpusim::{launch_flat_named, CostKind, Device, LaunchConfig};
 use ecl_graph::Csr;
 use ecl_profiling::ProfileMode;
 
-use crate::exchange::{Driver, Mailboxes, Message};
+use crate::exchange::{Driver, Message, Outbox};
 use crate::partition::{Partition, ShardGraph};
 use crate::{ShardStats, BLOCK_SIZE};
 
@@ -52,11 +51,11 @@ impl ShardCcResult {
     }
 }
 
-/// The local phase on one shard: ECL-CC over the local CSR, in order.
-/// Returns the local root of every local slot (ghosts are their own).
+/// The local phase on one shard: ECL-CC over the local CSR. Returns
+/// the local root of every local slot (ghosts are their own).
 fn local_roots(device: &Device, sg: &ShardGraph) -> Vec<u32> {
     let config = CcConfig { mode: ProfileMode::Off, ..CcConfig::baseline() };
-    with_policy(DispatchPolicy::sequential(), || ecl_cc::run(device, &sg.csr, &config).labels)
+    ecl_cc::run(device, &sg.csr, &config).labels
 }
 
 /// Runs sharded connected components over `part` with one device per
@@ -80,14 +79,14 @@ pub fn run_cc(devices: &[Device], g: &Csr, part: &Partition) -> ShardCcResult {
     // Commit and publish: a boundary vertex whose component label
     // differs from the one it last sent tells its mirrors (ascending
     // order keeps the stream deterministic).
-    let publish = |s: usize, roots: &[u32], mail: &mut Mailboxes| {
+    let publish = |s: usize, roots: &[u32], out: &mut Outbox<'_>| {
         let sg = &graphs[s];
         for &v in &boundary[s] {
             let (v, r) = (v as usize, roots[v as usize] as usize);
             let label = next[s][r].load();
             if label != cur[s][v].load() {
                 let msg = Message { vertex: sg.globals[v], payload: label as u64 };
-                mail.broadcast(s as u32, sg.ghost_of[v], msg);
+                out.broadcast(sg.ghost_of[v], msg);
             }
             cur[s][v].store(label);
             cur[s][r].store(label);
@@ -95,11 +94,11 @@ pub fn run_cc(devices: &[Device], g: &Csr, part: &Partition) -> ShardCcResult {
     };
 
     let mut roots: Vec<Vec<u32>> = vec![Vec::new(); graphs.len()];
-    driver.step(|s, device, _, mail| {
-        roots[s] = local_roots(device, &graphs[s]);
-        publish(s, &roots[s], mail);
+    driver.step(&mut roots, |s, roots, device, _, out| {
+        *roots = local_roots(device, &graphs[s]);
+        publish(s, roots, out);
     });
-    driver.step_to_fixpoint(|s, device, inbox, mail| {
+    driver.step_to_fixpoint(&mut roots, |s, roots, device, inbox, out| {
         // Refresh ghost mirrors (host-side apply; the modeled transfer
         // cost lives in the clock's exchange term), then pull. Ghosts
         // sort after every owned local, so they are the tail of each
@@ -109,7 +108,7 @@ pub fn run_cc(devices: &[Device], g: &Csr, part: &Partition) -> ShardCcResult {
             let l = sg.ghost_local(msg.vertex).expect("update for a vertex not ghosted");
             cur[l].store(msg.payload as u32);
         }
-        let (roots, owned, n) = (&roots[s], sg.owned, boundary.len());
+        let (roots, owned, n) = (&*roots, sg.owned, boundary.len());
         let config = LaunchConfig::cover(n, BLOCK_SIZE);
         launch_flat_named(device, "shard.cc.exchange", config, |t| {
             if t.global >= n {
@@ -126,7 +125,7 @@ pub fn run_cc(devices: &[Device], g: &Csr, part: &Partition) -> ShardCcResult {
                 next[r].fetch_min(m, None);
             }
         });
-        publish(s, roots, mail);
+        publish(s, roots, out);
     });
 
     let mut labels = vec![0u32; g.num_vertices()];

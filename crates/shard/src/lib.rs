@@ -20,14 +20,14 @@
 //! fixpoints, and a lagging MIS mirror can delay a decision, never
 //! change it.
 //!
-//! Shards execute sequentially on the host (the simulator models
-//! parallel hardware through cost accounting, not wall-clock overlap):
-//! a superstep's modeled latency is the maximum per-shard compute
-//! delta plus the exchange term ([`time::ShardClock`]). Because each
-//! shard launches through the ordinary `ecl-gpusim` launch path inside
-//! a shard [`ecl_gpusim::ctx::CtxGuard`], the existing `ecl-check`, `ecl-trace`
-//! and `ecl-prof` instrumentation applies per shard for free, with the
-//! shard id attached to trace markers and launch samples.
+//! The shards of a superstep run side by side on the host, one pool
+//! block each, with a barrier before the exchange. Modeled time does
+//! not see that overlap: a superstep's modeled latency is the maximum
+//! per-shard compute delta plus the exchange term ([`time::ShardClock`]).
+//! Because each shard launches through the ordinary `ecl-gpusim` launch
+//! path inside a shard [`ecl_gpusim::ctx::CtxGuard`], the `ecl-check`,
+//! `ecl-trace` and `ecl-prof` instrumentation applies per shard, with
+//! the shard id attached to trace markers and launch samples.
 
 pub mod cc;
 pub mod exchange;

@@ -182,8 +182,7 @@ pub fn run_mis(devices: &[Device], g: &Csr, part: &Partition, tie_salt: u32) -> 
     let mut states: Vec<ShardState> =
         graphs.iter().map(|sg| ShardState::new(sg, tie_salt)).collect();
 
-    driver.step_to_fixpoint(|s, device, inbox, mail| {
-        let st = &mut states[s];
+    driver.step_to_fixpoint(&mut states, |_, st, device, inbox, out| {
         let sg = st.sg;
         let mut arrived = Vec::new();
         for msg in inbox {
@@ -202,7 +201,7 @@ pub fn run_mis(devices: &[Device], g: &Csr, part: &Partition, tie_salt: u32) -> 
             let sv = status[v as usize].load();
             if status::decided(sv) {
                 let msg = Message { vertex: sg.globals[v as usize], payload: sv.into() };
-                mail.broadcast(s as u32, sg.ghost_of[v as usize], msg);
+                out.broadcast(sg.ghost_of[v as usize], msg);
             }
             status::undecided(sv)
         });

@@ -17,9 +17,8 @@
 //! Cost per launch: `ThreadWork` 1 per pop and 1 per live arc examined,
 //! `Atomic` 1 per arc examined (the atomicMax) and 1 per push, seeds
 //! included (the tail-counter atomicAdd of a GPU worklist). It is one
-//! thread, so its charges do not depend on the pool's schedule, and it
-//! adds no concurrent host protocol: `ecl-mc`'s `shard-exchange`
-//! harness still covers the exchange.
+//! thread and touches only its shard's state, so its charges do not
+//! depend on the pool's schedule or on the shards running beside it.
 //!
 //! **Exchange.** A ghost the forward phase raised goes to its owner as
 //! a **candidate**, merged by max; one the owner already meets changes
@@ -99,6 +98,8 @@ struct ShardState<'g> {
     /// `(value, slot)` seeds of the next forward and backward drains.
     fwd: Vec<(u32, u32)>,
     bwd: Vec<(u32, u32)>,
+    /// Arcs the last prune removed.
+    pruned: usize,
 }
 
 impl<'g> ShardState<'g> {
@@ -113,8 +114,8 @@ impl<'g> ShardState<'g> {
         }
         let zeros = || atomic_u32_array(sg.locals(), |_| 0);
         let (alive, sent) = (vec![true; sg.csr.num_arcs()], vec![0; sg.locals()]);
-        let (fwd, bwd) = (Vec::new(), Vec::new());
-        ShardState { sg, v_in: zeros(), v_out: zeros(), alive, rev, rev_arc, sent, fwd, bwd }
+        let (v_in, v_out, fwd, bwd) = (zeros(), zeros(), Vec::new(), Vec::new());
+        ShardState { sg, v_in, v_out, alive, rev, rev_arc, sent, fwd, bwd, pruned: 0 }
     }
 
     fn pair(&self, l: usize) -> u64 {
@@ -190,8 +191,7 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
         // the owner's init value is the global id, so mirrors start
         // consistent without an exchange) — seeding both drains with
         // every slot they expand from.
-        driver.step(|s, device, _, _| {
-            let st = &mut states[s];
+        driver.step(&mut states, |_, st, device, _, _| {
             for (l, &id) in st.sg.globals.iter().enumerate() {
                 st.v_in[l].store(id);
                 st.v_out[l].store(id);
@@ -203,8 +203,7 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
         });
 
         // Stage 2: worklist propagation to the global fixpoint.
-        driver.step_to_fixpoint(|s, device, inbox, mail| {
-            let st = &mut states[s];
+        driver.step_to_fixpoint(&mut states, |_, st, device, inbox, out| {
             let sg = st.sg;
             let (mut fwd, mut bwd) = (std::mem::take(&mut st.fwd), std::mem::take(&mut st.bwd));
             for msg in inbox {
@@ -239,9 +238,9 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
                 let vertex = sg.globals[l];
                 if sg.is_ghost(l) {
                     let owner = sg.ghost_owner[l - sg.owned];
-                    mail.send(s as u32, owner, Message { vertex, payload: pair >> 32 });
+                    out.send(owner, Message { vertex, payload: pair >> 32 });
                 } else {
-                    mail.broadcast(s as u32, sg.ghost_of[l], Message { vertex, payload: pair });
+                    out.broadcast(sg.ghost_of[l], Message { vertex, payload: pair });
                 }
             }
         });
@@ -249,9 +248,8 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
         // Stage 3: prune arcs whose endpoint signature pairs differ
         // (mirrors are converged here, so remote comparisons are
         // exact).
-        let mut removed = 0usize;
-        driver.step(|s, device, _, _| {
-            let st = &mut states[s];
+        driver.step(&mut states, |_, st, device, _, _| {
+            st.pruned = 0;
             flat_pass(device, "shard.scc.prune", st.alive.iter().filter(|&&a| a).count());
             let csr = &st.sg.csr;
             for u in 0..st.sg.owned {
@@ -259,7 +257,7 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
                     let v = csr.neighbor_array()[a] as usize;
                     if st.alive[a] && st.pair(u) != st.pair(v) {
                         st.alive[a] = false;
-                        removed += 1;
+                        st.pruned += 1;
                     }
                 }
             }
@@ -272,7 +270,7 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
             break;
         }
         assert!(
-            removed > 0,
+            states.iter().any(|st| st.pruned > 0),
             "no progress in outer iteration {m}: pruning removed nothing yet \
              signatures disagree — algorithm invariant violated"
         );
