@@ -11,8 +11,9 @@
 //! reports are data in its [`Outcome`].
 //!
 //! Adding an algorithm is a kernel crate (`Config`, `KNOBS`,
-//! `apply_schedule`, `run`), one adapter in [`adapters`], and one line
-//! in [`ALL`] (DESIGN.md, "Adding an algorithm");
+//! `apply_schedule`, `run`, and its result's `counters`), one adapter
+//! in [`adapters`], and one line in [`ALL`] (DESIGN.md, "Adding an
+//! algorithm");
 //! `tests/algo_registry.rs` drives a toy sixth algorithm through every
 //! consumer to keep that true.
 
@@ -21,7 +22,7 @@ pub mod adapters;
 use ecl_gpusim::schedule::KnobSpec;
 use ecl_gpusim::{Device, DeviceConfig, Schedule};
 use ecl_graph::{Csr, WeightedCsr};
-use ecl_profiling::{SketchSnapshot, Table};
+use ecl_profiling::Counter;
 use ecl_shard::{Partition, ShardStats};
 
 pub use adapters::SCC_MIN_SMS;
@@ -68,21 +69,11 @@ pub struct Outcome {
     /// "the same result" iff these match.
     pub aggregates: Vec<(&'static str, u64)>,
     /// The algorithm's application-specific counters (`<algo>/<name>`),
-    /// in a fixed order: what `ecl-run` prints and, for the sketches,
-    /// what a profile manifest records. Read after the run, so they
-    /// charge nothing to the device.
+    /// in a fixed order, as its kernel crate's result lists them: what
+    /// `ecl-run` prints and, for the sketches, what a profile manifest
+    /// records. Read after the run, so they charge nothing to the
+    /// device.
     pub counters: Vec<(&'static str, Counter)>,
-}
-
-/// One named counter of an [`Outcome`] — the paper's three shapes.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Counter {
-    /// A global count (e.g. CAS attempts).
-    Count(u64),
-    /// A distribution over threads, vertices or launches.
-    Sketch(SketchSnapshot),
-    /// A per-iteration or per-block series (Figures 1 and 2).
-    Table(Table),
 }
 
 impl Outcome {

@@ -32,9 +32,8 @@ pub fn rows(scale: f64, seed: u64, reps: usize) -> Vec<Row> {
             let mut deterministic = true;
             for _ in 0..reps {
                 let device = scaled_device(scale);
-                let (r, secs) =
-                    ecl_gpusim::run_timed(|| ecl_mis::run(&device, &g, &MisConfig::default()));
-                runs.push(r.counters.iterations.summary(), secs);
+                let r = ecl_mis::run(&device, &g, &MisConfig::default());
+                runs.push(r.counters.iterations.summary());
                 match &first_set {
                     None => first_set = Some(r.in_set),
                     Some(s) => deterministic &= *s == r.in_set,

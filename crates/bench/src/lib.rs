@@ -19,11 +19,11 @@ pub mod experiments;
 pub mod mc_suite;
 pub mod profile_run;
 
-use ecl_algos::{Algorithm, Counter, Outcome, Views};
+use ecl_algos::{Algorithm, Outcome, Views};
 use ecl_gpusim::{Device, DeviceConfig};
 use ecl_graph::{Csr, WeightedCsr};
 use ecl_graphgen::InputSpec;
-use ecl_profiling::Histogram;
+use ecl_profiling::Counter;
 
 pub use ecl_algos::SCC_MIN_SMS;
 
@@ -91,7 +91,7 @@ pub fn render_counters(outcome: &Outcome, histogram: bool) -> String {
         out += &match counter {
             Counter::Count(v) => format!("  {name}: {v}\n"),
             Counter::Sketch(s) if histogram => {
-                let drawn = Histogram::from(s).render(&format!("  {name} distribution"), 40);
+                let drawn = s.render(&format!("  {name} distribution"), 40);
                 format!("  {name}: avg {:.2}, max {}\n{drawn}", s.mean(), s.max)
             }
             Counter::Sketch(s) => format!("  {name}: avg {:.2}, max {}\n", s.mean(), s.max),

@@ -25,11 +25,11 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use ecl_algos::{Algorithm, Counter};
+use ecl_algos::Algorithm;
 use ecl_gpusim::Schedule;
 use ecl_prof::manifest::{Direction, DispatchInfo, Manifest, Metric, SCHEMA};
 use ecl_prof::{folded_to_svg, to_folded, to_prometheus, Collector};
-use ecl_profiling::SketchSnapshot;
+use ecl_profiling::{Counter, SketchSnapshot};
 
 /// Settings of one profiled run.
 #[derive(Clone, Copy)]

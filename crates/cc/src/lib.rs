@@ -26,6 +26,7 @@ pub mod kernels;
 use ecl_gpusim::schedule::{KnobDomain, KnobSpec, BLOCK_SIZES};
 use ecl_gpusim::Device;
 use ecl_graph::Csr;
+use ecl_profiling::Counter::{self, Count, Sketch};
 use ecl_profiling::ProfileMode;
 
 pub use counters::CcCounters;
@@ -127,6 +128,21 @@ impl CcResult {
     /// Number of connected components.
     pub fn num_components(&self) -> usize {
         self.labels.iter().enumerate().filter(|&(v, &l)| v as u32 == l).count()
+    }
+
+    /// The run's named counters, in the fixed order `ecl-run` prints
+    /// them; the first is the sketch a profile manifest leads with.
+    pub fn counters(&self) -> Vec<(&'static str, Counter)> {
+        let c = &self.counters;
+        vec![
+            ("cc/init_traversal_len", Sketch(c.traversal_len.snapshot())),
+            ("cc/vertices_initialized", Count(c.vertices_initialized.get())),
+            ("cc/vertices_traversed", Count(c.vertices_traversed.get())),
+            ("cc/find_calls", Count(c.find_calls.get())),
+            ("cc/find_smaller", Count(c.find_smaller.get())),
+            ("cc/hook_cas_attempted", Count(c.hook_cas.attempted())),
+            ("cc/hook_cas_failed", Count(c.hook_cas.cas_failed())),
+        ]
     }
 }
 

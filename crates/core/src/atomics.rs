@@ -117,16 +117,6 @@ impl AtomicTally {
         }
     }
 
-    /// Fraction of attempted operations that updated the target.
-    pub fn update_fraction(&self) -> f64 {
-        let a = self.attempted();
-        if a == 0 {
-            0.0
-        } else {
-            self.updated() as f64 / a as f64
-        }
-    }
-
     /// Resets all tallies (requires exclusive access).
     pub fn reset(&mut self) {
         self.attempted.reset();
@@ -173,14 +163,12 @@ mod tests {
         assert_eq!(t.cas_failed(), 1);
         assert_eq!(t.useless(), 2);
         assert!((t.useless_fraction() - 0.5).abs() < 1e-12);
-        assert!((t.update_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn empty_tally_fractions_are_zero() {
         let t = AtomicTally::new();
         assert_eq!(t.useless_fraction(), 0.0);
-        assert_eq!(t.update_fraction(), 0.0);
     }
 
     #[test]

@@ -4,6 +4,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::stats::Summary;
 use crate::stripe::Striped;
+use crate::{LogSketch, SketchSnapshot, Table};
+
+/// One named counter a run reports, read after the run — the paper's
+/// three shapes. Each kernel crate's result lists its own as
+/// `(<algo>/<name>, Counter)` pairs.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Counter {
+    /// A global count (e.g. CAS attempts).
+    Count(u64),
+    /// A distribution over threads, vertices or launches.
+    Sketch(SketchSnapshot),
+    /// A per-iteration or per-block series (Figures 1 and 2).
+    Table(Table),
+}
 
 /// Whether profiling counters record anything.
 ///
@@ -143,6 +157,17 @@ impl PerThreadCounter {
     /// which the paper reports per-thread metrics (Tables 2, 3, 5).
     pub fn summary(&self) -> Summary {
         Summary::of_u64(&self.values())
+    }
+
+    /// The distribution of the slots whose index `keep` admits.
+    pub fn sketch(&self, keep: impl Fn(usize) -> bool) -> SketchSnapshot {
+        let sketch = LogSketch::new();
+        for (i, v) in self.values().into_iter().enumerate() {
+            if keep(i) {
+                sketch.record(v);
+            }
+        }
+        sketch.snapshot()
     }
 
     /// Resets all slots to zero (requires exclusive access).

@@ -7,8 +7,10 @@
 //! (one slot per simulated GPU thread) or **global** (one shared atomic
 //! tally). On top of the raw counters it provides:
 //!
-//! - the paper's *general metrics* (§3.1): load balance, iteration
-//!   counts, idle/active threads, and atomic-update outcomes,
+//! - the paper's *general metrics* (§3.1): iteration counts,
+//!   idle/active threads, and atomic-update outcomes,
+//! - [`Counter`], the shape (count, distribution, series) in which
+//!   each kernel crate reports its own named counters after a run,
 //! - summary statistics (average / maximum / minimum / standard
 //!   deviation) over per-thread counts, Pearson correlation between
 //!   metric vectors (the paper correlates iteration counts with degree
@@ -31,10 +33,8 @@ pub mod atomics;
 pub mod chart;
 pub mod counter;
 pub mod expo;
-pub mod histogram;
 pub mod json;
 pub mod metrics;
-pub mod registry;
 pub mod runs;
 pub mod sample;
 pub mod series;
@@ -46,10 +46,8 @@ pub mod table;
 pub mod trace;
 
 pub use atomics::{AtomicOutcome, AtomicTally};
-pub use counter::{GlobalCounter, PerThreadCounter, ProfileMode};
-pub use histogram::Histogram;
-pub use metrics::{imbalance_from_summary, ActivityTally, LoadBalance};
-pub use registry::{CounterHandle, Registry, Snapshot};
+pub use counter::{Counter, GlobalCounter, PerThreadCounter, ProfileMode};
+pub use metrics::{imbalance_from_summary, ActivityTally};
 pub use runs::MultiRun;
 pub use sample::{LaunchSample, WorkerStat};
 pub use series::{BlockSeries, IterationBars};

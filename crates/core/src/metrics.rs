@@ -1,58 +1,7 @@
 //! The paper's general metrics (§3.1) built on the raw counters.
 
-use crate::counter::{GlobalCounter, PerThreadCounter};
+use crate::counter::GlobalCounter;
 use crate::stats::Summary;
-
-/// Load balance (§3.1.1): per-thread work counts plus derived imbalance
-/// measures.
-#[derive(Debug)]
-pub struct LoadBalance {
-    work: PerThreadCounter,
-}
-
-impl LoadBalance {
-    /// A tracker for `num_threads` threads.
-    pub fn new(num_threads: usize) -> Self {
-        Self { work: PerThreadCounter::new(num_threads) }
-    }
-
-    /// Records `units` of work done by thread `tid`.
-    #[inline]
-    pub fn record(&self, tid: usize, units: u64) {
-        self.work.add(tid, units);
-    }
-
-    /// The underlying per-thread counter.
-    pub fn per_thread(&self) -> &PerThreadCounter {
-        &self.work
-    }
-
-    /// Summary over per-thread work.
-    pub fn summary(&self) -> Summary {
-        self.work.summary()
-    }
-
-    /// Imbalance factor: max / avg work per thread. 1.0 is perfectly
-    /// balanced; large values indicate a straggler. Returns 0 for
-    /// zero-activity launches (no threads, or no work recorded) — the
-    /// guard is explicit because per-launch profiling feeds this into
-    /// exported manifests, where a NaN/inf would poison every
-    /// downstream comparison.
-    pub fn imbalance_factor(&self) -> f64 {
-        let s = self.summary();
-        imbalance_from_summary(&s)
-    }
-
-    /// Fraction of threads that did any work at all. 0 for a launch
-    /// with no threads (never NaN).
-    pub fn participation(&self) -> f64 {
-        let vals = self.work.values();
-        if vals.is_empty() {
-            return 0.0;
-        }
-        vals.iter().filter(|&&v| v > 0).count() as f64 / vals.len() as f64
-    }
-}
 
 /// The max/avg imbalance factor over an already-computed [`Summary`],
 /// guarded against the degenerate launches a self-profiling run hits
@@ -116,30 +65,9 @@ impl ActivityTally {
         self.idle_unassigned.get() + self.idle_no_work.get()
     }
 
-    /// Idle threads that had no element assigned.
-    pub fn idle_unassigned(&self) -> u64 {
-        self.idle_unassigned.get()
-    }
-
-    /// Idle threads whose element failed the work condition.
-    pub fn idle_no_work(&self) -> u64 {
-        self.idle_no_work.get()
-    }
-
     /// All launched threads recorded.
     pub fn launched(&self) -> u64 {
         self.active() + self.idle()
-    }
-
-    /// Fraction of launched threads that computed (Figure 2's "threads
-    /// with work"); 0 when nothing was recorded.
-    pub fn active_fraction(&self) -> f64 {
-        let l = self.launched();
-        if l == 0 {
-            0.0
-        } else {
-            self.active() as f64 / l as f64
-        }
     }
 
     /// Resets all tallies (requires exclusive access).
@@ -166,61 +94,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn balanced_load() {
-        let lb = LoadBalance::new(4);
-        for tid in 0..4 {
-            lb.record(tid, 10);
-        }
-        assert!((lb.imbalance_factor() - 1.0).abs() < 1e-12);
-        assert_eq!(lb.participation(), 1.0);
-    }
-
-    #[test]
-    fn straggler_detection() {
-        let lb = LoadBalance::new(4);
-        lb.record(0, 100);
-        for tid in 1..4 {
-            lb.record(tid, 10);
-        }
-        // avg = 32.5, max = 100 -> imbalance ≈ 3.08
-        assert!(lb.imbalance_factor() > 3.0);
-        assert_eq!(lb.participation(), 1.0);
-    }
-
-    #[test]
-    fn partial_participation() {
-        let lb = LoadBalance::new(4);
-        lb.record(1, 5);
-        lb.record(3, 5);
-        assert_eq!(lb.participation(), 0.5);
-    }
-
-    #[test]
-    fn empty_load_balance() {
-        let lb = LoadBalance::new(0);
-        assert_eq!(lb.imbalance_factor(), 0.0);
-        assert_eq!(lb.participation(), 0.0);
-    }
-
-    #[test]
-    fn no_work_recorded() {
-        // Zero-activity launch on a real grid: threads exist, nothing
-        // ran. avg = 0 must not produce 0/0 = NaN.
-        let lb = LoadBalance::new(3);
-        assert_eq!(lb.imbalance_factor(), 0.0);
-        assert!(lb.imbalance_factor().is_finite());
-        assert_eq!(lb.participation(), 0.0);
-    }
-
-    #[test]
-    fn single_thread_is_perfectly_balanced() {
-        let lb = LoadBalance::new(1);
-        lb.record(0, 42);
-        assert!((lb.imbalance_factor() - 1.0).abs() < 1e-12);
-        assert_eq!(lb.participation(), 1.0);
-    }
-
-    #[test]
     fn imbalance_from_summary_guards_degenerate_inputs() {
         use crate::stats::Summary;
         let zero = Summary::of_u64(&[]);
@@ -235,7 +108,7 @@ mod tests {
     }
 
     #[test]
-    fn activity_fractions() {
+    fn activity_counts() {
         let a = ActivityTally::new();
         for _ in 0..3 {
             a.record_active();
@@ -247,15 +120,11 @@ mod tests {
         assert_eq!(a.launched(), 10);
         assert_eq!(a.active(), 3);
         assert_eq!(a.idle(), 7);
-        assert_eq!(a.idle_unassigned(), 1);
-        assert_eq!(a.idle_no_work(), 6);
-        assert!((a.active_fraction() - 0.3).abs() < 1e-12);
     }
 
     #[test]
     fn activity_empty() {
         let a = ActivityTally::new();
-        assert_eq!(a.active_fraction(), 0.0);
         assert_eq!(a.launched(), 0);
     }
 

@@ -11,7 +11,6 @@ use crate::stats::{median, Summary};
 #[derive(Clone, Debug, Default)]
 pub struct MultiRun {
     runs: Vec<Summary>,
-    runtimes: Vec<f64>,
 }
 
 impl MultiRun {
@@ -20,11 +19,9 @@ impl MultiRun {
         Self::default()
     }
 
-    /// Records one run's metric summary (and optional runtime in
-    /// seconds, used for median-run selection; pass 0.0 if unused).
-    pub fn push(&mut self, summary: Summary, runtime: f64) {
+    /// Records one run's metric summary.
+    pub fn push(&mut self, summary: Summary) {
         self.runs.push(summary);
-        self.runtimes.push(runtime);
     }
 
     /// Number of recorded runs.
@@ -47,48 +44,28 @@ impl MultiRun {
         &self.runs
     }
 
-    /// The run with the median runtime, which is the run the paper
-    /// reports ("we run each code nine times per input and report
-    /// results from the run yielding the median runtime", §5.2).
-    pub fn median_run(&self) -> Option<&Summary> {
-        crate::stats::median_index(&self.runtimes).map(|i| &self.runs[i])
-    }
-
-    /// Median runtime across runs.
-    pub fn median_runtime(&self) -> f64 {
-        median(&self.runtimes)
-    }
-
     /// Relative spread of the per-run averages:
     /// `(max avg − min avg) / median avg`. Small values mean the metric
     /// is stable despite internal non-determinism — the Table 3 finding
     /// ("the iteration counts are a little different for every run, but
     /// the general trends remain the same").
     pub fn avg_spread(&self) -> f64 {
-        if self.runs.is_empty() {
-            return 0.0;
-        }
-        let avgs: Vec<f64> = self.runs.iter().map(|s| s.avg).collect();
-        let lo = avgs.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = avgs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let mid = median(&avgs);
-        if mid == 0.0 {
-            0.0
-        } else {
-            (hi - lo) / mid
-        }
+        self.spread(|s| s.avg)
     }
 
     /// Like [`MultiRun::avg_spread`] but over the per-run maxima, which
     /// vary more (Table 3's Max columns).
     pub fn max_spread(&self) -> f64 {
-        if self.runs.is_empty() {
-            return 0.0;
-        }
-        let maxs: Vec<f64> = self.runs.iter().map(|s| s.max).collect();
-        let lo = maxs.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = maxs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let mid = median(&maxs);
+        self.spread(|s| s.max)
+    }
+
+    /// `(max − min) / median` of one field over the runs; 0 when empty
+    /// or when the median is 0.
+    fn spread(&self, field: impl Fn(&Summary) -> f64) -> f64 {
+        let values: Vec<f64> = self.runs.iter().map(field).collect();
+        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let mid = median(&values);
         if mid == 0.0 {
             0.0
         } else {
@@ -109,30 +86,19 @@ mod tests {
     #[test]
     fn collects_runs() {
         let mut m = MultiRun::new();
-        m.push(s(2.28, 42.0), 1.0);
-        m.push(s(2.32, 49.0), 1.2);
-        m.push(s(2.26, 37.0), 0.9);
+        m.push(s(2.28, 42.0));
+        m.push(s(2.32, 49.0));
+        m.push(s(2.26, 37.0));
         assert_eq!(m.len(), 3);
         assert_eq!(m.run(1).avg, 2.32);
     }
 
     #[test]
-    fn median_run_selection() {
-        let mut m = MultiRun::new();
-        m.push(s(1.0, 1.0), 5.0);
-        m.push(s(2.0, 2.0), 1.0);
-        m.push(s(3.0, 3.0), 3.0);
-        // runtimes sorted: 1.0 (run 1), 3.0 (run 2), 5.0 (run 0) -> median run 2.
-        assert_eq!(m.median_run().unwrap().avg, 3.0);
-        assert_eq!(m.median_runtime(), 3.0);
-    }
-
-    #[test]
     fn stable_runs_have_small_spread() {
         let mut m = MultiRun::new();
-        m.push(s(2.28, 42.0), 0.0);
-        m.push(s(2.32, 49.0), 0.0);
-        m.push(s(2.26, 37.0), 0.0);
+        m.push(s(2.28, 42.0));
+        m.push(s(2.32, 49.0));
+        m.push(s(2.26, 37.0));
         assert!(m.avg_spread() < 0.05, "avg spread {}", m.avg_spread());
         assert!(m.max_spread() < 0.35, "max spread {}", m.max_spread());
     }
@@ -140,8 +106,8 @@ mod tests {
     #[test]
     fn unstable_runs_have_large_spread() {
         let mut m = MultiRun::new();
-        m.push(s(1.0, 10.0), 0.0);
-        m.push(s(9.0, 90.0), 0.0);
+        m.push(s(1.0, 10.0));
+        m.push(s(9.0, 90.0));
         assert!(m.avg_spread() > 1.0);
     }
 
@@ -149,16 +115,14 @@ mod tests {
     fn empty_multirun() {
         let m = MultiRun::new();
         assert!(m.is_empty());
-        assert!(m.median_run().is_none());
         assert_eq!(m.avg_spread(), 0.0);
-        assert_eq!(m.median_runtime(), 0.0);
     }
 
     #[test]
     fn zero_average_spread_guard() {
         let mut m = MultiRun::new();
-        m.push(s(0.0, 0.0), 0.0);
-        m.push(s(0.0, 0.0), 0.0);
+        m.push(s(0.0, 0.0));
+        m.push(s(0.0, 0.0));
         assert_eq!(m.avg_spread(), 0.0);
         assert_eq!(m.max_spread(), 0.0);
     }

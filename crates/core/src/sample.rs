@@ -59,9 +59,8 @@ impl LaunchSample {
         (busy as f64 / span as f64).clamp(0.0, 1.0)
     }
 
-    /// Load-imbalance factor over participant busy times (max / avg),
-    /// the per-launch form of [`crate::LoadBalance`]; 0 for
-    /// zero-activity launches, never NaN/inf.
+    /// Load-imbalance factor over participant busy times (max / avg,
+    /// §3.1.1); 0 for zero-activity launches, never NaN/inf.
     pub fn imbalance(&self) -> f64 {
         let busy: Vec<u64> = self.workers.iter().map(|w| w.busy_ns).collect();
         imbalance_from_summary(&Summary::of_u64(&busy))

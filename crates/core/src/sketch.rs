@@ -1,14 +1,12 @@
 //! Streaming percentile sketches over log-spaced buckets.
 //!
-//! [`Histogram`](crate::Histogram) is built *after the fact* from a
-//! complete value slice. The paper's per-thread distributions
-//! (iterations, adjacency lengths, CAS outcomes) additionally need a
-//! form that can be recorded **while the kernels run** and merged
-//! across runs, kernels, and threads without keeping the raw values:
-//! a fixed-width array of power-of-two buckets plus streaming
-//! count/sum/min/max. Quantiles come out as upper bucket bounds — a
-//! factor-of-two error envelope, which is exactly the resolution the
-//! paper's log-scale tables and charts use.
+//! The paper's per-thread distributions (iterations, adjacency
+//! lengths, CAS outcomes) need a form that can be recorded **while the
+//! kernels run** and merged across runs, kernels, and threads without
+//! keeping the raw values: a fixed-width array of power-of-two buckets
+//! plus streaming count/sum/min/max. Quantiles come out as upper
+//! bucket bounds — a factor-of-two error envelope, which is exactly
+//! the resolution the paper's log-scale tables and charts use.
 //!
 //! All mutation is relaxed-atomic and striped per OS thread (see
 //! [`crate::stripe`]), so a sketch can be shared across simulated
@@ -105,8 +103,7 @@ impl LogSketch {
         Self::default()
     }
 
-    /// The bucket index `v` falls into (same mapping as
-    /// [`Histogram::bucket_of`](crate::Histogram::bucket_of)).
+    /// The bucket index `v` falls into.
     #[inline]
     pub fn bucket_of(v: u64) -> usize {
         if v == 0 {
@@ -294,6 +291,23 @@ impl SketchSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
+
+    /// Renders the buckets as text bars, one line per non-empty bucket
+    /// (`ecl-run --histogram`).
+    pub fn render(&self, title: &str, width: usize) -> String {
+        use std::fmt::Write as _;
+        let mut out = format!("{title}\n");
+        let max = self.buckets.iter().map(|&(_, c)| c).max().unwrap_or(0);
+        if max == 0 {
+            out += "  (no samples)\n";
+        }
+        for &(k, c) in &self.buckets {
+            let (lo, hi) = LogSketch::bucket_range(k as usize);
+            let bar = "#".repeat(((c as f64 / max as f64) * width as f64).ceil() as usize);
+            let _ = writeln!(out, "  [{lo:>8}, {hi:>8})  {c:>10}  {bar}");
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -447,6 +461,22 @@ mod tests {
         assert_eq!(snap.max, 1 << 40);
         assert!(snap.mean() > 0.0);
         assert_eq!(snap.buckets.iter().map(|&(_, c)| c).sum::<u64>(), 5);
+    }
+
+    #[test]
+    fn render_draws_the_power_of_two_buckets() {
+        let s = LogSketch::new();
+        s.record_values(&[0, 1, 3, 1000, 1000]);
+        assert_eq!(
+            s.snapshot().render("  x distribution", 40),
+            "  x distribution
+  [       0,        1)           1  ####################
+  [       1,        2)           1  ####################
+  [       2,        4)           1  ####################
+  [     512,     1024)           2  ########################################
+"
+        );
+        assert_eq!(LogSketch::new().snapshot().render("empty", 40), "empty\n  (no samples)\n");
     }
 
     #[test]

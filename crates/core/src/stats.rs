@@ -21,15 +21,7 @@ pub struct Summary {
 impl Summary {
     /// Summary of `u64` samples (per-thread counter slots).
     pub fn of_u64(values: &[u64]) -> Self {
-        Self::of_iter(values.iter().map(|&v| v as f64))
-    }
-
-    /// Summary of `f64` samples.
-    pub fn of_f64(values: &[f64]) -> Self {
-        Self::of_iter(values.iter().copied())
-    }
-
-    fn of_iter(values: impl Iterator<Item = f64> + Clone) -> Self {
+        let values = values.iter().map(|&v| v as f64);
         let mut count = 0usize;
         let mut sum = 0.0;
         let mut max = f64::NEG_INFINITY;
@@ -98,17 +90,6 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// Index of the median element (ties to the lower middle), used to pick
-/// "the run yielding the median runtime" without re-running.
-pub fn median_index(values: &[f64]) -> Option<usize> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("NaN in median input"));
-    Some(idx[(values.len() - 1) / 2])
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -136,10 +117,10 @@ mod tests {
 
     #[test]
     fn summary_single() {
-        let s = Summary::of_f64(&[7.5]);
-        assert_eq!(s.avg, 7.5);
+        let s = Summary::of_u64(&[7]);
+        assert_eq!(s.avg, 7.0);
         assert_eq!(s.std, 0.0);
-        assert_eq!(s.min, 7.5);
+        assert_eq!(s.min, 7.0);
     }
 
     #[test]
@@ -180,14 +161,5 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&[]), 0.0);
-    }
-
-    #[test]
-    fn median_index_picks_middle_run() {
-        let runtimes = [5.0, 1.0, 3.0];
-        assert_eq!(median_index(&runtimes), Some(2));
-        assert_eq!(median_index(&[]), None);
-        // Even count ties to lower middle.
-        assert_eq!(median_index(&[4.0, 1.0, 2.0, 3.0]), Some(2));
     }
 }

@@ -81,25 +81,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as CSV (title omitted; header + rows). Cells
-    /// containing commas or quotes are quoted.
-    pub fn to_csv(&self) -> String {
-        fn esc(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        let _ =
-            writeln!(out, "{}", self.header.iter().map(|s| esc(s)).collect::<Vec<_>>().join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.iter().map(|s| esc(s)).collect::<Vec<_>>().join(","));
-        }
-        out
-    }
 }
 
 /// Formats a count the way the paper's Table 4 does: `a.bc × 10^e`
@@ -138,15 +119,6 @@ mod tests {
     fn rejects_wrong_width() {
         let mut t = Table::new("t", &["a", "b"]);
         t.row(&["only-one"]);
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let mut t = Table::new("t", &["name", "note"]);
-        t.row(&["x,y", "say \"hi\""]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

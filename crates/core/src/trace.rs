@@ -48,21 +48,6 @@ impl ConvergenceTrace {
         pts.windows(2).all(|w| w[0] >= w[1])
     }
 
-    /// Number of trailing rounds during which the value changed by at
-    /// most `epsilon` — the "slow tail" length.
-    pub fn tail_length(&self, epsilon: u64) -> usize {
-        let pts = self.points.lock();
-        let mut tail = 0;
-        for w in pts.windows(2).rev() {
-            if w[0].abs_diff(w[1]) <= epsilon {
-                tail += 1;
-            } else {
-                break;
-            }
-        }
-        tail
-    }
-
     /// Renders the trace as a one-line-per-round bar chart.
     pub fn render(&self, title: &str, width: usize) -> String {
         let pts = self.points.lock();
@@ -100,22 +85,6 @@ mod tests {
         assert!(t.is_non_increasing());
         t.push(12);
         assert!(!t.is_non_increasing());
-    }
-
-    #[test]
-    fn tail_detection() {
-        let t = ConvergenceTrace::new();
-        for v in [100, 50, 10, 9, 9, 8] {
-            t.push(v);
-        }
-        // Last three deltas: 1, 0, 1 -> all <= 1.
-        assert_eq!(t.tail_length(1), 3);
-        // The final delta (9 -> 8) exceeds 0, so the zero-epsilon tail
-        // is empty.
-        assert_eq!(t.tail_length(0), 0);
-        t.push(8);
-        assert_eq!(t.tail_length(0), 1);
-        assert_eq!(ConvergenceTrace::new().tail_length(5), 0);
     }
 
     #[test]

@@ -26,6 +26,7 @@ pub mod priority;
 use ecl_gpusim::schedule::{KnobDomain, KnobSpec, BLOCK_SIZES};
 use ecl_gpusim::Device;
 use ecl_graph::Csr;
+use ecl_profiling::Counter::{self, Count, Sketch};
 use ecl_profiling::ProfileMode;
 
 pub use counters::GcCounters;
@@ -104,6 +105,24 @@ impl GcResult {
         cs.sort_unstable();
         cs.dedup();
         cs.len()
+    }
+
+    /// The run's named counters, in the fixed order `ecl-run` prints
+    /// them; the first is the sketch a profile manifest leads with.
+    /// `g` is the colored graph: the `large_*` distributions cover
+    /// its vertices of degree above [`LARGE_DEGREE`], Table 5's
+    /// runLarge vertices. A sketch keeps sum, count and max exactly, so
+    /// their avg and max equal [`GcCounters::large_vertex_summaries`].
+    pub fn counters(&self, g: &Csr) -> Vec<(&'static str, Counter)> {
+        let c = &self.counters;
+        let large = |v: usize| g.degree(v as u32) > LARGE_DEGREE;
+        vec![
+            ("gc/scan_per_visit", Sketch(c.scan_per_visit.snapshot())),
+            ("gc/large_best_changed", Sketch(c.best_changed.sketch(large))),
+            ("gc/large_not_yet_possible", Sketch(c.not_yet_possible.sketch(large))),
+            ("gc/shortcut2_removals", Count(c.shortcut2_removals.get())),
+            ("gc/not_yet_possible", Sketch(c.not_yet_possible.sketch(|_| true))),
+        ]
     }
 }
 

@@ -28,6 +28,7 @@ pub mod status;
 use ecl_gpusim::schedule::{KnobDomain, KnobSpec};
 use ecl_gpusim::Device;
 use ecl_graph::Csr;
+use ecl_profiling::Counter::{self, Sketch};
 use ecl_profiling::{ConvergenceTrace, LogSketch, PerThreadCounter, ProfileMode};
 
 /// The schedule knobs [`MisConfig::apply_schedule`] consumes, with
@@ -147,6 +148,18 @@ impl MisResult {
     /// Size of the selected set.
     pub fn set_size(&self) -> usize {
         self.in_set.iter().filter(|&&b| b).count()
+    }
+
+    /// The run's named counters, in the fixed order `ecl-run` prints
+    /// them; the first is the sketch a profile manifest leads with.
+    pub fn counters(&self) -> Vec<(&'static str, Counter)> {
+        let c = &self.counters;
+        vec![
+            ("mis/spins_per_round", Sketch(c.spins_per_round.snapshot())),
+            ("mis/iterations", Sketch(c.iterations.sketch(|_| true))),
+            ("mis/assigned", Sketch(c.assigned.sketch(|_| true))),
+            ("mis/finalized", Sketch(c.finalized.sketch(|_| true))),
+        ]
     }
 }
 

@@ -31,6 +31,7 @@ pub mod union_find;
 use ecl_gpusim::schedule::{KnobDomain, KnobSpec, BLOCK_SIZES};
 use ecl_gpusim::Device;
 use ecl_graph::{EdgeId, WeightedCsr};
+use ecl_profiling::Counter::{self, Count, Sketch, Table};
 use ecl_profiling::{AtomicTally, ConvergenceTrace, IterationBars, LogSketch, ProfileMode};
 
 /// The schedule knobs [`MstConfig::apply_schedule`] consumes, with
@@ -145,6 +146,20 @@ pub struct MstResult {
     pub num_trees: usize,
     /// Collected counters.
     pub counters: MstCounters,
+}
+
+impl MstResult {
+    /// The run's named counters, in the fixed order `ecl-run` prints
+    /// them; the first is the sketch a profile manifest leads with.
+    pub fn counters(&self) -> Vec<(&'static str, Counter)> {
+        let c = &self.counters;
+        vec![
+            ("mst/launch_coverage", Sketch(c.launch_coverage.snapshot())),
+            ("mst/iterations", Table(c.bars.to_table("ECL-MST per-iteration metrics"))),
+            ("mst/atomics_attempted", Count(c.atomics.attempted())),
+            ("mst/atomics_useless", Count(c.atomics.useless())),
+        ]
+    }
 }
 
 /// Runs ECL-MST on a weighted undirected graph. Ties are broken by

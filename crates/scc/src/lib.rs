@@ -28,6 +28,7 @@ pub mod kernel;
 use ecl_gpusim::schedule::{KnobDomain, KnobSpec, BLOCK_SIZES};
 use ecl_gpusim::Device;
 use ecl_graph::Csr;
+use ecl_profiling::Counter::{self, Count, Sketch, Table};
 use ecl_profiling::ProfileMode;
 
 pub use counters::SccCounters;
@@ -125,6 +126,21 @@ impl SccResult {
             *slot = (*slot).min(v as u32);
         }
         self.labels.iter().map(|&l| min_of[l as usize]).collect()
+    }
+
+    /// The run's named counters, in the fixed order `ecl-run` prints
+    /// them; the first is the sketch a profile manifest leads with.
+    pub fn counters(&self) -> Vec<(&'static str, Counter)> {
+        let c = &self.counters;
+        let parallel_time = self.modeled_parallel_time.round_ties_even() as u64;
+        vec![
+            ("scc/updates_per_sweep", Sketch(c.updates_per_sweep.snapshot())),
+            ("scc/edges_removed", Count(c.edges_removed.get())),
+            ("scc/max_attempted", Count(c.max_tally.attempted())),
+            ("scc/max_updated", Count(c.max_tally.updated())),
+            ("scc/modeled_parallel_time", Count(parallel_time)),
+            ("scc/block_updates", Table(c.series.to_table(1, 1, true))),
+        ]
     }
 }
 

@@ -313,15 +313,26 @@ impl GraphCatalog {
 
         // Materialize outside the lock: generation can take a while
         // and must not serialize unrelated requests. Concurrent misses
-        // on the same key may both build; last insert wins — wasteful
-        // but correct (both builds are deterministic and identical).
+        // on the same key may both build (wasteful but correct: both
+        // builds are deterministic and identical); the first admitted
+        // stays.
         let graph = Arc::new(self.materialize(name, scale, seed, weighted)?);
+        Ok(self.admit(key, graph, stamp))
+    }
 
+    /// Caches `graph` under `key` and returns the cached graph: the
+    /// slot already there if a concurrent miss admitted one first, so
+    /// its bytes are never counted twice. Then evicts LRU entries until
+    /// under budget (never the returned one — a single oversized graph
+    /// is admitted once).
+    fn admit(&self, key: CacheKey, graph: Arc<ResolvedGraph>, stamp: u64) -> Arc<ResolvedGraph> {
         let mut state = self.lock();
+        if let Some(slot) = state.slots.get_mut(&key) {
+            slot.last_used = slot.last_used.max(stamp);
+            return Arc::clone(&slot.graph);
+        }
         state.resident_bytes += graph.bytes;
         state.slots.insert(key, CacheSlot { graph: Arc::clone(&graph), last_used: stamp });
-        // Evict LRU entries until under budget (never the one just
-        // inserted — a single oversized graph is admitted once).
         while state.resident_bytes > self.config.cache_bytes && state.slots.len() > 1 {
             let Some(victim) = state
                 .slots
@@ -337,7 +348,7 @@ impl GraphCatalog {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok(graph)
+        graph
     }
 
     fn materialize(
@@ -540,6 +551,25 @@ mod tests {
             Err(CatalogError::NotFound(n)) => assert_eq!(n, "no-such-graph"),
             other => panic!("expected NotFound, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_count_its_bytes_once() {
+        // Two misses on one key both build and both admit.
+        let cat = catalog_with_budget(64 << 20);
+        let key = || CacheKey {
+            name: "internet".into(),
+            scale_bits: 0.001f64.to_bits(),
+            seed: 42,
+            weighted: false,
+        };
+        let build = || Arc::new(cat.materialize("internet", 0.001, 42, false).unwrap());
+        let (first, second) = (build(), build());
+        cat.admit(key(), Arc::clone(&first), 0);
+        let admitted = cat.admit(key(), second, 1);
+        assert_eq!(cat.stats().3, first.bytes);
+        // Both callers then hold the graph the cache keeps.
+        assert!(Arc::ptr_eq(&admitted, &cat.resolve("internet", 0.001, 42, false).unwrap()));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::time::Instant;
 /// Runs `f` and returns its result together with the elapsed wall time
 /// in seconds. Used by the harness to report wall time next to the
 /// modeled cost (the paper reports the median of nine runs; see
-/// [`ecl_profiling::stats::median_index`]).
+/// [`ecl_profiling::stats::median`]).
 pub fn run_timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let out = f();

@@ -71,9 +71,15 @@ fn main() {
         r.counters.max_tally.updated()
     );
 
-    // --- The registry view of everything above ------------------------
-    let mut reg = profiling::Registry::new();
-    let total = reg.global("edges-processed-total");
-    reg.get_global(total).add(undirected.num_arcs() as u64 + mesh.num_arcs() as u64);
-    print!("\n{}", reg.snapshot().to_table("registry snapshot example").render());
+    // --- Your own counters ------------------------------------------
+    // A code owns its counters in a plain struct, as the kernel crates
+    // do, and prints them through a `Table`.
+    struct InputCounters {
+        edges_processed: profiling::GlobalCounter,
+    }
+    let mine = InputCounters { edges_processed: profiling::GlobalCounter::new() };
+    mine.edges_processed.add(undirected.num_arcs() as u64 + mesh.num_arcs() as u64);
+    let mut t = profiling::Table::new("own counters example", &["Counter", "Total"]);
+    t.row(&["edges-processed-total", &mine.edges_processed.get().to_string()]);
+    print!("\n{}", t.render());
 }

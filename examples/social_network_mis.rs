@@ -34,7 +34,7 @@ fn main() {
             iters.max,
             secs
         );
-        runs.push(iters, secs);
+        runs.push(iters);
         match &first {
             None => first = Some(r.in_set),
             Some(f) => assert_eq!(f, &r.in_set, "final MIS must be deterministic"),

@@ -6,8 +6,9 @@
 //! - **Golden equivalence.** Under the sequential policy the driver
 //!   returns, bit for bit, what the hand-written per-algorithm arms it
 //!   replaced returned: `ecl_*::run` / `ecl_shard::run_*` with a
-//!   hand-built config on a device from the one preset, down to the
-//!   typed counts `ecl-run` prints.
+//!   hand-built config on a device from the one preset, down to every
+//!   counter `ecl-run` prints (the kernel crate's own `counters()`,
+//!   sketches and tables included) and their names in order.
 //! - **Parity.** Serve's wire names, the registry and the committed
 //!   tune manifest name the same algorithms in the same order, and
 //!   every registered default schedule is valid.
@@ -19,8 +20,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ecl_suite::algos::{self, checksum_u32, Algorithm, Counter, Outcome, Views};
+use ecl_suite::algos::{self, checksum_u32, Algorithm, Outcome, Views};
 use ecl_suite::graph::{Csr, WeightedCsr};
+use ecl_suite::profiling::Counter;
 use ecl_suite::serve::exec::execute as serve_execute;
 use ecl_suite::serve::{Algo, CatalogConfig, GraphCatalog, JobSpec};
 use ecl_suite::sim::pool::{with_policy, DispatchPolicy};
@@ -149,15 +151,18 @@ fn toy_algorithm_tunes_and_profiles_without_a_registry_entry() {
 }
 
 /// What a hand-written arm produced: its aggregate values in its
-/// order, its typed global counts in the adapter's counter order, and
-/// the bits of its device's modeled time.
-type Golden = (Vec<u64>, Vec<u64>, u64);
+/// order, the kernel crate's own named counters, and the bits of its
+/// device's modeled time.
+type Golden = (Vec<u64>, Vec<(&'static str, Counter)>, u64);
 
 fn device(name: &str) -> Device {
     Device::new(DeviceConfig::rtx4090_scaled(SCALE, if name == "scc" { 8 } else { 1 }))
 }
 
-fn golden(name: &str, arm: impl FnOnce(&Device) -> (Vec<u64>, Vec<u64>)) -> Golden {
+fn golden(
+    name: &str,
+    arm: impl FnOnce(&Device) -> (Vec<u64>, Vec<(&'static str, Counter)>),
+) -> Golden {
     let d = device(name);
     let (aggregates, counts) = arm(&d);
     (aggregates, counts, d.modeled_time().to_bits())
@@ -166,16 +171,8 @@ fn golden(name: &str, arm: impl FnOnce(&Device) -> (Vec<u64>, Vec<u64>)) -> Gold
 fn golden_cc(g: &Csr, cfg: &cc::CcConfig) -> Golden {
     golden("cc", |d| {
         let r = cc::run(d, g, cfg);
-        let c = &r.counters;
-        let counts = vec![
-            c.vertices_initialized.get(),
-            c.vertices_traversed.get(),
-            c.find_calls.get(),
-            c.find_smaller.get(),
-            c.hook_cas.attempted(),
-            c.hook_cas.cas_failed(),
-        ];
-        (vec![r.num_components() as u64, checksum_u32(r.labels.iter().copied())], counts)
+        let labels = checksum_u32(r.labels.iter().copied());
+        (vec![r.num_components() as u64, labels], r.counters())
     })
 }
 
@@ -183,8 +180,7 @@ fn golden_gc(g: &Csr, cfg: &gc::GcConfig) -> Golden {
     golden("gc", |d| {
         let r = gc::run(d, g, cfg);
         let colors = checksum_u32(r.colors.iter().copied());
-        let counts = vec![r.counters.shortcut2_removals.get()];
-        (vec![r.num_colors() as u64, r.rounds as u64, colors], counts)
+        (vec![r.num_colors() as u64, r.rounds as u64, colors], r.counters(g))
     })
 }
 
@@ -192,7 +188,7 @@ fn golden_mis(g: &Csr, cfg: &mis::MisConfig) -> Golden {
     golden("mis", |d| {
         let r = mis::run(d, g, cfg);
         let set = checksum_u32(r.in_set.iter().map(|&b| b as u32));
-        (vec![r.set_size() as u64, r.rounds as u64, set], Vec::new())
+        (vec![r.set_size() as u64, r.rounds as u64, set], r.counters())
     })
 }
 
@@ -201,8 +197,9 @@ fn golden_mst(g: &WeightedCsr, cfg: &mst::MstConfig) -> Golden {
         let r = mst::run(d, g, cfg);
         let mut edges: Vec<u32> = r.edges.iter().map(|&e| e as u32).collect();
         edges.sort_unstable();
-        let counts = vec![r.counters.atomics.attempted(), r.counters.atomics.useless()];
-        (vec![r.total_weight, r.num_trees as u64, edges.len() as u64, checksum_u32(edges)], counts)
+        let aggregates =
+            vec![r.total_weight, r.num_trees as u64, edges.len() as u64, checksum_u32(edges)];
+        (aggregates, r.counters())
     })
 }
 
@@ -210,14 +207,7 @@ fn golden_scc(g: &Csr, cfg: &scc::SccConfig) -> Golden {
     golden("scc", |d| {
         let r = scc::run(d, g, cfg);
         let labels = checksum_u32(r.labels.iter().copied());
-        let c = &r.counters;
-        let counts = vec![
-            c.edges_removed.get(),
-            c.max_tally.attempted(),
-            c.max_tally.updated(),
-            r.modeled_parallel_time.round_ties_even() as u64,
-        ];
-        (vec![r.num_sccs() as u64, r.outer_iterations as u64, labels], counts)
+        (vec![r.num_sccs() as u64, r.outer_iterations as u64, labels], r.counters())
     })
 }
 
@@ -228,11 +218,7 @@ fn values(aggregates: &[(&'static str, u64)]) -> Vec<u64> {
 /// The registry's answer for `name`, in `Golden` form.
 fn registry(name: &str, views: &Views<'_>, schedule: Option<&Schedule>) -> Golden {
     let (out, time) = algos::execute(find(name), SCALE, views, schedule).unwrap();
-    let counts = out.counters.iter().filter_map(|(_, c)| match c {
-        Counter::Count(v) => Some(*v),
-        _ => None,
-    });
-    (values(&out.aggregates), counts.collect(), time.to_bits())
+    (values(&out.aggregates), out.counters, time.to_bits())
 }
 
 /// A manifest-style schedule: every knob present (the registered
@@ -259,16 +245,46 @@ fn driver_equals_the_hand_written_arms_under_the_sequential_policy() {
         // No schedule: the configuration every arm started from — and
         // the registered defaults, spelled out, are that configuration.
         // The aggregate names and their order are part of serve's wire
-        // format.
-        for (name, views, names) in [
-            ("cc", &und, "num_components labels_checksum"),
-            ("gc", &und, "num_colors rounds colors_checksum"),
-            ("mis", &und, "set_size rounds set_checksum"),
-            ("mst", &und, "total_weight num_trees num_mst_edges edges_checksum"),
-            ("scc", &dir, "num_sccs outer_iterations labels_checksum"),
+        // format; the counter names and their order are what `ecl-run`
+        // prints and a profile manifest records.
+        for (name, views, names, counters) in [
+            (
+                "cc",
+                &und,
+                "num_components labels_checksum",
+                "cc/init_traversal_len cc/vertices_initialized cc/vertices_traversed \
+                 cc/find_calls cc/find_smaller cc/hook_cas_attempted cc/hook_cas_failed",
+            ),
+            (
+                "gc",
+                &und,
+                "num_colors rounds colors_checksum",
+                "gc/scan_per_visit gc/large_best_changed gc/large_not_yet_possible \
+                 gc/shortcut2_removals gc/not_yet_possible",
+            ),
+            (
+                "mis",
+                &und,
+                "set_size rounds set_checksum",
+                "mis/spins_per_round mis/iterations mis/assigned mis/finalized",
+            ),
+            (
+                "mst",
+                &und,
+                "total_weight num_trees num_mst_edges edges_checksum",
+                "mst/launch_coverage mst/iterations mst/atomics_attempted mst/atomics_useless",
+            ),
+            (
+                "scc",
+                &dir,
+                "num_sccs outer_iterations labels_checksum",
+                "scc/updates_per_sweep scc/edges_removed scc/max_attempted scc/max_updated \
+                 scc/modeled_parallel_time scc/block_updates",
+            ),
         ] {
             let (out, _) = algos::execute(find(name), SCALE, views, None).unwrap();
             assert_eq!(out.aggregates.iter().map(|a| a.0).collect::<Vec<_>>().join(" "), names);
+            assert_eq!(out.counters.iter().map(|c| c.0).collect::<Vec<_>>().join(" "), counters);
             assert_eq!(registry(name, views, None), registry(name, views, Some(&tuned(name, &[]))));
         }
         assert_eq!(registry("cc", &und, None), golden_cc(&g, &cc::CcConfig::baseline()));

@@ -116,32 +116,6 @@ fn counters_handle_large_values() {
     assert!(s.max.is_finite());
 }
 
-/// Registry snapshots taken mid-run are stable (point-in-time), and
-/// reset fully clears cross-kind state.
-#[test]
-fn registry_snapshot_and_reset_with_live_counters() {
-    let mut reg = profiling::Registry::new();
-    let g = reg.global("events");
-    let p = reg.per_thread("per-thread", 8);
-    let t = reg.tally("atomics");
-    let a = reg.activity("threads");
-
-    reg.get_global(g).add(10);
-    reg.get_per_thread(p).add(3, 4);
-    reg.get_tally(t).record(profiling::AtomicOutcome::Updated);
-    reg.get_activity(a).record_active();
-    let snap1 = reg.snapshot();
-
-    reg.get_global(g).add(100);
-    let snap2 = reg.snapshot();
-    assert_ne!(snap1, snap2);
-    assert_eq!(snap1.get("events"), Some(&profiling::registry::Entry::Global { total: 10 }));
-
-    reg.reset();
-    let snap3 = reg.snapshot();
-    assert_eq!(snap3.get("events"), Some(&profiling::registry::Entry::Global { total: 0 }));
-}
-
 /// Convergence traces: every algorithm's shrinking quantity is
 /// recorded per round and is (weakly) monotone where the algorithm
 /// guarantees it.
