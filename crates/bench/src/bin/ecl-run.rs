@@ -307,8 +307,10 @@ fn main() {
         return;
     }
 
-    let device = Arc::new(Device::new(ecl_algos::device_config(algo, a.scale)));
+    // Installed first: the device starts from the observers installed
+    // by then.
     let _trace = TraceGuard::start(a.trace.clone());
+    let device = Arc::new(Device::new(ecl_algos::device_config(algo, a.scale)));
     println!(
         "input {} at scale {} (seed {}), device: {} SMs / {} threads",
         spec.name,
@@ -343,15 +345,13 @@ fn main() {
         );
         println!("\nmodeled cost: {:.0} units (max-over-shards + exchange)", stats.modeled_time);
     } else {
-        let profile = a.kernels.then(|| {
-            let profile = Arc::new(KernelProfile::new(Arc::clone(&device)));
-            (ecl_gpusim::observe::install(profile.clone()), profile)
-        });
+        let profile = a.kernels.then(|| Arc::new(KernelProfile::new(Arc::clone(&device))));
+        let attached = profile.as_ref().map(|p| device.observe(p.clone()));
         let (outcome, secs) = ecl_gpusim::run_timed(|| algo.run(&device, &views, &schedule));
         println!("\nECL-{title} in {secs:.3}s");
         print!("{}", ecl_bench::render_counters(&outcome, a.histogram));
-        if let Some((id, profile)) = profile {
-            ecl_gpusim::observe::uninstall(id);
+        drop(attached);
+        if let Some(profile) = profile {
             print!("\n{}", profile.render("per-kernel cost breakdown"));
         }
         print_cost(&device);

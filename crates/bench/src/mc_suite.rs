@@ -90,7 +90,7 @@ impl McEntryOutcome {
 
 /// The protocol-bearing harnesses that must be explored exhaustively
 /// at the CI bound, not merely come out clean.
-const EXHAUSTIVE: [&str; 9] = [
+const EXHAUSTIVE: [&str; 8] = [
     "pool-ticket-claim",
     "tally-fold",
     "counted-minmax",
@@ -99,7 +99,6 @@ const EXHAUSTIVE: [&str; 9] = [
     "serve-reactor-wakeup",
     "serve-reactor-handoff",
     "shard-superstep",
-    "sink-publish",
 ];
 
 /// The suite definition: all clean harnesses, then all fixtures.

@@ -1,7 +1,7 @@
-//! The tentpole guarantee of `ecl-prof`: with no observer installed,
-//! every launch in the simulator pays one relaxed atomic load for the
-//! sample decision — running an algorithm must be within noise of the
-//! pre-profiling baseline.
+//! The tentpole guarantee of `ecl-prof`: on a device with no observer
+//! attached, every launch in the simulator pays one relaxed load for
+//! the sample decision — running an algorithm must be within noise
+//! of the pre-profiling baseline.
 //!
 //! Mirrors `trace_overhead.rs`: timing comparisons in CI are noisy, so
 //! the assertions use generous multipliers and median-of-several-runs;
@@ -10,26 +10,23 @@
 
 #![allow(clippy::unwrap_used)]
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use ecl_cc::CcConfig;
-use ecl_prof::{sink, Collector};
+use ecl_prof::Collector;
 use ecl_profiling::ProfileMode;
 
 const SCALE: f64 = 0.002;
 
-/// The collector slot is process-global and the harness runs this
-/// file's tests on parallel threads: each holds this for its whole
-/// body, so the sibling's CC runs never land in the collector and
-/// "disabled" never times a run with the collector installed.
-static SINK_LOCK: Mutex<()> = Mutex::new(());
-
-fn median_cc_secs(g: &ecl_graph::Csr, runs: usize) -> f64 {
+/// The median wall time of `runs` CC runs, each on a fresh device with
+/// `collector` (if any) attached.
+fn median_cc_secs(g: &ecl_graph::Csr, runs: usize, collector: Option<&Arc<Collector>>) -> f64 {
     let cfg = CcConfig { mode: ProfileMode::Off, ..CcConfig::baseline() };
     let mut times: Vec<f64> = (0..runs)
         .map(|_| {
             let device = ecl_bench::scaled_device(SCALE);
+            let _attached = collector.map(|c| device.observe(c.clone()));
             let t0 = Instant::now();
             std::hint::black_box(ecl_cc::run(&device, g, &cfg));
             t0.elapsed().as_secs_f64()
@@ -41,29 +38,29 @@ fn median_cc_secs(g: &ecl_graph::Csr, runs: usize) -> f64 {
 
 #[test]
 fn disabled_profiling_overhead_on_cc_is_within_noise() {
-    let _sink = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let spec = ecl_graphgen::registry::find("as-skitter").expect("registered input");
     let g = spec.generate(SCALE, 42);
-    sink::uninstall(); // ensure the disabled path
 
-    // Direct bound on the observer slot's disabled guard: 10M checks
-    // must stay under 50 ns each. The real cost is a relaxed load
-    // (~1 ns); a regression that takes a lock or builds a sample per
-    // launch lands in the microseconds and fails by orders of
+    // Direct bound on the disabled guard of a device with no
+    // observers: 10M checks must stay under 50 ns each. A launch reads
+    // the device's set the way `find` does: one relaxed load when it is
+    // empty (~1 ns); a regression that takes a lock or builds a sample
+    // per launch lands in the microseconds and fails by orders of
     // magnitude.
+    let device = ecl_bench::scaled_device(SCALE);
     const CALLS: u32 = 10_000_000;
     let t0 = Instant::now();
     for _ in 0..CALLS {
-        std::hint::black_box(ecl_gpusim::observe::is_enabled());
+        std::hint::black_box(std::hint::black_box(&device).observers().find::<Collector>());
     }
     let per_call = t0.elapsed().as_secs_f64() / CALLS as f64;
     assert!(per_call < 50e-9, "disabled guard costs {:.1} ns/call", per_call * 1e9);
 
     // End-to-end: a CC run on the disabled path must sit within noise
     // of an identical back-to-back batch.
-    let warmup = median_cc_secs(&g, 2);
-    let baseline = median_cc_secs(&g, 5);
-    let rerun = median_cc_secs(&g, 5);
+    let warmup = median_cc_secs(&g, 2, None);
+    let baseline = median_cc_secs(&g, 5, None);
+    let rerun = median_cc_secs(&g, 5, None);
     let _ = warmup;
     assert!(
         rerun <= baseline * 3.0 + 0.05,
@@ -73,20 +70,16 @@ fn disabled_profiling_overhead_on_cc_is_within_noise() {
 
 #[test]
 fn enabled_profiling_captures_cc_kernels_within_budget() {
-    let _sink = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let spec = ecl_graphgen::registry::find("as-skitter").expect("registered input");
     let g = spec.generate(SCALE, 42);
 
     let disabled = {
-        sink::uninstall();
-        median_cc_secs(&g, 2); // warm-up
-        median_cc_secs(&g, 5)
+        median_cc_secs(&g, 2, None); // warm-up
+        median_cc_secs(&g, 5, None)
     };
 
     let collector = Arc::new(Collector::new());
-    sink::install(Arc::clone(&collector));
-    let enabled = median_cc_secs(&g, 5);
-    sink::uninstall();
+    let enabled = median_cc_secs(&g, 5, Some(&collector));
 
     // CC launches 5 kernels per run (init, three compute bins,
     // finalize); 5 profiled runs were recorded above.

@@ -27,27 +27,28 @@ pub fn connected_components(
     // shortcut stores that only ever rewrite a label to an equal-or-
     // smaller representative already reachable from it.
     let nstat = CheckedSlice::benign(
+        device,
         "cc.nstat",
         &nstat,
         "monotonic label hooking + pointer jumping: stale reads only delay convergence (§2.1)",
     );
-    phase_span("init", || init(device, g, config, counters, &nstat));
+    phase_span(device, "init", || init(device, g, config, counters, &nstat));
 
     let (low, medium, high) = partition_by_degree(g, config);
     // Group widths mirror ECL-CC's thread/warp/block specialization:
     // low-degree vertices get one thread, medium a warp-sized group,
     // high a block-sized group cooperating on the adjacency list.
-    phase_span("compute-low", || {
+    phase_span(device, "compute-low", || {
         compute(device, "cc.compute-low", g, config, counters, &nstat, &low, 1)
     });
-    phase_span("compute-medium", || {
+    phase_span(device, "compute-medium", || {
         compute(device, "cc.compute-medium", g, config, counters, &nstat, &medium, 32)
     });
-    phase_span("compute-high", || {
+    phase_span(device, "compute-high", || {
         compute(device, "cc.compute-high", g, config, counters, &nstat, &high, 256)
     });
 
-    phase_span("finalize", || finalize(device, g, config, &nstat));
+    phase_span(device, "finalize", || finalize(device, g, config, &nstat));
     nstat.iter().map(|a| a.load()).collect()
 }
 

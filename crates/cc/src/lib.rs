@@ -307,9 +307,9 @@ mod tests {
         let g = ecl_graphgen::random::erdos_renyi(2000, 6.0, 7);
         let device = std::sync::Arc::new(device());
         let profile = std::sync::Arc::new(ecl_gpusim::KernelProfile::new(device.clone()));
-        let id = ecl_gpusim::observe::install(profile.clone());
+        let attached = device.observe(profile.clone());
         let r = run(&device, &g, &CcConfig::baseline());
-        ecl_gpusim::observe::uninstall(id);
+        drop(attached);
         assert_eq!(r.labels, ecl_ref::connected_components(&g));
         // All five phases recorded, and together they are the run.
         let records = profile.records();

@@ -1,20 +1,17 @@
 //! The checker: an [`Observer`] wiring shadow memory and the lint
 //! rules to the simulator's hooks, plus the [`CheckSession`] RAII
-//! wrapper that installs it.
+//! wrapper that attaches it to one [`Device`].
 //!
-//! One session checks one [`Device`]: launches on other devices are
-//! not tracked and stay invisible, which keeps the process-global
-//! observer slot safe under a parallel test runner. Sessions in one
-//! process serialize on an internal lock: attribution keys on the one
-//! per-thread agent, so two concurrent sessions cannot both own it.
+//! One session checks one device: it sees that device's launches and
+//! no other's, so sessions on different devices run side by side.
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ecl_gpusim::check::{self, AccessKind, Agent, LaunchShape};
-use ecl_gpusim::observe::{self, Launch, Observer, ObserverId, Wants};
+use ecl_gpusim::check::{AccessKind, Agent, LaunchShape};
+use ecl_gpusim::observe::{self, Attached, Launch, Observer, Wants};
 use ecl_gpusim::{CostKind, Device, LaunchConfig};
 use ecl_profiling::LaunchSample;
 
@@ -91,7 +88,6 @@ static GLOBAL_EPOCH: AtomicU64 = AtomicU64::new(0);
 
 /// The shared checker state; implements [`Observer`].
 pub(crate) struct CheckerShared {
-    device: usize,
     config: CheckConfig,
     shadow: ShadowMemory,
     regions: Mutex<Vec<RegionInfo>>,
@@ -122,9 +118,8 @@ thread_local! {
 }
 
 impl CheckerShared {
-    fn new(device: usize, config: CheckConfig) -> Self {
+    fn new(config: CheckConfig) -> Self {
         Self {
-            device,
             config,
             shadow: ShadowMemory::new(),
             regions: Mutex::new(Vec::new()),
@@ -246,10 +241,7 @@ impl Observer for CheckerShared {
     }
 
     fn launch_begin(&self, launch: &Launch<'_>) -> bool {
-        let Launch { device, config, name, shape, cfg } = *launch;
-        if device != self.device {
-            return false;
-        }
+        let Launch { config, name, shape, cfg } = *launch;
         self.launches.fetch_add(1, Ordering::Relaxed);
         self.launch_index.fetch_add(1, Ordering::Relaxed);
         // A fresh process-globally-unique epoch: stale TOUCH_MEMO and
@@ -290,10 +282,7 @@ impl Observer for CheckerShared {
         true
     }
 
-    fn launch_end(&self, launch: &Launch<'_>, _tracked: bool, _sample: Option<&LaunchSample>) {
-        if launch.device != self.device {
-            return;
-        }
+    fn launch_end(&self, _launch: &Launch<'_>, _tracked: bool, _sample: Option<&LaunchSample>) {
         let Some(st) = self.state().take() else { return };
         // over-launch: grid sized far beyond the blocks that touched
         // work. Persistent grids are exempt — sizing to the hardware
@@ -447,63 +436,33 @@ impl Observer for CheckerShared {
     }
 }
 
-static SESSION_LOCK: Mutex<()> = Mutex::new(());
-static ACTIVE: Mutex<Option<Arc<CheckerShared>>> = Mutex::new(None);
-
-/// The checker of the currently active session, if any (used by
-/// region registration).
-pub(crate) fn active() -> Option<Arc<CheckerShared>> {
-    ACTIVE.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
 /// An active check session over one device. Created with
 /// [`CheckSession::begin`]; consumed by [`CheckSession::finish`],
-/// which returns the [`Report`]. Dropping without `finish` uninstalls
+/// which returns the [`Report`]. Dropping without `finish` detaches
 /// cleanly and discards the findings.
-///
-/// Sessions serialize process-wide (the simulator's observer slot and
-/// per-thread agent are global); launches on devices other than the
-/// session's stay untracked, so unrelated concurrent tests are
-/// unaffected.
-pub struct CheckSession {
+pub struct CheckSession<'d> {
     shared: Arc<CheckerShared>,
-    installed: Option<(ObserverId, MutexGuard<'static, ()>)>,
+    attached: Attached<'d>,
 }
 
-impl CheckSession {
+impl<'d> CheckSession<'d> {
     /// Starts checking `device` with default thresholds.
-    pub fn begin(device: &Device) -> Self {
+    pub fn begin(device: &'d Device) -> Self {
         Self::with_config(device, CheckConfig::default())
     }
 
     /// Starts checking `device` with custom thresholds.
-    pub fn with_config(device: &Device, config: CheckConfig) -> Self {
-        let guard = SESSION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let shared = Arc::new(CheckerShared::new(check::device_id(device), config));
-        *ACTIVE.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&shared));
-        let id = observe::install(shared.clone());
-        Self { shared, installed: Some((id, guard)) }
+    pub fn with_config(device: &'d Device, config: CheckConfig) -> Self {
+        let shared = Arc::new(CheckerShared::new(config));
+        let attached = device.observe(shared.clone());
+        Self { shared, attached }
     }
 
     /// Stops checking and returns the findings.
-    pub fn finish(mut self) -> Report {
-        self.teardown();
-        self.shared.finish()
-    }
-
-    fn teardown(&mut self) {
-        // The guard is bound for the whole block: the next session
-        // must not install before this one has uninstalled.
-        if let Some((id, _guard)) = self.installed.take() {
-            observe::uninstall(id);
-            *ACTIVE.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        }
-    }
-}
-
-impl Drop for CheckSession {
-    fn drop(&mut self) {
-        self.teardown();
+    pub fn finish(self) -> Report {
+        let CheckSession { shared, attached } = self;
+        drop(attached);
+        shared.finish()
     }
 }
 

@@ -16,7 +16,7 @@ use crate::region::CheckedSlice;
 /// every cell is written by 8 distinct agents in one epoch.
 pub fn racy_write_write(device: &Device) {
     let cells = atomic_u32_array(8, |_| 0);
-    let cells = CheckedSlice::new("fixture.ww-cells", &cells);
+    let cells = CheckedSlice::new(device, "fixture.ww-cells", &cells);
     launch_flat_named(device, "fixture.ww-race", LaunchConfig::new(4, 16), |t| {
         cells[t.global % 8].store(t.global as u32);
     });
@@ -26,7 +26,7 @@ pub fn racy_write_write(device: &Device) {
 /// also writes it non-atomically.
 pub fn racy_read_write(device: &Device) {
     let cells = atomic_u32_array(4, |_| 7);
-    let cells = CheckedSlice::new("fixture.rw-cells", &cells);
+    let cells = CheckedSlice::new(device, "fixture.rw-cells", &cells);
     launch_flat_named(device, "fixture.rw-race", LaunchConfig::new(2, 16), |t| {
         let v = cells[0].load();
         if t.global == 0 {
@@ -40,6 +40,7 @@ pub fn racy_read_write(device: &Device) {
 pub fn benign_racy_write_write(device: &Device) {
     let cells = atomic_u32_array(8, |_| 0);
     let cells = CheckedSlice::benign(
+        device,
         "fixture.benign-cells",
         &cells,
         "all writers store the same value; last-write-wins is the algorithm",
@@ -54,7 +55,7 @@ pub fn benign_racy_write_write(device: &Device) {
 /// ECL-MST's stale `cover(worklist_capacity)` launches (§6.3).
 pub fn over_launched(device: &Device) {
     let cells = atomic_u32_array(16, |_| 0);
-    let cells = CheckedSlice::new("fixture.ol-cells", &cells);
+    let cells = CheckedSlice::new(device, "fixture.ol-cells", &cells);
     launch_flat_named(device, "fixture.over-launch", LaunchConfig::new(8, 32), |t| {
         if t.global < 16 {
             cells[t.global].store(1);
@@ -66,7 +67,7 @@ pub fn over_launched(device: &Device) {
 /// work, every cell has exactly one writer — clean under all rules.
 pub fn exactly_launched(device: &Device) {
     let cells = atomic_u32_array(16, |_| 0);
-    let cells = CheckedSlice::new("fixture.el-cells", &cells);
+    let cells = CheckedSlice::new(device, "fixture.el-cells", &cells);
     launch_flat_named(device, "fixture.exact-launch", LaunchConfig::cover(16, 8), |t| {
         if t.global < 16 {
             cells[t.global].store(1);
@@ -102,7 +103,7 @@ pub fn uniform_sync(device: &Device) {
 /// ECL-SCC oversized-block signal (§6.2.1).
 pub fn sync_storm(device: &Device) {
     let cells = atomic_u32_array(4, |_| 0);
-    let cells = CheckedSlice::new("fixture.storm-cells", &cells);
+    let cells = CheckedSlice::new(device, "fixture.storm-cells", &cells);
     launch_blocks_named(device, "fixture.sync-storm", LaunchConfig::new(4, 64), |blk| {
         for round in 0..50u32 {
             cells[blk.block].fetch_max(round + 1, None);
@@ -115,7 +116,7 @@ pub fn sync_storm(device: &Device) {
 /// update each round, so barrier slots are fully utilized — clean.
 pub fn busy_sync(device: &Device) {
     let cells = atomic_u32_array(4 * 64, |_| 0);
-    let cells = CheckedSlice::new("fixture.busy-cells", &cells);
+    let cells = CheckedSlice::new(device, "fixture.busy-cells", &cells);
     launch_blocks_named(device, "fixture.busy-sync", LaunchConfig::new(4, 64), |blk| {
         for round in 0..50u32 {
             for t in blk.threads() {
@@ -132,7 +133,7 @@ pub fn busy_sync(device: &Device) {
 /// — the Table 6 block-size cliff).
 pub fn low_occupancy(device: &Device) {
     let cells = atomic_u32_array(2048, |_| 0);
-    let cells = CheckedSlice::new("fixture.occ-cells", &cells);
+    let cells = CheckedSlice::new(device, "fixture.occ-cells", &cells);
     launch_flat_named(device, "fixture.low-occupancy", LaunchConfig::new(2, 1024), |t| {
         cells[t.global].store(1);
     });

@@ -19,12 +19,12 @@
 //!   rules ([`Rule`]): `over-launch`, `block-sync-waste`,
 //!   `occupancy`, `divergent-sync`.
 //!
-//! A [`CheckSession`] installs the checker over one `Device`; kernels
+//! A [`CheckSession`] attaches the checker to one `Device`; kernels
 //! need no changes beyond naming their launches
-//! (`launch_flat_named`) and optionally declaring regions. Findings
-//! fold by (rule, kernel, region) into a [`Report`] and are mirrored
-//! as `EventKind::CheckFinding` trace events so they appear in the
-//! `ecl-trace` timelines.
+//! (`launch_flat_named`) and optionally declaring regions on the
+//! device. Findings fold by (rule, kernel, region) into a [`Report`]
+//! and are mirrored as `EventKind::CheckFinding` trace events so they
+//! appear in the `ecl-trace` timelines.
 //!
 //! ```
 //! use ecl_check::{run_checked, CheckedSlice, Rule};
@@ -33,7 +33,7 @@
 //! let device = Device::test_small();
 //! let ((), report) = run_checked(&device, || {
 //!     let cells = atomic_u32_array(4, |_| 0);
-//!     let cells = CheckedSlice::new("demo.cells", &cells);
+//!     let cells = CheckedSlice::new(&device, "demo.cells", &cells);
 //!     launch_flat_named(&device, "demo.k", LaunchConfig::new(2, 8), |t| {
 //!         cells[t.global % 4].store(1); // 4 writers per cell: a W/W race
 //!     });

@@ -11,12 +11,15 @@
 //! resets) pass the checker while a genuinely unintended race on any
 //! other array still fails the suite.
 //!
-//! Registration is a no-op when no check session is active, so kernels
-//! can declare their regions unconditionally.
+//! Registration is a no-op when no check session is attached to the
+//! device, so kernels can declare their regions unconditionally.
 
 use std::ops::Deref;
+use std::sync::{Arc, Weak};
 
-use crate::checker;
+use ecl_gpusim::Device;
+
+use crate::checker::CheckerShared;
 
 /// Metadata of one registered region.
 #[derive(Clone, Debug)]
@@ -46,32 +49,30 @@ impl RegionInfo {
     }
 }
 
-/// Registration receipt: unregisters the region (from the session
-/// that is active at drop time, if any) when dropped. Holding one
-/// does not borrow the slice — the caller keeps the backing storage
-/// alive for the handle's lifetime; a stale region would only mislabel
-/// findings, never cause unsafety.
+/// Registration receipt: unregisters the region from the session it
+/// was registered with (if that session is still running) when
+/// dropped. Holding one does not borrow the slice — the caller keeps
+/// the backing storage alive for the handle's lifetime; a stale region
+/// would only mislabel findings, never cause unsafety.
 #[derive(Debug)]
 pub struct RegionHandle {
     base: usize,
-    registered: bool,
+    checker: Option<Weak<CheckerShared>>,
 }
 
 impl Drop for RegionHandle {
     fn drop(&mut self) {
-        if self.registered {
-            if let Some(checker) = checker::active() {
-                checker.unregister_region(self.base);
-            }
+        if let Some(checker) = self.checker.as_ref().and_then(Weak::upgrade) {
+            checker.unregister_region(self.base);
         }
     }
 }
 
-fn register<T>(name: &str, slice: &[T], benign: Option<&str>) -> RegionHandle {
-    let Some(checker) = checker::active() else {
-        return RegionHandle { base: 0, registered: false };
-    };
+fn register<T>(device: &Device, name: &str, slice: &[T], benign: Option<&str>) -> RegionHandle {
     let base = slice.as_ptr() as usize;
+    let Some(checker) = device.observers().find::<CheckerShared>() else {
+        return RegionHandle { base, checker: None };
+    };
     checker.register_region(RegionInfo {
         base,
         end: base + std::mem::size_of_val(slice),
@@ -79,20 +80,25 @@ fn register<T>(name: &str, slice: &[T], benign: Option<&str>) -> RegionHandle {
         name: name.to_string(),
         benign: benign.map(str::to_string),
     });
-    RegionHandle { base, registered: true }
+    RegionHandle { base, checker: Some(Arc::downgrade(&checker)) }
 }
 
-/// Registers `slice` as a named region for findings attribution.
-/// Useful when the slice lives inside a struct that outlives the
-/// borrow (see [`CheckedSlice`] for the view-style API).
-pub fn register_region<T>(name: &str, slice: &[T]) -> RegionHandle {
-    register(name, slice, None)
+/// Registers `slice` as a named region with the session checking
+/// `device`, for findings attribution. Useful when the slice lives in a
+/// struct that outlives the borrow ([`CheckedSlice`] is the view API).
+pub fn register_region<T>(device: &Device, name: &str, slice: &[T]) -> RegionHandle {
+    register(device, name, slice, None)
 }
 
 /// Registers `slice` as a *benign* region: race findings on it are
 /// suppressed with `why` recorded as the justification.
-pub fn register_benign_region<T>(name: &str, slice: &[T], why: &str) -> RegionHandle {
-    register(name, slice, Some(why))
+pub fn register_benign_region<T>(
+    device: &Device,
+    name: &str,
+    slice: &[T],
+    why: &str,
+) -> RegionHandle {
+    register(device, name, slice, Some(why))
 }
 
 /// A checked view of a slice: registers the slice as a named region
@@ -107,15 +113,16 @@ pub struct CheckedSlice<'a, T> {
 }
 
 impl<'a, T> CheckedSlice<'a, T> {
-    /// A checked view of `slice` named `name`.
-    pub fn new(name: &str, slice: &'a [T]) -> Self {
-        Self { inner: slice, _handle: register_region(name, slice) }
+    /// A checked view of `slice` named `name`, registered with the
+    /// session checking `device`.
+    pub fn new(device: &Device, name: &str, slice: &'a [T]) -> Self {
+        Self { inner: slice, _handle: register_region(device, name, slice) }
     }
 
     /// A checked view whose races are suppressed as benign, with
     /// `why` recorded as the justification (the allowlist attribute).
-    pub fn benign(name: &str, slice: &'a [T], why: &str) -> Self {
-        Self { inner: slice, _handle: register_benign_region(name, slice, why) }
+    pub fn benign(device: &Device, name: &str, slice: &'a [T], why: &str) -> Self {
+        Self { inner: slice, _handle: register_benign_region(device, name, slice, why) }
     }
 }
 
@@ -142,13 +149,14 @@ mod tests {
 
     #[test]
     fn checked_slice_derefs_without_session() {
-        // No active session: registration is a no-op but the view
-        // still works.
+        // No session on the device: registration is a no-op but the
+        // view still works.
+        let device = Device::test_small();
         let data = [1u32, 2, 3];
-        let view = CheckedSlice::new("t.data", &data);
+        let view = CheckedSlice::new(&device, "t.data", &data);
         assert_eq!(view[1], 2);
         assert_eq!(view.len(), 3);
-        let benign = CheckedSlice::benign("t.data2", &data, "test");
+        let benign = CheckedSlice::benign(&device, "t.data2", &data, "test");
         assert_eq!(benign.iter().sum::<u32>(), 6);
     }
 }

@@ -109,13 +109,10 @@ fn findings_become_trace_events() {
         events_per_slot: 4096,
         clock: ClockMode::Logical,
     }));
-    // The tracer is process-global: install it only while this test
-    // owns the session lock, so no sibling's finding lands in its ring.
     let device = Device::test_small();
+    let _traced = device.observe(tracer.clone());
     let session = CheckSession::begin(&device);
-    ecl_trace::sink::install(Arc::clone(&tracer));
     fixtures::racy_write_write(&device);
-    ecl_trace::sink::uninstall();
     let report = session.finish();
     assert!(report.has(Rule::WriteWriteRace));
     let snap = tracer.snapshot();
@@ -147,4 +144,49 @@ fn session_counters_cover_launches_and_accesses() {
     });
     assert_eq!(report.launches, 2);
     assert!(report.accesses >= 16, "16 stores in exactly_launched: {}", report.accesses);
+}
+
+/// Two sessions on two devices, open at the same time, each running
+/// its kernel while the other runs its own: each report holds its own
+/// device's findings and launches only. The threads wait for each
+/// other with a timeout, so a second session that cannot open while
+/// the first is running fails the test instead of hanging it.
+#[test]
+fn sessions_on_two_devices_overlap_and_keep_their_own_findings() {
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::time::Duration;
+
+    const RUNS: u64 = 10;
+    const WAIT: Duration = Duration::from_secs(20);
+    fn session(kernel: fn(&Device), tx: Sender<()>, rx: Receiver<()>) -> ecl_check::Report {
+        let device = Device::test_small();
+        let session = CheckSession::begin(&device);
+        let _ = tx.send(());
+        rx.recv_timeout(WAIT).expect("the other session never opened alongside this one");
+        for _ in 0..RUNS {
+            kernel(&device);
+        }
+        let _ = tx.send(());
+        rx.recv_timeout(WAIT).expect("the other session never finished its kernels");
+        session.finish()
+    }
+
+    let (to_racy, racy_rx) = channel();
+    let (to_clean, clean_rx) = channel();
+    let (racy, clean) = std::thread::scope(|s| {
+        let racy = s.spawn(|| session(fixtures::racy_write_write, to_clean, racy_rx));
+        let clean = s.spawn(|| session(fixtures::exactly_launched, to_racy, clean_rx));
+        (racy.join().expect("racy session"), clean.join().expect("clean session"))
+    });
+
+    assert_eq!(racy.launches, RUNS);
+    let hits = racy.of_rule(Rule::WriteWriteRace);
+    assert_eq!(hits.len(), 1, "{racy:?}");
+    assert_eq!(hits[0].kernel, "fixture.ww-race");
+    assert_eq!(hits[0].count, 8 * RUNS, "8 racing cells per launch");
+    assert_eq!(racy.findings.len(), 1, "only the race: {racy:?}");
+
+    assert_eq!(clean.launches, RUNS);
+    assert_eq!(clean.accesses, 16 * RUNS, "16 stores per launch");
+    assert!(clean.is_clean() && clean.suppressed.is_empty(), "{clean:?}");
 }

@@ -38,7 +38,6 @@ pub mod metrics;
 pub mod runs;
 pub mod sample;
 pub mod series;
-pub mod sink;
 pub mod sketch;
 pub mod stats;
 mod stripe;
@@ -51,7 +50,6 @@ pub use metrics::{imbalance_from_summary, ActivityTally};
 pub use runs::MultiRun;
 pub use sample::{LaunchSample, WorkerStat};
 pub use series::{BlockSeries, IterationBars};
-pub use sink::Sink;
 pub use sketch::{LogSketch, SketchSnapshot, SKETCH_BUCKETS};
 pub use stats::{pearson, Summary};
 pub use table::Table;

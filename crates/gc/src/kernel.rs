@@ -34,7 +34,7 @@ pub fn color(device: &Device, g: &Csr, config: &GcConfig) -> GcResult {
 
     // Initialization stage: LDF priorities, DAG in-degrees, and the
     // possible-color bitmaps of indegree + 1 bits each (§2.2).
-    ecl_gpusim::observe::phase_start("init");
+    ecl_gpusim::observe::phase_start(device, "init");
     let in_degrees = priority::dag_in_degrees(g);
     let layout = BitmapLayout::new(&in_degrees);
     let poss = layout.allocate();
@@ -46,7 +46,7 @@ pub fn color(device: &Device, g: &Csr, config: &GcConfig) -> GcResult {
         colors: atomic_u32_array(n, |_| UNCOLORED),
         arc_active: atomic_u8_array(g.num_arcs(), |_| 1),
     };
-    ecl_gpusim::observe::phase_end("init");
+    ecl_gpusim::observe::phase_end(device, "init");
     // Region declarations for the sanitizer. The bitmaps and colors
     // race by construction: neighbors probe v's possible set while v
     // clears bits monotonically, and the single UNCOLORED->color store
@@ -54,16 +54,18 @@ pub fn color(device: &Device, g: &Csr, config: &GcConfig) -> GcResult {
     // owning endpoint's thread, so they are registered *non*-benign —
     // any conflict there is a real bug.
     let _poss = register_benign_region(
+        device,
         "gc.poss",
         &state.poss,
         "possible-color bitmaps shrink monotonically; stale reads only defer coloring (§2.2)",
     );
     let _colors = register_benign_region(
+        device,
         "gc.colors",
         &state.colors,
         "single UNCOLORED->color store per vertex; readers tolerate staleness (§2.2)",
     );
-    let _arcs = register_region("gc.arc-active", &state.arc_active);
+    let _arcs = register_region(device, "gc.arc-active", &state.arc_active);
 
     // Coloring stage: rounds over the shrinking uncolored worklist,
     // split into the small and large kernels by degree.
@@ -71,8 +73,8 @@ pub fn color(device: &Device, g: &Csr, config: &GcConfig) -> GcResult {
     let mut rounds = 0u32;
     while !worklist.is_empty() {
         rounds += 1;
-        ecl_gpusim::observe::round(rounds);
-        ecl_gpusim::observe::phase_start("color-round");
+        ecl_gpusim::observe::round(device, rounds);
+        ecl_gpusim::observe::phase_start(device, "color-round");
         let (small, large): (Vec<u32>, Vec<u32>) =
             worklist.iter().partition(|&&v| g.degree(v) <= LARGE_DEGREE);
         run_kernel(device, "gc.color-small", &state, config, &counters, &small);
@@ -82,7 +84,7 @@ pub fn color(device: &Device, g: &Csr, config: &GcConfig) -> GcResult {
         if counters.enabled() {
             counters.uncolored_per_round.push(worklist.len() as u64);
         }
-        ecl_gpusim::observe::phase_end("color-round");
+        ecl_gpusim::observe::phase_end(device, "color-round");
         assert!(
             worklist.len() < before,
             "coloring made no progress in round {rounds} — DAG invariant violated"

@@ -16,8 +16,8 @@ use std::sync::Arc;
 use ecl_check::Rule;
 
 use crate::harnesses::{
-    counted_minmax, drain, finish_path, observer_list_publish, reactor_handoff, reactor_wakeup,
-    shard_superstep, tally_fold, Reclaim,
+    counted_minmax, drain, finish_path, reactor_handoff, reactor_wakeup, shard_superstep,
+    tally_fold,
 };
 use crate::shim::atomic::McAtomicU64;
 use crate::shim::cell::McCell;
@@ -81,18 +81,6 @@ pub const ALL: &[FixtureEntry] = &[
         name: "shard-flush-before-barrier",
         about: "superstep flushes when its own claims run out: a shard still writes its row",
         run: shard_flush_before_barrier,
-        expect: Rule::McRace,
-    },
-    FixtureEntry {
-        name: "sink-free-on-replace",
-        about: "observer slot frees the list an install replaces: an in-flight emitter walks it",
-        run: sink_free_on_replace,
-        expect: Rule::McRace,
-    },
-    FixtureEntry {
-        name: "observer-list-free-on-republish",
-        about: "observer fan-out frees every replaced list: an in-flight emitter walks it",
-        run: observer_list_free_on_republish,
         expect: Rule::McRace,
     },
     FixtureEntry {
@@ -180,20 +168,6 @@ pub fn reactor_handoff_no_recheck() {
 /// would lose or half-deliver that shard's messages.
 pub fn shard_flush_before_barrier() {
     shard_superstep(false);
-}
-
-/// The observer slot's `Sink` without its retired list: an install
-/// frees the list it publishes over while an emitter that already
-/// loaded the old pointer walks it — nothing orders the two, a
-/// use-after-free on real storage and a data race here.
-pub fn sink_free_on_replace() {
-    observer_list_publish(Reclaim::FreeOnReplace);
-}
-
-/// The observer fan-out freeing every list it republishes over, the
-/// last uninstall's included — a data race on the list.
-pub fn observer_list_free_on_republish() {
-    observer_list_publish(Reclaim::FreeOnRepublish);
 }
 
 /// The block-local cost tally folded one statement too late: after

@@ -7,10 +7,6 @@
 //! [`ecl_serve::jobs::JobState::can_become`],
 //! [`ecl_serve::cache::result_key`]).
 //!
-//! The one process-global observer slot (`ecl_gpusim::observe`, a
-//! `Sink<ObserverList>`) is covered by `sink-publish`: two installs and
-//! an uninstall republish the list while an emitter walks it.
-//!
 //! Each harness recreates all shared state per invocation (the
 //! explorer runs it once per schedule) and encodes its correctness
 //! contract as plain `assert!`s; memory-ordering bugs surface as
@@ -102,11 +98,6 @@ pub const ALL: &[HarnessEntry] = &[
         name: "shard-superstep",
         about: "shards write their own outbox rows, the pool's countdown is the barrier, then one flush",
         run: shard_superstep_clean,
-    },
-    HarnessEntry {
-        name: "sink-publish",
-        about: "observer fan-out: two installs and an uninstall vs. an emitter walking the list",
-        run: observer_list_publish_clean,
     },
 ];
 
@@ -847,133 +838,4 @@ pub fn shard_superstep(flush_after_barrier: bool) {
 /// The clean superstep (flush after the barrier).
 pub fn shard_superstep_clean() {
     shard_superstep(true);
-}
-
-/// How a republish reclaims the list it replaces.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub enum Reclaim {
-    /// Retired, never freed: the production slot.
-    Retire,
-    /// Freed when an install publishes over it — `Sink<T>` without its
-    /// retired list.
-    FreeOnReplace,
-    /// Freed on every republish, the last uninstall included.
-    FreeOnRepublish,
-}
-
-/// Shared body for the observer-slot harness and its seeded-defect
-/// fixtures: the fan-out slot of `ecl_gpusim::observe`, a
-/// `ecl_profiling::Sink<ObserverList>` whose payload is an immutable
-/// list of observers. Two threads each construct an observer and
-/// `install` it — read the published list under the registry mutex,
-/// build its successor with the observer appended, publish it
-/// (`SeqCst` disable → pointer → enable) — and the second thread then
-/// `uninstall`s its own, republishing the list without it. An emitter
-/// meanwhile runs one hook with no lock at all, as a launch in flight
-/// does: `Relaxed` guard, `Acquire` pointer load, then it walks the
-/// list and reads every member.
-///
-/// Lists and observers are plain cells, so the contract is checked
-/// twice: the emitter asserts it walked a fully built list of fully
-/// built observers (the current list or a retired one, never
-/// torn-down storage), and any read the `SeqCst` pointer publish does
-/// not order is a data race.
-///
-/// Freeing a replaced list ([`Reclaim`]) is the defect the slot's
-/// retired list exists to exclude: an emitter that loaded the old
-/// pointer may still be walking it.
-pub fn observer_list_publish(reclaim: Reclaim) {
-    const OBSERVERS: [u32; 2] = [11, 22];
-    // A list is a bitmask of members; a published list is never empty
-    // (the last uninstall disables the slot), so 0 marks a freed list.
-    const FREED: u32 = 0;
-    let enabled = Arc::new(McAtomicBool::new("observe.enabled", false));
-    // 0 is the null pointer; `i + 1` points at `lists[i]`.
-    let ptr = Arc::new(McAtomicUsize::new("observe.ptr", 0));
-    // (published list, next unused list slot), as the registry mutex
-    // guards them.
-    let registry = Arc::new(McMutex::new("observe.registry", (0usize, 0usize)));
-    let lists: Arc<Vec<McCell<u32>>> =
-        Arc::new((0..3).map(|i| McCell::new(&format!("observe.list[{i}]"), FREED)).collect());
-    let observers: Arc<Vec<McCell<u32>>> =
-        Arc::new((0..2).map(|i| McCell::new(&format!("observe.member[{i}]"), FREED)).collect());
-
-    let owner = |me: usize, then_uninstall: bool| {
-        let enabled = Arc::clone(&enabled);
-        let ptr = Arc::clone(&ptr);
-        let registry = Arc::clone(&registry);
-        let lists = Arc::clone(&lists);
-        let observers = Arc::clone(&observers);
-        thread::spawn(&format!("owner{me}"), move || {
-            // Publishes `members` in place of the current list.
-            let republish = |members: &dyn Fn(u32) -> u32| {
-                let mut reg = registry.lock();
-                let (current, next) = *reg;
-                let old = if current == 0 { 0 } else { lists[current - 1].read() };
-                let new = members(old);
-                if new != 0 {
-                    // The successor is built before it is published.
-                    lists[next].write(new);
-                }
-                enabled.store(false, Ordering::SeqCst);
-                let free = match reclaim {
-                    Reclaim::Retire => false,
-                    Reclaim::FreeOnReplace => new != 0,
-                    Reclaim::FreeOnRepublish => true,
-                };
-                if free && current != 0 {
-                    // Defect: the replaced list is freed, not retired.
-                    lists[current - 1].write(FREED);
-                }
-                if new == 0 {
-                    ptr.store(0, Ordering::SeqCst);
-                    *reg = (0, next);
-                } else {
-                    ptr.store(next + 1, Ordering::SeqCst);
-                    *reg = (next + 1, next + 1);
-                    enabled.store(true, Ordering::SeqCst);
-                }
-            };
-            // The caller builds its observer before installing it.
-            observers[me].write(OBSERVERS[me]);
-            republish(&|old| old | 1 << me);
-            if then_uninstall {
-                republish(&|old| old & !(1 << me));
-            }
-        })
-    };
-    let first = owner(0, false);
-    let second = owner(1, true);
-
-    let emitter = {
-        let enabled = Arc::clone(&enabled);
-        let ptr = Arc::clone(&ptr);
-        let lists = Arc::clone(&lists);
-        let observers = Arc::clone(&observers);
-        thread::spawn("emitter", move || {
-            if !enabled.load(Ordering::Relaxed) {
-                return;
-            }
-            let p = ptr.load(Ordering::Acquire);
-            if p == 0 {
-                return;
-            }
-            let members = lists[p - 1].read();
-            assert_ne!(members, FREED, "emitter walked a freed observer list");
-            for (i, want) in OBSERVERS.iter().enumerate() {
-                if members & 1 << i != 0 {
-                    assert_eq!(observers[i].read(), *want, "emitter reached an unbuilt observer");
-                }
-            }
-        })
-    };
-
-    first.join();
-    second.join();
-    emitter.join();
-}
-
-/// The clean observer slot (replaced lists retired, never freed).
-pub fn observer_list_publish_clean() {
-    observer_list_publish(Reclaim::Retire);
 }

@@ -28,11 +28,12 @@ pub fn maximal_independent_set(device: &Device, g: &Csr, config: &MisConfig) -> 
     // (undecided -> in/out) and all writers of a cell agree on the
     // direction, so plain stores replace synchronization.
     let stat = CheckedSlice::benign(
+        device,
         "mis.stat",
         &stat,
         "monotonic status bytes: undecided->in/out transitions commute (§2.3)",
     );
-    ecl_gpusim::observe::phase_start("init");
+    ecl_gpusim::observe::phase_start(device, "init");
     launch_persistent_named(device, "mis.init", |t| {
         if t.global >= num_threads {
             device.charge(CostKind::IdleCheck, 1);
@@ -50,7 +51,7 @@ pub fn maximal_independent_set(device: &Device, g: &Csr, config: &MisConfig) -> 
             counters.assigned.add(t.global, assigned);
         }
     });
-    ecl_gpusim::observe::phase_end("init");
+    ecl_gpusim::observe::phase_end(device, "init");
 
     // Selection: each round every persistent thread makes one pass
     // over its still-undecided vertices; the asynchronous CUDA kernel
@@ -70,8 +71,8 @@ pub fn maximal_independent_set(device: &Device, g: &Csr, config: &MisConfig) -> 
     let mut rounds = 0u32;
     loop {
         rounds += 1;
-        ecl_gpusim::observe::round(rounds);
-        ecl_gpusim::observe::phase_start("selection-round");
+        ecl_gpusim::observe::round(device, rounds);
+        ecl_gpusim::observe::phase_start(device, "selection-round");
         let any_undecided = AtomicBool::new(false);
         launch_persistent_named(device, "mis.selection", |t| {
             if t.global >= num_threads {
@@ -132,7 +133,7 @@ pub fn maximal_independent_set(device: &Device, g: &Csr, config: &MisConfig) -> 
             let undecided = stat.iter().filter(|s| status::undecided(s.load())).count();
             counters.undecided_per_round.push(undecided as u64);
         }
-        ecl_gpusim::observe::phase_end("selection-round");
+        ecl_gpusim::observe::phase_end(device, "selection-round");
         if !any_undecided.load(Ordering::Relaxed) {
             break;
         }

@@ -69,7 +69,7 @@ pub fn minimum_spanning_forest(device: &Device, g: &WeightedCsr, config: &MstCon
 
     let mut state = State {
         device,
-        uf: GpuUnionFind::new(n),
+        uf: GpuUnionFind::new(device, n),
         best: atomic_u64_array(n, |_| NONE_KEY),
         attempts: atomic_u64_array(n, |_| 0),
         epoch: 0,
@@ -80,11 +80,12 @@ pub fn minimum_spanning_forest(device: &Device, g: &WeightedCsr, config: &MstCon
     // counters see plain loads plus CAS retries only, so they carry no
     // allowlist: a race there would be a real bug.
     let _best_region = register_benign_region(
+        device,
         "mst.best",
         &state.best,
         "reset stores are idempotent: every writer stores NONE_KEY",
     );
-    let _attempts_region = register_region("mst.attempts", &state.attempts);
+    let _attempts_region = register_region(device, "mst.attempts", &state.attempts);
 
     // The launch sizes the baseline keeps for the whole run (§6.2.3:
     // "launched with too many thread blocks ... not updated
@@ -96,8 +97,8 @@ pub fn minimum_spanning_forest(device: &Device, g: &WeightedCsr, config: &MstCon
     let mut reg_index = 0u32;
     while !light.is_empty() {
         reg_index += 1;
-        ecl_gpusim::observe::round(reg_index);
-        ecl_gpusim::observe::phase_start("regular");
+        ecl_gpusim::observe::round(device, reg_index);
+        ecl_gpusim::observe::phase_start(device, "regular");
         let merged = iteration(
             &mut state,
             config,
@@ -108,7 +109,7 @@ pub fn minimum_spanning_forest(device: &Device, g: &WeightedCsr, config: &MstCon
             stale_light,
             profiling,
         );
-        ecl_gpusim::observe::phase_end("regular");
+        ecl_gpusim::observe::phase_end(device, "regular");
         if merged == 0 {
             break;
         }
@@ -117,8 +118,8 @@ pub fn minimum_spanning_forest(device: &Device, g: &WeightedCsr, config: &MstCon
     let mut fil_index = 0u32;
     while !heavy.is_empty() {
         fil_index += 1;
-        ecl_gpusim::observe::round(reg_index + fil_index);
-        ecl_gpusim::observe::phase_start("filter");
+        ecl_gpusim::observe::round(device, reg_index + fil_index);
+        ecl_gpusim::observe::phase_start(device, "filter");
         let merged = iteration(
             &mut state,
             config,
@@ -129,7 +130,7 @@ pub fn minimum_spanning_forest(device: &Device, g: &WeightedCsr, config: &MstCon
             stale_heavy,
             profiling,
         );
-        ecl_gpusim::observe::phase_end("filter");
+        ecl_gpusim::observe::phase_end(device, "filter");
         if merged == 0 {
             break;
         }
@@ -196,13 +197,13 @@ fn iteration(
     // (K2/reset) owns index i. Registered non-benign so the checker
     // proves that exclusivity every iteration.
     let root_u = atomic_u32_array(len, |_| 0);
-    let root_u = CheckedSlice::new("mst.root-u", &root_u);
+    let root_u = CheckedSlice::new(device, "mst.root-u", &root_u);
     let root_v = atomic_u32_array(len, |_| 0);
-    let root_v = CheckedSlice::new("mst.root-v", &root_v);
+    let root_v = CheckedSlice::new(device, "mst.root-v", &root_v);
     let attempted = atomic_u8_array(len, |_| 0);
-    let attempted = CheckedSlice::new("mst.attempted", &attempted);
+    let attempted = CheckedSlice::new(device, "mst.attempted", &attempted);
     let won = atomic_u8_array(len, |_| 0);
-    let won = CheckedSlice::new("mst.won", &won);
+    let won = CheckedSlice::new(device, "mst.won", &won);
 
     // K1: election. One thread per worklist slot; a non-atomic check
     // guards the atomicMin (the §6.1.4 conflict/useless-atomic

@@ -22,10 +22,12 @@ pub struct GpuUnionFind {
 }
 
 impl GpuUnionFind {
-    /// `n` singleton sets.
-    pub fn new(n: usize) -> Self {
+    /// `n` singleton sets, registered with the session checking
+    /// `device`, if any.
+    pub fn new(device: &Device, n: usize) -> Self {
         let parent = atomic_u32_array(n, |i| i as u32);
         let _region = register_benign_region(
+            device,
             "mst.uf-parent",
             &parent,
             "pointer jumping only shortcuts toward the root; chains strictly decrease (§2.4)",
@@ -96,7 +98,7 @@ mod tests {
     #[test]
     fn singleton_and_union() {
         let d = Device::test_small();
-        let uf = GpuUnionFind::new(4);
+        let uf = GpuUnionFind::new(&d, 4);
         assert_eq!(uf.num_sets(&d), 4);
         assert!(uf.union(0, 1, &d, None));
         assert!(!uf.union(1, 0, &d, None));
@@ -108,7 +110,7 @@ mod tests {
     #[test]
     fn root_is_minimum_of_set() {
         let d = Device::test_small();
-        let uf = GpuUnionFind::new(6);
+        let uf = GpuUnionFind::new(&d, 6);
         uf.union(5, 3, &d, None);
         uf.union(3, 4, &d, None);
         assert_eq!(uf.find(5, &d), 3);
@@ -118,7 +120,7 @@ mod tests {
     #[test]
     fn path_compression_shortens() {
         let d = Device::test_small();
-        let uf = GpuUnionFind::new(64);
+        let uf = GpuUnionFind::new(&d, 64);
         for x in (1..64).rev() {
             uf.union(x, x - 1, &d, None);
         }
@@ -137,7 +139,7 @@ mod tests {
     fn concurrent_unions_converge() {
         let d = Device::test_small();
         let n = 10_000u32;
-        let uf = GpuUnionFind::new(n as usize);
+        let uf = GpuUnionFind::new(&d, n as usize);
         // All pairs (i, i+1) unioned concurrently: must end as one set.
         (0..n - 1).into_par_iter().for_each(|i| {
             uf.union(i, i + 1, &d, None);
@@ -152,7 +154,7 @@ mod tests {
     fn concurrent_unions_count_merges_exactly() {
         let d = Device::test_small();
         let n = 4096u32;
-        let uf = GpuUnionFind::new(n as usize);
+        let uf = GpuUnionFind::new(&d, n as usize);
         let merges: u32 =
             (0..n - 1).into_par_iter().map(|i| u32::from(uf.union(i, i + 1, &d, None))).sum();
         // Exactly n-1 successful merges regardless of interleaving.
@@ -163,7 +165,7 @@ mod tests {
     fn tally_records_cas_outcomes() {
         let d = Device::test_small();
         let t = AtomicTally::new();
-        let uf = GpuUnionFind::new(3);
+        let uf = GpuUnionFind::new(&d, 3);
         uf.union(0, 1, &d, Some(&t));
         uf.union(1, 2, &d, Some(&t));
         assert!(t.updated() >= 2);

@@ -20,12 +20,12 @@
 //!   exemplar-bearing latency histogram that links Prometheus buckets
 //!   back to `ReqId`s in the recorder.
 //!
-//! [`Obs`] ties them together. It is an observer in the simulator's
-//! one observer slot (`ecl_gpusim::observe`) that wants the samples of
-//! launches issued inside a request; the server that owns it installs
-//! it and hands it to the scheduler. The disabled cost is one relaxed
-//! atomic load per launch, so the overhead noise-budget tests keep
-//! holding.
+//! [`Obs`] ties them together. It is a simulator observer
+//! (`ecl_gpusim::observe`) that wants the samples of launches issued
+//! inside a request; the server that owns it attaches it to the
+//! process default observer set, which every job's device starts from,
+//! and hands it to the scheduler. Outside a request it asks a launch
+//! for no sample, so the overhead noise-budget tests keep holding.
 
 pub mod recorder;
 pub mod slo;
@@ -85,7 +85,7 @@ mod tests {
     use std::sync::Arc;
 
     use ecl_gpusim::ctx::CtxGuard;
-    use ecl_gpusim::{launch_flat_named, observe, Device, LaunchConfig};
+    use ecl_gpusim::{launch_flat_named, Device, LaunchConfig};
 
     #[test]
     fn ids_are_unique_and_nonzero() {
@@ -98,8 +98,8 @@ mod tests {
     #[test]
     fn only_launches_of_an_in_flight_request_are_recorded() {
         let obs = Arc::new(Obs::new(RecorderConfig::default(), None));
-        let id = observe::install(obs.clone());
         let d = Device::test_small();
+        let attached = d.observe(obs.clone());
         let (req, stranger) = (next_req_id(), next_req_id());
         obs.recorder.begin(req, 1, "cc", "g");
         launch_flat_named(&d, "no-request", LaunchConfig::new(1, 1), |_| {});
@@ -112,7 +112,7 @@ mod tests {
             let _g = CtxGuard::request(stranger);
             launch_flat_named(&d, "stranger", LaunchConfig::new(1, 1), |_| {});
         }
-        observe::uninstall(id);
+        drop(attached);
         let s = obs.recorder.finish(req, 1, "cc", "g", FinishInfo::default()).unwrap();
         assert_eq!(s.kernels, 1);
     }

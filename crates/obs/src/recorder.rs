@@ -17,7 +17,7 @@
 //!    entries, evicting the least-slow). Postmortems of outliers need
 //!    no pre-enabled tracing: the black box already has them.
 //!
-//! Kernel spans arrive via the observer slot's launch hook while the
+//! Kernel spans arrive via the observers' launch hook while the
 //! request is in flight; per-request span counts are capped
 //! ([`RecorderConfig::max_kernels`]) with explicit drop accounting, so
 //! a pathological million-launch job cannot balloon the recorder.
@@ -178,7 +178,7 @@ struct Inner {
 }
 
 /// The recorder. One per server, inside its [`crate::Obs`]: the
-/// scheduler records jobs into it, the observer slot hands it request
+/// scheduler records jobs into it, the observer hooks hand it request
 /// launches, and the debug/trace HTTP endpoints read it.
 pub struct FlightRecorder {
     cfg: RecorderConfig,

@@ -56,7 +56,7 @@ pub struct KernelStats {
 }
 
 /// Thread-safe collector of launch samples, grouped by (kernel name,
-/// shard). Installed in the observer slot through [`crate::sink`];
+/// shard). Attached to devices directly or through [`crate::sink`];
 /// recording takes a short mutex (launch completion is coarse-grained —
 /// hundreds per run, not millions).
 #[derive(Debug, Default)]

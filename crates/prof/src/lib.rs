@@ -12,9 +12,9 @@
 //!   per-participant block/claim/busy stats. The type lives in
 //!   `ecl-profiling` (the pool produces it, `ecl-obs` consumes it too)
 //!   and is re-exported here.
-//! - [`sink`] — the collector as an observer in the simulator's one
-//!   observer slot (`ecl_gpusim::observe`): the disabled path is one
-//!   relaxed atomic load per *launch*.
+//! - [`sink`] — the collector as a simulator observer
+//!   (`ecl_gpusim::observe`): on a device with no observers the
+//!   disabled path is one relaxed atomic load per *launch*.
 //! - [`collector::Collector`] — aggregates samples per kernel into
 //!   [`ecl_profiling::LogSketch`] percentile sketches of wall time
 //!   and load imbalance, plus utilization and claim-wait totals.

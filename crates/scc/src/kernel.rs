@@ -33,8 +33,8 @@ pub fn strongly_connected_components(device: &Device, g: &Csr, config: &SccConfi
     // per-vertex exclusive and propagation only ever combines plain
     // loads with counted fetch_max atomics, so the checker must see
     // these regions fully race-free.
-    let _v_in_region = register_region("scc.v-in", &v_in);
-    let _v_out_region = register_region("scc.v-out", &v_out);
+    let _v_in_region = register_region(device, "scc.v-in", &v_in);
+    let _v_out_region = register_region(device, "scc.v-out", &v_out);
 
     // The current (pruned) edge list. Pruning is host-side compaction;
     // the removal test itself runs as a kernel.
@@ -55,9 +55,9 @@ pub fn strongly_connected_components(device: &Device, g: &Csr, config: &SccConfi
     let mut m = 0u32;
     loop {
         m += 1;
-        ecl_gpusim::observe::round(m);
+        ecl_gpusim::observe::round(device, m);
         // Stage 1: signature initialization.
-        ecl_gpusim::observe::phase_start("signature-init");
+        ecl_gpusim::observe::phase_start(device, "signature-init");
         let cfg_v = LaunchConfig::cover(n, config.block_size);
         launch_flat_named(device, "scc.signature-init", cfg_v, |t| {
             if t.global >= n {
@@ -70,15 +70,15 @@ pub fn strongly_connected_components(device: &Device, g: &Csr, config: &SccConfi
         });
         parallel_time +=
             params.kernel_launch + n.div_ceil(num_blocks.max(1)) as f64 * params.thread_work;
-        ecl_gpusim::observe::phase_end("signature-init");
+        ecl_gpusim::observe::phase_end(device, "signature-init");
 
         // Stage 2: max propagation to a fixed point.
-        ecl_gpusim::observe::phase_start("propagate");
+        ecl_gpusim::observe::phase_start(device, "propagate");
         parallel_time += propagate(device, config, &counters, &edges, &v_in, &v_out, num_blocks, m);
-        ecl_gpusim::observe::phase_end("propagate");
+        ecl_gpusim::observe::phase_end(device, "propagate");
 
         // Stage 3: edge removal.
-        ecl_gpusim::observe::phase_start("prune");
+        ecl_gpusim::observe::phase_start(device, "prune");
         let before = edges.len();
         prune(device, config, &edges);
         parallel_time += params.kernel_launch
@@ -91,7 +91,7 @@ pub fn strongly_connected_components(device: &Device, g: &Csr, config: &SccConfi
             counters.edges_removed.add((before - edges.len()) as u64);
             counters.edges_per_outer.push(edges.len() as u64);
         }
-        ecl_gpusim::observe::phase_end("prune");
+        ecl_gpusim::observe::phase_end(device, "prune");
 
         // Converged when every vertex has matching signatures.
         let done = (0..n).all(|v| v_in[v].load() == v_out[v].load());

@@ -385,7 +385,7 @@ fn run_one(shared: &Shared, job: &Arc<JobRecord>) {
     } else {
         format!("serve.job/{}", spec.algo.name())
     };
-    let outcome = ecl_gpusim::observe::phase_span(&span, || {
+    let outcome = ecl_gpusim::observe::phase_span(ecl_gpusim::observe::defaults(), &span, || {
         catch_unwind(AssertUnwindSafe(|| execute_for(&spec, &shared.catalog, obs)))
     });
     match outcome {

@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ecl_gpusim::observe::{self, ObserverId};
+use ecl_gpusim::observe::{self, Attached};
 use ecl_prof::Collector;
 use ecl_profiling::json::{self, escape, num, Value};
 
@@ -117,11 +117,10 @@ pub(crate) struct ServerShared {
     pub(crate) scheduler: Scheduler,
     pub(crate) collector: Arc<Collector>,
     /// Request-scoped observability: the flight recorder plus the
-    /// optional SLO engine. Attached to the scheduler, and installed in
-    /// the simulator's observer slot (as `obs_id`) for the lifetime of
-    /// the server.
+    /// optional SLO engine. Attached to the scheduler, and to the
+    /// process default observer set (as [`Server`]'s `obs_attached`)
+    /// for the lifetime of the server.
     pub(crate) obs: Arc<ecl_obs::Obs>,
-    pub(crate) obs_id: ObserverId,
     pub(crate) limits: Limits,
     pub(crate) max_connections: usize,
     pub(crate) stopping: AtomicBool,
@@ -138,6 +137,9 @@ pub struct Server {
     waker: Arc<Waker>,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
     reactor_thread: Mutex<Option<JoinHandle<()>>>,
+    /// `shared.obs` in the process default observer set, which every
+    /// job's device starts from; dropped on shutdown.
+    obs_attached: Mutex<Option<Attached<'static>>>,
 }
 
 impl Server {
@@ -179,7 +181,7 @@ impl Server {
         };
         let obs = Arc::new(ecl_obs::Obs::new(recorder_config, slo));
         scheduler.set_obs(Arc::clone(&obs));
-        let obs_id = observe::install(obs.clone());
+        let obs_attached = observe::defaults().attach(obs.clone());
 
         let shared = Arc::new(ServerShared {
             catalog,
@@ -188,7 +190,6 @@ impl Server {
             scheduler,
             collector,
             obs,
-            obs_id,
             limits: config.limits,
             max_connections: config.max_connections.max(1),
             stopping: AtomicBool::new(false),
@@ -241,6 +242,7 @@ impl Server {
             waker,
             accept_thread: Mutex::new(Some(accept_thread)),
             reactor_thread: Mutex::new(Some(reactor_thread)),
+            obs_attached: Mutex::new(Some(obs_attached)),
         })
     }
 
@@ -298,7 +300,7 @@ impl Server {
         ecl_trace::sink::uninstall();
         // The recorder/SLO state itself stays alive through
         // `self.shared.obs`; only its observer registration ends.
-        observe::uninstall(self.shared.obs_id);
+        drop(self.obs_attached.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take());
     }
 }
 

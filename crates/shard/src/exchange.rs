@@ -192,7 +192,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use ecl_gpusim::observe::{self, Launch, Observer, Wants};
+    use ecl_gpusim::observe::{Launch, Observer, Wants};
     use ecl_gpusim::pool::with_policy;
     use ecl_gpusim::{launch_flat_named, CostKind, DeviceConfig, DispatchPolicy, LaunchConfig};
     use ecl_graph::Csr;
@@ -336,21 +336,18 @@ mod tests {
         assert_eq!(*order.lock().unwrap(), [0, 1, 2, 3].repeat(3));
     }
 
-    /// Every launch sample of the devices in `ids`: (device index,
-    /// request, shard).
-    struct Launches(Vec<usize>, Mutex<Vec<(usize, u64, u32)>>);
+    /// Every launch sample of device `.0`: (device index, request,
+    /// shard), into the log all devices share.
+    struct Launches(usize, Arc<Mutex<Vec<(usize, u64, u32)>>>);
 
     impl Observer for Launches {
         fn wants(&self) -> Wants {
             Wants { samples: true, ..Wants::default() }
         }
 
-        fn launch_end(&self, launch: &Launch<'_>, _: bool, sample: Option<&LaunchSample>) {
-            if let (Some(d), Some(sample)) =
-                (self.0.iter().position(|&id| id == launch.device), sample)
-            {
-                self.1.lock().unwrap().push((d, sample.req, sample.shard));
-            }
+        fn launch_end(&self, _: &Launch<'_>, _: bool, sample: Option<&LaunchSample>) {
+            let sample = sample.unwrap();
+            self.1.lock().unwrap().push((self.0, sample.req, sample.shard));
         }
     }
 
@@ -358,9 +355,12 @@ mod tests {
     fn pooled_shards_launch_in_the_request_and_their_own_shard() {
         const REQ: u64 = 0x5EED_0036;
         let (devices, part) = setup();
-        let ids = devices.iter().map(ecl_gpusim::check::device_id).collect();
-        let seen = Arc::new(Launches(ids, Mutex::new(Vec::new())));
-        let id = observe::install(seen.clone());
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let _attached: Vec<_> = devices
+            .iter()
+            .enumerate()
+            .map(|(d, device)| device.observe(Arc::new(Launches(d, log.clone()))))
+            .collect();
         {
             let _req = CtxGuard::request(REQ);
             let mut driver = Driver::new(&devices, &part);
@@ -373,8 +373,7 @@ mod tests {
                 }
             });
         }
-        observe::uninstall(id);
-        let launches = seen.1.lock().unwrap();
+        let launches = log.lock().unwrap();
         assert_eq!(launches.len(), 6 * SHARDS as usize);
         for &(device, req, shard) in launches.iter() {
             assert_eq!((req, shard), (REQ, device as u32), "launch on device {device}");

@@ -406,10 +406,9 @@ mod tests {
 
     #[test]
     fn a_skipped_rmw_still_reports_no_effect_to_the_observers() {
-        let _serial = crate::lock_observer_slot();
         let d = crate::Device::test_small();
-        let rec = crate::check::tests::Recorder::on(&d);
-        let id = observe::install(rec.clone());
+        let rec = std::sync::Arc::new(crate::check::tests::Recorder::default());
+        let _attached = d.observe(rec.clone());
         let (a, b, c) = (CountedU8::new(5), CountedU32::new(5), CountedU64::new(5));
         // One in-order block, run on this thread: six no-ops (each
         // proven by the first load, so no RMW), then one real update.
@@ -421,7 +420,6 @@ mod tests {
                 assert_eq!(b.fetch_max(6, None), 5);
             });
         });
-        observe::uninstall(id);
 
         let calls = rec.take();
         let accesses: Vec<&str> =

@@ -4,7 +4,7 @@
 //!
 //! Which launches are *tracked* is the observers' decision
 //! ([`crate::observe::Observer::launch_begin`]): `ecl-check` tracks
-//! the device it watches and nothing else. Untracked launches never
+//! every launch of the device it is attached to. Untracked launches never
 //! set the thread-local agent, so the access, charge and sync hooks
 //! carry no agent for them. Host-side code (no launch in progress on
 //! the calling thread) has no agent either: only work attributable to
@@ -12,8 +12,6 @@
 
 use std::cell::Cell;
 use std::fmt;
-
-use crate::device::Device;
 
 /// The execution granularity of a launch, as seen by the checker.
 ///
@@ -125,12 +123,6 @@ thread_local! {
     static AGENT: Cell<Option<Agent>> = const { Cell::new(None) };
 }
 
-/// The identity launches report for a device: its address. Stable for
-/// the lifetime of the borrow a checker holds on the device.
-pub fn device_id(device: &Device) -> usize {
-    device as *const Device as usize
-}
-
 /// The agent currently executing on this thread, if a tracked launch
 /// is in progress.
 pub fn current_agent() -> Option<Agent> {
@@ -176,6 +168,7 @@ pub(crate) mod tests {
 
     use crate::atomics::atomic_u32_array;
     use crate::cost::CostKind;
+    use crate::device::Device;
     use crate::launch::{
         launch_blocks_named, launch_flat_named, launch_persistent_named, launch_warps_named,
         LaunchConfig,
@@ -183,21 +176,14 @@ pub(crate) mod tests {
     use crate::observe::{self, Launch, Observer, Wants};
     use crate::pool::{with_policy, DispatchPolicy};
 
-    /// Logs every hook call of launches on `device` (and every phase,
-    /// round and finding), one line each. Hooks of untracked launches
-    /// and host code, which other tests running concurrently produce,
-    /// are not logged.
+    /// Logs every hook call it receives, one line each, and tracks
+    /// every launch of the device it is attached to.
     #[derive(Default)]
     pub(crate) struct Recorder {
-        pub(crate) device: usize,
         pub(crate) calls: Mutex<Vec<String>>,
     }
 
     impl Recorder {
-        pub(crate) fn on(device: &Device) -> Arc<Recorder> {
-            Arc::new(Recorder { device: device_id(device), ..Default::default() })
-        }
-
         fn log(&self, s: String) {
             self.calls.lock().unwrap().push(s);
         }
@@ -212,18 +198,13 @@ pub(crate) mod tests {
             Wants { blocks: true, accesses: true, charges: true, samples: true, ..Wants::default() }
         }
         fn launch_begin(&self, l: &Launch<'_>) -> bool {
-            if l.device != self.device {
-                return false;
-            }
             let (name, shape, cfg) = (l.name, l.shape.name(), l.cfg);
             self.log(format!("begin {name} {shape} {}x{}", cfg.blocks, cfg.block_size));
             true
         }
         fn launch_end(&self, l: &Launch<'_>, tracked: bool, sample: Option<&LaunchSample>) {
-            if l.device == self.device {
-                let sample = sample.map_or("none", |s| s.kernel.as_str());
-                self.log(format!("end {} tracked={tracked} sample={sample}", l.name));
-            }
+            let sample = sample.map_or("none", |s| s.kernel.as_str());
+            self.log(format!("end {} tracked={tracked} sample={sample}", l.name));
         }
         fn block_begin(&self, block: u32, block_size: usize, tracked: bool) {
             if tracked {
@@ -316,7 +297,8 @@ pub(crate) mod tests {
                 .collect()
         }));
 
-        // Blocks: block-wide agents; RMW outcomes, barriers.
+        // Blocks: block-wide agents; RMW outcomes, barriers, and a
+        // finding raised inside a block.
         let cells = atomic_u32_array(2, |_| 5);
         let cfg = LaunchConfig::new(2, 4);
         launch_blocks_named(d, "t.blocks", cfg, |b| {
@@ -324,6 +306,7 @@ pub(crate) mod tests {
             cells[b.block].cas(99, 1, None);
             b.sync();
             b.threads().for_each(|t| b.lane_sync(t));
+            observe::check_finding(b.block as u32, 2);
         });
         want.extend(expected("t.blocks", "blocks", cfg, |b| {
             let mut log = vec![
@@ -336,6 +319,7 @@ pub(crate) mod tests {
                 log.push(format!("charge BlockSync 1 b{b}"));
                 log.push(format!("lane-sync b{b} {l}"));
             }
+            log.push(format!("finding {b} 2"));
             log
         }));
 
@@ -348,36 +332,29 @@ pub(crate) mod tests {
             (0..2).map(|w| format!("access Read 4 b{b}/w{w}")).collect()
         }));
 
-        observe::phase_span("p", || observe::round(3));
-        observe::check_finding(7, 2);
-        want.extend(["phase-start p", "round 3", "phase-end p", "finding 7 2"].map(String::from));
+        observe::phase_span(d, "p", || observe::round(d, 3));
+        want.extend(["phase-start p", "round 3", "phase-end p"].map(String::from));
         want
     }
 
-    // The slot is process-global, so everything shares one #[test]
-    // body, serialized with the crate's other observer-installing
-    // tests. Launches from *other* concurrently running sim tests are
-    // on other devices: untracked, so the recorders ignore them.
     #[test]
     fn hook_lifecycle_and_agent_identity() {
-        let _serial = crate::lock_observer_slot();
-        assert!(!observe::is_enabled());
         assert!(current_agent().is_none());
 
         with_policy(DispatchPolicy::sequential(), || {
             // Two observers: each sees each hook of every shape once,
             // in the same order.
             let d = Device::test_small();
-            let (a, b) = (Recorder::on(&d), Recorder::on(&d));
-            let a_id = observe::install(a.clone());
-            let b_id = observe::install(b.clone());
-            assert!(observe::is_enabled());
+            let (a, b) = (Arc::new(Recorder::default()), Arc::new(Recorder::default()));
+            let a_attached = d.observe(a.clone());
+            let b_attached = d.observe(b.clone());
             let want = all_shapes(&d);
             assert_eq!(a.take(), want);
             assert_eq!(b.take(), want);
 
             // A launch on a different device is untracked and leaves no
-            // agent behind; host-side accesses are never attributed.
+            // agent behind; host-side accesses and findings raised
+            // outside a block reach no device's observers.
             let other = Device::test_small();
             let cells = atomic_u32_array(1, |_| 0);
             launch_flat_named(&other, "t.other", LaunchConfig::new(1, 1), |_| {
@@ -385,22 +362,50 @@ pub(crate) mod tests {
                 cells[0].store(7);
             });
             cells[0].store(9);
+            observe::check_finding(7, 2);
             assert!(a.take().is_empty());
             assert!(b.take().is_empty());
 
-            // After one leaves, the other keeps receiving.
-            observe::uninstall(a_id);
+            // After one detaches, the other keeps receiving.
+            drop(a_attached);
             let want = all_shapes(&d);
             assert_eq!(b.take(), want);
             assert!(a.take().is_empty());
 
             // After both are gone, no hook fires.
-            observe::uninstall(b_id);
-            assert!(!observe::is_enabled());
+            drop(b_attached);
             all_shapes(&d);
             assert!(a.take().is_empty());
             assert!(b.take().is_empty());
         });
+
+        // Each device's observer sees its own launches and none of the
+        // other's while both run on the pool at once.
+        const LAUNCHES: usize = 20;
+        let cfg = LaunchConfig::new(4, 4);
+        let (a, b) = (Device::test_small(), Device::test_small());
+        let (seen_a, seen_b) = (Arc::new(Recorder::default()), Arc::new(Recorder::default()));
+        let _a = a.observe(seen_a.clone());
+        let _b = b.observe(seen_b.clone());
+        let run = |d: &Device, name: &str| {
+            let cells = atomic_u32_array(cfg.total_threads(), |_| 0);
+            with_policy(DispatchPolicy::pooled(2), || {
+                for _ in 0..LAUNCHES {
+                    launch_flat_named(d, name, cfg, |t| cells[t.global].store(1));
+                }
+            });
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| run(&b, "t.b"));
+            run(&a, "t.a");
+        });
+        for (log, mine) in [(seen_a.take(), "t.a"), (seen_b.take(), "t.b")] {
+            let count = |prefix: &str| log.iter().filter(|l| l.starts_with(prefix)).count();
+            assert_eq!(count(&format!("begin {mine} ")), LAUNCHES);
+            assert_eq!(count("begin "), LAUNCHES, "{mine} saw a foreign launch");
+            assert_eq!(count("access Write"), LAUNCHES * cfg.total_threads(), "{mine}");
+            assert_eq!(count("block-begin"), LAUNCHES * cfg.blocks, "{mine}");
+        }
     }
 
     #[test]

@@ -84,7 +84,6 @@ impl Drop for CtxGuard {
 mod tests {
     use super::*;
     use std::sync::{Arc, Mutex};
-    use std::thread::ThreadId;
 
     #[test]
     fn defaults_are_no_request_and_shard_zero() {
@@ -120,24 +119,24 @@ mod tests {
         assert_eq!((request(), shard()), (3, 1));
     }
 
-    /// Records the switches of one thread (other tests switch context
-    /// on their own threads while this one is installed).
-    struct Switches(ThreadId, Mutex<Vec<CtxSwitch>>);
+    /// Records the switches it receives.
+    #[derive(Default)]
+    struct Switches(Mutex<Vec<CtxSwitch>>);
 
     impl observe::Observer for Switches {
         fn context(&self, switch: CtxSwitch) {
-            if std::thread::current().id() == self.0 {
-                self.1.lock().unwrap().push(switch);
-            }
+            self.0.lock().unwrap().push(switch);
         }
     }
 
     #[test]
     fn only_switches_are_reported() {
-        let _serial = crate::lock_observer_slot();
-        let seen = Arc::new(Switches(std::thread::current().id(), Mutex::new(Vec::new())));
-        let id = observe::install(seen.clone());
-        {
+        // Inside a block, switches reach the observers of the block's
+        // device.
+        let d = crate::Device::test_small();
+        let seen = Arc::new(Switches::default());
+        let _attached = d.observe(seen.clone());
+        crate::launch_flat(&d, crate::LaunchConfig::new(1, 1), |_| {
             let _g = CtxGuard::request(0xAABB_CCDD_1122_3344);
             // Re-entering the same request is not a switch.
             let _h = CtxGuard::request(0xAABB_CCDD_1122_3344);
@@ -145,11 +144,10 @@ mod tests {
             // Neither is re-entering the same shard; shard 0 entered
             // differs from no shard.
             let _t = CtxGuard::shard(0);
-        }
-        observe::uninstall(id);
+        });
         use CtxSwitch::{Request, Shard};
         assert_eq!(
-            *seen.1.lock().unwrap(),
+            *seen.0.lock().unwrap(),
             [Request(0xAABB_CCDD_1122_3344), Shard(Some(0)), Shard(None), Request(0)]
         );
     }

@@ -1,6 +1,9 @@
 //! Simulated device: configuration and cost accounting.
 
+use std::sync::Arc;
+
 use crate::cost::{CostKind, CostParams, CostTally};
+use crate::observe::{self, Attached, Observer, Observers};
 
 /// Static configuration of a simulated GPU.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,14 +84,16 @@ impl DeviceConfig {
     }
 }
 
-/// A simulated device instance: configuration plus a mutable cost
-/// tally. One `Device` per measured algorithm run; the tally is read
-/// after the run to produce modeled time.
+/// A simulated device instance: configuration, a mutable cost tally
+/// and the observers its launches report to. One `Device` per measured
+/// algorithm run; the tally is read after the run to produce modeled
+/// time.
 #[derive(Debug)]
 pub struct Device {
     config: DeviceConfig,
     params: CostParams,
     cost: CostTally,
+    observers: Observers,
 }
 
 impl Device {
@@ -97,10 +102,13 @@ impl Device {
     /// Creating a device warms the process-wide execution pool
     /// ([`crate::pool::prewarm`]) so the first kernel launch does not
     /// pay worker spawn-up on its critical path; the workers park
-    /// between launches and are shared by all devices.
+    /// between launches and are shared by all devices. The device
+    /// starts with the observers of the process default set
+    /// ([`observe::defaults`]).
     pub fn new(config: DeviceConfig) -> Self {
         crate::pool::prewarm();
-        Self { config, params: CostParams::default(), cost: CostTally::new() }
+        let observers = observe::defaults().copy();
+        Self { config, params: CostParams::default(), cost: CostTally::new(), observers }
     }
 
     /// The paper's RTX 4090 preset.
@@ -129,10 +137,21 @@ impl Device {
         self.config.resident_threads()
     }
 
+    /// Attaches `observer` to this device's launches and phases until
+    /// the returned guard drops.
+    pub fn observe(&self, observer: Arc<dyn Observer>) -> Attached<'_> {
+        self.observers.attach(observer)
+    }
+
+    /// The observers attached to this device.
+    pub fn observers(&self) -> &Observers {
+        &self.observers
+    }
+
     /// Charges `units` of `kind` to this device's tally. Also reports
-    /// the charge to the observers (one relaxed load when none is
-    /// installed) so launch lints can attribute work to the executing
-    /// agent.
+    /// the charge to the observers of the block running on this thread
+    /// (one thread-local load when it has none) so launch lints can
+    /// attribute work to the executing agent.
     #[inline]
     pub fn charge(&self, kind: CostKind, units: u64) {
         crate::observe::charge(kind, units);
@@ -157,6 +176,12 @@ impl Device {
     /// Resets the tally for a fresh measurement.
     pub fn reset_cost(&mut self) {
         self.cost.reset();
+    }
+}
+
+impl AsRef<Observers> for Device {
+    fn as_ref(&self) -> &Observers {
+        &self.observers
     }
 }
 

@@ -33,20 +33,20 @@ use crate::device::Device;
 use crate::observe::{self, Launch};
 use crate::{ctx, pool};
 
-/// Dispatches a launch's blocks onto the pool and, when an observer
-/// wants one ([`observe::Wants`]), builds the launch's profile sample.
-/// Without one this is the plain [`pool::dispatch`] plus one relaxed
-/// load.
+/// Dispatches a launch's blocks onto the pool and, when `sampled`,
+/// builds the launch's profile sample. Without one this is the plain
+/// [`pool::dispatch`].
 fn dispatch_blocks<F>(
     name: &str,
     shape: &'static str,
     cfg: LaunchConfig,
+    sampled: bool,
     f: F,
 ) -> Option<LaunchSample>
 where
     F: Fn(usize) + Sync,
 {
-    if !observe::wants_sample() {
+    if !sampled {
         pool::dispatch(cfg.blocks, f);
         return None;
     }
@@ -106,24 +106,27 @@ pub struct ThreadCtx {
 }
 
 /// The launch skeleton every shape shares: charges the launch,
-/// brackets the grid with the observers' `launch_begin` / `launch_end`
-/// and each block with `block_begin` / `block_end`, and scopes the
-/// per-OS-thread agent and the block-local cost tally around each
-/// block (the tally folds into the device's when the block ends, so
-/// before the pool retires the block and the launch join publishes
-/// it). `per_block(block, tracked)` only runs the shape's inner loop,
-/// setting the agent it iterates when `tracked`; the agent is cleared
-/// before `block_end`.
+/// brackets the grid with the device's observers' `launch_begin` /
+/// `launch_end` and each block with `block_begin` / `block_end`, and
+/// scopes the per-OS-thread agent, the published observer list and
+/// the block-local cost tally around each block (the tally folds into
+/// the device's when the block ends, so before the pool retires the
+/// block and the launch join publishes it). `per_block(block, tracked)`
+/// only runs the shape's inner loop, setting the agent it iterates
+/// when `tracked`; the agent is cleared before `block_end`.
 fn run_grid<F>(device: &Device, name: &str, shape: LaunchShape, cfg: LaunchConfig, per_block: F)
 where
     F: Fn(usize, bool) + Sync,
 {
     device.charge(CostKind::KernelLaunch, 1);
-    let launch =
-        Launch { device: check::device_id(device), config: device.config(), name, shape, cfg };
-    let tracked = observe::launch_begin(&launch);
-    let sample = dispatch_blocks(name, shape.name(), cfg, |block| {
+    let observers = device.observers().list();
+    let list = observers.as_deref();
+    let launch = Launch { config: device.config(), name, shape, cfg };
+    let tracked = observe::launch_begin(list, &launch);
+    let sampled = observe::wants_sample(list);
+    let sample = dispatch_blocks(name, shape.name(), cfg, sampled, |block| {
         let _agents = check::AgentScope::enter();
+        let _observers = observe::BlockScope::enter(observers.as_ref());
         let _tally = device.cost().open_block();
         observe::block_begin(block as u32, cfg.block_size, tracked);
         per_block(block, tracked);
@@ -132,7 +135,7 @@ where
         }
         observe::block_end(block as u32, cfg.block_size, tracked);
     });
-    observe::launch_end(&launch, tracked, sample.as_ref());
+    observe::launch_end(list, &launch, tracked, sample.as_ref());
 }
 
 /// Shared body of the per-thread launch shapes: flat grids and
@@ -600,30 +603,28 @@ mod tests {
         use crate::observe::{Observer, Wants};
         use std::sync::{Arc, Mutex};
 
-        /// Keeps the samples of this test's launches (other tests
-        /// launch concurrently while it is installed).
+        /// Keeps the samples of its device's launches.
         struct Samples(Mutex<Vec<LaunchSample>>);
         impl Observer for Samples {
             fn wants(&self) -> Wants {
                 Wants { samples: true, ..Wants::default() }
             }
             fn launch_end(&self, _: &Launch<'_>, _: bool, sample: Option<&LaunchSample>) {
-                if let Some(s) = sample.filter(|s| s.kernel.starts_with("prof-")) {
-                    self.0.lock().unwrap().push(s.clone());
-                }
+                self.0.lock().unwrap().push(sample.unwrap().clone());
             }
         }
 
-        let _serial = crate::lock_observer_slot();
         let d = Device::test_small();
         let samples = Arc::new(Samples(Mutex::new(Vec::new())));
-        let id = observe::install(samples.clone());
+        let attached = d.observe(samples.clone());
         launch_flat_named(&d, "prof-flat", LaunchConfig::new(4, 8), |_| {});
         launch_blocks_named(&d, "prof-blocks", LaunchConfig::new(3, 8), |_| {});
         launch_warps_named(&d, "prof-warps", LaunchConfig::new(2, 64), |_| {});
         launch_persistent_named(&d, "prof-persistent", |_| {});
-        observe::uninstall(id);
-        // Launches after uninstall are not sampled.
+        // A launch on another device is not this observer's.
+        launch_flat_named(&Device::test_small(), "other", LaunchConfig::new(1, 1), |_| {});
+        drop(attached);
+        // Launches after detaching are not sampled.
         launch_flat_named(&d, "prof-flat", LaunchConfig::new(4, 8), |_| {});
 
         let got = samples.0.lock().unwrap();

@@ -54,12 +54,3 @@ pub use pool::{ticket_range, DispatchPolicy};
 pub use profile::{KernelProfile, KernelRecord};
 pub use schedule::{default_schedule, KnobDomain, KnobSpec, KnobValue, Schedule};
 pub use timing::run_timed;
-
-/// Serializes this crate's unit tests that install an observer: each
-/// asserts on exactly what its own observer recorded, or that nothing
-/// is installed.
-#[cfg(test)]
-pub(crate) fn lock_observer_slot() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}

@@ -1,21 +1,25 @@
-//! The one observer slot: everything the simulator reports goes to the
-//! [`Observer`]s installed here. `ecl-trace`, `ecl-prof`, `ecl-obs` and
-//! `ecl-check` implement the trait; the simulator knows none of them.
+//! Observers: everything the simulator reports goes to the
+//! [`Observer`]s attached to the [`crate::Device`] it runs on.
+//! `ecl-trace`, `ecl-prof`, `ecl-obs` and `ecl-check` implement the
+//! trait; the simulator knows none of them.
 //!
-//! The slot is one `static` [`Sink`] holding an immutable list: the
-//! members plus the union of what they [`Wants`]. [`install`] and
-//! [`uninstall`] publish a successor list; the replaced one is retired,
-//! never freed (`ecl-mc`'s `sink-publish` harness). With nothing
-//! installed every hook site is one `Relaxed` load; the per-block,
-//! per-access and per-charge hooks reach only the members that want
-//! them. A launch builds its [`LaunchSample`] once and hands it to
-//! every member. Begin hooks run in install order, `block_end` and
-//! `launch_end` in reverse, so an observer installed inside another's
-//! lifetime nests inside it. DESIGN.md §8 "The observer slot".
+//! A device owns an [`Observers`] set, copied from the process
+//! [`defaults`] when it is created; `Device::observe` attaches a member
+//! until the returned [`Attached`] guard drops. A launch clones its
+//! device's list once and publishes it in a thread-local for each
+//! block, where the access, charge and sync hooks find it: with nothing
+//! attached each is one thread-local byte test. A launch builds its
+//! [`LaunchSample`] once and hands it to every member. Begin hooks run
+//! in attach order, `block_end` and `launch_end` in reverse, so an
+//! observer attached inside another's lifetime nests inside it.
+//! DESIGN.md §8 "Observers on a device".
 
-use std::sync::{Arc, Mutex};
+use std::any::Any;
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, RwLock};
 
-use ecl_profiling::{LaunchSample, Sink};
+use ecl_profiling::LaunchSample;
 
 use crate::check::{current_agent, AccessKind, Agent, LaunchShape};
 use crate::cost::CostKind;
@@ -46,8 +50,6 @@ pub struct Wants {
 /// One kernel launch as the hooks see it.
 #[derive(Clone, Copy, Debug)]
 pub struct Launch<'a> {
-    /// The launching device's identity ([`crate::check::device_id`]).
-    pub device: usize,
     /// The launching device's shape.
     pub config: &'a DeviceConfig,
     /// Kernel name.
@@ -68,9 +70,9 @@ pub enum CtxSwitch {
 }
 
 /// A receiver of simulator events. Every hook defaults to a no-op.
-pub trait Observer: Send + Sync {
+pub trait Observer: Any + Send + Sync {
     /// What this member needs beyond the always-delivered hooks. Read
-    /// when a list holding the member is published.
+    /// when the member is attached.
     fn wants(&self) -> Wants {
         Wants::default()
     }
@@ -93,8 +95,8 @@ pub trait Observer: Send + Sync {
     /// A block finished executing on the calling thread.
     fn block_end(&self, _block: u32, _block_size: usize, _tracked: bool) {}
 
-    /// A counted-atomic cell access; `agent` is the simulated thread
-    /// of a tracked launch, `None` for host code and untracked launches.
+    /// A counted-atomic cell access inside a block; `agent` is the
+    /// simulated thread of a tracked launch, `None` for an untracked one.
     fn access(&self, _addr: usize, _size: usize, _kind: AccessKind, _agent: Option<Agent>) {}
 
     /// A cost charge by `agent` during a tracked launch.
@@ -124,177 +126,270 @@ pub trait Observer: Send + Sync {
     fn check_finding(&self, _block: u32, _rule: u32) {}
 }
 
-/// Identity of one [`install`], for [`uninstall`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ObserverId(u64);
+impl Wants {
+    /// These wants as [`ObserverList`] bits, in field order.
+    fn bits(self) -> u8 {
+        let Wants { blocks, accesses, atomics, charges, samples, request_samples } = self;
+        let on = [blocks, accesses, atomics, charges, samples, request_samples];
+        on.iter().zip(1..).fold(0, |bits, (&on, i)| bits | (u8::from(on) << i))
+    }
+}
 
-/// The published, immutable member list.
-struct ObserverList {
-    members: Vec<(ObserverId, Arc<dyn Observer>)>,
+/// Bits of an [`ObserverList`]: it has members, and what they want.
+/// The per-block thread-local holds them, so a per-thread hook tests
+/// one byte.
+const LISTED: u8 = 1;
+const BLOCKS: u8 = 1 << 1;
+const ACCESSES: u8 = 1 << 2;
+const ATOMICS: u8 = 1 << 3;
+const CHARGES: u8 = 1 << 4;
+const SAMPLES: u8 = 1 << 5;
+const REQUEST_SAMPLES: u8 = 1 << 6;
+
+/// An immutable member list: what a launch clones and a block
+/// publishes.
+pub(crate) struct ObserverList {
+    members: Vec<Arc<dyn Observer>>,
     /// The members the block, access and agent hooks go to.
     blockers: Vec<Arc<dyn Observer>>,
     accessors: Vec<Arc<dyn Observer>>,
     chargers: Vec<Arc<dyn Observer>>,
-    wants: Wants,
+    /// [`LISTED`] plus the union of the members' wants.
+    bits: u8,
 }
 
-static SLOT: Sink<ObserverList> = Sink::new();
-
-/// Serializes republishing (read the current list, publish its
-/// successor) and numbers installs. Never touched by a hook.
-static REGISTRY: Mutex<u64> = Mutex::new(0);
-
-/// Publishes the current list minus `remove`, plus `add` under a fresh
-/// id (returned). An empty list disables the slot.
-fn republish(remove: Option<ObserverId>, add: Option<Arc<dyn Observer>>) -> Option<ObserverId> {
-    let mut next = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    let mut members: Vec<_> = SLOT.get().map(|l| l.members.clone()).unwrap_or_default();
-    members.retain(|(id, _)| Some(*id) != remove);
-    let added = add.map(|observer| {
-        *next += 1;
-        members.push((ObserverId(*next), observer));
-        ObserverId(*next)
-    });
-    if members.is_empty() {
-        SLOT.uninstall();
-    } else {
-        let any = |f: fn(Wants) -> bool| members.iter().any(|(_, o)| f(o.wants()));
-        let wants = Wants {
-            blocks: any(|w| w.blocks),
-            accesses: any(|w| w.accesses),
-            atomics: any(|w| w.atomics),
-            charges: any(|w| w.charges),
-            samples: any(|w| w.samples),
-            request_samples: any(|w| w.request_samples),
-        };
-        let wanting = |f: fn(Wants) -> bool| {
-            members.iter().filter(|(_, o)| f(o.wants())).map(|(_, o)| Arc::clone(o)).collect()
-        };
-        SLOT.install(Arc::new(ObserverList {
-            blockers: wanting(|w| w.blocks),
-            accessors: wanting(|w| w.accesses || w.atomics),
-            chargers: wanting(|w| w.charges),
+impl ObserverList {
+    /// The list of `members` with its per-hook subsets; `None` when
+    /// empty.
+    fn of(members: Vec<Arc<dyn Observer>>) -> Option<Arc<ObserverList>> {
+        if members.is_empty() {
+            return None;
+        }
+        let wanting =
+            |bits: u8| members.iter().filter(|o| o.wants().bits() & bits != 0).cloned().collect();
+        Some(Arc::new(ObserverList {
+            blockers: wanting(BLOCKS),
+            accessors: wanting(ACCESSES | ATOMICS),
+            chargers: wanting(CHARGES),
+            bits: members.iter().fold(LISTED, |bits, o| bits | o.wants().bits()),
             members,
-            wants,
-        }));
-    }
-    added
-}
-
-/// Adds `observer` to the slot; it receives every hook from now on.
-pub fn install(observer: Arc<dyn Observer>) -> ObserverId {
-    republish(None, Some(observer)).expect("an added observer has an id")
-}
-
-/// Removes the observer `id` names. A hook already walking the old
-/// list may still reach it once.
-pub fn uninstall(id: ObserverId) {
-    republish(Some(id), None);
-}
-
-/// Whether any observer is installed: one `Relaxed` load.
-#[inline(always)]
-pub fn is_enabled() -> bool {
-    SLOT.is_enabled()
-}
-
-/// At most one observer of type `T`, installed through this handle:
-/// installing replaces the previous one. `ecl_trace::sink` and
-/// `ecl_prof::sink` keep their `install` / `uninstall` pair on it.
-pub struct Exclusive<T>(Mutex<Option<(ObserverId, Arc<T>)>>);
-
-impl<T: Observer + 'static> Exclusive<T> {
-    /// Nothing installed.
-    pub const fn new() -> Self {
-        Exclusive(Mutex::new(None))
-    }
-
-    /// Installs `observer` in place of the one installed before, in
-    /// one republish.
-    pub fn install(&self, observer: Arc<T>) {
-        let mut held = self.0.lock().unwrap_or_else(|e| e.into_inner());
-        let old = held.take().map(|(id, _)| id);
-        *held = republish(old, Some(observer.clone())).map(|id| (id, observer));
-    }
-
-    /// Uninstalls the held observer and hands it back.
-    pub fn uninstall(&self) -> Option<Arc<T>> {
-        let (id, observer) = self.0.lock().unwrap_or_else(|e| e.into_inner()).take()?;
-        uninstall(id);
-        Some(observer)
+        }))
     }
 }
 
-impl<T: Observer + 'static> Default for Exclusive<T> {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The observers of one device, or the process default set new devices
+/// start from ([`defaults`]).
+pub struct Observers {
+    /// Whether `list` holds members. Read without the lock, so a set
+    /// with none costs a launch or a host hook one relaxed load; the
+    /// list itself is only ever read under the lock.
+    any: AtomicBool,
+    /// Read by every launch and ambient hook, written by attach and
+    /// detach: readers must not park each other.
+    list: RwLock<Option<Arc<ObserverList>>>,
 }
 
-/// Calls `f` on every member: in install order, or in reverse.
-#[inline(always)]
-fn each(reverse: bool, f: impl FnMut(&dyn Observer)) {
-    if let Some(l) = SLOT.get() {
-        let members = l.members.iter().map(|(_, o)| o.as_ref());
-        if reverse {
-            members.rev().for_each(f);
-        } else {
-            members.for_each(f);
+impl Observers {
+    /// An empty set.
+    pub(crate) const fn new() -> Self {
+        Observers { any: AtomicBool::new(false), list: RwLock::new(None) }
+    }
+
+    /// The current list (`None` when empty). With members attached: one
+    /// lock and one reference count.
+    pub(crate) fn list(&self) -> Option<Arc<ObserverList>> {
+        if !self.any.load(Ordering::Relaxed) {
+            return None;
+        }
+        self.list.read().unwrap_or_else(|e| e.into_inner()).clone()
+    }
+
+    /// Calls `f` on every member, in attach order.
+    fn each(&self, f: impl FnMut(&Arc<dyn Observer>)) {
+        if let Some(l) = self.list() {
+            l.members.iter().for_each(f);
         }
     }
+
+    /// Replaces the members with `edit` of them, under the lock. A list
+    /// is replaced whole, so a panic under the lock poisons nothing.
+    fn edit(&self, edit: impl FnOnce(&mut Vec<Arc<dyn Observer>>)) {
+        let mut list = self.list.write().unwrap_or_else(|e| e.into_inner());
+        let mut members = list.as_ref().map(|l| l.members.clone()).unwrap_or_default();
+        edit(&mut members);
+        *list = ObserverList::of(members);
+        self.any.store(list.is_some(), Ordering::Relaxed);
+    }
+
+    /// A set holding what `self` holds now.
+    pub(crate) fn copy(&self) -> Self {
+        let list = self.list();
+        Observers { any: AtomicBool::new(list.is_some()), list: RwLock::new(list) }
+    }
+
+    /// Attaches `observer` until the returned guard drops.
+    pub fn attach(&self, observer: Arc<dyn Observer>) -> Attached<'_> {
+        self.edit(|members| members.push(Arc::clone(&observer)));
+        Attached { to: self, observer }
+    }
+
+    /// The first attached observer of type `T`.
+    pub fn find<T: Observer>(&self) -> Option<Arc<T>> {
+        let as_t =
+            |o: &Arc<dyn Observer>| (o.clone() as Arc<dyn Any + Send + Sync>).downcast().ok();
+        self.list().and_then(|list| list.members.iter().find_map(as_t))
+    }
 }
 
-/// The published list, if one is installed and its members' union of
-/// wants covers the event. With nothing installed: one relaxed load.
+impl std::fmt::Debug for Observers {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Observers({})", self.list().map_or(0, |l| l.members.len()))
+    }
+}
+
+impl AsRef<Observers> for Observers {
+    fn as_ref(&self) -> &Observers {
+        self
+    }
+}
+
+/// One attachment; detaches its observer when dropped. A launch
+/// already running keeps the list it cloned.
+#[must_use = "the observer detaches when the guard drops"]
+pub struct Attached<'a> {
+    to: &'a Observers,
+    observer: Arc<dyn Observer>,
+}
+
+impl Drop for Attached<'_> {
+    fn drop(&mut self) {
+        self.to.edit(|members| {
+            if let Some(at) = members.iter().rposition(|o| Arc::ptr_eq(o, &self.observer)) {
+                members.remove(at);
+            }
+        });
+    }
+}
+
+/// The process default set: every [`crate::Device::new`] starts from a
+/// copy of it, and the hooks that have no device (context switches and
+/// findings outside a block, `ecl-serve`'s job spans) reach it.
+/// `ecl_trace::sink` and `ecl_prof::sink` install into it.
+pub fn defaults() -> &'static Observers {
+    static DEFAULTS: Observers = Observers::new();
+    &DEFAULTS
+}
+
+thread_local! {
+    /// The bits of the list published for the block running on this
+    /// thread; 0 outside a block or when its device has no observers.
+    /// The one byte every per-thread hook loads.
+    static BLOCK_WANTS: Cell<u8> = const { Cell::new(0) };
+    /// The list itself, read only when `BLOCK_WANTS` covers the event.
+    static BLOCK_LIST: RefCell<Option<Arc<ObserverList>>> = const { RefCell::new(None) };
+}
+
+/// Publishes a launch's list on the calling thread for one block and,
+/// when dropped (unwinds included), restores what was published before:
+/// a launch issued from inside a block nests. With no list on either
+/// side it touches no reference count.
+pub(crate) struct BlockScope(u8, Option<Arc<ObserverList>>);
+
+impl BlockScope {
+    pub(crate) fn enter(list: Option<&Arc<ObserverList>>) -> Self {
+        let bits = list.map_or(0, |l| l.bits);
+        BlockScope(BLOCK_WANTS.replace(bits), BLOCK_LIST.replace(list.cloned()))
+    }
+}
+
+impl Drop for BlockScope {
+    fn drop(&mut self) {
+        BLOCK_WANTS.set(self.0);
+        BLOCK_LIST.set(self.1.take());
+    }
+}
+
+/// Whether the list published for this thread's block has members
+/// that want any of `bits`: the inline test of every per-thread hook.
 #[inline(always)]
-fn wanting(covers: impl FnOnce(&Wants) -> bool) -> Option<&'static ObserverList> {
-    SLOT.get().filter(|l| covers(&l.wants))
+fn block_wants(bits: u8) -> bool {
+    BLOCK_WANTS.get() & bits != 0
 }
 
-/// Starts a launch; returns whether any member tracks it.
-pub(crate) fn launch_begin(launch: &Launch<'_>) -> bool {
-    let mut tracked = false;
-    each(false, |o| tracked |= o.launch_begin(launch));
-    tracked
+/// Calls `f` with the list published for this thread's block.
+fn with_block_list(f: impl FnOnce(&ObserverList)) {
+    BLOCK_LIST.with_borrow(|l| {
+        if let Some(l) = l {
+            f(l);
+        }
+    });
+}
+
+/// Calls `f` on every member of the block's list inside a block, or of
+/// the process default list outside one.
+fn each_ambient(f: impl FnMut(&Arc<dyn Observer>)) {
+    if block_wants(LISTED) {
+        with_block_list(|l| l.members.iter().for_each(f));
+    } else {
+        defaults().each(f);
+    }
+}
+
+/// Starts a launch, asking every member (`|` does not short-circuit);
+/// returns whether any tracks it.
+pub(crate) fn launch_begin(list: Option<&ObserverList>, launch: &Launch<'_>) -> bool {
+    list.is_some_and(|l| {
+        l.members.iter().fold(false, |tracked, o| o.launch_begin(launch) | tracked)
+    })
 }
 
 /// Whether the launch about to run must build a [`LaunchSample`].
-#[inline(always)]
-pub(crate) fn wants_sample() -> bool {
-    wanting(|w| w.samples || (w.request_samples && crate::ctx::request() != 0)).is_some()
+pub(crate) fn wants_sample(list: Option<&ObserverList>) -> bool {
+    list.is_some_and(|l| {
+        l.bits & SAMPLES != 0 || (l.bits & REQUEST_SAMPLES != 0 && crate::ctx::request() != 0)
+    })
 }
 
-pub(crate) fn launch_end(launch: &Launch<'_>, tracked: bool, sample: Option<&LaunchSample>) {
-    each(true, |o| o.launch_end(launch, tracked, sample));
+/// Ends a launch: `tracked` is what [`launch_begin`] returned.
+pub(crate) fn launch_end(
+    list: Option<&ObserverList>,
+    launch: &Launch<'_>,
+    tracked: bool,
+    sample: Option<&LaunchSample>,
+) {
+    let reversed = list.into_iter().flat_map(|l| l.members.iter().rev());
+    reversed.for_each(|o| o.launch_end(launch, tracked, sample));
 }
 
-#[inline(always)]
 pub(crate) fn block_begin(block: u32, block_size: usize, tracked: bool) {
-    if let Some(l) = wanting(|w| w.blocks) {
-        l.blockers.iter().for_each(|o| o.block_begin(block, block_size, tracked));
+    if block_wants(BLOCKS) {
+        with_block_list(|l| {
+            l.blockers.iter().for_each(|o| o.block_begin(block, block_size, tracked))
+        });
     }
 }
 
-#[inline(always)]
 pub(crate) fn block_end(block: u32, block_size: usize, tracked: bool) {
-    if let Some(l) = wanting(|w| w.blocks) {
-        l.blockers.iter().rev().for_each(|o| o.block_end(block, block_size, tracked));
+    if block_wants(BLOCKS) {
+        with_block_list(|l| {
+            l.blockers.iter().rev().for_each(|o| o.block_end(block, block_size, tracked))
+        });
     }
 }
 
-/// Reports one counted access to the members, if any wants it. The
-/// test is inlined at every access site; the fan-out is not.
+/// Reports one counted access to the block's members, if any wants it.
+/// The test is inlined at every access site; the fan-out is not.
 #[inline(always)]
 pub(crate) fn access(addr: usize, size: usize, kind: AccessKind) {
-    if let Some(l) = wanting(|w| w.accesses || (w.atomics && kind.is_atomic())) {
-        fan_out_access(l, addr, size, kind);
+    if block_wants(if kind.is_atomic() { ACCESSES | ATOMICS } else { ACCESSES }) {
+        fan_out_access(addr, size, kind);
     }
 }
 
 #[inline(never)]
-fn fan_out_access(l: &ObserverList, addr: usize, size: usize, kind: AccessKind) {
+fn fan_out_access(addr: usize, size: usize, kind: AccessKind) {
     let agent = current_agent();
-    l.accessors.iter().for_each(|o| o.access(addr, size, kind, agent));
+    with_block_list(|l| l.accessors.iter().for_each(|o| o.access(addr, size, kind, agent)));
 }
 
 /// Calls `f` on every member with the calling thread's agent, when a
@@ -302,13 +397,13 @@ fn fan_out_access(l: &ObserverList, addr: usize, size: usize, kind: AccessKind) 
 #[inline(always)]
 fn with_agent(f: impl Fn(&dyn Observer, Agent)) {
     #[inline(never)]
-    fn fan_out(l: &ObserverList, f: impl Fn(&dyn Observer, Agent)) {
+    fn fan_out(f: impl Fn(&dyn Observer, Agent)) {
         if let Some(agent) = current_agent() {
-            l.chargers.iter().for_each(|o| f(o.as_ref(), agent));
+            with_block_list(|l| l.chargers.iter().for_each(|o| f(o.as_ref(), agent)));
         }
     }
-    if let Some(l) = wanting(|w| w.charges) {
-        fan_out(l, f);
+    if block_wants(CHARGES) {
+        fan_out(f);
     }
 }
 
@@ -327,34 +422,36 @@ pub(crate) fn lane_sync(lane: u32) {
     with_agent(|o, agent| o.lane_sync(agent, lane));
 }
 
-/// Marks the start of a named host-side phase.
-pub fn phase_start(name: &str) {
-    each(false, |o| o.phase_start(name));
+/// Marks the start of a named host-side phase on `on` (a device, or
+/// [`defaults`]).
+pub fn phase_start(on: &impl AsRef<Observers>, name: &str) {
+    on.as_ref().each(|o| o.phase_start(name));
 }
 
-/// Marks the end of a named host-side phase.
-pub fn phase_end(name: &str) {
-    each(false, |o| o.phase_end(name));
+/// Marks the end of a named host-side phase on `on`.
+pub fn phase_end(on: &impl AsRef<Observers>, name: &str) {
+    on.as_ref().each(|o| o.phase_end(name));
 }
 
 /// Runs `f` between [`phase_start`] and [`phase_end`] of `name`.
-pub fn phase_span<R>(name: &str, f: impl FnOnce() -> R) -> R {
-    phase_start(name);
+pub fn phase_span<R>(on: &impl AsRef<Observers>, name: &str, f: impl FnOnce() -> R) -> R {
+    phase_start(on, name);
     let r = f();
-    phase_end(name);
+    phase_end(on, name);
     r
 }
 
-/// Marks an algorithm round boundary.
-pub fn round(n: u32) {
-    each(false, |o| o.round(n));
+/// Marks an algorithm round boundary on `on`.
+pub fn round(on: &impl AsRef<Observers>, n: u32) {
+    on.as_ref().each(|o| o.round(n));
 }
 
 pub(crate) fn context(switch: CtxSwitch) {
-    each(false, |o| o.context(switch));
+    each_ambient(|o| o.context(switch));
 }
 
-/// Reports a new checker finding to every member.
+/// Reports a new checker finding to the members of the block's list
+/// inside a block, of the process default list outside one.
 pub fn check_finding(block: u32, rule: u32) {
-    each(false, |o| o.check_finding(block, rule));
+    each_ambient(|o| o.check_finding(block, rule));
 }

@@ -3,14 +3,13 @@
 //! The paper anchors several arguments on how runtime distributes over
 //! kernels (e.g. "the init kernel ... accounts for 10-20% of the total
 //! runtime" of ECL-CC, §6.1.3). [`KernelProfile`] is an [`Observer`]:
-//! installed around a run, it folds the device's cost delta between
+//! attached to a device around a run, it folds the device's cost delta between
 //! each `phase_start` / `phase_end` the kernel crates mark into a
 //! per-phase record, so the harness can report a per-kernel breakdown
 //! like a profiler's kernel table — except in deterministic modeled
 //! time — for any algorithm, without the algorithm knowing.
 
 use std::sync::Arc;
-use std::thread::ThreadId;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -34,13 +33,11 @@ pub struct KernelRecord {
     pub calls: u64,
 }
 
-/// Accumulates per-phase cost deltas of one device. It listens to the
-/// phases of the thread that created it — the host loop driving the
-/// device — and ignores any other thread's.
+/// Accumulates per-phase cost deltas of one device; attach it to that
+/// device ([`Device::observe`]).
 #[derive(Debug)]
 pub struct KernelProfile {
     device: Arc<Device>,
-    host: ThreadId,
     state: Mutex<State>,
 }
 
@@ -52,9 +49,9 @@ struct State {
 }
 
 impl KernelProfile {
-    /// An empty profile of `device`'s phases run on this thread.
+    /// An empty profile of `device`'s phases.
     pub fn new(device: Arc<Device>) -> Self {
-        Self { device, host: std::thread::current().id(), state: Mutex::default() }
+        Self { device, state: Mutex::default() }
     }
 
     /// All records in first-seen order.
@@ -97,19 +94,14 @@ impl KernelProfile {
 
 impl Observer for KernelProfile {
     fn phase_start(&self, name: &str) {
-        if std::thread::current().id() == self.host {
-            let before = self.device.cost().clone();
-            self.state.lock().open.push((name.to_string(), before, Instant::now()));
-        }
+        let before = self.device.cost().clone();
+        self.state.lock().open.push((name.to_string(), before, Instant::now()));
     }
 
     /// Attributes the device-cost delta and wall time since the
     /// matching `phase_start` to `name`; repeated phases of one name
     /// fold together.
     fn phase_end(&self, name: &str) {
-        if std::thread::current().id() != self.host {
-            return;
-        }
         let mut state = self.state.lock();
         let Some(at) = state.open.iter().rposition(|(open, _, _)| open == name) else { return };
         let (_, before, start) = state.open.remove(at);
@@ -144,7 +136,7 @@ mod tests {
     use super::*;
 
     /// A profile of a fresh test device; phases are driven by calling
-    /// the hooks directly, so no observer is installed process-wide.
+    /// the hooks directly, so nothing is attached.
     fn profile() -> (Arc<Device>, KernelProfile) {
         let d = Arc::new(Device::test_small());
         (Arc::clone(&d), KernelProfile::new(d))
@@ -189,12 +181,14 @@ mod tests {
     }
 
     #[test]
-    fn other_threads_phases_are_ignored() {
+    fn only_its_devices_phases_are_recorded() {
+        use crate::observe::phase_span;
         let (d, p) = profile();
-        std::thread::scope(|s| {
-            s.spawn(|| phase(&p, "elsewhere", || d.charge(CostKind::ThreadWork, 7)));
-        });
-        phase(&p, "outer", || phase(&p, "inner", || d.charge(CostKind::ThreadWork, 3)));
+        let p = Arc::new(p);
+        let _attached = d.observe(p.clone());
+        let other = Device::test_small();
+        phase_span(&other, "elsewhere", || d.charge(CostKind::ThreadWork, 7));
+        phase_span(&*d, "outer", || phase_span(&*d, "inner", || d.charge(CostKind::ThreadWork, 3)));
         let names: Vec<String> = p.records().into_iter().map(|r| r.name).collect();
         assert_eq!(names, ["inner", "outer"]);
     }

@@ -24,14 +24,16 @@ use std::sync::{Arc, Mutex};
 
 use ecl_gpusim::atomics::atomic_u32_array;
 use ecl_gpusim::check::{self, AccessKind, Agent};
-use ecl_gpusim::observe::{self, Launch, Observer, Wants};
+use ecl_gpusim::observe::{Launch, Observer, Wants};
 use ecl_gpusim::pool::{dispatch, with_policy, DispatchPolicy};
 use ecl_gpusim::{launch_flat_named, CostKind, Device, LaunchConfig};
 
 /// Records every attributed access together with the index of the
-/// tracked launch it arrived in.
+/// tracked launch it arrived in; tracks every launch of its device when
+/// `track` is set, none otherwise.
+#[derive(Default)]
 struct Recorder {
-    device: usize,
+    track: bool,
     tracked_launches: AtomicU64,
     accesses: Mutex<Vec<(u64, Agent)>>,
 }
@@ -40,12 +42,9 @@ impl Observer for Recorder {
     fn wants(&self) -> Wants {
         Wants { accesses: true, ..Wants::default() }
     }
-    fn launch_begin(&self, launch: &Launch<'_>) -> bool {
-        if launch.device != self.device {
-            return false;
-        }
+    fn launch_begin(&self, _launch: &Launch<'_>) -> bool {
         self.tracked_launches.fetch_add(1, Ordering::SeqCst);
-        true
+        self.track
     }
     fn access(&self, _addr: usize, _size: usize, _kind: AccessKind, agent: Option<Agent>) {
         if let Some(agent) = agent {
@@ -64,12 +63,11 @@ fn exercise(policy: DispatchPolicy) {
         let tracked_dev = Device::test_small();
         let other_dev = Device::test_small();
         let cells = atomic_u32_array(8, |_| 0);
-        let rec = Arc::new(Recorder {
-            device: check::device_id(&tracked_dev),
-            tracked_launches: AtomicU64::new(0),
-            accesses: Mutex::new(Vec::new()),
-        });
-        let id = observe::install(rec.clone());
+        let rec = Arc::new(Recorder { track: true, ..Recorder::default() });
+        let _attached = tracked_dev.observe(rec.clone());
+        // Sees the other device's accesses without tracking its launches.
+        let bystander = Arc::new(Recorder::default());
+        let _bystander = other_dev.observe(bystander.clone());
 
         // Tracked launch 1 unwinds after per-lane agents were
         // installed. Before the pool, the worker threads died here and
@@ -113,13 +111,11 @@ fn exercise(policy: DispatchPolicy) {
         // An *untracked* launch (different device) reusing the same
         // threads: none of its accesses may carry an agent. A leaked
         // agent from launch 1 would attribute them.
-        let before = rec.accesses.lock().unwrap().len();
         launch_flat_named(&other_dev, "reuse.untracked", LaunchConfig::new(2, 2), |t| {
             cells[t.global].store(2);
         });
-        assert_eq!(
-            rec.accesses.lock().unwrap().len(),
-            before,
+        assert!(
+            bystander.accesses.lock().unwrap().is_empty(),
             "untracked launch leaked attributed accesses ({policy:?})",
         );
 
@@ -136,13 +132,9 @@ fn exercise(policy: DispatchPolicy) {
             assert_eq!(agent.block, 0, "cross-launch agent attribution: {agent}");
             assert!(agent.lane < 2, "cross-launch agent attribution: {agent}");
         }
-        drop(accesses);
-        observe::uninstall(id);
     });
 }
 
-// One test body: the observer slot is process-global, so the scenarios
-// must not interleave with each other under the parallel runner.
 #[test]
 fn thread_reuse_does_not_leak_agents_across_launches() {
     exercise(DispatchPolicy::sequential());

@@ -10,10 +10,11 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Disabled is free.** The simulator reaches the tracer through
-//!    its one observer slot ([`ecl_gpusim::observe`]), whose hook
-//!    sites cost one relaxed atomic load when nothing is installed;
-//!    the overhead benchmark asserts the disabled path is within noise.
+//! 1. **Disabled is free.** The simulator reaches the tracer as one of
+//!    the observers attached to a device ([`ecl_gpusim::observe`]);
+//!    on a device with none, a per-thread hook site costs one
+//!    thread-local load and a host-side one a relaxed load; the
+//!    overhead benchmark asserts the disabled path is within noise.
 //! 2. **Enabled never blocks the hot path.** [`Tracer::record`] is a
 //!    thread-local slot lookup plus three relaxed stores into a ring
 //!    owned by the calling thread — no locks, no allocation. Full
@@ -29,11 +30,12 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use ecl_gpusim::observe;
+//! use ecl_gpusim::{observe, Device};
 //! use ecl_trace::{sink, ClockMode, EventKind, Tracer};
 //!
 //! sink::install(Arc::new(Tracer::with_clock(ClockMode::Logical)));
-//! observe::phase_span("compute", || observe::round(7));
+//! let device = Device::test_small(); // starts with the tracer attached
+//! observe::phase_span(&device, "compute", || observe::round(&device, 7));
 //! let tracer = sink::uninstall().unwrap();
 //! let snap = tracer.snapshot();
 //! assert_eq!(snap.of_kind(EventKind::Round).count(), 1);

@@ -2,31 +2,36 @@
 //! [`ecl_gpusim::observe::Observer`], turning the simulator's launch,
 //! block, atomic, phase, round, context and finding hooks into events.
 //!
-//! [`install`] / [`uninstall`] keep one tracer in the simulator's
-//! observer slot at a time: installing replaces the tracer installed
-//! before (it keeps its recorded events). With no observer installed
-//! every hook site costs one relaxed load; the overhead tests in
-//! `crates/bench/tests/trace_overhead.rs` hold this to account.
+//! [`install`] / [`uninstall`] keep one tracer in the process default
+//! observer set ([`observe::defaults`]), which every device created
+//! afterwards starts from: installing replaces the tracer installed
+//! before (it keeps its recorded events). To trace one device only,
+//! attach a tracer to it ([`ecl_gpusim::Device::observe`]). On a device
+//! with no observers every hook site costs one thread-local load; the
+//! overhead tests in `crates/bench/tests/trace_overhead.rs` hold this
+//! to account.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use ecl_gpusim::observe::{CtxSwitch, Exclusive, Launch, Observer, Wants};
+use ecl_gpusim::observe::{self, Attached, CtxSwitch, Launch, Observer, Wants};
 use ecl_gpusim::{AccessKind, Agent};
 
 use crate::event::EventKind;
 use crate::ring::Tracer;
 
-static INSTALLED: Exclusive<Tracer> = Exclusive::new();
+static INSTALLED: Mutex<Option<(Attached<'static>, Arc<Tracer>)>> = Mutex::new(None);
 
-/// Installs `tracer` in the observer slot, replacing a tracer installed
-/// here before.
+/// Installs `tracer` in the process default set, replacing a tracer
+/// installed here before.
 pub fn install(tracer: Arc<Tracer>) {
-    INSTALLED.install(tracer);
+    let mut installed = INSTALLED.lock().unwrap_or_else(|e| e.into_inner());
+    let attached = observe::defaults().attach(tracer.clone());
+    *installed = Some((attached, tracer));
 }
 
 /// Uninstalls the tracer and returns it so the caller can snapshot.
 pub fn uninstall() -> Option<Arc<Tracer>> {
-    INSTALLED.uninstall()
+    INSTALLED.lock().unwrap_or_else(|e| e.into_inner()).take().map(|(_attached, tracer)| tracer)
 }
 
 impl Observer for Tracer {
@@ -103,8 +108,6 @@ mod tests {
     // and only while it is installed.
     #[test]
     fn hooks_reach_the_installed_tracer_in_order() {
-        observe::round(1); // nothing installed: a no-op
-
         let t = Arc::new(Tracer::new(TracerConfig {
             slots: 64,
             events_per_slot: 256,
@@ -117,7 +120,7 @@ mod tests {
         let cells = atomic_u32_array(1, |_| 5);
         let d = Device::test_small();
         ecl_gpusim::pool::with_policy(ecl_gpusim::DispatchPolicy::sequential(), || {
-            observe::phase_span("p", || {
+            observe::phase_span(&d, "p", || {
                 launch_flat_named(&d, "t", LaunchConfig::new(1, 1), |_| {
                     cells[0].load(); // plain: not traced
                     cells[0].fetch_min(3, None);
@@ -126,7 +129,7 @@ mod tests {
                 });
             });
         });
-        observe::round(3);
+        observe::round(&d, 3);
         {
             let _r = CtxGuard::request((7 << 32) | 9);
             let _s = CtxGuard::shard(0);
@@ -135,7 +138,8 @@ mod tests {
 
         let back = uninstall().expect("tracer was installed");
         assert!(Arc::ptr_eq(&back, &t));
-        observe::round(100); // detached: a no-op
+        // Detached: a device created now does not reach it.
+        observe::round(&Device::test_small(), 100);
 
         let s = back.snapshot();
         let me = s.of_kind(EventKind::Marker).find(|e| e.payload == 0x5EED).unwrap().thread;

@@ -59,9 +59,9 @@ fn run_workload(g: &Csr) -> Outcome {
     let neighbor_sum = AtomicU64::new(0);
     let touched = AtomicU64::new(0);
     let marks = atomic_u32_array(n, |_| 0);
-    let _region = ecl_check::register_region("det.marks", &marks);
 
     let ((), report) = run_checked(&device, || {
+        let _region = ecl_check::register_region(&device, "det.marks", &marks);
         let cfg = LaunchConfig::cover(n, 32);
         launch_flat_named(&device, "det.sweep", cfg, |t| {
             if t.global >= n {
