@@ -3,7 +3,7 @@
 use ecl_check::CheckedSlice;
 use ecl_gpusim::atomics::atomic_u32_array;
 use ecl_gpusim::observe::phase_span;
-use ecl_gpusim::{launch_flat_named, CostKind, CountedU32, Device, LaunchConfig};
+use ecl_gpusim::{launch_flat_named, CostKind, CountedU32, Device, Hooks, LaunchConfig};
 use ecl_graph::Csr;
 
 use crate::counters::CcCounters;
@@ -49,7 +49,7 @@ pub fn connected_components(
     });
 
     phase_span(device, "finalize", || finalize(device, g, config, &nstat));
-    nstat.iter().map(|a| a.load()).collect()
+    nstat.iter().map(|a| a.load(Hooks::OFF)).collect()
 }
 
 /// Initialization: label each vertex with the id of its first smaller
@@ -95,7 +95,7 @@ fn init(device: &Device, g: &Csr, config: &CcConfig, counters: &CcCounters, nsta
                 }
             }
         }
-        nstat[t.global].store(label);
+        nstat[t.global].store(label, t.hooks);
         if counters.enabled() {
             counters.vertices_initialized.inc();
             counters.traversal_len.record(scanned);
@@ -107,23 +107,29 @@ fn init(device: &Device, g: &Csr, config: &CcConfig, counters: &CcCounters, nsta
 /// shortening the path with intermediate pointer jumping as it goes.
 /// Chains strictly decrease, so the walk terminates even under
 /// concurrent hooking.
-fn representative(v: u32, nstat: &[CountedU32], device: &Device, counters: &CcCounters) -> u32 {
-    let initial = nstat[v as usize].load();
+fn representative(
+    v: u32,
+    nstat: &[CountedU32],
+    device: &Device,
+    counters: &CcCounters,
+    h: Hooks,
+) -> u32 {
+    let initial = nstat[v as usize].load(h);
     let mut curr = initial;
     if curr != v {
         let mut prev = v;
-        let mut next = nstat[curr as usize].load();
+        let mut next = nstat[curr as usize].load(h);
         while curr > next {
             device.charge(CostKind::ThreadWork, 1);
             // Intermediate pointer jumping: shortcut prev directly to
             // next. next < curr < prev keeps chains decreasing.
-            nstat[prev as usize].store(next);
+            nstat[prev as usize].store(next, h);
             if counters.enabled() {
                 counters.pointer_jumps.inc();
             }
             prev = curr;
             curr = next;
-            next = nstat[curr as usize].load();
+            next = nstat[curr as usize].load(h);
         }
     }
     if counters.enabled() {
@@ -163,7 +169,7 @@ fn compute(
         let v = verts[t.global / group];
         let lane = t.global % group;
         let adj = g.neighbors(v);
-        let mut vstat = representative(v, nstat, device, counters);
+        let mut vstat = representative(v, nstat, device, counters, t.hooks);
         let mut idx = lane;
         while idx < adj.len() {
             let u = adj[idx];
@@ -173,17 +179,19 @@ fn compute(
                 // The smaller endpoint's thread owns this edge.
                 continue;
             }
-            let mut ostat = representative(u, nstat, device, counters);
+            let mut ostat = representative(u, nstat, device, counters, t.hooks);
             while vstat != ostat {
                 device.charge(CostKind::Atomic, 1);
                 if vstat < ostat {
-                    let ret = nstat[ostat as usize].cas(ostat, vstat, counters.cas_tally());
+                    let ret =
+                        nstat[ostat as usize].cas(ostat, vstat, counters.cas_tally(), t.hooks);
                     if ret == ostat {
                         break;
                     }
                     ostat = ret;
                 } else {
-                    let ret = nstat[vstat as usize].cas(vstat, ostat, counters.cas_tally());
+                    let ret =
+                        nstat[vstat as usize].cas(vstat, ostat, counters.cas_tally(), t.hooks);
                     if ret == vstat {
                         break;
                     }
@@ -204,14 +212,14 @@ fn finalize(device: &Device, g: &Csr, config: &CcConfig, nstat: &[CountedU32]) {
             device.charge(CostKind::IdleCheck, 1);
             return;
         }
-        let mut curr = nstat[t.global].load();
-        let mut next = nstat[curr as usize].load();
+        let mut curr = nstat[t.global].load(t.hooks);
+        let mut next = nstat[curr as usize].load(t.hooks);
         while curr > next {
             device.charge(CostKind::ThreadWork, 1);
             curr = next;
-            next = nstat[curr as usize].load();
+            next = nstat[curr as usize].load(t.hooks);
         }
-        nstat[t.global].store(curr);
+        nstat[t.global].store(curr, t.hooks);
     });
 }
 
@@ -261,12 +269,12 @@ mod tests {
         let counters = CcCounters::new(ProfileMode::On);
         // Chain 4 -> 3 -> 2 -> 1 -> 0.
         let nstat = atomic_u32_array(5, |i| i.saturating_sub(1) as u32);
-        let r = representative(4, &nstat, &device, &counters);
+        let r = representative(4, &nstat, &device, &counters, Hooks::OFF);
         assert_eq!(r, 0);
         assert!(counters.pointer_jumps.get() > 0);
         // Path got shortened: following again is cheaper.
         let jumps_before = counters.pointer_jumps.get();
-        let r2 = representative(4, &nstat, &device, &counters);
+        let r2 = representative(4, &nstat, &device, &counters, Hooks::OFF);
         assert_eq!(r2, 0);
         assert!(counters.pointer_jumps.get() - jumps_before <= jumps_before);
     }
@@ -276,7 +284,7 @@ mod tests {
         let device = Device::test_small();
         let counters = CcCounters::new(ProfileMode::On);
         let nstat = atomic_u32_array(3, |i| i as u32);
-        assert_eq!(representative(2, &nstat, &device, &counters), 2);
+        assert_eq!(representative(2, &nstat, &device, &counters, Hooks::OFF), 2);
         assert_eq!(counters.find_unchanged.get(), 1);
     }
 

@@ -18,7 +18,7 @@ pub fn racy_write_write(device: &Device) {
     let cells = atomic_u32_array(8, |_| 0);
     let cells = CheckedSlice::new(device, "fixture.ww-cells", &cells);
     launch_flat_named(device, "fixture.ww-race", LaunchConfig::new(4, 16), |t| {
-        cells[t.global % 8].store(t.global as u32);
+        cells[t.global % 8].store(t.global as u32, t.hooks);
     });
 }
 
@@ -28,9 +28,9 @@ pub fn racy_read_write(device: &Device) {
     let cells = atomic_u32_array(4, |_| 7);
     let cells = CheckedSlice::new(device, "fixture.rw-cells", &cells);
     launch_flat_named(device, "fixture.rw-race", LaunchConfig::new(2, 16), |t| {
-        let v = cells[0].load();
+        let v = cells[0].load(t.hooks);
         if t.global == 0 {
-            cells[0].store(v + 1);
+            cells[0].store(v + 1, t.hooks);
         }
     });
 }
@@ -46,7 +46,7 @@ pub fn benign_racy_write_write(device: &Device) {
         "all writers store the same value; last-write-wins is the algorithm",
     );
     launch_flat_named(device, "fixture.benign-ww", LaunchConfig::new(4, 16), |t| {
-        cells[t.global % 8].store(1);
+        cells[t.global % 8].store(1, t.hooks);
     });
 }
 
@@ -58,7 +58,7 @@ pub fn over_launched(device: &Device) {
     let cells = CheckedSlice::new(device, "fixture.ol-cells", &cells);
     launch_flat_named(device, "fixture.over-launch", LaunchConfig::new(8, 32), |t| {
         if t.global < 16 {
-            cells[t.global].store(1);
+            cells[t.global].store(1, t.hooks);
         }
     });
 }
@@ -70,7 +70,7 @@ pub fn exactly_launched(device: &Device) {
     let cells = CheckedSlice::new(device, "fixture.el-cells", &cells);
     launch_flat_named(device, "fixture.exact-launch", LaunchConfig::cover(16, 8), |t| {
         if t.global < 16 {
-            cells[t.global].store(1);
+            cells[t.global].store(1, t.hooks);
         }
     });
 }
@@ -106,7 +106,7 @@ pub fn sync_storm(device: &Device) {
     let cells = CheckedSlice::new(device, "fixture.storm-cells", &cells);
     launch_blocks_named(device, "fixture.sync-storm", LaunchConfig::new(4, 64), |blk| {
         for round in 0..50u32 {
-            cells[blk.block].fetch_max(round + 1, None);
+            cells[blk.block].fetch_max(round + 1, None, blk.hooks);
             blk.sync();
         }
     });
@@ -120,7 +120,7 @@ pub fn busy_sync(device: &Device) {
     launch_blocks_named(device, "fixture.busy-sync", LaunchConfig::new(4, 64), |blk| {
         for round in 0..50u32 {
             for t in blk.threads() {
-                cells[t.global].fetch_max(round + 1, None);
+                cells[t.global].fetch_max(round + 1, None, t.hooks);
             }
             blk.sync();
         }
@@ -135,6 +135,6 @@ pub fn low_occupancy(device: &Device) {
     let cells = atomic_u32_array(2048, |_| 0);
     let cells = CheckedSlice::new(device, "fixture.occ-cells", &cells);
     launch_flat_named(device, "fixture.low-occupancy", LaunchConfig::new(2, 1024), |t| {
-        cells[t.global].store(1);
+        cells[t.global].store(1, t.hooks);
     });
 }

@@ -35,7 +35,7 @@
 //!     let cells = atomic_u32_array(4, |_| 0);
 //!     let cells = CheckedSlice::new(&device, "demo.cells", &cells);
 //!     launch_flat_named(&device, "demo.k", LaunchConfig::new(2, 8), |t| {
-//!         cells[t.global % 4].store(1); // 4 writers per cell: a W/W race
+//!         cells[t.global % 4].store(1, t.hooks); // 4 writers per cell: a W/W race
 //!     });
 //! });
 //! assert!(report.has(Rule::WriteWriteRace));

@@ -104,7 +104,7 @@ pub fn register_benign_region<T>(
 /// A checked view of a slice: registers the slice as a named region
 /// on creation, unregisters on drop, and dereferences to the
 /// underlying slice so kernel code keeps its indexing syntax
-/// (`cells[i].load()` etc. — `&CheckedSlice<T>` coerces to `&[T]` at
+/// (`cells[i].load(t.hooks)` etc. — `&CheckedSlice<T>` coerces to `&[T]` at
 /// helper-function boundaries).
 #[derive(Debug)]
 pub struct CheckedSlice<'a, T> {

@@ -7,7 +7,7 @@
 //! shortcut tests, which is why the words are atomics. Possible-color
 //! sets only ever *shrink*, the monotonicity both shortcuts rely on.
 
-use ecl_gpusim::CountedU64;
+use ecl_gpusim::{CountedU64, Hooks};
 
 /// Layout of all vertices' bitmaps in one flat word array.
 #[derive(Clone, Debug)]
@@ -73,33 +73,33 @@ impl BitmapLayout {
 /// True if bit `c` is set in `v`'s bitmap. Out-of-range bits read as 0
 /// (a color beyond the width is never under consideration).
 #[inline]
-pub fn has_bit(words: &[CountedU64], layout: &BitmapLayout, v: u32, c: u32) -> bool {
+pub fn has_bit(words: &[CountedU64], layout: &BitmapLayout, v: u32, c: u32, h: Hooks) -> bool {
     if c >= layout.widths[v as usize] {
         return false;
     }
     let w = layout.offsets[v as usize] + (c / 64) as usize;
-    words[w].load() & (1u64 << (c % 64)) != 0
+    words[w].load(h) & (1u64 << (c % 64)) != 0
 }
 
 /// Clears bit `c` in `v`'s bitmap (no-op when out of range). Only
 /// `v`'s owning thread calls this.
 #[inline]
-pub fn clear_bit(words: &[CountedU64], layout: &BitmapLayout, v: u32, c: u32) {
+pub fn clear_bit(words: &[CountedU64], layout: &BitmapLayout, v: u32, c: u32, h: Hooks) {
     if c >= layout.widths[v as usize] {
         return;
     }
     let w = layout.offsets[v as usize] + (c / 64) as usize;
-    let old = words[w].load();
-    words[w].store(old & !(1u64 << (c % 64)));
+    let old = words[w].load(h);
+    words[w].store(old & !(1u64 << (c % 64)), h);
 }
 
 /// Lowest set bit of `v`'s bitmap, or `None` if empty (cannot happen
 /// for an uncolored vertex: at most `indegree` of its `indegree + 1`
 /// bits can ever be cleared).
 #[inline]
-pub fn lowest_set(words: &[CountedU64], layout: &BitmapLayout, v: u32) -> Option<u32> {
+pub fn lowest_set(words: &[CountedU64], layout: &BitmapLayout, v: u32, h: Hooks) -> Option<u32> {
     for (i, w) in layout.words(v).enumerate() {
-        let bits = words[w].load();
+        let bits = words[w].load(h);
         if bits != 0 {
             return Some(i as u32 * 64 + bits.trailing_zeros());
         }
@@ -110,23 +110,23 @@ pub fn lowest_set(words: &[CountedU64], layout: &BitmapLayout, v: u32) -> Option
 /// Collapses `v`'s bitmap to the single bit `c` (done at assignment so
 /// neighbors' shortcut tests see exactly one remaining possibility).
 #[inline]
-pub fn collapse_to(words: &[CountedU64], layout: &BitmapLayout, v: u32, c: u32) {
+pub fn collapse_to(words: &[CountedU64], layout: &BitmapLayout, v: u32, c: u32, h: Hooks) {
     debug_assert!(c < layout.widths[v as usize]);
     for (i, w) in layout.words(v).enumerate() {
         let target = if (c / 64) as usize == i { 1u64 << (c % 64) } else { 0 };
-        words[w].store(target);
+        words[w].store(target, h);
     }
 }
 
 /// True if the bitmaps of `a` and `b` share no set bit (shortcut 2's
 /// condition). Reads are word-atomic; since sets only shrink, a
 /// "disjoint" verdict can never be invalidated later.
-pub fn disjoint(words: &[CountedU64], layout: &BitmapLayout, a: u32, b: u32) -> bool {
+pub fn disjoint(words: &[CountedU64], layout: &BitmapLayout, a: u32, b: u32, h: Hooks) -> bool {
     let ra = layout.words(a);
     let rb = layout.words(b);
     let common = ra.len().min(rb.len());
     for i in 0..common {
-        if words[ra.start + i].load() & words[rb.start + i].load() != 0 {
+        if words[ra.start + i].load(h) & words[rb.start + i].load(h) != 0 {
             return false;
         }
     }
@@ -147,19 +147,19 @@ mod tests {
     #[test]
     fn allocation_sets_width_bits() {
         let (words, layout) = setup(&[0, 2, 63, 64, 130]);
-        assert!(has_bit(&words, &layout, 0, 0));
-        assert!(!has_bit(&words, &layout, 0, 1));
-        assert!(has_bit(&words, &layout, 1, 2));
-        assert!(!has_bit(&words, &layout, 1, 3));
+        assert!(has_bit(&words, &layout, 0, 0, Hooks::OFF));
+        assert!(!has_bit(&words, &layout, 0, 1, Hooks::OFF));
+        assert!(has_bit(&words, &layout, 1, 2, Hooks::OFF));
+        assert!(!has_bit(&words, &layout, 1, 3, Hooks::OFF));
         // width 64: one full word.
-        assert!(has_bit(&words, &layout, 2, 63));
-        assert!(!has_bit(&words, &layout, 2, 64));
+        assert!(has_bit(&words, &layout, 2, 63, Hooks::OFF));
+        assert!(!has_bit(&words, &layout, 2, 64, Hooks::OFF));
         // width 65: spills into a second word.
-        assert!(has_bit(&words, &layout, 3, 64));
-        assert!(!has_bit(&words, &layout, 3, 65));
+        assert!(has_bit(&words, &layout, 3, 64, Hooks::OFF));
+        assert!(!has_bit(&words, &layout, 3, 65, Hooks::OFF));
         // width 131.
-        assert!(has_bit(&words, &layout, 4, 130));
-        assert!(!has_bit(&words, &layout, 4, 131));
+        assert!(has_bit(&words, &layout, 4, 130, Hooks::OFF));
+        assert!(!has_bit(&words, &layout, 4, 131, Hooks::OFF));
     }
 
     #[test]
@@ -177,60 +177,60 @@ mod tests {
     #[test]
     fn clear_and_lowest() {
         let (words, layout) = setup(&[5]);
-        assert_eq!(lowest_set(&words, &layout, 0), Some(0));
-        clear_bit(&words, &layout, 0, 0);
-        assert_eq!(lowest_set(&words, &layout, 0), Some(1));
-        clear_bit(&words, &layout, 0, 1);
-        clear_bit(&words, &layout, 0, 2);
-        assert_eq!(lowest_set(&words, &layout, 0), Some(3));
+        assert_eq!(lowest_set(&words, &layout, 0, Hooks::OFF), Some(0));
+        clear_bit(&words, &layout, 0, 0, Hooks::OFF);
+        assert_eq!(lowest_set(&words, &layout, 0, Hooks::OFF), Some(1));
+        clear_bit(&words, &layout, 0, 1, Hooks::OFF);
+        clear_bit(&words, &layout, 0, 2, Hooks::OFF);
+        assert_eq!(lowest_set(&words, &layout, 0, Hooks::OFF), Some(3));
         // Out-of-range clear is a no-op.
-        clear_bit(&words, &layout, 0, 99);
-        assert_eq!(lowest_set(&words, &layout, 0), Some(3));
+        clear_bit(&words, &layout, 0, 99, Hooks::OFF);
+        assert_eq!(lowest_set(&words, &layout, 0, Hooks::OFF), Some(3));
     }
 
     #[test]
     fn lowest_crosses_word_boundary() {
         let (words, layout) = setup(&[70]);
         for c in 0..64 {
-            clear_bit(&words, &layout, 0, c);
+            clear_bit(&words, &layout, 0, c, Hooks::OFF);
         }
-        assert_eq!(lowest_set(&words, &layout, 0), Some(64));
+        assert_eq!(lowest_set(&words, &layout, 0, Hooks::OFF), Some(64));
     }
 
     #[test]
     fn collapse_leaves_single_bit() {
         let (words, layout) = setup(&[100]);
-        collapse_to(&words, &layout, 0, 77);
-        assert_eq!(lowest_set(&words, &layout, 0), Some(77));
-        assert!(has_bit(&words, &layout, 0, 77));
-        assert!(!has_bit(&words, &layout, 0, 0));
-        assert!(!has_bit(&words, &layout, 0, 78));
+        collapse_to(&words, &layout, 0, 77, Hooks::OFF);
+        assert_eq!(lowest_set(&words, &layout, 0, Hooks::OFF), Some(77));
+        assert!(has_bit(&words, &layout, 0, 77, Hooks::OFF));
+        assert!(!has_bit(&words, &layout, 0, 0, Hooks::OFF));
+        assert!(!has_bit(&words, &layout, 0, 78, Hooks::OFF));
     }
 
     #[test]
     fn disjointness() {
         let (words, layout) = setup(&[3, 3]);
         // Both start {0,1,2,3}: overlap.
-        assert!(!disjoint(&words, &layout, 0, 1));
-        collapse_to(&words, &layout, 0, 0);
-        collapse_to(&words, &layout, 1, 3);
-        assert!(disjoint(&words, &layout, 0, 1));
-        assert!(disjoint(&words, &layout, 1, 0));
+        assert!(!disjoint(&words, &layout, 0, 1, Hooks::OFF));
+        collapse_to(&words, &layout, 0, 0, Hooks::OFF);
+        collapse_to(&words, &layout, 1, 3, Hooks::OFF);
+        assert!(disjoint(&words, &layout, 0, 1, Hooks::OFF));
+        assert!(disjoint(&words, &layout, 1, 0, Hooks::OFF));
     }
 
     #[test]
     fn disjoint_different_widths() {
         let (words, layout) = setup(&[1, 200]);
         // v0 = {0,1}; clear v1's low bits 0..2 -> disjoint.
-        clear_bit(&words, &layout, 1, 0);
-        clear_bit(&words, &layout, 1, 1);
-        assert!(disjoint(&words, &layout, 0, 1));
+        clear_bit(&words, &layout, 1, 0, Hooks::OFF);
+        clear_bit(&words, &layout, 1, 1, Hooks::OFF);
+        assert!(disjoint(&words, &layout, 0, 1, Hooks::OFF));
     }
 
     #[test]
     fn empty_bitmap_lowest_none() {
         let (words, layout) = setup(&[0]);
-        clear_bit(&words, &layout, 0, 0);
-        assert_eq!(lowest_set(&words, &layout, 0), None);
+        clear_bit(&words, &layout, 0, 0, Hooks::OFF);
+        assert_eq!(lowest_set(&words, &layout, 0, Hooks::OFF), None);
     }
 }

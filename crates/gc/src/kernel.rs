@@ -3,7 +3,7 @@
 use ecl_check::{register_benign_region, register_region};
 use ecl_gpusim::atomics::{atomic_u32_array, atomic_u8_array};
 use ecl_gpusim::{
-    launch_flat_named, CostKind, CountedU32, CountedU64, CountedU8, Device, LaunchConfig,
+    launch_flat_named, CostKind, CountedU32, CountedU64, CountedU8, Device, Hooks, LaunchConfig,
 };
 use ecl_graph::Csr;
 
@@ -80,7 +80,7 @@ pub fn color(device: &Device, g: &Csr, config: &GcConfig) -> GcResult {
         run_kernel(device, "gc.color-small", &state, config, &counters, &small);
         run_kernel(device, "gc.color-large", &state, config, &counters, &large);
         let before = worklist.len();
-        worklist.retain(|&v| state.colors[v as usize].load() == UNCOLORED);
+        worklist.retain(|&v| state.colors[v as usize].load(Hooks::OFF) == UNCOLORED);
         if counters.enabled() {
             counters.uncolored_per_round.push(worklist.len() as u64);
         }
@@ -91,7 +91,7 @@ pub fn color(device: &Device, g: &Csr, config: &GcConfig) -> GcResult {
         );
     }
 
-    let colors = state.colors.iter().map(|c| c.load()).collect();
+    let colors = state.colors.iter().map(|c| c.load(Hooks::OFF)).collect();
     GcResult { colors, counters, rounds }
 }
 
@@ -114,7 +114,7 @@ fn run_kernel(
             device.charge(CostKind::IdleCheck, 1);
             return;
         }
-        process_vertex(device, state, config, counters, verts[t.global]);
+        process_vertex(device, state, config, counters, verts[t.global], t.hooks);
     });
 }
 
@@ -132,6 +132,7 @@ fn process_vertex(
     config: &GcConfig,
     counters: &GcCounters,
     v: u32,
+    h: Hooks,
 ) {
     let g = state.g;
     let adj = g.neighbors(v);
@@ -141,27 +142,27 @@ fn process_vertex(
         counters.scan_per_visit.record(adj.len() as u64);
     }
 
-    let mut best = bitmap::lowest_set(&state.poss, &state.layout, v)
+    let mut best = bitmap::lowest_set(&state.poss, &state.layout, v, h)
         .expect("uncolored vertex must have a possible color");
 
     // Pass 1: absorb colored higher-priority neighbors.
     for (i, &u) in adj.iter().enumerate() {
         device.charge(CostKind::ThreadWork, 1);
-        if !priority::beats(g, u, v) || state.arc_active[arc0 + i].load() == 0 {
+        if !priority::beats(g, u, v) || state.arc_active[arc0 + i].load(h) == 0 {
             continue;
         }
-        let cu = state.colors[u as usize].load();
+        let cu = state.colors[u as usize].load(h);
         if cu == UNCOLORED {
             continue;
         }
-        state.arc_active[arc0 + i].store(0);
-        if bitmap::has_bit(&state.poss, &state.layout, v, cu) {
-            bitmap::clear_bit(&state.poss, &state.layout, v, cu);
+        state.arc_active[arc0 + i].store(0, h);
+        if bitmap::has_bit(&state.poss, &state.layout, v, cu, h) {
+            bitmap::clear_bit(&state.poss, &state.layout, v, cu, h);
             if cu == best {
                 if profiling {
                     counters.best_changed.inc(v as usize);
                 }
-                best = bitmap::lowest_set(&state.poss, &state.layout, v)
+                best = bitmap::lowest_set(&state.poss, &state.layout, v, h)
                     .expect("indegree+1 bits cannot all clear");
             }
         }
@@ -172,16 +173,16 @@ fn process_vertex(
     let mut pending_highers = false;
     for (i, &u) in adj.iter().enumerate() {
         device.charge(CostKind::ThreadWork, 1);
-        if !priority::beats(g, u, v) || state.arc_active[arc0 + i].load() == 0 {
+        if !priority::beats(g, u, v) || state.arc_active[arc0 + i].load(h) == 0 {
             continue;
         }
-        if state.colors[u as usize].load() != UNCOLORED {
+        if state.colors[u as usize].load(h) != UNCOLORED {
             // Colored between the passes; it can no longer take best:
             // pass 1 of the *next* round will absorb it. Conservatively
             // treat as pending unless shortcut 1 clears it below.
         }
-        if config.shortcut2 && bitmap::disjoint(&state.poss, &state.layout, v, u) {
-            state.arc_active[arc0 + i].store(0);
+        if config.shortcut2 && bitmap::disjoint(&state.poss, &state.layout, v, u, h) {
+            state.arc_active[arc0 + i].store(0, h);
             if profiling {
                 counters.shortcut2_removals.inc();
             }
@@ -189,7 +190,7 @@ fn process_vertex(
         }
         pending_highers = true;
         if config.shortcut1 {
-            if bitmap::has_bit(&state.poss, &state.layout, u, best) {
+            if bitmap::has_bit(&state.poss, &state.layout, u, best, h) {
                 blocked = true;
                 break;
             }
@@ -209,8 +210,8 @@ fn process_vertex(
     // Assign: collapse the bitmap first so concurrent shortcut tests
     // by neighbors see the single remaining possibility, then publish
     // the color.
-    bitmap::collapse_to(&state.poss, &state.layout, v, best);
-    state.colors[v as usize].store(best);
+    bitmap::collapse_to(&state.poss, &state.layout, v, best, h);
+    state.colors[v as usize].store(best, h);
     if profiling && pending_highers {
         counters.shortcut1_colorings.inc();
     }

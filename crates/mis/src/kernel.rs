@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use ecl_check::CheckedSlice;
 use ecl_gpusim::atomics::atomic_u8_array;
-use ecl_gpusim::{launch_persistent_named, CostKind, CountedU8, Device};
+use ecl_gpusim::{launch_persistent_named, CostKind, CountedU8, Device, Hooks};
 use ecl_graph::Csr;
 
 use crate::status::{self, IN, OUT};
@@ -42,7 +42,7 @@ pub fn maximal_independent_set(device: &Device, g: &Csr, config: &MisConfig) -> 
         let mut v = t.global;
         let mut assigned = 0u64;
         while v < n {
-            stat[v].store(config.priority.initial_byte(g.degree(v as u32), v as u32));
+            stat[v].store(config.priority.initial_byte(g.degree(v as u32), v as u32), t.hooks);
             assigned += 1;
             v += num_threads;
         }
@@ -84,11 +84,12 @@ pub fn maximal_independent_set(device: &Device, g: &Csr, config: &MisConfig) -> 
             let mut pass_cost = 0u64;
             let mut v = t.global;
             while v < n {
-                let sv = stat[v].load();
+                let sv = stat[v].load(t.hooks);
                 if status::undecided(sv) {
                     had_work = true;
                     let (decided, examined) = try_decide(
                         device, g, &stat, v as u32, sv, config, &counters, t.global, profiling,
+                        t.hooks,
                     );
                     pass_cost += examined + 1;
                     if !decided {
@@ -130,7 +131,7 @@ pub fn maximal_independent_set(device: &Device, g: &Csr, config: &MisConfig) -> 
             }
         }
         if profiling {
-            let undecided = stat.iter().filter(|s| status::undecided(s.load())).count();
+            let undecided = stat.iter().filter(|s| status::undecided(s.load(Hooks::OFF))).count();
             counters.undecided_per_round.push(undecided as u64);
         }
         ecl_gpusim::observe::phase_end(device, "selection-round");
@@ -139,7 +140,7 @@ pub fn maximal_independent_set(device: &Device, g: &Csr, config: &MisConfig) -> 
         }
     }
 
-    let in_set = stat.iter().map(|s| s.load() == IN).collect();
+    let in_set = stat.iter().map(|s| s.load(Hooks::OFF) == IN).collect();
     MisResult { in_set, counters, rounds }
 }
 
@@ -158,16 +159,17 @@ fn try_decide(
     counters: &MisCounters,
     tid: usize,
     profiling: bool,
+    h: Hooks,
 ) -> (bool, u64) {
     let adj = g.neighbors(v);
     let mut examined = 0u64;
     for &u in adj {
         examined += 1;
-        let su = stat[u as usize].load();
+        let su = stat[u as usize].load(h);
         if su == IN {
             // A neighbor made it in: v is out. Monotonic store, no
             // synchronization needed (§2.3).
-            stat[v as usize].store(OUT);
+            stat[v as usize].store(OUT, h);
             device.charge(CostKind::ThreadWork, examined);
             return (true, examined);
         }
@@ -179,12 +181,12 @@ fn try_decide(
         }
     }
     // v has the highest priority among its undecided neighbors: in.
-    stat[v as usize].store(IN);
+    stat[v as usize].store(IN, h);
     if profiling {
         counters.finalized.inc(tid);
     }
     for &u in adj {
-        stat[u as usize].store(OUT);
+        stat[u as usize].store(OUT, h);
     }
     device.charge(CostKind::ThreadWork, examined + adj.len() as u64);
     (true, examined + adj.len() as u64)

@@ -4,7 +4,7 @@
 use ecl_check::{register_benign_region, register_region, CheckedSlice};
 use ecl_gpusim::atomics::{atomic_u32_array, atomic_u64_array, atomic_u8_array};
 use ecl_gpusim::{
-    launch_flat_named, launch_warps_named, CostKind, CountedU64, Device, LaunchConfig,
+    launch_flat_named, launch_warps_named, CostKind, CountedU64, Device, Hooks, LaunchConfig,
 };
 use ecl_graph::{EdgeId, WeightedCsr};
 use ecl_profiling::series::{IterationBar, IterationKind};
@@ -231,10 +231,10 @@ fn iteration(
             }
             let e = worklist[i];
             device.charge(CostKind::ThreadWork, 1);
-            let ru = state.uf.find(e.u, device);
-            let rv = state.uf.find(e.v, device);
-            root_u[i].store(ru);
-            root_v[i].store(rv);
+            let ru = state.uf.find(e.u, device, warp.hooks);
+            let rv = state.uf.find(e.v, device, warp.hooks);
+            root_u[i].store(ru, warp.hooks);
+            root_v[i].store(rv, warp.hooks);
             if ru == rv {
                 device.charge(CostKind::IdleCheck, 1);
                 if profiling {
@@ -248,10 +248,10 @@ fn iteration(
             let key = encode(e.w, e.id);
             keys[lane] = key;
             roots[lane] = (ru, rv);
-            if key < state.best[ru as usize].load() {
+            if key < state.best[ru as usize].load(warp.hooks) {
                 pending[lane] |= 1;
             }
-            if key < state.best[rv as usize].load() {
+            if key < state.best[rv as usize].load(warp.hooks) {
                 pending[lane] |= 2;
             }
         }
@@ -266,19 +266,19 @@ fn iteration(
             let tally = if profiling { Some(&iter_atomics) } else { None };
             if pending[lane] & 1 != 0 {
                 if profiling {
-                    bump_attempt(&state.attempts, ru, epoch);
+                    bump_attempt(&state.attempts, ru, epoch, warp.hooks);
                 }
                 device.charge(CostKind::Atomic, 1);
-                state.best[ru as usize].fetch_min(key, tally);
+                state.best[ru as usize].fetch_min(key, tally, warp.hooks);
             }
             if pending[lane] & 2 != 0 {
                 if profiling {
-                    bump_attempt(&state.attempts, rv, epoch);
+                    bump_attempt(&state.attempts, rv, epoch, warp.hooks);
                 }
                 device.charge(CostKind::Atomic, 1);
-                state.best[rv as usize].fetch_min(key, tally);
+                state.best[rv as usize].fetch_min(key, tally, warp.hooks);
             }
-            attempted[i].store(pending[lane]);
+            attempted[i].store(pending[lane], warp.hooks);
         }
     });
 
@@ -287,10 +287,11 @@ fn iteration(
     let conflicting = if profiling {
         (0..len)
             .filter(|&i| {
-                let flags = attempted[i].load();
-                (flags & 1 != 0 && attempt_count(&state.attempts, root_u[i].load(), epoch) >= 2)
+                let flags = attempted[i].load(Hooks::OFF);
+                (flags & 1 != 0
+                    && attempt_count(&state.attempts, root_u[i].load(Hooks::OFF), epoch) >= 2)
                     || (flags & 2 != 0
-                        && attempt_count(&state.attempts, root_v[i].load(), epoch) >= 2)
+                        && attempt_count(&state.attempts, root_v[i].load(Hooks::OFF), epoch) >= 2)
             })
             .count()
     } else {
@@ -307,17 +308,19 @@ fn iteration(
         }
         let e = worklist[t.global];
         device.charge(CostKind::ThreadWork, 1);
-        let ru = root_u[t.global].load();
-        let rv = root_v[t.global].load();
+        let ru = root_u[t.global].load(t.hooks);
+        let rv = root_v[t.global].load(t.hooks);
         if ru == rv {
             return;
         }
         let key = encode(e.w, e.id);
-        if state.best[ru as usize].load() == key || state.best[rv as usize].load() == key {
+        if state.best[ru as usize].load(t.hooks) == key
+            || state.best[rv as usize].load(t.hooks) == key
+        {
             let tally = if profiling { Some(&counters.atomics) } else { None };
-            if state.uf.union(ru, rv, device, tally) {
+            if state.uf.union(ru, rv, device, tally, t.hooks) {
                 merges.inc();
-                won[t.global].store(1);
+                won[t.global].store(1, t.hooks);
             } else {
                 debug_assert!(false, "winner edges form a forest; union cannot fail");
             }
@@ -333,8 +336,8 @@ fn iteration(
             return;
         }
         device.charge(CostKind::ThreadWork, 1);
-        state.best[root_u[t.global].load() as usize].store(NONE_KEY);
-        state.best[root_v[t.global].load() as usize].store(NONE_KEY);
+        state.best[root_u[t.global].load(t.hooks) as usize].store(NONE_KEY, t.hooks);
+        state.best[root_v[t.global].load(t.hooks) as usize].store(NONE_KEY, t.hooks);
     });
 
     // Compaction (K2's epilogue / the Filter step's "removes redundant
@@ -343,11 +346,11 @@ fn iteration(
     // (flag, then compact: no host lock on the simulated-thread path).
     let mut slot = 0;
     worklist.retain(|e| {
-        if won[slot].load() != 0 {
+        if won[slot].load(Hooks::OFF) != 0 {
             state.winners.push((e.id, e.w));
         }
         slot += 1;
-        state.uf.find(e.u, device) != state.uf.find(e.v, device)
+        state.uf.find(e.u, device, Hooks::OFF) != state.uf.find(e.v, device, Hooks::OFF)
     });
 
     if profiling {
@@ -366,12 +369,12 @@ fn iteration(
 }
 
 /// Registers one election attempt on `root` for this epoch.
-fn bump_attempt(attempts: &[CountedU64], root: u32, epoch: u32) {
+fn bump_attempt(attempts: &[CountedU64], root: u32, epoch: u32, h: Hooks) {
     let a = &attempts[root as usize];
     loop {
-        let cur = a.load();
+        let cur = a.load(h);
         let new = if (cur >> 32) as u32 == epoch { cur + 1 } else { ((epoch as u64) << 32) | 1 };
-        if a.cas(cur, new, None) == cur {
+        if a.cas(cur, new, None, h) == cur {
             return;
         }
     }
@@ -379,7 +382,7 @@ fn bump_attempt(attempts: &[CountedU64], root: u32, epoch: u32) {
 
 /// Number of attempts registered on `root` this epoch.
 fn attempt_count(attempts: &[CountedU64], root: u32, epoch: u32) -> u64 {
-    let cur = attempts[root as usize].load();
+    let cur = attempts[root as usize].load(Hooks::OFF);
     if (cur >> 32) as u32 == epoch {
         cur & 0xFFFF_FFFF
     } else {
@@ -462,11 +465,11 @@ mod tests {
     #[test]
     fn attempt_epochs_isolate_iterations() {
         let attempts = atomic_u64_array(4, |_| 0);
-        bump_attempt(&attempts, 2, 1);
-        bump_attempt(&attempts, 2, 1);
+        bump_attempt(&attempts, 2, 1, Hooks::OFF);
+        bump_attempt(&attempts, 2, 1, Hooks::OFF);
         assert_eq!(attempt_count(&attempts, 2, 1), 2);
         // New epoch resets implicitly.
-        bump_attempt(&attempts, 2, 2);
+        bump_attempt(&attempts, 2, 2, Hooks::OFF);
         assert_eq!(attempt_count(&attempts, 2, 2), 1);
         assert_eq!(attempt_count(&attempts, 2, 1), 0);
         assert_eq!(attempt_count(&attempts, 0, 1), 0);

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use ecl_check::register_region;
 use ecl_gpusim::atomics::atomic_u32_array;
 use ecl_gpusim::{
-    launch_blocks_named, launch_flat_named, CostKind, CountedU32, Device, LaunchConfig,
+    launch_blocks_named, launch_flat_named, CostKind, CountedU32, Device, Hooks, LaunchConfig,
 };
 use ecl_graph::Csr;
 
@@ -65,8 +65,8 @@ pub fn strongly_connected_components(device: &Device, g: &Csr, config: &SccConfi
                 return;
             }
             device.charge(CostKind::ThreadWork, 1);
-            v_in[t.global].store(t.global as u32);
-            v_out[t.global].store(t.global as u32);
+            v_in[t.global].store(t.global as u32, t.hooks);
+            v_out[t.global].store(t.global as u32, t.hooks);
         });
         parallel_time +=
             params.kernel_launch + n.div_ceil(num_blocks.max(1)) as f64 * params.thread_work;
@@ -84,8 +84,8 @@ pub fn strongly_connected_components(device: &Device, g: &Csr, config: &SccConfi
         parallel_time += params.kernel_launch
             + edges.len().div_ceil(num_blocks.max(1)) as f64 * params.thread_work;
         edges.retain(|&(u, v)| {
-            v_in[u as usize].load() == v_in[v as usize].load()
-                && v_out[u as usize].load() == v_out[v as usize].load()
+            v_in[u as usize].load(Hooks::OFF) == v_in[v as usize].load(Hooks::OFF)
+                && v_out[u as usize].load(Hooks::OFF) == v_out[v as usize].load(Hooks::OFF)
         });
         if counters.enabled() {
             counters.edges_removed.add((before - edges.len()) as u64);
@@ -94,7 +94,7 @@ pub fn strongly_connected_components(device: &Device, g: &Csr, config: &SccConfi
         ecl_gpusim::observe::phase_end(device, "prune");
 
         // Converged when every vertex has matching signatures.
-        let done = (0..n).all(|v| v_in[v].load() == v_out[v].load());
+        let done = (0..n).all(|v| v_in[v].load(Hooks::OFF) == v_out[v].load(Hooks::OFF));
         if done {
             break;
         }
@@ -105,7 +105,7 @@ pub fn strongly_connected_components(device: &Device, g: &Csr, config: &SccConfi
         );
     }
 
-    let labels = v_in.iter().map(|s| s.load()).collect();
+    let labels = v_in.iter().map(|s| s.load(Hooks::OFF)).collect();
     SccResult { labels, counters, outer_iterations: m, modeled_parallel_time: parallel_time }
 }
 
@@ -151,22 +151,30 @@ fn propagate(
             loop {
                 // One local iteration: the block's threads sweep the
                 // slice (in-order here; the update counts are what
-                // matters, not intra-block interleaving).
-                let mut updates = 0u64;
-                for &(u, v) in slice {
-                    // v_out flows backward along the edge...
-                    let ov = v_out[v as usize].load();
-                    let old_u = v_out[u as usize].fetch_max(ov, None);
-                    if ov > old_u {
-                        updates += 1;
-                    }
-                    // ...and v_in flows forward.
-                    let iu = v_in[u as usize].load();
-                    let old_v = v_in[v as usize].fetch_max(iu, None);
-                    if iu > old_v {
-                        updates += 1;
-                    }
-                }
+                // matters, not intra-block interleaving). The sweep is
+                // the hot loop: unswitched, it runs a copy with no hook
+                // test when nothing listens.
+                let updates = blk.hooks.unswitch(
+                    #[inline(always)]
+                    |h| {
+                        let mut updates = 0u64;
+                        for &(u, v) in slice {
+                            // v_out flows backward along the edge...
+                            let ov = v_out[v as usize].load(h);
+                            let old_u = v_out[u as usize].fetch_max(ov, None, h);
+                            if ov > old_u {
+                                updates += 1;
+                            }
+                            // ...and v_in flows forward.
+                            let iu = v_in[u as usize].load(h);
+                            let old_v = v_in[v as usize].fetch_max(iu, None, h);
+                            if iu > old_v {
+                                updates += 1;
+                            }
+                        }
+                        updates
+                    },
+                );
                 // Bulk accounting once per sweep: per-edge updates to
                 // the shared tallies would serialize the blocks on
                 // counter cache lines.

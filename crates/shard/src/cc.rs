@@ -26,7 +26,7 @@
 
 use ecl_cc::CcConfig;
 use ecl_gpusim::atomics::atomic_u32_array;
-use ecl_gpusim::{launch_flat_named, CostKind, Device, LaunchConfig};
+use ecl_gpusim::{launch_flat_named, CostKind, Device, Hooks, LaunchConfig};
 use ecl_graph::Csr;
 use ecl_profiling::ProfileMode;
 
@@ -83,13 +83,13 @@ pub fn run_cc(devices: &[Device], g: &Csr, part: &Partition) -> ShardCcResult {
         let sg = &graphs[s];
         for &v in &boundary[s] {
             let (v, r) = (v as usize, roots[v as usize] as usize);
-            let label = next[s][r].load();
-            if label != cur[s][v].load() {
+            let label = next[s][r].load(Hooks::OFF);
+            if label != cur[s][v].load(Hooks::OFF) {
                 let msg = Message { vertex: sg.globals[v], payload: label as u64 };
                 out.broadcast(sg.ghost_of[v], msg);
             }
-            cur[s][v].store(label);
-            cur[s][r].store(label);
+            cur[s][v].store(label, Hooks::OFF);
+            cur[s][r].store(label, Hooks::OFF);
         }
     };
 
@@ -106,7 +106,7 @@ pub fn run_cc(devices: &[Device], g: &Csr, part: &Partition) -> ShardCcResult {
         let (sg, cur, next, boundary) = (&graphs[s], &cur[s], &next[s], &boundary[s]);
         for msg in inbox {
             let l = sg.ghost_local(msg.vertex).expect("update for a vertex not ghosted");
-            cur[l].store(msg.payload as u32);
+            cur[l].store(msg.payload as u32, Hooks::OFF);
         }
         let (roots, owned, n) = (&*roots, sg.owned, boundary.len());
         let config = LaunchConfig::cover(n, BLOCK_SIZE);
@@ -118,11 +118,11 @@ pub fn run_cc(devices: &[Device], g: &Csr, part: &Partition) -> ShardCcResult {
             let adj = sg.csr.neighbors(boundary[t.global]);
             let ghosts = &adj[adj.partition_point(|&u| (u as usize) < owned)..];
             let r = roots[boundary[t.global] as usize] as usize;
-            let m = ghosts.iter().map(|&l| cur[l as usize].load()).min();
+            let m = ghosts.iter().map(|&l| cur[l as usize].load(t.hooks)).min();
             device.charge(CostKind::ThreadWork, 1 + ghosts.len() as u64);
-            if let Some(m) = m.filter(|&m| m < cur[r].load()) {
+            if let Some(m) = m.filter(|&m| m < cur[r].load(t.hooks)) {
                 device.charge(CostKind::Atomic, 1);
-                next[r].fetch_min(m, None);
+                next[r].fetch_min(m, None, t.hooks);
             }
         });
         publish(s, roots, out);
@@ -131,7 +131,7 @@ pub fn run_cc(devices: &[Device], g: &Csr, part: &Partition) -> ShardCcResult {
     let mut labels = vec![0u32; g.num_vertices()];
     for (s, sg) in graphs.iter().enumerate() {
         for v in 0..sg.owned {
-            labels[sg.globals[v] as usize] = cur[s][roots[s][v] as usize].load();
+            labels[sg.globals[v] as usize] = cur[s][roots[s][v] as usize].load(Hooks::OFF);
         }
     }
     ShardCcResult { labels, stats: driver.stats(part) }

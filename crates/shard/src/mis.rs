@@ -33,7 +33,7 @@
 use std::collections::BinaryHeap;
 
 use ecl_gpusim::atomics::{atomic_u32_array, atomic_u8_array};
-use ecl_gpusim::{launch_flat_named, CostKind, CountedU32, CountedU8, Device, LaunchConfig};
+use ecl_gpusim::{launch_flat_named, CostKind, CountedU32, CountedU8, Device, Hooks, LaunchConfig};
 use ecl_graph::Csr;
 use ecl_mis::status::{self, PriorityPolicy};
 
@@ -101,35 +101,36 @@ impl<'g> ShardState<'g> {
     /// until the worklist is empty.
     fn local_fixpoint(&self, device: &Device, seeds: &[u32], arrived: &[u32]) {
         let config = LaunchConfig::new(1, 1);
-        launch_flat_named(device, "shard.mis.local-fixpoint", config, |_| {
+        launch_flat_named(device, "shard.mis.local-fixpoint", config, |t| {
+            let h = t.hooks;
             let mut heap = BinaryHeap::new();
             let mut charges = [seeds.len() as u64, 0];
-            heap.extend(seeds.iter().map(|&v| (self.rank(v), v)));
+            heap.extend(seeds.iter().map(|&v| (self.rank(v, h), v)));
             for &l in arrived {
-                self.settle(l, &mut heap, &mut charges);
+                self.settle(l, &mut heap, &mut charges, h);
             }
             let g = &self.sg.globals;
             while let Some((_, v)) = heap.pop() {
                 charges[0] += 1;
-                let sv = self.status[v as usize].load();
+                let sv = self.status[v as usize].load(h);
                 if status::decided(sv) {
                     continue;
                 }
                 // No neighbor is IN: an IN decision settles at once.
                 let adj = self.sg.csr.neighbors(v);
                 let blocker = adj.iter().position(|&u| {
-                    let su = self.status[u as usize].load();
+                    let su = self.status[u as usize].load(h);
                     su != status::OUT
                         && status::beats_salted(self.salt, su, g[u as usize], sv, g[v as usize])
                 });
                 charges[0] += blocker.map_or(adj.len(), |i| i + 1) as u64;
                 if let Some(i) = blocker {
-                    self.next[v as usize].store(self.first[adj[i] as usize].load());
-                    self.first[adj[i] as usize].store(v);
+                    self.next[v as usize].store(self.first[adj[i] as usize].load(h), h);
+                    self.first[adj[i] as usize].store(v, h);
                     charges[1] += 1;
                 } else {
-                    self.status[v as usize].store(status::IN);
-                    self.settle(v, &mut heap, &mut charges);
+                    self.status[v as usize].store(status::IN, h);
+                    self.settle(v, &mut heap, &mut charges, h);
                 }
             }
             device.charge(CostKind::ThreadWork, charges[0]);
@@ -141,32 +142,38 @@ impl<'g> ShardState<'g> {
     /// every vertex waiting on it among them — OUT; OUT puts the
     /// vertices waiting on it back on the worklist. Adds arcs examined
     /// and pushes to `charges`, the launch's `[ThreadWork, Atomic]`.
-    fn settle(&self, l: u32, heap: &mut BinaryHeap<((u8, u32, u32), u32)>, charges: &mut [u64; 2]) {
+    fn settle(
+        &self,
+        l: u32,
+        heap: &mut BinaryHeap<((u8, u32, u32), u32)>,
+        charges: &mut [u64; 2],
+        h: Hooks,
+    ) {
         let (sg, i) = (self.sg, l as usize);
-        if self.status[i].load() == status::IN {
+        if self.status[i].load(h) == status::IN {
             let adj =
                 if sg.is_ghost(i) { &self.ghost_in[i - sg.owned] } else { sg.csr.neighbors(l) };
             for &u in adj.iter().take_while(|&&u| !sg.is_ghost(u as usize)) {
                 charges[0] += 1;
-                if status::undecided(self.status[u as usize].load()) {
-                    self.status[u as usize].store(status::OUT);
-                    self.settle(u, heap, charges);
+                if status::undecided(self.status[u as usize].load(h)) {
+                    self.status[u as usize].store(status::OUT, h);
+                    self.settle(u, heap, charges, h);
                 }
             }
             return;
         }
-        let mut v = self.first[i].load();
+        let mut v = self.first[i].load(h);
         while v != NONE {
-            heap.push((self.rank(v), v));
+            heap.push((self.rank(v, h), v));
             charges[1] += 1;
-            v = self.next[v as usize].load();
+            v = self.next[v as usize].load(h);
         }
     }
 
     /// Worklist key of owned vertex `v`.
-    fn rank(&self, v: u32) -> (u8, u32, u32) {
+    fn rank(&self, v: u32, h: Hooks) -> (u8, u32, u32) {
         let v = v as usize;
-        status::salted_rank(self.salt, self.status[v].load(), self.sg.globals[v])
+        status::salted_rank(self.salt, self.status[v].load(h), self.sg.globals[v])
     }
 }
 
@@ -187,8 +194,8 @@ pub fn run_mis(devices: &[Device], g: &Csr, part: &Partition, tie_salt: u32) -> 
         let mut arrived = Vec::new();
         for msg in inbox {
             let l = sg.ghost_local(msg.vertex).expect("status of a vertex not ghosted");
-            st.status[l].store(msg.payload as u8);
-            if msg.payload as u8 == status::IN || st.first[l].load() != NONE {
+            st.status[l].store(msg.payload as u8, Hooks::OFF);
+            if msg.payload as u8 == status::IN || st.first[l].load(Hooks::OFF) != NONE {
                 arrived.push(l as u32);
             }
         }
@@ -198,7 +205,7 @@ pub fn run_mis(devices: &[Device], g: &Csr, part: &Partition, tie_salt: u32) -> 
         }
         let status = &st.status;
         st.boundary.retain(|&v| {
-            let sv = status[v as usize].load();
+            let sv = status[v as usize].load(Hooks::OFF);
             if status::decided(sv) {
                 let msg = Message { vertex: sg.globals[v as usize], payload: sv.into() };
                 out.broadcast(sg.ghost_of[v as usize], msg);
@@ -210,7 +217,7 @@ pub fn run_mis(devices: &[Device], g: &Csr, part: &Partition, tie_salt: u32) -> 
     let mut in_set = vec![false; g.num_vertices()];
     for st in &states {
         for v in 0..st.sg.owned {
-            let sv = st.status[v].load();
+            let sv = st.status[v].load(Hooks::OFF);
             assert!(status::decided(sv), "fixpoint with an undecided vertex");
             in_set[st.sg.globals[v] as usize] = sv == status::IN;
         }

@@ -41,7 +41,7 @@
 //! bit-identical to `ecl_scc::run` at every shard count.
 
 use ecl_gpusim::atomics::atomic_u32_array;
-use ecl_gpusim::{launch_flat_named, CostKind, CountedU32, Device, LaunchConfig};
+use ecl_gpusim::{launch_flat_named, CostKind, CountedU32, Device, Hooks, LaunchConfig};
 use ecl_graph::Csr;
 
 use crate::exchange::{Driver, Message};
@@ -118,8 +118,9 @@ impl<'g> ShardState<'g> {
         ShardState { sg, v_in, v_out, alive, rev, rev_arc, sent, fwd, bwd, pruned: 0 }
     }
 
+    /// Slot `l`'s signature pair, read on the host.
     fn pair(&self, l: usize) -> u64 {
-        pack(self.v_in[l].load(), self.v_out[l].load())
+        pack(self.v_in[l].load(Hooks::OFF), self.v_out[l].load(Hooks::OFF))
     }
 
     /// The local phase: `v_in` forward from `fwd`, then `v_out`
@@ -127,12 +128,20 @@ impl<'g> ShardState<'g> {
     fn local_fixpoint(&self, device: &Device, fwd: &[(u32, u32)], bwd: &[(u32, u32)]) {
         let (csr, rev) = (&self.sg.csr, &self.rev);
         let config = LaunchConfig::new(1, 1);
-        launch_flat_named(device, "shard.scc.local-fixpoint", config, |_| {
+        launch_flat_named(device, "shard.scc.local-fixpoint", config, |t| {
             let heads = csr.neighbor_array();
-            let f = self.drain(&self.v_in, fwd, |u| csr.arc_range(u).map(|a| (a, heads[a])));
-            let b = self.drain(&self.v_out, bwd, |v| {
-                rev.arc_range(v).map(|i| (self.rev_arc[i] as usize, rev.neighbor_array()[i]))
-            });
+            let [f, b] = t.hooks.unswitch(
+                #[inline(always)]
+                |h| {
+                    let f =
+                        self.drain(&self.v_in, fwd, h, |u| csr.arc_range(u).map(|a| (a, heads[a])));
+                    let b = self.drain(&self.v_out, bwd, h, |v| {
+                        rev.arc_range(v)
+                            .map(|i| (self.rev_arc[i] as usize, rev.neighbor_array()[i]))
+                    });
+                    [f, b]
+                },
+            );
             device.charge(CostKind::ThreadWork, f[0] + f[1] + b[0] + b[1]);
             device.charge(CostKind::Atomic, f[1] + f[2] + b[1] + b[2]);
         });
@@ -144,10 +153,12 @@ impl<'g> ShardState<'g> {
     /// final value — and a seed an earlier flood raised is stale. Ghost
     /// targets are raised but not expanded. Returns `[pops, arcs
     /// examined, pushes]`.
+    #[inline(always)]
     fn drain<I: Iterator<Item = (usize, u32)>>(
         &self,
         sig: &[CountedU32],
         seeds: &[(u32, u32)],
+        h: Hooks,
         step: impl Fn(u32) -> I,
     ) -> [u64; 3] {
         let mut order = seeds.to_vec();
@@ -157,12 +168,14 @@ impl<'g> ShardState<'g> {
             stack.push(seed);
             while let Some(l) = stack.pop() {
                 counts[0] += 1;
-                if val != sig[l as usize].load() {
+                if val != sig[l as usize].load(h) {
                     continue;
                 }
                 for (_, t) in step(l).filter(|&(a, _)| self.alive[a]) {
                     counts[1] += 1;
-                    if sig[t as usize].fetch_max(val, None) < val && !self.sg.is_ghost(t as usize) {
+                    if sig[t as usize].fetch_max(val, None, h) < val
+                        && !self.sg.is_ghost(t as usize)
+                    {
                         stack.push(t);
                         counts[2] += 1;
                     }
@@ -193,8 +206,8 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
         // every slot they expand from.
         driver.step(&mut states, |_, st, device, _, _| {
             for (l, &id) in st.sg.globals.iter().enumerate() {
-                st.v_in[l].store(id);
-                st.v_out[l].store(id);
+                st.v_in[l].store(id, Hooks::OFF);
+                st.v_out[l].store(id, Hooks::OFF);
                 st.sent[l] = pack(id, id);
             }
             st.bwd = st.sg.globals.iter().copied().zip(0..).collect();
@@ -210,14 +223,14 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
                 let l = sg.local_of(msg.vertex).expect("message for a vertex this shard lacks");
                 if sg.is_ghost(l) {
                     let v_out = msg.payload as u32;
-                    st.v_in[l].fetch_max((msg.payload >> 32) as u32, None);
-                    if st.v_out[l].fetch_max(v_out, None) < v_out {
+                    st.v_in[l].fetch_max((msg.payload >> 32) as u32, None, Hooks::OFF);
+                    if st.v_out[l].fetch_max(v_out, None, Hooks::OFF) < v_out {
                         bwd.push((v_out, l as u32));
                     }
                     st.sent[l] = st.pair(l);
                 } else {
                     let cand = msg.payload as u32;
-                    if st.v_in[l].fetch_max(cand, None) < cand {
+                    if st.v_in[l].fetch_max(cand, None, Hooks::OFF) < cand {
                         fwd.push((cand, l as u32));
                     }
                 }
@@ -263,9 +276,9 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
             }
         });
 
-        let done = states
-            .iter()
-            .all(|st| (0..st.sg.owned).all(|v| st.v_in[v].load() == st.v_out[v].load()));
+        let done = states.iter().all(|st| {
+            (0..st.sg.owned).all(|v| st.v_in[v].load(Hooks::OFF) == st.v_out[v].load(Hooks::OFF))
+        });
         if done {
             break;
         }
@@ -279,7 +292,7 @@ pub fn run_scc(devices: &[Device], g: &Csr, part: &Partition) -> ShardSccResult 
     let mut labels = vec![0u32; g.num_vertices()];
     for st in &states {
         for v in 0..st.sg.owned {
-            labels[st.sg.globals[v] as usize] = st.v_in[v].load();
+            labels[st.sg.globals[v] as usize] = st.v_in[v].load(Hooks::OFF);
         }
     }
     ShardSccResult { labels, outer_iterations: m, stats: driver.stats(part) }

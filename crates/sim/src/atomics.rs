@@ -16,6 +16,12 @@
 //! CUDA originals, which use plain `atomicCAS`/`atomicMin` with device
 //! memory semantics.
 //!
+//! Every op takes the block's [`Hooks`] snapshot (from the kernel's
+//! context; [`Hooks::OFF`] in host code) and reports itself to the
+//! observers that want it. No op reads a thread-local: under
+//! [`Hooks::unswitch`] with nothing listening, the report compiles
+//! away.
+//!
 //! An ineffective min/max is a load. `fetch_min`/`fetch_max` load the
 //! cell first. When the loaded value already proves the operation a
 //! no-op ([`min_is_noop`], [`max_is_noop`]), they issue no RMW and
@@ -32,19 +38,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use ecl_profiling::{AtomicOutcome, AtomicTally};
 
 use crate::check::AccessKind;
-use crate::observe;
-
-/// Maps an RMW outcome to the access kind the observers see. All three
-/// are atomic (race-exempt) kinds; the split lets lint rules count
-/// *effective* updates and the trace keep failed CASes apart.
-#[inline]
-fn rmw_access_kind(outcome: AtomicOutcome) -> AccessKind {
-    match outcome {
-        AtomicOutcome::Updated => AccessKind::AtomicUpdated,
-        AtomicOutcome::NoEffect => AccessKind::AtomicNoEffect,
-        AtomicOutcome::CasFailed => AccessKind::AtomicCasFailed,
-    }
-}
+use crate::observe::{self, Hooks};
 
 /// The skip test of the counted `atomicMin`: whether a cell seen
 /// holding `seen` makes `atomicMin(v)` a no-op (`v >= seen`). Shared
@@ -70,21 +64,25 @@ macro_rules! counted_atomic {
         }
 
         impl $name {
+            const SIZE: usize = std::mem::size_of::<Self>();
+
             /// A new cell holding `v`.
             pub fn new(v: $prim) -> Self {
                 Self { inner: <$atomic>::new(v) }
+            }
+
+            /// The cell's address, as the observers see it.
+            #[inline(always)]
+            fn addr(&self) -> usize {
+                self as *const Self as usize
             }
 
             /// Relaxed load. Semantically a *plain* CUDA read: the
             /// race detector treats it as an ordinary access, not an
             /// atomic.
             #[inline]
-            pub fn load(&self) -> $prim {
-                observe::access(
-                    self as *const Self as usize,
-                    std::mem::size_of::<Self>(),
-                    AccessKind::Read,
-                );
+            pub fn load(&self, hooks: Hooks) -> $prim {
+                observe::access(hooks, self.addr(), Self::SIZE, AccessKind::Read);
                 self.inner.load(Ordering::Relaxed)
             }
 
@@ -92,34 +90,37 @@ macro_rules! counted_atomic {
             /// race detector treats it as an ordinary access, not an
             /// atomic.
             #[inline]
-            pub fn store(&self, v: $prim) {
-                observe::access(
-                    self as *const Self as usize,
-                    std::mem::size_of::<Self>(),
-                    AccessKind::Write,
-                );
+            pub fn store(&self, v: $prim, hooks: Hooks) {
+                observe::access(hooks, self.addr(), Self::SIZE, AccessKind::Write);
                 self.inner.store(v, Ordering::Relaxed)
             }
 
             /// Records one RMW outcome in `tally` and reports it to the
             /// observers.
             #[inline(always)]
-            fn record_rmw(&self, outcome: AtomicOutcome, tally: Option<&AtomicTally>) {
+            fn record_rmw(
+                &self,
+                outcome: AtomicOutcome,
+                tally: Option<&AtomicTally>,
+                hooks: Hooks,
+            ) {
                 if let Some(t) = tally {
                     t.record(outcome);
                 }
-                observe::access(
-                    self as *const Self as usize,
-                    std::mem::size_of::<Self>(),
-                    rmw_access_kind(outcome),
-                );
+                observe::rmw(hooks, self.addr(), Self::SIZE, outcome);
             }
 
             /// CUDA `atomicCAS`: installs `new` iff the cell holds
             /// `expected`; returns the value held before the operation
             /// (CUDA semantics). Records Updated / CasFailed.
             #[inline]
-            pub fn cas(&self, expected: $prim, new: $prim, tally: Option<&AtomicTally>) -> $prim {
+            pub fn cas(
+                &self,
+                expected: $prim,
+                new: $prim,
+                tally: Option<&AtomicTally>,
+                hooks: Hooks,
+            ) -> $prim {
                 let (old, outcome) = match self.inner.compare_exchange(
                     expected,
                     new,
@@ -129,7 +130,7 @@ macro_rules! counted_atomic {
                     Ok(old) => (old, AtomicOutcome::Updated),
                     Err(old) => (old, AtomicOutcome::CasFailed),
                 };
-                self.record_rmw(outcome, tally);
+                self.record_rmw(outcome, tally, hooks);
                 old
             }
 
@@ -137,7 +138,7 @@ macro_rules! counted_atomic {
             /// returns the previous value and records Updated /
             /// NoEffect. A no-op is a load (module docs).
             #[inline]
-            pub fn fetch_min(&self, v: $prim, tally: Option<&AtomicTally>) -> $prim {
+            pub fn fetch_min(&self, v: $prim, tally: Option<&AtomicTally>, hooks: Hooks) -> $prim {
                 let seen = self.inner.load(Ordering::Relaxed);
                 let old = if min_is_noop(seen, v) {
                     seen
@@ -146,7 +147,7 @@ macro_rules! counted_atomic {
                 };
                 let outcome =
                     if v < old { AtomicOutcome::Updated } else { AtomicOutcome::NoEffect };
-                self.record_rmw(outcome, tally);
+                self.record_rmw(outcome, tally, hooks);
                 old
             }
 
@@ -154,7 +155,7 @@ macro_rules! counted_atomic {
             /// returns the previous value and records Updated /
             /// NoEffect. A no-op is a load (module docs).
             #[inline]
-            pub fn fetch_max(&self, v: $prim, tally: Option<&AtomicTally>) -> $prim {
+            pub fn fetch_max(&self, v: $prim, tally: Option<&AtomicTally>, hooks: Hooks) -> $prim {
                 let seen = self.inner.load(Ordering::Relaxed);
                 let old = if max_is_noop(seen, v) {
                     seen
@@ -163,19 +164,13 @@ macro_rules! counted_atomic {
                 };
                 let outcome =
                     if v > old { AtomicOutcome::Updated } else { AtomicOutcome::NoEffect };
-                self.record_rmw(outcome, tally);
+                self.record_rmw(outcome, tally, hooks);
                 old
             }
 
             /// Exclusive-access read (no atomics).
             pub fn get_mut(&mut self) -> &mut $prim {
                 self.inner.get_mut()
-            }
-        }
-
-        impl Clone for $name {
-            fn clone(&self) -> Self {
-                Self::new(self.load())
             }
         }
 
@@ -232,11 +227,11 @@ mod tests {
         let t = AtomicTally::new();
         let a = CountedU32::new(5);
         // Success: returns the old value.
-        assert_eq!(a.cas(5, 9, Some(&t)), 5);
-        assert_eq!(a.load(), 9);
+        assert_eq!(a.cas(5, 9, Some(&t), Hooks::OFF), 5);
+        assert_eq!(a.load(Hooks::OFF), 9);
         // Failure: returns the current (unexpected) value.
-        assert_eq!(a.cas(5, 7, Some(&t)), 9);
-        assert_eq!(a.load(), 9);
+        assert_eq!(a.cas(5, 7, Some(&t), Hooks::OFF), 9);
+        assert_eq!(a.load(Hooks::OFF), 9);
         assert_eq!(t.attempted(), 2);
         assert_eq!(t.updated(), 1);
         assert_eq!(t.cas_failed(), 1);
@@ -246,10 +241,10 @@ mod tests {
     fn fetch_min_effectiveness() {
         let t = AtomicTally::new();
         let a = CountedU32::new(10);
-        assert_eq!(a.fetch_min(3, Some(&t)), 10);
-        assert_eq!(a.load(), 3);
-        assert_eq!(a.fetch_min(8, Some(&t)), 3);
-        assert_eq!(a.load(), 3);
+        assert_eq!(a.fetch_min(3, Some(&t), Hooks::OFF), 10);
+        assert_eq!(a.load(Hooks::OFF), 3);
+        assert_eq!(a.fetch_min(8, Some(&t), Hooks::OFF), 3);
+        assert_eq!(a.load(Hooks::OFF), 3);
         assert_eq!(t.updated(), 1);
         assert_eq!(t.no_effect(), 1);
     }
@@ -258,9 +253,9 @@ mod tests {
     fn fetch_max_effectiveness() {
         let t = AtomicTally::new();
         let a = CountedU64::new(10);
-        a.fetch_max(20, Some(&t));
-        a.fetch_max(15, Some(&t));
-        assert_eq!(a.load(), 20);
+        a.fetch_max(20, Some(&t), Hooks::OFF);
+        a.fetch_max(15, Some(&t), Hooks::OFF);
+        assert_eq!(a.load(Hooks::OFF), 20);
         assert_eq!(t.updated(), 1);
         assert_eq!(t.no_effect(), 1);
     }
@@ -269,8 +264,8 @@ mod tests {
     fn equal_value_minmax_is_no_effect() {
         let t = AtomicTally::new();
         let a = CountedU32::new(7);
-        a.fetch_min(7, Some(&t));
-        a.fetch_max(7, Some(&t));
+        a.fetch_min(7, Some(&t), Hooks::OFF);
+        a.fetch_max(7, Some(&t), Hooks::OFF);
         assert_eq!(t.no_effect(), 2);
         assert_eq!(t.updated(), 0);
     }
@@ -278,19 +273,19 @@ mod tests {
     #[test]
     fn none_tally_skips_recording() {
         let a = CountedU8::new(1);
-        a.cas(1, 2, None);
-        a.fetch_max(9, None);
-        assert_eq!(a.load(), 9);
+        a.cas(1, 2, None, Hooks::OFF);
+        a.fetch_max(9, None, Hooks::OFF);
+        assert_eq!(a.load(Hooks::OFF), 9);
     }
 
     #[test]
     fn array_constructors() {
         let xs = atomic_u32_array(4, |i| i as u32 * 2);
-        assert_eq!(xs[3].load(), 6);
+        assert_eq!(xs[3].load(Hooks::OFF), 6);
         let ys = atomic_u64_array(2, |_| u64::MAX);
-        assert_eq!(ys[0].load(), u64::MAX);
+        assert_eq!(ys[0].load(Hooks::OFF), u64::MAX);
         let zs = atomic_u8_array(3, |i| i as u8);
-        assert_eq!(zs[2].load(), 2);
+        assert_eq!(zs[2].load(Hooks::OFF), 2);
     }
 
     #[test]
@@ -301,11 +296,11 @@ mod tests {
             for i in 1..=8u32 {
                 let (a, t) = (&a, &t);
                 s.spawn(move || {
-                    a.cas(0, i, Some(t));
+                    a.cas(0, i, Some(t), Hooks::OFF);
                 });
             }
         });
-        assert_ne!(a.load(), 0);
+        assert_ne!(a.load(Hooks::OFF), 0);
         assert_eq!(t.updated(), 1);
         assert_eq!(t.cas_failed(), 7);
     }
@@ -317,18 +312,18 @@ mod tests {
             for i in 0..16u32 {
                 let a = &a;
                 s.spawn(move || {
-                    a.fetch_min(1000 - i, None);
+                    a.fetch_min(1000 - i, None, Hooks::OFF);
                 });
             }
         });
-        assert_eq!(a.load(), 985);
+        assert_eq!(a.load(Hooks::OFF), 985);
     }
 
     #[test]
     fn get_mut_exclusive() {
         let mut a = CountedU32::new(1);
         *a.get_mut() = 42;
-        assert_eq!(a.load(), 42);
+        assert_eq!(a.load(Hooks::OFF), 42);
     }
 
     /// The test-first min/max against a reference that always issues
@@ -353,10 +348,10 @@ mod tests {
                         let v = x as $prim * step;
                         let (got, want, updated) = if is_max == 1 {
                             let want = rmw.fetch_max(v, Ordering::Relaxed);
-                            (fast.fetch_max(v, Some(&fast_tally)), want, v > want)
+                            (fast.fetch_max(v, Some(&fast_tally), Hooks::OFF), want, v > want)
                         } else {
                             let want = rmw.fetch_min(v, Ordering::Relaxed);
-                            (fast.fetch_min(v, Some(&fast_tally)), want, v < want)
+                            (fast.fetch_min(v, Some(&fast_tally), Hooks::OFF), want, v < want)
                         };
                         rmw_tally.record(if updated {
                             AtomicOutcome::Updated
@@ -365,7 +360,7 @@ mod tests {
                         });
                         proptest::prop_assert_eq!(got, want);
                     }
-                    proptest::prop_assert_eq!(fast.load(), rmw.load(Ordering::Relaxed));
+                    proptest::prop_assert_eq!(fast.load(Hooks::OFF), rmw.load(Ordering::Relaxed));
                     proptest::prop_assert_eq!(
                         (fast_tally.updated(), fast_tally.no_effect()),
                         (rmw_tally.updated(), rmw_tally.no_effect())
@@ -394,12 +389,12 @@ mod tests {
                 s.spawn(move || {
                     start.wait();
                     for i in 0..CALLS {
-                        a.fetch_max(i * THREADS + w, Some(t));
+                        a.fetch_max(i * THREADS + w, Some(t), Hooks::OFF);
                     }
                 });
             }
         });
-        assert_eq!(a.load(), THREADS * CALLS - 1);
+        assert_eq!(a.load(Hooks::OFF), THREADS * CALLS - 1);
         assert_eq!(t.updated() + t.no_effect(), u64::from(THREADS * CALLS));
         assert!(t.updated() >= 1);
     }
@@ -413,11 +408,12 @@ mod tests {
         // One in-order block, run on this thread: six no-ops (each
         // proven by the first load, so no RMW), then one real update.
         crate::pool::with_policy(crate::DispatchPolicy::sequential(), || {
-            crate::launch_blocks_named(&d, "t.skip", crate::LaunchConfig::new(1, 1), |_| {
-                assert_eq!((a.fetch_max(5, None), a.fetch_min(9, None)), (5, 5));
-                assert_eq!((b.fetch_max(1, None), b.fetch_min(5, None)), (5, 5));
-                assert_eq!((c.fetch_max(0, None), c.fetch_min(u64::MAX, None)), (5, 5));
-                assert_eq!(b.fetch_max(6, None), 5);
+            crate::launch_blocks_named(&d, "t.skip", crate::LaunchConfig::new(1, 1), |blk| {
+                let h = blk.hooks;
+                assert_eq!((a.fetch_max(5, None, h), a.fetch_min(9, None, h)), (5, 5));
+                assert_eq!((b.fetch_max(1, None, h), b.fetch_min(5, None, h)), (5, 5));
+                assert_eq!((c.fetch_max(0, None, h), c.fetch_min(u64::MAX, None, h)), (5, 5));
+                assert_eq!(b.fetch_max(6, None, h), 5);
             });
         });
 

@@ -13,6 +13,8 @@
 use std::cell::Cell;
 use std::fmt;
 
+use ecl_profiling::AtomicOutcome;
+
 /// The execution granularity of a launch, as seen by the checker.
 ///
 /// Race agents match what can actually interleave in the simulator:
@@ -70,6 +72,19 @@ impl AccessKind {
     /// from the race rules).
     pub fn is_atomic(self) -> bool {
         !matches!(self, AccessKind::Read | AccessKind::Write)
+    }
+}
+
+/// The access kind observers see for an RMW outcome. All three are
+/// atomic (race-exempt) kinds; the split lets lint rules count
+/// *effective* updates and the trace keep failed CASes apart.
+impl From<AtomicOutcome> for AccessKind {
+    fn from(outcome: AtomicOutcome) -> Self {
+        match outcome {
+            AtomicOutcome::Updated => AccessKind::AtomicUpdated,
+            AtomicOutcome::NoEffect => AccessKind::AtomicNoEffect,
+            AtomicOutcome::CasFailed => AccessKind::AtomicCasFailed,
+        }
     }
 }
 
@@ -173,7 +188,7 @@ pub(crate) mod tests {
         launch_blocks_named, launch_flat_named, launch_persistent_named, launch_warps_named,
         LaunchConfig,
     };
-    use crate::observe::{self, Launch, Observer, Wants};
+    use crate::observe::{self, Hooks, Launch, Observer, Wants};
     use crate::pool::{with_policy, DispatchPolicy};
 
     /// Logs every hook call it receives, one line each, and tracks
@@ -270,7 +285,7 @@ pub(crate) mod tests {
         let cells = atomic_u32_array(4, |_| 0);
         let cfg = LaunchConfig::new(2, 2);
         launch_flat_named(d, "t.flat", cfg, |t| {
-            cells[t.global].store(t.global as u32);
+            cells[t.global].store(t.global as u32, t.hooks);
             d.charge(CostKind::ThreadWork, 1);
         });
         want.extend(expected("t.flat", "flat", cfg, |b| {
@@ -286,7 +301,7 @@ pub(crate) mod tests {
         let seen = atomic_u32_array(n, |_| 1);
         launch_persistent_named(d, "t.persistent", |t| {
             if t.global < n {
-                seen[t.global].fetch_max(0, None);
+                seen[t.global].fetch_max(0, None, t.hooks);
             }
         });
         let cfg = LaunchConfig::cover(n, d.config().default_block_size);
@@ -302,8 +317,8 @@ pub(crate) mod tests {
         let cells = atomic_u32_array(2, |_| 5);
         let cfg = LaunchConfig::new(2, 4);
         launch_blocks_named(d, "t.blocks", cfg, |b| {
-            cells[b.block].fetch_min(0, None);
-            cells[b.block].cas(99, 1, None);
+            cells[b.block].fetch_min(0, None, b.hooks);
+            cells[b.block].cas(99, 1, None, b.hooks);
             b.sync();
             b.threads().for_each(|t| b.lane_sync(t));
             observe::check_finding(b.block as u32, 2);
@@ -326,7 +341,7 @@ pub(crate) mod tests {
         // Warps: warp-granular agents.
         let cfg = LaunchConfig::new(1, 64);
         launch_warps_named(d, "t.warps", cfg, |w| {
-            cells[w.block].load();
+            cells[w.block].load(w.hooks);
         });
         want.extend(expected("t.warps", "warps", cfg, |b| {
             (0..2).map(|w| format!("access Read 4 b{b}/w{w}")).collect()
@@ -357,11 +372,11 @@ pub(crate) mod tests {
             // outside a block reach no device's observers.
             let other = Device::test_small();
             let cells = atomic_u32_array(1, |_| 0);
-            launch_flat_named(&other, "t.other", LaunchConfig::new(1, 1), |_| {
+            launch_flat_named(&other, "t.other", LaunchConfig::new(1, 1), |t| {
                 assert!(current_agent().is_none());
-                cells[0].store(7);
+                cells[0].store(7, t.hooks);
             });
-            cells[0].store(9);
+            cells[0].store(9, Hooks::OFF);
             observe::check_finding(7, 2);
             assert!(a.take().is_empty());
             assert!(b.take().is_empty());
@@ -391,7 +406,7 @@ pub(crate) mod tests {
             let cells = atomic_u32_array(cfg.total_threads(), |_| 0);
             with_policy(DispatchPolicy::pooled(2), || {
                 for _ in 0..LAUNCHES {
-                    launch_flat_named(d, name, cfg, |t| cells[t.global].store(1));
+                    launch_flat_named(d, name, cfg, |t| cells[t.global].store(1, t.hooks));
                 }
             });
         };

@@ -150,8 +150,11 @@ impl Device {
 
     /// Charges `units` of `kind` to this device's tally. Also reports
     /// the charge to the observers of the block running on this thread
-    /// (one thread-local load when it has none) so launch lints can
-    /// attribute work to the executing agent.
+    /// so launch lints can attribute work to the executing agent. Unlike
+    /// the counted ops it takes no [`crate::observe::Hooks`] snapshot:
+    /// it reads the block's published wants itself, one thread-local
+    /// byte test and a cold fan-out. The unswitched ECL-SCC sweep
+    /// charges once per sweep, outside its per-edge loop.
     #[inline]
     pub fn charge(&self, kind: CostKind, units: u64) {
         crate::observe::charge(kind, units);

@@ -30,7 +30,7 @@ use ecl_profiling::LaunchSample;
 use crate::check::{self, Agent, LaunchShape};
 use crate::cost::CostKind;
 use crate::device::Device;
-use crate::observe::{self, Launch};
+use crate::observe::{self, Hooks, Launch};
 use crate::{ctx, pool};
 
 /// Dispatches a launch's blocks onto the pool and, when `sampled`,
@@ -103,6 +103,8 @@ pub struct ThreadCtx {
     pub block: usize,
     /// Thread index within the block.
     pub lane: usize,
+    /// What the device's observers want of this block's counted ops.
+    pub hooks: Hooks,
 }
 
 /// The launch skeleton every shape shares: charges the launch,
@@ -111,12 +113,14 @@ pub struct ThreadCtx {
 /// scopes the per-OS-thread agent, the published observer list and
 /// the block-local cost tally around each block (the tally folds into
 /// the device's when the block ends, so before the pool retires the
-/// block and the launch join publishes it). `per_block(block, tracked)`
-/// only runs the shape's inner loop, setting the agent it iterates
-/// when `tracked`; the agent is cleared before `block_end`.
+/// block and the launch join publishes it). `per_block(block, tracked,
+/// hooks)` only runs the shape's inner loop, setting the agent it
+/// iterates when `tracked` and handing `hooks`, the block's snapshot
+/// taken once after the list is published, to the kernel; the agent
+/// is cleared before `block_end`.
 fn run_grid<F>(device: &Device, name: &str, shape: LaunchShape, cfg: LaunchConfig, per_block: F)
 where
-    F: Fn(usize, bool) + Sync,
+    F: Fn(usize, bool, Hooks) + Sync,
 {
     device.charge(CostKind::KernelLaunch, 1);
     let observers = device.observers().list();
@@ -129,7 +133,7 @@ where
         let _observers = observe::BlockScope::enter(observers.as_ref());
         let _tally = device.cost().open_block();
         observe::block_begin(block as u32, cfg.block_size, tracked);
-        per_block(block, tracked);
+        per_block(block, tracked, Hooks::current());
         if tracked {
             check::set_agent(None);
         }
@@ -145,12 +149,12 @@ fn run_flat<F>(device: &Device, name: &str, shape: LaunchShape, cfg: LaunchConfi
 where
     F: Fn(ThreadCtx) + Sync,
 {
-    run_grid(device, name, shape, cfg, |block, tracked| {
+    run_grid(device, name, shape, cfg, |block, tracked, hooks| {
         for lane in 0..cfg.block_size {
             if tracked {
                 check::set_agent(Some(Agent::thread(block as u32, lane as u32)));
             }
-            f(ThreadCtx { global: block * cfg.block_size + lane, block, lane });
+            f(ThreadCtx { global: block * cfg.block_size + lane, block, lane, hooks });
         }
     });
 }
@@ -202,14 +206,17 @@ pub struct BlockCtx<'a> {
     pub block: usize,
     /// Threads in this block.
     pub block_size: usize,
+    /// What the device's observers want of this block's counted ops;
+    /// a hot loop runs under [`Hooks::unswitch`] of it.
+    pub hooks: Hooks,
     device: &'a Device,
 }
 
 impl BlockCtx<'_> {
     /// The threads of this block, in lane order.
     pub fn threads(&self) -> impl Iterator<Item = ThreadCtx> + '_ {
-        let (block, bs) = (self.block, self.block_size);
-        (0..bs).map(move |lane| ThreadCtx { global: block * bs + lane, block, lane })
+        let (block, bs, hooks) = (self.block, self.block_size, self.hooks);
+        (0..bs).map(move |lane| ThreadCtx { global: block * bs + lane, block, lane, hooks })
     }
 
     /// One block-wide synchronization round: every thread of the block
@@ -268,11 +275,11 @@ where
         LaunchShape::Blocks,
         cfg,
         #[inline(never)]
-        |block, tracked| {
+        |block, tracked, hooks| {
             if tracked {
                 check::set_agent(Some(Agent::block_wide(block as u32)));
             }
-            f(BlockCtx { block, block_size: cfg.block_size, device });
+            f(BlockCtx { block, block_size: cfg.block_size, hooks, device });
         },
     );
 }
@@ -289,6 +296,8 @@ pub struct WarpCtx {
     /// Number of live lanes (the device's warp size, except possibly
     /// in the last warp of a block).
     pub lanes: usize,
+    /// What the device's observers want of this block's counted ops.
+    pub hooks: Hooks,
     /// Global thread id of the block's first thread.
     block_base: usize,
 }
@@ -298,7 +307,7 @@ impl WarpCtx {
     pub fn thread(&self, lane: usize) -> ThreadCtx {
         debug_assert!(lane < self.lanes);
         let global = self.base + lane;
-        ThreadCtx { global, block: self.block, lane: global - self.block_base }
+        ThreadCtx { global, block: self.block, lane: global - self.block_base, hooks: self.hooks }
     }
 }
 
@@ -324,7 +333,7 @@ where
     F: Fn(WarpCtx) + Sync,
 {
     let warp_size = device.config().warp_size.max(1);
-    run_grid(device, name, LaunchShape::Warps, cfg, |block, tracked| {
+    run_grid(device, name, LaunchShape::Warps, cfg, |block, tracked, hooks| {
         let block_base = block * cfg.block_size;
         let mut offset = 0usize;
         let mut warp_in_block = 0usize;
@@ -338,6 +347,7 @@ where
                 block,
                 base: block_base + offset,
                 lanes,
+                hooks,
                 block_base,
             });
             offset += lanes;

@@ -50,6 +50,7 @@ pub use launch::{
     launch_persistent_named, launch_warps, launch_warps_named, BlockCtx, LaunchConfig, ThreadCtx,
     WarpCtx,
 };
+pub use observe::Hooks;
 pub use pool::{ticket_range, DispatchPolicy};
 pub use profile::{KernelProfile, KernelRecord};
 pub use schedule::{default_schedule, KnobDomain, KnobSpec, KnobValue, Schedule};

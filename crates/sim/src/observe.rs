@@ -7,19 +7,23 @@
 //! [`defaults`] when it is created; `Device::observe` attaches a member
 //! until the returned [`Attached`] guard drops. A launch clones its
 //! device's list once and publishes it in a thread-local for each
-//! block, where the access, charge and sync hooks find it: with nothing
-//! attached each is one thread-local byte test. A launch builds its
-//! [`LaunchSample`] once and hands it to every member. Begin hooks run
-//! in attach order, `block_end` and `launch_end` in reverse, so an
-//! observer attached inside another's lifetime nests inside it.
-//! DESIGN.md §8 "Observers on a device".
+//! block, where the charge and sync hooks find it. The counted
+//! accesses read no thread-local: the launch takes a [`Hooks`]
+//! snapshot of the list's per-thread wants once per block and hands it
+//! to the kernel on its context, and every `CountedU*` op takes it as
+//! an argument. A kernel's hot loop runs under [`Hooks::unswitch`], so
+//! with nothing listening it runs a copy in which every hook test is
+//! folded away. A launch builds its [`LaunchSample`] once and hands it
+//! to every member. Begin hooks run in attach order, `block_end` and
+//! `launch_end` in reverse, so an observer attached inside another's
+//! lifetime nests inside it. DESIGN.md §8 "Observers on a device".
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
-use ecl_profiling::LaunchSample;
+use ecl_profiling::{AtomicOutcome, LaunchSample};
 
 use crate::check::{current_agent, AccessKind, Agent, LaunchShape};
 use crate::cost::CostKind;
@@ -145,6 +149,8 @@ const ATOMICS: u8 = 1 << 3;
 const CHARGES: u8 = 1 << 4;
 const SAMPLES: u8 = 1 << 5;
 const REQUEST_SAMPLES: u8 = 1 << 6;
+/// The bits a per-thread hook tests: what a [`Hooks`] snapshot keeps.
+const PER_THREAD: u8 = ACCESSES | ATOMICS | CHARGES;
 
 /// An immutable member list: what a launch clones and a block
 /// publishes.
@@ -283,7 +289,7 @@ pub fn defaults() -> &'static Observers {
 thread_local! {
     /// The bits of the list published for the block running on this
     /// thread; 0 outside a block or when its device has no observers.
-    /// The one byte every per-thread hook loads.
+    /// Only [`BlockScope`] writes it and only [`block_bits`] reads it.
     static BLOCK_WANTS: Cell<u8> = const { Cell::new(0) };
     /// The list itself, read only when `BLOCK_WANTS` covers the event.
     static BLOCK_LIST: RefCell<Option<Arc<ObserverList>>> = const { RefCell::new(None) };
@@ -309,11 +315,61 @@ impl Drop for BlockScope {
     }
 }
 
+/// The bits of the list published for this thread's block: the one
+/// read of `BLOCK_WANTS`.
+#[inline(always)]
+fn block_bits() -> u8 {
+    BLOCK_WANTS.get()
+}
+
 /// Whether the list published for this thread's block has members
-/// that want any of `bits`: the inline test of every per-thread hook.
+/// that want any of `bits`.
 #[inline(always)]
 fn block_wants(bits: u8) -> bool {
-    BLOCK_WANTS.get() & bits != 0
+    block_bits() & bits != 0
+}
+
+/// What the members of a block's list want of its counted accesses and
+/// charges, as a `Copy` snapshot. The launch layer takes it once per
+/// block and hands it to the kernel on its context
+/// ([`crate::ThreadCtx`], [`crate::BlockCtx`], [`crate::WarpCtx`]);
+/// every `CountedU*` op takes it. Host code outside a block passes
+/// [`Hooks::OFF`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Hooks(u8);
+
+impl Hooks {
+    /// Nothing listens: every hook test against it is false.
+    pub const OFF: Hooks = Hooks(0);
+
+    /// The snapshot of the block running on the calling thread;
+    /// [`Hooks::OFF`] outside a block, or when no member of its list
+    /// wants accesses, atomics or charges.
+    pub fn current() -> Hooks {
+        Hooks(block_bits() & PER_THREAD)
+    }
+
+    /// Runs `body(Hooks::OFF)` when nothing listens and `body(self)`
+    /// otherwise. With `body` marked `#[inline(always)]` it compiles
+    /// the body twice: in the first copy every hook test is a constant
+    /// false and folds away, so a hot loop wrapped in it pays nothing
+    /// for being observable. Without the mark LLVM may merge the two
+    /// calls first (the argument is `self` either way) and keep one
+    /// copy with its tests.
+    #[inline(always)]
+    pub fn unswitch<R>(self, body: impl FnOnce(Hooks) -> R) -> R {
+        if self == Hooks::OFF {
+            body(Hooks::OFF)
+        } else {
+            body(self)
+        }
+    }
+
+    /// Whether a member wants any of `bits`.
+    #[inline(always)]
+    fn wants(self, bits: u8) -> bool {
+        self.0 & bits != 0
+    }
 }
 
 /// Calls `f` with the list published for this thread's block.
@@ -377,15 +433,32 @@ pub(crate) fn block_end(block: u32, block_size: usize, tracked: bool) {
     }
 }
 
-/// Reports one counted access to the block's members, if any wants it.
-/// The test is inlined at every access site; the fan-out is not.
+/// Reports one plain counted access (a load or a store) to the block's
+/// members, if any wants it. The test is inlined at every access site;
+/// the fan-out is cold.
 #[inline(always)]
-pub(crate) fn access(addr: usize, size: usize, kind: AccessKind) {
-    if block_wants(if kind.is_atomic() { ACCESSES | ATOMICS } else { ACCESSES }) {
+pub(crate) fn access(hooks: Hooks, addr: usize, size: usize, kind: AccessKind) {
+    if hooks.wants(ACCESSES) {
         fan_out_access(addr, size, kind);
     }
 }
 
+/// Reports one atomic read-modify-write outcome to the block's members,
+/// if any wants accesses or atomics.
+#[inline(always)]
+pub(crate) fn rmw(hooks: Hooks, addr: usize, size: usize, outcome: AtomicOutcome) {
+    if hooks.wants(ACCESSES | ATOMICS) {
+        fan_out_rmw(addr, size, outcome);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn fan_out_rmw(addr: usize, size: usize, outcome: AtomicOutcome) {
+    fan_out_access(addr, size, AccessKind::from(outcome));
+}
+
+#[cold]
 #[inline(never)]
 fn fan_out_access(addr: usize, size: usize, kind: AccessKind) {
     let agent = current_agent();
@@ -396,6 +469,7 @@ fn fan_out_access(addr: usize, size: usize, kind: AccessKind) {
 /// member wants charges and the thread is an agent of a tracked launch.
 #[inline(always)]
 fn with_agent(f: impl Fn(&dyn Observer, Agent)) {
+    #[cold]
     #[inline(never)]
     fn fan_out(f: impl Fn(&dyn Observer, Agent)) {
         if let Some(agent) = current_agent() {

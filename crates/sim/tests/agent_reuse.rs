@@ -76,7 +76,7 @@ fn exercise(policy: DispatchPolicy) {
         let lanes_run = AtomicU64::new(0);
         let panicked = catch_unwind(AssertUnwindSafe(|| {
             launch_flat_named(&tracked_dev, "reuse.panicking", LaunchConfig::new(2, 2), |t| {
-                cells[t.global].store(1);
+                cells[t.global].store(1, t.hooks);
                 tracked_dev.charge(CostKind::ThreadWork, 1);
                 lanes_run.fetch_add(1, Ordering::SeqCst);
                 if t.lane == 1 {
@@ -112,7 +112,7 @@ fn exercise(policy: DispatchPolicy) {
         // threads: none of its accesses may carry an agent. A leaked
         // agent from launch 1 would attribute them.
         launch_flat_named(&other_dev, "reuse.untracked", LaunchConfig::new(2, 2), |t| {
-            cells[t.global].store(2);
+            cells[t.global].store(2, t.hooks);
         });
         assert!(
             bystander.accesses.lock().unwrap().is_empty(),
@@ -123,7 +123,7 @@ fn exercise(policy: DispatchPolicy) {
         // it produces must carry one of its own agents, not a stale
         // agent of launch 1's larger grid.
         launch_flat_named(&tracked_dev, "reuse.tracked", LaunchConfig::new(1, 2), |t| {
-            cells[t.global].store(3);
+            cells[t.global].store(3, t.hooks);
         });
         let accesses = rec.accesses.lock().unwrap();
         let second: Vec<&(u64, Agent)> = accesses.iter().filter(|(l, _)| *l == 2).collect();

@@ -121,11 +121,11 @@ mod tests {
         let d = Device::test_small();
         ecl_gpusim::pool::with_policy(ecl_gpusim::DispatchPolicy::sequential(), || {
             observe::phase_span(&d, "p", || {
-                launch_flat_named(&d, "t", LaunchConfig::new(1, 1), |_| {
-                    cells[0].load(); // plain: not traced
-                    cells[0].fetch_min(3, None);
-                    cells[0].fetch_min(4, None);
-                    cells[0].cas(9, 1, None);
+                launch_flat_named(&d, "t", LaunchConfig::new(1, 1), |t| {
+                    cells[0].load(t.hooks); // plain: not traced
+                    cells[0].fetch_min(3, None, t.hooks);
+                    cells[0].fetch_min(4, None, t.hooks);
+                    cells[0].cas(9, 1, None, t.hooks);
                 });
             });
         });

@@ -12,7 +12,7 @@
 
 use ecl_suite::{gen, profiling, sim};
 use profiling::{ActivityTally, AtomicTally, GlobalCounter, PerThreadCounter, Table};
-use sim::{launch_flat, CostKind, LaunchConfig};
+use sim::{launch_flat, CostKind, Hooks, LaunchConfig};
 
 /// The kernel's counters, one of each granularity (§3: thread-local
 /// or global "depending on the granularity we need"), owned in a
@@ -83,15 +83,19 @@ fn main() {
                 return;
             }
             let v = t.global as u32;
-            let my = labels[t.global].load();
-            let best =
-                g.neighbors(v).iter().map(|&u| labels[u as usize].load()).min().unwrap_or(my);
+            let my = labels[t.global].load(t.hooks);
+            let best = g
+                .neighbors(v)
+                .iter()
+                .map(|&u| labels[u as usize].load(t.hooks))
+                .min()
+                .unwrap_or(my);
             device.charge(CostKind::ThreadWork, g.degree(v) as u64 + 1);
             if best < my {
                 c.activity.record_active();
                 // A counted atomicMin: the wrapper classifies the
                 // outcome (updated / no effect) into the tally.
-                labels[t.global].fetch_min(best, Some(&c.min_outcomes));
+                labels[t.global].fetch_min(best, Some(&c.min_outcomes), t.hooks);
                 c.relaxations.inc(t.global);
                 changed.store(true, std::sync::atomic::Ordering::Relaxed);
             } else {
@@ -105,7 +109,7 @@ fn main() {
 
     // The converged labels are a valid CC labeling.
     let expect = ecl_suite::reference::connected_components(&g);
-    let got: Vec<u32> = labels.iter().map(|l| l.load()).collect();
+    let got: Vec<u32> = labels.iter().map(|l| l.load(Hooks::OFF)).collect();
     assert_eq!(got, expect, "min-label propagation must converge to component minima");
 
     println!("naive min-label CC converged in {rounds} rounds\n");

@@ -47,6 +47,44 @@ fn scc_series_tally_identity() {
     assert_eq!(series_total, r.counters.max_tally.updated());
 }
 
+/// SCC's propagate sweep runs under `Hooks::unswitch`: with an
+/// atomics-counting observer attached it must take the copy that
+/// reports, so in order the observer counts every atomicMax — two per
+/// edge per sweep, exactly the run's `Atomic` cost units and its
+/// `max_tally` attempts.
+#[test]
+fn an_atomics_observer_counts_every_scc_atomic() {
+    use sim::observe::{Observer, Wants};
+    use sim::{AccessKind, Agent, CostKind};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    #[derive(Default)]
+    struct Atomics(AtomicU64);
+    impl Observer for Atomics {
+        fn wants(&self) -> Wants {
+            Wants { atomics: true, ..Wants::default() }
+        }
+        fn access(&self, _: usize, _: usize, kind: AccessKind, _: Option<Agent>) {
+            if kind.is_atomic() {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    let g = gen::registry::find("toroid-wedge").unwrap().generate(0.002, 5);
+    let device = device();
+    let seen = Arc::new(Atomics::default());
+    let _attached = device.observe(seen.clone());
+    let r = sim::pool::with_policy(sim::DispatchPolicy::sequential(), || {
+        scc::run(&device, &g, &scc::SccConfig::original())
+    });
+    let atomics = seen.0.load(Ordering::Relaxed);
+    assert!(atomics > 0);
+    assert_eq!(atomics, device.cost().units(CostKind::Atomic));
+    assert_eq!(atomics, r.counters.max_tally.attempted());
+}
+
 /// MST: per-iteration bar percentages are consistent with the
 /// cumulative tallies (useless fraction within [0, 100]).
 #[test]

@@ -69,7 +69,7 @@ fn run_workload(g: &Csr) -> Outcome {
                 return;
             }
             // Per-vertex exclusive store (race-free, checker-visible).
-            marks[t.global].store(t.global as u32 + 1);
+            marks[t.global].store(t.global as u32 + 1, t.hooks);
             let mut local = 0u64;
             for &v in g.neighbors(t.global as u32) {
                 local += u64::from(v) + 1;
@@ -89,7 +89,7 @@ fn run_workload(g: &Csr) -> Outcome {
         launch_blocks_named(&device, "det.rounds", cfg, |b| {
             for t in b.threads() {
                 if t.global < n {
-                    marks[t.global].load();
+                    marks[t.global].load(t.hooks);
                     device.charge(CostKind::ThreadWork, 1);
                 }
             }
@@ -104,7 +104,7 @@ fn run_workload(g: &Csr) -> Outcome {
                     device.charge(CostKind::IdleCheck, 1);
                     continue;
                 }
-                marks[t.global].load();
+                marks[t.global].load(t.hooks);
                 device.charge(CostKind::ThreadWork, g.degree(t.global as u32) as u64 % 3 + 1);
             }
         });
@@ -117,7 +117,7 @@ fn run_workload(g: &Csr) -> Outcome {
                 device.charge(CostKind::IdleCheck, 1);
             }
             for v in (t.global..n).step_by(stride) {
-                marks[v].load();
+                marks[v].load(t.hooks);
                 device.charge(CostKind::Atomic, 1);
                 touched.fetch_add(1, Ordering::Relaxed);
             }
