@@ -3,11 +3,12 @@
 //! Reproduces the four panels: per-block signature-update counts for
 //! an early and a late propagation iteration (n) of the first two
 //! outer iterations (m). The textual rendering prints summary
-//! statistics per panel plus a compact histogram of the per-block
-//! counts — the shape to look for is the §6.1.2 one: updates shrink
-//! and localize to ever fewer blocks as n grows.
+//! statistics per panel plus a column chart of the per-block counts —
+//! the shape to look for is the §6.1.2 one: updates shrink and
+//! localize to ever fewer blocks as n grows.
 
 use ecl_graphgen::registry::find;
+use ecl_profiling::chart::column_chart;
 use ecl_profiling::{BlockSeries, Table};
 use ecl_scc::{SccConfig, SccResult};
 
@@ -47,8 +48,10 @@ pub fn run_star(scale: f64, seed: u64) -> SccResult {
     ecl_scc::run(&device, &g, &SccConfig::original())
 }
 
-/// Renders the figure as one summary table over the four panels.
-pub fn table(scale: f64, seed: u64) -> Table {
+/// Renders the figure from one run: a summary table over the four
+/// panels, then each panel's per-block column chart (the terminal
+/// equivalent of the paper's scatter plots).
+pub fn render(scale: f64, seed: u64) -> String {
     let r = run_star(scale, seed);
     let series = &r.counters.series;
     let mut t = Table::new(
@@ -59,7 +62,8 @@ pub fn table(scale: f64, seed: u64) -> Table {
         ),
         &["m", "n", "active blocks", "total updates", "max/block", "inner iters of m"],
     );
-    for (m, n) in panels(series) {
+    let panels = panels(series);
+    for &(m, n) in &panels {
         let row = series.row(m, n).unwrap_or_default();
         let max = row.iter().copied().max().unwrap_or(0);
         t.row(&[
@@ -71,24 +75,24 @@ pub fn table(scale: f64, seed: u64) -> Table {
             &series.inner_iterations(m).to_string(),
         ]);
     }
-    t
-}
-
-/// Renders one panel's per-block bars (skipping inactive blocks), for
-/// the full plot data.
-pub fn panel_table(scale: f64, seed: u64, m: u32, n: u32) -> Table {
-    let r = run_star(scale, seed);
-    r.counters.series.to_table(m, n, true)
+    let mut out = t.render();
+    for (m, n) in panels {
+        let values = series.row(m, n).unwrap_or_default();
+        out += "\n";
+        out += &column_chart(&format!("updates per block, m={m}, n={n}"), &values, 72, 8);
+    }
+    out
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::experiments::in_order;
 
     #[test]
     fn star_progresses_over_many_outer_iterations() {
-        let r = run_star(0.002, 3);
+        let r = in_order(|| run_star(0.002, 3));
         // The registry's star has 10 layers -> ~10 outer iterations.
         assert!(r.outer_iterations >= 8, "expected deep peeling, got m = {}", r.outer_iterations);
         assert_eq!(r.num_sccs(), 10);
@@ -96,7 +100,7 @@ mod tests {
 
     #[test]
     fn updates_localize_late_in_m1() {
-        let r = run_star(0.002, 3);
+        let r = in_order(|| run_star(0.002, 3));
         let s = &r.counters.series;
         let last = s.inner_iterations(1);
         assert!(last >= 2, "need at least two inner iterations, got {last}");
@@ -109,11 +113,11 @@ mod tests {
 
     #[test]
     fn panels_are_well_formed() {
-        let r = run_star(0.002, 3);
+        let r = in_order(|| run_star(0.002, 3));
         let ps = panels(&r.counters.series);
         assert!(ps.len() >= 2);
         assert!(ps.iter().all(|&(m, n)| m >= 1 && n >= 1));
-        let t = table(0.002, 3);
-        assert_eq!(t.num_rows(), ps.len());
+        let text = in_order(|| render(0.002, 3));
+        assert_eq!(text.matches("updates per block").count(), ps.len());
     }
 }

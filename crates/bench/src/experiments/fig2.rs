@@ -8,10 +8,8 @@
 
 use ecl_graphgen::registry::find;
 use ecl_mst::{MstConfig, MstResult};
-use ecl_profiling::series::IterationBar;
-#[cfg(test)]
+use ecl_profiling::chart::bar_chart;
 use ecl_profiling::series::IterationKind;
-use ecl_profiling::Table;
 
 use crate::scaled_device;
 
@@ -26,23 +24,38 @@ pub fn run_amazon(scale: f64, seed: u64) -> MstResult {
     ecl_mst::run(&device, &g, &MstConfig::baseline())
 }
 
-/// The recorded bars.
-pub fn bars(scale: f64, seed: u64) -> Vec<IterationBar> {
-    run_amazon(scale, seed).counters.bars.bars()
-}
-
-/// Renders the figure as its bar table.
-pub fn table(scale: f64, seed: u64) -> Table {
-    let r = run_amazon(scale, seed);
-    r.counters
-        .bars
-        .to_table(&format!("Figure 2: ECL-MST iteration metrics on amazon0601 (scale {scale})"))
+/// Renders the figure from one run: the bar table, then grouped text
+/// bars per iteration.
+pub fn render(scale: f64, seed: u64) -> String {
+    let bars = run_amazon(scale, seed).counters.bars;
+    let mut entries = Vec::new();
+    for b in bars.bars() {
+        let kind = match b.kind {
+            IterationKind::Regular => "R",
+            IterationKind::Filter => "F",
+        };
+        entries.push((format!("{kind}{} work%", b.index), b.threads_with_work_pct));
+        entries.push((format!("{kind}{} conflict%", b.index), b.conflicts_pct));
+        entries.push((format!("{kind}{} useless%", b.index), b.useless_atomics_pct));
+    }
+    let title = format!("Figure 2: ECL-MST iteration metrics on amazon0601 (scale {scale})");
+    format!(
+        "{}\n{}",
+        bars.to_table(&title).render(),
+        bar_chart("per-iteration metrics (percent)", &entries, 50)
+    )
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
+    use ecl_profiling::series::IterationBar;
+
     use super::*;
+
+    fn bars(scale: f64, seed: u64) -> Vec<IterationBar> {
+        run_amazon(scale, seed).counters.bars.bars()
+    }
 
     #[test]
     fn regular_and_percentages_sane() {

@@ -31,7 +31,7 @@ pub fn rows(scale: f64, seed: u64) -> Vec<Row> {
 }
 
 /// Renders the rows as the paper-shaped table.
-pub fn table(scale: f64, seed: u64) -> Table {
+pub fn render(scale: f64, seed: u64) -> String {
     let mut t = Table::new(
         &format!("Table 1: input graphs (synthetic analogues, scale {scale})"),
         &[
@@ -57,7 +57,7 @@ pub fn table(scale: f64, seed: u64) -> Table {
             &r.spec.paper_d_max.to_string(),
         ]);
     }
-    t
+    t.render()
 }
 
 #[cfg(test)]
@@ -67,8 +67,9 @@ mod tests {
 
     #[test]
     fn covers_all_22_inputs() {
-        let t = table(0.002, 1);
-        assert_eq!(t.num_rows(), 22);
+        let text = render(0.002, 1);
+        assert_eq!(text.lines().count(), 4 + 22, "title, rule, header, rule, one row per input");
+        assert!(all_inputs().iter().all(|spec| text.contains(spec.name)));
     }
 
     #[test]

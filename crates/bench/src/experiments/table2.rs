@@ -59,8 +59,8 @@ pub fn correlations(rows: &[Row]) -> (f64, f64, f64) {
     (pearson(&skew, &avg_it), pearson(&nv, &max_it), pearson(&nv, &fin_avg))
 }
 
-/// Renders the paper-shaped table.
-pub fn table(scale: f64, seed: u64) -> Table {
+/// Renders the paper-shaped table and the §6.1.1 correlations.
+pub fn render(scale: f64, seed: u64) -> String {
     let rs = rows(scale, seed);
     let mut t = Table::new(
         &format!("Table 2: ECL-MIS metrics (scale {scale})"),
@@ -76,7 +76,13 @@ pub fn table(scale: f64, seed: u64) -> Table {
             &format!("{:.0}", r.finalized.max),
         ]);
     }
-    t
+    let (r_skew, r_maxnv, r_finnv) = correlations(&rs);
+    format!(
+        "{}\nCorrelations: avg-iterations vs skew r = {r_skew:.2} (paper 0.64), \
+         max-iterations vs |V| r = {r_maxnv:.2} (paper -0.37), \
+         finalized vs |V| r = {r_finnv:.2} (paper >= 0.98).\n",
+        t.render()
+    )
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ pub fn rows(scale: f64, seed: u64, reps: usize) -> Vec<Row> {
 }
 
 /// Renders the paper-shaped table (3 runs).
-pub fn table(scale: f64, seed: u64) -> Table {
+pub fn render(scale: f64, seed: u64) -> String {
     let rs = rows(scale, seed, 3);
     let mut t = Table::new(
         &format!("Table 3: ECL-MIS iterations across runs (scale {scale})"),
@@ -69,7 +69,7 @@ pub fn table(scale: f64, seed: u64) -> Table {
         cells.push(if r.deterministic_result { "yes" } else { "NO" }.to_string());
         t.row_owned(cells);
     }
-    t
+    t.render()
 }
 
 #[cfg(test)]

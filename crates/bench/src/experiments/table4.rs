@@ -51,7 +51,7 @@ pub fn rows(scale: f64, seed: u64) -> Vec<Row> {
 }
 
 /// Renders the paper-shaped table.
-pub fn table(scale: f64, seed: u64) -> Table {
+pub fn render(scale: f64, seed: u64) -> String {
     let rs = rows(scale, seed);
     let mut t = Table::new(
         &format!("Table 4: ECL-CC init kernel (scale {scale})"),
@@ -65,7 +65,7 @@ pub fn table(scale: f64, seed: u64) -> Table {
             &format!("{:.2}", r.gap()),
         ]);
     }
-    t
+    t.render()
 }
 
 #[cfg(test)]

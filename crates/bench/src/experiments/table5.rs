@@ -55,8 +55,8 @@ pub fn degree_correlations(rows: &[Row]) -> (f64, f64) {
     (pearson(&davg, &bc), pearson(&davg, &nyp))
 }
 
-/// Renders the paper-shaped table.
-pub fn table(scale: f64, seed: u64) -> Table {
+/// Renders the paper-shaped table and the §6.1.5 correlations.
+pub fn render(scale: f64, seed: u64) -> String {
     let rs = rows(scale, seed);
     let mut t = Table::new(
         &format!("Table 5: ECL-GC runLarge per-vertex statistics (scale {scale})"),
@@ -71,7 +71,12 @@ pub fn table(scale: f64, seed: u64) -> Table {
             &format!("{:.0}", r.not_yet_possible.max),
         ]);
     }
-    t
+    let (c_bc, c_nyp) = degree_correlations(&rs);
+    format!(
+        "{}\nCorrelation with average degree: best-changed r = {c_bc:.2}, \
+         not-yet-possible r = {c_nyp:.2} (paper ~0.62 for both).\n",
+        t.render()
+    )
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@ pub fn rows(scale: f64, seed: u64) -> Vec<Row> {
 }
 
 /// Renders the paper-shaped table.
-pub fn table(scale: f64, seed: u64) -> Table {
+pub fn render(scale: f64, seed: u64) -> String {
     let rs = rows(scale, seed);
     let mut t = Table::new(
         &format!("Table 6: ECL-SCC block-size speedups vs 512 (scale {scale}, modeled cost)"),
@@ -67,13 +67,14 @@ pub fn table(scale: f64, seed: u64) -> Table {
         cells.extend(r.speedups.iter().map(|s| format!("{s:.2}")));
         t.row_owned(cells);
     }
-    t
+    t.render()
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::experiments::in_order;
 
     #[test]
     fn covers_all_meshes_with_positive_speedups() {
@@ -93,8 +94,9 @@ mod tests {
         // or the 512 baseline itself, whose speedup is 1 by
         // definition). The paper's sweet spot sits at 128/256; ours
         // lands at 256/512 (see EXPERIMENTS.md), but in both the
-        // interior beats the extremes.
-        let rs = rows(0.002, 3);
+        // interior beats the extremes. The margins are modeled time,
+        // so the claim is about the in-order schedule.
+        let rs = in_order(|| rows(0.002, 3));
         let avg = |idx: usize| rs.iter().map(|r| r.speedups[idx]).sum::<f64>() / rs.len() as f64;
         let interior_best = avg(1).max(avg(2)).max(1.0);
         let extreme_best = avg(0).max(avg(3));

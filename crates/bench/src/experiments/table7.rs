@@ -46,7 +46,7 @@ pub fn rows(scale: f64, seed: u64) -> Vec<Row> {
 
 /// Renders the paper-shaped table. The paper lists only inputs with a
 /// noticeable speedup; we print all, flagging the >2% ones.
-pub fn table(scale: f64, seed: u64) -> Table {
+pub fn render(scale: f64, seed: u64) -> String {
     let rs = rows(scale, seed);
     let mut t = Table::new(
         &format!("Table 7: ECL-CC first-neighbor init speedup (scale {scale}, modeled cost)"),
@@ -60,17 +60,18 @@ pub fn table(scale: f64, seed: u64) -> Table {
             if r.speedup > 1.02 { "yes" } else { "" },
         ]);
     }
-    t
+    t.render()
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::experiments::in_order;
 
     #[test]
     fn optimization_never_slower_much() {
-        for r in rows(0.002, 9) {
+        for r in in_order(|| rows(0.002, 9)) {
             assert!(
                 r.speedup > 0.95,
                 "{}: optimized init should not slow the run down: {}",
@@ -82,7 +83,7 @@ mod tests {
 
     #[test]
     fn big_gap_inputs_speed_up_more() {
-        let rs = rows(0.002, 9);
+        let rs = in_order(|| rows(0.002, 9));
         let max_gap = rs.iter().cloned().fold(rs[0], |a, b| if b.gap > a.gap { b } else { a });
         let min_gap = rs.iter().cloned().fold(rs[0], |a, b| if b.gap < a.gap { b } else { a });
         assert!(

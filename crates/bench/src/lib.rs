@@ -2,12 +2,12 @@
 //! paper.
 //!
 //! Each experiment lives in [`experiments`] as a pure function from a
-//! scale factor (1.0 = the paper's input sizes) to renderable output;
-//! the `table1`…`table8`, `fig1`, `fig2` binaries are thin wrappers
-//! that parse `--scale` / `ECL_SCALE` and print. The default harness
-//! scale is [`DEFAULT_SCALE`], chosen so the full suite runs on a
-//! laptop-class machine in minutes while preserving the structural
-//! contrasts between inputs (see DESIGN.md §2).
+//! scale factor (1.0 = the paper's input sizes) and a seed to its
+//! printed output; the `ecl-repro` binary runs one (or `all`) in order
+//! and prints it. The default harness scale is [`DEFAULT_SCALE`],
+//! chosen so the full suite runs on a laptop-class machine in minutes
+//! while preserving the structural contrasts between inputs (see
+//! DESIGN.md §2).
 //!
 //! The simulated device is scaled by the same factor
 //! ([`scaled_device`]): the paper's per-thread metrics (e.g. Table 2's
@@ -101,9 +101,8 @@ pub fn render_counters(outcome: &Outcome, histogram: bool) -> String {
     out
 }
 
-/// Parses a `--scale` / `ECL_SCALE` value: a fraction of the paper's
-/// input sizes in (0, 1]. The error is `ecl-serve`'s one line for the
-/// same field.
+/// Parses a `--scale` value: a fraction of the paper's input sizes in
+/// (0, 1]. The error is `ecl-serve`'s one line for the same field.
 pub fn parse_scale(text: &str) -> Result<f64, String> {
     match text.parse::<f64>() {
         Ok(scale) if scale > 0.0 && scale <= 1.0 => Ok(scale),
@@ -111,34 +110,31 @@ pub fn parse_scale(text: &str) -> Result<f64, String> {
     }
 }
 
-/// Prints `message` and exits with status 2: the experiment binaries'
+/// Prints `message` and exits with status 2: the harness binaries'
 /// answer to a bad argument.
 pub fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
     std::process::exit(2);
 }
 
-/// Parses `--scale <f>` and `--seed <n>` from argv, falling back to
-/// the `ECL_SCALE` / `ECL_SEED` environment variables and then the
-/// defaults. Returns `(scale, seed)`. A malformed or out-of-range value
-/// or an unknown argument exits 2 with one line.
-pub fn parse_args() -> (f64, u64) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale_of = |t: &str| parse_scale(t).unwrap_or_else(|e| usage_error(&e));
-    let seed_of = |t: &str| {
-        t.parse().unwrap_or_else(|_| usage_error(&format!("seed must be an integer, got {t}")))
-    };
-    let mut scale = std::env::var("ECL_SCALE").ok().map(|t| scale_of(&t));
-    let mut seed = std::env::var("ECL_SEED").ok().map(|t| seed_of(&t));
-    let mut args = args.iter();
+/// Parses `--scale <f>` and `--seed <n>` from `args`, defaulting to
+/// [`DEFAULT_SCALE`] and [`DEFAULT_SEED`]. Returns `(scale, seed)`. A
+/// malformed or out-of-range value or an unknown argument exits 2 with
+/// one line.
+pub fn parse_args(mut args: impl Iterator<Item = String>) -> (f64, u64) {
+    let (mut scale, mut seed) = (DEFAULT_SCALE, DEFAULT_SEED);
     while let Some(arg) = args.next() {
         match (arg.as_str(), args.next()) {
-            ("--scale", Some(v)) => scale = Some(scale_of(v)),
-            ("--seed", Some(v)) => seed = Some(seed_of(v)),
+            ("--scale", Some(v)) => scale = parse_scale(&v).unwrap_or_else(|e| usage_error(&e)),
+            ("--seed", Some(v)) => {
+                seed = v
+                    .parse()
+                    .unwrap_or_else(|_| usage_error(&format!("seed must be an integer, got {v}")))
+            }
             _ => usage_error(&format!("unknown argument: {arg}")),
         }
     }
-    (scale.unwrap_or(DEFAULT_SCALE), seed.unwrap_or(DEFAULT_SEED))
+    (scale, seed)
 }
 
 #[cfg(test)]

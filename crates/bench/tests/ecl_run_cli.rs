@@ -1,7 +1,7 @@
-//! `ecl-run` and the experiment binaries refuse a bad (algorithm,
-//! input) pairing, an out-of-range or malformed option, a flag whose
-//! knob the algorithm lacks, or an unknown argument or algorithm with
-//! exit code 2 and one line — no backtrace.
+//! `ecl-run` and `ecl-repro` refuse a bad (algorithm, input) pairing,
+//! an out-of-range or malformed option, a flag whose knob the algorithm
+//! lacks, or an unknown argument, algorithm or experiment with exit
+//! code 2 and one line — no backtrace.
 
 use std::process::Command;
 
@@ -56,22 +56,23 @@ fn contract_violations_exit_2_with_one_line() {
 
 #[test]
 fn experiment_binaries_refuse_bad_arguments_with_one_line() {
-    for (args, env, line) in [
-        (&["--scale", "abc"][..], None, "scale must be in (0, 1], got abc"),
-        (&["--scale", "2"], None, "scale must be in (0, 1], got 2"),
-        (&["--scale", "0"], None, "scale must be in (0, 1], got 0"),
-        (&[], Some("nan"), "scale must be in (0, 1], got nan"),
-        (&["--seed", "x"], None, "seed must be an integer, got x"),
-        (&["--bogus"], None, "unknown argument: --bogus"),
-        (&["--scale"], None, "unknown argument: --scale"),
+    let usage = "usage: ecl-repro <table1|table2|table3|table4|table5|table6|table7|table8|\
+                 fig1|fig2|all> [--scale f] [--seed n]";
+    for (args, line) in [
+        (&["table1", "--scale", "abc"][..], "scale must be in (0, 1], got abc"),
+        (&["table1", "--scale", "2"], "scale must be in (0, 1], got 2"),
+        (&["table1", "--scale", "0"], "scale must be in (0, 1], got 0"),
+        (&["table1", "--seed", "x"], "seed must be an integer, got x"),
+        (&["table1", "--bogus"], "unknown argument: --bogus"),
+        (&["table1", "--scale"], "unknown argument: --scale"),
+        (&["table9"], usage),
+        (&[], usage),
     ] {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_table1"));
-        cmd.args(args).env_remove("ECL_SCALE").env_remove("ECL_SEED");
-        if let Some(scale) = env {
-            cmd.env("ECL_SCALE", scale);
-        }
-        let out = cmd.output().expect("spawn table1");
-        assert_eq!(out.status.code(), Some(2), "{args:?} {env:?}");
+        let out = Command::new(env!("CARGO_BIN_EXE_ecl-repro"))
+            .args(args)
+            .output()
+            .expect("spawn ecl-repro");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert_eq!(String::from_utf8_lossy(&out.stderr).trim_end(), line);
         assert!(out.stdout.is_empty(), "{args:?}: printed a table");
     }
