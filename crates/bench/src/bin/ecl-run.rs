@@ -18,8 +18,10 @@
 //! no algorithm. The schedule is the `--tuned` entry for the input's
 //! family, then the flags (which win), then the seed's tie-break salt
 //! for an algorithm that has one, as serve sets it. `--profile` and
-//! `--shards` run that same schedule. `--kernels` adds a per-phase cost
-//! table: an `ecl_gpusim::KernelProfile` observer over the run.
+//! `--shards` run that same schedule. `--kernels` adds a per-kernel
+//! table in both currencies: an `ecl_prof::Collector` attached to the
+//! run's device sums each launch's modeled cost units and wall time,
+//! and a final `(host)` row holds the cost charged outside any launch.
 //!
 //! `--trace <path>` records kernel launches, block lifetimes, atomic
 //! outcomes, and per-round phases into a `.etr` capture; inspect it
@@ -30,14 +32,19 @@
 //! sanitizer and launch linter, prints the findings report after the
 //! run, and exits with status 1 if any unsuppressed finding remains.
 //!
-//! A bad argument exits 2 with one line.
+//! A bad argument exits 2 with one line, and so does a flag the mode
+//! cannot honour: `--check` and `--kernels` watch the one device a
+//! `--shards` run does not use, and `--profile` runs its own repeats,
+//! so it takes none of `--shards`, `--trace`, `--check`, `--kernels`
+//! and `--histogram`, while `--repeats` requires it.
 
 use std::sync::Arc;
 
 use ecl_algos::Algorithm;
 use ecl_bench::usage_error;
 use ecl_gpusim::schedule::find_knob;
-use ecl_gpusim::{Device, KernelProfile, KnobValue, Schedule};
+use ecl_gpusim::{Device, KnobValue, Schedule};
+use ecl_prof::{Collector, KernelStats};
 
 /// The variant flags and the schedule knobs each one sets.
 /// `--block-size n` sets `block_size` the same way.
@@ -61,7 +68,8 @@ struct Args {
     trace: Option<String>,
     check: bool,
     profile: Option<String>,
-    repeats: usize,
+    /// `--repeats n` (`--profile` only; 3 when absent).
+    repeats: Option<usize>,
     /// `--shards N`: run across N modeled GPUs through ecl-shard
     /// (1 = ordinary single-pool execution).
     shards: u32,
@@ -113,12 +121,14 @@ fn usage() -> ! {
         "usage: ecl-run --algo <{}> --input <name> \
          [--scale f] [--seed n] [--block-size n]\n\
          \x20      [--optimized] [--fixed-launch] [--no-shortcuts] [--trim]  (schedule knobs)\n\
-         \x20      [--histogram] [--kernels]\n\
+         \x20      [--histogram] [--kernels]  (per-kernel modeled and wall time)\n\
          \x20      [--tuned <manifest.json>]  (apply the ecl-tune/1 schedule for this input's family)\n\
          \x20      [--trace <path>]  (record a .etr event capture; see the ecl-trace binary)\n\
+         \x20      [--check]  (race sanitizer and launch linter; exit 1 on findings)\n\
          \x20      [--profile <dir>] [--repeats n]  (write manifest.json/metrics.prom/flame.* \n\
-         \x20                                        profiling artifacts; see the ecl-prof binary)\n\
-         \x20      [--shards n]  (run {} across n modeled GPUs via ecl-shard)\n\
+         \x20                                        profiling artifacts; see the ecl-prof binary;\n\
+         \x20                                        takes no --shards/--trace/--check/--kernels/--histogram)\n\
+         \x20      [--shards n]  (run {} across n modeled GPUs via ecl-shard; no --check/--kernels)\n\
          \x20      ecl-run --list    (show registered inputs)",
         names(|_| true),
         names(|a| a.run_sharded().is_some()),
@@ -135,7 +145,6 @@ fn parse() -> Args {
     let mut a = Args {
         scale: ecl_bench::DEFAULT_SCALE,
         seed: ecl_bench::DEFAULT_SEED,
-        repeats: 3,
         shards: 1,
         ..Args::default()
     };
@@ -172,7 +181,7 @@ fn parse() -> Args {
                         a.scale = ecl_bench::parse_scale(value).unwrap_or_else(|e| usage_error(&e))
                     }
                     "--seed" => a.seed = int("seed", value),
-                    "--repeats" => a.repeats = int("repeats", value),
+                    "--repeats" => a.repeats = Some(int("repeats", value)),
                     "--shards" => {
                         a.shards = int("shards", value);
                         if a.shards < 1 || a.shards > ecl_shard::MAX_SHARDS {
@@ -210,6 +219,23 @@ fn parse() -> Args {
     if a.algo.is_empty() || a.input.is_empty() {
         usage();
     }
+    let (sharded, profiled) = (a.shards > 1, a.profile.is_some());
+    for (clash, flag, mode) in [
+        (sharded && a.check, "--check", "--shards"),
+        (sharded && a.kernels, "--kernels", "--shards"),
+        (profiled && sharded, "--shards", "--profile"),
+        (profiled && a.trace.is_some(), "--trace", "--profile"),
+        (profiled && a.check, "--check", "--profile"),
+        (profiled && a.kernels, "--kernels", "--profile"),
+        (profiled && a.histogram, "--histogram", "--profile"),
+    ] {
+        if clash {
+            usage_error(&format!("{flag} cannot be combined with {mode}"));
+        }
+    }
+    if a.repeats.is_some() && !profiled {
+        usage_error("--repeats requires --profile");
+    }
     a
 }
 
@@ -244,6 +270,30 @@ fn schedule(a: &Args, algo: &dyn Algorithm, g: &ecl_graph::Csr) -> Schedule {
     s
 }
 
+/// One row per kernel a collector on `device` recorded, by modeled
+/// time (its units under the device's weights), then `(host)`: the
+/// device's modeled time no launch charged. The shares therefore sum to
+/// the `modeled cost` line; times print to two decimals, exact for the
+/// default weights (multiples of 0.25), so the rows add up to it too.
+fn print_kernels(device: &Device, mut kernels: Vec<KernelStats>) {
+    let time = |k: &KernelStats| device.params().time_of(&k.units);
+    kernels.sort_by(|a, b| time(b).total_cmp(&time(a)));
+    let total = device.modeled_time();
+    let share = |modeled: f64| 100.0 * modeled / total.max(1e-12);
+    println!("\nper-kernel cost breakdown");
+    println!(
+        "  {:<18} {:>6} {:>14} {:>7} {:>10}",
+        "kernel", "calls", "modeled", "share", "wall (s)"
+    );
+    for k in &kernels {
+        let (modeled, wall) = (time(k), k.wall_ns.sum as f64 / 1e9);
+        let (name, calls, share) = (&k.name, k.launches, share(modeled));
+        println!("  {name:<18} {calls:>6} {modeled:>14.2} {share:>6.1}% {wall:>10.4}");
+    }
+    let host = total - kernels.iter().map(time).sum::<f64>();
+    println!("  {:<18} {:>6} {host:>14.2} {:>6.1}% {:>10}", "(host)", "-", share(host), "-");
+}
+
 fn print_cost(device: &Device) {
     println!("\nmodeled cost: {:.0} units", device.modeled_time());
     for (kind, units) in device.cost().breakdown() {
@@ -274,12 +324,13 @@ fn main() {
     let schedule = schedule(&a, algo, views.structure().expect("a generated view"));
 
     if let Some(dir) = &a.profile {
+        let repeats = a.repeats.unwrap_or(3);
         let pspec = ecl_bench::profile_run::ProfileSpec {
             algo,
             input: &a.input,
             scale: a.scale,
             seed: a.seed,
-            repeats: a.repeats,
+            repeats,
             schedule: &schedule,
         };
         match ecl_bench::profile_run::profile(&pspec, std::path::Path::new(dir)) {
@@ -294,7 +345,7 @@ fn main() {
                     "profiled {} on {} x{}: {} kernels, median wall {:.3}s -> {dir}/",
                     a.algo,
                     a.input,
-                    a.repeats,
+                    repeats,
                     manifest.kernels.len(),
                     median.unwrap_or(0.0)
                 );
@@ -310,7 +361,7 @@ fn main() {
     // Installed first: the device starts from the observers installed
     // by then.
     let _trace = TraceGuard::start(a.trace.clone());
-    let device = Arc::new(Device::new(ecl_algos::device_config(algo, a.scale)));
+    let device = Device::new(ecl_algos::device_config(algo, a.scale));
     println!(
         "input {} at scale {} (seed {}), device: {} SMs / {} threads",
         spec.name,
@@ -345,14 +396,14 @@ fn main() {
         );
         println!("\nmodeled cost: {:.0} units (max-over-shards + exchange)", stats.modeled_time);
     } else {
-        let profile = a.kernels.then(|| Arc::new(KernelProfile::new(Arc::clone(&device))));
-        let attached = profile.as_ref().map(|p| device.observe(p.clone()));
+        let collector = a.kernels.then(|| Arc::new(Collector::new()));
+        let attached = collector.as_ref().map(|c| device.observe(c.clone()));
         let (outcome, secs) = ecl_gpusim::run_timed(|| algo.run(&device, &views, &schedule));
         println!("\nECL-{title} in {secs:.3}s");
         print!("{}", ecl_bench::render_counters(&outcome, a.histogram));
         drop(attached);
-        if let Some(profile) = profile {
-            print!("\n{}", profile.render("per-kernel cost breakdown"));
+        if let Some(collector) = collector {
+            print_kernels(&device, collector.snapshot());
         }
         print_cost(&device);
     }

@@ -10,10 +10,11 @@ use crate::counters::CcCounters;
 use crate::CcConfig;
 
 /// Runs all three stages and returns the final labels. Each kernel is
-/// one named phase, so a phase observer (`ecl_gpusim::KernelProfile`)
-/// can attribute its cost — the §6.1.3 observation that "the init
-/// kernel ... accounts for 10-20% of the total runtime" is checked
-/// against that breakdown.
+/// one named launch (`cc.init`, `cc.compute-{low,medium,high}`,
+/// `cc.finalize`), so a collector of launch samples
+/// (`ecl_prof::Collector`) attributes its cost — the §6.1.3
+/// observation that "the init kernel ... accounts for 10-20% of the
+/// total runtime" is checked against that breakdown.
 pub fn connected_components(
     device: &Device,
     g: &Csr,

@@ -303,25 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_profile_breakdown() {
-        let g = ecl_graphgen::random::erdos_renyi(2000, 6.0, 7);
-        let device = std::sync::Arc::new(device());
-        let profile = std::sync::Arc::new(ecl_gpusim::KernelProfile::new(device.clone()));
-        let attached = device.observe(profile.clone());
-        let r = run(&device, &g, &CcConfig::baseline());
-        drop(attached);
-        assert_eq!(r.labels, ecl_ref::connected_components(&g));
-        // All five phases recorded, and together they are the run.
-        let records = profile.records();
-        let names: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, ["init", "compute-low", "compute-medium", "compute-high", "finalize"]);
-        assert!((profile.total_modeled() - device.modeled_time()).abs() < 1e-9);
-        // The §6.1.3 ballpark: init is a real but minority share.
-        let init = records[0].modeled_time / profile.total_modeled();
-        assert!((0.01..0.7).contains(&init), "init share {init} outside the plausible band");
-    }
-
-    #[test]
     fn modeled_cost_lower_with_optimized_init_on_gap_input() {
         // Torus: no vertex except id-0-row finds a smaller first
         // neighbor cheaply? Actually in a torus many vertices have a

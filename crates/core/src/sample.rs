@@ -17,8 +17,9 @@ pub struct WorkerStat {
 }
 
 /// One kernel launch as observed by the profiling hooks in
-/// `ecl-gpusim`: grid geometry, wall time, and the per-participant
-/// execution stats of the dispatch pool.
+/// `ecl-gpusim`, in both currencies: grid geometry, wall time, the
+/// modeled cost units it charged, and the per-participant execution
+/// stats of the dispatch pool.
 #[derive(Clone, Debug)]
 pub struct LaunchSample {
     /// Kernel name (the `*_named` launch name; `flat`/`blocks`/`warps`
@@ -32,6 +33,16 @@ pub struct LaunchSample {
     pub block_size: u64,
     /// Wall time of the dispatch, submitter-side.
     pub wall_ns: u64,
+    /// Cost units the launch charged to its device, by kind in
+    /// `ecl_gpusim::CostKind::ALL` order: the device's tally after the
+    /// join minus before the launch's `KernelLaunch` charge. Blocks
+    /// fold their tallies in before the join, so this is exact under
+    /// the pool as long as nothing else charges the device meanwhile.
+    /// A launch issued from inside a block of another launch on the
+    /// same device (no kernel crate nests launches on one device) holds
+    /// its blocks' units but not its own launch charge, which folds with
+    /// the enclosing block; the enclosing launch's units hold all of it.
+    pub units: [u64; 6],
     /// Per-participant stats; empty for zero-block launches.
     pub workers: Vec<WorkerStat>,
     /// Originating request id (`ecl-obs` correlation; 0 = no request
@@ -98,6 +109,7 @@ mod tests {
             blocks: 8,
             block_size: 32,
             wall_ns,
+            units: [0; 6],
             workers,
             req: 0,
             shard: 0,

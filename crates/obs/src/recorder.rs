@@ -404,6 +404,7 @@ mod tests {
             blocks: 8,
             block_size: 32,
             wall_ns,
+            units: [0; 6],
             workers: Vec::new(),
             req: 7,
             shard: 0,

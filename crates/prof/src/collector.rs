@@ -1,4 +1,6 @@
-//! Aggregation of [`LaunchSample`]s into per-kernel statistics.
+//! Aggregation of [`LaunchSample`]s into per-kernel statistics, in
+//! both currencies: wall time and the modeled cost units the launches
+//! charged.
 
 use std::sync::Mutex;
 
@@ -17,6 +19,7 @@ struct KernelAgg {
     threads: u64,
     /// Per-launch wall time, sketched.
     wall_ns: LogSketch,
+    units: [u64; 6],
     /// Per-launch imbalance factor × 1000, sketched (integer sketch of
     /// a [1, ∞) ratio; 1000 = perfectly balanced).
     imbalance_milli: LogSketch,
@@ -44,6 +47,9 @@ pub struct KernelStats {
     pub threads: u64,
     /// Per-launch wall-time distribution (ns).
     pub wall_ns: SketchSnapshot,
+    /// Cost units the launches charged, by kind in
+    /// [`ecl_gpusim::CostKind::ALL`] order.
+    pub units: [u64; 6],
     /// Per-launch imbalance-factor distribution (milli-units: 1000 =
     /// balanced).
     pub imbalance_milli: SketchSnapshot,
@@ -88,6 +94,7 @@ impl Collector {
                         blocks: 0,
                         threads: 0,
                         wall_ns: LogSketch::new(),
+                        units: [0; 6],
                         imbalance_milli: LogSketch::new(),
                         busy_ns_total: 0,
                         span_ns_total: 0,
@@ -101,6 +108,9 @@ impl Collector {
         agg.blocks += sample.blocks;
         agg.threads += sample.threads();
         agg.wall_ns.record(sample.wall_ns);
+        for (sum, units) in agg.units.iter_mut().zip(sample.units) {
+            *sum += units;
+        }
         if !sample.workers.is_empty() {
             agg.imbalance_milli.record(imbalance_milli);
         }
@@ -134,6 +144,7 @@ impl Collector {
                 blocks: k.blocks,
                 threads: k.threads,
                 wall_ns: k.wall_ns.snapshot(),
+                units: k.units,
                 imbalance_milli: k.imbalance_milli.snapshot(),
                 utilization: if k.span_ns_total == 0 {
                     0.0
@@ -160,6 +171,7 @@ mod tests {
             blocks: busy.len() as u64 * 2,
             block_size: 64,
             wall_ns,
+            units: [wall_ns, 0, 0, 0, 1, 0],
             workers: busy
                 .iter()
                 .map(|&b| WorkerStat { blocks: 2, claims: 1, busy_ns: b })
@@ -180,6 +192,7 @@ mod tests {
         assert_eq!(snap[0].name, "init");
         assert_eq!(snap[0].launches, 2);
         assert_eq!(snap[0].blocks, 8);
+        assert_eq!(snap[0].units, [400, 0, 0, 0, 2, 0]);
         assert_eq!(snap[1].name, "compute");
         assert_eq!(c.launches(), 3);
     }

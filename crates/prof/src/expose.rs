@@ -125,6 +125,7 @@ mod tests {
                 blocks: 24,
                 threads: 768,
                 wall_ns: sketch.snapshot(),
+                units: [900, 0, 12, 0, 3, 0],
                 imbalance_milli: sketch.snapshot(),
                 utilization: 0.75,
                 claim_wait_ns: 999,

@@ -8,19 +8,23 @@
 //! The pieces:
 //!
 //! - [`LaunchSample`] — one kernel launch as observed by the hooks in
-//!   `ecl-gpusim`'s launch/pool layer: wall time, grid geometry, and
-//!   per-participant block/claim/busy stats. The type lives in
+//!   `ecl-gpusim`'s launch/pool layer, in both currencies: wall time
+//!   and the modeled cost units it charged by kind, plus grid geometry
+//!   and per-participant block/claim/busy stats. The type lives in
 //!   `ecl-profiling` (the pool produces it, `ecl-obs` consumes it too)
 //!   and is re-exported here.
 //! - [`sink`] — the collector as a simulator observer
 //!   (`ecl_gpusim::observe`): on a device with no observers the
 //!   disabled path is one relaxed atomic load per *launch*.
-//! - [`collector::Collector`] — aggregates samples per kernel into
-//!   [`ecl_profiling::LogSketch`] percentile sketches of wall time
-//!   and load imbalance, plus utilization and claim-wait totals.
+//! - [`collector::Collector`] — the one per-kernel observer:
+//!   aggregates samples per kernel into [`ecl_profiling::LogSketch`]
+//!   percentile sketches of wall time and load imbalance, plus cost
+//!   units, utilization and claim-wait totals. `ecl-run --kernels`
+//!   prints its rows as modeled and wall time per kernel.
 //! - [`manifest::Manifest`] — the versioned (`ecl-prof/1`) JSON run
 //!   manifest: git SHA, dispatch policy, per-repeat metric sample
-//!   vectors, kernel stats, counter distributions.
+//!   vectors, kernel stats (cost units included), counter
+//!   distributions.
 //! - [`expose`] — Prometheus text exposition of a manifest, written
 //!   through [`ecl_profiling::expo`].
 //! - [`folded`] — pprof-style folded stacks and an SVG flamegraph

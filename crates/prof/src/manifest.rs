@@ -5,11 +5,13 @@
 //! version, git SHA, dispatch policy, worker count, run context) plus
 //! three payload sections: *metrics* (named sample vectors with an
 //! explicit better-direction),
-//! per-kernel *launch statistics* from the pool hooks, and the
+//! per-kernel *launch statistics* from the launch hooks (wall time
+//! and the modeled cost units by kind), and the
 //! algorithm-specific counter *distributions* as percentile sketches.
 
 use std::fmt::Write as _;
 
+use ecl_gpusim::CostKind;
 use ecl_profiling::SketchSnapshot;
 
 use crate::collector::KernelStats;
@@ -127,6 +129,13 @@ fn sketch_json(s: &SketchSnapshot, indent: &str) -> String {
     )
 }
 
+/// `"thread_work": n, …` over every cost kind.
+fn units_json(units: &[u64; 6]) -> String {
+    let fields: Vec<String> =
+        CostKind::ALL.iter().zip(units).map(|(k, u)| format!("\"{}\": {u}", k.name())).collect();
+    fields.join(", ")
+}
+
 fn sketch_from_value(v: &Value) -> Option<SketchSnapshot> {
     let field = |k: &str| v.get(k).and_then(Value::as_f64).map(|n| n as u64);
     let buckets = v
@@ -195,8 +204,8 @@ impl Manifest {
                 s,
                 "    {{\n      \"name\": \"{}\", \"shape\": \"{}\", \"shard\": {}, \
                  \"launches\": {}, \"blocks\": {}, \"threads\": {},\n      \"utilization\": {}, \
-                 \"claim_wait_ns\": {}, \"claims\": {},\n      \"wall_ns\": {},\n      \
-                 \"imbalance_milli\": {}\n    }}{}",
+                 \"claim_wait_ns\": {}, \"claims\": {},\n      \"units\": {{{}}},\n      \
+                 \"wall_ns\": {},\n      \"imbalance_milli\": {}\n    }}{}",
                 json::escape(&k.name),
                 json::escape(&k.shape),
                 k.shard,
@@ -206,6 +215,7 @@ impl Manifest {
                 json::num(k.utilization),
                 k.claim_wait_ns,
                 k.claims,
+                units_json(&k.units),
                 sketch_json(&k.wall_ns, "      "),
                 sketch_json(&k.imbalance_milli, "      "),
                 if i + 1 < self.kernels.len() { "," } else { "" }
@@ -289,6 +299,13 @@ impl Manifest {
                     blocks: k.get("blocks").and_then(Value::as_f64).unwrap_or(0.0) as u64,
                     threads: k.get("threads").and_then(Value::as_f64).unwrap_or(0.0) as u64,
                     wall_ns: sketch_from_value(k.get("wall_ns")?)?,
+                    // Absent (manifests from before units) reads as zeros.
+                    units: CostKind::ALL.map(|kind| {
+                        k.get("units")
+                            .and_then(|u| u.get(kind.name()))
+                            .and_then(Value::as_f64)
+                            .unwrap_or(0.0) as u64
+                    }),
                     imbalance_milli: sketch_from_value(k.get("imbalance_milli")?)?,
                     utilization: k.get("utilization").and_then(Value::as_f64).unwrap_or(0.0),
                     claim_wait_ns: k.get("claim_wait_ns").and_then(Value::as_f64).unwrap_or(0.0)
@@ -346,6 +363,7 @@ mod tests {
                 blocks: 40,
                 threads: 1280,
                 wall_ns: sketch.snapshot(),
+                units: [1200, 40, 7, 0, 5, 1],
                 imbalance_milli: LogSketch::new().snapshot(),
                 utilization: 0.82,
                 claim_wait_ns: 123,
@@ -371,6 +389,7 @@ mod tests {
         assert_eq!(back.kernels.len(), 1);
         assert_eq!(back.kernels[0].shard, 2);
         assert_eq!(back.kernels[0].wall_ns, m.kernels[0].wall_ns);
+        assert_eq!(back.kernels[0].units, [1200, 40, 7, 0, 5, 1]);
         assert_eq!(back.distributions[0].1, m.distributions[0].1);
     }
 
@@ -383,7 +402,8 @@ mod tests {
 
     #[test]
     fn kernels_without_shard_field_parse_as_shard_zero() {
-        // Manifests from before the shard dimension keep loading.
+        // Manifests from before the shard dimension and the cost units
+        // keep loading.
         let m = Manifest::from_json(
             r#"{"schema": "ecl-prof/1", "kernels": [
                 {"name": "init", "shape": "flat", "launches": 1,
@@ -396,6 +416,7 @@ mod tests {
         .unwrap();
         assert_eq!(m.kernels.len(), 1);
         assert_eq!(m.kernels[0].shard, 0);
+        assert_eq!(m.kernels[0].units, [0; 6]);
     }
 
     #[test]

@@ -38,6 +38,7 @@ fn full_rendering(slo_algo: &str) -> String {
         blocks: 64,
         block_size: 256,
         wall_ns: 10_000,
+        units: [2_048, 0, 0, 0, 1, 0],
         workers: vec![ecl_profiling::WorkerStat { blocks: 64, claims: 64, busy_ns: 9_000 }],
         req: 7,
         shard: 0,

@@ -34,11 +34,12 @@ pub enum CostKind {
     HostReconfig,
 }
 
-const NUM_KINDS: usize = 6;
+pub(crate) const NUM_KINDS: usize = 6;
 
 impl CostKind {
+    /// Position in [`CostKind::ALL`], and so in every by-kind array.
     #[inline]
-    fn index(self) -> usize {
+    pub fn index(self) -> usize {
         match self {
             CostKind::ThreadWork => 0,
             CostKind::IdleCheck => 1,
@@ -46,6 +47,18 @@ impl CostKind {
             CostKind::BlockSync => 3,
             CostKind::KernelLaunch => 4,
             CostKind::HostReconfig => 5,
+        }
+    }
+
+    /// Stable snake-case name (`thread_work`, …, `host_reconfig`).
+    pub fn name(self) -> &'static str {
+        match self {
+            CostKind::ThreadWork => "thread_work",
+            CostKind::IdleCheck => "idle_check",
+            CostKind::Atomic => "atomic",
+            CostKind::BlockSync => "block_sync",
+            CostKind::KernelLaunch => "kernel_launch",
+            CostKind::HostReconfig => "host_reconfig",
         }
     }
 
@@ -106,6 +119,12 @@ impl CostParams {
             CostKind::KernelLaunch => self.kernel_launch,
             CostKind::HostReconfig => self.host_reconfig,
         }
+    }
+
+    /// Weighted abstract time of `units`, by kind in [`CostKind::ALL`]
+    /// order.
+    pub fn time_of(&self, units: &[u64; NUM_KINDS]) -> f64 {
+        CostKind::ALL.iter().zip(units).map(|(&k, &u)| u as f64 * self.weight(k)).sum()
     }
 }
 
@@ -202,36 +221,19 @@ impl CostTally {
         self.units[kind.index()].load(Ordering::Relaxed)
     }
 
-    /// Total units across all categories (unweighted).
-    pub fn total_units(&self) -> u64 {
-        self.units.iter().map(|u| u.load(Ordering::Relaxed)).sum()
+    /// Units charged, by kind in [`CostKind::ALL`] order.
+    pub fn by_kind(&self) -> [u64; NUM_KINDS] {
+        std::array::from_fn(|k| self.units[k].load(Ordering::Relaxed))
     }
 
     /// Weighted abstract time under `params`.
     pub fn modeled_time(&self, params: &CostParams) -> f64 {
-        CostKind::ALL.iter().map(|&k| self.units(k) as f64 * params.weight(k)).sum()
+        params.time_of(&self.by_kind())
     }
 
     /// Copies the tally out as `(kind, units)` pairs.
     pub fn breakdown(&self) -> Vec<(CostKind, u64)> {
         CostKind::ALL.iter().map(|&k| (k, self.units(k))).collect()
-    }
-
-    /// Resets all categories (requires exclusive access).
-    pub fn reset(&mut self) {
-        for u in &mut self.units {
-            *u.get_mut() = 0;
-        }
-    }
-}
-
-impl Clone for CostTally {
-    fn clone(&self) -> Self {
-        let t = CostTally::new();
-        for &k in &CostKind::ALL {
-            t.charge(k, self.units(k));
-        }
-        t
     }
 }
 
@@ -249,7 +251,7 @@ mod tests {
         assert_eq!(t.units(CostKind::ThreadWork), 100);
         assert_eq!(t.units(CostKind::Atomic), 10);
         assert_eq!(t.units(CostKind::KernelLaunch), 0);
-        assert_eq!(t.total_units(), 110);
+        assert_eq!(t.by_kind(), [100, 0, 10, 0, 0, 0]);
     }
 
     #[test]
@@ -278,16 +280,6 @@ mod tests {
         assert_eq!(b.len(), 6);
         assert!(b.contains(&(CostKind::HostReconfig, 3)));
         assert!(b.contains(&(CostKind::BlockSync, 0)));
-    }
-
-    #[test]
-    fn reset_and_clone() {
-        let mut t = CostTally::new();
-        t.charge(CostKind::Atomic, 7);
-        let c = t.clone();
-        t.reset();
-        assert_eq!(t.units(CostKind::Atomic), 0);
-        assert_eq!(c.units(CostKind::Atomic), 7);
     }
 
     #[test]

@@ -175,11 +175,6 @@ impl Device {
     pub fn modeled_time(&self) -> f64 {
         self.cost.modeled_time(&self.params)
     }
-
-    /// Resets the tally for a fresh measurement.
-    pub fn reset_cost(&mut self) {
-        self.cost.reset();
-    }
 }
 
 impl AsRef<Observers> for Device {
@@ -207,14 +202,6 @@ mod tests {
         d.charge(CostKind::ThreadWork, 10);
         assert!(d.modeled_time() > 0.0);
         assert_eq!(d.cost().units(CostKind::ThreadWork), 10);
-    }
-
-    #[test]
-    fn reset_cost() {
-        let mut d = Device::test_small();
-        d.charge(CostKind::Atomic, 3);
-        d.reset_cost();
-        assert_eq!(d.modeled_time(), 0.0);
     }
 
     #[test]

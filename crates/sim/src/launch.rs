@@ -28,36 +28,40 @@
 use ecl_profiling::LaunchSample;
 
 use crate::check::{self, Agent, LaunchShape};
-use crate::cost::CostKind;
+use crate::cost::{CostKind, NUM_KINDS};
 use crate::device::Device;
 use crate::observe::{self, Hooks, Launch};
 use crate::{ctx, pool};
 
-/// Dispatches a launch's blocks onto the pool and, when `sampled`,
-/// builds the launch's profile sample. Without one this is the plain
-/// [`pool::dispatch`].
+/// Dispatches a launch's blocks onto the pool and, given `before`, the
+/// device's units from before the launch charge, builds the launch's
+/// profile sample. Without it this is the plain [`pool::dispatch`].
 fn dispatch_blocks<F>(
+    device: &Device,
     name: &str,
     shape: &'static str,
     cfg: LaunchConfig,
-    sampled: bool,
+    before: Option<[u64; NUM_KINDS]>,
     f: F,
 ) -> Option<LaunchSample>
 where
     F: Fn(usize) + Sync,
 {
-    if !sampled {
+    let Some(before) = before else {
         pool::dispatch(cfg.blocks, f);
         return None;
-    }
+    };
     let started = std::time::Instant::now();
     let workers = pool::dispatch_profiled(cfg.blocks, f);
+    let wall_ns = started.elapsed().as_nanos() as u64;
+    let after = device.cost().by_kind();
     Some(LaunchSample {
         kernel: name.to_string(),
         shape,
         blocks: cfg.blocks as u64,
         block_size: cfg.block_size as u64,
-        wall_ns: started.elapsed().as_nanos() as u64,
+        wall_ns,
+        units: std::array::from_fn(|k| after[k] - before[k]),
         workers,
         req: ctx::request(),
         shard: ctx::shard(),
@@ -117,18 +121,20 @@ pub struct ThreadCtx {
 /// hooks)` only runs the shape's inner loop, setting the agent it
 /// iterates when `tracked` and handing `hooks`, the block's snapshot
 /// taken once after the list is published, to the kernel; the agent
-/// is cleared before `block_end`.
+/// is cleared before `block_end`. A sampled launch reads the device's
+/// tally before its launch charge and again after the join, for the
+/// sample's units.
 fn run_grid<F>(device: &Device, name: &str, shape: LaunchShape, cfg: LaunchConfig, per_block: F)
 where
     F: Fn(usize, bool, Hooks) + Sync,
 {
-    device.charge(CostKind::KernelLaunch, 1);
     let observers = device.observers().list();
     let list = observers.as_deref();
+    let before = observe::wants_sample(list).then(|| device.cost().by_kind());
+    device.charge(CostKind::KernelLaunch, 1);
     let launch = Launch { config: device.config(), name, shape, cfg };
     let tracked = observe::launch_begin(list, &launch);
-    let sampled = observe::wants_sample(list);
-    let sample = dispatch_blocks(name, shape.name(), cfg, sampled, |block| {
+    let sample = dispatch_blocks(device, name, shape.name(), cfg, before, |block| {
         let _agents = check::AgentScope::enter();
         let _observers = observe::BlockScope::enter(observers.as_ref());
         let _tally = device.cost().open_block();
@@ -581,56 +587,96 @@ mod tests {
         assert_eq!(b.cost().units(CostKind::KernelLaunch), 0);
     }
 
+    /// Keeps the samples of its device's launches.
+    struct Samples(std::sync::Mutex<Vec<LaunchSample>>);
+
+    impl crate::observe::Observer for Samples {
+        fn wants(&self) -> crate::observe::Wants {
+            crate::observe::Wants { samples: true, ..Default::default() }
+        }
+        fn launch_end(&self, _: &Launch<'_>, _: bool, sample: Option<&LaunchSample>) {
+            self.0.lock().unwrap().push(sample.unwrap().clone());
+        }
+    }
+
+    impl Samples {
+        /// A sampler attached to `d` until the guard drops.
+        fn on(d: &Device) -> (std::sync::Arc<Samples>, crate::observe::Attached<'_>) {
+            let samples = std::sync::Arc::new(Samples(Default::default()));
+            let attached = d.observe(samples.clone());
+            (samples, attached)
+        }
+
+        fn units(&self) -> Vec<[u64; NUM_KINDS]> {
+            self.0.lock().unwrap().iter().map(|s| s.units).collect()
+        }
+    }
+
     #[test]
     fn a_launch_issued_from_inside_a_block_keeps_both_tallies() {
         // The inner launch runs inline on the thread that is inside
         // the outer block, so the two scopes nest on one thread.
-        let outer = Device::test_small();
-        let inner = Device::test_small();
-        crate::pool::with_policy(crate::pool::DispatchPolicy::sequential(), || {
-            launch_flat(&outer, LaunchConfig::new(2, 1), |_| {
-                outer.charge(CostKind::ThreadWork, 1);
-                launch_flat(&inner, LaunchConfig::new(2, 2), |_| {
-                    inner.charge(CostKind::ThreadWork, 1);
-                    outer.charge(CostKind::IdleCheck, 1);
+        for sampled in [false, true] {
+            let outer = Device::test_small();
+            let inner = Device::test_small();
+            let on_outer = sampled.then(|| Samples::on(&outer));
+            let on_inner = sampled.then(|| Samples::on(&inner));
+            crate::pool::with_policy(crate::pool::DispatchPolicy::sequential(), || {
+                launch_flat(&outer, LaunchConfig::new(2, 1), |_| {
+                    outer.charge(CostKind::ThreadWork, 1);
+                    launch_flat(&inner, LaunchConfig::new(2, 2), |_| {
+                        inner.charge(CostKind::ThreadWork, 1);
+                        outer.charge(CostKind::IdleCheck, 1);
+                    });
+                    launch_flat(&outer, LaunchConfig::new(1, 1), |_| {
+                        outer.charge(CostKind::Atomic, 1);
+                    });
+                    outer.charge(CostKind::ThreadWork, 1);
                 });
-                launch_flat(&outer, LaunchConfig::new(1, 1), |_| {
-                    outer.charge(CostKind::Atomic, 1);
-                });
-                outer.charge(CostKind::ThreadWork, 1);
             });
-        });
-        assert_eq!(outer.cost().units(CostKind::ThreadWork), 4);
-        assert_eq!(outer.cost().units(CostKind::IdleCheck), 8);
-        assert_eq!(outer.cost().units(CostKind::Atomic), 2);
-        assert_eq!(outer.cost().units(CostKind::KernelLaunch), 3);
-        assert_eq!(inner.cost().units(CostKind::ThreadWork), 8);
-        assert_eq!(inner.cost().units(CostKind::KernelLaunch), 2);
+            assert_eq!(outer.cost().by_kind(), [4, 8, 2, 0, 3, 0], "sampled: {sampled}");
+            assert_eq!(inner.cost().by_kind(), [8, 0, 0, 0, 2, 0], "sampled: {sampled}");
+            let (Some((outer_samples, _)), Some((inner_samples, _))) = (on_outer, on_inner) else {
+                continue;
+            };
+            // Each launch on another device is exact. A launch nested
+            // in a block of its own device holds its block's units but
+            // not its launch charge, which folds with the enclosing
+            // block; the enclosing launch holds everything.
+            assert_eq!(inner_samples.units(), [[4, 0, 0, 0, 1, 0]; 2]);
+            let nested = [0, 0, 1, 0, 0, 0];
+            assert_eq!(outer_samples.units(), [nested, nested, outer.cost().by_kind()]);
+        }
     }
 
     #[test]
     fn profiling_sink_sees_every_launch_shape() {
-        use crate::observe::{Observer, Wants};
-        use std::sync::{Arc, Mutex};
-
-        /// Keeps the samples of its device's launches.
-        struct Samples(Mutex<Vec<LaunchSample>>);
-        impl Observer for Samples {
-            fn wants(&self) -> Wants {
-                Wants { samples: true, ..Wants::default() }
-            }
-            fn launch_end(&self, _: &Launch<'_>, _: bool, sample: Option<&LaunchSample>) {
-                self.0.lock().unwrap().push(sample.unwrap().clone());
-            }
-        }
-
         let d = Device::test_small();
-        let samples = Arc::new(Samples(Mutex::new(Vec::new())));
-        let attached = d.observe(samples.clone());
-        launch_flat_named(&d, "prof-flat", LaunchConfig::new(4, 8), |_| {});
-        launch_blocks_named(&d, "prof-blocks", LaunchConfig::new(3, 8), |_| {});
-        launch_warps_named(&d, "prof-warps", LaunchConfig::new(2, 64), |_| {});
-        launch_persistent_named(&d, "prof-persistent", |_| {});
+        let (samples, attached) = Samples::on(&d);
+        let mut deltas = Vec::new();
+        let mut delta = |launch: &dyn Fn()| {
+            let before = d.cost().by_kind();
+            launch();
+            let after = d.cost().by_kind();
+            deltas.push(std::array::from_fn::<u64, NUM_KINDS, _>(|k| after[k] - before[k]));
+        };
+        delta(&|| {
+            launch_flat_named(&d, "prof-flat", LaunchConfig::new(4, 8), |t| charge_as(&d, t.global))
+        });
+        delta(&|| {
+            launch_blocks_named(&d, "prof-blocks", LaunchConfig::new(3, 8), |b| {
+                b.threads().for_each(|t| charge_as(&d, t.global));
+                b.sync();
+            })
+        });
+        delta(&|| {
+            launch_warps_named(&d, "prof-warps", LaunchConfig::new(2, 64), |w| {
+                (0..w.lanes).for_each(|l| charge_as(&d, w.thread(l).global))
+            })
+        });
+        delta(&|| {
+            launch_persistent_named(&d, "prof-persistent", |t| charge_as(&d, t.global));
+        });
         // A launch on another device is not this observer's.
         launch_flat_named(&Device::test_small(), "other", LaunchConfig::new(1, 1), |_| {});
         drop(attached);
@@ -649,6 +695,9 @@ mod tests {
                 ("prof-persistent", "persistent", 8, 32),
             ]
         );
+        // Each sample's units are the device's cost delta over its launch.
+        let units: Vec<_> = got.iter().map(|s| s.units).collect();
+        assert_eq!(units, deltas);
         // Participant accounting covered every block of each launch.
         for s in got.iter() {
             assert_eq!(s.workers.iter().map(|w| w.blocks).sum::<u64>(), s.blocks, "{}", s.kernel);

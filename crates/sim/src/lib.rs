@@ -37,7 +37,6 @@ pub mod device;
 pub mod launch;
 pub mod observe;
 pub mod pool;
-pub mod profile;
 pub mod schedule;
 pub mod timing;
 
@@ -52,6 +51,5 @@ pub use launch::{
 };
 pub use observe::Hooks;
 pub use pool::{ticket_range, DispatchPolicy};
-pub use profile::{KernelProfile, KernelRecord};
 pub use schedule::{default_schedule, KnobDomain, KnobSpec, KnobValue, Schedule};
 pub use timing::run_timed;

@@ -7,9 +7,10 @@
 //! afterwards starts from: installing replaces the tracer installed
 //! before (it keeps its recorded events). To trace one device only,
 //! attach a tracer to it ([`ecl_gpusim::Device::observe`]). On a device
-//! with no observers every hook site costs one thread-local load; the
-//! overhead tests in `crates/bench/tests/trace_overhead.rs` hold this
-//! to account.
+//! with no observers a launch costs one relaxed load, and a counted op
+//! tests the block's `Hooks` snapshot, which a kernel's hot loop folds
+//! away under `Hooks::unswitch`; the overhead tests in
+//! `crates/bench/tests/trace_overhead.rs` hold this to account.
 
 use std::sync::{Arc, Mutex};
 

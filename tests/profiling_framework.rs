@@ -243,3 +243,88 @@ fn cost_model_reflects_algorithm_structure() {
     assert_eq!(d_cc.cost().units(CostKind::Atomic), 0, "torus CC needs no hooks");
     assert!(d_mst.cost().units(CostKind::Atomic) > 0, "MST must elect atomically");
 }
+
+/// One per-kernel record in both currencies: an `ecl_prof::Collector`
+/// attached to a device sums each launch's cost units, so the kernel
+/// rows plus the host remainder (what was charged outside any launch)
+/// are the device's cost, kind by kind, for every registered algorithm
+/// run in order. CC's rows are its five kernels, with init the §6.1.3
+/// minority share; MST's fixed-launch readbacks are host work, and a
+/// collector sees no launch on another device.
+#[test]
+fn collector_rows_and_host_remainder_are_the_devices_cost() {
+    use ecl_prof::{Collector, KernelStats};
+    use ecl_suite::algos::{self, Algorithm};
+    use sim::pool::{with_policy, DispatchPolicy};
+    use sim::{CostKind, KnobValue, Schedule};
+    use std::sync::Arc;
+
+    const SCALE: f64 = 0.0005;
+    /// Runs `algo` in order on a fresh device with a collector
+    /// attached, meanwhile runs it on a second device the collector
+    /// must not see, and returns the device and the collector's rows.
+    fn collected(algo: &dyn Algorithm, schedule: &Schedule) -> (sim::Device, Vec<KernelStats>) {
+        let input = if algo.directed() { "toroid-wedge" } else { "as-skitter" };
+        let spec = gen::registry::find(input).unwrap();
+        let generated = ecl_bench::Generated::new(algo, spec, SCALE, 42);
+        let device = sim::Device::new(algos::device_config(algo, SCALE));
+        let collector = Arc::new(Collector::new());
+        let attached = device.observe(collector.clone());
+        with_policy(DispatchPolicy::sequential(), || {
+            let other = sim::Device::new(algos::device_config(algo, SCALE));
+            algo.run(&other, &generated.views(), schedule);
+            assert_eq!(collector.launches(), 0, "{}: recorded another device", algo.name());
+            algo.run(&device, &generated.views(), schedule);
+        });
+        drop(attached);
+        (device, collector.snapshot())
+    }
+    /// The device's units no launch charged, by kind; panics if the
+    /// rows claim more than the device holds.
+    fn host_remainder(device: &sim::Device, rows: &[KernelStats]) -> [u64; 6] {
+        let mut left = device.cost().by_kind();
+        for row in rows {
+            for (kind, (left, units)) in CostKind::ALL.iter().zip(left.iter_mut().zip(row.units)) {
+                *left = left.checked_sub(units).unwrap_or_else(|| panic!("{kind:?} overcounted"));
+            }
+        }
+        left
+    }
+
+    for algo in algos::ALL {
+        let (device, rows) = collected(algo, &algo.default_schedule());
+        let name = algo.name();
+        let host = host_remainder(&device, &rows);
+        assert_eq!(
+            host[CostKind::KernelLaunch.index()],
+            0,
+            "{name}: a launch charge escaped its row"
+        );
+        let modeled: f64 = rows.iter().map(|r| device.params().time_of(&r.units)).sum();
+        let total = modeled + device.params().time_of(&host);
+        assert_eq!(total, device.modeled_time(), "{name}");
+        if name == "cc" {
+            let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+            assert_eq!(
+                names,
+                [
+                    "cc.init",
+                    "cc.compute-low",
+                    "cc.compute-medium",
+                    "cc.compute-high",
+                    "cc.finalize"
+                ]
+            );
+            let init = device.params().time_of(&rows[0].units) / device.modeled_time();
+            assert!((0.01..0.7).contains(&init), "init share {init} outside the plausible band");
+        }
+    }
+
+    let mst = algos::find("mst").unwrap();
+    let mut fixed = mst.default_schedule();
+    fixed.set("fixed_launch", KnobValue::Bool(true));
+    let (device, rows) = collected(mst, &fixed);
+    let readbacks = device.cost().units(CostKind::HostReconfig);
+    assert!(readbacks > 0, "fixed_launch reads the worklist size back");
+    assert_eq!(host_remainder(&device, &rows)[CostKind::HostReconfig.index()], readbacks);
+}
