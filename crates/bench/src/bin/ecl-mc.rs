@@ -17,6 +17,7 @@
 //! comma-separated choice list a failure report prints).
 
 use ecl_bench::mc_suite::{mc_json, mc_suite, run_mc_entry, McSuiteEntry};
+use ecl_bench::parse_int;
 use ecl_mc::{Checker, Config};
 use ecl_profiling::table::Table;
 
@@ -53,46 +54,32 @@ fn replay(config: &Config, args: &[String]) -> i32 {
     }
 }
 
+/// The value after a flag, or the usage line and exit 2.
+fn value(args: &mut impl Iterator<Item = String>) -> String {
+    args.next().unwrap_or_else(|| ecl_bench::usage_error(USAGE))
+}
+
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
     let mut config = Config::default();
-    let mut verbose = false;
-    let mut json_out: Option<String> = None;
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let (mut verbose, mut json_out) = (false, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let flag = arg.trim_start_matches('-');
+        match arg.as_str() {
             "--verbose" => verbose = true,
-            "--budget" if i + 1 < argv.len() => {
-                config.max_schedules = argv[i + 1].parse().unwrap_or(config.max_schedules);
-                i += 1;
-            }
-            "--bound" if i + 1 < argv.len() => {
-                config.preemption_bound = argv[i + 1].parse().unwrap_or(config.preemption_bound);
-                i += 1;
-            }
-            "--seed" if i + 1 < argv.len() => {
-                config.seed = argv[i + 1].parse().unwrap_or(config.seed);
-                i += 1;
-            }
-            "--json" if i + 1 < argv.len() => {
-                json_out = Some(argv[i + 1].clone());
-                i += 1;
-            }
+            "--budget" => config.max_schedules = parse_int(flag, &value(&mut args)),
+            "--bound" => config.preemption_bound = parse_int(flag, &value(&mut args)),
+            "--seed" => config.seed = parse_int(flag, &value(&mut args)),
+            "--json" => json_out = Some(value(&mut args)),
             "--list" => {
                 for e in mc_suite() {
                     println!("{:<40} {}", e.name, e.about);
                 }
                 return;
             }
-            "replay" => {
-                std::process::exit(replay(&config, &argv[i + 1..]));
-            }
-            _ => {
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
+            "replay" => std::process::exit(replay(&config, &args.collect::<Vec<_>>())),
+            _ => ecl_bench::usage_error(USAGE),
         }
-        i += 1;
     }
 
     println!(

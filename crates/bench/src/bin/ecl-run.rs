@@ -41,7 +41,7 @@
 use std::sync::Arc;
 
 use ecl_algos::Algorithm;
-use ecl_bench::usage_error;
+use ecl_bench::{parse_int, usage_error};
 use ecl_gpusim::schedule::find_knob;
 use ecl_gpusim::{Device, KnobValue, Schedule};
 use ecl_prof::{Collector, KernelStats};
@@ -136,11 +136,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Parses an integer argument or exits 2 with one line.
-fn int<T: std::str::FromStr>(name: &str, text: &str) -> T {
-    text.parse().unwrap_or_else(|_| usage_error(&format!("{name} must be an integer, got {text}")))
-}
-
 fn parse() -> Args {
     let mut a = Args {
         scale: ecl_bench::DEFAULT_SCALE,
@@ -180,10 +175,10 @@ fn parse() -> Args {
                     "--scale" => {
                         a.scale = ecl_bench::parse_scale(value).unwrap_or_else(|e| usage_error(&e))
                     }
-                    "--seed" => a.seed = int("seed", value),
-                    "--repeats" => a.repeats = Some(int("repeats", value)),
+                    "--seed" => a.seed = parse_int("seed", value),
+                    "--repeats" => a.repeats = Some(parse_int("repeats", value)),
                     "--shards" => {
-                        a.shards = int("shards", value);
+                        a.shards = parse_int("shards", value);
                         if a.shards < 1 || a.shards > ecl_shard::MAX_SHARDS {
                             usage_error(&format!(
                                 "--shards must be in [1, {}]",
@@ -319,15 +314,15 @@ fn main() {
             usage_error(&format!("{} has no knob {knob:?} ({flag})", algo.name()));
         }
     }
-    let input = ecl_bench::Generated::new(algo, spec, a.scale, a.seed);
-    let views = input.views();
+    let inputs = ecl_bench::Inputs::new(a.scale, a.seed);
+    let views = inputs.views(algo, spec);
     let schedule = schedule(&a, algo, views.structure().expect("a generated view"));
 
     if let Some(dir) = &a.profile {
         let repeats = a.repeats.unwrap_or(3);
         let pspec = ecl_bench::profile_run::ProfileSpec {
             algo,
-            input: &a.input,
+            views,
             scale: a.scale,
             seed: a.seed,
             repeats,

@@ -11,88 +11,67 @@
 use std::fs::File;
 use std::io::BufWriter;
 
+use ecl_bench::usage_error;
+
 fn usage() -> ! {
-    eprintln!(
+    usage_error(
         "usage: gengraph --input <name> --out <path> [--scale f] [--seed n] \
-         [--weighted] [--format bin|edgelist]"
-    );
-    std::process::exit(2);
+         [--weighted] [--format bin|edgelist]",
+    )
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let mut input = String::new();
-    let mut out_path = String::new();
-    let mut scale = ecl_bench::DEFAULT_SCALE;
-    let mut seed = ecl_bench::DEFAULT_SEED;
+    let (mut input, mut out_path, mut format) = (String::new(), String::new(), "bin".to_string());
+    let (mut scale, mut seed) = (ecl_bench::DEFAULT_SCALE, ecl_bench::DEFAULT_SEED);
     let mut weighted = false;
-    let mut format = "bin".to_string();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--input" if i + 1 < argv.len() => {
-                input = argv[i + 1].clone();
-                i += 1;
-            }
-            "--out" if i + 1 < argv.len() => {
-                out_path = argv[i + 1].clone();
-                i += 1;
-            }
-            "--scale" if i + 1 < argv.len() => {
-                scale = ecl_bench::parse_scale(&argv[i + 1])
-                    .unwrap_or_else(|e| ecl_bench::usage_error(&e));
-                i += 1;
-            }
-            "--seed" if i + 1 < argv.len() => {
-                seed = argv[i + 1].parse().unwrap_or_else(|_| usage());
-                i += 1;
-            }
-            "--weighted" => weighted = true,
-            "--format" if i + 1 < argv.len() => {
-                format = argv[i + 1].clone();
-                i += 1;
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--weighted" {
+            weighted = true;
+            continue;
+        }
+        let value = args.next().unwrap_or_else(|| usage());
+        match arg.as_str() {
+            "--input" => input = value,
+            "--out" => out_path = value,
+            "--scale" => scale = ecl_bench::parse_scale(&value).unwrap_or_else(|e| usage_error(&e)),
+            "--seed" => seed = ecl_bench::parse_int("seed", &value),
+            "--format" => format = value,
             _ => usage(),
         }
-        i += 1;
     }
     if input.is_empty() || out_path.is_empty() {
         usage();
     }
-    let spec = ecl_graphgen::registry::find(&input).unwrap_or_else(|| {
-        eprintln!("unknown input '{input}'");
-        std::process::exit(2);
-    });
+    let spec = ecl_graphgen::registry::find(&input)
+        .unwrap_or_else(|| usage_error(&format!("unknown input '{input}'")));
+    match (weighted, format.as_str()) {
+        (true, "bin") if spec.directed => {
+            usage_error(&format!("--weighted needs an undirected input; {input} is directed"))
+        }
+        (true, "bin") | (false, "bin" | "edgelist") => {}
+        (true, other) => {
+            usage_error(&format!("weighted output only supports --format bin (got {other})"))
+        }
+        (false, other) => usage_error(&format!("unknown format '{other}'")),
+    }
     let file = File::create(&out_path).unwrap_or_else(|e| {
         eprintln!("cannot create {out_path}: {e}");
         std::process::exit(1);
     });
     let mut w = BufWriter::new(file);
-    if weighted {
-        let g = spec.generate_weighted(scale, seed, 1 << 20);
-        match format.as_str() {
-            "bin" => ecl_graph::io::write_weighted(&mut w, &g).expect("write"),
-            other => {
-                eprintln!("weighted output only supports --format bin (got {other})");
-                std::process::exit(2);
-            }
-        }
-        eprintln!(
-            "wrote {} ({} vertices, {} arcs, weighted)",
-            out_path,
-            g.num_vertices(),
-            g.csr().num_arcs()
-        );
+    let inputs = ecl_bench::Inputs::new(scale, seed);
+    let (g, weights) = if weighted {
+        let g = inputs.weighted(spec);
+        ecl_graph::io::write_weighted(&mut w, g).expect("write");
+        (g.csr(), ", weighted")
     } else {
-        let g = spec.generate(scale, seed);
+        let g = inputs.graph(spec);
         match format.as_str() {
-            "bin" => ecl_graph::io::write_csr(&mut w, &g).expect("write"),
-            "edgelist" => ecl_graph::io::write_edge_list(&mut w, &g).expect("write"),
-            other => {
-                eprintln!("unknown format '{other}'");
-                std::process::exit(2);
-            }
+            "bin" => ecl_graph::io::write_csr(&mut w, g).expect("write"),
+            _ => ecl_graph::io::write_edge_list(&mut w, g).expect("write"),
         }
-        eprintln!("wrote {} ({} vertices, {} arcs)", out_path, g.num_vertices(), g.num_arcs());
-    }
+        (g, "")
+    };
+    eprintln!("wrote {out_path} ({} vertices, {} arcs{weights})", g.num_vertices(), g.num_arcs());
 }

@@ -12,7 +12,8 @@ use ecl_profiling::chart::column_chart;
 use ecl_profiling::{BlockSeries, Table};
 use ecl_scc::{SccConfig, SccResult};
 
-use crate::scaled_device_min;
+use super::in_order;
+use crate::{scaled_device_min, Inputs};
 
 /// The four (m, n) panels of the figure, resolved against a recorded
 /// series: (m=1, n=1), (m=1, late n), (m=2, n=1), (m=2, second-to-last
@@ -39,20 +40,19 @@ pub fn panels(series: &BlockSeries) -> Vec<(u32, u32)> {
     out
 }
 
-/// Runs ECL-SCC on the star mesh and returns the result (the series
-/// lives in `result.counters.series`).
-pub fn run_star(scale: f64, seed: u64) -> SccResult {
-    let spec = find("star").expect("star registered");
-    let g = spec.generate(scale, seed);
-    let device = scaled_device_min(scale, crate::SCC_MIN_SMS);
-    ecl_scc::run(&device, &g, &SccConfig::original())
+/// Runs ECL-SCC in order on the star mesh and returns the result (the
+/// series lives in `result.counters.series`).
+pub fn run_star(inputs: &Inputs) -> SccResult {
+    let g = inputs.graph(find("star").expect("star registered"));
+    let device = scaled_device_min(inputs.scale(), crate::SCC_MIN_SMS);
+    in_order(|| ecl_scc::run(&device, g, &SccConfig::original()))
 }
 
 /// Renders the figure from one run: a summary table over the four
 /// panels, then each panel's per-block column chart (the terminal
 /// equivalent of the paper's scatter plots).
-pub fn render(scale: f64, seed: u64) -> String {
-    let r = run_star(scale, seed);
+pub fn render(inputs: &Inputs) -> String {
+    let (scale, r) = (inputs.scale(), run_star(inputs));
     let series = &r.counters.series;
     let mut t = Table::new(
         &format!(
@@ -88,11 +88,10 @@ pub fn render(scale: f64, seed: u64) -> String {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::experiments::in_order;
 
     #[test]
     fn star_progresses_over_many_outer_iterations() {
-        let r = in_order(|| run_star(0.002, 3));
+        let r = run_star(&Inputs::new(0.002, 3));
         // The registry's star has 10 layers -> ~10 outer iterations.
         assert!(r.outer_iterations >= 8, "expected deep peeling, got m = {}", r.outer_iterations);
         assert_eq!(r.num_sccs(), 10);
@@ -100,7 +99,7 @@ mod tests {
 
     #[test]
     fn updates_localize_late_in_m1() {
-        let r = in_order(|| run_star(0.002, 3));
+        let r = run_star(&Inputs::new(0.002, 3));
         let s = &r.counters.series;
         let last = s.inner_iterations(1);
         assert!(last >= 2, "need at least two inner iterations, got {last}");
@@ -113,11 +112,12 @@ mod tests {
 
     #[test]
     fn panels_are_well_formed() {
-        let r = in_order(|| run_star(0.002, 3));
+        let inputs = Inputs::new(0.002, 3);
+        let r = run_star(&inputs);
         let ps = panels(&r.counters.series);
         assert!(ps.len() >= 2);
         assert!(ps.iter().all(|&(m, n)| m >= 1 && n >= 1));
-        let text = in_order(|| render(0.002, 3));
+        let text = render(&inputs);
         assert_eq!(text.matches("updates per block").count(), ps.len());
     }
 }

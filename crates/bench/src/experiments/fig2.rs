@@ -11,23 +11,21 @@ use ecl_mst::{MstConfig, MstResult};
 use ecl_profiling::chart::bar_chart;
 use ecl_profiling::series::IterationKind;
 
-use crate::scaled_device;
+use super::in_order;
+use crate::{scaled_device, Inputs};
 
-/// Weight range used for the amazon0601 MST input.
-pub const MAX_WEIGHT: u32 = 1 << 20;
-
-/// Runs the baseline ECL-MST on the amazon0601 analogue.
-pub fn run_amazon(scale: f64, seed: u64) -> MstResult {
-    let spec = find("amazon0601").expect("amazon0601 registered");
-    let g = spec.generate_weighted(scale, seed, MAX_WEIGHT);
-    let device = scaled_device(scale);
-    ecl_mst::run(&device, &g, &MstConfig::baseline())
+/// Runs the baseline ECL-MST in order on the amazon0601 analogue's
+/// weighted view.
+pub fn run_amazon(inputs: &Inputs) -> MstResult {
+    let g = inputs.weighted(find("amazon0601").expect("amazon0601 registered"));
+    let device = scaled_device(inputs.scale());
+    in_order(|| ecl_mst::run(&device, g, &MstConfig::baseline()))
 }
 
 /// Renders the figure from one run: the bar table, then grouped text
 /// bars per iteration.
-pub fn render(scale: f64, seed: u64) -> String {
-    let bars = run_amazon(scale, seed).counters.bars;
+pub fn render(inputs: &Inputs) -> String {
+    let (scale, bars) = (inputs.scale(), run_amazon(inputs).counters.bars);
     let mut entries = Vec::new();
     for b in bars.bars() {
         let kind = match b.kind {
@@ -54,7 +52,7 @@ mod tests {
     use super::*;
 
     fn bars(scale: f64, seed: u64) -> Vec<IterationBar> {
-        run_amazon(scale, seed).counters.bars.bars()
+        run_amazon(&Inputs::new(scale, seed)).counters.bars.bars()
     }
 
     #[test]

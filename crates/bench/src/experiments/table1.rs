@@ -8,6 +8,9 @@ use ecl_graph::DegreeStats;
 use ecl_graphgen::{all_inputs, InputSpec};
 use ecl_profiling::Table;
 
+use super::run_cells;
+use crate::Inputs;
+
 /// One generated row.
 #[derive(Clone, Debug)]
 pub struct Row {
@@ -17,21 +20,14 @@ pub struct Row {
     pub stats: DegreeStats,
 }
 
-/// Generates every input at `scale` and measures it.
-pub fn rows(scale: f64, seed: u64) -> Vec<Row> {
-    all_inputs()
-        .iter()
-        .map(|spec| {
-            let spec: &'static InputSpec =
-                ecl_graphgen::registry::find(spec.name).expect("registry lookup of its own entry");
-            let g = spec.generate(scale, seed);
-            Row { spec, stats: DegreeStats::of(&g) }
-        })
-        .collect()
+/// Measures every input, one cell each.
+pub fn rows(inputs: &Inputs) -> Vec<Row> {
+    run_cells(all_inputs(), |spec| Row { spec, stats: DegreeStats::of(inputs.graph(spec)) })
 }
 
 /// Renders the rows as the paper-shaped table.
-pub fn render(scale: f64, seed: u64) -> String {
+pub fn render(inputs: &Inputs) -> String {
+    let scale = inputs.scale();
     let mut t = Table::new(
         &format!("Table 1: input graphs (synthetic analogues, scale {scale})"),
         &[
@@ -45,7 +41,7 @@ pub fn render(scale: f64, seed: u64) -> String {
             "paper d-max",
         ],
     );
-    for r in rows(scale, seed) {
+    for r in rows(inputs) {
         t.row(&[
             r.spec.name,
             &r.stats.num_arcs.to_string(),
@@ -67,14 +63,14 @@ mod tests {
 
     #[test]
     fn covers_all_22_inputs() {
-        let text = render(0.002, 1);
+        let text = render(&Inputs::new(0.002, 1));
         assert_eq!(text.lines().count(), 4 + 22, "title, rule, header, rule, one row per input");
-        assert!(all_inputs().iter().all(|spec| text.contains(spec.name)));
+        assert!(all_inputs().all(|spec| text.contains(spec.name)));
     }
 
     #[test]
     fn grid_row_degree_exact() {
-        let rs = rows(0.002, 1);
+        let rs = rows(&Inputs::new(0.002, 1));
         let grid = rs.iter().find(|r| r.spec.name == "2d-2e20.sym").unwrap();
         assert_eq!(grid.stats.d_max, 4);
         assert!((grid.stats.d_avg - 4.0).abs() < 1e-9);

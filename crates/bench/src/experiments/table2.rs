@@ -12,7 +12,8 @@ use ecl_graphgen::general_inputs;
 use ecl_mis::MisConfig;
 use ecl_profiling::{pearson, Summary, Table};
 
-use crate::scaled_device;
+use super::run_cells;
+use crate::{scaled_device, Inputs};
 
 /// One input's measured metrics.
 #[derive(Clone, Debug)]
@@ -29,23 +30,20 @@ pub struct Row {
     pub stats: DegreeStats,
 }
 
-/// Runs ECL-MIS on every general input.
-pub fn rows(scale: f64, seed: u64) -> Vec<Row> {
-    general_inputs()
-        .iter()
-        .map(|spec| {
-            let g = spec.generate(scale, seed);
-            let device = scaled_device(scale);
-            let r = ecl_mis::run(&device, &g, &MisConfig::default());
-            Row {
-                name: spec.name,
-                iterations: r.counters.iterations.summary(),
-                assigned: r.counters.assigned.summary(),
-                finalized: r.counters.finalized.summary(),
-                stats: DegreeStats::of(&g),
-            }
-        })
-        .collect()
+/// Runs ECL-MIS on every general input, one cell each.
+pub fn rows(inputs: &Inputs) -> Vec<Row> {
+    run_cells(general_inputs(), |spec| {
+        let g = inputs.graph(spec);
+        let device = scaled_device(inputs.scale());
+        let r = ecl_mis::run(&device, g, &MisConfig::default());
+        Row {
+            name: spec.name,
+            iterations: r.counters.iterations.summary(),
+            assigned: r.counters.assigned.summary(),
+            finalized: r.counters.finalized.summary(),
+            stats: DegreeStats::of(g),
+        }
+    })
 }
 
 /// The §6.1.1 correlations over a set of measured rows:
@@ -60,8 +58,8 @@ pub fn correlations(rows: &[Row]) -> (f64, f64, f64) {
 }
 
 /// Renders the paper-shaped table and the §6.1.1 correlations.
-pub fn render(scale: f64, seed: u64) -> String {
-    let rs = rows(scale, seed);
+pub fn render(inputs: &Inputs) -> String {
+    let (scale, rs) = (inputs.scale(), rows(inputs));
     let mut t = Table::new(
         &format!("Table 2: ECL-MIS metrics (scale {scale})"),
         &["Graph", "Iter Avg", "Iter Max", "Vertices Avg", "Final Avg", "Final Max"],
@@ -93,7 +91,7 @@ mod tests {
     #[test]
     fn correlations_have_paper_signs() {
         // Small scale keeps this test fast; the signs are the claim.
-        let rs = rows(0.002, 7);
+        let rs = rows(&Inputs::new(0.002, 7));
         assert_eq!(rs.len(), 17);
         let (iter_skew, max_nv, fin_nv) = correlations(&rs);
         assert!(
@@ -113,7 +111,7 @@ mod tests {
 
     #[test]
     fn assigned_is_balanced_per_input() {
-        for r in rows(0.002, 3).iter().take(4) {
+        for r in rows(&Inputs::new(0.002, 3)).iter().take(4) {
             assert!(
                 r.assigned.max - r.assigned.min <= 1.0,
                 "{}: round-robin should balance within 1, got {:?}",

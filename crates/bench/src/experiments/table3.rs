@@ -8,7 +8,8 @@ use ecl_graphgen::general_inputs;
 use ecl_mis::MisConfig;
 use ecl_profiling::{MultiRun, Table};
 
-use crate::scaled_device;
+use super::run_cells;
+use crate::{scaled_device, Inputs};
 
 /// Per-input multi-run iteration summaries.
 #[derive(Debug)]
@@ -21,32 +22,29 @@ pub struct Row {
     pub deterministic_result: bool,
 }
 
-/// Runs ECL-MIS `reps` times per input.
-pub fn rows(scale: f64, seed: u64, reps: usize) -> Vec<Row> {
-    general_inputs()
-        .iter()
-        .map(|spec| {
-            let g = spec.generate(scale, seed);
-            let mut runs = MultiRun::new();
-            let mut first_set: Option<Vec<bool>> = None;
-            let mut deterministic = true;
-            for _ in 0..reps {
-                let device = scaled_device(scale);
-                let r = ecl_mis::run(&device, &g, &MisConfig::default());
-                runs.push(r.counters.iterations.summary());
-                match &first_set {
-                    None => first_set = Some(r.in_set),
-                    Some(s) => deterministic &= *s == r.in_set,
-                }
+/// Runs ECL-MIS `reps` times per input, one cell per input.
+pub fn rows(inputs: &Inputs, reps: usize) -> Vec<Row> {
+    run_cells(general_inputs(), |spec| {
+        let g = inputs.graph(spec);
+        let mut runs = MultiRun::new();
+        let mut first_set: Option<Vec<bool>> = None;
+        let mut deterministic = true;
+        for _ in 0..reps {
+            let device = scaled_device(inputs.scale());
+            let r = ecl_mis::run(&device, g, &MisConfig::default());
+            runs.push(r.counters.iterations.summary());
+            match &first_set {
+                None => first_set = Some(r.in_set),
+                Some(s) => deterministic &= *s == r.in_set,
             }
-            Row { name: spec.name, runs, deterministic_result: deterministic }
-        })
-        .collect()
+        }
+        Row { name: spec.name, runs, deterministic_result: deterministic }
+    })
 }
 
 /// Renders the paper-shaped table (3 runs).
-pub fn render(scale: f64, seed: u64) -> String {
-    let rs = rows(scale, seed, 3);
+pub fn render(inputs: &Inputs) -> String {
+    let (scale, rs) = (inputs.scale(), rows(inputs, 3));
     let mut t = Table::new(
         &format!("Table 3: ECL-MIS iterations across runs (scale {scale})"),
         &[
@@ -81,7 +79,7 @@ mod tests {
     fn results_deterministic_trends_stable() {
         // Subset of inputs at tiny scale for speed: take the produced
         // rows and check the paper's two claims.
-        let rs = rows(0.002, 11, 3);
+        let rs = rows(&Inputs::new(0.002, 11), 3);
         for r in rs.iter().take(5) {
             assert!(r.deterministic_result, "{}: final MIS differed across runs", r.name);
             assert!(

@@ -9,7 +9,8 @@ use ecl_graphgen::general_inputs;
 use ecl_profiling::table::sci;
 use ecl_profiling::Table;
 
-use crate::scaled_device;
+use super::run_cells;
+use crate::{scaled_device, Inputs};
 
 /// One input's init-kernel counters.
 #[derive(Clone, Copy, Debug)]
@@ -33,26 +34,22 @@ impl Row {
     }
 }
 
-/// Runs the baseline ECL-CC on every general input.
-pub fn rows(scale: f64, seed: u64) -> Vec<Row> {
-    general_inputs()
-        .iter()
-        .map(|spec| {
-            let g = spec.generate(scale, seed);
-            let device = scaled_device(scale);
-            let r = ecl_cc::run(&device, &g, &CcConfig::baseline());
-            Row {
-                name: spec.name,
-                initialized: r.counters.vertices_initialized.get(),
-                traversed: r.counters.vertices_traversed.get(),
-            }
-        })
-        .collect()
+/// Runs the baseline ECL-CC on every general input, one cell each.
+pub fn rows(inputs: &Inputs) -> Vec<Row> {
+    run_cells(general_inputs(), |spec| {
+        let device = scaled_device(inputs.scale());
+        let r = ecl_cc::run(&device, inputs.graph(spec), &CcConfig::baseline());
+        Row {
+            name: spec.name,
+            initialized: r.counters.vertices_initialized.get(),
+            traversed: r.counters.vertices_traversed.get(),
+        }
+    })
 }
 
 /// Renders the paper-shaped table.
-pub fn render(scale: f64, seed: u64) -> String {
-    let rs = rows(scale, seed);
+pub fn render(inputs: &Inputs) -> String {
+    let (scale, rs) = (inputs.scale(), rows(inputs));
     let mut t = Table::new(
         &format!("Table 4: ECL-CC init kernel (scale {scale})"),
         &["Graph", "Vertices initialized", "Vertices traversed", "traversed/initialized"],
@@ -75,16 +72,16 @@ mod tests {
 
     #[test]
     fn initialized_equals_vertex_count() {
-        for r in rows(0.002, 5).iter().take(6) {
-            let spec = ecl_graphgen::registry::find(r.name).unwrap();
-            let g = spec.generate(0.002, 5);
+        let inputs = Inputs::new(0.002, 5);
+        for r in rows(&inputs).iter().take(6) {
+            let g = inputs.graph(ecl_graphgen::registry::find(r.name).unwrap());
             assert_eq!(r.initialized as usize, g.num_vertices(), "{}", r.name);
         }
     }
 
     #[test]
     fn traversed_at_least_initialized_minus_isolated() {
-        for r in rows(0.002, 5) {
+        for r in rows(&Inputs::new(0.002, 5)) {
             assert!(r.traversed >= r.initialized / 2, "{}: {:?}", r.name, r);
         }
     }
@@ -93,7 +90,7 @@ mod tests {
     fn grid_gap_exceeds_skewed_graph_gap() {
         // Paper: cit-Patents/grids show big gaps, as-skitter nearly
         // none. Our torus vs PA graph must show the same contrast.
-        let rs = rows(0.002, 5);
+        let rs = rows(&Inputs::new(0.002, 5));
         let grid = rs.iter().find(|r| r.name == "2d-2e20.sym").unwrap();
         let skitter = rs.iter().find(|r| r.name == "as-skitter").unwrap();
         assert!(

@@ -10,7 +10,8 @@ use ecl_graph::DegreeStats;
 use ecl_graphgen::general_inputs;
 use ecl_profiling::{pearson, Summary, Table};
 
-use crate::scaled_device;
+use super::run_cells;
+use crate::{scaled_device, Inputs};
 
 /// One input's runLarge statistics.
 #[derive(Clone, Debug)]
@@ -27,23 +28,20 @@ pub struct Row {
 
 /// Runs ECL-GC on every general input that has runLarge vertices at
 /// this scale (the paper likewise "excludes inputs that only have
-/// vertices with degrees below this threshold").
-pub fn rows(scale: f64, seed: u64) -> Vec<Row> {
-    general_inputs()
-        .iter()
-        .filter_map(|spec| {
-            let g = spec.generate(scale, seed);
-            let stats = DegreeStats::of(&g);
-            if stats.d_max <= LARGE_DEGREE {
-                return None;
-            }
-            let device = scaled_device(scale);
-            let r = ecl_gc::run(&device, &g, &GcConfig::default());
-            let (best_changed, not_yet_possible) =
-                r.counters.large_vertex_summaries(&g, LARGE_DEGREE);
-            Some(Row { name: spec.name, best_changed, not_yet_possible, stats })
-        })
-        .collect()
+/// vertices with degrees below this threshold"), one cell per input.
+pub fn rows(inputs: &Inputs) -> Vec<Row> {
+    let rows = run_cells(general_inputs(), |spec| {
+        let g = inputs.graph(spec);
+        let stats = DegreeStats::of(g);
+        if stats.d_max <= LARGE_DEGREE {
+            return None;
+        }
+        let device = scaled_device(inputs.scale());
+        let r = ecl_gc::run(&device, g, &GcConfig::default());
+        let (best_changed, not_yet_possible) = r.counters.large_vertex_summaries(g, LARGE_DEGREE);
+        Some(Row { name: spec.name, best_changed, not_yet_possible, stats })
+    });
+    rows.into_iter().flatten().collect()
 }
 
 /// Correlation of the two averages with the input's average degree:
@@ -56,8 +54,8 @@ pub fn degree_correlations(rows: &[Row]) -> (f64, f64) {
 }
 
 /// Renders the paper-shaped table and the §6.1.5 correlations.
-pub fn render(scale: f64, seed: u64) -> String {
-    let rs = rows(scale, seed);
+pub fn render(inputs: &Inputs) -> String {
+    let (scale, rs) = (inputs.scale(), rows(inputs));
     let mut t = Table::new(
         &format!("Table 5: ECL-GC runLarge per-vertex statistics (scale {scale})"),
         &["Graph", "BestChg Avg", "BestChg Max", "NotYet Avg", "NotYet Max"],
@@ -86,7 +84,7 @@ mod tests {
 
     #[test]
     fn dense_inputs_dominate() {
-        let rs = rows(0.004, 3);
+        let rs = rows(&Inputs::new(0.004, 3));
         assert!(!rs.is_empty(), "no inputs had runLarge vertices");
         // coPapersDBLP (densest) should show higher stall counts than
         // a sparse input, when both appear.
@@ -104,7 +102,7 @@ mod tests {
 
     #[test]
     fn correlation_with_density_positive() {
-        let rs = rows(0.004, 3);
+        let rs = rows(&Inputs::new(0.004, 3));
         if rs.len() >= 4 {
             let (bc, nyp) = degree_correlations(&rs);
             assert!(bc > 0.0, "best-changed vs d-avg correlation {bc} not positive");

@@ -10,7 +10,8 @@ use ecl_graphgen::scc_inputs;
 use ecl_profiling::Table;
 use ecl_scc::SccConfig;
 
-use crate::scaled_device_min;
+use super::run_cells;
+use crate::{scaled_device_min, Inputs};
 
 /// Block sizes swept by the paper (original = 512).
 pub const BLOCK_SIZES: [usize; 4] = [64, 128, 256, 1024];
@@ -30,34 +31,34 @@ pub struct Row {
     pub speedups: Vec<f64>,
 }
 
-fn modeled_cost(g: &ecl_graph::Csr, scale: f64, block_size: usize) -> f64 {
-    let device = scaled_device_min(scale, crate::SCC_MIN_SMS);
-    let cfg = SccConfig::with_block_size(block_size);
-    let r = ecl_scc::run(&device, g, &cfg);
-    // Critical-path (parallel) time, divided by achievable SM
-    // occupancy: blocks are scheduled whole, so 1024-thread blocks
-    // leave a third of each 1536-thread SM idle — a hardware effect
-    // the work tally cannot see.
-    r.modeled_parallel_time / device.config().occupancy(block_size)
-}
-
-/// Sweeps the block sizes over every mesh.
-pub fn rows(scale: f64, seed: u64) -> Vec<Row> {
+/// Sweeps the block sizes over every mesh, one cell per (mesh, block
+/// size), the original size first.
+pub fn rows(inputs: &Inputs) -> Vec<Row> {
+    let sizes = [ORIGINAL].into_iter().chain(BLOCK_SIZES);
+    let cells = scc_inputs().iter().flat_map(|spec| sizes.clone().map(move |bs| (spec, bs)));
+    let costs = run_cells(cells, |(spec, block_size)| {
+        let device = scaled_device_min(inputs.scale(), crate::SCC_MIN_SMS);
+        let r = ecl_scc::run(&device, inputs.graph(spec), &SccConfig::with_block_size(block_size));
+        // Critical-path (parallel) time, divided by achievable SM
+        // occupancy: blocks are scheduled whole, so 1024-thread blocks
+        // leave a third of each 1536-thread SM idle — a hardware effect
+        // the work tally cannot see.
+        r.modeled_parallel_time / device.config().occupancy(block_size)
+    });
     scc_inputs()
         .iter()
-        .map(|spec| {
-            let g = spec.generate(scale, seed);
-            let baseline = modeled_cost(&g, scale, ORIGINAL);
-            let speedups =
-                BLOCK_SIZES.iter().map(|&bs| baseline / modeled_cost(&g, scale, bs)).collect();
+        .zip(costs.chunks(1 + BLOCK_SIZES.len()))
+        .map(|(spec, costs)| {
+            let baseline = costs[0];
+            let speedups = costs[1..].iter().map(|cost| baseline / cost).collect();
             Row { name: spec.name, baseline_cost: baseline, speedups }
         })
         .collect()
 }
 
 /// Renders the paper-shaped table.
-pub fn render(scale: f64, seed: u64) -> String {
-    let rs = rows(scale, seed);
+pub fn render(inputs: &Inputs) -> String {
+    let (scale, rs) = (inputs.scale(), rows(inputs));
     let mut t = Table::new(
         &format!("Table 6: ECL-SCC block-size speedups vs 512 (scale {scale}, modeled cost)"),
         &["Graph", "64", "128", "256", "1024"],
@@ -74,11 +75,10 @@ pub fn render(scale: f64, seed: u64) -> String {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::experiments::in_order;
 
     #[test]
     fn covers_all_meshes_with_positive_speedups() {
-        let rs = rows(0.002, 3);
+        let rs = rows(&Inputs::new(0.002, 3));
         assert_eq!(rs.len(), 5);
         for r in &rs {
             assert_eq!(r.speedups.len(), 4);
@@ -95,8 +95,8 @@ mod tests {
         // definition). The paper's sweet spot sits at 128/256; ours
         // lands at 256/512 (see EXPERIMENTS.md), but in both the
         // interior beats the extremes. The margins are modeled time,
-        // so the claim is about the in-order schedule.
-        let rs = in_order(|| rows(0.002, 3));
+        // so the claim is about the in-order schedule every cell runs.
+        let rs = rows(&Inputs::new(0.002, 3));
         let avg = |idx: usize| rs.iter().map(|r| r.speedups[idx]).sum::<f64>() / rs.len() as f64;
         let interior_best = avg(1).max(avg(2)).max(1.0);
         let extreme_best = avg(0).max(avg(3));

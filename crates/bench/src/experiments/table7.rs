@@ -8,7 +8,8 @@ use ecl_cc::CcConfig;
 use ecl_graphgen::general_inputs;
 use ecl_profiling::Table;
 
-use crate::scaled_device;
+use super::run_cells;
+use crate::{scaled_device, Inputs};
 
 /// One input's speedup.
 #[derive(Clone, Copy, Debug)]
@@ -22,32 +23,29 @@ pub struct Row {
     pub gap: f64,
 }
 
-/// Runs both variants on every general input.
-pub fn rows(scale: f64, seed: u64) -> Vec<Row> {
-    general_inputs()
-        .iter()
-        .map(|spec| {
-            let g = spec.generate(scale, seed);
-            let d_base = scaled_device(scale);
-            let r = ecl_cc::run(&d_base, &g, &CcConfig::baseline());
-            let gap = if r.counters.vertices_initialized.get() == 0 {
-                0.0
-            } else {
-                r.counters.vertices_traversed.get() as f64
-                    / r.counters.vertices_initialized.get() as f64
-            };
-            let d_opt = scaled_device(scale);
-            let r_opt = ecl_cc::run(&d_opt, &g, &CcConfig::optimized());
-            assert_eq!(r.labels, r_opt.labels, "{}: optimization changed the result", spec.name);
-            Row { name: spec.name, speedup: d_base.modeled_time() / d_opt.modeled_time(), gap }
-        })
-        .collect()
+/// Runs both variants on every general input, one cell per input.
+pub fn rows(inputs: &Inputs) -> Vec<Row> {
+    run_cells(general_inputs(), |spec| {
+        let g = inputs.graph(spec);
+        let d_base = scaled_device(inputs.scale());
+        let r = ecl_cc::run(&d_base, g, &CcConfig::baseline());
+        let gap = if r.counters.vertices_initialized.get() == 0 {
+            0.0
+        } else {
+            r.counters.vertices_traversed.get() as f64
+                / r.counters.vertices_initialized.get() as f64
+        };
+        let d_opt = scaled_device(inputs.scale());
+        let r_opt = ecl_cc::run(&d_opt, g, &CcConfig::optimized());
+        assert_eq!(r.labels, r_opt.labels, "{}: optimization changed the result", spec.name);
+        Row { name: spec.name, speedup: d_base.modeled_time() / d_opt.modeled_time(), gap }
+    })
 }
 
 /// Renders the paper-shaped table. The paper lists only inputs with a
 /// noticeable speedup; we print all, flagging the >2% ones.
-pub fn render(scale: f64, seed: u64) -> String {
-    let rs = rows(scale, seed);
+pub fn render(inputs: &Inputs) -> String {
+    let (scale, rs) = (inputs.scale(), rows(inputs));
     let mut t = Table::new(
         &format!("Table 7: ECL-CC first-neighbor init speedup (scale {scale}, modeled cost)"),
         &["Graph", "Speedup", "Init gap", "Noticeable"],
@@ -67,11 +65,10 @@ pub fn render(scale: f64, seed: u64) -> String {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::experiments::in_order;
 
     #[test]
     fn optimization_never_slower_much() {
-        for r in in_order(|| rows(0.002, 9)) {
+        for r in rows(&Inputs::new(0.002, 9)) {
             assert!(
                 r.speedup > 0.95,
                 "{}: optimized init should not slow the run down: {}",
@@ -83,7 +80,7 @@ mod tests {
 
     #[test]
     fn big_gap_inputs_speed_up_more() {
-        let rs = in_order(|| rows(0.002, 9));
+        let rs = rows(&Inputs::new(0.002, 9));
         let max_gap = rs.iter().cloned().fold(rs[0], |a, b| if b.gap > a.gap { b } else { a });
         let min_gap = rs.iter().cloned().fold(rs[0], |a, b| if b.gap < a.gap { b } else { a });
         assert!(

@@ -10,10 +10,8 @@ use ecl_graphgen::general_inputs;
 use ecl_mst::MstConfig;
 use ecl_profiling::Table;
 
-use crate::scaled_device;
-
-/// Weight range used for the MST inputs.
-pub const MAX_WEIGHT: u32 = 1 << 20;
+use super::run_cells;
+use crate::{scaled_device, Inputs};
 
 /// One input's runtime change.
 #[derive(Clone, Copy, Debug)]
@@ -24,31 +22,34 @@ pub struct Row {
     pub pct_change: f64,
 }
 
-/// Runs both variants on every general input (weighted).
-pub fn rows(scale: f64, seed: u64) -> Vec<Row> {
+/// Runs both variants on every general input's weighted view, one cell
+/// per (input, variant).
+pub fn rows(inputs: &Inputs) -> Vec<Row> {
+    let variants = [MstConfig::baseline(), MstConfig::fixed()];
+    let cells = general_inputs().iter().flat_map(|spec| variants.iter().map(move |v| (spec, v)));
+    let runs = run_cells(cells, |(spec, variant)| {
+        let device = scaled_device(inputs.scale());
+        let r = ecl_mst::run(&device, inputs.weighted(spec), variant);
+        (r.total_weight, device.modeled_time())
+    });
     general_inputs()
         .iter()
-        .map(|spec| {
-            let g = spec.generate_weighted(scale, seed, MAX_WEIGHT);
-            let d_base = scaled_device(scale);
-            let base = ecl_mst::run(&d_base, &g, &MstConfig::baseline());
-            let d_fixed = scaled_device(scale);
-            let fixed = ecl_mst::run(&d_fixed, &g, &MstConfig::fixed());
+        .zip(runs.chunks(variants.len()))
+        .map(|(spec, runs)| {
+            let ((base_weight, t0), (fixed_weight, t1)) = (runs[0], runs[1]);
             assert_eq!(
-                base.total_weight, fixed.total_weight,
+                base_weight, fixed_weight,
                 "{}: launch fix changed the MST weight",
                 spec.name
             );
-            let t0 = d_base.modeled_time();
-            let t1 = d_fixed.modeled_time();
             Row { name: spec.name, pct_change: 100.0 * (t0 - t1) / t0 }
         })
         .collect()
 }
 
 /// Renders the paper-shaped table.
-pub fn render(scale: f64, seed: u64) -> String {
-    let rs = rows(scale, seed);
+pub fn render(inputs: &Inputs) -> String {
+    let (scale, rs) = (inputs.scale(), rows(inputs));
     let mut t = Table::new(
         &format!("Table 8: ECL-MST corrected launch config (scale {scale}, modeled cost)"),
         &["Graph", "Runtime % change"],
@@ -63,14 +64,13 @@ pub fn render(scale: f64, seed: u64) -> String {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::experiments::in_order;
 
     #[test]
     fn changes_are_modest() {
         // The experiment's point: the fix is nearly performance
         // neutral. Allow a loose band — the shape claim is "no
         // dramatic win", not an exact number.
-        for r in in_order(|| rows(0.002, 13)) {
+        for r in rows(&Inputs::new(0.002, 13)) {
             assert!(
                 r.pct_change.abs() < 60.0,
                 "{}: launch-config change should be modest, got {:+.2}%",
@@ -85,7 +85,7 @@ mod tests {
         // Paper Table 8 mixes small wins and small losses. At tiny
         // scale at least one input should not benefit dramatically;
         // assert the average stays near zero rather than exact signs.
-        let rs = in_order(|| rows(0.002, 13));
+        let rs = rows(&Inputs::new(0.002, 13));
         let avg: f64 = rs.iter().map(|r| r.pct_change).sum::<f64>() / rs.len() as f64;
         assert!(avg.abs() < 40.0, "average change {avg:+.2}% is not near-neutral");
     }

@@ -1,10 +1,13 @@
 //! Experiment harness regenerating every table and figure of the
 //! paper.
 //!
-//! Each experiment lives in [`experiments`] as a pure function from a
-//! scale factor (1.0 = the paper's input sizes) and a seed to its
-//! printed output; the `ecl-repro` binary runs one (or `all`) in order
-//! and prints it. The default harness scale is [`DEFAULT_SCALE`],
+//! Each experiment lives in [`experiments`] as `render(&Inputs) ->
+//! String`, a pure function of the [`Inputs`] (the registry graphs at
+//! one scale factor, 1.0 = the paper's input sizes, and seed) to its
+//! printed output. An experiment is a list of cells (input ×
+//! configuration) that run side by side, each in order; the
+//! `ecl-repro` binary prints one experiment, or `all` of them on one
+//! shared [`Inputs`]. The default harness scale is [`DEFAULT_SCALE`],
 //! chosen so the full suite runs on a laptop-class machine in minutes
 //! while preserving the structural contrasts between inputs (see
 //! DESIGN.md §2).
@@ -19,10 +22,12 @@ pub mod experiments;
 pub mod mc_suite;
 pub mod profile_run;
 
+use std::sync::OnceLock;
+
 use ecl_algos::{Algorithm, Outcome, Views};
 use ecl_gpusim::{Device, DeviceConfig};
 use ecl_graph::{Csr, WeightedCsr};
-use ecl_graphgen::InputSpec;
+use ecl_graphgen::{all_inputs, InputSpec, DEFAULT_MAX_WEIGHT};
 use ecl_profiling::Counter;
 
 pub use ecl_algos::SCC_MIN_SMS;
@@ -52,29 +57,58 @@ pub fn scaled_device_min(scale: f64, min_sms: usize) -> Device {
     Device::new(DeviceConfig::rtx4090_scaled(scale, min_sms))
 }
 
-/// A registry input generated as the view an algorithm consumes: the
-/// weighted one (weights in `[1, 1 << 20]`) for a weighted algorithm,
-/// the plain one otherwise. `ecl-run` and its `--profile` path share it.
-pub struct Generated {
-    name: &'static str,
-    csr: Option<Csr>,
-    weighted: Option<WeightedCsr>,
+/// The registry's inputs at one `(scale, seed)`: each graph generated
+/// once, on first use, and its weighted view derived from that same
+/// graph. Shared read-only, from any thread; every graph stays resident
+/// until it drops.
+pub struct Inputs {
+    scale: f64,
+    seed: u64,
+    /// Per registry input, in [`all_inputs`] order: graph, weighted view.
+    slots: Vec<(OnceLock<Csr>, OnceLock<WeightedCsr>)>,
 }
 
-impl Generated {
-    /// Generates `spec` at `scale` and `seed` for `algo`.
-    pub fn new(algo: &dyn Algorithm, spec: &InputSpec, scale: f64, seed: u64) -> Generated {
-        let (csr, weighted) = if algo.weighted() {
-            (None, Some(spec.generate_weighted(scale, seed, 1 << 20)))
-        } else {
-            (Some(spec.generate(scale, seed)), None)
-        };
-        Generated { name: spec.name, csr, weighted }
+impl Inputs {
+    /// No input generated yet.
+    pub fn new(scale: f64, seed: u64) -> Inputs {
+        Inputs { scale, seed, slots: all_inputs().map(|_| Default::default()).collect() }
     }
 
-    /// The views to run on.
-    pub fn views(&self) -> Views<'_> {
-        Views { name: self.name, csr: self.csr.as_ref(), weighted: self.weighted.as_ref() }
+    /// The scale every input is generated at.
+    pub fn scale(&self) -> f64 {
+        self.scale
+    }
+
+    /// The seed every input is generated with.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn slot(&self, spec: &InputSpec) -> &(OnceLock<Csr>, OnceLock<WeightedCsr>) {
+        let index = all_inputs().position(|s| s.name == spec.name).expect("a registry input");
+        &self.slots[index]
+    }
+
+    /// `spec`'s graph.
+    pub fn graph(&self, spec: &InputSpec) -> &Csr {
+        self.slot(spec).0.get_or_init(|| spec.generate(self.scale, self.seed))
+    }
+
+    /// `spec`'s weighted view; panics for a directed input.
+    pub fn weighted(&self, spec: &InputSpec) -> &WeightedCsr {
+        let g = || spec.weigh(self.graph(spec), self.seed, DEFAULT_MAX_WEIGHT);
+        self.slot(spec).1.get_or_init(g)
+    }
+
+    /// The view of `spec` that `algo` consumes: the weighted one for a
+    /// weighted algorithm, the plain one otherwise.
+    pub fn views(&self, algo: &dyn Algorithm, spec: &InputSpec) -> Views<'_> {
+        let weighted = algo.weighted();
+        Views {
+            name: spec.name,
+            csr: (!weighted).then(|| self.graph(spec)),
+            weighted: weighted.then(|| self.weighted(spec)),
+        }
     }
 }
 
@@ -117,24 +151,24 @@ pub fn usage_error(message: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Parses `--scale <f>` and `--seed <n>` from `args`, defaulting to
-/// [`DEFAULT_SCALE`] and [`DEFAULT_SEED`]. Returns `(scale, seed)`. A
-/// malformed or out-of-range value or an unknown argument exits 2 with
-/// one line.
-pub fn parse_args(mut args: impl Iterator<Item = String>) -> (f64, u64) {
+/// Parses the integer argument `name` or exits 2 with one line.
+pub fn parse_int<T: std::str::FromStr>(name: &str, text: &str) -> T {
+    text.parse().unwrap_or_else(|_| usage_error(&format!("{name} must be an integer, got {text}")))
+}
+
+/// The [`Inputs`] at `--scale <f>` and `--seed <n>` from `args`,
+/// defaulting to [`DEFAULT_SCALE`] and [`DEFAULT_SEED`]. A malformed or
+/// out-of-range value or an unknown argument exits 2 with one line.
+pub fn parse_args(mut args: impl Iterator<Item = String>) -> Inputs {
     let (mut scale, mut seed) = (DEFAULT_SCALE, DEFAULT_SEED);
     while let Some(arg) = args.next() {
         match (arg.as_str(), args.next()) {
             ("--scale", Some(v)) => scale = parse_scale(&v).unwrap_or_else(|e| usage_error(&e)),
-            ("--seed", Some(v)) => {
-                seed = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("seed must be an integer, got {v}")))
-            }
+            ("--seed", Some(v)) => seed = parse_int("seed", &v),
             _ => usage_error(&format!("unknown argument: {arg}")),
         }
     }
-    (scale, seed)
+    Inputs::new(scale, seed)
 }
 
 #[cfg(test)]
@@ -163,6 +197,17 @@ mod tests {
         for bad in ["0", "-1", "nan", "inf", "2", "abc", ""] {
             assert_eq!(parse_scale(bad), Err(format!("scale must be in (0, 1], got {bad}")));
         }
+    }
+
+    #[test]
+    fn inputs_generate_each_graph_once() {
+        let inputs = Inputs::new(0.002, 7);
+        let spec = ecl_graphgen::registry::find("internet").unwrap();
+        assert!(std::ptr::eq(inputs.graph(spec), inputs.graph(spec)));
+        assert_eq!(*inputs.graph(spec), spec.generate(0.002, 7));
+        let weighted = inputs.weighted(spec);
+        assert!(std::ptr::eq(weighted, inputs.weighted(spec)));
+        assert_eq!(*weighted, spec.generate_weighted(0.002, 7, DEFAULT_MAX_WEIGHT));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use ecl_algos::Algorithm;
+use ecl_algos::{Algorithm, Views};
 use ecl_gpusim::Schedule;
 use ecl_prof::manifest::{Direction, DispatchInfo, Manifest, Metric, SCHEMA};
 use ecl_prof::{folded_to_svg, to_folded, to_prometheus, Collector};
@@ -36,11 +36,12 @@ use ecl_profiling::{Counter, SketchSnapshot};
 pub struct ProfileSpec<'a> {
     /// Algorithm (resolve a name with [`ecl_algos::find`]).
     pub algo: &'a dyn Algorithm,
-    /// Registered input name.
-    pub input: &'a str,
-    /// Input scale factor.
+    /// The input every repeat runs on (e.g. [`crate::Inputs::views`]);
+    /// the manifest names it by `views.name`.
+    pub views: Views<'a>,
+    /// Input scale factor (it also sizes the device).
     pub scale: f64,
-    /// Generator seed.
+    /// Generator seed the views were made with (recorded only).
     pub seed: u64,
     /// Repeats (one `wall_seconds` sample each).
     pub repeats: usize,
@@ -58,12 +59,8 @@ struct RepeatResult {
 }
 
 fn run_once(spec: &ProfileSpec<'_>) -> Result<RepeatResult, String> {
-    let reg = ecl_graphgen::registry::find(spec.input)
-        .ok_or_else(|| format!("unknown input '{}'", spec.input))?;
-    // Only the algorithm run is timed, not input generation.
-    let input = crate::Generated::new(spec.algo, reg, spec.scale, spec.seed);
     let (run, wall_seconds) = ecl_gpusim::run_timed(|| {
-        ecl_algos::execute(spec.algo, spec.scale, &input.views(), Some(spec.schedule))
+        ecl_algos::execute(spec.algo, spec.scale, &spec.views, Some(spec.schedule))
     });
     let (outcome, modeled_time) = run?;
     let distributions = outcome
@@ -126,7 +123,7 @@ pub fn profile(spec: &ProfileSpec<'_>, out_dir: &Path) -> Result<Manifest, Strin
         dispatch: DispatchInfo { mode: "pool".to_string(), workers: workers as u64 },
         context: vec![
             ("algo".to_string(), spec.algo.name().to_string()),
-            ("input".to_string(), spec.input.to_string()),
+            ("input".to_string(), spec.views.name.to_string()),
             ("scale".to_string(), format!("{}", spec.scale)),
             ("seed".to_string(), format!("{}", spec.seed)),
             ("repeats".to_string(), format!("{repeats}")),
@@ -184,9 +181,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ecl-prof-test-{}", std::process::id()));
         let cc = ecl_algos::find("cc").unwrap();
         let schedule = cc.default_schedule();
+        let inputs = crate::Inputs::new(0.0005, 42);
         let spec = ProfileSpec {
             algo: cc,
-            input: "as-skitter",
+            views: inputs.views(cc, ecl_graphgen::registry::find("as-skitter").unwrap()),
             scale: 0.0005,
             seed: 42,
             repeats: 2,

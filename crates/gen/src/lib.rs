@@ -35,5 +35,7 @@ pub mod relabel;
 pub mod rmat;
 pub mod weights;
 
-pub use registry::{all_inputs, general_inputs, scc_inputs, InputFamily, InputSpec};
+pub use registry::{
+    all_inputs, general_inputs, scc_inputs, InputFamily, InputSpec, DEFAULT_MAX_WEIGHT,
+};
 pub use weights::with_hashed_weights;

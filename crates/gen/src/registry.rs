@@ -178,17 +178,27 @@ impl InputSpec {
         }
     }
 
-    /// Generates the weighted variant (MST inputs).
+    /// Generates the weighted variant (MST inputs): [`Self::generate`]
+    /// then [`Self::weigh`].
+    pub fn generate_weighted(&self, scale: f64, seed: u64, max_weight: u32) -> WeightedCsr {
+        self.weigh(&self.generate(scale, seed), seed, max_weight)
+    }
+
+    /// The weighted variant of `g`, this input generated at `seed`:
+    /// hashed weights in `1..=max_weight`, salted from the seed.
     ///
     /// # Panics
     /// Panics for directed (SCC mesh) inputs, which are never used
     /// weighted.
-    pub fn generate_weighted(&self, scale: f64, seed: u64, max_weight: u32) -> WeightedCsr {
+    pub fn weigh(&self, g: &Csr, seed: u64, max_weight: u32) -> WeightedCsr {
         assert!(!self.directed, "weighted inputs are undirected (MST)");
-        let g = self.generate(scale, seed);
-        weights::with_hashed_weights(&g, max_weight, seed ^ 0x5EED)
+        weights::with_hashed_weights(g, max_weight, seed ^ 0x5EED)
     }
 }
+
+/// The weight cap of the harness's, the tuner's and the serve
+/// catalog's weighted views: an MST input is the same in all three.
+pub const DEFAULT_MAX_WEIGHT: u32 = 1 << 20;
 
 const fn undirected(
     name: &'static str,
@@ -398,16 +408,14 @@ pub fn scc_inputs() -> &'static [InputSpec] {
     INPUTS
 }
 
-/// All 22 inputs.
-pub fn all_inputs() -> Vec<InputSpec> {
-    let mut v = general_inputs().to_vec();
-    v.extend_from_slice(scc_inputs());
-    v
+/// All 22 inputs: the general ones, then the SCC meshes.
+pub fn all_inputs() -> impl Iterator<Item = &'static InputSpec> {
+    general_inputs().iter().chain(scc_inputs())
 }
 
 /// Looks up an input by its paper name.
 pub fn find(name: &str) -> Option<&'static InputSpec> {
-    general_inputs().iter().chain(scc_inputs()).find(|s| s.name == name)
+    all_inputs().find(|s| s.name == name)
 }
 
 #[cfg(test)]
@@ -420,12 +428,12 @@ mod tests {
     fn registry_is_complete() {
         assert_eq!(general_inputs().len(), 17);
         assert_eq!(scc_inputs().len(), 5);
-        assert_eq!(all_inputs().len(), 22);
+        assert_eq!(all_inputs().count(), 22);
     }
 
     #[test]
     fn names_unique() {
-        let mut names: Vec<&str> = all_inputs().iter().map(|s| s.name).collect();
+        let mut names: Vec<&str> = all_inputs().map(|s| s.name).collect();
         names.sort_unstable();
         let before = names.len();
         names.dedup();
@@ -493,6 +501,24 @@ mod tests {
         let spec = find("2d-2e20.sym").unwrap();
         let g = spec.generate_weighted(0.002, 9, 1 << 16);
         assert_eq!(ecl_graph::validate::check_weight_symmetry(&g), Ok(()));
+    }
+
+    #[test]
+    fn weighing_a_generated_graph_is_generating_it_weighted() {
+        for spec in general_inputs() {
+            let g = spec.generate(0.002, 42);
+            let weighed = spec.weigh(&g, 42, DEFAULT_MAX_WEIGHT);
+            assert_eq!(
+                weighed,
+                spec.generate_weighted(0.002, 42, DEFAULT_MAX_WEIGHT),
+                "{}",
+                spec.name
+            );
+            // The salt every weighted input has carried: the serve
+            // catalog's graphs stay bit-identical.
+            let salted = weights::with_hashed_weights(&g, DEFAULT_MAX_WEIGHT, 42 ^ 0x5EED);
+            assert_eq!(weighed, salted, "{}", spec.name);
+        }
     }
 
     #[test]

@@ -35,9 +35,8 @@ use ecl_graphgen::registry;
 use ecl_graphgen::with_hashed_weights;
 use ecl_tune::TuneManifest;
 
-/// Default max edge weight for weighted views of unweighted inputs
-/// (matches the bench harness).
-pub const DEFAULT_MAX_WEIGHT: u32 = 1 << 20;
+/// Max edge weight of the weighted views the catalog synthesizes.
+pub use ecl_graphgen::DEFAULT_MAX_WEIGHT;
 
 /// Catalog configuration.
 #[derive(Clone, Debug)]
@@ -46,8 +45,6 @@ pub struct CatalogConfig {
     pub graphs_dir: Option<PathBuf>,
     /// Resident-bytes budget for cached graphs.
     pub cache_bytes: usize,
-    /// Max weight used when synthesizing weights for MST.
-    pub max_weight: u32,
     /// Tuned-schedule manifest (`ecl-tune/1`). When present, every
     /// graph materialized by the catalog gets the best-known schedule
     /// per algorithm attached at registration (matched by family
@@ -57,12 +54,7 @@ pub struct CatalogConfig {
 
 impl Default for CatalogConfig {
     fn default() -> Self {
-        CatalogConfig {
-            graphs_dir: None,
-            cache_bytes: 256 << 20,
-            max_weight: DEFAULT_MAX_WEIGHT,
-            tune: None,
-        }
+        CatalogConfig { graphs_dir: None, cache_bytes: 256 << 20, tune: None }
     }
 }
 
@@ -369,7 +361,7 @@ impl GraphCatalog {
         }
         let tune = self.config.tune.as_deref();
         if weighted {
-            let g = spec.generate_weighted(scale, seed, self.config.max_weight);
+            let g = spec.generate_weighted(scale, seed, DEFAULT_MAX_WEIGHT);
             Ok(finish(name, None, Some(g), tune))
         } else {
             let g = spec.generate(scale, seed);
@@ -399,7 +391,7 @@ impl GraphCatalog {
                     Err(_) => {
                         let mut r2 = BufReader::new(File::open(path).map_err(err)?);
                         let g = gio::read_csr(&mut r2).map_err(err)?;
-                        with_hashed_weights(&g, self.config.max_weight, seed)
+                        with_hashed_weights(&g, DEFAULT_MAX_WEIGHT, seed)
                     }
                 }
             };

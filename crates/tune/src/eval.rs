@@ -20,10 +20,6 @@ use ecl_gpusim::pool::with_policy;
 use ecl_gpusim::{DispatchPolicy, Schedule};
 use ecl_graph::{Csr, Fingerprint, WeightedCsr};
 
-/// Weight cap for generated weighted views (matches the serve
-/// catalog's default so tuned MST runs see identical inputs).
-pub const DEFAULT_MAX_WEIGHT: u32 = 1 << 20;
-
 /// One concrete input under tuning: the graph views the algorithms
 /// consume plus its family fingerprint (the manifest bucket key).
 #[derive(Clone)]
@@ -52,7 +48,7 @@ impl TuneInput {
         let weighted = if spec.directed {
             None
         } else {
-            Some(Arc::new(spec.generate_weighted(scale, seed, DEFAULT_MAX_WEIGHT)))
+            Some(Arc::new(spec.weigh(&g, seed, ecl_graphgen::DEFAULT_MAX_WEIGHT)))
         };
         let fingerprint = Fingerprint::of(&g);
         Ok(TuneInput {

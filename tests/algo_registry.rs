@@ -125,9 +125,9 @@ fn toy_algorithm_tunes_and_profiles_without_a_registry_entry() {
     assert_eq!(r.best_time.to_bits(), brute.fold(f64::INFINITY, f64::min).to_bits());
 
     // `ecl-run` prints its counters with no edit anywhere.
-    let spec = gen::registry::find("internet").unwrap();
-    let generated = ecl_bench::Generated::new(&DegreeSum, spec, SCALE, SEED);
-    let (out, _) = algos::execute(&DegreeSum, SCALE, &generated.views(), Some(&default)).unwrap();
+    let inputs = ecl_bench::Inputs::new(SCALE, SEED);
+    let views = inputs.views(&DegreeSum, gen::registry::find("internet").unwrap());
+    let (out, _) = algos::execute(&DegreeSum, SCALE, &views, Some(&default)).unwrap();
     let printed = ecl_bench::render_counters(&out, true);
     assert!(printed.contains("  degsum/degree: avg "), "{printed}");
     assert!(printed.contains("  degsum/degree distribution"), "{printed}");
@@ -135,7 +135,7 @@ fn toy_algorithm_tunes_and_profiles_without_a_registry_entry() {
     let dir = std::env::temp_dir().join(format!("ecl-algo-registry-{}", std::process::id()));
     let spec = ecl_bench::profile_run::ProfileSpec {
         algo: &DegreeSum,
-        input: "internet",
+        views,
         scale: SCALE,
         seed: SEED,
         repeats: 2,
@@ -470,12 +470,12 @@ fn in_order_modeled_time_of_every_algorithm_is_pinned() {
         ("mst", 119_583.0),
         ("scc", 619_122.25),
     ];
+    let inputs = ecl_bench::Inputs::new(SCALE, SEED);
     for (a, (name, want)) in algos::ALL.into_iter().zip(pins) {
         assert_eq!(a.name(), name);
         let input = if a.directed() { "toroid-wedge" } else { "as-skitter" };
-        let generated =
-            ecl_bench::Generated::new(a, gen::registry::find(input).unwrap(), SCALE, SEED);
-        let (_, time) = sequential(|| algos::execute(a, SCALE, &generated.views(), None)).unwrap();
+        let views = inputs.views(a, gen::registry::find(input).unwrap());
+        let (_, time) = sequential(|| algos::execute(a, SCALE, &views, None)).unwrap();
         assert_eq!(time.to_bits(), f64::to_bits(want), "{name} on {input}: {time}");
     }
 }

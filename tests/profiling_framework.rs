@@ -265,16 +265,16 @@ fn collector_rows_and_host_remainder_are_the_devices_cost() {
     /// must not see, and returns the device and the collector's rows.
     fn collected(algo: &dyn Algorithm, schedule: &Schedule) -> (sim::Device, Vec<KernelStats>) {
         let input = if algo.directed() { "toroid-wedge" } else { "as-skitter" };
-        let spec = gen::registry::find(input).unwrap();
-        let generated = ecl_bench::Generated::new(algo, spec, SCALE, 42);
+        let inputs = ecl_bench::Inputs::new(SCALE, 42);
+        let views = inputs.views(algo, gen::registry::find(input).unwrap());
         let device = sim::Device::new(algos::device_config(algo, SCALE));
         let collector = Arc::new(Collector::new());
         let attached = device.observe(collector.clone());
         with_policy(DispatchPolicy::sequential(), || {
             let other = sim::Device::new(algos::device_config(algo, SCALE));
-            algo.run(&other, &generated.views(), schedule);
+            algo.run(&other, &views, schedule);
             assert_eq!(collector.launches(), 0, "{}: recorded another device", algo.name());
-            algo.run(&device, &generated.views(), schedule);
+            algo.run(&device, &views, schedule);
         });
         drop(attached);
         (device, collector.snapshot())
