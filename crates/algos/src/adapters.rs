@@ -59,7 +59,7 @@ impl Algorithm for Cc {
     fn run(&self, device: &Device, views: &Views<'_>, schedule: &Schedule) -> Outcome {
         let mut cfg = ecl_cc::CcConfig::default();
         cfg.apply_schedule(schedule);
-        let r = ecl_cc::run(device, views.expect_csr(), &cfg);
+        let r = ecl_cc::run(device, views.csr, &cfg);
         Outcome { aggregates: cc_aggregates(r.num_components(), &r.labels), counters: r.counters() }
     }
 
@@ -83,7 +83,7 @@ impl Algorithm for Gc {
     fn run(&self, device: &Device, views: &Views<'_>, schedule: &Schedule) -> Outcome {
         let mut cfg = ecl_gc::GcConfig::default();
         cfg.apply_schedule(schedule);
-        let g = views.expect_csr();
+        let g = views.csr;
         let r = ecl_gc::run(device, g, &cfg);
         Outcome {
             aggregates: vec![
@@ -124,7 +124,7 @@ impl Algorithm for Mis {
     }
 
     fn run(&self, device: &Device, views: &Views<'_>, schedule: &Schedule) -> Outcome {
-        let r = ecl_mis::run(device, views.expect_csr(), &mis_config(schedule));
+        let r = ecl_mis::run(device, views.csr, &mis_config(schedule));
         Outcome {
             aggregates: vec![
                 ("set_size", r.set_size() as u64),
@@ -195,7 +195,7 @@ impl Algorithm for Scc {
     fn run(&self, device: &Device, views: &Views<'_>, schedule: &Schedule) -> Outcome {
         let mut cfg = ecl_scc::SccConfig::default();
         cfg.apply_schedule(schedule);
-        let r = ecl_scc::run(device, views.expect_csr(), &cfg);
+        let r = ecl_scc::run(device, views.csr, &cfg);
         Outcome {
             aggregates: scc_aggregates(r.num_sccs(), r.outer_iterations, &r.labels),
             counters: r.counters(),

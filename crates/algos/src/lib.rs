@@ -27,35 +27,26 @@ use ecl_shard::{Partition, ShardStats};
 
 pub use adapters::SCC_MIN_SMS;
 
-/// The graph views an algorithm may consume, plus the input's name for
-/// error messages. Callers fill in what they hold; [`execute`] checks
-/// that the view the algorithm needs is there.
+/// The graph an algorithm runs on, plus the input's name for error
+/// messages. Every input has its graph; a weighted view (sharing that
+/// graph) is there when the caller holds one, and [`execute`] checks
+/// that an algorithm that reads weights gets it.
 #[derive(Clone, Copy, Debug)]
 pub struct Views<'a> {
     /// Input name (catalog or registry name).
     pub name: &'a str,
-    /// Unweighted view.
-    pub csr: Option<&'a Csr>,
-    /// Weighted view.
+    /// The graph.
+    pub csr: &'a Csr,
+    /// Weighted view of `csr` (MST).
     pub weighted: Option<&'a WeightedCsr>,
 }
 
 impl<'a> Views<'a> {
-    /// The underlying structure regardless of weighting.
-    pub fn structure(&self) -> Option<&'a Csr> {
-        self.csr.or(self.weighted.map(WeightedCsr::csr))
-    }
-
-    /// The unweighted view.
+    /// The weighted view.
     ///
     /// # Panics
     /// Panics if it is absent — [`check_input`] rules that out for
     /// every call made through [`execute`].
-    pub fn expect_csr(&self) -> &'a Csr {
-        self.csr.expect("unweighted view present (check_input)")
-    }
-
-    /// The weighted view; panics like [`Views::expect_csr`].
     pub fn expect_weighted(&self) -> &'a WeightedCsr {
         self.weighted.expect("weighted view present (check_input)")
     }
@@ -165,14 +156,14 @@ pub fn check_directedness(algo: &dyn Algorithm, input: &str, directed: bool) -> 
     Err(format!("{} requires {wants} graph ({input:?} is {is})", algo.name()))
 }
 
-/// The input contract of `algo`: directedness matches and the view it
-/// consumes is present.
+/// The input contract of `algo`: directedness matches and, if it reads
+/// weights, the weighted view is present.
 pub fn check_input(algo: &dyn Algorithm, views: &Views<'_>) -> Result<(), String> {
-    let structure = views.structure().ok_or("internal: no graph view")?;
-    check_directedness(algo, views.name, structure.is_directed())?;
-    let kind = if algo.weighted() { "weighted" } else { "unweighted" };
-    let present = if algo.weighted() { views.weighted.is_some() } else { views.csr.is_some() };
-    present.then_some(()).ok_or_else(|| format!("internal: {kind} view missing"))
+    check_directedness(algo, views.name, views.csr.is_directed())?;
+    if algo.weighted() && views.weighted.is_none() {
+        return Err("internal: weighted view missing".into());
+    }
+    Ok(())
 }
 
 /// The one device preset: an RTX 4090 scaled by `scale`, with at
@@ -211,15 +202,13 @@ pub fn execute_sharded(
     shards: u32,
     schedule: Option<&Schedule>,
 ) -> Result<(Outcome, ShardStats), String> {
-    // Sharded runners consume the structure, whichever view holds it.
-    let g = views.structure().ok_or("internal: no graph view")?;
-    check_directedness(algo, views.name, g.is_directed())?;
+    check_directedness(algo, views.name, views.csr.is_directed())?;
     let run = algo
         .run_sharded()
         .ok_or_else(|| format!("{} does not support sharded execution", algo.name()))?;
-    let part = Partition::auto(g, shards);
+    let part = Partition::auto(views.csr, shards);
     let devices = ecl_shard::devices_for(device_config(algo, scale), shards);
-    Ok(run(&devices, g, &part, schedule.unwrap_or(&Schedule::new())))
+    Ok(run(&devices, views.csr, &part, schedule.unwrap_or(&Schedule::new())))
 }
 
 #[cfg(test)]
@@ -240,7 +229,7 @@ mod tests {
     #[test]
     fn input_contract_fails_with_one_line() {
         let (und, dir) = (path(false), path(true));
-        let views = |g| Views { name: "star", csr: Some(g), weighted: None };
+        let views = |g| Views { name: "star", csr: g, weighted: None };
         let run = |name: &str, g| execute(find(name).unwrap(), 0.001, &views(g), None);
         assert_eq!(
             run("cc", &dir).unwrap_err(),

@@ -19,7 +19,7 @@
 
 use std::fmt::Write as _;
 
-use ecl_bench::check_suite::{run_entry, suite, EntryOutcome};
+use ecl_bench::check_suite::{run_suite, suite, EntryOutcome};
 use ecl_profiling::json;
 use ecl_profiling::table::Table;
 
@@ -86,25 +86,20 @@ fn main() {
         i += 1;
     }
 
-    let device = ecl_bench::scaled_device(scale);
+    let config = ecl_gpusim::DeviceConfig::rtx4090_scaled(scale, 1);
     println!(
         "ecl-check: {} entries on {} SMs x {} threads/SM\n",
         suite().len(),
-        device.config().num_sms,
-        device.config().threads_per_sm
+        config.num_sms,
+        config.threads_per_sm
     );
 
     let mut summary = Table::new(
         "check suite",
         &["entry", "status", "findings", "suppressed", "launches", "accesses"],
     );
-    let mut outcomes = Vec::new();
-    let mut failed = 0usize;
-    for entry in suite() {
-        let outcome = run_entry(&device, &entry);
-        if !outcome.passed() {
-            failed += 1;
-        }
+    let outcomes = run_suite(scale);
+    for outcome in &outcomes {
         summary.row_owned(vec![
             outcome.name.to_string(),
             outcome.status().to_string(),
@@ -121,7 +116,6 @@ fn main() {
             }
             println!();
         }
-        outcomes.push(outcome);
     }
     print!("{}", summary.render());
     if let Some(path) = json_out {
@@ -132,6 +126,7 @@ fn main() {
         }
         println!("\nwrote {path}");
     }
+    let failed = outcomes.iter().filter(|o| !o.passed()).count();
     if failed > 0 {
         eprintln!(
             "\necl-check: {failed} suite entr{} failed",

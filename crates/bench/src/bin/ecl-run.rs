@@ -316,7 +316,7 @@ fn main() {
     }
     let inputs = ecl_bench::Inputs::new(a.scale, a.seed);
     let views = inputs.views(algo, spec);
-    let schedule = schedule(&a, algo, views.structure().expect("a generated view"));
+    let schedule = schedule(&a, algo, views.csr);
 
     if let Some(dir) = &a.profile {
         let repeats = a.repeats.unwrap_or(3);

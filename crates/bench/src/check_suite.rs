@@ -12,6 +12,8 @@
 use ecl_check::{fixtures, CheckSession, Report, Rule};
 use ecl_gpusim::Device;
 
+use crate::experiments::run_cells;
+
 /// One suite entry: a checked run plus its expected rule profile.
 pub struct SuiteEntry {
     /// Display name, e.g. `"mst/baseline"`.
@@ -56,7 +58,7 @@ impl EntryOutcome {
 }
 
 /// Runs one entry in its own check session.
-pub fn run_entry(device: &Device, entry: &SuiteEntry) -> EntryOutcome {
+fn run_entry(device: &Device, entry: &SuiteEntry) -> EntryOutcome {
     let session = CheckSession::begin(device);
     (entry.run)(device);
     let report = session.finish();
@@ -69,9 +71,11 @@ pub fn run_entry(device: &Device, entry: &SuiteEntry) -> EntryOutcome {
     EntryOutcome { name: entry.name, report, missing, unexpected }
 }
 
-/// Runs the whole suite sequentially (sessions are exclusive).
-pub fn run_suite(device: &Device) -> Vec<EntryOutcome> {
-    suite().iter().map(|e| run_entry(device, e)).collect()
+/// Runs the whole suite at `scale`: the entries are cells
+/// ([`run_cells`]), each in order on its own scaled device, and the
+/// outcomes come back in suite order.
+pub fn run_suite(scale: f64) -> Vec<EntryOutcome> {
+    run_cells(suite(), |e| run_entry(&crate::scaled_device(scale), &e))
 }
 
 fn cc_random(device: &Device) {
@@ -107,7 +111,7 @@ fn scc_oversized_blocks(device: &Device) {
 
 fn mst_weighted(device: &Device, fixed: bool) {
     let base = ecl_graphgen::random::erdos_renyi(2500, 5.0, crate::DEFAULT_SEED);
-    let g = ecl_graphgen::with_hashed_weights(&base, 1 << 16, crate::DEFAULT_SEED);
+    let g = ecl_graphgen::with_hashed_weights(base, 1 << 16, crate::DEFAULT_SEED);
     let mut cfg = if fixed { ecl_mst::MstConfig::fixed() } else { ecl_mst::MstConfig::baseline() };
     cfg.block_size = 256;
     ecl_mst::run(device, &g, &cfg);
@@ -173,8 +177,7 @@ mod tests {
 
     #[test]
     fn whole_suite_passes_on_the_scaled_device() {
-        let device = crate::scaled_device(0.01);
-        for outcome in run_suite(&device) {
+        for outcome in run_suite(0.01) {
             assert!(
                 outcome.passed(),
                 "suite entry '{}' failed (missing {:?}, {} unexpected):\n{}",

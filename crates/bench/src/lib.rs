@@ -22,7 +22,7 @@ pub mod experiments;
 pub mod mc_suite;
 pub mod profile_run;
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use ecl_algos::{Algorithm, Outcome, Views};
 use ecl_gpusim::{Device, DeviceConfig};
@@ -58,14 +58,14 @@ pub fn scaled_device_min(scale: f64, min_sms: usize) -> Device {
 }
 
 /// The registry's inputs at one `(scale, seed)`: each graph generated
-/// once, on first use, and its weighted view derived from that same
-/// graph. Shared read-only, from any thread; every graph stays resident
-/// until it drops.
+/// once, on first use, and its weighted view sharing that same graph.
+/// Shared read-only, from any thread; every graph stays resident until
+/// it drops.
 pub struct Inputs {
     scale: f64,
     seed: u64,
     /// Per registry input, in [`all_inputs`] order: graph, weighted view.
-    slots: Vec<(OnceLock<Csr>, OnceLock<WeightedCsr>)>,
+    slots: Vec<(OnceLock<Arc<Csr>>, OnceLock<WeightedCsr>)>,
 }
 
 impl Inputs {
@@ -84,30 +84,34 @@ impl Inputs {
         self.seed
     }
 
-    fn slot(&self, spec: &InputSpec) -> &(OnceLock<Csr>, OnceLock<WeightedCsr>) {
+    fn slot(&self, spec: &InputSpec) -> &(OnceLock<Arc<Csr>>, OnceLock<WeightedCsr>) {
         let index = all_inputs().position(|s| s.name == spec.name).expect("a registry input");
         &self.slots[index]
     }
 
-    /// `spec`'s graph.
-    pub fn graph(&self, spec: &InputSpec) -> &Csr {
-        self.slot(spec).0.get_or_init(|| spec.generate(self.scale, self.seed))
+    fn shared(&self, spec: &InputSpec) -> &Arc<Csr> {
+        self.slot(spec).0.get_or_init(|| Arc::new(spec.generate(self.scale, self.seed)))
     }
 
-    /// `spec`'s weighted view; panics for a directed input.
+    /// `spec`'s graph.
+    pub fn graph(&self, spec: &InputSpec) -> &Csr {
+        self.shared(spec)
+    }
+
+    /// `spec`'s weighted view, sharing [`Self::graph`]; panics for a
+    /// directed input.
     pub fn weighted(&self, spec: &InputSpec) -> &WeightedCsr {
-        let g = || spec.weigh(self.graph(spec), self.seed, DEFAULT_MAX_WEIGHT);
+        let g = || spec.weigh(Arc::clone(self.shared(spec)), self.seed, DEFAULT_MAX_WEIGHT);
         self.slot(spec).1.get_or_init(g)
     }
 
-    /// The view of `spec` that `algo` consumes: the weighted one for a
-    /// weighted algorithm, the plain one otherwise.
+    /// The views of `spec` that `algo` consumes: the graph, and the
+    /// weighted view for a weighted algorithm.
     pub fn views(&self, algo: &dyn Algorithm, spec: &InputSpec) -> Views<'_> {
-        let weighted = algo.weighted();
         Views {
             name: spec.name,
-            csr: (!weighted).then(|| self.graph(spec)),
-            weighted: weighted.then(|| self.weighted(spec)),
+            csr: self.graph(spec),
+            weighted: algo.weighted().then(|| self.weighted(spec)),
         }
     }
 }
@@ -207,6 +211,7 @@ mod tests {
         assert_eq!(*inputs.graph(spec), spec.generate(0.002, 7));
         let weighted = inputs.weighted(spec);
         assert!(std::ptr::eq(weighted, inputs.weighted(spec)));
+        assert!(std::ptr::eq(inputs.weighted(spec).csr(), inputs.graph(spec)));
         assert_eq!(*weighted, spec.generate_weighted(0.002, 7, DEFAULT_MAX_WEIGHT));
     }
 

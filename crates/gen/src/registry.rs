@@ -1,6 +1,8 @@
 //! Registry mapping the paper's Table 1 input names to synthetic
 //! generators calibrated to each row's size and degree profile.
 
+use std::sync::Arc;
+
 use ecl_graph::{Csr, WeightedCsr};
 
 use crate::grid;
@@ -181,16 +183,17 @@ impl InputSpec {
     /// Generates the weighted variant (MST inputs): [`Self::generate`]
     /// then [`Self::weigh`].
     pub fn generate_weighted(&self, scale: f64, seed: u64, max_weight: u32) -> WeightedCsr {
-        self.weigh(&self.generate(scale, seed), seed, max_weight)
+        self.weigh(self.generate(scale, seed), seed, max_weight)
     }
 
-    /// The weighted variant of `g`, this input generated at `seed`:
-    /// hashed weights in `1..=max_weight`, salted from the seed.
+    /// The weighted variant of `g` (owned or shared), this input
+    /// generated at `seed`: hashed weights in `1..=max_weight`, salted
+    /// from the seed, beside `g` itself.
     ///
     /// # Panics
     /// Panics for directed (SCC mesh) inputs, which are never used
     /// weighted.
-    pub fn weigh(&self, g: &Csr, seed: u64, max_weight: u32) -> WeightedCsr {
+    pub fn weigh(&self, g: impl Into<Arc<Csr>>, seed: u64, max_weight: u32) -> WeightedCsr {
         assert!(!self.directed, "weighted inputs are undirected (MST)");
         weights::with_hashed_weights(g, max_weight, seed ^ 0x5EED)
     }
@@ -507,7 +510,7 @@ mod tests {
     fn weighing_a_generated_graph_is_generating_it_weighted() {
         for spec in general_inputs() {
             let g = spec.generate(0.002, 42);
-            let weighed = spec.weigh(&g, 42, DEFAULT_MAX_WEIGHT);
+            let weighed = spec.weigh(g.clone(), 42, DEFAULT_MAX_WEIGHT);
             assert_eq!(
                 weighed,
                 spec.generate_weighted(0.002, 42, DEFAULT_MAX_WEIGHT),
@@ -516,7 +519,7 @@ mod tests {
             );
             // The salt every weighted input has carried: the serve
             // catalog's graphs stay bit-identical.
-            let salted = weights::with_hashed_weights(&g, DEFAULT_MAX_WEIGHT, 42 ^ 0x5EED);
+            let salted = weights::with_hashed_weights(g, DEFAULT_MAX_WEIGHT, 42 ^ 0x5EED);
             assert_eq!(weighed, salted, "{}", spec.name);
         }
     }

@@ -3,7 +3,11 @@
 //! The paper's MST inputs are weighted versions of the Table 1 graphs
 //! ("the MST code uses weighted graphs", §5.2). We derive a weight for
 //! each undirected edge by hashing its canonical endpoint pair, so
-//! both arcs of an edge agree and regeneration is reproducible.
+//! both arcs of an edge agree and regeneration is reproducible. The
+//! weighted view shares the graph it weighs: only the weight column is
+//! new.
+
+use std::sync::Arc;
 
 use ecl_graph::{Csr, WeightedCsr};
 
@@ -23,16 +27,17 @@ pub fn edge_weight(u: u32, v: u32, max_weight: u32, seed: u64) -> u32 {
 }
 
 /// Attaches hash-derived weights in `1..=max_weight` to every arc of
-/// `g`, with the two arcs of each undirected edge receiving the same
-/// weight.
-pub fn with_hashed_weights(g: &Csr, max_weight: u32, seed: u64) -> WeightedCsr {
+/// `g` (owned or shared), with the two arcs of each undirected edge
+/// receiving the same weight.
+pub fn with_hashed_weights(g: impl Into<Arc<Csr>>, max_weight: u32, seed: u64) -> WeightedCsr {
+    let g = g.into();
     let mut weights = Vec::with_capacity(g.num_arcs());
     for u in 0..g.num_vertices() as u32 {
         for &v in g.neighbors(u) {
             weights.push(edge_weight(u, v, max_weight, seed));
         }
     }
-    WeightedCsr::from_parts(g.clone(), weights)
+    WeightedCsr::from_parts(g, weights)
 }
 
 #[cfg(test)]
@@ -52,21 +57,21 @@ mod tests {
 
     #[test]
     fn weights_symmetric() {
-        let g = with_hashed_weights(&path(50), 1000, 42);
+        let g = with_hashed_weights(path(50), 1000, 42);
         assert_eq!(check_weight_symmetry(&g), Ok(()));
     }
 
     #[test]
     fn weights_in_range() {
-        let g = with_hashed_weights(&path(100), 16, 1);
+        let g = with_hashed_weights(path(100), 16, 1);
         assert!(g.weights().iter().all(|&w| (1..=16).contains(&w)));
     }
 
     #[test]
     fn weights_deterministic_and_seed_sensitive() {
-        let a = with_hashed_weights(&path(20), 100, 5);
-        let b = with_hashed_weights(&path(20), 100, 5);
-        let c = with_hashed_weights(&path(20), 100, 6);
+        let a = with_hashed_weights(path(20), 100, 5);
+        let b = with_hashed_weights(path(20), 100, 5);
+        let c = with_hashed_weights(path(20), 100, 6);
         assert_eq!(a, b);
         assert_ne!(a.weights(), c.weights());
     }
@@ -80,7 +85,7 @@ mod tests {
     fn weights_spread_out() {
         // With a reasonable range, a 100-edge path should see many
         // distinct weights.
-        let g = with_hashed_weights(&path(101), 1 << 20, 9);
+        let g = with_hashed_weights(path(101), 1 << 20, 9);
         let mut ws: Vec<u32> = g.weights().to_vec();
         ws.sort_unstable();
         ws.dedup();

@@ -121,14 +121,26 @@ pub fn write_csr<W: Write>(w: &mut W, g: &Csr) -> io::Result<()> {
     write_body(w, g, None)
 }
 
+/// Deserializes a graph of either kind: its topology, and its
+/// arc-aligned weights if the header says it is weighted. A reader that
+/// accepts both kinds (the serve catalog) reads the stream once with
+/// this and sees the stream's own error.
+pub fn read_graph<R: Read>(r: &mut R) -> io::Result<(Csr, Option<Vec<u32>>)> {
+    let h = read_header(r)?;
+    read_body(r, &h)
+}
+
+fn mismatch(holds: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("stream holds {holds} graph"))
+}
+
 /// Deserializes an unweighted graph. Fails with `InvalidData` if the
 /// stream holds a weighted graph (use [`read_weighted`]).
 pub fn read_csr<R: Read>(r: &mut R) -> io::Result<Csr> {
-    let h = read_header(r)?;
-    if h.weighted {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "stream holds a weighted graph"));
+    match read_graph(r)? {
+        (g, None) => Ok(g),
+        (_, Some(_)) => Err(mismatch("a weighted")),
     }
-    Ok(read_body(r, &h)?.0)
 }
 
 /// Serializes a weighted graph.
@@ -136,14 +148,13 @@ pub fn write_weighted<W: Write>(w: &mut W, g: &WeightedCsr) -> io::Result<()> {
     write_body(w, g.csr(), Some(g.weights()))
 }
 
-/// Deserializes a weighted graph.
+/// Deserializes a weighted graph. Fails with `InvalidData` if the
+/// stream holds an unweighted graph (use [`read_csr`]).
 pub fn read_weighted<R: Read>(r: &mut R) -> io::Result<WeightedCsr> {
-    let h = read_header(r)?;
-    if !h.weighted {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "stream holds an unweighted graph"));
+    match read_graph(r)? {
+        (g, Some(ws)) => Ok(WeightedCsr::from_parts(g, ws)),
+        (_, None) => Err(mismatch("an unweighted")),
     }
-    let (csr, ws) = read_body(r, &h)?;
-    Ok(WeightedCsr::from_parts(csr, ws.expect("weighted flag set")))
 }
 
 /// Parses a text edge list (`u v` or `u v w` per line; `#`/`%` comment
@@ -243,6 +254,19 @@ mod tests {
         write_weighted(&mut buf, &g).unwrap();
         let g2 = read_weighted(&mut buf.as_slice()).unwrap();
         assert_eq!(g, g2);
+    }
+
+    #[test]
+    fn read_graph_returns_either_kind() {
+        let mut b = GraphBuilder::new_undirected(3);
+        b.add_weighted_edge(0, 1, 11);
+        let wg = b.build_weighted();
+        let (mut plain, mut heavy) = (Vec::new(), Vec::new());
+        write_csr(&mut plain, wg.csr()).unwrap();
+        write_weighted(&mut heavy, &wg).unwrap();
+        assert_eq!(read_graph(&mut plain.as_slice()).unwrap(), (wg.csr().clone(), None));
+        let weights = Some(wg.weights().to_vec());
+        assert_eq!(read_graph(&mut heavy.as_slice()).unwrap(), (wg.csr().clone(), weights));
     }
 
     #[test]

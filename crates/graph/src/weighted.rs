@@ -1,4 +1,10 @@
 //! Weighted CSR graphs for ECL-MST.
+//!
+//! A weighted graph is a weight column beside a topology it shares: the
+//! four unweighted codes and ECL-MST consume the same [`Csr`], so an
+//! input holds its graph once and its weighted view points at it.
+
+use std::sync::Arc;
 
 use crate::csr::{Csr, VertexId};
 
@@ -11,19 +17,22 @@ pub type EdgeId = usize;
 ///
 /// Weights are aligned with the flat neighbor array: the weight of the
 /// arc `neighbor_array()[i]` is `weights()[i]`. For undirected graphs
-/// the two arcs of an edge carry the same weight.
+/// the two arcs of an edge carry the same weight. The topology is
+/// shared ([`Self::shared_csr`]), never copied.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WeightedCsr {
-    csr: Csr,
+    csr: Arc<Csr>,
     weights: Vec<u32>,
 }
 
 impl WeightedCsr {
-    /// Pairs a topology with an arc-aligned weight array.
+    /// Pairs a topology (owned or shared) with an arc-aligned weight
+    /// array.
     ///
     /// # Panics
     /// Panics if the weight array length differs from the arc count.
-    pub fn from_parts(csr: Csr, weights: Vec<u32>) -> Self {
+    pub fn from_parts(csr: impl Into<Arc<Csr>>, weights: Vec<u32>) -> Self {
+        let csr = csr.into();
         assert_eq!(csr.num_arcs(), weights.len(), "one weight per arc required");
         Self { csr, weights }
     }
@@ -31,6 +40,12 @@ impl WeightedCsr {
     /// The underlying topology.
     #[inline]
     pub fn csr(&self) -> &Csr {
+        &self.csr
+    }
+
+    /// The underlying topology, as the handle this view shares.
+    #[inline]
+    pub fn shared_csr(&self) -> &Arc<Csr> {
         &self.csr
     }
 

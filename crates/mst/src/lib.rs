@@ -205,7 +205,7 @@ mod tests {
     fn matches_kruskal_exactly() {
         for seed in 0..6 {
             let base = ecl_graphgen::random::erdos_renyi(300, 5.0, seed);
-            let g = ecl_graphgen::with_hashed_weights(&base, 1 << 16, seed);
+            let g = ecl_graphgen::with_hashed_weights(base, 1 << 16, seed);
             let expect = ecl_ref::kruskal(&g);
             let r = run(&device(), &g, &MstConfig::baseline());
             assert_eq!(r.total_weight, expect.total_weight, "seed {seed}");
@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn fixed_launch_same_result() {
         let base = ecl_graphgen::grid::torus_2d(16, 16);
-        let g = ecl_graphgen::with_hashed_weights(&base, 1000, 9);
+        let g = ecl_graphgen::with_hashed_weights(base, 1000, 9);
         let a = run(&device(), &g, &MstConfig::baseline());
         let b = run(&device(), &g, &MstConfig::fixed());
         assert_eq!(a.total_weight, b.total_weight);
@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn iteration_bars_recorded() {
         let base = ecl_graphgen::powerlaw::preferential_attachment(500, 4.0, 3);
-        let g = ecl_graphgen::with_hashed_weights(&base, 1 << 14, 3);
+        let g = ecl_graphgen::with_hashed_weights(base, 1 << 14, 3);
         let r = run(&device(), &g, &MstConfig::baseline());
         let bars = r.counters.bars.bars();
         assert!(!bars.is_empty());
@@ -279,7 +279,7 @@ mod tests {
     #[test]
     fn filter_iterations_appear_with_heavy_edges() {
         let base = ecl_graphgen::random::erdos_renyi(400, 6.0, 8);
-        let g = ecl_graphgen::with_hashed_weights(&base, 1 << 16, 8);
+        let g = ecl_graphgen::with_hashed_weights(base, 1 << 16, 8);
         let r = run(&device(), &g, &MstConfig::baseline());
         assert!(
             !r.counters.bars.of_kind(IterationKind::Filter).is_empty(),
@@ -292,7 +292,7 @@ mod tests {
         // Figure 2's headline: after the first Regular iteration the
         // fraction of threads with work collapses.
         let base = ecl_graphgen::powerlaw::preferential_attachment(2000, 6.0, 5);
-        let g = ecl_graphgen::with_hashed_weights(&base, 1 << 16, 5);
+        let g = ecl_graphgen::with_hashed_weights(base, 1 << 16, 5);
         let r = run(&device(), &g, &MstConfig::baseline());
         let regs = r.counters.bars.of_kind(IterationKind::Regular);
         assert!(regs.len() >= 2);
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn atomics_tally_populated() {
         let base = ecl_graphgen::random::erdos_renyi(300, 6.0, 2);
-        let g = ecl_graphgen::with_hashed_weights(&base, 1 << 16, 2);
+        let g = ecl_graphgen::with_hashed_weights(base, 1 << 16, 2);
         let r = run(&device(), &g, &MstConfig::baseline());
         assert!(r.counters.atomics.attempted() > 0);
         assert!(r.counters.atomics.updated() > 0);
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn profile_off_same_result() {
         let base = ecl_graphgen::grid::torus_2d(12, 12);
-        let g = ecl_graphgen::with_hashed_weights(&base, 100, 4);
+        let g = ecl_graphgen::with_hashed_weights(base, 100, 4);
         let on = run(&device(), &g, &MstConfig::baseline());
         let off =
             run(&device(), &g, &MstConfig { mode: ProfileMode::Off, ..MstConfig::baseline() });
@@ -327,7 +327,7 @@ mod tests {
         // All edges heavy (light_fraction 0): everything flows through
         // Filter iterations.
         let base = ecl_graphgen::random::erdos_renyi(200, 4.0, 12);
-        let g = ecl_graphgen::with_hashed_weights(&base, 1 << 16, 12);
+        let g = ecl_graphgen::with_hashed_weights(base, 1 << 16, 12);
         let cfg = MstConfig { light_fraction: 0.0, ..MstConfig::baseline() };
         let r = run(&device(), &g, &cfg);
         assert_eq!(r.total_weight, ecl_ref::kruskal(&g).total_weight);
@@ -336,7 +336,7 @@ mod tests {
     #[test]
     fn all_light_path_still_exact() {
         let base = ecl_graphgen::random::erdos_renyi(200, 4.0, 13);
-        let g = ecl_graphgen::with_hashed_weights(&base, 1 << 16, 13);
+        let g = ecl_graphgen::with_hashed_weights(base, 1 << 16, 13);
         let cfg = MstConfig { light_fraction: 1.0, ..MstConfig::baseline() };
         let r = run(&device(), &g, &cfg);
         assert_eq!(r.total_weight, ecl_ref::kruskal(&g).total_weight);

@@ -16,7 +16,7 @@ use ecl_mst::{run, MstConfig};
 
 fn input() -> ecl_graph::WeightedCsr {
     let base = ecl_graphgen::random::erdos_renyi(2500, 5.0, 21);
-    ecl_graphgen::with_hashed_weights(&base, 1 << 16, 21)
+    ecl_graphgen::with_hashed_weights(base, 1 << 16, 21)
 }
 
 #[test]

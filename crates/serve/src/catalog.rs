@@ -7,7 +7,12 @@
 //!   `(scale, seed)`.
 //! * **Disk graphs** — files in `--graphs-dir`: `<name>.ecl` (the
 //!   suite's binary format, directedness and weights from the header
-//!   flags) and `<name>.el` (text edge list, undirected).
+//!   flags) and `<name>.el` (text edge list, undirected). Each load
+//!   reads the file once, so a damaged file reports its own error.
+//!
+//! A resolved graph always holds its topology. A weighted resolution
+//! (MST) adds a weight column that shares it: the file's weights, or
+//! seed-salted hashed ones for a graph without any.
 //!
 //! Every materialized graph gets an FNV-1a content hash over its full
 //! structure (offsets, neighbors, weights, directedness). That hash —
@@ -85,10 +90,10 @@ pub struct ResolvedGraph {
     pub content_hash: u64,
     /// Estimated resident bytes (used for the LRU budget).
     pub bytes: usize,
-    /// The graph. Present for unweighted resolutions.
-    pub csr: Option<Arc<Csr>>,
-    /// The weighted graph. Present for weighted resolutions.
-    pub weighted: Option<Arc<WeightedCsr>>,
+    /// The graph.
+    pub csr: Arc<Csr>,
+    /// Weighted view of `csr`. Present for weighted resolutions.
+    pub weighted: Option<WeightedCsr>,
     /// Structural family fingerprint, computed once at registration.
     pub fingerprint: Fingerprint,
     /// Best-known tuned schedule per algorithm wire name, attached
@@ -98,17 +103,6 @@ pub struct ResolvedGraph {
 }
 
 impl ResolvedGraph {
-    /// The underlying CSR regardless of weighting.
-    pub fn structure(&self) -> &Csr {
-        if let Some(c) = &self.csr {
-            c
-        } else if let Some(w) = &self.weighted {
-            w.csr()
-        } else {
-            unreachable!("resolved graph holds csr or weighted")
-        }
-    }
-
     /// The attached tuned schedule for `algo` (wire name), if the
     /// manifest had an entry for this graph's family.
     pub fn schedule_for(&self, algo: &str) -> Option<&Schedule> {
@@ -359,16 +353,14 @@ impl GraphCatalog {
         if scale <= 0.0 || !scale.is_finite() {
             return Err(CatalogError::Load(format!("invalid scale {scale}")));
         }
-        let tune = self.config.tune.as_deref();
-        if weighted {
-            let g = spec.generate_weighted(scale, seed, DEFAULT_MAX_WEIGHT);
-            Ok(finish(name, None, Some(g), tune))
-        } else {
-            let g = spec.generate(scale, seed);
-            Ok(finish(name, Some(g), None, tune))
-        }
+        let g = Arc::new(spec.generate(scale, seed));
+        let w = weighted.then(|| spec.weigh(Arc::clone(&g), seed, DEFAULT_MAX_WEIGHT));
+        Ok(finish(name, g, w, self.config.tune.as_deref()))
     }
 
+    /// Reads `path` once. A weighted resolution keeps the file's
+    /// weights, or synthesizes seed-salted ones for an unweighted
+    /// `.ecl`; an unweighted resolution drops the file's weights.
     fn load_disk(
         &self,
         name: &str,
@@ -377,59 +369,37 @@ impl GraphCatalog {
         weighted: bool,
     ) -> Result<ResolvedGraph, CatalogError> {
         let err = |e: std::io::Error| CatalogError::Load(format!("{}: {e}", path.display()));
-        let is_el = path.extension().and_then(|s| s.to_str()) == Some("el");
-        let tune = self.config.tune.as_deref();
         let mut r = BufReader::new(File::open(path).map_err(err)?);
-        if weighted {
-            // Prefer on-disk weights; fall back to seed-salted
-            // synthesized weights for unweighted files.
-            let wg = if is_el {
-                gio::read_weighted_edge_list(&mut r, false).map_err(err)?
+        let (g, w) = if path.extension().and_then(|s| s.to_str()) == Some("el") {
+            if weighted {
+                let w = gio::read_weighted_edge_list(&mut r, false).map_err(err)?;
+                (Arc::clone(w.shared_csr()), Some(w))
             } else {
-                match gio::read_weighted(&mut r) {
-                    Ok(wg) => wg,
-                    Err(_) => {
-                        let mut r2 = BufReader::new(File::open(path).map_err(err)?);
-                        let g = gio::read_csr(&mut r2).map_err(err)?;
-                        with_hashed_weights(&g, DEFAULT_MAX_WEIGHT, seed)
-                    }
-                }
-            };
-            Ok(finish(name, None, Some(wg), tune))
+                (Arc::new(gio::read_edge_list(&mut r, false).map_err(err)?), None)
+            }
         } else {
-            let g = if is_el {
-                gio::read_edge_list(&mut r, false).map_err(err)?
-            } else {
-                match gio::read_csr(&mut r) {
-                    Ok(g) => g,
-                    Err(_) => {
-                        // Weighted file requested unweighted: drop weights.
-                        let mut r2 = BufReader::new(File::open(path).map_err(err)?);
-                        let wg = gio::read_weighted(&mut r2).map_err(err)?;
-                        wg.csr().clone()
-                    }
-                }
-            };
-            Ok(finish(name, Some(g), None, tune))
-        }
+            let (g, weights) = gio::read_graph(&mut r).map_err(err)?;
+            let g = Arc::new(g);
+            let w = weighted.then(|| match weights {
+                Some(weights) => WeightedCsr::from_parts(Arc::clone(&g), weights),
+                None => with_hashed_weights(Arc::clone(&g), DEFAULT_MAX_WEIGHT, seed),
+            });
+            (g, w)
+        };
+        Ok(finish(name, g, w, self.config.tune.as_deref()))
     }
 }
 
 fn finish(
     name: &str,
-    csr: Option<Csr>,
+    csr: Arc<Csr>,
     weighted: Option<WeightedCsr>,
     tune: Option<&TuneManifest>,
 ) -> ResolvedGraph {
-    let (hash, bytes, fingerprint) = match (&csr, &weighted) {
-        (Some(g), _) => (content_hash(g, None), graph_bytes(g, false), Fingerprint::of(g)),
-        (_, Some(w)) => (
-            content_hash(w.csr(), Some(w.weights())),
-            graph_bytes(w.csr(), true),
-            Fingerprint::of(w.csr()),
-        ),
-        _ => unreachable!("finish called with a graph"),
-    };
+    let weights = weighted.as_ref().map(WeightedCsr::weights);
+    let hash = content_hash(&csr, weights);
+    let bytes = graph_bytes(&csr, weights.is_some());
+    let fingerprint = Fingerprint::of(&csr);
     // Registration-time schedule attachment: one manifest lookup per
     // algorithm against the graph's family bucket. The manifest is
     // fixed for the catalog's lifetime, so the (graph, algo) →
@@ -448,8 +418,8 @@ fn finish(
         name: name.to_string(),
         content_hash: hash,
         bytes,
-        csr: csr.map(Arc::new),
-        weighted: weighted.map(Arc::new),
+        csr,
+        weighted,
         fingerprint,
         schedules,
     }
@@ -532,8 +502,9 @@ mod tests {
         let cat = catalog_with_budget(256 << 20);
         let w = cat.resolve("USA-road-d.NY", 0.001, 7, true).unwrap();
         assert!(w.weighted.is_some());
-        assert!(w.csr.is_none());
-        assert!(w.structure().num_vertices() >= 256);
+        // The weighted view shares the resolved graph.
+        assert!(std::ptr::eq(w.weighted.as_ref().unwrap().csr(), &*w.csr));
+        assert!(w.csr.num_vertices() >= 256);
     }
 
     #[test]
@@ -611,7 +582,7 @@ mod tests {
         let plain = catalog_with_budget(64 << 20);
         let g = plain.resolve("internet", 0.002, 7, false).unwrap();
         assert!(g.schedules.is_empty(), "no manifest, no schedules");
-        assert_eq!(g.fingerprint.vertices, g.structure().num_vertices());
+        assert_eq!(g.fingerprint.vertices, g.csr.num_vertices());
         let family = g.fingerprint.family_key();
 
         // Same graph through a manifest-bearing catalog → attached.
@@ -655,6 +626,33 @@ mod tests {
     }
 
     #[test]
+    fn a_truncated_disk_graph_reports_the_end_of_its_stream() {
+        let dir = std::env::temp_dir().join(format!("ecl-serve-trunc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = registry::find("internet").unwrap().generate(0.001, 3);
+        let w = with_hashed_weights(g.clone(), DEFAULT_MAX_WEIGHT, 3);
+        let (mut plain, mut heavy) = (Vec::new(), Vec::new());
+        gio::write_csr(&mut plain, &g).unwrap();
+        gio::write_weighted(&mut heavy, &w).unwrap();
+        let cat = GraphCatalog::new(CatalogConfig {
+            graphs_dir: Some(dir.clone()),
+            ..CatalogConfig::default()
+        });
+        for (name, mut bytes) in [("plain", plain), ("heavy", heavy)] {
+            bytes.truncate(bytes.len() - 3);
+            let path = dir.join(format!("{name}.ecl"));
+            std::fs::write(&path, &bytes).unwrap();
+            let eof = gio::read_graph(&mut bytes.as_slice()).unwrap_err();
+            assert_eq!(eof.kind(), std::io::ErrorKind::UnexpectedEof);
+            for weighted in [false, true] {
+                let want = CatalogError::Load(format!("{}: {eof}", path.display()));
+                assert_eq!(cat.resolve(name, 1.0, 0, weighted).unwrap_err(), want);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn disk_loading_and_shadowing() {
         let dir = std::env::temp_dir().join(format!("ecl-serve-cat-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -671,8 +669,8 @@ mod tests {
             ..CatalogConfig::default()
         });
         let tiny = cat.resolve("tiny", 1.0, 0, false).unwrap();
-        assert_eq!(tiny.structure().num_vertices(), 3);
-        assert_eq!(tiny.structure().num_edges(), 3);
+        assert_eq!(tiny.csr.num_vertices(), 3);
+        assert_eq!(tiny.csr.num_edges(), 3);
         // Weighted view of an unweighted disk graph synthesizes weights.
         let wt = cat.resolve("tiny", 1.0, 5, true).unwrap();
         assert!(wt.weighted.is_some());

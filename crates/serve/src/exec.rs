@@ -88,12 +88,8 @@ pub(crate) fn execute_for(
         let resolve_ns = resolve_start.elapsed().as_nanos() as u64;
         obs.recorder.on_phase(ecl_gpusim::ctx::request(), "graph.resolve", resolve_ns);
     }
-    let structure = resolved.structure();
-    let views = Views {
-        name: &spec.graph,
-        csr: resolved.csr.as_deref(),
-        weighted: resolved.weighted.as_deref(),
-    };
+    let views =
+        Views { name: &spec.graph, csr: &resolved.csr, weighted: resolved.weighted.as_ref() };
 
     // The schedule of this run. Tuned-schedule attachment: the catalog
     // pinned the best-known manifest schedule to this graph at
@@ -146,8 +142,8 @@ pub(crate) fn execute_for(
         algo: spec.algo,
         graph: resolved.name.clone(),
         graph_hash: resolved.content_hash,
-        vertices: structure.num_vertices(),
-        arcs: structure.num_arcs(),
+        vertices: resolved.csr.num_vertices(),
+        arcs: resolved.csr.num_arcs(),
         aggregates,
         modeled_time,
         tuned: manifest.is_some(),
@@ -193,7 +189,7 @@ mod tests {
         // the graph comes from disk) — emulate by generating one graph
         // and running MIS under two seed-derived salts directly.
         let g = ecl_graphgen::registry::find("internet").unwrap().generate(0.002, 7);
-        let views = Views { name: "internet", csr: Some(&g), weighted: None };
+        let views = Views { name: "internet", csr: &g, weighted: None };
         let run = |seed| {
             let s = Schedule::new().with("tie_salt", ecl_algos::adapters::mis_tie_salt(seed));
             ecl_algos::execute(Algo::Mis.algorithm(), 0.002, &views, Some(&s)).unwrap().0.aggregates

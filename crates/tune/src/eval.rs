@@ -30,11 +30,11 @@ pub struct TuneInput {
     pub scale: f64,
     /// Generation seed.
     pub seed: u64,
-    /// Unweighted view (CC, GC, MIS, SCC).
-    pub csr: Option<Arc<Csr>>,
-    /// Weighted view (MST), generated for undirected inputs.
-    pub weighted: Option<Arc<WeightedCsr>>,
-    /// Structural fingerprint of the unweighted view.
+    /// The graph (CC, GC, MIS, SCC).
+    pub csr: Arc<Csr>,
+    /// Weighted view of `csr` (MST), for undirected inputs.
+    pub weighted: Option<WeightedCsr>,
+    /// Structural fingerprint of the graph.
     pub fingerprint: Fingerprint,
 }
 
@@ -44,26 +44,16 @@ impl TuneInput {
     pub fn from_registry(name: &str, scale: f64, seed: u64) -> Result<TuneInput, String> {
         let spec = ecl_graphgen::registry::find(name)
             .ok_or_else(|| format!("unknown registry input {name:?}"))?;
-        let g = spec.generate(scale, seed);
-        let weighted = if spec.directed {
-            None
-        } else {
-            Some(Arc::new(spec.weigh(&g, seed, ecl_graphgen::DEFAULT_MAX_WEIGHT)))
-        };
-        let fingerprint = Fingerprint::of(&g);
-        Ok(TuneInput {
-            name: name.to_string(),
-            scale,
-            seed,
-            csr: Some(Arc::new(g)),
-            weighted,
-            fingerprint,
-        })
+        let csr = Arc::new(spec.generate(scale, seed));
+        let weighted = (!spec.directed)
+            .then(|| spec.weigh(Arc::clone(&csr), seed, ecl_graphgen::DEFAULT_MAX_WEIGHT));
+        let fingerprint = Fingerprint::of(&csr);
+        Ok(TuneInput { name: name.to_string(), scale, seed, csr, weighted, fingerprint })
     }
 
     /// The graph views this input offers an algorithm.
     pub fn views(&self) -> Views<'_> {
-        Views { name: &self.name, csr: self.csr.as_deref(), weighted: self.weighted.as_deref() }
+        Views { name: &self.name, csr: &self.csr, weighted: self.weighted.as_ref() }
     }
 
     /// Whether `algo` can run on this input (its directedness and
@@ -117,6 +107,12 @@ mod tests {
     /// By registered name, as the tests below spell it.
     fn evaluate(name: &str, input: &TuneInput, s: &Schedule) -> Result<EvalOutcome, String> {
         super::evaluate(algo(name), input, s)
+    }
+
+    #[test]
+    fn the_weighted_view_shares_the_graph() {
+        let input = internet();
+        assert!(std::ptr::eq(input.weighted.as_ref().unwrap().csr(), &*input.csr));
     }
 
     #[test]

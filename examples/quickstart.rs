@@ -9,10 +9,12 @@
 use ecl_suite::{cc, gc, gen, mis, mst, profiling, scc, sim};
 
 fn main() {
-    // An as-skitter-like power-law graph, scaled to laptop size, plus
-    // a directed mesh for SCC.
-    let undirected = gen::powerlaw::preferential_attachment(5_000, 6.0, 42);
-    let weighted = gen::with_hashed_weights(&undirected, 1 << 16, 42);
+    // An as-skitter-like power-law graph, scaled to laptop size, its
+    // weighted view for MST (sharing the graph), plus a directed mesh
+    // for SCC.
+    let graph = gen::powerlaw::preferential_attachment(5_000, 6.0, 42);
+    let weighted = gen::with_hashed_weights(graph, 1 << 16, 42);
+    let undirected = weighted.csr();
     let mesh = gen::mesh::toroid_wedge(64, 64, 42);
 
     // The simulated GPU: an RTX 4090 shrunk to 4 SMs so the example
@@ -22,7 +24,7 @@ fn main() {
     println!("input: {} vertices, {} arcs\n", undirected.num_vertices(), undirected.num_arcs());
 
     // --- ECL-CC ------------------------------------------------------
-    let r = cc::run(&device, &undirected, &cc::CcConfig::baseline());
+    let r = cc::run(&device, undirected, &cc::CcConfig::baseline());
     println!("ECL-CC: {} components", r.num_components());
     println!(
         "  init: {} vertices initialized, {} neighbors traversed (gap {:.2}x)",
@@ -38,14 +40,14 @@ fn main() {
     );
 
     // --- ECL-MIS -----------------------------------------------------
-    let r = mis::run(&device, &undirected, &mis::MisConfig::default());
+    let r = mis::run(&device, undirected, &mis::MisConfig::default());
     let iters = r.counters.iterations.summary();
     println!("\nECL-MIS: {} vertices selected in {} rounds", r.set_size(), r.rounds);
     println!("  per-thread iterations: avg {:.2}, max {:.0}", iters.avg, iters.max);
 
     // --- ECL-GC ------------------------------------------------------
-    let r = gc::run(&device, &undirected, &gc::GcConfig::default());
-    let (best_changed, not_yet) = r.counters.large_vertex_summaries(&undirected, gc::LARGE_DEGREE);
+    let r = gc::run(&device, undirected, &gc::GcConfig::default());
+    let (best_changed, not_yet) = r.counters.large_vertex_summaries(undirected, gc::LARGE_DEGREE);
     println!("\nECL-GC: {} colors in {} rounds", r.num_colors(), r.rounds);
     println!(
         "  runLarge vertices: best color changed avg {:.2}, not-yet-possible avg {:.2}",

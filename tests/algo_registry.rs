@@ -64,7 +64,7 @@ impl Algorithm for DegreeSum {
     }
 
     fn run(&self, device: &Device, views: &Views<'_>, schedule: &Schedule) -> Outcome {
-        let g = views.expect_csr();
+        let g = views.csr;
         let n = g.num_vertices();
         let block_size = schedule.int_knob("block_size").unwrap_or(256) as usize;
         let sum = AtomicU64::new(0);
@@ -89,14 +89,14 @@ impl Algorithm for DegreeSum {
 #[test]
 fn toy_algorithm_runs_through_the_shared_driver() {
     let g = generate("internet");
-    let views = Views { name: "internet", csr: Some(&g), weighted: None };
+    let views = Views { name: "internet", csr: &g, weighted: None };
     let (out, time) = algos::execute(&DegreeSum, SCALE, &views, None).unwrap();
     assert_eq!(out.aggregates[0], ("degree_sum", g.num_arcs() as u64));
     assert!(time > 0.0);
     // The shared contract applies to it unasked: undirected only, no
     // sharded implementation.
     let star = generate("star");
-    let directed = Views { name: "star", csr: Some(&star), weighted: None };
+    let directed = Views { name: "star", csr: &star, weighted: None };
     assert_eq!(
         algos::execute(&DegreeSum, SCALE, &directed, None).unwrap_err(),
         "degsum requires an undirected graph (\"star\" is directed)"
@@ -237,8 +237,8 @@ fn driver_equals_the_hand_written_arms_under_the_sequential_policy() {
     use KnobValue::{Bool, Float, Int, Str};
     let (g, d) = (generate("internet"), generate("toroid-wedge"));
     let w = gen::registry::find("internet").unwrap().generate_weighted(SCALE, SEED, 1 << 20);
-    let und = Views { name: "internet", csr: Some(&g), weighted: Some(&w) };
-    let dir = Views { name: "toroid-wedge", csr: Some(&d), weighted: None };
+    let und = Views { name: "internet", csr: &g, weighted: Some(&w) };
+    let dir = Views { name: "toroid-wedge", csr: &d, weighted: None };
     assert_eq!(device("scc").config().num_sms, find("scc").min_sms());
 
     sequential(|| {
@@ -330,24 +330,24 @@ fn serve_overrides_equal_the_hand_written_arms() {
     sequential(|| {
         // A client block_size reaches gc and scc, and only them.
         let g = catalog.resolve("internet", SCALE, SEED, false).unwrap();
-        let g = g.csr.as_deref().unwrap();
+        let g = &g.csr;
         let sized = |algo, graph| JobSpec { block_size: Some(128), ..job(algo, graph) };
         let cfg = gc::GcConfig { block_size: 128, ..gc::GcConfig::default() };
         served(&sized(Algo::Gc, "internet"), golden_gc(g, &cfg));
         served(&sized(Algo::Cc, "internet"), golden_cc(g, &cc::CcConfig::baseline()));
         let d = catalog.resolve("toroid-wedge", SCALE, SEED, false).unwrap();
         let cfg = scc::SccConfig::with_block_size(128);
-        let want = golden_scc(d.csr.as_deref().unwrap(), &cfg);
+        let want = golden_scc(&d.csr, &cfg);
         served(&sized(Algo::Scc, "toroid-wedge"), want);
         let w = catalog.resolve("internet", SCALE, SEED, true).unwrap();
-        let want = golden_mst(w.weighted.as_deref().unwrap(), &mst::MstConfig::baseline());
+        let want = golden_mst(w.weighted.as_ref().unwrap(), &mst::MstConfig::baseline());
         served(&job(Algo::Mst, "internet"), want);
 
         // The job seed selects the MIS tie-break permutation (and the
         // generated graph): two seeds, two hand-built seeded configs.
         for seed in [5u64, 0xDEAD_BEEF_CAFE] {
             let g = catalog.resolve("internet", SCALE, seed, false).unwrap();
-            let want = golden_mis(g.csr.as_deref().unwrap(), &mis::MisConfig::seeded(seed));
+            let want = golden_mis(&g.csr, &mis::MisConfig::seeded(seed));
             served(&JobSpec { seed, ..job(Algo::Mis, "internet") }, want);
         }
     });
@@ -358,7 +358,7 @@ fn sharded_driver_equals_ecl_shard_at_two_shards() {
     let (g, d) = (generate("internet"), generate("toroid-wedge"));
     let schedule = Schedule::new().with("tie_salt", algos::adapters::mis_tie_salt(SEED));
     for (name, graph) in [("cc", &g), ("mis", &g), ("scc", &d)] {
-        let views = Views { name, csr: Some(graph), weighted: None };
+        let views = Views { name, csr: graph, weighted: None };
         let (out, stats) =
             algos::execute_sharded(find(name), SCALE, &views, 2, Some(&schedule)).unwrap();
 

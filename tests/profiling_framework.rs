@@ -234,7 +234,7 @@ fn io_corruption_never_panics() {
 #[test]
 fn cost_model_reflects_algorithm_structure() {
     let g = gen::grid::torus_2d(24, 24);
-    let wg = gen::with_hashed_weights(&g, 1000, 1);
+    let wg = gen::with_hashed_weights(g.clone(), 1000, 1);
     let d_cc = device();
     let d_mst = device();
     cc::run(&d_cc, &g, &cc::CcConfig::baseline());

@@ -83,7 +83,7 @@ proptest! {
         g in undirected_graph(100, 250),
         wseed in 0u64..1000,
     ) {
-        let wg = ecl_suite::gen::with_hashed_weights(&g, 1 << 12, wseed);
+        let wg = ecl_suite::gen::with_hashed_weights(g, 1 << 12, wseed);
         let r = mst::run(&device(), &wg, &mst::MstConfig::baseline());
         let k = reference::kruskal(&wg);
         prop_assert_eq!(r.total_weight, k.total_weight);
@@ -93,7 +93,7 @@ proptest! {
     #[test]
     fn prop_mst_edge_count_invariant(g in undirected_graph(100, 250)) {
         // A spanning forest has exactly n - trees edges.
-        let wg = ecl_suite::gen::with_hashed_weights(&g, 1 << 12, 7);
+        let wg = ecl_suite::gen::with_hashed_weights(g.clone(), 1 << 12, 7);
         let r = mst::run(&device(), &wg, &mst::MstConfig::baseline());
         prop_assert_eq!(r.edges.len(), g.num_vertices() - r.num_trees);
     }
