@@ -9,19 +9,27 @@ use ecl_graph::Csr;
 
 use crate::bitmap::{self, BitmapLayout};
 use crate::counters::GcCounters;
-use crate::priority;
+use crate::priority::InArcs;
 use crate::{GcConfig, GcResult, LARGE_DEGREE};
 
 /// Sentinel for an uncolored vertex.
 const UNCOLORED: u32 = u32::MAX;
 
-/// Shared read-only state of one coloring run.
+/// Shared state of one coloring run.
 struct State<'a> {
     g: &'a Csr,
+    /// The priority DAG, built once at init: each vertex's
+    /// higher-priority neighbors as adjacency positions. The rounds
+    /// walk only these arcs.
+    dag: InArcs,
+    /// Where each vertex's possible-color bitmap lives in `poss`, and
+    /// its width (in-degree + 1 bits).
     layout: BitmapLayout,
+    /// The possible-color bitmaps; a vertex's bits only ever clear.
     poss: Vec<CountedU64>,
+    /// Color per vertex, `UNCOLORED` until its one assignment.
     colors: Vec<CountedU32>,
-    /// One flag per arc of the dependent endpoint: 1 while the
+    /// One flag per DAG in-arc (indexed like `dag`): 1 while the
     /// dependency on the higher-priority neighbor is still active;
     /// cleared when that neighbor colors or shortcut 2 fires.
     arc_active: Vec<CountedU8>,
@@ -32,19 +40,20 @@ pub fn color(device: &Device, g: &Csr, config: &GcConfig) -> GcResult {
     let n = g.num_vertices();
     let counters = GcCounters::new(n, config.mode);
 
-    // Initialization stage: LDF priorities, DAG in-degrees, and the
-    // possible-color bitmaps of indegree + 1 bits each (§2.2).
+    // Initialization stage: LDF priorities, the DAG's in-arcs, and
+    // the possible-color bitmaps of indegree + 1 bits each (§2.2).
     ecl_gpusim::observe::phase_start(device, "init");
-    let in_degrees = priority::dag_in_degrees(g);
-    let layout = BitmapLayout::new(&in_degrees);
+    let dag = InArcs::new(g);
+    let layout = BitmapLayout::new(&dag.in_degrees());
     let poss = layout.allocate();
     device.charge(CostKind::ThreadWork, n as u64);
     let state = State {
         g,
+        arc_active: atomic_u8_array(dag.num_arcs(), |_| 1),
+        dag,
         layout,
         poss,
         colors: atomic_u32_array(n, |_| UNCOLORED),
-        arc_active: atomic_u8_array(g.num_arcs(), |_| 1),
     };
     ecl_gpusim::observe::phase_end(device, "init");
     // Region declarations for the sanitizer. The bitmaps and colors
@@ -67,26 +76,29 @@ pub fn color(device: &Device, g: &Csr, config: &GcConfig) -> GcResult {
     );
     let _arcs = register_region(device, "gc.arc-active", &state.arc_active);
 
-    // Coloring stage: rounds over the shrinking uncolored worklist,
-    // split into the small and large kernels by degree.
-    let mut worklist: Vec<u32> = (0..n as u32).collect();
+    // Coloring stage: rounds over the shrinking uncolored worklists of
+    // the small and large kernels, split by degree once (each stays in
+    // increasing id order).
+    let (mut small, mut large): (Vec<u32>, Vec<u32>) =
+        (0..n as u32).partition(|&v| g.degree(v) <= LARGE_DEGREE);
     let mut rounds = 0u32;
-    while !worklist.is_empty() {
+    while !small.is_empty() || !large.is_empty() {
         rounds += 1;
         ecl_gpusim::observe::round(device, rounds);
         ecl_gpusim::observe::phase_start(device, "color-round");
-        let (small, large): (Vec<u32>, Vec<u32>) =
-            worklist.iter().partition(|&&v| g.degree(v) <= LARGE_DEGREE);
         run_kernel(device, "gc.color-small", &state, config, &counters, &small);
         run_kernel(device, "gc.color-large", &state, config, &counters, &large);
-        let before = worklist.len();
-        worklist.retain(|&v| state.colors[v as usize].load(Hooks::OFF) == UNCOLORED);
+        let before = small.len() + large.len();
+        let uncolored = |&v: &u32| state.colors[v as usize].load(Hooks::OFF) == UNCOLORED;
+        small.retain(uncolored);
+        large.retain(uncolored);
+        let left = small.len() + large.len();
         if counters.enabled() {
-            counters.uncolored_per_round.push(worklist.len() as u64);
+            counters.uncolored_per_round.push(left as u64);
         }
         ecl_gpusim::observe::phase_end(device, "color-round");
         assert!(
-            worklist.len() < before,
+            left < before,
             "coloring made no progress in round {rounds} — DAG invariant violated"
         );
     }
@@ -118,7 +130,9 @@ fn run_kernel(
     });
 }
 
-/// One coloring attempt for uncolored vertex `v`.
+/// One coloring attempt for uncolored vertex `v`, walking only its
+/// DAG in-arcs. Each pass charges the adjacency scan it stands for
+/// once: the whole list, or up to the blocking neighbor.
 ///
 /// Pass 1 absorbs colored higher-priority neighbors (clearing their
 /// colors from `v`'s bitmap — the "best available color changed"
@@ -136,7 +150,6 @@ fn process_vertex(
 ) {
     let g = state.g;
     let adj = g.neighbors(v);
-    let arc0 = g.arc_range(v).start;
     let profiling = counters.enabled();
     if profiling {
         counters.scan_per_visit.record(adj.len() as u64);
@@ -146,16 +159,19 @@ fn process_vertex(
         .expect("uncolored vertex must have a possible color");
 
     // Pass 1: absorb colored higher-priority neighbors.
-    for (i, &u) in adj.iter().enumerate() {
-        device.charge(CostKind::ThreadWork, 1);
-        if !priority::beats(g, u, v) || state.arc_active[arc0 + i].load(h) == 0 {
+    if !adj.is_empty() {
+        device.charge(CostKind::ThreadWork, adj.len() as u64);
+    }
+    for (arc, pos) in state.dag.of(v) {
+        let u = adj[pos];
+        if state.arc_active[arc].load(h) == 0 {
             continue;
         }
         let cu = state.colors[u as usize].load(h);
         if cu == UNCOLORED {
             continue;
         }
-        state.arc_active[arc0 + i].store(0, h);
+        state.arc_active[arc].store(0, h);
         if bitmap::has_bit(&state.poss, &state.layout, v, cu, h) {
             bitmap::clear_bit(&state.poss, &state.layout, v, cu, h);
             if cu == best {
@@ -168,12 +184,13 @@ fn process_vertex(
         }
     }
 
-    // Pass 2: check the remaining active, uncolored higher neighbors.
-    let mut blocked = false;
+    // Pass 2: check the remaining active, uncolored higher neighbors,
+    // up to the first that blocks `best`.
+    let mut blocker = None;
     let mut pending_highers = false;
-    for (i, &u) in adj.iter().enumerate() {
-        device.charge(CostKind::ThreadWork, 1);
-        if !priority::beats(g, u, v) || state.arc_active[arc0 + i].load(h) == 0 {
+    for (arc, pos) in state.dag.of(v) {
+        let u = adj[pos];
+        if state.arc_active[arc].load(h) == 0 {
             continue;
         }
         if state.colors[u as usize].load(h) != UNCOLORED {
@@ -182,25 +199,25 @@ fn process_vertex(
             // treat as pending unless shortcut 1 clears it below.
         }
         if config.shortcut2 && bitmap::disjoint(&state.poss, &state.layout, v, u, h) {
-            state.arc_active[arc0 + i].store(0, h);
+            state.arc_active[arc].store(0, h);
             if profiling {
                 counters.shortcut2_removals.inc();
             }
             continue;
         }
         pending_highers = true;
-        if config.shortcut1 {
-            if bitmap::has_bit(&state.poss, &state.layout, u, best, h) {
-                blocked = true;
-                break;
-            }
-        } else {
-            blocked = true;
+        if !config.shortcut1 || bitmap::has_bit(&state.poss, &state.layout, u, best, h) {
+            blocker = Some(pos);
             break;
         }
     }
+    // The adjacency prefix a scan of every arc would have walked.
+    let scanned = blocker.map_or(adj.len(), |pos| pos + 1);
+    if scanned > 0 {
+        device.charge(CostKind::ThreadWork, scanned as u64);
+    }
 
-    if blocked {
+    if blocker.is_some() {
         if profiling {
             counters.not_yet_possible.inc(v as usize);
         }

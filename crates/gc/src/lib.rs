@@ -130,13 +130,10 @@ impl GcResult {
 ///
 /// # Panics
 /// Panics if `g` is directed or has self-loops (a self-looped vertex
-/// cannot be properly colored).
+/// cannot be properly colored; the priority DAG's one pass over the
+/// arcs finds them).
 pub fn run(device: &Device, g: &Csr, config: &GcConfig) -> GcResult {
     assert!(!g.is_directed(), "ECL-GC consumes undirected graphs");
-    assert!(
-        ecl_graph::validate::check_no_self_loops(g).is_ok(),
-        "ECL-GC requires self-loop-free inputs"
-    );
     kernel::color(device, g, config)
 }
 

@@ -22,13 +22,61 @@ pub fn beats(g: &Csr, u: u32, v: u32) -> bool {
     (g.degree(u), hash_id(u), u) > (g.degree(v), hash_id(v), v)
 }
 
-/// In-degree of every vertex in the priority DAG: the number of
-/// higher-priority neighbors. Determines the possible-color bitmap
-/// width (`indegree + 1` colors suffice for a greedy coloring).
-pub fn dag_in_degrees(g: &Csr) -> Vec<u32> {
-    (0..g.num_vertices() as u32)
-        .map(|v| g.neighbors(v).iter().filter(|&&u| beats(g, u, v)).count() as u32)
-        .collect()
+/// The priority DAG's in-arcs: for every vertex, the adjacency
+/// positions of its higher-priority neighbors, in adjacency order.
+/// Built once at init, so the coloring rounds walk only these arcs
+/// and compare no priorities.
+#[derive(Debug)]
+pub struct InArcs {
+    /// Start of each vertex's run in `positions` (length `n + 1`).
+    offsets: Vec<u32>,
+    /// Adjacency positions `pos` of `v` with `beats(adj[pos], v)`.
+    positions: Vec<u32>,
+}
+
+impl InArcs {
+    /// One pass over the arcs of `g`.
+    ///
+    /// # Panics
+    /// Panics on a self-loop (a self-looped vertex cannot be properly
+    /// colored).
+    pub fn new(g: &Csr) -> Self {
+        let n = g.num_vertices();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut positions = Vec::with_capacity(g.num_arcs() / 2);
+        offsets.push(0);
+        for v in 0..n as u32 {
+            for (pos, &u) in g.neighbors(v).iter().enumerate() {
+                assert_ne!(u, v, "ECL-GC requires self-loop-free inputs");
+                if beats(g, u, v) {
+                    positions.push(u32::try_from(pos).expect("degree fits u32"));
+                }
+            }
+            offsets.push(u32::try_from(positions.len()).expect("DAG arc count fits u32"));
+        }
+        Self { offsets, positions }
+    }
+
+    /// `v`'s in-arcs as (arc index, adjacency position) pairs, in
+    /// adjacency order. Arc indices run over `0..num_arcs()`, so a per-arc
+    /// array of [`InArcs::num_arcs`] entries holds one slot per in-arc.
+    #[inline]
+    pub fn of(&self, v: u32) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let r = self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize;
+        r.clone().zip(self.positions[r].iter().map(|&pos| pos as usize))
+    }
+
+    /// Arcs of the whole DAG: one per undirected edge.
+    pub fn num_arcs(&self) -> usize {
+        self.positions.len()
+    }
+
+    /// In-degree of every vertex: the number of higher-priority
+    /// neighbors. Determines the possible-color bitmap width
+    /// (`indegree + 1` colors suffice for a greedy coloring).
+    pub fn in_degrees(&self) -> Vec<u32> {
+        self.offsets.windows(2).map(|w| w[1] - w[0]).collect()
+    }
 }
 
 #[cfg(test)]
@@ -67,26 +115,64 @@ mod tests {
         }
     }
 
-    #[test]
-    fn in_degrees_sum_to_edge_count() {
-        let g = undirected(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]);
-        let indeg = dag_in_degrees(&g);
-        // Every undirected edge contributes exactly one DAG arc.
-        let total: u32 = indeg.iter().sum();
-        assert_eq!(total as usize, g.num_edges());
+    /// Checks `InArcs` against `beats` on every vertex of `g`: a
+    /// position is listed exactly when its neighbor beats the vertex,
+    /// positions increase, and the counts sum to the edge count.
+    fn assert_lists_exactly_the_higher_neighbors(g: &Csr) -> InArcs {
+        let dag = InArcs::new(g);
+        for v in 0..g.num_vertices() as u32 {
+            let adj = g.neighbors(v);
+            let listed: Vec<usize> = dag.of(v).map(|(_, pos)| pos).collect();
+            let want: Vec<usize> = (0..adj.len()).filter(|&pos| beats(g, adj[pos], v)).collect();
+            assert_eq!(listed, want, "vertex {v}");
+            assert!(listed.windows(2).all(|w| w[0] < w[1]), "vertex {v}: positions not increasing");
+        }
+        let indeg = dag.in_degrees();
+        assert_eq!(indeg.iter().map(|&d| d as usize).sum::<usize>(), g.num_edges());
+        assert_eq!(dag.num_arcs(), g.num_edges());
+        dag
     }
 
     #[test]
-    fn hub_has_zero_in_degree() {
+    fn in_arcs_are_the_higher_priority_neighbors() {
+        for (name, g) in [
+            ("torus", ecl_graphgen::grid::torus_2d(12, 12)),
+            ("er", ecl_graphgen::random::erdos_renyi(400, 6.0, 21)),
+            ("pa", ecl_graphgen::powerlaw::preferential_attachment(400, 4.0, 22)),
+            (
+                "cycle+chord",
+                undirected(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]),
+            ),
+        ] {
+            let dag = assert_lists_exactly_the_higher_neighbors(&g);
+            assert!(dag.num_arcs() > 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn hub_lists_no_in_arc() {
         let g = undirected(4, &[(0, 1), (0, 2), (0, 3)]);
-        let indeg = dag_in_degrees(&g);
-        assert_eq!(indeg[0], 0);
-        assert!(indeg[1..].iter().all(|&d| d == 1));
+        let dag = assert_lists_exactly_the_higher_neighbors(&g);
+        assert_eq!(dag.in_degrees(), vec![0, 1, 1, 1]);
+        // Each leaf's one neighbor is the hub, at adjacency position 0.
+        for leaf in 1..4 {
+            assert_eq!(dag.of(leaf).collect::<Vec<_>>(), vec![(leaf as usize - 1, 0)]);
+        }
     }
 
     #[test]
-    fn isolated_vertices_zero_in_degree() {
-        let g = Csr::empty(3, false);
-        assert_eq!(dag_in_degrees(&g), vec![0, 0, 0]);
+    fn empty_and_isolated_vertices_list_nothing() {
+        let dag = assert_lists_exactly_the_higher_neighbors(&Csr::empty(0, false));
+        assert_eq!(dag.num_arcs(), 0);
+        assert!(dag.in_degrees().is_empty());
+        let dag = assert_lists_exactly_the_higher_neighbors(&Csr::empty(3, false));
+        assert_eq!(dag.in_degrees(), vec![0, 0, 0]);
+        assert_eq!(dag.num_arcs(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loop")]
+    fn self_loop_is_refused() {
+        InArcs::new(&undirected(2, &[(0, 0), (0, 1)]));
     }
 }

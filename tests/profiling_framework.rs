@@ -328,3 +328,55 @@ fn collector_rows_and_host_remainder_are_the_devices_cost() {
     assert!(readbacks > 0, "fixed_launch reads the worklist size back");
     assert_eq!(host_remainder(&device, &rows)[CostKind::HostReconfig.index()], readbacks);
 }
+
+/// ECL-GC's runLarge path in order, pinned bit for bit on the
+/// Kronecker graph, where high-degree vertices are revisited round
+/// after round: the cost units of both coloring kernels (through an
+/// `ecl_prof::Collector`), the round count, the colour checksum and
+/// the totals of Table 5's two runLarge counters.
+#[test]
+fn in_order_gc_run_large_is_pinned() {
+    use ecl_prof::Collector;
+    use ecl_suite::algos::{self, Views};
+    use ecl_suite::profiling::Counter;
+    use sim::pool::{with_policy, DispatchPolicy};
+    use std::sync::Arc;
+
+    const SCALE: f64 = 0.003;
+    const INPUT: &str = "kron_g500-logn21";
+    let gc = algos::find("gc").unwrap();
+    let g = gen::registry::find(INPUT).unwrap().generate(SCALE, 42);
+    let views = Views { name: INPUT, csr: &g, weighted: None };
+    let device = sim::Device::new(algos::device_config(gc, SCALE));
+    let collector = Arc::new(Collector::new());
+    let attached = device.observe(collector.clone());
+    let out = with_policy(DispatchPolicy::sequential(), || {
+        gc.run(&device, &views, &gc.default_schedule())
+    });
+    drop(attached);
+
+    let rows = collector.snapshot();
+    let units = |name: &str| rows.iter().find(|r| r.name == name).unwrap().units;
+    let aggregate = |name: &str| out.aggregates.iter().find(|(n, _)| *n == name).unwrap().1;
+    let sum = |name: &str| match out.counters.iter().find(|(n, _)| *n == name).unwrap().1 {
+        Counter::Sketch(ref s) => s.sum,
+        ref other => panic!("{name} is not a sketch: {other:?}"),
+    };
+    let got = (
+        units("gc.color-large"),
+        units("gc.color-small"),
+        aggregate("rounds"),
+        aggregate("colors_checksum"),
+        sum("gc/large_best_changed"),
+        sum("gc/large_not_yet_possible"),
+    );
+    let want = (
+        [9_279_374, 7_284, 0, 0, 48, 0],
+        [310_801, 1_844, 0, 0, 11, 0],
+        48,
+        3_332_266_143_852_381_957,
+        24_528,
+        25_369,
+    );
+    assert_eq!(got, want);
+}
