@@ -193,11 +193,9 @@ fn process_vertex(
         if state.arc_active[arc].load(h) == 0 {
             continue;
         }
-        if state.colors[u as usize].load(h) != UNCOLORED {
-            // Colored between the passes; it can no longer take best:
-            // pass 1 of the *next* round will absorb it. Conservatively
-            // treat as pending unless shortcut 1 clears it below.
-        }
+        // A neighbor colored since pass 1 can no longer take best, but
+        // is conservatively treated as pending unless a shortcut clears
+        // it below: pass 1 of the *next* round absorbs it.
         if config.shortcut2 && bitmap::disjoint(&state.poss, &state.layout, v, u, h) {
             state.arc_active[arc].store(0, h);
             if profiling {

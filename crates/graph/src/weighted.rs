@@ -76,27 +76,23 @@ impl WeightedCsr {
     }
 
     /// Enumerates each undirected edge exactly once as
-    /// `(edge_id, u, v, w)` with `u <= v`. `edge_id` is the flat index
-    /// of the canonical arc, so ids are unique and stable. This is the
+    /// `(edge_id, u, v, w)` with `u <= v`, in increasing `edge_id`.
+    /// `edge_id` is the flat index of the canonical arc, so ids are
+    /// unique and stable. This is the
     /// worklist ECL-MST is initialized with ("the worklist is populated
     /// with all unique edges", §2.4).
-    pub fn unique_edges(&self) -> Vec<(EdgeId, VertexId, VertexId, u32)> {
-        let mut out = Vec::with_capacity(self.csr.num_arcs() / 2 + 1);
-        for u in 0..self.csr.num_vertices() as VertexId {
-            let range = self.csr.arc_range(u);
-            for (i, (&v, &w)) in self.csr.neighbors(u).iter().zip(self.arc_weights(u)).enumerate() {
-                if u <= v {
-                    out.push((range.start + i, u, v, w));
-                }
-            }
-        }
-        out
+    pub fn unique_edges(&self) -> impl Iterator<Item = (EdgeId, VertexId, VertexId, u32)> + '_ {
+        (0..self.csr.num_vertices() as VertexId).flat_map(move |u| {
+            let start = self.csr.arc_range(u).start;
+            let arcs = self.csr.neighbors(u).iter().zip(self.arc_weights(u)).enumerate();
+            arcs.filter(move |&(_, (&v, _))| u <= v).map(move |(i, (&v, &w))| (start + i, u, v, w))
+        })
     }
 
     /// Total weight over unique edges; `u64` to avoid overflow on large
     /// graphs.
     pub fn total_weight(&self) -> u64 {
-        self.unique_edges().iter().map(|&(_, _, _, w)| w as u64).sum()
+        self.unique_edges().map(|(_, _, _, w)| u64::from(w)).sum()
     }
 }
 
@@ -118,7 +114,7 @@ mod tests {
     #[test]
     fn unique_edges_once_each() {
         let g = weighted_square();
-        let edges = g.unique_edges();
+        let edges: Vec<_> = g.unique_edges().collect();
         assert_eq!(edges.len(), 4);
         let mut ws: Vec<u32> = edges.iter().map(|&(_, _, _, w)| w).collect();
         ws.sort_unstable();
@@ -151,7 +147,7 @@ mod tests {
         b.add_weighted_edge(0, 0, 5);
         b.add_weighted_edge(0, 1, 6);
         let g = b.build_weighted();
-        let edges = g.unique_edges();
+        let edges: Vec<_> = g.unique_edges().collect();
         assert_eq!(edges.len(), 2);
         assert!(edges.iter().any(|&(_, u, v, w)| u == 0 && v == 0 && w == 5));
     }

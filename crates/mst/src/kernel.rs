@@ -8,7 +8,7 @@ use ecl_gpusim::{
 };
 use ecl_graph::{EdgeId, WeightedCsr};
 use ecl_profiling::series::{IterationBar, IterationKind};
-use ecl_profiling::{ActivityTally, AtomicTally};
+use ecl_profiling::{AtomicTally, GlobalCounter};
 
 use crate::union_find::GpuUnionFind;
 use crate::{MstConfig, MstCounters, MstResult};
@@ -19,14 +19,14 @@ const NONE_KEY: u64 = u64::MAX;
 /// Packs (weight, edge id) into one orderable key; distinct ids make
 /// all keys distinct, which is the deterministic tie-break.
 #[inline]
-fn encode(w: u32, id: EdgeId) -> u64 {
-    debug_assert!(id < u32::MAX as usize, "edge id must fit 32 bits");
+fn encode(w: u32, id: u32) -> u64 {
     ((w as u64) << 32) | id as u64
 }
 
+/// One worklist slot: a canonical edge in 16 bytes.
 #[derive(Clone, Copy, Debug)]
 struct WorkEdge {
-    id: EdgeId,
+    id: u32,
     u: u32,
     v: u32,
     w: u32,
@@ -42,8 +42,8 @@ struct State<'a> {
     /// `(epoch << 32) | count` so they need no per-iteration reset.
     attempts: Vec<CountedU64>,
     epoch: u32,
-    /// `(id, weight)` of every edge K2 merged, in compaction order.
-    winners: Vec<(EdgeId, u32)>,
+    /// Every edge K2 merged, in compaction order.
+    winners: Vec<WorkEdge>,
 }
 
 /// Runs the full ECL-MST pipeline.
@@ -52,20 +52,28 @@ pub fn minimum_spanning_forest(device: &Device, g: &WeightedCsr, config: &MstCon
     let counters = MstCounters::new();
     let profiling = config.mode.enabled();
 
+    // Edge ids are arc indices: below u32::MAX, each fits a WorkEdge
+    // and no key reaches NONE_KEY.
+    assert!(g.csr().num_arcs() < u32::MAX as usize, "ECL-MST edge ids must fit 32 bits");
+
     // Initialization: singleton sets and the unique-edge worklist,
-    // split at the light/heavy weight threshold (§2.4).
-    let mut edges: Vec<WorkEdge> = g
-        .unique_edges()
-        .into_iter()
-        .filter(|&(_, u, v, _)| u != v)
-        .map(|(id, u, v, w)| WorkEdge { id, u, v, w })
-        .collect();
-    device.charge(CostKind::ThreadWork, (n + edges.len()) as u64);
-    let threshold = light_threshold(&edges, config.light_fraction);
-    let heavy: Vec<WorkEdge> = edges.iter().copied().filter(|e| e.w >= threshold).collect();
-    edges.retain(|e| e.w < threshold);
-    let mut light = edges;
-    let mut heavy = heavy;
+    // split at the light/heavy weight threshold (§2.4). The canonical
+    // edges are enumerated twice: once for the weights the threshold
+    // selects on (at most one per two arcs), once to place each edge on
+    // its side in enumeration order.
+    let edges = || g.unique_edges().filter(|&(_, u, v, _)| u != v);
+    let mut ws = Vec::with_capacity(g.csr().num_arcs() / 2);
+    ws.extend(edges().map(|(_, _, _, w)| w));
+    device.charge(CostKind::ThreadWork, (n + ws.len()) as u64);
+    let threshold = light_threshold(&mut ws, config.light_fraction);
+    let num_light = ws.iter().filter(|&&w| w < threshold).count();
+    let mut light = Vec::with_capacity(num_light);
+    let mut heavy = Vec::with_capacity(ws.len() - num_light);
+    drop(ws);
+    for (id, u, v, w) in edges() {
+        let side = if w < threshold { &mut light } else { &mut heavy };
+        side.push(WorkEdge { id: id as u32, u, v, w });
+    }
 
     let mut state = State {
         device,
@@ -136,23 +144,23 @@ pub fn minimum_spanning_forest(device: &Device, g: &WeightedCsr, config: &MstCon
         }
     }
 
-    let total_weight = state.winners.iter().map(|&(_, w)| u64::from(w)).sum();
-    let mut chosen: Vec<EdgeId> = state.winners.iter().map(|&(id, _)| id).collect();
+    let total_weight = state.winners.iter().map(|e| u64::from(e.w)).sum();
+    let mut chosen: Vec<EdgeId> = state.winners.iter().map(|e| e.id as EdgeId).collect();
     chosen.sort_unstable();
     let num_trees = state.uf.num_sets(device);
     MstResult { edges: chosen, total_weight, num_trees, counters }
 }
 
-/// The q-quantile weight separating light from heavy edges.
-fn light_threshold(edges: &[WorkEdge], light_fraction: f64) -> u32 {
+/// The q-quantile of the edge weights `ws` (reordered in place),
+/// separating light from heavy edges.
+fn light_threshold(ws: &mut [u32], light_fraction: f64) -> u32 {
     assert!((0.0..=1.0).contains(&light_fraction), "light_fraction out of range");
-    if edges.is_empty() || light_fraction <= 0.0 {
+    if ws.is_empty() || light_fraction <= 0.0 {
         return 0; // nothing is light
     }
     if light_fraction >= 1.0 {
         return u32::MAX; // everything is light
     }
-    let mut ws: Vec<u32> = edges.iter().map(|e| e.w).collect();
     let idx = (((ws.len() as f64) * light_fraction) as usize).min(ws.len() - 1);
     *ws.select_nth_unstable(idx).1
 }
@@ -188,11 +196,11 @@ fn iteration(
         counters.launch_coverage.record(cfg.total_threads() as u64);
     }
 
-    let activity = ActivityTally::new();
+    let threads_with_work = GlobalCounter::new();
     let iter_atomics = AtomicTally::new();
     // Roots observed by K1, reused by K2 for a consistent winner check,
-    // attempt flags for the conflict metric, and K2's merge flags for
-    // the compaction pass to collect.
+    // attempt flags for the conflict metric and the reset, and K2's
+    // merge flags for the compaction pass to collect.
     // Per-slot scratch is strictly exclusive: one warp (K1) or lane
     // (K2/reset) owns index i. Registered non-benign so the checker
     // proves that exclusivity every iteration.
@@ -219,14 +227,12 @@ fn iteration(
         let mut keys = [0u64; MAX_WARP];
         let mut roots = [(0u32, 0u32); MAX_WARP];
         let mut pending = [0u8; MAX_WARP];
+        let mut active = 0;
         // Phase 1: lockstep checks.
         for lane in 0..warp.lanes {
             let i = warp.base + lane;
             if i >= len {
                 device.charge(CostKind::IdleCheck, 1);
-                if profiling {
-                    activity.record_idle_unassigned();
-                }
                 continue;
             }
             let e = worklist[i];
@@ -237,14 +243,9 @@ fn iteration(
             root_v[i].store(rv, warp.hooks);
             if ru == rv {
                 device.charge(CostKind::IdleCheck, 1);
-                if profiling {
-                    activity.record_idle_no_work();
-                }
                 continue;
             }
-            if profiling {
-                activity.record_active();
-            }
+            active += 1;
             let key = encode(e.w, e.id);
             keys[lane] = key;
             roots[lane] = (ru, rv);
@@ -254,6 +255,9 @@ fn iteration(
             if key < state.best[rv as usize].load(warp.hooks) {
                 pending[lane] |= 2;
             }
+        }
+        if profiling {
+            threads_with_work.add(active);
         }
         // Phase 2: the warp's atomics land together.
         for lane in 0..warp.lanes {
@@ -327,18 +331,29 @@ fn iteration(
         }
     });
 
-    // Reset pass: clear the best keys of every root this worklist
-    // touched (new merged roots are the minima of the old ones, so
-    // storing through the observed roots covers them).
+    // Reset pass: each lane clears the best keys of the roots its K1
+    // lane elected on, as its `attempted` flags record. Only K1's
+    // atomicMin lowers a key and every atomicMin sets such a flag, so
+    // every key is NONE_KEY again afterwards; a root that many slots
+    // share (the giant component's) is stored to by its electors only.
     launch_flat_named(device, "mst.reset", cfg, |t| {
         if t.global >= len {
             device.charge(CostKind::IdleCheck, 1);
             return;
         }
         device.charge(CostKind::ThreadWork, 1);
-        state.best[root_u[t.global].load(t.hooks) as usize].store(NONE_KEY, t.hooks);
-        state.best[root_v[t.global].load(t.hooks) as usize].store(NONE_KEY, t.hooks);
+        let flags = attempted[t.global].load(t.hooks);
+        if flags & 1 != 0 {
+            state.best[root_u[t.global].load(t.hooks) as usize].store(NONE_KEY, t.hooks);
+        }
+        if flags & 2 != 0 {
+            state.best[root_v[t.global].load(t.hooks) as usize].store(NONE_KEY, t.hooks);
+        }
     });
+    debug_assert!(
+        state.best.iter().all(|b| b.load(Hooks::OFF) == NONE_KEY),
+        "mst.reset left an elected key behind"
+    );
 
     // Compaction (K2's epilogue / the Filter step's "removes redundant
     // edges early"): drop edges now internal to one component. Every
@@ -347,7 +362,7 @@ fn iteration(
     let mut slot = 0;
     worklist.retain(|e| {
         if won[slot].load(Hooks::OFF) != 0 {
-            state.winners.push((e.id, e.w));
+            state.winners.push(*e);
         }
         slot += 1;
         state.uf.find(e.u, device, Hooks::OFF) != state.uf.find(e.v, device, Hooks::OFF)
@@ -360,7 +375,7 @@ fn iteration(
         counters.bars.push(IterationBar {
             kind,
             index,
-            threads_with_work_pct: 100.0 * activity.active() as f64 / launched,
+            threads_with_work_pct: 100.0 * threads_with_work.get() as f64 / launched,
             conflicts_pct: 100.0 * conflicting as f64 / launched,
             useless_atomics_pct: 100.0 * iter_atomics.useless_fraction(),
         });
@@ -414,12 +429,11 @@ mod tests {
 
     #[test]
     fn threshold_quantiles() {
-        let edges: Vec<WorkEdge> =
-            (0..100).map(|i| WorkEdge { id: i, u: 0, v: 1, w: i as u32 }).collect();
-        assert_eq!(light_threshold(&edges, 0.5), 50);
-        assert_eq!(light_threshold(&edges, 0.0), 0);
-        assert_eq!(light_threshold(&edges, 1.0), u32::MAX);
-        assert_eq!(light_threshold(&[], 0.5), 0);
+        let mut ws: Vec<u32> = (0..100).collect();
+        assert_eq!(light_threshold(&mut ws, 0.5), 50);
+        assert_eq!(light_threshold(&mut ws, 0.0), 0);
+        assert_eq!(light_threshold(&mut ws, 1.0), u32::MAX);
+        assert_eq!(light_threshold(&mut [], 0.5), 0);
     }
 
     /// The q-quantile by its definition: sort, then index.
@@ -453,12 +467,46 @@ mod tests {
                 1 => 1.0,
                 _ => frac,
             };
-            let edges: Vec<WorkEdge> =
-                ws.iter().enumerate().map(|(id, &w)| WorkEdge { id, u: 0, v: 1, w }).collect();
             proptest::prop_assert_eq!(
-                light_threshold(&edges, light_fraction),
+                light_threshold(&mut ws.clone(), light_fraction),
                 sorted_threshold(&ws, light_fraction)
             );
+        }
+    }
+
+    /// The reset clears only the roots a slot elected on; on a star
+    /// (one hub every edge elects on) and on a wheel whose edges all
+    /// weigh the same (after the first round every remaining edge ties
+    /// on the hub's root), every key must still be `NONE_KEY` after each
+    /// reset (the `debug_assert!` behind `mst.reset`) and the forest
+    /// must be Kruskal's, under both launch sizes and all three splits.
+    #[test]
+    fn reset_leaves_no_key_on_a_shared_root() {
+        use ecl_graph::GraphBuilder;
+
+        const RIM: u32 = 700;
+        let mut star = GraphBuilder::new_undirected(RIM as usize + 1);
+        let mut wheel = GraphBuilder::new_undirected(RIM as usize + 1);
+        for v in 1..=RIM {
+            star.add_weighted_edge(0, v, v.wrapping_mul(2_654_435_761) >> 20);
+            wheel.add_weighted_edge(0, v, 7);
+            wheel.add_weighted_edge(v, v % RIM + 1, 7);
+        }
+        for g in [star.build_weighted(), wheel.build_weighted()] {
+            let want = ecl_ref::kruskal(&g);
+            let mut want_edges = want.edges.clone();
+            want_edges.sort_unstable();
+            for fixed_launch in [false, true] {
+                for light_fraction in [0.0, 0.5, 1.0] {
+                    let config = MstConfig { fixed_launch, light_fraction, ..MstConfig::default() };
+                    let r = minimum_spanning_forest(&Device::test_small(), &g, &config);
+                    let case =
+                        format!("fixed_launch {fixed_launch}, light_fraction {light_fraction}");
+                    assert_eq!(r.edges, want_edges, "{case}");
+                    assert_eq!(r.total_weight, want.total_weight, "{case}");
+                    assert_eq!(r.num_trees, want.num_trees, "{case}");
+                }
+            }
         }
     }
 

@@ -167,7 +167,7 @@ impl MstResult {
 /// edge-for-edge.
 ///
 /// # Panics
-/// Panics if the graph is directed.
+/// Panics if the graph is directed or has `u32::MAX` arcs or more.
 pub fn run(device: &Device, g: &WeightedCsr, config: &MstConfig) -> MstResult {
     assert!(!g.csr().is_directed(), "ECL-MST consumes undirected graphs");
     kernel::minimum_spanning_forest(device, g, config)

@@ -22,9 +22,10 @@ pub struct MstResult {
 /// (weight, id) tie-break so *total weights* always agree, and edge
 /// sets agree whenever weights are distinct.
 pub fn kruskal(g: &WeightedCsr) -> MstResult {
-    let mut edges = g.unique_edges();
     // Self-loops can never join two components; drop them up front.
-    edges.retain(|&(_, u, v, _)| u != v);
+    // Each remaining edge owns two arcs.
+    let mut edges = Vec::with_capacity(g.csr().num_arcs() / 2);
+    edges.extend(g.unique_edges().filter(|&(_, u, v, _)| u != v));
     edges.sort_unstable_by_key(|&(id, _, _, w)| (w, id));
     let mut uf = UnionFind::new(g.num_vertices());
     let mut chosen = Vec::new();
