@@ -90,10 +90,11 @@ impl McEntryOutcome {
 
 /// The protocol-bearing harnesses that must be explored exhaustively
 /// at the CI bound, not merely come out clean.
-const EXHAUSTIVE: [&str; 8] = [
+const EXHAUSTIVE: [&str; 9] = [
     "pool-ticket-claim",
     "tally-fold",
     "counted-minmax",
+    "stripe-claim",
     "scheduler-finish",
     "serve-conn-ring",
     "serve-reactor-wakeup",

@@ -46,10 +46,10 @@ impl ProfileMode {
 /// shows the total number of times an event occurred across all
 /// threads", §3).
 ///
-/// Striped per OS thread (see [`crate::stripe`]): an increment touches
-/// only the calling thread's cache line, the total is the sum over
-/// stripes — the paper's thread-local counters reduced at the end,
-/// behind a shared-counter interface.
+/// Striped per OS thread (see [`crate::stripe`]): an increment is a
+/// plain add on the cache line the calling thread owns, the total is
+/// the sum over stripes — the paper's thread-local counters reduced at
+/// the end, behind a shared-counter interface.
 #[derive(Debug, Default)]
 pub struct GlobalCounter {
     stripes: Striped<AtomicU64>,
@@ -67,12 +67,14 @@ impl GlobalCounter {
         self.add(1);
     }
 
-    /// Adds `k` events. Relaxed ordering: counts are aggregated only
-    /// after the parallel region joins, which provides the necessary
+    /// Adds `k` events: a plain add on the calling thread's own
+    /// stripe. Relaxed ordering: counts are aggregated only after the
+    /// parallel region joins, which provides the necessary
     /// happens-before edge.
     #[inline]
     pub fn add(&self, k: u64) {
-        self.stripes.local().fetch_add(k, Ordering::Relaxed);
+        let (stripe, writer) = self.stripes.local();
+        writer.add(stripe, k);
     }
 
     /// Current total.

@@ -23,7 +23,8 @@
 //! pool workers: thread-local counters are `AtomicU64` slots touched
 //! with `Relaxed` ordering only by the worker that owns the simulated
 //! thread, and global counters and sketches are striped per OS thread
-//! (one cache line per writer, summed on read). Profiling can
+//! (each thread owns a cache line it writes with plain relaxed stores,
+//! summed on read). Profiling can
 //! be disabled wholesale via [`ProfileMode::Off`], which the overhead
 //! benchmark uses to quantify the perturbation the paper discusses in
 //! §3 ("our approach introduces overhead and, hence, affects the
@@ -40,7 +41,7 @@ pub mod sample;
 pub mod series;
 pub mod sketch;
 pub mod stats;
-mod stripe;
+pub mod stripe;
 pub mod table;
 pub mod trace;
 

@@ -22,54 +22,69 @@ pub struct StepKey {
 }
 
 /// Records the number of updates each thread block performed in each
-/// signature-propagation iteration. Writes from concurrent blocks go to
-/// disjoint indices of a pre-sized row, so recording is lock-free per
-/// block; rows are created under a mutex when an iteration first
-/// appears.
+/// signature-propagation iteration. Each block owns a column of
+/// `(step, updates)` entries behind its own lock: a block runs on one
+/// worker at a time, so the lock is uncontended, and a record appends
+/// to its block's column without touching any other block's or
+/// scanning the steps. Readers assemble a step's row from the columns.
 #[derive(Debug)]
 pub struct BlockSeries {
-    num_blocks: usize,
-    rows: Mutex<Vec<(StepKey, Vec<u64>)>>,
+    columns: Box<[Column]>,
 }
+
+/// One block's entries in recording order, on its own cache line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Column(Mutex<Vec<(StepKey, u64)>>);
 
 impl BlockSeries {
     /// A recorder for `num_blocks` blocks.
     pub fn new(num_blocks: usize) -> Self {
-        Self { num_blocks, rows: Mutex::new(Vec::new()) }
+        Self { columns: (0..num_blocks).map(|_| Column::default()).collect() }
     }
 
     /// Number of blocks per row.
     pub fn num_blocks(&self) -> usize {
-        self.num_blocks
+        self.columns.len()
     }
 
     /// Records `updates` performed by `block` in iteration `(m, n)`.
     pub fn record(&self, m: u32, n: u32, block: usize, updates: u64) {
-        assert!(block < self.num_blocks, "block id out of range");
+        assert!(block < self.columns.len(), "block id out of range");
         let key = StepKey { m, n };
-        let mut rows = self.rows.lock();
-        match rows.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, row)) => row[block] += updates,
-            None => {
-                let mut row = vec![0u64; self.num_blocks];
-                row[block] = updates;
-                rows.push((key, row));
-            }
+        let mut column = self.columns[block].0.lock();
+        match column.last_mut() {
+            Some((k, u)) if *k == key => *u += updates,
+            _ => column.push((key, updates)),
         }
     }
 
     /// All recorded iterations, sorted by (m, n).
     pub fn steps(&self) -> Vec<StepKey> {
-        let rows = self.rows.lock();
-        let mut keys: Vec<StepKey> = rows.iter().map(|(k, _)| *k).collect();
+        let mut keys = Vec::new();
+        for c in self.columns.iter() {
+            keys.extend(c.0.lock().iter().map(|&(k, _)| k));
+        }
         keys.sort();
+        keys.dedup();
         keys
     }
 
     /// The per-block update vector of iteration `(m, n)`, if recorded.
     pub fn row(&self, m: u32, n: u32) -> Option<Vec<u64>> {
         let key = StepKey { m, n };
-        self.rows.lock().iter().find(|(k, _)| *k == key).map(|(_, r)| r.clone())
+        let mut recorded = false;
+        let row = self
+            .columns
+            .iter()
+            .map(|c| {
+                let column = c.0.lock();
+                let mut updates = column.iter().filter(|(k, _)| *k == key).peekable();
+                recorded |= updates.peek().is_some();
+                updates.map(|&(_, u)| u).sum()
+            })
+            .collect();
+        recorded.then_some(row)
     }
 
     /// Number of inner iterations recorded for outer round `m` (the "43

@@ -8,11 +8,12 @@
 //! bucket bounds — a factor-of-two error envelope, which is exactly
 //! the resolution the paper's log-scale tables and charts use.
 //!
-//! All mutation is relaxed-atomic and striped per OS thread (see
+//! All mutation is relaxed and striped per OS thread (see
 //! [`crate::stripe`]), so a sketch can be shared across simulated
 //! threads exactly like [`GlobalCounter`](crate::GlobalCounter): a
-//! record touches only the calling thread's stripe, and every read is
-//! a reduction over stripes taken after the parallel region joins.
+//! record is plain loads and stores on the stripe the calling thread
+//! owns, and every read is a reduction over stripes taken after the
+//! parallel region joins.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -136,12 +137,12 @@ impl LogSketch {
         if n == 0 {
             return;
         }
-        let s = self.stripes.local();
-        s.buckets[Self::bucket_of(v)].fetch_add(n, Ordering::Relaxed);
-        s.count.fetch_add(n, Ordering::Relaxed);
-        s.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
-        s.min.fetch_min(v, Ordering::Relaxed);
-        s.max.fetch_max(v, Ordering::Relaxed);
+        let (s, w) = self.stripes.local();
+        w.add(&s.buckets[Self::bucket_of(v)], n);
+        w.add(&s.count, n);
+        w.add(&s.sum, v.saturating_mul(n));
+        w.min(&s.min, v);
+        w.max(&s.max, v);
     }
 
     /// Folds a complete value slice in (one sample per element) — the
@@ -171,16 +172,16 @@ impl LogSketch {
     /// layout, so the merge is exact (bucket-wise addition).
     pub fn merge(&self, other: &LogSketch) {
         let theirs = other.totals();
-        let mine = self.stripes.local();
+        let (mine, w) = self.stripes.local();
         for (b, &c) in mine.buckets.iter().zip(&theirs.buckets) {
             if c > 0 {
-                b.fetch_add(c, Ordering::Relaxed);
+                w.add(b, c);
             }
         }
-        mine.count.fetch_add(theirs.count, Ordering::Relaxed);
-        mine.sum.fetch_add(theirs.sum, Ordering::Relaxed);
-        mine.min.fetch_min(theirs.min, Ordering::Relaxed);
-        mine.max.fetch_max(theirs.max, Ordering::Relaxed);
+        w.add(&mine.count, theirs.count);
+        w.add(&mine.sum, theirs.sum);
+        w.min(&mine.min, theirs.min);
+        w.max(&mine.max, theirs.max);
     }
 
     /// Total samples.

@@ -35,25 +35,45 @@ pub struct InArcs {
 }
 
 impl InArcs {
-    /// One pass over the arcs of `g`.
+    /// One pass over the arcs of `g`, against a per-vertex rank
+    /// `(degree << 32) | hash_id(v)`: unique because `hash_id` is a
+    /// bijection, so it is the order of [`beats`]. Each position is
+    /// written unconditionally and kept, by advancing `len`, only when
+    /// its neighbor outranks the vertex, so the scan has no
+    /// data-dependent branch. A symmetric graph has `num_arcs / 2` DAG
+    /// arcs, which with the one scratch slot past them is the buffer's
+    /// size; the rank is gone before the caller allocates the color
+    /// bitmaps.
     ///
     /// # Panics
     /// Panics on a self-loop (a self-looped vertex cannot be properly
     /// colored).
     pub fn new(g: &Csr) -> Self {
         let n = g.num_vertices();
+        let rank: Vec<u64> = (0..n as u32)
+            .map(|v| {
+                let degree = u32::try_from(g.degree(v)).expect("degree fits u32");
+                u64::from(degree) << 32 | u64::from(hash_id(v))
+            })
+            .collect();
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut positions = Vec::with_capacity(g.num_arcs() / 2);
+        let mut positions = vec![0u32; g.num_arcs() / 2 + 1];
+        let mut len = 0;
         offsets.push(0);
         for v in 0..n as u32 {
+            let mine = rank[v as usize];
             for (pos, &u) in g.neighbors(v).iter().enumerate() {
                 assert_ne!(u, v, "ECL-GC requires self-loop-free inputs");
-                if beats(g, u, v) {
-                    positions.push(u32::try_from(pos).expect("degree fits u32"));
+                if len == positions.len() {
+                    // Only an asymmetric input outgrows the buffer.
+                    positions.resize(2 * len, 0);
                 }
+                positions[len] = pos as u32;
+                len += usize::from(rank[u as usize] > mine);
             }
-            offsets.push(u32::try_from(positions.len()).expect("DAG arc count fits u32"));
+            offsets.push(u32::try_from(len).expect("DAG arc count fits u32"));
         }
+        positions.truncate(len);
         Self { offsets, positions }
     }
 

@@ -17,7 +17,7 @@ use ecl_check::Rule;
 
 use crate::harnesses::{
     counted_minmax, drain, finish_path, reactor_handoff, reactor_wakeup, shard_superstep,
-    tally_fold,
+    stripe_claim, tally_fold,
 };
 use crate::shim::atomic::McAtomicU64;
 use crate::shim::cell::McCell;
@@ -94,6 +94,12 @@ pub const ALL: &[FixtureEntry] = &[
         about: "min/max skip test flipped: a raise is skipped and reported as an update",
         run: counted_minmax_inverted_skip,
         expect: Rule::McAssertion,
+    },
+    FixtureEntry {
+        name: "stripe-release-relaxed",
+        about: "stripe index given back with Relaxed: the next owner's add races the last owner's",
+        run: stripe_release_relaxed,
+        expect: Rule::McRace,
     },
 ];
 
@@ -184,6 +190,13 @@ pub fn tally_fold_after_retire() {
 /// `Updated` outcome is not its effect and the maximum never lands.
 pub fn counted_minmax_inverted_skip() {
     counted_minmax(ecl_gpusim::min_is_noop::<u64>);
+}
+
+/// The stripe give-back published with `Relaxed`: a thread that
+/// claims the freed index loads the stripe with no happens-before
+/// edge from the exited owner's store, so its plain add can lose it.
+pub fn stripe_release_relaxed() {
+    stripe_claim(Ordering::Relaxed);
 }
 
 /// Classic ABBA: thread 1 locks A then B, thread 2 locks B then A.

@@ -3,7 +3,7 @@
 //! instrumented shim primitives and — where the production code
 //! exposes its arithmetic as pure functions — the *same* functions
 //! the production path calls ([`ecl_gpusim::ticket_range`],
-//! [`ecl_gpusim::max_is_noop`],
+//! [`ecl_gpusim::max_is_noop`], [`ecl_profiling::stripe::claim`],
 //! [`ecl_serve::jobs::JobState::can_become`],
 //! [`ecl_serve::cache::result_key`]).
 //!
@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use ecl_gpusim::pool::auto_grain;
 use ecl_gpusim::{max_is_noop, ticket_range};
+use ecl_profiling::stripe::{claim, release, STRIPES};
 use ecl_serve::cache::result_key;
 use ecl_serve::jobs::{Algo, JobSpec, JobState};
 use ecl_serve::ring::ring_slot;
@@ -58,6 +59,11 @@ pub const ALL: &[HarnessEntry] = &[
         name: "counted-minmax",
         about: "test-first atomicMax: a skipped RMW is a no-op, every call counted once",
         run: counted_minmax_clean,
+    },
+    HarnessEntry {
+        name: "stripe-claim",
+        about: "owned counter stripes: claim, plain adds, release at exit; the next owner sees the last",
+        run: stripe_claim_clean,
     },
     HarnessEntry {
         name: "scheduler-finish",
@@ -838,4 +844,70 @@ pub fn shard_superstep(flush_after_barrier: bool) {
 /// The clean superstep (flush after the barrier).
 pub fn shard_superstep_clean() {
     shard_superstep(true);
+}
+
+/// Shared body for the stripe-ownership harness and its seeded-defect
+/// fixture (`ecl_profiling::stripe`). A writer claims the lowest free
+/// index of the bitmap word with an `Acquire` CAS through the
+/// production [`claim`], adds to its stripe with a plain load and
+/// store (an [`McCell`]: only its owner may touch it), and at exit
+/// gives the index back with a CAS through the production [`release`]
+/// in `release_order`. A writer that finds every index taken adds to
+/// the shared overflow slot with an RMW. All but two indices start
+/// held by threads outside the harness, so of the three writers one
+/// overflows — unless an owner exits first, and the latecomer claims
+/// the freed index and loads what the last owner stored. After the
+/// joins the reader must see every add exactly once and every index
+/// given back.
+///
+/// `release_order = Relaxed` drops the edge from an owner's last store
+/// to the next owner's load: the reuse schedule races on the stripe.
+pub fn stripe_claim(release_order: Ordering) {
+    let outside = ((1u64 << STRIPES) - 1) & !0b11;
+    let claimed = Arc::new(McAtomicU64::new("stripe.claimed", outside));
+    let stripes: Arc<Vec<McCell<u64>>> =
+        Arc::new((0..STRIPES).map(|i| McCell::new(&format!("stripe[{i}]"), 0)).collect());
+    let overflow = Arc::new(McAtomicU64::new("stripe.overflow", 0));
+
+    let writer = |name: &str, k: u64| {
+        let claimed = Arc::clone(&claimed);
+        let stripes = Arc::clone(&stripes);
+        let overflow = Arc::clone(&overflow);
+        thread::spawn(name, move || {
+            let mut word = claimed.load(Ordering::Relaxed);
+            let owned = loop {
+                let Some((i, next)) = claim(word) else {
+                    break None;
+                };
+                match claimed.compare_exchange(word, next, Ordering::Acquire, Ordering::Relaxed) {
+                    Ok(_) => break Some(i),
+                    Err(now) => word = now,
+                }
+            };
+            let Some(i) = owned else {
+                overflow.fetch_add(k, Ordering::Relaxed);
+                return;
+            };
+            stripes[i].write(stripes[i].read() + k);
+            // Thread exit: the owner's destructor.
+            let mut word = claimed.load(Ordering::Relaxed);
+            while let Err(now) =
+                claimed.compare_exchange(word, release(word, i), release_order, Ordering::Relaxed)
+            {
+                word = now;
+            }
+        })
+    };
+    let handles = [writer("owner-a", 1), writer("owner-b", 2), writer("late", 4)];
+    for h in handles {
+        h.join();
+    }
+    let total = stripes.iter().map(McCell::read).sum::<u64>() + overflow.load(Ordering::Relaxed);
+    assert_eq!(total, 7, "a stripe add was lost");
+    assert_eq!(claimed.load(Ordering::Relaxed), outside, "an owned index was never given back");
+}
+
+/// The clean ownership protocol (`Release` give-back).
+pub fn stripe_claim_clean() {
+    stripe_claim(Ordering::Release);
 }
