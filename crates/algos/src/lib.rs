@@ -8,7 +8,10 @@
 //! the one device preset ([`device_config`]), mostly through the one
 //! driver, [`execute`] / [`execute_sharded`]. The algorithm is stated
 //! once; a [`Schedule`] is data applied to it, and the counters it
-//! reports are data in its [`Outcome`].
+//! reports are data in its [`Outcome`]. Above the driver, [`cells`]
+//! runs grids of (input, algorithm, schedule) cells — the paper's
+//! tables and the tuner's sweep — one resident input at a time, each
+//! distinct cell once and in order.
 //!
 //! Adding an algorithm is a kernel crate (`Config`, `KNOBS`,
 //! `apply_schedule`, `run`, and its result's `counters`), one adapter
@@ -18,6 +21,7 @@
 //! consumer to keep that true.
 
 pub mod adapters;
+pub mod cells;
 
 use ecl_gpusim::schedule::KnobSpec;
 use ecl_gpusim::{Device, DeviceConfig, Schedule};
@@ -245,6 +249,17 @@ mod tests {
         let sharded = execute_sharded(find("mst").unwrap(), 0.001, &views(&und), 2, None);
         assert_eq!(sharded.unwrap_err(), "mst does not support sharded execution");
         assert!(find("bfs").is_none());
+    }
+
+    #[test]
+    fn the_device_preset_is_the_paper_device_scaled() {
+        let cc = find("cc").unwrap();
+        assert_eq!(device_config(cc, 1.0).resident_threads(), 196_608);
+        assert_eq!(device_config(cc, 0.5).resident_threads(), 98_304);
+        // A tiny scale keeps the block shape, on at least one SM.
+        let tiny = device_config(cc, 0.001);
+        assert_eq!((tiny.num_sms, tiny.threads_per_sm, tiny.default_block_size), (1, 1536, 512));
+        assert_eq!(device_config(find("scc").unwrap(), 0.001).num_sms, SCC_MIN_SMS);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! ecl-repro <table1|…|table8|fig1|fig2|all> [--scale f] [--seed n]
 //! ```
 //!
-//! Every experiment runs in order (one simulator worker per cell), so
-//! its output is a pure function of the scale and seed:
-//! `results/<name>.txt` holds it at the defaults. `all` prints a
-//! heading and a fenced block per experiment, all ten on one set of
-//! inputs, each graph generated once.
+//! Every cell runs in order (one simulator worker), so the output is a
+//! pure function of the scale and seed: `results/<name>.txt` holds it
+//! at the defaults. `all` prints a heading and a fenced block per
+//! experiment, all ten folded from one pass of the cell runner: one
+//! input resident at a time, each distinct cell run once.
 
 use ecl_bench::experiments::{self, ALL};
 
@@ -21,9 +21,9 @@ fn main() {
         let names = names.join("|");
         ecl_bench::usage_error(&format!("usage: ecl-repro <{names}|all> [--scale f] [--seed n]"));
     }
-    let inputs = ecl_bench::parse_args(args);
-    match experiments::render(&name, &inputs) {
+    let (scale, seed) = ecl_bench::parse_args(args);
+    match experiments::render(&name, scale, seed) {
         Some(text) => print!("{text}"),
-        None => experiments::report(&inputs, &mut std::io::stdout().lock()).expect("stdout"),
+        None => experiments::report(scale, seed, &mut std::io::stdout().lock()).expect("stdout"),
     }
 }

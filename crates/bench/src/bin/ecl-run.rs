@@ -167,18 +167,18 @@ fn parse() -> Args {
             "--kernels" => a.kernels = true,
             "--check" => a.check = true,
             flag => {
-                let unknown = || -> ! { usage_error(&format!("unknown argument: {arg}")) };
-                let value = args.next().unwrap_or_else(|| unknown());
+                let value = args.next();
+                let need = || value.unwrap_or_else(|| usage_error(&format!("{arg} wants a value")));
                 match flag {
-                    "--algo" => a.algo = value.clone(),
-                    "--input" => a.input = value.clone(),
+                    "--algo" => a.algo = need().clone(),
+                    "--input" => a.input = need().clone(),
                     "--scale" => {
-                        a.scale = ecl_bench::parse_scale(value).unwrap_or_else(|e| usage_error(&e))
+                        a.scale = ecl_bench::parse_scale(need()).unwrap_or_else(|e| usage_error(&e))
                     }
-                    "--seed" => a.seed = parse_int("seed", value),
-                    "--repeats" => a.repeats = Some(parse_int("repeats", value)),
+                    "--seed" => a.seed = parse_int("seed", need()),
+                    "--repeats" => a.repeats = Some(parse_int("repeats", need())),
                     "--shards" => {
-                        a.shards = parse_int("shards", value);
+                        a.shards = parse_int("shards", need());
                         if a.shards < 1 || a.shards > ecl_shard::MAX_SHARDS {
                             usage_error(&format!(
                                 "--shards must be in [1, {}]",
@@ -186,27 +186,28 @@ fn parse() -> Args {
                             ));
                         }
                     }
-                    "--block-size" => match value.parse::<i64>() {
+                    "--block-size" => match need().parse::<i64>() {
                         // Serve's bound on the same knob (`block_size` in a job).
                         Ok(bs) if (1..=1024).contains(&bs) => {
                             a.knobs.push(("--block-size", "block_size", KnobValue::Int(bs)))
                         }
                         _ => usage_error(&format!(
-                            "--block-size must be an integer in [1, 1024], got {value:?}"
+                            "--block-size must be an integer in [1, 1024], got {:?}",
+                            need()
                         )),
                     },
-                    "--trace" => a.trace = Some(value.clone()),
-                    "--profile" => a.profile = Some(value.clone()),
+                    "--trace" => a.trace = Some(need().clone()),
+                    "--profile" => a.profile = Some(need().clone()),
                     "--tuned" => {
-                        let loaded = std::fs::read_to_string(value)
+                        let path = need();
+                        let loaded = std::fs::read_to_string(path)
                             .map_err(|e| e.to_string())
                             .and_then(|t| ecl_tune::TuneManifest::from_json(&t));
                         a.tuned = Some(
-                            loaded
-                                .unwrap_or_else(|e| usage_error(&format!("--tuned {value}: {e}"))),
+                            loaded.unwrap_or_else(|e| usage_error(&format!("--tuned {path}: {e}"))),
                         );
                     }
-                    _ => unknown(),
+                    _ => usage_error(&format!("unknown argument: {arg}")),
                 }
             }
         }
@@ -314,8 +315,8 @@ fn main() {
             usage_error(&format!("{} has no knob {knob:?} ({flag})", algo.name()));
         }
     }
-    let inputs = ecl_bench::Inputs::new(a.scale, a.seed);
-    let views = inputs.views(algo, spec);
+    let input = ecl_algos::cells::Input::new(spec, a.scale, a.seed);
+    let views = input.views(algo);
     let schedule = schedule(&a, algo, views.csr);
 
     if let Some(dir) = &a.profile {

@@ -1,19 +1,20 @@
 //! `ecl-tune`: schedule-autotuner CLI.
 //!
 //! ```text
-//! ecl-tune sweep [--inputs a,b] [--algos cc,scc] [--scale F] [--seed N]
+//! ecl-tune sweep [--inputs a,b] [--algos a,b] [--scale F] [--seed N]
 //!                [--budget N] --out manifest.json
 //! ecl-tune validate <manifest.json>
 //! ecl-tune show <manifest.json>
 //! ```
 //!
-//! `sweep` tunes every compatible (algorithm, input) pair, validates
-//! the result and writes the `ecl-tune/1` manifest. `validate` checks
-//! the schema, registered algorithm names, finite times, registry
-//! domains and the tuned ≤ default invariant, and runs `ecl-check`'s
-//! schedule-domain lint over every entry against the modeled device
-//! (`--device rtx4090|a100|rtx3090|test-small`). `show` prints a
-//! human-readable summary.
+//! `sweep` tunes every compatible (algorithm, input) pair once (by
+//! default every registered algorithm on internet and toroid-wedge),
+//! validates the result and writes the `ecl-tune/1` manifest.
+//! `validate` checks the schema, registered algorithm names, finite
+//! times, registry domains and the tuned ≤ default invariant, and runs
+//! `ecl-check`'s schedule-domain lint over every entry against the
+//! modeled device (`--device rtx4090|a100|rtx3090|test-small`). `show`
+//! prints a human-readable summary.
 
 use std::process::ExitCode;
 
@@ -21,7 +22,7 @@ use ecl_gpusim::DeviceConfig;
 use ecl_tune::{sweep, SearchConfig, SweepConfig, TuneManifest};
 
 const USAGE: &str = "usage:
-  ecl-tune sweep [--inputs a,b] [--algos cc,gc,mis,mst,scc] [--scale F] [--seed N]
+  ecl-tune sweep [--inputs a,b] [--algos a,b] [--scale F] [--seed N]
                  [--budget N] --out manifest.json
   ecl-tune validate <manifest.json> [--device rtx4090|a100|rtx3090|test-small]
   ecl-tune show <manifest.json>";
@@ -101,7 +102,7 @@ fn split_list(s: &str) -> Vec<String> {
 fn run_sweep(args: &[String]) -> Result<(), String> {
     let mut cfg = SweepConfig {
         inputs: vec!["internet".into(), "toroid-wedge".into()],
-        algos: vec!["cc".into(), "gc".into(), "mis".into(), "mst".into(), "scc".into()],
+        algos: ecl_algos::ALL.iter().map(|a| a.name().to_string()).collect(),
         scale: 0.002,
         seed: 42,
         search: SearchConfig::default(),

@@ -60,13 +60,13 @@ fn main() {
         std::process::exit(1);
     });
     let mut w = BufWriter::new(file);
-    let inputs = ecl_bench::Inputs::new(scale, seed);
+    let generated = ecl_algos::cells::Input::new(spec, scale, seed);
     let (g, weights) = if weighted {
-        let g = inputs.weighted(spec);
+        let g = generated.weighted();
         ecl_graph::io::write_weighted(&mut w, g).expect("write");
         (g.csr(), ", weighted")
     } else {
-        let g = inputs.graph(spec);
+        let g = generated.graph();
         match format.as_str() {
             "bin" => ecl_graph::io::write_csr(&mut w, g).expect("write"),
             _ => ecl_graph::io::write_edge_list(&mut w, g).expect("write"),

@@ -9,10 +9,9 @@
 //! blocks). Anything else — above all any unsuppressed data race — is
 //! unexpected and fails the entry, which is what the CI job gates on.
 
+use ecl_algos::cells::side_by_side;
 use ecl_check::{fixtures, CheckSession, Report, Rule};
-use ecl_gpusim::Device;
-
-use crate::experiments::run_cells;
+use ecl_gpusim::{Device, DeviceConfig};
 
 /// One suite entry: a checked run plus its expected rule profile.
 pub struct SuiteEntry {
@@ -71,11 +70,12 @@ fn run_entry(device: &Device, entry: &SuiteEntry) -> EntryOutcome {
     EntryOutcome { name: entry.name, report, missing, unexpected }
 }
 
-/// Runs the whole suite at `scale`: the entries are cells
-/// ([`run_cells`]), each in order on its own scaled device, and the
-/// outcomes come back in suite order.
+/// Runs the whole suite at `scale`: the entries run side by side
+/// ([`side_by_side`]), each in order on its own RTX 4090 scaled by
+/// `scale`, and the outcomes come back in suite order.
 pub fn run_suite(scale: f64) -> Vec<EntryOutcome> {
-    run_cells(suite(), |e| run_entry(&crate::scaled_device(scale), &e))
+    let device = || Device::new(DeviceConfig::rtx4090_scaled(scale, 1));
+    side_by_side(suite(), |e| run_entry(&device(), &e))
 }
 
 fn cc_random(device: &Device) {

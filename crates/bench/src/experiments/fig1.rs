@@ -7,13 +7,11 @@
 //! the shape to look for is the §6.1.2 one: updates shrink and
 //! localize to ever fewer blocks as n grows.
 
-use ecl_graphgen::registry::find;
+use ecl_algos::cells::{Input, Key, Run};
+use ecl_gpusim::Device;
 use ecl_profiling::chart::column_chart;
 use ecl_profiling::{BlockSeries, Table};
 use ecl_scc::{SccConfig, SccResult};
-
-use super::in_order;
-use crate::{scaled_device_min, Inputs};
 
 /// The four (m, n) panels of the figure, resolved against a recorded
 /// series: (m=1, n=1), (m=1, late n), (m=2, n=1), (m=2, second-to-last
@@ -40,19 +38,26 @@ pub fn panels(series: &BlockSeries) -> Vec<(u32, u32)> {
     out
 }
 
-/// Runs ECL-SCC in order on the star mesh and returns the result (the
-/// series lives in `result.counters.series`).
-pub fn run_star(inputs: &Inputs) -> SccResult {
-    let g = inputs.graph(find("star").expect("star registered"));
-    let device = scaled_device_min(inputs.scale(), crate::SCC_MIN_SMS);
-    in_order(|| ecl_scc::run(&device, g, &SccConfig::original()))
+/// Only the star mesh is read, with no cell: the figure's per-block
+/// series is not part of an `Outcome`.
+pub fn keys(input: &Input) -> Option<Vec<Key>> {
+    (input.spec.name == "star").then(Vec::new)
 }
 
-/// Renders the figure from one run: a summary table over the four
+/// ECL-SCC's original configuration on the resident graph, in order,
+/// on the one device preset (the series lives in
+/// `result.counters.series`).
+pub fn row(input: &Input, _: &[&Run]) -> SccResult {
+    let scc = ecl_algos::find("scc").expect("scc registered");
+    let device = Device::new(ecl_algos::device_config(scc, input.scale));
+    ecl_scc::run(&device, input.graph(), &SccConfig::original())
+}
+
+/// Renders the figure from the one run: a summary table over the four
 /// panels, then each panel's per-block column chart (the terminal
 /// equivalent of the paper's scatter plots).
-pub fn render(inputs: &Inputs) -> String {
-    let (scale, r) = (inputs.scale(), run_star(inputs));
+pub fn render(scale: f64, rows: &[SccResult]) -> String {
+    let r = &rows[0];
     let series = &r.counters.series;
     let mut t = Table::new(
         &format!(
@@ -88,10 +93,15 @@ pub fn render(inputs: &Inputs) -> String {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::experiments::visited;
+
+    fn star() -> SccResult {
+        visited(keys, row, 0.002, 3).pop().unwrap()
+    }
 
     #[test]
     fn star_progresses_over_many_outer_iterations() {
-        let r = run_star(&Inputs::new(0.002, 3));
+        let r = star();
         // The registry's star has 10 layers -> ~10 outer iterations.
         assert!(r.outer_iterations >= 8, "expected deep peeling, got m = {}", r.outer_iterations);
         assert_eq!(r.num_sccs(), 10);
@@ -99,7 +109,7 @@ mod tests {
 
     #[test]
     fn updates_localize_late_in_m1() {
-        let r = run_star(&Inputs::new(0.002, 3));
+        let r = star();
         let s = &r.counters.series;
         let last = s.inner_iterations(1);
         assert!(last >= 2, "need at least two inner iterations, got {last}");
@@ -112,12 +122,11 @@ mod tests {
 
     #[test]
     fn panels_are_well_formed() {
-        let inputs = Inputs::new(0.002, 3);
-        let r = run_star(&inputs);
+        let r = star();
         let ps = panels(&r.counters.series);
         assert!(ps.len() >= 2);
         assert!(ps.iter().all(|&(m, n)| m >= 1 && n >= 1));
-        let text = render(&inputs);
+        let text = crate::experiments::render("fig1", 0.002, 3).unwrap();
         assert_eq!(text.matches("updates per block").count(), ps.len());
     }
 }

@@ -6,26 +6,30 @@
 //! of each kind, conflicts decrease with iteration count, useless
 //! atomics increase.
 
-use ecl_graphgen::registry::find;
+use ecl_algos::cells::{Input, Key, Run};
+use ecl_gpusim::Device;
 use ecl_mst::{MstConfig, MstResult};
 use ecl_profiling::chart::bar_chart;
 use ecl_profiling::series::IterationKind;
 
-use super::in_order;
-use crate::{scaled_device, Inputs};
-
-/// Runs the baseline ECL-MST in order on the amazon0601 analogue's
-/// weighted view.
-pub fn run_amazon(inputs: &Inputs) -> MstResult {
-    let g = inputs.weighted(find("amazon0601").expect("amazon0601 registered"));
-    let device = scaled_device(inputs.scale());
-    in_order(|| ecl_mst::run(&device, g, &MstConfig::baseline()))
+/// Only amazon0601 is read, with no cell: the figure's per-iteration
+/// bars are not part of an `Outcome`.
+pub fn keys(input: &Input) -> Option<Vec<Key>> {
+    (input.spec.name == "amazon0601").then(Vec::new)
 }
 
-/// Renders the figure from one run: the bar table, then grouped text
-/// bars per iteration.
-pub fn render(inputs: &Inputs) -> String {
-    let (scale, bars) = (inputs.scale(), run_amazon(inputs).counters.bars);
+/// The baseline ECL-MST on the resident weighted view, in order, on the
+/// one device preset (the bars live in `result.counters.bars`).
+pub fn row(input: &Input, _: &[&Run]) -> MstResult {
+    let mst = ecl_algos::find("mst").expect("mst registered");
+    let device = Device::new(ecl_algos::device_config(mst, input.scale));
+    ecl_mst::run(&device, input.weighted(), &MstConfig::baseline())
+}
+
+/// Renders the figure from the one run: the bar table, then grouped
+/// text bars per iteration.
+pub fn render(scale: f64, rows: &[MstResult]) -> String {
+    let bars = &rows[0].counters.bars;
     let mut entries = Vec::new();
     for b in bars.bars() {
         let kind = match b.kind {
@@ -50,9 +54,10 @@ mod tests {
     use ecl_profiling::series::IterationBar;
 
     use super::*;
+    use crate::experiments::visited;
 
     fn bars(scale: f64, seed: u64) -> Vec<IterationBar> {
-        run_amazon(&Inputs::new(scale, seed)).counters.bars.bars()
+        visited(keys, row, scale, seed)[0].counters.bars.bars()
     }
 
     #[test]

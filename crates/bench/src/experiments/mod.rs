@@ -1,17 +1,18 @@
-//! One module per reproduced table/figure. Each exposes
-//! `render(&Inputs) -> String`, the experiment's whole printed output,
-//! plus the rows its tests check. An experiment maps its cells (input ×
-//! configuration) with [`run_cells`] and folds the results in cell
-//! order, so a table prints the same bytes on any host, under any
-//! caller's dispatch policy and whatever the number of host threads.
-//! [`ALL`] lists the experiments in the report's order.
+//! One module per reproduced table/figure. Each declares its cells on a
+//! resident input (`keys`: algorithm × schedule, `None` where it does
+//! not read the input), folds their in-order runs into one `row` per
+//! input, and renders the rows (`render`). The cell runner
+//! ([`ecl_algos::cells`]) visits the registry's inputs one at a time
+//! and runs each distinct cell once for all the experiments of a pass,
+//! so a table prints the same bytes alone or in `all`, on any host,
+//! under any caller's dispatch policy. [`ALL`] lists the experiments in
+//! the report's order.
 
 use std::io::{self, Write};
 
-use ecl_gpusim::pool::{with_policy, DispatchPolicy};
-use rayon::prelude::*;
-
-use crate::Inputs;
+use ecl_algos::cells::{self, Input, Key, Run, Visitor};
+use ecl_graphgen::{all_inputs, general_inputs};
+use ecl_profiling::{Counter, SketchSnapshot};
 
 pub mod fig1;
 pub mod fig2;
@@ -24,109 +25,182 @@ pub mod table6;
 pub mod table7;
 pub mod table8;
 
-/// An experiment's printed output as a function of its inputs.
-pub type Render = fn(&Inputs) -> String;
+/// A reproduced table or figure, as the runner visits it.
+pub trait Experiment: Visitor + Send {
+    /// The printed output, from the rows the visits folded.
+    fn render(&self, scale: f64) -> String;
+}
 
-/// Every experiment as `(name, title, render)`, in the report's order.
-pub const ALL: [(&str, &str, Render); 10] = [
-    ("table1", "Table 1 — input graphs", table1::render),
-    ("table2", "Table 2 — ECL-MIS per-thread metrics", table2::render),
-    ("table3", "Table 3 — ECL-MIS across runs", table3::render),
-    ("table4", "Table 4 — ECL-CC init kernel", table4::render),
-    ("table5", "Table 5 — ECL-GC runLarge statistics", table5::render),
-    ("table6", "Table 6 — ECL-SCC block-size speedups", table6::render),
-    ("table7", "Table 7 — ECL-CC init-optimization speedups", table7::render),
-    ("table8", "Table 8 — ECL-MST launch-configuration fix", table8::render),
-    ("fig1", "Figure 1 — ECL-SCC code progression (star)", fig1::render),
-    ("fig2", "Figure 2 — ECL-MST iteration metrics (amazon0601)", fig2::render),
+/// An experiment's parts and the rows folded so far.
+struct Rows<R> {
+    keys: fn(&Input) -> Option<Vec<Key>>,
+    row: fn(&Input, &[&Run]) -> R,
+    render: fn(f64, &[R]) -> String,
+    rows: Vec<R>,
+}
+
+impl<R> Visitor for Rows<R> {
+    fn keys(&mut self, input: &Input) -> Option<Vec<Key>> {
+        (self.keys)(input)
+    }
+
+    fn fold(&mut self, input: &Input, runs: &[&Run]) {
+        self.rows.push((self.row)(input, runs));
+    }
+}
+
+impl<R: Send> Experiment for Rows<R> {
+    fn render(&self, scale: f64) -> String {
+        (self.render)(scale, &self.rows)
+    }
+}
+
+fn rows<R: Send + 'static>(
+    keys: fn(&Input) -> Option<Vec<Key>>,
+    row: fn(&Input, &[&Run]) -> R,
+    render: fn(f64, &[R]) -> String,
+) -> Box<dyn Experiment> {
+    Box::new(Rows { keys, row, render, rows: Vec::new() })
+}
+
+/// A fresh experiment, nothing visited yet.
+pub type New = fn() -> Box<dyn Experiment>;
+
+/// The [`New`] of the experiment module `$m` (its `keys`, `row` and
+/// `render`).
+macro_rules! new {
+    ($m:ident) => {
+        || rows($m::keys, $m::row, $m::render)
+    };
+}
+
+/// Every experiment as `(name, title, new)`, in the report's order.
+pub const ALL: [(&str, &str, New); 10] = [
+    ("table1", "Table 1 — input graphs", new!(table1)),
+    ("table2", "Table 2 — ECL-MIS per-thread metrics", new!(table2)),
+    ("table3", "Table 3 — ECL-MIS across runs", new!(table3)),
+    ("table4", "Table 4 — ECL-CC init kernel", new!(table4)),
+    ("table5", "Table 5 — ECL-GC runLarge statistics", new!(table5)),
+    ("table6", "Table 6 — ECL-SCC block-size speedups", new!(table6)),
+    ("table7", "Table 7 — ECL-CC init-optimization speedups", new!(table7)),
+    ("table8", "Table 8 — ECL-MST launch-configuration fix", new!(table8)),
+    ("fig1", "Figure 1 — ECL-SCC code progression (star)", new!(fig1)),
+    ("fig2", "Figure 2 — ECL-MST iteration metrics (amazon0601)", new!(fig2)),
 ];
 
-/// Runs `f` with one simulator worker: in-order execution, the
-/// schedule whose modeled time is a pure function of the inputs. The
-/// paper's tables are printed, and their shapes tested, under it.
-pub fn in_order<R>(f: impl FnOnce() -> R) -> R {
-    with_policy(DispatchPolicy::sequential(), f)
+/// Whether `input` is one of the 17 general (non-SCC) inputs.
+fn general(input: &Input) -> bool {
+    general_inputs().iter().any(|spec| spec.name == input.spec.name)
 }
 
-/// Runs `cell` on every cell side by side, one host thread per
-/// available core, each in order ([`in_order`]) on its own device; the
-/// results come back in cell order.
-pub fn run_cells<T: Send, R: Send>(
-    cells: impl IntoIterator<Item = T>,
-    cell: impl Fn(T) -> R + Sync,
-) -> Vec<R> {
-    let cells: Vec<T> = cells.into_iter().collect();
-    cells.into_par_iter().map(|c| in_order(|| cell(c))).collect()
+/// The count `name` among a run's aggregates or counters.
+fn count(run: &Run, name: &str) -> u64 {
+    match run.outcome.aggregates.iter().find(|(n, _)| *n == name) {
+        Some(&(_, v)) => v,
+        None => match counter(run, name) {
+            Counter::Count(v) => *v,
+            _ => panic!("{name} is not a count"),
+        },
+    }
 }
 
-/// The printed output of the experiment called `name`; `None` if no
-/// experiment has that name.
-pub fn render(name: &str, inputs: &Inputs) -> Option<String> {
-    let &(_, _, render) = ALL.iter().find(|(n, _, _)| *n == name)?;
-    Some(render(inputs))
+/// The sketch counter `name` of a run.
+fn sketch(run: &Run, name: &str) -> SketchSnapshot {
+    match counter(run, name) {
+        Counter::Sketch(s) => s.clone(),
+        _ => panic!("{name} is not a sketch"),
+    }
+}
+
+fn counter<'a>(run: &'a Run, name: &str) -> &'a Counter {
+    let found = run.outcome.counters.iter().find(|(n, _)| *n == name);
+    &found.unwrap_or_else(|| panic!("no counter {name}")).1
+}
+
+/// Runs `experiments` on one pass of the cell runner over the
+/// registry's inputs; returns the runner's executions ([`cells::run`]).
+pub fn run(
+    experiments: &mut [Box<dyn Experiment>],
+    scale: f64,
+    seed: u64,
+) -> Vec<(&'static str, Key)> {
+    let mut visitors: Vec<&mut dyn Visitor> =
+        experiments.iter_mut().map(|e| &mut **e as &mut dyn Visitor).collect();
+    cells::run(all_inputs(), scale, seed, &mut visitors)
+}
+
+/// The printed output of the experiment called `name` at
+/// `scale`/`seed`; `None` if no experiment has that name.
+pub fn render(name: &str, scale: f64, seed: u64) -> Option<String> {
+    let &(_, _, new) = ALL.iter().find(|(n, _, _)| *n == name)?;
+    let mut experiment = [new()];
+    run(&mut experiment, scale, seed);
+    Some(experiment[0].render(scale))
 }
 
 /// Writes every experiment as one markdown report: a heading and a
-/// fenced block per experiment, all on `inputs`.
-pub fn report(inputs: &Inputs, out: &mut impl Write) -> io::Result<()> {
+/// fenced block per experiment, all folded from one pass of the runner.
+pub fn report(scale: f64, seed: u64, out: &mut impl Write) -> io::Result<()> {
+    let mut experiments: Vec<Box<dyn Experiment>> = ALL.iter().map(|(_, _, new)| new()).collect();
+    run(&mut experiments, scale, seed);
     write!(
         out,
-        "# ecl-profiling-rs experiment report\n\nscale {}, seed {}. \
+        "# ecl-profiling-rs experiment report\n\nscale {scale}, seed {seed}. \
          Shapes are checked against the paper; see EXPERIMENTS.md for the\n\
-         full paper-vs-measured discussion.\n\n",
-        inputs.scale(),
-        inputs.seed()
+         full paper-vs-measured discussion.\n\n"
     )?;
-    for (_, title, render) in ALL {
-        write!(out, "## {title}\n\n```text\n{}```\n\n", render(inputs))?;
+    for ((_, title, _), experiment) in ALL.iter().zip(&experiments) {
+        write!(out, "## {title}\n\n```text\n{}```\n\n", experiment.render(scale))?;
     }
     Ok(())
+}
+
+/// The rows `keys` and `row` fold from one pass of the runner alone
+/// (the experiments' tests read them).
+#[cfg(test)]
+fn visited<R>(
+    keys: fn(&Input) -> Option<Vec<Key>>,
+    row: fn(&Input, &[&Run]) -> R,
+    scale: f64,
+    seed: u64,
+) -> Vec<R> {
+    let mut rows = Rows { keys, row, render: |_, _| String::new(), rows: Vec::new() };
+    cells::run(all_inputs(), scale, seed, &mut [&mut rows]);
+    rows.rows
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
+    use ecl_gpusim::pool::{with_policy, DispatchPolicy};
+
     use super::*;
 
     #[test]
     fn rendering_ignores_the_callers_pool() {
-        let pooled =
-            || with_policy(DispatchPolicy::pooled(2), || render("table6", &Inputs::new(0.002, 3)));
-        let first = pooled().unwrap();
-        assert_eq!(pooled().unwrap(), first);
-        let sequential =
-            with_policy(DispatchPolicy::sequential(), || table6::render(&Inputs::new(0.002, 3)));
-        assert_eq!(first, sequential);
-    }
-
-    #[test]
-    fn cells_run_side_by_side_give_the_sequential_answer() {
-        let cell = |i: u64| (i, ecl_gpusim::pool::effective_workers());
-        let side_by_side = run_cells(0..64, cell);
-        let sequential: Vec<_> = (0..64).map(|i| in_order(|| cell(i))).collect();
-        assert_eq!(side_by_side, sequential);
-        assert!(side_by_side.iter().all(|&(_, workers)| workers == 1));
+        let table6 = |policy| with_policy(policy, || render("table6", 0.002, 3).unwrap());
+        let first = table6(DispatchPolicy::pooled(2));
+        assert_eq!(table6(DispatchPolicy::pooled(2)), first);
+        assert_eq!(table6(DispatchPolicy::sequential()), first);
     }
 
     #[test]
     fn the_report_equals_each_experiment_on_fresh_inputs() {
-        let shared = Inputs::new(0.002, 3);
         let mut text = Vec::new();
-        report(&shared, &mut text).unwrap();
+        report(0.002, 3, &mut text).unwrap();
         let text = String::from_utf8(text).unwrap();
         let sections: Vec<&str> =
             text.split("```text\n").skip(1).map(|s| s.split_once("```").unwrap().0).collect();
         assert_eq!(sections.len(), ALL.len());
         for ((name, title, _), section) in ALL.iter().zip(sections) {
             assert!(text.contains(&format!("## {title}\n")), "{name}");
-            assert_eq!(section, render(name, &Inputs::new(0.002, 3)).unwrap(), "{name}");
+            assert_eq!(section, render(name, 0.002, 3).unwrap(), "{name}");
         }
     }
 
     #[test]
     fn unknown_names_render_nothing() {
-        let inputs = Inputs::new(0.002, 3);
-        assert_eq!(render("table9", &inputs), None);
-        assert_eq!(render("all", &inputs), None);
+        assert_eq!(render("table9", 0.002, 3), None);
+        assert_eq!(render("all", 0.002, 3), None);
     }
 }

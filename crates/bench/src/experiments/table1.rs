@@ -2,14 +2,13 @@
 //!
 //! Prints the generated synthetic analogue of every paper input with
 //! the same columns (Edges, Vertices, Type, d-avg, d-max) plus the
-//! paper's values for comparison.
+//! paper's values for comparison. No cells: each row is measured on the
+//! resident graph.
 
+use ecl_algos::cells::{Input, Key, Run};
 use ecl_graph::DegreeStats;
-use ecl_graphgen::{all_inputs, InputSpec};
+use ecl_graphgen::InputSpec;
 use ecl_profiling::Table;
-
-use super::run_cells;
-use crate::Inputs;
 
 /// One generated row.
 #[derive(Clone, Debug)]
@@ -20,14 +19,18 @@ pub struct Row {
     pub stats: DegreeStats,
 }
 
-/// Measures every input, one cell each.
-pub fn rows(inputs: &Inputs) -> Vec<Row> {
-    run_cells(all_inputs(), |spec| Row { spec, stats: DegreeStats::of(inputs.graph(spec)) })
+/// Every input is read, with no cell.
+pub fn keys(_: &Input) -> Option<Vec<Key>> {
+    Some(Vec::new())
+}
+
+/// Measures the resident graph.
+pub fn row(input: &Input, _: &[&Run]) -> Row {
+    Row { spec: input.spec, stats: DegreeStats::of(input.graph()) }
 }
 
 /// Renders the rows as the paper-shaped table.
-pub fn render(inputs: &Inputs) -> String {
-    let scale = inputs.scale();
+pub fn render(scale: f64, rows: &[Row]) -> String {
     let mut t = Table::new(
         &format!("Table 1: input graphs (synthetic analogues, scale {scale})"),
         &[
@@ -41,7 +44,7 @@ pub fn render(inputs: &Inputs) -> String {
             "paper d-max",
         ],
     );
-    for r in rows(inputs) {
+    for r in rows {
         t.row(&[
             r.spec.name,
             &r.stats.num_arcs.to_string(),
@@ -59,18 +62,21 @@ pub fn render(inputs: &Inputs) -> String {
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
+    use ecl_graphgen::all_inputs;
+
     use super::*;
+    use crate::experiments::visited;
 
     #[test]
     fn covers_all_22_inputs() {
-        let text = render(&Inputs::new(0.002, 1));
+        let text = render(0.002, &visited(keys, row, 0.002, 1));
         assert_eq!(text.lines().count(), 4 + 22, "title, rule, header, rule, one row per input");
         assert!(all_inputs().all(|spec| text.contains(spec.name)));
     }
 
     #[test]
     fn grid_row_degree_exact() {
-        let rs = rows(&Inputs::new(0.002, 1));
+        let rs = visited(keys, row, 0.002, 1);
         let grid = rs.iter().find(|r| r.spec.name == "2d-2e20.sym").unwrap();
         assert_eq!(grid.stats.d_max, 4);
         assert!((grid.stats.d_avg - 4.0).abs() < 1e-9);

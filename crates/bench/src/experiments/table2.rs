@@ -7,13 +7,11 @@
 //! the paper), max iterations vs. |V| (r = −0.37), finalized vs. |V|
 //! (r ≥ 0.98).
 
+use ecl_algos::cells::{Input, Key, Run};
 use ecl_graph::DegreeStats;
-use ecl_graphgen::general_inputs;
-use ecl_mis::MisConfig;
-use ecl_profiling::{pearson, Summary, Table};
+use ecl_profiling::{pearson, SketchSnapshot, Table};
 
-use super::run_cells;
-use crate::{scaled_device, Inputs};
+use super::{general, sketch};
 
 /// One input's measured metrics.
 #[derive(Clone, Debug)]
@@ -21,29 +19,29 @@ pub struct Row {
     /// Input name.
     pub name: &'static str,
     /// Per-thread iteration counts.
-    pub iterations: Summary,
+    pub iterations: SketchSnapshot,
     /// Per-thread assigned-vertex counts.
-    pub assigned: Summary,
+    pub assigned: SketchSnapshot,
     /// Per-thread finalized-vertex counts.
-    pub finalized: Summary,
+    pub finalized: SketchSnapshot,
     /// Degree statistics of the generated input.
     pub stats: DegreeStats,
 }
 
-/// Runs ECL-MIS on every general input, one cell each.
-pub fn rows(inputs: &Inputs) -> Vec<Row> {
-    run_cells(general_inputs(), |spec| {
-        let g = inputs.graph(spec);
-        let device = scaled_device(inputs.scale());
-        let r = ecl_mis::run(&device, g, &MisConfig::default());
-        Row {
-            name: spec.name,
-            iterations: r.counters.iterations.summary(),
-            assigned: r.counters.assigned.summary(),
-            finalized: r.counters.finalized.summary(),
-            stats: DegreeStats::of(g),
-        }
-    })
+/// ECL-MIS under its default schedule on every general input.
+pub fn keys(input: &Input) -> Option<Vec<Key>> {
+    general(input).then(|| vec![Key::new("mis", &[])])
+}
+
+/// The run's per-thread counters and the graph's degree statistics.
+pub fn row(input: &Input, runs: &[&Run]) -> Row {
+    Row {
+        name: input.spec.name,
+        iterations: sketch(runs[0], "mis/iterations"),
+        assigned: sketch(runs[0], "mis/assigned"),
+        finalized: sketch(runs[0], "mis/finalized"),
+        stats: DegreeStats::of(input.graph()),
+    }
 }
 
 /// The §6.1.1 correlations over a set of measured rows:
@@ -51,30 +49,29 @@ pub fn rows(inputs: &Inputs) -> Vec<Row> {
 pub fn correlations(rows: &[Row]) -> (f64, f64, f64) {
     let skew: Vec<f64> = rows.iter().map(|r| r.stats.skew).collect();
     let nv: Vec<f64> = rows.iter().map(|r| r.stats.num_vertices as f64).collect();
-    let avg_it: Vec<f64> = rows.iter().map(|r| r.iterations.avg).collect();
-    let max_it: Vec<f64> = rows.iter().map(|r| r.iterations.max).collect();
-    let fin_avg: Vec<f64> = rows.iter().map(|r| r.finalized.avg).collect();
+    let avg_it: Vec<f64> = rows.iter().map(|r| r.iterations.mean()).collect();
+    let max_it: Vec<f64> = rows.iter().map(|r| r.iterations.max as f64).collect();
+    let fin_avg: Vec<f64> = rows.iter().map(|r| r.finalized.mean()).collect();
     (pearson(&skew, &avg_it), pearson(&nv, &max_it), pearson(&nv, &fin_avg))
 }
 
 /// Renders the paper-shaped table and the §6.1.1 correlations.
-pub fn render(inputs: &Inputs) -> String {
-    let (scale, rs) = (inputs.scale(), rows(inputs));
+pub fn render(scale: f64, rows: &[Row]) -> String {
     let mut t = Table::new(
         &format!("Table 2: ECL-MIS metrics (scale {scale})"),
         &["Graph", "Iter Avg", "Iter Max", "Vertices Avg", "Final Avg", "Final Max"],
     );
-    for r in &rs {
+    for r in rows {
         t.row(&[
             r.name,
-            &format!("{:.2}", r.iterations.avg),
-            &format!("{:.0}", r.iterations.max),
-            &format!("{:.2}", r.assigned.avg),
-            &format!("{:.2}", r.finalized.avg),
-            &format!("{:.0}", r.finalized.max),
+            &format!("{:.2}", r.iterations.mean()),
+            &r.iterations.max.to_string(),
+            &format!("{:.2}", r.assigned.mean()),
+            &format!("{:.2}", r.finalized.mean()),
+            &r.finalized.max.to_string(),
         ]);
     }
-    let (r_skew, r_maxnv, r_finnv) = correlations(&rs);
+    let (r_skew, r_maxnv, r_finnv) = correlations(rows);
     format!(
         "{}\nCorrelations: avg-iterations vs skew r = {r_skew:.2} (paper 0.64), \
          max-iterations vs |V| r = {r_maxnv:.2} (paper -0.37), \
@@ -87,11 +84,12 @@ pub fn render(inputs: &Inputs) -> String {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::experiments::visited;
 
     #[test]
     fn correlations_have_paper_signs() {
         // Small scale keeps this test fast; the signs are the claim.
-        let rs = rows(&Inputs::new(0.002, 7));
+        let rs = visited(keys, row, 0.002, 7);
         assert_eq!(rs.len(), 17);
         let (iter_skew, max_nv, fin_nv) = correlations(&rs);
         assert!(
@@ -111,9 +109,9 @@ mod tests {
 
     #[test]
     fn assigned_is_balanced_per_input() {
-        for r in rows(&Inputs::new(0.002, 3)).iter().take(4) {
+        for r in visited(keys, row, 0.002, 3).iter().take(4) {
             assert!(
-                r.assigned.max - r.assigned.min <= 1.0,
+                r.assigned.max - r.assigned.min <= 1,
                 "{}: round-robin should balance within 1, got {:?}",
                 r.name,
                 r.assigned

@@ -4,13 +4,11 @@
 //! while searching for the first smaller neighbor. A large gap flags
 //! the §6.2.2 wasted work (fruitless full scans of sorted lists).
 
-use ecl_cc::CcConfig;
-use ecl_graphgen::general_inputs;
+use ecl_algos::cells::{Input, Key, Run};
 use ecl_profiling::table::sci;
 use ecl_profiling::Table;
 
-use super::run_cells;
-use crate::{scaled_device, Inputs};
+use super::{count, general};
 
 /// One input's init-kernel counters.
 #[derive(Clone, Copy, Debug)]
@@ -34,27 +32,28 @@ impl Row {
     }
 }
 
-/// Runs the baseline ECL-CC on every general input, one cell each.
-pub fn rows(inputs: &Inputs) -> Vec<Row> {
-    run_cells(general_inputs(), |spec| {
-        let device = scaled_device(inputs.scale());
-        let r = ecl_cc::run(&device, inputs.graph(spec), &CcConfig::baseline());
-        Row {
-            name: spec.name,
-            initialized: r.counters.vertices_initialized.get(),
-            traversed: r.counters.vertices_traversed.get(),
-        }
-    })
+/// The baseline ECL-CC (default schedule) on every general input —
+/// Table 7's baseline cell.
+pub fn keys(input: &Input) -> Option<Vec<Key>> {
+    general(input).then(|| vec![Key::new("cc", &[])])
+}
+
+/// The run's init counters.
+pub fn row(input: &Input, runs: &[&Run]) -> Row {
+    Row {
+        name: input.spec.name,
+        initialized: count(runs[0], "cc/vertices_initialized"),
+        traversed: count(runs[0], "cc/vertices_traversed"),
+    }
 }
 
 /// Renders the paper-shaped table.
-pub fn render(inputs: &Inputs) -> String {
-    let (scale, rs) = (inputs.scale(), rows(inputs));
+pub fn render(scale: f64, rows: &[Row]) -> String {
     let mut t = Table::new(
         &format!("Table 4: ECL-CC init kernel (scale {scale})"),
         &["Graph", "Vertices initialized", "Vertices traversed", "traversed/initialized"],
     );
-    for r in &rs {
+    for r in rows {
         t.row(&[
             r.name,
             &sci(r.initialized as f64),
@@ -69,19 +68,23 @@ pub fn render(inputs: &Inputs) -> String {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::experiments::visited;
+
+    fn rows() -> Vec<Row> {
+        visited(keys, row, 0.002, 5)
+    }
 
     #[test]
     fn initialized_equals_vertex_count() {
-        let inputs = Inputs::new(0.002, 5);
-        for r in rows(&inputs).iter().take(6) {
-            let g = inputs.graph(ecl_graphgen::registry::find(r.name).unwrap());
+        for r in rows().iter().take(6) {
+            let g = ecl_graphgen::registry::find(r.name).unwrap().generate(0.002, 5);
             assert_eq!(r.initialized as usize, g.num_vertices(), "{}", r.name);
         }
     }
 
     #[test]
     fn traversed_at_least_initialized_minus_isolated() {
-        for r in rows(&Inputs::new(0.002, 5)) {
+        for r in rows() {
             assert!(r.traversed >= r.initialized / 2, "{}: {:?}", r.name, r);
         }
     }
@@ -90,7 +93,7 @@ mod tests {
     fn grid_gap_exceeds_skewed_graph_gap() {
         // Paper: cit-Patents/grids show big gaps, as-skitter nearly
         // none. Our torus vs PA graph must show the same contrast.
-        let rs = rows(&Inputs::new(0.002, 5));
+        let rs = rows();
         let grid = rs.iter().find(|r| r.name == "2d-2e20.sym").unwrap();
         let skitter = rs.iter().find(|r| r.name == "as-skitter").unwrap();
         assert!(

@@ -6,12 +6,11 @@
 //! passes). Speedups are modeled-cost ratios against the original 512
 //! threads/block configuration, evaluated on the five SCC meshes.
 
-use ecl_graphgen::scc_inputs;
+use ecl_algos::cells::{Input, Key, Run};
+use ecl_gpusim::KnobValue;
 use ecl_profiling::Table;
-use ecl_scc::SccConfig;
 
-use super::run_cells;
-use crate::{scaled_device_min, Inputs};
+use super::count;
 
 /// Block sizes swept by the paper (original = 512).
 pub const BLOCK_SIZES: [usize; 4] = [64, 128, 256, 1024];
@@ -31,39 +30,41 @@ pub struct Row {
     pub speedups: Vec<f64>,
 }
 
-/// Sweeps the block sizes over every mesh, one cell per (mesh, block
-/// size), the original size first.
-pub fn rows(inputs: &Inputs) -> Vec<Row> {
-    let sizes = [ORIGINAL].into_iter().chain(BLOCK_SIZES);
-    let cells = scc_inputs().iter().flat_map(|spec| sizes.clone().map(move |bs| (spec, bs)));
-    let costs = run_cells(cells, |(spec, block_size)| {
-        let device = scaled_device_min(inputs.scale(), crate::SCC_MIN_SMS);
-        let r = ecl_scc::run(&device, inputs.graph(spec), &SccConfig::with_block_size(block_size));
-        // Critical-path (parallel) time, divided by achievable SM
-        // occupancy: blocks are scheduled whole, so 1024-thread blocks
-        // leave a third of each 1536-thread SM idle — a hardware effect
-        // the work tally cannot see.
-        r.modeled_parallel_time / device.config().occupancy(block_size)
-    });
-    scc_inputs()
-        .iter()
-        .zip(costs.chunks(1 + BLOCK_SIZES.len()))
-        .map(|(spec, costs)| {
-            let baseline = costs[0];
-            let speedups = costs[1..].iter().map(|cost| baseline / cost).collect();
-            Row { name: spec.name, baseline_cost: baseline, speedups }
-        })
-        .collect()
+/// The sizes each mesh runs: the original, then the sweep largest
+/// first. Larger blocks run longest (§6.2.1) and the runner starts the
+/// cells in the order they are declared, so the long ones start first.
+const RUN_ORDER: [usize; 5] = [ORIGINAL, 1024, 256, 128, 64];
+
+/// ECL-SCC at each block size on every mesh.
+pub fn keys(input: &Input) -> Option<Vec<Key>> {
+    let key = |bs: usize| Key::new("scc", &[("block_size", KnobValue::Int(bs as i64))]);
+    input.spec.directed.then(|| RUN_ORDER.map(key).to_vec())
+}
+
+/// Each size's speedup over the original.
+pub fn row(input: &Input, runs: &[&Run]) -> Row {
+    let scc = ecl_algos::find("scc").expect("scc registered");
+    let device = ecl_algos::device_config(scc, input.scale);
+    // Critical-path (parallel) time in whole units, divided by
+    // achievable SM occupancy: blocks are scheduled whole, so
+    // 1024-thread blocks leave a third of each 1536-thread SM idle — a
+    // hardware effect the work tally cannot see.
+    let cost = |bs: usize| {
+        let run = runs[RUN_ORDER.iter().position(|&size| size == bs).expect("a swept size")];
+        count(run, "scc/modeled_parallel_time") as f64 / device.occupancy(bs)
+    };
+    let baseline = cost(ORIGINAL);
+    let speedups = BLOCK_SIZES.iter().map(|&bs| baseline / cost(bs)).collect();
+    Row { name: input.spec.name, baseline_cost: baseline, speedups }
 }
 
 /// Renders the paper-shaped table.
-pub fn render(inputs: &Inputs) -> String {
-    let (scale, rs) = (inputs.scale(), rows(inputs));
+pub fn render(scale: f64, rows: &[Row]) -> String {
     let mut t = Table::new(
         &format!("Table 6: ECL-SCC block-size speedups vs 512 (scale {scale}, modeled cost)"),
         &["Graph", "64", "128", "256", "1024"],
     );
-    for r in &rs {
+    for r in rows {
         let mut cells = vec![r.name.to_string()];
         cells.extend(r.speedups.iter().map(|s| format!("{s:.2}")));
         t.row_owned(cells);
@@ -75,10 +76,11 @@ pub fn render(inputs: &Inputs) -> String {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::experiments::visited;
 
     #[test]
     fn covers_all_meshes_with_positive_speedups() {
-        let rs = rows(&Inputs::new(0.002, 3));
+        let rs = visited(keys, row, 0.002, 3);
         assert_eq!(rs.len(), 5);
         for r in &rs {
             assert_eq!(r.speedups.len(), 4);
@@ -96,7 +98,7 @@ mod tests {
         // lands at 256/512 (see EXPERIMENTS.md), but in both the
         // interior beats the extremes. The margins are modeled time,
         // so the claim is about the in-order schedule every cell runs.
-        let rs = rows(&Inputs::new(0.002, 3));
+        let rs = visited(keys, row, 0.002, 3);
         let avg = |idx: usize| rs.iter().map(|r| r.speedups[idx]).sum::<f64>() / rs.len() as f64;
         let interior_best = avg(1).max(avg(2)).max(1.0);
         let extreme_best = avg(0).max(avg(3));

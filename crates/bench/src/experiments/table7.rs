@@ -4,12 +4,11 @@
 //! with a large Table 4 gap benefit. Speedups are modeled-cost ratios
 //! of the full run (baseline / optimized).
 
-use ecl_cc::CcConfig;
-use ecl_graphgen::general_inputs;
+use ecl_algos::cells::{Input, Key, Run};
+use ecl_gpusim::KnobValue;
 use ecl_profiling::Table;
 
-use super::run_cells;
-use crate::{scaled_device, Inputs};
+use super::{general, table4};
 
 /// One input's speedup.
 #[derive(Clone, Copy, Debug)]
@@ -23,34 +22,32 @@ pub struct Row {
     pub gap: f64,
 }
 
-/// Runs both variants on every general input, one cell per input.
-pub fn rows(inputs: &Inputs) -> Vec<Row> {
-    run_cells(general_inputs(), |spec| {
-        let g = inputs.graph(spec);
-        let d_base = scaled_device(inputs.scale());
-        let r = ecl_cc::run(&d_base, g, &CcConfig::baseline());
-        let gap = if r.counters.vertices_initialized.get() == 0 {
-            0.0
-        } else {
-            r.counters.vertices_traversed.get() as f64
-                / r.counters.vertices_initialized.get() as f64
-        };
-        let d_opt = scaled_device(inputs.scale());
-        let r_opt = ecl_cc::run(&d_opt, g, &CcConfig::optimized());
-        assert_eq!(r.labels, r_opt.labels, "{}: optimization changed the result", spec.name);
-        Row { name: spec.name, speedup: d_base.modeled_time() / d_opt.modeled_time(), gap }
-    })
+/// Both variants on every general input: the baseline (Table 4's cell)
+/// and `optimized_init`.
+pub fn keys(input: &Input) -> Option<Vec<Key>> {
+    let optimized = Key::new("cc", &[("optimized_init", KnobValue::Bool(true))]);
+    general(input).then(|| vec![Key::new("cc", &[]), optimized])
+}
+
+/// The optimization's speedup; it must not change the components.
+pub fn row(input: &Input, runs: &[&Run]) -> Row {
+    let (base, opt, name) = (runs[0], runs[1], input.spec.name);
+    assert_eq!(
+        base.outcome.aggregates, opt.outcome.aggregates,
+        "{name}: optimization changed the result"
+    );
+    let gap = table4::row(input, runs).gap();
+    Row { name, speedup: base.modeled_time / opt.modeled_time, gap }
 }
 
 /// Renders the paper-shaped table. The paper lists only inputs with a
 /// noticeable speedup; we print all, flagging the >2% ones.
-pub fn render(inputs: &Inputs) -> String {
-    let (scale, rs) = (inputs.scale(), rows(inputs));
+pub fn render(scale: f64, rows: &[Row]) -> String {
     let mut t = Table::new(
         &format!("Table 7: ECL-CC first-neighbor init speedup (scale {scale}, modeled cost)"),
         &["Graph", "Speedup", "Init gap", "Noticeable"],
     );
-    for r in &rs {
+    for r in rows {
         t.row(&[
             r.name,
             &format!("{:.3}", r.speedup),
@@ -65,10 +62,11 @@ pub fn render(inputs: &Inputs) -> String {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::experiments::visited;
 
     #[test]
     fn optimization_never_slower_much() {
-        for r in rows(&Inputs::new(0.002, 9)) {
+        for r in visited(keys, row, 0.002, 9) {
             assert!(
                 r.speedup > 0.95,
                 "{}: optimized init should not slow the run down: {}",
@@ -80,7 +78,7 @@ mod tests {
 
     #[test]
     fn big_gap_inputs_speed_up_more() {
-        let rs = rows(&Inputs::new(0.002, 9));
+        let rs = visited(keys, row, 0.002, 9);
         let max_gap = rs.iter().cloned().fold(rs[0], |a, b| if b.gap > a.gap { b } else { a });
         let min_gap = rs.iter().cloned().fold(rs[0], |a, b| if b.gap < a.gap { b } else { a });
         assert!(

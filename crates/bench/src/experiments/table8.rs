@@ -6,12 +6,11 @@
 //! the net effect near-neutral (−3.35% … +3.33%). Reported as percent
 //! change in modeled cost (positive = the fix helped).
 
-use ecl_graphgen::general_inputs;
-use ecl_mst::MstConfig;
+use ecl_algos::cells::{Input, Key, Run};
+use ecl_gpusim::KnobValue;
 use ecl_profiling::Table;
 
-use super::run_cells;
-use crate::{scaled_device, Inputs};
+use super::{count, general};
 
 /// One input's runtime change.
 #[derive(Clone, Copy, Debug)]
@@ -22,39 +21,29 @@ pub struct Row {
     pub pct_change: f64,
 }
 
-/// Runs both variants on every general input's weighted view, one cell
-/// per (input, variant).
-pub fn rows(inputs: &Inputs) -> Vec<Row> {
-    let variants = [MstConfig::baseline(), MstConfig::fixed()];
-    let cells = general_inputs().iter().flat_map(|spec| variants.iter().map(move |v| (spec, v)));
-    let runs = run_cells(cells, |(spec, variant)| {
-        let device = scaled_device(inputs.scale());
-        let r = ecl_mst::run(&device, inputs.weighted(spec), variant);
-        (r.total_weight, device.modeled_time())
-    });
-    general_inputs()
-        .iter()
-        .zip(runs.chunks(variants.len()))
-        .map(|(spec, runs)| {
-            let ((base_weight, t0), (fixed_weight, t1)) = (runs[0], runs[1]);
-            assert_eq!(
-                base_weight, fixed_weight,
-                "{}: launch fix changed the MST weight",
-                spec.name
-            );
-            Row { name: spec.name, pct_change: 100.0 * (t0 - t1) / t0 }
-        })
-        .collect()
+/// Both variants on every general input's weighted view: the baseline
+/// and `fixed_launch`.
+pub fn keys(input: &Input) -> Option<Vec<Key>> {
+    let fixed = Key::new("mst", &[("fixed_launch", KnobValue::Bool(true))]);
+    general(input).then(|| vec![Key::new("mst", &[]), fixed])
+}
+
+/// The fix's change in modeled cost; it must not change the weight.
+pub fn row(input: &Input, runs: &[&Run]) -> Row {
+    let (base, fixed, name) = (runs[0], runs[1], input.spec.name);
+    let weight = |run| count(run, "total_weight");
+    assert_eq!(weight(base), weight(fixed), "{name}: launch fix changed the MST weight");
+    let (t0, t1) = (base.modeled_time, fixed.modeled_time);
+    Row { name, pct_change: 100.0 * (t0 - t1) / t0 }
 }
 
 /// Renders the paper-shaped table.
-pub fn render(inputs: &Inputs) -> String {
-    let (scale, rs) = (inputs.scale(), rows(inputs));
+pub fn render(scale: f64, rows: &[Row]) -> String {
     let mut t = Table::new(
         &format!("Table 8: ECL-MST corrected launch config (scale {scale}, modeled cost)"),
         &["Graph", "Runtime % change"],
     );
-    for r in &rs {
+    for r in rows {
         t.row(&[r.name, &format!("{:+.2}", r.pct_change)]);
     }
     t.render()
@@ -64,13 +53,14 @@ pub fn render(inputs: &Inputs) -> String {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::experiments::visited;
 
     #[test]
     fn changes_are_modest() {
         // The experiment's point: the fix is nearly performance
         // neutral. Allow a loose band — the shape claim is "no
         // dramatic win", not an exact number.
-        for r in rows(&Inputs::new(0.002, 13)) {
+        for r in visited(keys, row, 0.002, 13) {
             assert!(
                 r.pct_change.abs() < 60.0,
                 "{}: launch-config change should be modest, got {:+.2}%",
@@ -85,7 +75,7 @@ mod tests {
         // Paper Table 8 mixes small wins and small losses. At tiny
         // scale at least one input should not benefit dramatically;
         // assert the average stays near zero rather than exact signs.
-        let rs = rows(&Inputs::new(0.002, 13));
+        let rs = visited(keys, row, 0.002, 13);
         let avg: f64 = rs.iter().map(|r| r.pct_change).sum::<f64>() / rs.len() as f64;
         assert!(avg.abs() < 40.0, "average change {avg:+.2}% is not near-neutral");
     }

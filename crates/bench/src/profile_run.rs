@@ -36,7 +36,7 @@ use ecl_profiling::{Counter, SketchSnapshot};
 pub struct ProfileSpec<'a> {
     /// Algorithm (resolve a name with [`ecl_algos::find`]).
     pub algo: &'a dyn Algorithm,
-    /// The input every repeat runs on (e.g. [`crate::Inputs::views`]);
+    /// The input every repeat runs on (e.g. [`ecl_algos::cells::Input::views`]);
     /// the manifest names it by `views.name`.
     pub views: Views<'a>,
     /// Input scale factor (it also sizes the device).
@@ -181,10 +181,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ecl-prof-test-{}", std::process::id()));
         let cc = ecl_algos::find("cc").unwrap();
         let schedule = cc.default_schedule();
-        let inputs = crate::Inputs::new(0.0005, 42);
+        let input = ecl_algos::cells::Input::from_registry("as-skitter", 0.0005, 42).unwrap();
         let spec = ProfileSpec {
             algo: cc,
-            views: inputs.views(cc, ecl_graphgen::registry::find("as-skitter").unwrap()),
+            views: input.views(cc),
             scale: 0.0005,
             seed: 42,
             repeats: 2,

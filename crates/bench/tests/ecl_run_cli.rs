@@ -37,7 +37,8 @@ fn contract_violations_exit_2_with_one_line() {
         (&["cc", "--input", "internet", "--repeats", "x"], "repeats must be an integer, got x"),
         (&["cc", "--input", "internet", "--shards", "x"], "shards must be an integer, got x"),
         (&["cc", "--input", "internet", "--bogus"], "unknown argument: --bogus"),
-        (&["cc", "--input", "internet", "--seed"], "unknown argument: --seed"),
+        (&["cc", "--input", "internet", "--seed"], "--seed wants a value"),
+        (&["cc", "--input", "internet", "--scale"], "--scale wants a value"),
         (&["zz", "--input", "internet"], "unknown algorithm \"zz\""),
         // A variant flag is a schedule knob; an algorithm without it refuses.
         (&["gc", "--input", "internet", "--trim"], "gc has no knob \"trim\" (--trim)"),
@@ -126,7 +127,8 @@ fn experiment_binaries_refuse_bad_arguments_with_one_line() {
         (&["table1", "--scale", "0"], "scale must be in (0, 1], got 0"),
         (&["table1", "--seed", "x"], "seed must be an integer, got x"),
         (&["table1", "--bogus"], "unknown argument: --bogus"),
-        (&["table1", "--scale"], "unknown argument: --scale"),
+        (&["table1", "--scale"], "--scale wants a value"),
+        (&["table1", "--seed"], "--seed wants a value"),
         (&["table9"], usage),
         (&[], usage),
     ] {

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ecl_cc::CcConfig;
+use ecl_gpusim::{Device, DeviceConfig};
 use ecl_prof::Collector;
 use ecl_profiling::ProfileMode;
 
@@ -25,7 +26,7 @@ fn median_cc_secs(g: &ecl_graph::Csr, runs: usize, collector: Option<&Arc<Collec
     let cfg = CcConfig { mode: ProfileMode::Off, ..CcConfig::baseline() };
     let mut times: Vec<f64> = (0..runs)
         .map(|_| {
-            let device = ecl_bench::scaled_device(SCALE);
+            let device = Device::new(DeviceConfig::rtx4090_scaled(SCALE, 1));
             let _attached = collector.map(|c| device.observe(c.clone()));
             let t0 = Instant::now();
             std::hint::black_box(ecl_cc::run(&device, g, &cfg));
@@ -47,7 +48,7 @@ fn disabled_profiling_overhead_on_cc_is_within_noise() {
     // empty (~1 ns); a regression that takes a lock or builds a sample
     // per launch lands in the microseconds and fails by orders of
     // magnitude.
-    let device = ecl_bench::scaled_device(SCALE);
+    let device = Device::new(DeviceConfig::rtx4090_scaled(SCALE, 1));
     const CALLS: u32 = 10_000_000;
     let t0 = Instant::now();
     for _ in 0..CALLS {

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ecl_cc::CcConfig;
-use ecl_gpusim::observe;
+use ecl_gpusim::{observe, Device, DeviceConfig};
 use ecl_profiling::ProfileMode;
 use ecl_trace::{ClockMode, EventKind, Tracer, TracerConfig};
 
@@ -25,7 +25,7 @@ fn median_cc_secs(g: &ecl_graph::Csr, runs: usize) -> f64 {
     let cfg = CcConfig { mode: ProfileMode::Off, ..CcConfig::baseline() };
     let mut times: Vec<f64> = (0..runs)
         .map(|_| {
-            let device = ecl_bench::scaled_device(SCALE);
+            let device = Device::new(DeviceConfig::rtx4090_scaled(SCALE, 1));
             let t0 = Instant::now();
             std::hint::black_box(ecl_cc::run(&device, g, &cfg));
             t0.elapsed().as_secs_f64()
@@ -45,7 +45,7 @@ fn disabled_tracing_overhead_on_cc_is_within_noise() {
     // load (~1 ns); a regression that takes a lock or formats per
     // event lands in the microseconds and fails by orders of
     // magnitude.
-    let device = ecl_bench::scaled_device(SCALE);
+    let device = Device::new(DeviceConfig::rtx4090_scaled(SCALE, 1));
     assert!(device.observers().find::<Tracer>().is_none());
     const CALLS: u32 = 10_000_000;
     let t0 = Instant::now();
@@ -79,7 +79,7 @@ fn enabled_tracing_captures_cc_structure() {
         events_per_slot: 1 << 14,
         clock: ClockMode::Logical,
     }));
-    let device = ecl_bench::scaled_device(SCALE);
+    let device = Device::new(DeviceConfig::rtx4090_scaled(SCALE, 1));
     let attached = device.observe(tracer.clone());
     ecl_cc::run(&device, &g, &cfg);
     drop(attached);

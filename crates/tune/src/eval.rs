@@ -1,67 +1,22 @@
 //! Candidate evaluation: one (algorithm, input, [`Schedule`]) triple →
 //! deterministic modeled time plus a result signature.
 //!
-//! Every evaluation goes through [`ecl_algos::execute`] — a fresh
-//! scaled device so cost tallies never leak between candidates, and the
-//! algorithm's real implementation: the same code path `ecl-serve`
-//! executes, so a schedule that wins here wins in production. The
-//! objective is [`ecl_gpusim::Device::modeled_time`] under the in-order
-//! schedule: [`evaluate`] pins one worker itself, whatever policy its
-//! caller runs under, because a multi-worker interleaving moves
+//! Every evaluation is an [`Input::run`], i.e. [`ecl_algos::execute`] —
+//! a fresh scaled device so cost tallies never leak between candidates,
+//! and the algorithm's real implementation: the same code path
+//! `ecl-serve` executes, so a schedule that wins here wins in
+//! production. The objective is [`ecl_gpusim::Device::modeled_time`]
+//! under the in-order schedule: the run pins one worker itself,
+//! whatever policy its caller runs under, because a multi-worker
+//! interleaving moves
 //! schedule-dependent charges (CAS failures, SCC's block-local
 //! iterations). So the objective is a pure function of (algorithm,
 //! input, schedule): no repeats, no noise envelope, bit-exact
 //! reproducibility.
 
-use std::sync::Arc;
-
-use ecl_algos::{Algorithm, Views};
-use ecl_gpusim::pool::with_policy;
-use ecl_gpusim::{DispatchPolicy, Schedule};
-use ecl_graph::{Csr, Fingerprint, WeightedCsr};
-
-/// One concrete input under tuning: the graph views the algorithms
-/// consume plus its family fingerprint (the manifest bucket key).
-#[derive(Clone)]
-pub struct TuneInput {
-    /// Registry input name.
-    pub name: String,
-    /// Generation scale.
-    pub scale: f64,
-    /// Generation seed.
-    pub seed: u64,
-    /// The graph (CC, GC, MIS, SCC).
-    pub csr: Arc<Csr>,
-    /// Weighted view of `csr` (MST), for undirected inputs.
-    pub weighted: Option<WeightedCsr>,
-    /// Structural fingerprint of the graph.
-    pub fingerprint: Fingerprint,
-}
-
-impl TuneInput {
-    /// Generates the registry input `name` at `scale`/`seed` with both
-    /// views and its fingerprint.
-    pub fn from_registry(name: &str, scale: f64, seed: u64) -> Result<TuneInput, String> {
-        let spec = ecl_graphgen::registry::find(name)
-            .ok_or_else(|| format!("unknown registry input {name:?}"))?;
-        let csr = Arc::new(spec.generate(scale, seed));
-        let weighted = (!spec.directed)
-            .then(|| spec.weigh(Arc::clone(&csr), seed, ecl_graphgen::DEFAULT_MAX_WEIGHT));
-        let fingerprint = Fingerprint::of(&csr);
-        Ok(TuneInput { name: name.to_string(), scale, seed, csr, weighted, fingerprint })
-    }
-
-    /// The graph views this input offers an algorithm.
-    pub fn views(&self) -> Views<'_> {
-        Views { name: &self.name, csr: &self.csr, weighted: self.weighted.as_ref() }
-    }
-
-    /// Whether `algo` can run on this input (its directedness and
-    /// weighted-view contract).
-    pub fn supports(&self, algo: &dyn Algorithm) -> bool {
-        ecl_algos::check_input(algo, &self.views()).is_ok()
-    }
-}
+use ecl_algos::cells::Input;
+use ecl_algos::Algorithm;
+use ecl_gpusim::Schedule;
 
 /// The outcome of one candidate evaluation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -74,16 +29,15 @@ pub struct EvalOutcome {
     pub result_sig: u64,
 }
 
-/// Evaluates `schedule` for `algo` on `input`, in order (one worker).
+/// Evaluates `schedule` for `algo` on `input`, in order (one worker):
+/// one [`Input::run`].
 pub fn evaluate(
     algo: &dyn Algorithm,
-    input: &TuneInput,
+    input: &Input,
     schedule: &Schedule,
 ) -> Result<EvalOutcome, String> {
-    let (outcome, modeled_time) = with_policy(DispatchPolicy::sequential(), || {
-        ecl_algos::execute(algo, input.scale, &input.views(), Some(schedule))
-    })?;
-    Ok(EvalOutcome { modeled_time, result_sig: outcome.signature() })
+    let run = input.run(algo, schedule)?;
+    Ok(EvalOutcome { modeled_time: run.modeled_time, result_sig: run.outcome.signature() })
 }
 
 #[cfg(test)]
@@ -92,8 +46,8 @@ mod tests {
     use super::*;
     use ecl_gpusim::schedule::KnobValue;
 
-    fn internet() -> TuneInput {
-        TuneInput::from_registry("internet", 0.002, 7).unwrap()
+    fn internet() -> Input {
+        Input::from_registry("internet", 0.002, 7).unwrap()
     }
 
     fn algo(name: &str) -> &'static dyn Algorithm {
@@ -105,14 +59,8 @@ mod tests {
     }
 
     /// By registered name, as the tests below spell it.
-    fn evaluate(name: &str, input: &TuneInput, s: &Schedule) -> Result<EvalOutcome, String> {
+    fn evaluate(name: &str, input: &Input, s: &Schedule) -> Result<EvalOutcome, String> {
         super::evaluate(algo(name), input, s)
-    }
-
-    #[test]
-    fn the_weighted_view_shares_the_graph() {
-        let input = internet();
-        assert!(std::ptr::eq(input.weighted.as_ref().unwrap().csr(), &*input.csr));
     }
 
     #[test]
@@ -127,7 +75,7 @@ mod tests {
 
     #[test]
     fn block_size_changes_modeled_cost() {
-        let input = TuneInput::from_registry("toroid-wedge", 0.002, 7).unwrap();
+        let input = Input::from_registry("toroid-wedge", 0.002, 7).unwrap();
         let d = evaluate("scc", &input, &default_schedule("scc")).unwrap();
         let small = default_schedule("scc").with("block_size", KnobValue::Int(64));
         let s = evaluate("scc", &input, &small).unwrap();
@@ -138,7 +86,7 @@ mod tests {
     fn directedness_contract_enforced() {
         let input = internet();
         assert!(evaluate("scc", &input, &default_schedule("scc")).is_err());
-        let directed = TuneInput::from_registry("toroid-wedge", 0.002, 7).unwrap();
+        let directed = Input::from_registry("toroid-wedge", 0.002, 7).unwrap();
         assert!(evaluate("cc", &directed, &default_schedule("cc")).is_err());
         assert!(directed.supports(algo("scc")) && !directed.supports(algo("mst")));
     }
@@ -150,7 +98,7 @@ mod tests {
             let r = evaluate(algo, &und, &default_schedule(algo)).unwrap();
             assert!(r.modeled_time > 0.0, "{algo}");
         }
-        let dir = TuneInput::from_registry("star", 0.002, 7).unwrap();
+        let dir = Input::from_registry("star", 0.002, 7).unwrap();
         assert!(evaluate("scc", &dir, &default_schedule("scc")).unwrap().modeled_time > 0.0);
     }
 }

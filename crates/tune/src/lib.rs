@@ -13,7 +13,9 @@
 //! - [`search`] drives a deterministic search (exhaustive when the
 //!   space fits the budget, seeded coordinate descent with
 //!   early-abandon pruning otherwise);
-//! - [`sweep`] runs the search over an algorithms × inputs grid;
+//! - [`sweep`] runs the search over an algorithms × inputs grid, one
+//!   resident input at a time, its (input, algorithm) searches side by
+//!   side ([`ecl_algos::cells`]);
 //! - [`manifest`] is the durable output: a versioned `ecl-tune/1`
 //!   JSON manifest keyed by (algorithm, graph-family fingerprint),
 //!   stamped with the git SHA and full search provenance.
@@ -29,7 +31,7 @@ pub mod manifest;
 pub mod search;
 pub mod sweep;
 
-pub use eval::{evaluate, EvalOutcome, TuneInput};
+pub use eval::{evaluate, EvalOutcome};
 pub use manifest::{TuneEntry, TuneManifest, SCHEMA};
 pub use search::{search, SearchConfig, SearchResult};
 pub use sweep::{sweep, SweepConfig, SweepOutcome};

@@ -25,11 +25,12 @@
 
 use std::collections::BTreeMap;
 
+use ecl_algos::cells::Input;
 use ecl_algos::Algorithm;
 use ecl_gpusim::Schedule;
 use ecl_profiling::{LogSketch, SketchSnapshot};
 
-use crate::eval::{evaluate, TuneInput};
+use crate::eval::evaluate;
 
 /// Search driver configuration.
 #[derive(Clone, Debug)]
@@ -83,7 +84,7 @@ fn lcg_next(state: &mut u64) -> u64 {
 /// free.
 struct Memo<'a> {
     algo: &'a dyn Algorithm,
-    input: &'a TuneInput,
+    input: &'a Input,
     cache: BTreeMap<String, f64>,
     evaluations: usize,
     sketch: LogSketch,
@@ -109,7 +110,7 @@ impl Memo<'_> {
 /// Runs the search for `algo` on `input`.
 pub fn search(
     algo: &dyn Algorithm,
-    input: &TuneInput,
+    input: &Input,
     cfg: &SearchConfig,
 ) -> Result<SearchResult, String> {
     let searchable = algo.knobs();
@@ -222,8 +223,8 @@ fn finish(
 mod tests {
     use super::*;
 
-    fn internet() -> TuneInput {
-        TuneInput::from_registry("internet", 0.002, 7).unwrap()
+    fn internet() -> Input {
+        Input::from_registry("internet", 0.002, 7).unwrap()
     }
 
     fn algo(name: &str) -> &'static dyn Algorithm {
@@ -267,7 +268,7 @@ mod tests {
         // shrink over many iterations (delaunay, roadmaps) and loses
         // on low-diameter inputs like internet. The search must find
         // both sides without being told.
-        let mesh = TuneInput::from_registry("delaunay_n24", 0.001, 7).unwrap();
+        let mesh = Input::from_registry("delaunay_n24", 0.001, 7).unwrap();
         let r = search(algo("mst"), &mesh, &SearchConfig::default()).unwrap();
         assert_eq!(r.best.bool_knob("fixed_launch"), Some(true), "{}", r.best.to_json());
         assert!(r.best_time < r.default_time);
@@ -281,7 +282,7 @@ mod tests {
         // The §6.2.1 finding: the winning SCC block size is
         // input-dependent. Whatever the search picks must equal the
         // brute-force winner over the block-size domain.
-        let input = TuneInput::from_registry("klein-bottle", 0.002, 7).unwrap();
+        let input = Input::from_registry("klein-bottle", 0.002, 7).unwrap();
         let r = search(algo("scc"), &input, &SearchConfig::default()).unwrap();
         let mut brute_best = (f64::INFINITY, 0i64);
         for &bs in &[64i64, 128, 256, 512, 1024] {

@@ -1,9 +1,17 @@
 //! The sweep: run the search over an (algorithms × inputs) grid and
-//! assemble a manifest. Each entry records its default and tuned
-//! modeled times; `ecl-tune sweep` runs [`TuneManifest::validate`],
+//! assemble a manifest. Inputs are visited one at a time
+//! ([`ecl_algos::cells`]): each is generated once, its (input,
+//! algorithm) searches run side by side, each in order, and the graph
+//! drops before the next input. Each entry records its default and
+//! tuned modeled times; `ecl-tune sweep` runs [`TuneManifest::validate`],
 //! which checks tuned ≤ default per entry, before it writes one.
 
-use crate::eval::TuneInput;
+use std::collections::HashSet;
+
+use ecl_algos::cells::{side_by_side, Input};
+use ecl_algos::Algorithm;
+use ecl_graph::Fingerprint;
+
 use crate::manifest::{TuneEntry, TuneManifest};
 use crate::search::{search, SearchConfig};
 
@@ -33,36 +41,43 @@ pub struct SweepOutcome {
     pub skipped: Vec<(String, String, String)>,
 }
 
-/// Runs the sweep. Incompatible (algo, input) pairs (directedness,
-/// missing weighted view) are skipped and reported, not errors: a
-/// grid naturally mixes directed and undirected inputs. An algorithm
-/// name outside the registry is an error.
+/// `names` without repeats, in first-seen order.
+fn distinct(names: &[String]) -> impl Iterator<Item = &String> {
+    let mut seen = HashSet::new();
+    names.iter().filter(move |name| seen.insert(*name))
+}
+
+/// Runs the sweep: one entry per distinct (algo, input) pair.
+/// Incompatible pairs (directedness) are skipped and reported, not
+/// errors: a grid naturally mixes directed and undirected inputs. A
+/// name outside the registries is an error, reported before any
+/// search runs.
 pub fn sweep(cfg: &SweepConfig) -> Result<SweepOutcome, String> {
-    let algos = cfg
-        .algos
-        .iter()
+    let algos = distinct(&cfg.algos)
         .map(|name| ecl_algos::find(name).ok_or_else(|| format!("unknown algorithm {name:?}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let inputs = distinct(&cfg.inputs)
+        .map(|name| Input::from_registry(name, cfg.scale, cfg.seed))
         .collect::<Result<Vec<_>, _>>()?;
     let mut entries = Vec::new();
     let mut skipped = Vec::new();
-    for input_name in &cfg.inputs {
-        let input = TuneInput::from_registry(input_name, cfg.scale, cfg.seed)?;
-        for &algo in &algos {
-            if !input.supports(algo) {
-                let dir = if input.fingerprint.directed { "directed" } else { "undirected" };
-                skipped.push((
-                    algo.name().to_string(),
-                    input_name.clone(),
-                    format!("input is {dir}"),
-                ));
-                continue;
-            }
-            let r = search(algo, &input, &cfg.search)?;
+    for input in inputs {
+        let name = input.spec.name;
+        let (tuned, refused): (Vec<&dyn Algorithm>, Vec<_>) =
+            algos.iter().partition(|a| input.supports(**a));
+        let dir = if input.spec.directed { "directed" } else { "undirected" };
+        for a in refused {
+            skipped.push((a.name().to_string(), name.to_string(), format!("input is {dir}")));
+        }
+        let fingerprint = Fingerprint::of(input.graph());
+        let results = side_by_side(tuned.clone(), |algo| search(algo, &input, &cfg.search));
+        for (algo, r) in tuned.into_iter().zip(results) {
+            let r = r?;
             entries.push(TuneEntry {
                 algo: algo.name().to_string(),
-                input: input_name.clone(),
-                family: input.fingerprint.family_key(),
-                fingerprint: input.fingerprint.clone(),
+                input: name.to_string(),
+                family: fingerprint.family_key(),
+                fingerprint: fingerprint.clone(),
                 scale: cfg.scale,
                 seed: cfg.seed,
                 method: r.method.to_string(),
@@ -100,6 +115,20 @@ mod tests {
         assert_eq!(out.manifest.entries.len(), 2);
         assert_eq!(out.skipped.len(), 2, "cc×toroid-wedge and scc×internet skip");
         assert!(out.manifest.validate().is_ok());
+    }
+
+    #[test]
+    fn repeated_names_tune_each_pair_once() {
+        let out = sweep(&SweepConfig {
+            inputs: vec!["internet".into(), "internet".into()],
+            algos: vec!["cc".into(), "cc".into()],
+            scale: 0.002,
+            seed: 7,
+            search: SearchConfig { budget: 8, ..SearchConfig::default() },
+        })
+        .unwrap();
+        assert_eq!(out.manifest.entries.len(), 1);
+        assert!(out.skipped.is_empty());
     }
 
     #[test]

@@ -9,10 +9,11 @@
 
 use std::sync::OnceLock;
 
+use ecl_algos::cells::Input;
 use ecl_algos::{Algorithm, ALL};
 use ecl_gpusim::pool::with_policy;
 use ecl_gpusim::{DispatchPolicy, Schedule};
-use ecl_tune::{evaluate, TuneInput};
+use ecl_tune::evaluate;
 use proptest::prelude::*;
 
 const SCALE: f64 = 0.001;
@@ -20,13 +21,13 @@ const SEED: u64 = 11;
 
 /// Inputs are generated once: the property varies the schedule, not
 /// the graph, and regeneration per case would dominate the runtime.
-fn input_for(algo: &dyn Algorithm) -> &'static TuneInput {
-    static UNDIRECTED: OnceLock<TuneInput> = OnceLock::new();
-    static DIRECTED: OnceLock<TuneInput> = OnceLock::new();
+fn input_for(algo: &dyn Algorithm) -> &'static Input {
+    static UNDIRECTED: OnceLock<Input> = OnceLock::new();
+    static DIRECTED: OnceLock<Input> = OnceLock::new();
     if algo.directed() {
-        DIRECTED.get_or_init(|| TuneInput::from_registry("toroid-wedge", SCALE, SEED).unwrap())
+        DIRECTED.get_or_init(|| Input::from_registry("toroid-wedge", SCALE, SEED).unwrap())
     } else {
-        UNDIRECTED.get_or_init(|| TuneInput::from_registry("internet", SCALE, SEED).unwrap())
+        UNDIRECTED.get_or_init(|| Input::from_registry("internet", SCALE, SEED).unwrap())
     }
 }
 

@@ -20,6 +20,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use ecl_suite::algos::cells::Input;
 use ecl_suite::algos::{self, checksum_u32, Algorithm, Outcome, Views};
 use ecl_suite::graph::{Csr, WeightedCsr};
 use ecl_suite::profiling::Counter;
@@ -29,7 +30,7 @@ use ecl_suite::sim::pool::{with_policy, DispatchPolicy};
 use ecl_suite::sim::schedule::{KnobDomain, KnobSpec, KnobValue, BLOCK_SIZES};
 use ecl_suite::sim::{launch_flat, CostKind, Device, DeviceConfig, LaunchConfig, Schedule};
 use ecl_suite::{cc, gc, gen, mis, mst, scc, shard};
-use ecl_tune::{evaluate, search, EvalOutcome, SearchConfig, TuneInput, TuneManifest};
+use ecl_tune::{evaluate, search, EvalOutcome, SearchConfig, TuneManifest};
 
 const SCALE: f64 = 0.002;
 const SEED: u64 = 7;
@@ -107,7 +108,7 @@ fn toy_algorithm_runs_through_the_shared_driver() {
 
 #[test]
 fn toy_algorithm_tunes_and_profiles_without_a_registry_entry() {
-    let input = TuneInput::from_registry("internet", SCALE, SEED).unwrap();
+    let input = Input::from_registry("internet", SCALE, SEED).unwrap();
     assert!(input.supports(&DegreeSum));
     let default = DegreeSum.default_schedule();
     let a = evaluate(&DegreeSum, &input, &default).unwrap();
@@ -125,8 +126,7 @@ fn toy_algorithm_tunes_and_profiles_without_a_registry_entry() {
     assert_eq!(r.best_time.to_bits(), brute.fold(f64::INFINITY, f64::min).to_bits());
 
     // `ecl-run` prints its counters with no edit anywhere.
-    let inputs = ecl_bench::Inputs::new(SCALE, SEED);
-    let views = inputs.views(&DegreeSum, gen::registry::find("internet").unwrap());
+    let views = input.views(&DegreeSum);
     let (out, _) = algos::execute(&DegreeSum, SCALE, &views, Some(&default)).unwrap();
     let printed = ecl_bench::render_counters(&out, true);
     assert!(printed.contains("  degsum/degree: avg "), "{printed}");
@@ -433,8 +433,8 @@ fn every_registered_default_schedule_is_valid() {
 /// ten inside the in-order policy give one modeled time and one result.
 #[test]
 fn evaluate_runs_in_order_under_any_caller_policy() {
-    let und = TuneInput::from_registry("internet", SCALE, SEED).unwrap();
-    let dir = TuneInput::from_registry("toroid-wedge", SCALE, SEED).unwrap();
+    let und = Input::from_registry("internet", SCALE, SEED).unwrap();
+    let dir = Input::from_registry("toroid-wedge", SCALE, SEED).unwrap();
     for a in algos::ALL {
         let input = if a.directed() { &dir } else { &und };
         let schedule = a.default_schedule();
@@ -470,11 +470,11 @@ fn in_order_modeled_time_of_every_algorithm_is_pinned() {
         ("mst", 119_583.0),
         ("scc", 619_122.25),
     ];
-    let inputs = ecl_bench::Inputs::new(SCALE, SEED);
     for (a, (name, want)) in algos::ALL.into_iter().zip(pins) {
         assert_eq!(a.name(), name);
         let input = if a.directed() { "toroid-wedge" } else { "as-skitter" };
-        let views = inputs.views(a, gen::registry::find(input).unwrap());
+        let generated = Input::from_registry(input, SCALE, SEED).unwrap();
+        let views = generated.views(a);
         let (_, time) = sequential(|| algos::execute(a, SCALE, &views, None)).unwrap();
         assert_eq!(time.to_bits(), f64::to_bits(want), "{name} on {input}: {time}");
     }

@@ -265,8 +265,8 @@ fn collector_rows_and_host_remainder_are_the_devices_cost() {
     /// must not see, and returns the device and the collector's rows.
     fn collected(algo: &dyn Algorithm, schedule: &Schedule) -> (sim::Device, Vec<KernelStats>) {
         let input = if algo.directed() { "toroid-wedge" } else { "as-skitter" };
-        let inputs = ecl_bench::Inputs::new(SCALE, 42);
-        let views = inputs.views(algo, gen::registry::find(input).unwrap());
+        let generated = algos::cells::Input::from_registry(input, SCALE, 42).unwrap();
+        let views = generated.views(algo);
         let device = sim::Device::new(algos::device_config(algo, SCALE));
         let collector = Arc::new(Collector::new());
         let attached = device.observe(collector.clone());
