@@ -4,13 +4,14 @@
 //! and 3 one ECL-MIS run). [`run`] visits the inputs one at a time, runs
 //! each distinct key once through [`execute`], in order, side by side
 //! on one worker per core, and folds every [`Visitor`]'s runs in the
-//! order it declared them before the input drops. The next input is
-//! generated while two inputs' cells run, so at most three graphs are
-//! resident, and the folds see the same runs on any host and under any
-//! caller's dispatch policy.
+//! order it declared them before the input drops. The next inputs are
+//! generated while the cells run, so at most three graphs are resident,
+//! and the folds see the same runs on any host and under any caller's
+//! dispatch policy.
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -142,109 +143,126 @@ pub fn side_by_side<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) 
     items.into_par_iter().map(in_order).collect()
 }
 
-/// An input whose cells are queued: each visitor's keys, the distinct
-/// ones, and `(position in distinct, run)` as the cells finish.
+/// Each visitor's keys on `input` as positions among the distinct keys
+/// returned with them; `None` if no visitor reads the input.
+fn declare(input: &Input, visitors: &mut [&mut dyn Visitor]) -> Option<(Declared, Vec<Key>)> {
+    let mut distinct: Vec<Key> = Vec::new();
+    let mut position = |key: Key| {
+        distinct.iter().position(|k| k.same(&key)).unwrap_or_else(|| {
+            distinct.push(key);
+            distinct.len() - 1
+        })
+    };
+    let declared: Declared = visitors
+        .iter_mut()
+        .map(|visitor| Some(visitor.keys(input)?.into_iter().map(&mut position).collect()))
+        .collect();
+    declared.iter().any(Option::is_some).then_some((declared, distinct))
+}
+
+type Declared = Vec<Option<Vec<usize>>>;
+type Task = Box<dyn FnOnce() + Send>;
+
+/// A queued input: each visitor's keys as positions among its `cells`
+/// distinct ones, whose runs arrive on `done`.
 struct Visit {
     input: Arc<Input>,
-    declared: Vec<Option<Vec<Key>>>,
-    distinct: Vec<Key>,
+    declared: Declared,
+    cells: usize,
     done: Receiver<(usize, Run)>,
 }
 
 impl Visit {
-    /// Waits for the cells, folds and drops the input.
+    /// Queues the `distinct` keys on the workers, each run sent with its
+    /// position. The cells of a weighted algorithm share one lane: each
+    /// builds per-edge worklists several times the graph's size, so side
+    /// by side they would double the peak (two ECL-MST runs on
+    /// europe_osm). A lane that panics drops its sender, so the fold
+    /// finds its runs missing.
+    fn queue(
+        input: Arc<Input>,
+        declared: Declared,
+        distinct: Vec<Key>,
+        tasks: &Sender<Task>,
+    ) -> Visit {
+        let (sender, done) = mpsc::channel();
+        let cells = distinct.len();
+        let (weighted, single): (Vec<_>, Vec<_>) =
+            distinct.into_iter().enumerate().partition(|(_, key)| key.algo.weighted());
+        let lanes = std::iter::once(weighted).chain(single.into_iter().map(|cell| vec![cell]));
+        for lane in lanes.filter(|lane| !lane.is_empty()) {
+            let (input, sender) = (Arc::clone(&input), sender.clone());
+            let cells = move || {
+                let run = |(i, key): (usize, Key)| match input.run(key.algo, &key.schedule) {
+                    Ok(run) => (i, run),
+                    Err(e) => panic!("{}: {e}", input.spec.name),
+                };
+                let runs: Vec<(usize, Run)> = lane.into_iter().map(run).collect();
+                drop(input); // no graph outlives its last cell
+                runs.into_iter().for_each(|run| sender.send(run).expect("the fold waits"));
+            };
+            tasks.send(Box::new(cells)).expect("the workers outlive the visits");
+        }
+        Visit { input, declared, cells, done }
+    }
+
+    /// Whether every cell has run: each lane holds the input until then.
+    fn ran(&self) -> bool {
+        Arc::strong_count(&self.input) == 1
+    }
+
+    /// Waits for the cells; then every visitor folds its runs in the
+    /// order it declared them, and the input drops. Panics if a cell did.
     fn fold(self, visitors: &mut [&mut dyn Visitor]) {
-        let mut runs: Vec<(usize, Run)> = self.done.iter().take(self.distinct.len()).collect();
-        assert_eq!(runs.len(), self.distinct.len(), "a cell panicked");
+        let mut runs: Vec<(usize, Run)> = self.done.iter().collect();
+        assert_eq!(runs.len(), self.cells, "{}: a cell panicked", self.input.spec.name);
         runs.sort_by_key(|&(i, _)| i);
-        let position = |key: &Key| self.distinct.iter().position(|k| k.same(key));
         for (visitor, keys) in visitors.iter_mut().zip(&self.declared) {
             let Some(keys) = keys else { continue };
-            let mine: Vec<&Run> =
-                keys.iter().map(|key| &runs[position(key).expect("declared")].1).collect();
+            let mine: Vec<&Run> = keys.iter().map(|&i| &runs[i].1).collect();
             with_policy(DispatchPolicy::sequential(), || visitor.fold(&self.input, &mine));
         }
     }
 }
 
-/// Queues `input`'s distinct keys on the workers. The cells of a
-/// weighted algorithm share one lane: each builds per-edge worklists
-/// several times the graph's size, so side by side they would double
-/// the peak (two ECL-MST runs on europe_osm).
-fn queue(
-    input: &Arc<Input>,
-    distinct: &[Key],
-    tasks: &Sender<Box<dyn FnOnce() + Send>>,
-) -> Receiver<(usize, Run)> {
-    let (sender, done) = mpsc::channel();
-    let (weighted, single): (Vec<_>, Vec<_>) =
-        distinct.iter().cloned().enumerate().partition(|(_, key)| key.algo.weighted());
-    let lanes = std::iter::once(weighted).chain(single.into_iter().map(|cell| vec![cell]));
-    for lane in lanes.filter(|lane| !lane.is_empty()) {
-        let (input, sender) = (Arc::clone(input), sender.clone());
-        let cells = move || {
-            let run = |(i, key): (usize, Key)| {
-                let run = input.run(key.algo, &key.schedule);
-                (i, run.unwrap_or_else(|e| panic!("{}: {e}", input.spec.name)))
-            };
-            let runs: Vec<(usize, Run)> = lane.into_iter().map(run).collect();
-            drop(input); // no graph outlives its last cell
-            runs.into_iter().for_each(|run| sender.send(run).expect("the fold waits"));
-        };
-        tasks.send(Box::new(cells)).expect("the workers outlive the visits");
-    }
-    done
-}
-
-/// Visits `specs` at `scale`/`seed`: on each input the visitors declare
-/// their keys, the input is generated and its distinct keys queued,
-/// then the input two back is folded and dropped. An input no visitor
-/// reads is never generated. Returns one (input name, key) per run, in
-/// queue order. Panics if a key breaks its input's contract.
+/// Visits `specs` at `scale`/`seed` on one worker per core: on each
+/// input the visitors declare their keys, the input is generated and
+/// its distinct keys queued. The inputs whose cells have run fold in
+/// visiting order before the next is generated, and the oldest is
+/// waited for while two others are queued, so at most three graphs are
+/// resident. An input no visitor reads is never generated. Returns one
+/// (input name, key) per run, in queue order. Panics if a cell does
+/// (e.g. a key that breaks its input's contract); the workers survive
+/// it, so nothing hangs.
 pub fn run(
     specs: impl IntoIterator<Item = &'static InputSpec>,
     scale: f64,
     seed: u64,
     visitors: &mut [&mut dyn Visitor],
 ) -> Vec<(&'static str, Key)> {
-    let (tasks, queued) = mpsc::channel::<Box<dyn FnOnce() + Send>>();
+    let (tasks, queued) = mpsc::channel::<Task>();
     let queued = Mutex::new(queued);
     let next = || queued.lock().expect("task queue").recv();
-    let mut executed = Vec::new();
+    let (mut executed, mut pending) = (Vec::new(), VecDeque::<Visit>::new());
     std::thread::scope(|scope| {
         for _ in 0..std::thread::available_parallelism().map_or(1, NonZeroUsize::get) {
             scope.spawn(|| {
                 while let Ok(task) = next() {
-                    task();
+                    drop(panic::catch_unwind(AssertUnwindSafe(task)));
                 }
             });
         }
-        // Two inputs' cells stay queued ahead of the fold that waits
-        // for the older one, so a long cell of one input leaves the
-        // other worker the next input's cells.
-        let mut queued_ahead = VecDeque::new();
         for spec in specs {
+            while pending.front().is_some_and(|visit| visit.ran() || pending.len() > 2) {
+                pending.pop_front().expect("a visit").fold(visitors);
+            }
             let input = Arc::new(Input::new(spec, scale, seed));
-            let declared: Vec<_> = visitors.iter_mut().map(|v| v.keys(&input)).collect();
-            if declared.iter().all(Option::is_none) {
-                continue;
-            }
-            let mut distinct: Vec<Key> = Vec::new();
-            for key in declared.iter().flatten().flatten() {
-                if !distinct.iter().any(|k| k.same(key)) {
-                    distinct.push(key.clone());
-                }
-            }
-            // Generated here, beside the queued inputs' cells.
-            input.graph();
-            let done = queue(&input, &distinct, &tasks);
+            let Some((declared, distinct)) = declare(&input, visitors) else { continue };
+            input.graph(); // generated here, beside the queued inputs' cells
             executed.extend(distinct.iter().map(|key| (spec.name, key.clone())));
-            queued_ahead.push_back(Visit { input, declared, distinct, done });
-            if queued_ahead.len() > 2 {
-                queued_ahead.pop_front().expect("queued").fold(visitors);
-            }
+            pending.push_back(Visit::queue(input, declared, distinct, &tasks));
         }
-        queued_ahead.into_iter().for_each(|visit| visit.fold(visitors));
+        pending.drain(..).for_each(|visit| visit.fold(visitors));
         drop(tasks);
     });
     executed
@@ -313,6 +331,25 @@ mod tests {
         let mut names = Names(Vec::new());
         assert!(run(specs(&["internet", "star"]), 0.002, 7, &mut [&mut names]).is_empty());
         assert_eq!(names.0, ["internet", "star"]);
+    }
+
+    #[test]
+    fn a_cell_that_cannot_run_panics_the_run_instead_of_hanging_it() {
+        // More failing lanes than a small host has workers: a worker
+        // that died with its cell would leave the other lanes queued
+        // and the fold waiting for their runs.
+        struct Undirected;
+        impl Visitor for Undirected {
+            fn keys(&mut self, _: &Input) -> Option<Vec<Key>> {
+                Some(["cc", "gc", "mis", "mst"].map(|name| Key::new(name, &[])).to_vec())
+            }
+            fn fold(&mut self, _: &Input, _: &[&Run]) {
+                unreachable!("no cell can run on a directed input")
+            }
+        }
+        let star = || run(specs(&["star"]), 0.002, 7, &mut [&mut Undirected]).len();
+        let message = *panic::catch_unwind(star).unwrap_err().downcast::<String>().unwrap();
+        assert!(message.contains("star: a cell panicked"), "{message}");
     }
 
     #[test]

@@ -26,12 +26,13 @@ pub mod table7;
 pub mod table8;
 
 /// A reproduced table or figure, as the runner visits it.
-pub trait Experiment: Visitor + Send {
+pub trait Experiment: Visitor {
     /// The printed output, from the rows the visits folded.
     fn render(&self, scale: f64) -> String;
 }
 
-/// An experiment's parts and the rows folded so far.
+/// An experiment module's `keys`, `row` and `render`, and the rows
+/// folded so far.
 struct Rows<R> {
     keys: fn(&Input) -> Option<Vec<Key>>,
     row: fn(&Input, &[&Run]) -> R,
@@ -49,28 +50,19 @@ impl<R> Visitor for Rows<R> {
     }
 }
 
-impl<R: Send> Experiment for Rows<R> {
+impl<R> Experiment for Rows<R> {
     fn render(&self, scale: f64) -> String {
         (self.render)(scale, &self.rows)
     }
 }
 
-fn rows<R: Send + 'static>(
-    keys: fn(&Input) -> Option<Vec<Key>>,
-    row: fn(&Input, &[&Run]) -> R,
-    render: fn(f64, &[R]) -> String,
-) -> Box<dyn Experiment> {
-    Box::new(Rows { keys, row, render, rows: Vec::new() })
-}
-
 /// A fresh experiment, nothing visited yet.
 pub type New = fn() -> Box<dyn Experiment>;
 
-/// The [`New`] of the experiment module `$m` (its `keys`, `row` and
-/// `render`).
+/// The [`New`] of the experiment module `$m`.
 macro_rules! new {
     ($m:ident) => {
-        || rows($m::keys, $m::row, $m::render)
+        || Box::new(Rows { keys: $m::keys, row: $m::row, render: $m::render, rows: Vec::new() })
     };
 }
 

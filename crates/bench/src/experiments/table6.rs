@@ -8,9 +8,9 @@
 
 use ecl_algos::cells::{Input, Key, Run};
 use ecl_gpusim::KnobValue;
-use ecl_profiling::Table;
+use ecl_profiling::{Counter, Table};
 
-use super::count;
+use super::counter;
 
 /// Block sizes swept by the paper (original = 512).
 pub const BLOCK_SIZES: [usize; 4] = [64, 128, 256, 1024];
@@ -45,13 +45,16 @@ pub fn keys(input: &Input) -> Option<Vec<Key>> {
 pub fn row(input: &Input, runs: &[&Run]) -> Row {
     let scc = ecl_algos::find("scc").expect("scc registered");
     let device = ecl_algos::device_config(scc, input.scale);
-    // Critical-path (parallel) time in whole units, divided by
-    // achievable SM occupancy: blocks are scheduled whole, so
-    // 1024-thread blocks leave a third of each 1536-thread SM idle — a
-    // hardware effect the work tally cannot see.
+    // Critical-path (parallel) time, divided by achievable SM
+    // occupancy: blocks are scheduled whole, so 1024-thread blocks leave
+    // a third of each 1536-thread SM idle — a hardware effect the work
+    // tally cannot see.
     let cost = |bs: usize| {
         let run = runs[RUN_ORDER.iter().position(|&size| size == bs).expect("a swept size")];
-        count(run, "scc/modeled_parallel_time") as f64 / device.occupancy(bs)
+        let Counter::Time(time) = counter(run, "scc/modeled_parallel_time") else {
+            panic!("the critical path is a time")
+        };
+        time / device.occupancy(bs)
     };
     let baseline = cost(ORIGINAL);
     let speedups = BLOCK_SIZES.iter().map(|&bs| baseline / cost(bs)).collect();

@@ -35,7 +35,7 @@ pub const DEFAULT_SEED: u64 = 42;
 /// Renders an outcome the way `ecl-run` prints it: the aggregates,
 /// then the counters. A count prints its value, a sketch its average
 /// and maximum (and, with `histogram`, its power-of-two buckets), a
-/// table itself.
+/// table itself, a time its whole units.
 pub fn render_counters(outcome: &Outcome, histogram: bool) -> String {
     let mut out = String::new();
     for (name, value) in &outcome.aggregates {
@@ -50,6 +50,7 @@ pub fn render_counters(outcome: &Outcome, histogram: bool) -> String {
             }
             Counter::Sketch(s) => format!("  {name}: avg {:.2}, max {}\n", s.mean(), s.max),
             Counter::Table(t) => format!("  {name}:\n{}", t.render()),
+            Counter::Time(t) => format!("  {name}: {t:.0}\n"),
         };
     }
     out

@@ -7,8 +7,8 @@ use crate::stripe::Striped;
 use crate::{LogSketch, SketchSnapshot, Table};
 
 /// One named counter a run reports, read after the run — the paper's
-/// three shapes. Each kernel crate's result lists its own as
-/// `(<algo>/<name>, Counter)` pairs.
+/// three shapes, plus a modeled time. Each kernel crate's result lists
+/// its own as `(<algo>/<name>, Counter)` pairs.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Counter {
     /// A global count (e.g. CAS attempts).
@@ -17,6 +17,8 @@ pub enum Counter {
     Sketch(SketchSnapshot),
     /// A per-iteration or per-block series (Figures 1 and 2).
     Table(Table),
+    /// A modeled time in cost units, kept exact (printed to whole units).
+    Time(f64),
 }
 
 /// Whether profiling counters record anything.

@@ -36,6 +36,7 @@ pub mod counter;
 pub mod expo;
 pub mod json;
 pub mod metrics;
+pub mod runs;
 pub mod sample;
 pub mod series;
 pub mod sketch;
@@ -47,6 +48,7 @@ pub mod trace;
 pub use atomics::{AtomicOutcome, AtomicTally};
 pub use counter::{Counter, GlobalCounter, PerThreadCounter, ProfileMode};
 pub use metrics::{imbalance_from_summary, ActivityTally};
+pub use runs::MultiRun;
 pub use sample::{LaunchSample, WorkerStat};
 pub use series::{BlockSeries, IterationBars};
 pub use sketch::{LogSketch, SketchSnapshot, SKETCH_BUCKETS};

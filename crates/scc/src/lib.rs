@@ -28,7 +28,7 @@ pub mod kernel;
 use ecl_gpusim::schedule::{KnobDomain, KnobSpec, BLOCK_SIZES};
 use ecl_gpusim::Device;
 use ecl_graph::Csr;
-use ecl_profiling::Counter::{self, Count, Sketch, Table};
+use ecl_profiling::Counter::{self, Count, Sketch, Table, Time};
 use ecl_profiling::ProfileMode;
 
 pub use counters::SccCounters;
@@ -132,13 +132,12 @@ impl SccResult {
     /// them; the first is the sketch a profile manifest leads with.
     pub fn counters(&self) -> Vec<(&'static str, Counter)> {
         let c = &self.counters;
-        let parallel_time = self.modeled_parallel_time.round_ties_even() as u64;
         vec![
             ("scc/updates_per_sweep", Sketch(c.updates_per_sweep.snapshot())),
             ("scc/edges_removed", Count(c.edges_removed.get())),
             ("scc/max_attempted", Count(c.max_tally.attempted())),
             ("scc/max_updated", Count(c.max_tally.updated())),
-            ("scc/modeled_parallel_time", Count(parallel_time)),
+            ("scc/modeled_parallel_time", Time(self.modeled_parallel_time)),
             ("scc/block_updates", Table(c.series.to_table(1, 1, true))),
         ]
     }

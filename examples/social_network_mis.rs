@@ -20,7 +20,7 @@ fn main() {
     // Seed-set selection, repeated three times: the selected set must
     // be identical every run (deterministic result), while the
     // per-thread iteration counts wobble (internal non-determinism).
-    let (mut avgs, mut maxes) = (Vec::new(), Vec::new());
+    let mut runs = profiling::MultiRun::new();
     let mut first: Option<Vec<bool>> = None;
     for i in 0..3 {
         let d = device();
@@ -34,23 +34,16 @@ fn main() {
             iters.max,
             secs
         );
-        avgs.push(iters.avg);
-        maxes.push(iters.max);
+        runs.push(iters);
         match &first {
             None => first = Some(r.in_set),
             Some(f) => assert_eq!(f, &r.in_set, "final MIS must be deterministic"),
         }
     }
-    // (max - min) / median of the per-run values.
-    let spread = |v: &[f64]| {
-        let (lo, hi) =
-            v.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &x| (lo.min(x), hi.max(x)));
-        (hi - lo) / profiling::stats::median(v).max(f64::MIN_POSITIVE)
-    };
     println!(
         "iteration-count stability across runs: avg spread {:.1}%, max spread {:.1}%",
-        100.0 * spread(&avgs),
-        100.0 * spread(&maxes)
+        100.0 * runs.avg_spread(),
+        100.0 * runs.max_spread()
     );
     println!("(the selected set was bit-identical in all runs)");
 
